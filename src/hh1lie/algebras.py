@@ -206,14 +206,10 @@ class Algebra:
         v = normalize(v, self.p).reshape(-1)
         out = np.zeros(self.dim, dtype=INT)
         if self.is_monomial:
-            ui = np.nonzero(u)[0]
-            vj = np.nonzero(v)[0]
-            if ui.size == 0 or vj.size == 0:
-                return out
+            ui, vj = np.nonzero(u)[0], np.nonzero(v)[0]
             grid = np.ix_(ui, vj)
             weights = u[ui][:, None] * v[vj][None, :] * self._cmat[grid]
-            np.add.at(out, self._kmat[grid].ravel(), weights.ravel())
-            return out % self.p
+            return gfp.scatter_add(out, self._kmat[grid], weights) % self.p
         for i in np.nonzero(u)[0]:
             for j in np.nonzero(v)[0]:
                 for k, c in self.mult_terms(int(i), int(j)):
@@ -232,9 +228,8 @@ class Algebra:
         out = np.zeros((self.dim, self.dim), dtype=INT)
         if self.is_monomial:
             # column b receives sum_i v_i c_{ib} at row k_{ib}
-            weights = (v[:, None] * self._cmat) % self.p
-            cols = np.broadcast_to(np.arange(self.dim), (self.dim, self.dim))
-            np.add.at(out, (self._kmat.ravel(), cols.ravel()), weights.ravel())
+            flat = self._kmat * self.dim + np.arange(self.dim)[None, :]
+            gfp.scatter_add(out.reshape(-1), flat, v[:, None] * self._cmat)
             return out % self.p
         for i in np.nonzero(v)[0]:
             for b in range(self.dim):
@@ -247,10 +242,9 @@ class Algebra:
         v = normalize(v, self.p).reshape(-1)
         out = np.zeros((self.dim, self.dim), dtype=INT)
         if self.is_monomial:
-            weights = (self._cmat * v[None, :]) % self.p
-            rows = self._kmat
-            cols = np.broadcast_to(np.arange(self.dim)[:, None], (self.dim, self.dim))
-            np.add.at(out, (rows.ravel(), cols.ravel()), weights.ravel())
+            # column b receives sum_j c_{bj} v_j at row k_{bj}
+            flat = self._kmat * self.dim + np.arange(self.dim)[:, None]
+            gfp.scatter_add(out.reshape(-1), flat, self._cmat * v[None, :])
             return out % self.p
         for j in np.nonzero(v)[0]:
             for b in range(self.dim):
@@ -322,24 +316,43 @@ class Algebra:
                 raise UnitViolation(i)
 
     def _validate_assoc_monomial(self):
-        d, p = self.dim, self.p
-        # products of two coefficients stay below p^2 <= 49: int16 is exact
-        kmat, cmat = self._kmat, self._cmat.astype(np.int16)
-        chunk = max(1, (8 << 20) // max(d * d, 1))
-        for start in range(0, d, chunk):
-            stop = min(d, start + chunk)
-            ki = kmat[start:stop]  # (m, d): k of e_i e_j
-            ci = cmat[start:stop]
-            # (e_i e_j) e_k
-            k2 = kmat[ki, :]  # (m, d, d)
-            c2 = ci[:, :, None] * cmat[ki, :] % p
-            # e_i (e_j e_k), with e_j e_k read off the full table
-            k3 = kmat[start:stop][:, kmat]  # (m, d, d): k of e_i e_{jk}
-            c3 = cmat[None, :, :] * cmat[start:stop][:, kmat] % p
-            ok = (c2 == c3) & ((k2 == k3) | (c2 == 0))
-            if not ok.all():
-                bad = np.argwhere(~ok)[0]
-                raise AssociativityViolation(start + int(bad[0]), int(bad[1]), int(bad[2]))
+        """(e_i e_j) e_k = e_i (e_j e_k) on every triple where a side can be nonzero.
+
+        The left side needs c_ij != 0 and the right side c_jk != 0, so
+        {c_ij != 0} x k and i x {c_jk != 0} hold every failure.  Each is walked
+        in lexicographic order; the smaller first failure is reported.
+        """
+        d, p, kmat, cmat = self.dim, self.p, self._kmat, self._cmat
+        pi, pj = np.nonzero(cmat)
+        cij, kij = cmat[pi, pj], kmat[pi, pj]
+        bad = []
+
+        def failures(c2, k2, c3, k3):
+            c2, c3 = c2 % p, c3 % p
+            return np.argwhere((c2 != c3) | ((c2 != 0) & (k2 != k3)))
+
+        # rows: pairs (i, j) with c_ij != 0; columns: every k
+        step = max(1, (1 << 19) // max(d, 1))
+        for s in range(0, pi.size, step):
+            i, j, ij = pi[s : s + step, None], pj[s : s + step], kij[s : s + step]
+            jk = kmat[j]
+            c2 = cij[s : s + step, None] * cmat[ij]
+            hit = failures(c2, kmat[ij], cmat[j] * cmat[i, jk], kmat[i, jk])
+            if hit.size:
+                bad.append((int(pi[s + hit[0, 0]]), int(pj[s + hit[0, 0]]), int(hit[0, 1])))
+                break
+        # rows: every i; columns: pairs (j, k) with c_jk != 0
+        step = max(1, (1 << 19) // max(pi.size, 1))
+        for s in range(0, d, step):
+            i = np.arange(s, min(d, s + step))[:, None]
+            ij = kmat[i, pi]
+            c2 = cmat[i, pi] * cmat[ij, pj]
+            hit = failures(c2, kmat[ij, pj], cij * cmat[i, kij], kmat[i, kij])
+            if hit.size:
+                bad.append((s + int(hit[0, 0]), int(pi[hit[0, 1]]), int(pj[hit[0, 1]])))
+                break
+        if bad:
+            raise AssociativityViolation(*min(bad))
 
     def _validate_assoc_dense(self):
         d, p = self.dim, self.p

@@ -148,6 +148,8 @@ def main(argv=None) -> int:
         try:
             a = _build_algebra(args, parser)
             pres = hoch.hh1(a, seed=args.seed)
+            L = lielib.from_hh1(pres)
+            fp = lielib.fingerprint(L, seed=args.seed)
         except (JsonFormatError, json.JSONDecodeError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID_INPUT
@@ -156,8 +158,6 @@ def main(argv=None) -> int:
             return EXIT_INVALID_INPUT
         except ValueError as exc:
             parser.error(str(exc))
-        L = lielib.from_hh1(pres)
-        fp = lielib.fingerprint(L, seed=args.seed)
         payload = {
             "report": pres.to_report_dict(),
             "lie": L.to_json_dict(),

@@ -1,9 +1,9 @@
 """Exact linear algebra over the prime field GF(p), p an odd prime >= 3.
 
-Matrices are numpy int64 arrays with entries reduced mod p.  All functions
-are pure: inputs are never mutated and results are fresh arrays.  Row
-spaces are kept in reduced row echelon form, which is unique over a field,
-so two equal subspaces always store identical bases.
+Matrices are numpy int64 arrays with entries reduced mod p.  Except for
+``scatter_add``, which adds into ``out``, functions never mutate inputs and
+return fresh arrays.  Row spaces are kept in reduced row echelon form, which
+is unique over a field, so two equal subspaces always store identical bases.
 """
 
 from __future__ import annotations
@@ -54,7 +54,34 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if a.shape[-1] == 0:
         return np.zeros(a.shape[:-1] + b.shape[1:], dtype=INT)
     prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-    return prod.astype(INT) % p
+    out = prod.astype(INT)
+    out %= p  # in place: one int64 copy of the product, not two
+    return out
+
+
+def scatter_add(out: np.ndarray, index, coef, src=None, take=None) -> np.ndarray:
+    """Exact ``out[index[r]] += coef[r] * src[take[r]]`` along axis 0, in place.
+
+    Zero-coefficient terms are dropped before any value row is gathered.  The
+    rest are added by fancy-index ``+=`` in layers, layer t holding the t-th
+    term of every target, so no target repeats within a layer.  ``src``
+    defaults to ones and ``take`` to the position of the term.
+    """
+    coef = np.asarray(coef).reshape(-1)
+    keep = np.flatnonzero(coef)
+    index = np.asarray(index).reshape(-1)[keep]
+    take = keep if take is None else np.asarray(take).reshape(-1)[keep]
+    order = np.argsort(index, kind="stable")
+    rank = np.empty_like(keep)  # position of each term among those on its target
+    rank[order] = np.arange(keep.size) - np.searchsorted(index[order], index[order])
+    for layer in range(int(rank.max(initial=-1)) + 1):
+        sel = np.flatnonzero(rank == layer)
+        vals = coef[keep[sel]]
+        if src is not None:
+            vals, scale = src[take[sel]], vals
+            vals *= scale.reshape((-1,) + (1,) * (vals.ndim - 1))
+        out[index[sel]] += vals
+    return out
 
 
 def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:

@@ -112,16 +112,13 @@ def _pair_block_residual(a: Algebra, fstack: np.ndarray, i: int) -> np.ndarray:
         kmat, cmat = mono
         lhs = fstack[:, :, kmat[i, :]] * cmat[i, :][None, None, :]
         # f(e_i) e_j = R_j f(e_i): scatter over b with e_b e_j = c e_k
-        col_i = fstack[:, :, i]  # (k, b)
         term_r = np.zeros((d, d, k), dtype=INT)  # (target, j, k)
-        vals = (cmat[:, :, None] * col_i.T[:, None, :]) % p  # (b, j, k)
-        jgrid = np.broadcast_to(np.arange(d), (d, d))
-        np.add.at(term_r, (kmat, jgrid), vals)
+        bgrid = np.broadcast_to(np.arange(d)[:, None], (d, d))
+        flat = kmat * d + bgrid.T  # (b, j) -> (target, j)
+        gfp.scatter_add(term_r.reshape(d * d, k), flat, cmat, fstack[:, :, i].T, bgrid)
         # e_i f(e_j) = L_i f(e_j): scatter over b with e_i e_b = c e_k
-        fs2 = fstack.transpose(1, 2, 0)  # (b, j, k)
-        vals2 = (cmat[i, :][:, None, None] * fs2) % p
         term_l = np.zeros((d, d, k), dtype=INT)
-        np.add.at(term_l, kmat[i, :], vals2)
+        gfp.scatter_add(term_l, kmat[i, :], cmat[i, :], fstack.transpose(1, 2, 0))
         resid = (lhs - term_r.transpose(2, 0, 1) - term_l.transpose(2, 0, 1)) % p
         return resid.reshape(k, d * d)
     ls = a.left_stack().astype(np.float64)
@@ -169,10 +166,12 @@ def _gen_block_residual(
     if colmono is not None:
         rows, coefs = colmono
         # F(e_i s) = (F R_s)[:, i]: gather since R_s[:, i] = coefs[i] e_rows[i]
-        lhs = fstack[:, :, rows[idx]] * coefs[idx][None, None, :]
+        lhs = fstack[:, :, rows[idx]]
+        lhs *= coefs[idx][None, None, :]
         # F(e_i) s = (R_s F)[:, i]: scatter rows of F
         term_r = np.zeros((d, k, m), dtype=INT)  # (target, t, i)
-        np.add.at(term_r, rows, coefs[:, None, None] * fstack[:, :, idx].transpose(1, 0, 2))
+        fs = fstack if cols is None else fstack[:, :, idx]  # no full-size copy of F
+        gfp.scatter_add(term_r, rows, coefs, fs.transpose(1, 0, 2))
         term_r = term_r.transpose(1, 0, 2)
     else:
         rs64 = rs[:, idx].astype(np.float64)
@@ -184,16 +183,17 @@ def _gen_block_residual(
     mono = a.monomial_tables()
     if mono is not None:
         kmat, cmat = mono
-        vals = ys[:, None, :] * cmat[None, idx, :]  # (t, i, j)
         term_y = np.zeros((d, m, k), dtype=INT)  # (target, i, t)
-        igrid = np.broadcast_to(np.arange(m)[:, None], (m, d))
-        np.add.at(term_y, (kmat[idx], igrid), vals.transpose(1, 2, 0))
+        jgrid = np.broadcast_to(np.arange(d), (m, d))
+        flat = kmat[idx] * m + np.arange(m)[:, None]  # (i, j) -> (target, i)
+        gfp.scatter_add(term_y.reshape(d * m, k), flat, cmat[idx], ys.T, jgrid)
         term_y = term_y.transpose(2, 0, 1)
     else:
         ls = a.left_stack()[idx].astype(np.float64)
         term_y = np.einsum("iab,tb->tai", ls, ys.astype(np.float64)).astype(INT)
-    resid = (lhs - term_r - term_y) % p
-    return resid.reshape(k, d * m)
+    lhs -= term_r
+    lhs -= term_y
+    return (lhs % p).reshape(k, d * m)
 
 
 class _ParamSpace:
@@ -232,8 +232,7 @@ class _ParamSpace:
             if colmono is not None:
                 rows, coefs = colmono
                 out = np.zeros((d, self.nv), dtype=INT)
-                np.add.at(out, rows, coefs[:, None] * block)
-                coef[:, target, :] = out % p
+                coef[:, target, :] = gfp.scatter_add(out, rows, coefs, block) % p
             else:
                 coef[:, target, :] = matmul(rg, block, p)
             coef[:, target, t * d : (t + 1) * d] = (
@@ -449,7 +448,7 @@ def named_outer(desc: SmashDescriptor, lam: int, j: int, algebra: Algebra = None
         tgt = mus * desc.x_bound + jj
         par = tgt - 1
         cols = np.zeros((d, desc.n_chars), dtype=INT)
-        np.add.at(cols, rows_rx, coefs_rx[:, None] * f[:, par])
+        gfp.scatter_add(cols, rows_rx, coefs_rx, f[:, par])
         cols[kmat[par, vidx], mus] += cmat[par, vidx]
         f[:, tgt] = cols % p
     der = Derivation(algebra, f)

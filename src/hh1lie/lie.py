@@ -84,8 +84,9 @@ class RestrictedLie:
                     raise Hh1LieError(f"bracket not antisymmetric at ({i}, {j})")
         if d:
             cf = c.astype(np.float64)
-            t1 = np.einsum("jkm,imn->ijkn", cf, cf).astype(INT) % p
-            jac = (t1 + np.transpose(t1, (1, 2, 0, 3)) + np.transpose(t1, (2, 0, 1, 3))) % p
+            jac = np.einsum("jkm,imn->ijkn", cf, cf).astype(INT)
+            jac += np.transpose(jac, (1, 2, 0, 3)) + np.transpose(jac, (2, 0, 1, 3))
+            jac %= p
             if jac.any():
                 bad = np.argwhere(jac.any(axis=3))[0]
                 raise Hh1LieError(f"Jacobi identity fails at triple {tuple(int(x) for x in bad)}")

@@ -70,6 +70,67 @@ def test_tkr_quiver_table_is_associative_by_independent_loop():
                 assert np.array_equal(left, right)
 
 
+@pytest.mark.parametrize("p", [191, 251])
+def test_signed_truncated_basis_is_associative_at_large_p(p):
+    # k[x]/(x^5) on the basis 1, x, x^2, -x^3, x^4: coefficients p - 1 make
+    # products of two coefficients exceed 2^15, so 16-bit arithmetic is wrong
+    sign = [1, 1, 1, -1, 1]
+    mult = {
+        (i, j): [(i + j, sign[i] * sign[j] * sign[i + j])]
+        for i in range(5)
+        for j in range(5)
+        if i + j < 5
+    }
+    a = alg.make_algebra(p, ["1", "x", "x^2", "-x^3", "x^4"], mult, basis_vec(5, 0))
+    assert a.is_monomial and a.mul_basis(1, 2).tolist() == [0, 0, 0, p - 1, 0]
+    a._validate_assoc_dense()
+
+
+def test_empty_table_is_accepted():
+    assert alg.make_algebra(3, [], {}, []).dim == 0
+
+
+def assoc_failure(check):
+    try:
+        check()
+    except AssociativityViolation as exc:
+        return exc.triple
+    return None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: alg.smash_product(3, 2, 1)[0],
+        lambda: alg.truncated_polynomial(3, (1, 1)),
+        lambda: alg.truncated_polynomial(5, (1,)),
+        lambda: alg.truncated_polynomial(3, (2,)),
+    ],
+    ids=["smash321", "trunc3-11", "trunc5-1", "trunc3-2"],
+)
+def test_support_triple_check_matches_dense_oracle(build):
+    # one corrupted kmat and/or cmat entry per trial; both checks must agree
+    # on acceptance and on the first failing triple
+    base = build()
+    kmat, cmat = base.monomial_tables()
+    d, p = base.dim, base.p
+    rng = np.random.default_rng(d * 1000 + p)
+    outcomes = set()
+    for _ in range(40):
+        k2, c2 = kmat.copy(), cmat.copy()
+        i, j = (int(x) for x in rng.integers(0, d, 2))
+        mode = rng.integers(0, 3)
+        if mode != 1:
+            k2[i, j] = rng.integers(0, d)
+        if mode != 0:
+            c2[i, j] = rng.integers(0, p)
+        a = alg.Algebra(p, base.labels, {}, base.unit, validate=False, _monomial=(k2, c2))
+        sparse = assoc_failure(a._validate_assoc_monomial)
+        assert sparse == assoc_failure(a._validate_assoc_dense)
+        outcomes.add(sparse is None)
+    assert outcomes == {True, False}
+
+
 # -- truncated polynomial rings ---------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hh1lie import cli
+from hh1lie.errors import Hh1LieError
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +95,17 @@ def test_hh1_invalid_json_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "hh1", "--kind", "json", "--file", str(path))
     assert code == 3
     assert "error" in err
+
+
+def test_hh1_lie_analysis_error_exits_3(monkeypatch, capsys):
+    def undecided(*args, **kwargs):
+        raise Hh1LieError("irreducibility test did not reach a decision")
+
+    monkeypatch.setattr(cli.lielib, "fingerprint", undecided)
+    code, out, err = run_cli(capsys, "hh1", "--kind", "trunc", "--p", "3", "--exps", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: irreducibility test did not reach a decision")
 
 
 def test_build_invalid_table_exits_3(tmp_path, capsys):

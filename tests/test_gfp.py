@@ -170,3 +170,51 @@ def test_matmul_and_inverse():
             else:
                 inv = gfp.inverse(m, p)
                 assert np.array_equal(gfp.matmul(m, inv, p), np.eye(4, dtype=np.int64))
+
+
+# -- scatter_add (np.add.at is the oracle) -------------------------------------------
+
+
+def scatter_oracle(shape, index, coef, src=None, take=None):
+    coef = np.asarray(coef).reshape(-1)
+    index = np.asarray(index).reshape(-1)
+    take = np.arange(coef.size) if take is None else np.asarray(take).reshape(-1)
+    vals = coef if src is None else coef.reshape((-1,) + (1,) * (src.ndim - 1)) * src[take]
+    out = np.zeros(shape, dtype=np.int64)
+    np.add.at(out, index, vals)
+    return out
+
+
+def test_scatter_add_matches_add_at_with_duplicates_and_zeros():
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        n = int(rng.integers(1, 40))
+        targets = int(rng.integers(1, 6))  # few targets: several layers
+        index = rng.integers(0, targets, n)
+        coef = rng.integers(0, 4, n) * (rng.random(n) < 0.7)  # zero coefficients
+        for shape, src in (((targets,), None), ((targets, 3, 2), rng.integers(0, 7, (n, 3, 2)))):
+            out = gfp.scatter_add(np.zeros(shape, dtype=np.int64), index, coef, src)
+            assert np.array_equal(out, scatter_oracle(shape, index, coef, src))
+
+
+def test_scatter_add_gathers_through_take():
+    rng = np.random.default_rng(8)
+    src = rng.integers(0, 5, (6, 4))
+    index = rng.integers(0, 3, (5, 5))
+    coef = rng.integers(0, 3, (5, 5))
+    take = np.broadcast_to(np.arange(5)[:, None] % 6, (5, 5))
+    out = gfp.scatter_add(np.zeros((3, 4), dtype=np.int64), index, coef, src, take)
+    assert np.array_equal(out, scatter_oracle((3, 4), index, coef, src, take))
+
+
+def test_scatter_add_needs_one_layer_per_repeat():
+    # five terms on one target, one of them with coefficient 0
+    out = gfp.scatter_add(np.zeros(2, dtype=np.int64), [1, 1, 1, 1, 1], [1, 2, 0, 3, 4])
+    assert out.tolist() == [0, 10]
+
+
+def test_scatter_add_empty_and_all_zero_index():
+    out = np.arange(8, dtype=np.int64).reshape(4, 2)
+    gfp.scatter_add(out, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    gfp.scatter_add(out, [0, 3], [0, 0], np.ones((2, 2), dtype=np.int64))
+    assert np.array_equal(out, np.arange(8).reshape(4, 2))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hh1lie import algebras as alg
+from hh1lie import gfp
 from hh1lie import hochschild as hoch
 from hh1lie.errors import AlgebraMismatch
 from hh1lie.gfp import Subspace
@@ -131,6 +132,43 @@ def test_bracket_with_inner_is_inner_of_image():
         fa = f(a_vec)
         ad_fa = (sm.left_mult_matrix(fa) - sm.right_mult_matrix(fa)) % 3
         assert np.array_equal(hoch.bracket(f, ad_a).matrix, ad_fa)
+
+
+def leibniz_kernel_by_python_ints(a):
+    """RREF kernel of the full Leibniz system, rows built with Python ints."""
+    d, p = a.dim, a.p
+    m = [[[0] * d for _ in range(d)] for _ in range(d)]  # e_i e_j = sum m[i][j][t] e_t
+    for i in range(d):
+        for j in range(d):
+            for t, c in a.mult_terms(i, j):
+                m[i][j][t] = int(c)
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            for t in range(d):
+                # unknown f[k][i] (F(e_i) = sum_k f[k][i] e_k) sits at k * d + i
+                row = [0] * (d * d)
+                for s_ in range(d):
+                    row[t * d + s_] += m[i][j][s_]
+                for k in range(d):
+                    row[k * d + i] -= m[k][j][t]
+                    row[k * d + j] -= m[i][k][t]
+                rows.append([x % p for x in row])
+    return gfp.kernel(np.array(rows, dtype=np.int64), p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_derivations_of_non_injective_table_match_python_int_system(p):
+    # <1, a, b, c> with J^3 = 0 and a a = a b = c: left multiplication by a
+    # sends two basis elements to the same target, so scatters need two layers
+    mult = {(0, 0): [(0, 1)], (1, 1): [(3, 1)], (1, 2): [(3, 1)]}
+    for x in (1, 2, 3):
+        mult[(0, x)] = mult[(x, 0)] = [(x, 1)]
+    a = alg.make_algebra(p, ["1", "a", "b", "c"], mult, basis_vec(4, 0))
+    assert a.is_monomial
+    assert a.mul_vec(basis_vec(4, 1), [0, 1, 1, 0]).tolist() == [0, 0, 0, 2]
+    assert a.left_mult_matrix([0, 1, 0, 0])[3].tolist() == [0, 1, 1, 0]
+    assert np.array_equal(vecs(hoch.derivation_space(a)), leibniz_kernel_by_python_ints(a))
 
 
 # -- named derivations ---------------------------------------------------------------
