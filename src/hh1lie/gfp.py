@@ -85,12 +85,15 @@ def scatter_add(out: np.ndarray, index, coef, src=None, take=None) -> np.ndarray
 
 
 def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
-    """k-th power of a square matrix mod p by repeated multiplication."""
-    n = a.shape[0]
-    out = np.eye(n, dtype=INT)
-    for _ in range(k):
-        out = matmul(out, a, p)
-    return out
+    """k-th power of a square matrix mod p by square-and-multiply."""
+    out, base = None, normalize(a, p)
+    while k > 0:
+        if k & 1:
+            out = base if out is None else matmul(out, base, p)
+        k >>= 1
+        if k:
+            base = matmul(base, base, p)
+    return np.eye(a.shape[0], dtype=INT) if out is None else out
 
 
 def rref(a, p: int):

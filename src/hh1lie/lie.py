@@ -44,6 +44,7 @@ class RestrictedLie:
         self.labels = list(labels) if labels is not None else [f"b{i}" for i in range(self.dim)]
         if len(self.labels) != self.dim:
             raise DimensionMismatch("label count does not match dimension")
+        self._bracket_f64 = self.bracket.astype(np.float64)
         self._admats = None
         if validate:
             self.validate()
@@ -51,26 +52,20 @@ class RestrictedLie:
     # -- basic operations --------------------------------------------------
 
     def bracket_vec(self, x, y) -> np.ndarray:
-        x = normalize(x, self.p).reshape(-1)
-        y = normalize(y, self.p).reshape(-1)
-        if self.dim == 0:
-            return x
-        out = np.einsum(
-            "i,j,ijk->k", x.astype(np.float64), y.astype(np.float64), self.bracket.astype(np.float64)
-        )
-        return out.astype(INT) % self.p
+        x = normalize(x, self.p).reshape(1, -1)
+        y = normalize(y, self.p).reshape(1, -1)
+        return _pairwise_brackets(self, x, y)[0, 0]
 
     def ad(self, x) -> np.ndarray:
         """Matrix of y -> [x, y]."""
         x = normalize(x, self.p).reshape(-1)
-        out = np.einsum("i,ijk->kj", x.astype(np.float64), self.bracket.astype(np.float64))
+        out = np.einsum("i,ijk->kj", x.astype(np.float64), self._bracket_f64)
         return out.astype(INT) % self.p
 
     def ad_basis(self) -> np.ndarray:
+        """The (dim, dim, dim) stack of ad(b_i), built once."""
         if self._admats is None:
-            self._admats = np.stack(
-                [self.ad(_unit(self.dim, i)) for i in range(self.dim)]
-            ) if self.dim else np.zeros((0, 0, 0), dtype=INT)
+            self._admats = np.ascontiguousarray(self.bracket.transpose(0, 2, 1))
         return self._admats
 
     def validate(self):
@@ -83,16 +78,15 @@ class RestrictedLie:
                 if ((c[i, j] + c[j, i]) % p).any():
                     raise Hh1LieError(f"bracket not antisymmetric at ({i}, {j})")
         if d:
-            cf = c.astype(np.float64)
-            jac = np.einsum("jkm,imn->ijkn", cf, cf).astype(INT)
+            cf = self._bracket_f64
+            jac = np.tensordot(cf, cf, axes=(2, 1)).transpose(2, 0, 1, 3).astype(INT)
             jac += np.transpose(jac, (1, 2, 0, 3)) + np.transpose(jac, (2, 0, 1, 3))
             jac %= p
             if jac.any():
                 bad = np.argwhere(jac.any(axis=3))[0]
                 raise Hh1LieError(f"Jacobi identity fails at triple {tuple(int(x) for x in bad)}")
-        for i in range(d):
-            adp = gfp.mat_pow(self.ad(_unit(d, i)), p, p)
-            if not np.array_equal(self.ad(self.pmap_basis[i]), adp):
+        for i, ad_i in enumerate(self.ad_basis()):
+            if not np.array_equal(self.ad(self.pmap_basis[i]), gfp.mat_pow(ad_i, p, p)):
                 raise RestrictednessViolation(f"ad(b{i}^[p]) != ad(b{i})^p")
 
     def to_json_dict(self) -> dict:
@@ -179,14 +173,28 @@ def is_p_nilpotent_element(L: RestrictedLie, x) -> bool:
 # -- series and predicates --------------------------------------------------------
 
 
+def _pairwise_brackets(L: RestrictedLie, a, b) -> np.ndarray:
+    """[a_s, b_t] for every pair of rows (entries reduced mod p), as (s, t, dim).
+
+    A tensordot with the float64 bracket, then a batched matmul, each
+    reduced mod p, so every sum stays below dim (p-1)^2 < 2^53: exact.
+    """
+    left = np.tensordot(np.asarray(a, dtype=np.float64), L._bracket_f64, axes=(1, 0))
+    left %= L.p  # left[s] is the matrix of y -> [a_s, y] acting on rows
+    out = (np.asarray(b, dtype=np.float64) @ left).astype(INT)
+    out %= L.p
+    return out
+
+
 def _bracket_span(L: RestrictedLie, s1: Subspace, s2: Subspace) -> Subspace:
-    rows = []
-    for u in s1.basis:
-        for v in s2.basis:
-            w = L.bracket_vec(u, v)
-            if w.any():
-                rows.append(w)
-    return Subspace.from_vectors(rows, L.p, L.dim)
+    rows = _pairwise_brackets(L, s1.basis, s2.basis).reshape(s1.dim * s2.dim, L.dim)
+    return Subspace(L.p, L.dim, gfp.row_space(rows, L.p))
+
+
+def _is_ideal(L: RestrictedLie, sub: Subspace) -> bool:
+    """Whether [b_i, v] lies in sub for every basis element b_i and v in sub."""
+    rows = _pairwise_brackets(L, np.eye(L.dim), sub.basis).reshape(-1, L.dim)
+    return not sub.reduce_rows(rows).any()
 
 
 def center_of(L: RestrictedLie) -> Subspace:
@@ -194,7 +202,7 @@ def center_of(L: RestrictedLie) -> Subspace:
     if L.dim == 0:
         return Subspace.zero(0, L.p)
     # [x, b_i] as a function of x is minus the stacked ad matrices
-    stacked = np.vstack([L.ad(_unit(L.dim, i)) for i in range(L.dim)])
+    stacked = L.ad_basis().reshape(-1, L.dim)
     return Subspace.from_vectors(gfp.kernel(stacked, L.p), L.p, L.dim)
 
 
@@ -226,19 +234,27 @@ def series_and_predicates(L: RestrictedLie) -> dict:
 # -- simplicity via kernel-spin irreducibility test -------------------------------
 
 
-def _spin(mats, v, p: int) -> Subspace:
-    """Smallest subspace containing v and stable under every matrix."""
-    dim = v.shape[0]
-    stack = np.stack(mats)  # (m, d, d)
-    basis = gfp.row_space(v[None, :], p)
-    while True:
-        imgs = np.einsum(
-            "mab,kb->mka", stack.astype(np.float64), basis.astype(np.float64)
-        ).astype(INT) % p
-        grown = gfp.row_space(np.vstack([basis, imgs.reshape(-1, dim)]), p)
-        if grown.shape[0] == basis.shape[0]:
-            return Subspace(p, dim, grown)
-        basis = grown
+def _spin_operator(mats) -> np.ndarray:
+    """The (d, m*d) float64 operator whose row product lists a row's m images."""
+    return mats.transpose(2, 0, 1).reshape(mats.shape[2], -1).astype(np.float64)
+
+
+def _spin(op: np.ndarray, v, p: int) -> Subspace:
+    """Smallest subspace containing v and stable under the matrices of op.
+
+    Each round applies op only to the rows the previous round added,
+    reduced against the span, and a full span stops at once.
+    """
+    dim = op.shape[0]
+    span = Subspace.from_vectors([v], p, dim)
+    new = span.basis
+    while span.dim < dim:
+        imgs = (new.astype(np.float64) @ op).astype(INT) % p
+        new = gfp.row_space(span.reduce_rows(imgs.reshape(-1, dim)), p)
+        if not new.shape[0]:
+            return span
+        span = Subspace(p, dim, gfp.row_space(np.vstack([span.basis, new]), p))
+    return Subspace.full(dim, p)
 
 
 def _random_env_element(mats, p, rng) -> np.ndarray:
@@ -254,6 +270,12 @@ def _random_env_element(mats, p, rng) -> np.ndarray:
     return theta
 
 
+def _envelope_candidates(mats, p: int, seed: int, rounds: int):
+    """The matrices, then ``rounds`` seeded random enveloping-algebra elements, lazily."""
+    rng = np.random.default_rng(seed)
+    return itertools.chain(mats, (_random_env_element(mats, p, rng) for _ in range(rounds)))
+
+
 def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int = 400):
     """A proper nonzero ad-invariant subspace (an ideal), or None if irreducible.
 
@@ -267,18 +289,17 @@ def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int 
     d, p = L.dim, L.p
     if d == 0:
         return None
-    mats = [L.ad(_unit(d, i)) for i in range(d)]
-    if all(not m.any() for m in mats):
+    if not L.bracket.any():
         # abelian: every line is an ideal
         return Subspace.from_vectors([_unit(d, 0)], p, d)
-    rng = np.random.default_rng(seed)
-    mats_t = [m.T.copy() for m in mats]
+    mats = L.ad_basis()
+    op, op_t = _spin_operator(mats), _spin_operator(mats.transpose(0, 2, 1))
 
     def dual_side(theta):
         """None if some transpose-kernel vector spins to the full dual,
         else a proper submodule (the perp of a proper dual submodule)."""
         for u in gfp.left_kernel(theta, p):
-            span_t = _spin(mats_t, u, p)
+            span_t = _spin(op_t, u, p)
             if span_t.dim == d:
                 return None
             perp = Subspace.from_vectors(gfp.kernel(span_t.basis, p), p, d)
@@ -286,9 +307,8 @@ def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int 
                 return perp
         raise Hh1LieError("transpose kernel vanished unexpectedly")
 
-    candidates = list(mats) + [_random_env_element(mats, p, rng) for _ in range(max_rounds)]
     fallback = None
-    for theta in candidates:
+    for theta in _envelope_candidates(mats, p, seed, max_rounds):
         ker = gfp.kernel(theta, p)
         nullity = ker.shape[0]
         if nullity == 0 or nullity == d:
@@ -296,7 +316,7 @@ def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int 
         # probe a few kernel vectors; conclusive certificates come from the
         # nullity-1 case or the exhaustive fallback below
         for v in ker[:3]:
-            span = _spin(mats, v, p)
+            span = _spin(op, v, p)
             if span.dim < d:
                 return span
         if nullity == 1:
@@ -313,7 +333,7 @@ def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int 
             v = matmul(coeffs, ker, p)
             if not v.any():
                 continue
-            span = _spin(mats, v, p)
+            span = _spin(op, v, p)
             if span.dim < d:
                 return span
         return dual_side(theta)
@@ -327,20 +347,15 @@ def is_simple(L: RestrictedLie, seed: int = 0) -> bool:
     convention.  A reducible verdict is backed by an explicit ideal,
     re-verified before returning.
     """
-    if L.dim == 0:
-        return False
-    preds = series_and_predicates(L)
-    if preds["is_abelian"]:
+    if not L.bracket.any():  # abelian, including dim 0
         return False
     witness = adjoint_invariant_subspace(L, seed=seed)
     if witness is None:
         return True
     if witness.dim in (0, L.dim):
         raise Hh1LieError("invalid invariant-subspace witness")
-    for i in range(L.dim):
-        for v in witness.basis:
-            if not witness.contains_vector(L.bracket_vec(_unit(L.dim, i), v)):
-                raise Hh1LieError("witness subspace is not an ideal")
+    if not _is_ideal(L, witness):
+        raise Hh1LieError("witness subspace is not an ideal")
     return False
 
 
@@ -462,38 +477,74 @@ def _centralizer(L: RestrictedLie, vectors) -> Subspace:
     return Subspace.from_vectors(gfp.kernel(stacked, L.p), L.p, L.dim)
 
 
-def _toral_elements_exhaustive(L: RestrictedLie):
-    """All toral elements when enumerable, else None.
+def _jacobson_batch(L: RestrictedLie, xs: np.ndarray) -> np.ndarray:
+    """x^[p] for every row of xs, peeling coordinates as jacobson_p_power does.
 
-    With trivial center, x^[p] = x is equivalent to ad(x)^p = ad(x), which
-    vectorizes; otherwise each element goes through the Jacobson p-map.
+    Coordinate c adds x_c b_c^[p] and the Jacobson summands of u = x_c b_c
+    and v = (0, ..., 0, x_{c+1}, ..., x_{d-1}); a coordinate that is zero
+    across the batch adds nothing.  int64 products, reduced mod p after each.
+    """
+    p, d = L.p, L.dim
+    out = matmul(xs, L.pmap_basis, p)
+    inv = np.array([gfp.inv_mod(s, p) for s in range(1, p)], dtype=INT)
+    for c in np.flatnonzero(xs.any(axis=0)):
+        xc = xs[:, c, None, None]
+        v = xs.copy()
+        v[:, : c + 1] = 0
+        ad_v = (v @ L.bracket.reshape(d, d * d)).reshape(-1, d, d) % p
+        poly = np.zeros((xs.shape[0], p, d), dtype=INT)  # t-coefficients of ad(t u + v)^k (u)
+        poly[:, 0, c] = xs[:, c]
+        for _ in range(p - 1):
+            shifted = (poly @ L.bracket[c]) % p * xc  # [u, .]
+            poly = poly @ ad_v  # [v, .]
+            poly[:, 1:] += shifted[:, :-1]
+            poly %= p
+        out = (out + inv @ poly[:, : p - 1]) % p
+    return out
+
+
+def _pmap_enumeration(L: RestrictedLie):
+    """Chunks (vs, xs, ys) covering GF(p)^dim, or None past the enumeration limit.
+
+    Row n of ys encodes vs[n]^[p] as row n of xs encodes vs[n].  With trivial
+    centre ad is injective, so x is encoded by ad(x) and x^[p] by ad(x)^p,
+    which vectorizes; otherwise by themselves, through _jacobson_batch.
     """
     d, p = L.dim, L.p
-    if d == 0:
-        return []
     total = p**d
     if total > ENUM_LIMIT:
         return None
-    if center_of(L).dim == 0:
-        vectors = _all_vectors_batch(p, d)
-        out = []
-        chunk = max(1, (1 << 22) // (d * d))
+    by_ad = center_of(L).dim == 0
+    if not by_ad and total > ENUM_LIMIT_SLOW:
+        return None
+    vectors = _all_vectors_batch(p, d)
+    chunk = max(1, (1 << 22) // (d * d))
+
+    def chunks():
         for start in range(0, total, chunk):
             vs = vectors[start : start + chunk]
-            ads = np.einsum("vi,ijk->vkj", vs.astype(np.float64), L.bracket.astype(np.float64))
-            ads = ads.astype(INT) % p
-            pw = ads.copy()
+            if not by_ad:
+                yield vs, vs, _jacobson_batch(L, vs)
+                continue
+            ads = np.einsum("vi,ijk->vkj", vs, L.bracket) % p
+            pw = ads
             for _ in range(p - 1):
-                pw = np.einsum("vab,vbc->vac", pw.astype(np.float64), ads.astype(np.float64)).astype(INT) % p
-            mask = (pw == ads).all(axis=(1, 2)) & vs.any(axis=1)
-            out.extend(vs[mask])
-        return out
-    if total > ENUM_LIMIT_SLOW:
+                pw = pw @ ads % p
+            yield vs, ads.reshape(len(vs), -1), pw.reshape(len(vs), -1)
+
+    return chunks()
+
+
+def _toral_elements_exhaustive(L: RestrictedLie):
+    """All toral elements when enumerable, else None."""
+    if L.dim == 0:
+        return []
+    chunks = _pmap_enumeration(L)
+    if chunks is None:
         return None
     out = []
-    for v in _all_vectors_batch(p, d):
-        if v.any() and np.array_equal(jacobson_p_power(L, v), v):
-            out.append(v)
+    for vs, xs, ys in chunks:
+        out.extend(vs[(xs == ys).all(axis=1) & vs.any(axis=1)])
     return out
 
 
@@ -515,10 +566,9 @@ def _max_commuting_toral_dim(L: RestrictedLie, torals) -> int:
         return 0
     if n > TORAL_GRAPH_LIMIT:
         raise Hh1LieError(f"too many toral elements ({n}) for exhaustive certification")
-    mat = np.stack(reps).astype(np.float64)
+    mat = np.stack(reps)
     # commute[s, t] <=> [reps_s, reps_t] = 0
-    br = np.einsum("si,tj,ijk->stk", mat, mat, L.bracket.astype(np.float64)).astype(INT) % p
-    commute = ~br.any(axis=2)
+    commute = ~_pairwise_brackets(L, mat, mat).any(axis=2)
     best = 0
     seen = set()
 
@@ -632,20 +682,10 @@ def is_trigonalizable(L: RestrictedLie) -> bool:
     for _ in range(L.dim + 1):
         if term.dim == 0:
             break
-        term = _bracket_span_sub(L, derived, term)
+        term = _bracket_span(L, derived, term)
     if term.dim != 0:
         return False
     return all(is_p_nilpotent_element(L, v) for v in derived.basis)
-
-
-def _bracket_span_sub(L: RestrictedLie, s1: Subspace, s2: Subspace) -> Subspace:
-    rows = []
-    for u in s1.basis:
-        for v in s2.basis:
-            w = L.bracket_vec(u, v)
-            if w.any():
-                rows.append(w)
-    return Subspace.from_vectors(rows, L.p, L.dim)
 
 
 # -- models and fingerprints --------------------------------------------------------
@@ -732,31 +772,12 @@ class Fingerprint:
 
 
 def _nullcone_count(L: RestrictedLie):
-    d, p = L.dim, L.p
-    total = p**d
-    if d == 0:
+    if L.dim == 0:
         return 1
-    if total > ENUM_LIMIT:
+    chunks = _pmap_enumeration(L)
+    if chunks is None:
         return None
-    if center_of(L).dim == 0:
-        count = 0
-        vectors = _all_vectors_batch(p, d)
-        chunk = max(1, (1 << 22) // (d * d))
-        for start in range(0, total, chunk):
-            vs = vectors[start : start + chunk]
-            ads = np.einsum("vi,ijk->vkj", vs.astype(np.float64), L.bracket.astype(np.float64)).astype(INT) % p
-            pw = ads.copy()
-            for _ in range(p - 1):
-                pw = np.einsum("vab,vbc->vac", pw.astype(np.float64), ads.astype(np.float64)).astype(INT) % p
-            count += int((~pw.any(axis=(1, 2))).sum())
-        return count
-    if total > ENUM_LIMIT_SLOW:
-        return None
-    count = 0
-    for v in _all_vectors_batch(p, d):
-        if not jacobson_p_power(L, v).any():
-            count += 1
-    return count
+    return sum(int((~ys.any(axis=1)).sum()) for _, _, ys in chunks)
 
 
 def fingerprint(L: RestrictedLie, seed: int = 0) -> Fingerprint:
@@ -833,10 +854,8 @@ def prop22_witness(p: int, exponents) -> Prop22Witness:
                 rows.append(pres.project_matrix(m))
     n_ideal = Subspace.from_vectors(rows, p, L.dim)
     # ideal and p-map closure on the basis
-    for i in range(L.dim):
-        for v in n_ideal.basis:
-            if not n_ideal.contains_vector(L.bracket_vec(_unit(L.dim, i), v)):
-                raise Hh1LieError("witness subspace is not an ideal")
+    if not _is_ideal(L, n_ideal):
+        raise Hh1LieError("witness subspace is not an ideal")
     for v in n_ideal.basis:
         if not is_p_nilpotent_element(L, v):
             raise Hh1LieError("witness ideal has a non-p-nilpotent basis element")
@@ -846,7 +865,7 @@ def prop22_witness(p: int, exponents) -> Prop22Witness:
     for _ in range(L.dim + 1):
         if term.dim == 0:
             break
-        term = _bracket_span_sub(L, n_ideal, term)
+        term = _bracket_span(L, n_ideal, term)
     if term.dim != 0:
         raise Hh1LieError("witness ideal is not nilpotent as a Lie algebra")
     quotient = _quotient_lie(L, n_ideal)

@@ -1,6 +1,8 @@
 """Command line interface: flags, exit codes, determinism, fault injection."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -184,3 +186,22 @@ def test_build_bad_quiver_file_exits_3(tmp_path, capsys):
     path.write_text('{"vertices": ["1"]}')
     code, _, err = run_cli(capsys, "build", "--kind", "quiver", "--p", "3", "--file", str(path))
     assert code == 3
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+@pytest.mark.parametrize(
+    "job, argv",
+    [
+        ("hh1-trunc-3-1-1", ["--kind", "trunc", "--p", "3", "--exps", "1,1"]),
+        ("hh1-trunc-5-2", ["--kind", "trunc", "--p", "5", "--exps", "2"]),
+        ("hh1-trivext-5", ["--kind", "trivext", "--p", "5"]),
+        ("hh1-quiver-7", ["--kind", "quiver", "--p", "7"]),
+    ],
+)
+def test_hh1_stdout_matches_recorded_reference(job, argv, capsys):
+    expected = json.loads(REFERENCE.read_text())[job]
+    code, out, _ = run_cli(capsys, "hh1", *argv, "--seed", "0")
+    assert code == expected["exit"] == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected["stdout_sha256"]

@@ -172,6 +172,23 @@ def test_matmul_and_inverse():
                 assert np.array_equal(gfp.matmul(m, inv, p), np.eye(4, dtype=np.int64))
 
 
+@pytest.mark.parametrize("p", [3, 7])
+def test_mat_pow_matches_repeated_matmul(p):
+    rng = np.random.default_rng(p)
+    for n in (1, 4, 6):
+        a = rng.integers(0, p, size=(n, n))
+        for k in (0, 1, 2, p, 2 * p + 1):
+            want = np.eye(n, dtype=np.int64)
+            for _ in range(k):
+                want = gfp.matmul(want, a, p)
+            got = gfp.mat_pow(a, k, p)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+    a = rng.integers(0, p, size=(3, 3))
+    before = a.copy()
+    gfp.mat_pow(a, 1, p)[0, 0] += 1  # the result is a fresh array
+    assert np.array_equal(a, before)
+
+
 # -- scatter_add (np.add.at is the oracle) -------------------------------------------
 
 

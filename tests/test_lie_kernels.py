@@ -1,0 +1,191 @@
+"""Batched kernels of hh1lie.lie, differentially against the slow paths."""
+
+import itertools
+import re
+
+import numpy as np
+import pytest
+
+from hh1lie import algebras as alg
+from hh1lie import gfp
+from hh1lie import hochschild as hoch
+from hh1lie import lie as lielib
+from hh1lie.errors import Hh1LieError
+from hh1lie.gfp import INT, Subspace
+
+
+def hh1_lie(algebra):
+    return lielib.from_hh1(hoch.hh1(algebra))
+
+
+def spin_oracle(mats, v, p):
+    """Spin by re-applying every matrix to the whole span until it stops growing."""
+    dim = v.shape[0]
+    stack = np.stack(mats)
+    basis = gfp.row_space(v[None, :], p)
+    while True:
+        imgs = np.einsum("mab,kb->mka", stack, basis) % p
+        grown = gfp.row_space(np.vstack([basis, imgs.reshape(-1, dim)]), p)
+        if grown.shape[0] == basis.shape[0]:
+            return Subspace(p, dim, grown)
+        basis = grown
+
+
+SPIN_CASES = {
+    "witt32": lambda: lielib.witt(3, 2),
+    "sl2-5": lambda: lielib.sl2(5),
+    "gl2-3": lambda: lielib.gl2(3),
+    "hh1-trunc3-11": lambda: hh1_lie(alg.truncated_polynomial(3, (1, 1))),
+    "hh1-trunc3-2": lambda: hh1_lie(alg.truncated_polynomial(3, (2,))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPIN_CASES))
+def test_frontier_spin_matches_full_recompute(name):
+    L = SPIN_CASES[name]()
+    p, d = L.p, L.dim
+    ads = L.ad_basis()
+    # all ad matrices, their transposes (the dual module) and a pair of them,
+    # which leaves proper invariant subspaces even in a simple algebra
+    families = [ads, ads.transpose(0, 2, 1), ads[:2], ads[1:2]]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    starts = [np.eye(d, dtype=INT)[i] for i in range(d)]
+    starts += [rng.integers(0, p, d) for _ in range(6)]
+    sizes = set()
+    for mats in families:
+        op = lielib._spin_operator(mats)
+        for v in starts:
+            got = lielib._spin(op, v, p)
+            assert got == spin_oracle(list(mats), v, p)
+            sizes.add(got.dim)
+    assert min(sizes) < d  # proper spans were exercised, not only full ones
+
+
+def test_spin_of_zero_and_of_full_span():
+    L = lielib.sl2(3)
+    op = lielib._spin_operator(L.ad_basis())
+    assert lielib._spin(op, np.zeros(3, dtype=INT), 3).dim == 0
+    assert lielib._spin(op, np.array([1, 0, 0]), 3) == Subspace.full(3, 3)
+
+
+PAIRWISE_CASES = {
+    "smash331": lambda: hh1_lie(alg.smash_product(3, 3, 1)[0]),
+    "witt32": lambda: lielib.witt(3, 2),
+    "gl2-5": lambda: lielib.gl2(5),
+    "trivext5": lambda: hh1_lie(alg.trivial_extension(alg.quiver_algebra(alg.kronecker_quiver(), 5))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRWISE_CASES))
+def test_pairwise_brackets_match_bracket_vec(name):
+    L = PAIRWISE_CASES[name]()
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, L.p, (5, L.dim))
+    b = np.vstack([np.eye(L.dim, dtype=INT), rng.integers(0, L.p, (4, L.dim))])
+    got = lielib._pairwise_brackets(L, a, b)
+    assert got.shape == (5, b.shape[0], L.dim) and got.dtype == INT
+    for s, t in itertools.product(range(5), range(b.shape[0])):
+        assert np.array_equal(got[s, t], L.bracket_vec(a[s], b[t]))
+
+
+def test_pairwise_brackets_match_python_ints_at_p251():
+    p, d = 251, 9
+    rng = np.random.default_rng(251)
+    c = rng.integers(0, p, (d, d, d))
+    L = lielib.RestrictedLie(p, c, np.zeros((d, d), dtype=INT), validate=False)
+    a = np.vstack([np.full(d, p - 1), rng.integers(0, p, (3, d))])
+    b = np.vstack([np.full(d, p - 1), rng.integers(0, p, (4, d))])
+    got = lielib._pairwise_brackets(L, a, b)
+    cl = c.tolist()
+    for s, t in itertools.product(range(a.shape[0]), range(b.shape[0])):
+        x, y = a[s].tolist(), b[t].tolist()
+        want = [
+            sum(x[i] * y[j] * cl[i][j][k] for i in range(d) for j in range(d)) % p
+            for k in range(d)
+        ]
+        assert got[s, t].tolist() == want
+    sl2 = lielib.sl2(p)
+    e, h, f = np.eye(3, dtype=INT)
+    assert np.array_equal(sl2.bracket_vec(e, f), h)
+    assert np.array_equal(sl2.bracket_vec(h, e), 2 * e)
+
+
+JACOBSON_CASES = {
+    "hh1-tkr7": lambda: hh1_lie(alg.quiver_algebra(alg.tkr_quiver(), 7)),
+    "gl2-3": lambda: lielib.gl2(3),
+    "sl2-5": lambda: lielib.sl2(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBSON_CASES))
+def test_jacobson_batch_matches_single_element_p_map(name):
+    L = JACOBSON_CASES[name]()
+    vectors = lielib._all_vectors_batch(L.p, L.dim)
+    got = lielib._jacobson_batch(L, vectors)
+    want = np.stack([lielib.jacobson_p_power(L, v) for v in vectors])
+    assert np.array_equal(got, want)
+    if lielib.center_of(L).dim:  # the enumerations go through the batch
+        torals = [v for v, x in zip(vectors, want) if v.any() and np.array_equal(x, v)]
+        assert [t.tolist() for t in lielib._toral_elements_exhaustive(L)] == [t.tolist() for t in torals]
+        assert lielib._nullcone_count(L) == sum(not x.any() for x in want)
+
+
+ABELIAN_CASES = {
+    "zero-dim": lambda: lielib.RestrictedLie(3, np.zeros((0, 0, 0), dtype=INT), np.zeros((0, 0), dtype=INT)),
+    "abelian-1": lambda: lielib.RestrictedLie(3, np.zeros((1, 1, 1), dtype=INT), np.eye(1, dtype=INT)),
+    "abelian-3": lambda: lielib.RestrictedLie(5, np.zeros((3, 3, 3), dtype=INT), np.zeros((3, 3), dtype=INT)),
+    "sl2-3": lambda: lielib.sl2(3),
+    "gl2-3": lambda: lielib.gl2(3),
+    "witt31": lambda: lielib.witt(3, 1),
+    "smash321": lambda: hh1_lie(alg.smash_product(3, 2, 1)[0]),
+    "hh1-trunc3-2": lambda: hh1_lie(alg.truncated_polynomial(3, (2,))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ABELIAN_CASES))
+def test_is_simple_abelian_shortcut_matches_series(name):
+    L = ABELIAN_CASES[name]()
+    abelian = lielib.series_and_predicates(L)["is_abelian"]
+    assert (not L.bracket.any()) == abelian
+    if abelian:
+        assert not lielib.is_simple(L)
+        witness = lielib.adjoint_invariant_subspace(L)
+        assert L.dim == 0 or witness.dim == 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lazy_candidate_stream_matches_eager_list(seed):
+    for L in (lielib.witt(3, 2), lielib.gl2(5)):
+        mats = L.ad_basis()
+        rng = np.random.default_rng(seed)
+        eager = list(mats) + [lielib._random_env_element(mats, L.p, rng) for _ in range(400)]
+        lazy = lielib._envelope_candidates(mats, L.p, seed, 400)
+        # a partial read sees the eager prefix, and a full read all of it
+        prefix = list(itertools.islice(lazy, L.dim + 7))
+        rest = list(lazy)
+        assert len(prefix) + len(rest) == len(eager)
+        for got, want in zip(prefix + rest, eager):
+            assert np.array_equal(got, want)
+
+
+def jacobi_oracle(c, p):
+    jac = np.einsum("jkm,imn->ijkn", c, c)
+    jac = (jac + np.transpose(jac, (1, 2, 0, 3)) + np.transpose(jac, (2, 0, 1, 3))) % p
+    bad = np.argwhere(jac.any(axis=3))
+    return tuple(int(x) for x in bad[0]) if bad.size else None
+
+
+def test_jacobi_check_reports_the_einsum_oracle_triple():
+    rng = np.random.default_rng(11)
+    p, d = 3, 5
+    seen = 0
+    for _ in range(40):
+        c = rng.integers(0, p, (d, d, d))
+        c = (c - c.transpose(1, 0, 2)) % p  # antisymmetric, rarely Jacobi
+        triple = jacobi_oracle(c, p)
+        if triple is None:
+            continue
+        seen += 1
+        with pytest.raises(Hh1LieError, match=re.escape(f"Jacobi identity fails at triple {triple}")):
+            lielib.RestrictedLie(p, c, np.zeros((d, d), dtype=INT))
+    assert seen > 30
