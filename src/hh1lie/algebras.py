@@ -280,6 +280,14 @@ class Algebra:
     def monomial_tables(self):
         return (self._kmat, self._cmat) if self.is_monomial else None
 
+    def structure_constants(self):
+        """Arrays (i, j, k, c) of every term e_i e_j = ... + c e_k, sorted."""
+        if self.is_monomial:
+            i, j = np.nonzero(self._cmat)
+            return i, j, self._kmat[i, j].astype(INT), self._cmat[i, j]
+        terms = sorted((i, j, k, c) for (i, j), ts in self._mult.items() for k, c in ts)
+        return tuple(np.array(terms, dtype=INT).reshape(-1, 4).T)
+
     def presentation_right_mats(self) -> list[np.ndarray]:
         """Right-multiplication matrices of the presentation generators, cached."""
         key = "_pres_right_mats"
@@ -381,13 +389,7 @@ class Algebra:
     # -- serialization -------------------------------------------------------
 
     def mult_triples(self) -> list[list[int]]:
-        triples = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, c in self.mult_terms(i, j):
-                    triples.append([i, j, k, int(c)])
-        triples.sort(key=lambda t: (t[0], t[1], t[2]))
-        return triples
+        return np.stack(self.structure_constants(), axis=1).tolist()
 
     def to_json_dict(self) -> dict:
         return {

@@ -107,6 +107,27 @@ class SuiteContext:
             self._cache[key] = alg.trivial_extension(self.kronecker())
         return self._cache[key]
 
+    def tkr_hh1(self):
+        return self.hh1_of((self.p, "tkr"), self.tkr)
+
+    def u0borel_blocks(self):
+        """u0borel(p, 1) and its block decomposition."""
+        key = ("u0borel-blocks", self.p)
+        if key not in self._cache:
+            ub = alg.u0_borel(self.p, 1)
+            self._cache[key] = ub, alg.block_decomposition(ub)
+        return self._cache[key]
+
+    def u0borel_block_hh1(self):
+        return self.hh1_of((self.p, "u0borel-block"), lambda: self.u0borel_blocks()[1][0][1])
+
+    def prop22_witness(self):
+        """The Proposition 2.2 witness for one variable of exponent 2."""
+        key = ("prop22", self.p)
+        if key not in self._cache:
+            self._cache[key] = lielib.prop22_witness(self.p, (2,))
+        return self._cache[key]
+
 
 def _basis_vec(dim, idx):
     v = np.zeros(dim, dtype=INT)
@@ -144,7 +165,7 @@ def check_lemma_2_1(ctx: SuiteContext) -> dict:
 def check_prop_2_2(ctx: SuiteContext) -> dict:
     """p-nilpotent ideal with Jacobson-Witt quotient for one truncated variable."""
     p = ctx.p
-    wit = lielib.prop22_witness(p, (2,))
+    wit = ctx.prop22_witness()
     detail = {
         "dim_hh1": wit.lie.dim,
         "dim_ideal": wit.n_ideal.dim,
@@ -202,7 +223,7 @@ def check_prop_2_3(ctx: SuiteContext) -> dict:
         detail[f"witt({p},{n})"] = {"dim": w.dim, "simple": simple}
         if w.dim != n * p**n or not simple:
             raise CheckFailure(detail)
-    wit = lielib.prop22_witness(p, (2,))
+    wit = ctx.prop22_witness()
     simple = lielib.is_simple(wit.lie, seed=ctx.seed)
     witness = lielib.adjoint_invariant_subspace(wit.lie, seed=ctx.seed)
     detail["mixed(2,)"] = {
@@ -437,7 +458,7 @@ def check_thm_3_8(ctx: SuiteContext) -> dict:
 def check_lemma_3_9(ctx: SuiteContext) -> dict:
     """The quotient by the witness ideal is the one-variable Jacobson-Witt algebra."""
     p = ctx.p
-    wit = lielib.prop22_witness(p, (2,))
+    wit = ctx.prop22_witness()
     fq = lielib.fingerprint(wit.quotient, seed=ctx.seed)
     fw = lielib.fingerprint(lielib.witt(p, 1), seed=ctx.seed)
     detail = {"quotient": fq.to_json_dict(), "witt": fw.to_json_dict()}
@@ -448,19 +469,17 @@ def check_lemma_3_9(ctx: SuiteContext) -> dict:
 
 def check_cor_3_10(ctx: SuiteContext) -> dict:
     """Solvability of the cohomology matches non-nilpotency of the input."""
-    p = ctx.p
-    ub = alg.u0_borel(p, 1)
-    blocks = alg.block_decomposition(ub)
+    _, blocks = ctx.u0borel_blocks()
     detail = {"u0borel_blocks": len(blocks)}
     if len(blocks) != 1:
         raise CheckFailure(detail)
-    lb = lielib.from_hh1(hoch.hh1(blocks[0][1], seed=ctx.seed))
+    lb = lielib.from_hh1(ctx.u0borel_block_hh1())
     preds = lielib.series_and_predicates(lb)
     torus = lielib.greedy_maximal_torus(lb, seed=ctx.seed)
     detail["borel_case"] = {"solvable": preds["is_solvable"], "mu": torus.dim}
     if not preds["is_solvable"] or torus.dim != 1:
         raise CheckFailure(detail)
-    wit = lielib.prop22_witness(p, (2,))
+    wit = ctx.prop22_witness()
     predsn = lielib.series_and_predicates(wit.lie)
     torus_n = lielib.greedy_maximal_torus(wit.lie, seed=ctx.seed)
     detail["nilpotent_case"] = {
@@ -482,8 +501,7 @@ def check_blocks(ctx: SuiteContext) -> dict:
     detail["split_semisimple"] = {"blocks": len(blocks), "dims": [b.dim for _, b in blocks]}
     if len(blocks) != 3 or any(b.dim != 1 for _, b in blocks):
         raise CheckFailure(detail)
-    ub = alg.u0_borel(p, 1)
-    ub_blocks = alg.block_decomposition(ub)
+    ub, ub_blocks = ctx.u0borel_blocks()
     detail["u0borel"] = {"blocks": len(ub_blocks)}
     if len(ub_blocks) != 1:
         raise CheckFailure(detail)
@@ -501,7 +519,7 @@ def check_blocks(ctx: SuiteContext) -> dict:
             total = (total + e) % p
         if not np.array_equal(total, a.unit):
             raise CheckFailure({"case": a.name, "issue": "idempotents do not sum to 1"})
-    lb = lielib.from_hh1(hoch.hh1(ub_blocks[0][1], seed=ctx.seed))
+    lb = lielib.from_hh1(ctx.u0borel_block_hh1())
     ls = lielib.from_hh1(ctx.smash_hh1(1, 1))
     same = lielib.fingerprint(lb, seed=ctx.seed) == lielib.fingerprint(ls, seed=ctx.seed)
     detail["u0borel_block_matches_smash"] = same
@@ -514,7 +532,7 @@ def check_lemma_4_1(ctx: SuiteContext) -> dict:
     """Cohomology of the Kronecker trivial extension: gl2, torus of rank 2."""
     p = ctx.p
     te = ctx.tkr()
-    h = hoch.hh1(te, seed=ctx.seed)
+    h = ctx.tkr_hh1()
     L = lielib.from_hh1(h)
     detail = {"dim_hh1": L.dim}
     if L.dim != 4:
@@ -571,12 +589,11 @@ def check_thm_4_2_mu(ctx: SuiteContext) -> dict:
     for n, r in _criterion3_params(p):
         L = lielib.from_hh1(ctx.smash_hh1(n, r))
         expected.append((f"smash(p={p},n={n},r={r})", 1, lielib.greedy_maximal_torus(L, seed=ctx.seed).dim))
-    wit = lielib.prop22_witness(p, (2,))
+    wit = ctx.prop22_witness()
     expected.append(
         (f"trunc(p={p},exps=2)", 1, lielib.greedy_maximal_torus(wit.lie, seed=ctx.seed).dim)
     )
-    te = ctx.tkr()
-    Lt = lielib.from_hh1(hoch.hh1(te, seed=ctx.seed))
+    Lt = lielib.from_hh1(ctx.tkr_hh1())
     expected.append(("tkr", 2, lielib.greedy_maximal_torus(Lt, seed=ctx.seed).dim))
     detail = {name: {"expected_cx": cx, "computed_mu": mu} for name, cx, mu in expected}
     bad = [name for name, cx, mu in expected if cx != mu]
@@ -609,9 +626,8 @@ def check_properties(ctx: SuiteContext) -> dict:
     to_validate = np.vstack([brs, powers.astype(INT)])
     if gfp.matmul(to_validate, sm.unit, p).any():
         raise CheckFailure({"property": "closure (unit value)"})
-    for gvec, rs in zip(sm.presentation.gen_vectors, sm.presentation_right_mats()):
-        if hoch._gen_block_residual(sm, to_validate, gvec, rs).any():
-            raise CheckFailure({"property": "closure under bracket / p-power"})
+    if hoch._fails_leibniz(sm, to_validate, sm.presentation.gen_vectors, sm.presentation_right_mats()):
+        raise CheckFailure({"property": "closure under bracket / p-power"})
     for t in range(trials):
         avec = rng.integers(0, p, size=d)
         ada = ((sm.left_mult_matrix(avec) - sm.right_mult_matrix(avec)) % p).astype(np.float64)

@@ -77,14 +77,24 @@ class RestrictedLie:
             for j in range(d):
                 if ((c[i, j] + c[j, i]) % p).any():
                     raise Hh1LieError(f"bracket not antisymmetric at ({i}, {j})")
-        if d:
-            cf = self._bracket_f64
-            jac = np.tensordot(cf, cf, axes=(2, 1)).transpose(2, 0, 1, 3).astype(INT)
-            jac += np.transpose(jac, (1, 2, 0, 3)) + np.transpose(jac, (2, 0, 1, 3))
-            jac %= p
+        # [b_i, [b_j, b_k]] + [b_k, [b_i, b_j]] + [b_j, [b_k, b_i]] for a slice of
+        # first indices i at a time, about 2^18 cells, so no d^4 array is held.
+        # With t[i, j, k] = [b_k, [b_i, b_j]] and antisymmetry, the last two
+        # terms are t[i, j, k] - t[i, k, j].
+        cf = self._bracket_f64
+        step = max(1, (1 << 18) // max(d**3, 1))
+        cflat, ct = cf.reshape(d * d, d), cf.transpose(1, 0, 2).reshape(d, d * d)
+        for i0 in range(0, d, step):
+            block = cf[i0 : i0 + step]
+            b = block.shape[0]
+            t = (block.reshape(b * d, d) @ ct).reshape(b, d, d, d)
+            jac = np.matmul(cflat, block).reshape(b, d, d, d) + t - t.transpose(0, 2, 1, 3)
+            jac = jac.astype(INT) % p
             if jac.any():
                 bad = np.argwhere(jac.any(axis=3))[0]
-                raise Hh1LieError(f"Jacobi identity fails at triple {tuple(int(x) for x in bad)}")
+                raise Hh1LieError(
+                    f"Jacobi identity fails at triple {(i0 + int(bad[0]), int(bad[1]), int(bad[2]))}"
+                )
         for i, ad_i in enumerate(self.ad_basis()):
             if not np.array_equal(self.ad(self.pmap_basis[i]), gfp.mat_pow(ad_i, p, p)):
                 raise RestrictednessViolation(f"ad(b{i}^[p]) != ad(b{i})^p")

@@ -167,3 +167,23 @@ def test_criterion_13_complexity_constants(ctx3, ctx5):
         for key, rep in detail.items():
             assert rep["expected_cx"] == rep["computed_mu"], key
     _report(13, "stored complexity constants equal computed toral ranks")
+
+
+def test_suite_computes_shared_objects_once(monkeypatch):
+    # the witness and the cohomology of T(Kr) and of the u0borel block are
+    # memoized on the context, so each is computed once per suite
+    from hh1lie import hochschild as hoch
+
+    calls = []
+    witness, hh1 = lielib.prop22_witness, hoch.hh1
+    monkeypatch.setattr(lielib, "prop22_witness", lambda *a: calls.append("wit") or witness(*a))
+    monkeypatch.setattr(hoch, "hh1", lambda a, **kw: calls.append(a.name) or hh1(a, **kw))
+    ctx = checks.SuiteContext(p=3)
+    sharing = {
+        "prop-2.2", "prop-2.3", "lemma-3.9", "cor-3.10", "cor-3.10-blocks", "lemma-4.1", "thm-4.2-mu"
+    }
+    for check_id, fn in checks.CHECKS:
+        if check_id in sharing:
+            fn(ctx)
+    assert calls.count("wit") == 1
+    assert len(calls) == len(set(calls))

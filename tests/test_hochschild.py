@@ -8,7 +8,7 @@ import pytest
 from hh1lie import algebras as alg
 from hh1lie import gfp
 from hh1lie import hochschild as hoch
-from hh1lie.errors import AlgebraMismatch
+from hh1lie.errors import AlgebraMismatch, Hh1LieError
 from hh1lie.gfp import Subspace
 
 
@@ -58,7 +58,9 @@ def test_dense_and_generator_solvers_agree_exactly():
         alg.smash_product(3, 1, 1)[0],
         alg.smash_product(3, 2, 1)[0],
         alg.smash_product(3, 1, 2)[0],
+        alg.smash_product(5, 1, 1)[0],
         alg.u0_borel(3, 1),
+        alg.u0_borel(3, 2),
     ]
     for a in cases:
         dense = vecs(hoch.derivation_space(a, method="dense"))
@@ -135,14 +137,18 @@ def test_bracket_with_inner_is_inner_of_image():
 
 
 def leibniz_kernel_by_python_ints(a):
-    """RREF kernel of the full Leibniz system, rows built with Python ints."""
+    """RREF kernel of the full Leibniz system, rows built with Python ints.
+
+    Every basis pair (e_i, e_j) and output coordinate t gives one row; the
+    zero rows and repeated rows are dropped before the kernel is taken.
+    """
     d, p = a.dim, a.p
     m = [[[0] * d for _ in range(d)] for _ in range(d)]  # e_i e_j = sum m[i][j][t] e_t
     for i in range(d):
         for j in range(d):
             for t, c in a.mult_terms(i, j):
                 m[i][j][t] = int(c)
-    rows = []
+    rows = set()
     for i in range(d):
         for j in range(d):
             for t in range(d):
@@ -153,8 +159,10 @@ def leibniz_kernel_by_python_ints(a):
                 for k in range(d):
                     row[k * d + i] -= m[k][j][t]
                     row[k * d + j] -= m[i][k][t]
-                rows.append([x % p for x in row])
-    return gfp.kernel(np.array(rows, dtype=np.int64), p)
+                row = tuple(x % p for x in row)
+                if any(row):
+                    rows.add(row)
+    return gfp.kernel(np.array(sorted(rows), dtype=np.int64).reshape(-1, d * d), p)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -169,6 +177,61 @@ def test_derivations_of_non_injective_table_match_python_int_system(p):
     assert a.mul_vec(basis_vec(4, 1), [0, 1, 1, 0]).tolist() == [0, 0, 0, 2]
     assert a.left_mult_matrix([0, 1, 0, 0])[3].tolist() == [0, 1, 1, 0]
     assert np.array_equal(vecs(hoch.derivation_space(a)), leibniz_kernel_by_python_ints(a))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: alg.smash_product(3, 2, 1)[0],
+        lambda: alg.u0_borel(3, 2),
+        lambda: alg.truncated_polynomial(3, (2, 1)),
+        lambda: alg.trivial_extension(alg.quiver_algebra(alg.kronecker_quiver(), 3)),
+    ],
+    ids=["smash321", "u0borel32", "trunc3-21", "tkr3"],
+)
+def test_derivation_space_matches_python_int_system(build):
+    # the first three take the generator path, T(Kr) has no presentation
+    a = build()
+    assert np.array_equal(vecs(hoch.derivation_space(a)), leibniz_kernel_by_python_ints(a))
+
+
+def corrupted(a, i, j):
+    """Copy of a monomial algebra with c_ij raised by one, not validated."""
+    kmat, cmat = a.monomial_tables()
+    cmat = cmat.copy()
+    cmat[i, j] = (cmat[i, j] + 1) % a.p
+    return alg.Algebra(
+        a.p, a.labels, {}, a.unit, presentation=a.presentation, validate=False,
+        _monomial=(kmat.copy(), cmat),
+    )
+
+
+@pytest.mark.parametrize("i,j", [(22, 17), (13, 7), (4, 21)])
+def test_corrupted_structure_constant_fails_the_honesty_check(i, j):
+    # the generator pairs (e_i, s) no longer imply every pair on a
+    # non-associative table, so the solved maps fail the all-pairs check
+    bad = corrupted(alg.smash_product(3, 2, 1)[0], i, j)
+    with pytest.raises(Hh1LieError, match="all-pairs check"):
+        hoch.derivation_space(bad)
+
+
+def test_missing_leibniz_rows_fail_the_generator_check(monkeypatch):
+    # a solver that loses every pair equation keeps only f(1) = 0 and returns
+    # too large a kernel; the generator blocks of the honesty check see it
+    # (the system is so redundant that dropping one generator's equations,
+    # or every other row, still gives Der(A) here)
+    a = alg.smash_product(3, 3, 1)[0]
+    assert a.dim > hoch.DENSE_SOLVER_LIMIT
+    full = hoch._leibniz_terms
+
+    def unit_rows_only(alg_, gens, consts):
+        eq, ent, coef = full(alg_, gens, consts)
+        keep = eq < alg_.dim
+        return eq[keep], ent[keep], coef[keep]
+
+    monkeypatch.setattr(hoch, "_leibniz_terms", unit_rows_only)
+    with pytest.raises(Hh1LieError, match="non-derivation"):
+        hoch.derivation_space(a)
 
 
 # -- named derivations ---------------------------------------------------------------

@@ -189,3 +189,51 @@ def test_jacobi_check_reports_the_einsum_oracle_triple():
         with pytest.raises(Hh1LieError, match=re.escape(f"Jacobi identity fails at triple {triple}")):
             lielib.RestrictedLie(p, c, np.zeros((d, d), dtype=INT))
     assert seen > 30
+
+
+def full_tensor_jacobi_triple(c, p):
+    """The Jacobi check on the whole (d, d, d, d) tensor at once."""
+    cf = c.astype(np.float64)
+    jac = np.tensordot(cf, cf, axes=(2, 1)).transpose(2, 0, 1, 3).astype(INT)
+    jac += np.transpose(jac, (1, 2, 0, 3)) + np.transpose(jac, (2, 0, 1, 3))
+    jac %= p
+    bad = np.argwhere(jac.any(axis=3))
+    return tuple(int(x) for x in bad[0]) if bad.size else None
+
+
+def jacobi_error(c, p):
+    """The triple the sliced check in validate reports, or None."""
+    try:
+        lielib.RestrictedLie(p, c, np.zeros((c.shape[0],) * 2, dtype=INT))
+    except Hh1LieError as exc:
+        found = re.search(r"Jacobi identity fails at triple (\(.*\))", str(exc))
+        if found:
+            return tuple(int(x) for x in found.group(1).strip("()").split(","))
+    return None
+
+
+@pytest.mark.parametrize("p,d", [(3, 5), (5, 6), (7, 4)])
+def test_sliced_jacobi_check_matches_the_full_tensor(p, d):
+    rng = np.random.default_rng(p * 100 + d)
+    for _ in range(40):
+        c = rng.integers(0, p, (d, d, d))
+        c = (c - c.transpose(1, 0, 2)) % p
+        assert jacobi_error(c, p) == full_tensor_jacobi_triple(c, p)
+
+
+def test_sliced_jacobi_check_reports_late_first_indices():
+    # brackets only among the basis vectors from an offset on: every failing
+    # triple starts at the offset or later, which the slicing must reach
+    rng = np.random.default_rng(7)
+    p, d = 5, 7
+    firsts = set()
+    for trial in range(40):
+        off = 1 + trial % 4
+        c = np.zeros((d, d, d), dtype=INT)
+        block = rng.integers(0, p, (d - off,) * 3)
+        c[off:, off:, off:] = (block - block.transpose(1, 0, 2)) % p
+        want = full_tensor_jacobi_triple(c, p)
+        assert jacobi_error(c, p) == want
+        if want is not None:
+            firsts.add(want[0])
+    assert min(firsts) >= 1 and len(firsts) >= 3
