@@ -430,37 +430,60 @@ def make_algebra(p, labels, mult, unit, radical_gens=None, counit=None, name=Non
     )
 
 
+def _json_ints(value, what: str, length: int) -> list[int]:
+    """A JSON list of ``length`` integers (booleans excluded), else JsonFormatError."""
+    if not (
+        isinstance(value, list)
+        and len(value) == length
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in value)
+    ):
+        raise JsonFormatError(f"{what} must be a list of {length} integers, got {value!r:.80}")
+    return value
+
+
 def algebra_from_json_dict(data: dict) -> Algebra:
-    """Inverse of :meth:`Algebra.to_json_dict`; validates the table."""
+    """Inverse of :meth:`Algebra.to_json_dict`; validates the table.
+
+    Every malformed document raises JsonFormatError: a missing field, a
+    field of the wrong JSON type or length, an index out of range, a p that
+    is not an odd prime, or a table that is not a unital algebra.
+    """
+    if not isinstance(data, dict):
+        raise JsonFormatError("an algebra document must be a JSON object")
+    for key in ("p", "labels", "unit", "mult"):
+        if key not in data:
+            raise JsonFormatError(f"missing field {key!r}")
+    p, labels, triples = data["p"], data["labels"], data["mult"]
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise JsonFormatError(f"p must be an integer, got {p!r:.80}")
     try:
-        p = int(data["p"])
-        labels = list(data["labels"])
-        unit = data["unit"]
-        triples = data["mult"]
-    except (KeyError, TypeError) as exc:
-        raise JsonFormatError(f"missing or malformed field: {exc}") from exc
-    if not all(isinstance(lbl, str) for lbl in labels):
-        raise JsonFormatError("labels must be strings")
-    if len(unit) != len(labels):
-        raise JsonFormatError("unit length does not match labels")
+        p = check_prime(p)
+    except ValueError as exc:
+        raise JsonFormatError(str(exc)) from exc
+    if not isinstance(labels, list) or not labels or not all(isinstance(lbl, str) for lbl in labels):
+        raise JsonFormatError("labels must be a nonempty list of strings")
+    if not isinstance(triples, list):
+        raise JsonFormatError("mult must be a list of [i, j, k, c] entries")
+    dim = len(labels)
+    # reduced mod p here, in Python ints, so no coefficient overflows int64
+    unit = [x % p for x in _json_ints(data["unit"], "unit", dim)]
     mult: dict = {}
     for entry in triples:
-        if len(entry) != 4:
-            raise JsonFormatError(f"mult entries must be [i, j, k, c], got {entry}")
-        i, j, k, c = (int(x) for x in entry)
-        if not all(0 <= t < len(labels) for t in (i, j, k)):
+        i, j, k, c = _json_ints(entry, "a mult entry [i, j, k, c]", 4)
+        if not all(0 <= t < dim for t in (i, j, k)):
             raise JsonFormatError(f"mult entry {entry} out of range")
-        mult.setdefault((i, j), []).append((k, c))
+        mult.setdefault((i, j), []).append((k, c % p))
+    gens, counit, name = data.get("radical_gens"), data.get("counit"), data.get("name")
+    if gens is not None:
+        if not isinstance(gens, list):
+            raise JsonFormatError("radical_gens must be a list of vectors")
+        gens = [[x % p for x in _json_ints(g, "a radical generator", dim)] for g in gens]
+    if counit is not None:
+        counit = [x % p for x in _json_ints(counit, "counit", dim)]
+    if name is not None and not isinstance(name, str):
+        raise JsonFormatError("name must be a string")
     try:
-        return make_algebra(
-            p,
-            labels,
-            mult,
-            unit,
-            radical_gens=data.get("radical_gens"),
-            counit=data.get("counit"),
-            name=data.get("name"),
-        )
+        return make_algebra(p, labels, mult, unit, radical_gens=gens, counit=counit, name=name)
     except ValueError as exc:
         raise JsonFormatError(str(exc)) from exc
 

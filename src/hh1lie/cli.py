@@ -85,7 +85,7 @@ def _load_quiver(path: str) -> alg.QuiverPresentation:
             tuple((a[0], a[1], a[2]) for a in data["arrows"]),
             relations,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise JsonFormatError(f"bad quiver presentation: {exc}") from exc
 
 

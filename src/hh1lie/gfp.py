@@ -102,15 +102,21 @@ def rref(a, p: int):
     Returns ``(R, rank, pivots)`` where R is the unique RREF of ``a``,
     rank is the number of nonzero rows and pivots lists their pivot
     columns in increasing order.
+
+    Only columns that are nonzero in ``a`` are visited, since row operations
+    keep a zero column zero, and the walk ends once every row below the last
+    pivot is zero.  Rows are checked for zero only when an elimination
+    touches them.
     """
-    a = normalize(a, p).copy()
+    # a fresh array, so it is reduced in place; C order keeps row operations contiguous
+    a = np.ascontiguousarray(normalize(a, p))
     if a.ndim != 2:
         raise DimensionMismatch(f"rref expects a 2d array, got shape {a.shape}")
-    rows, cols = a.shape
     r = 0
     pivots: list[int] = []
-    for c in range(cols):
-        if r == rows:
+    live = int(a.any(axis=1).sum())  # nonzero rows at index >= r
+    for c in np.flatnonzero(a.any(axis=0)).tolist():
+        if not live:
             break
         nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
@@ -118,13 +124,17 @@ def rref(a, p: int):
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
+        # rows from r on are zero left of c, so only columns c: change
         piv = int(a[r, c])
         if piv != 1:
-            a[r] = a[r] * inv_mod(piv, p) % p
+            a[r, c:] = a[r, c:] * inv_mod(piv, p) % p
         other = np.nonzero(a[:, c])[0]
         other = other[other != r]
+        live -= 1
         if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+            upd = (a[other, c:] - a[other, c, None] * a[r, c:]) % p
+            a[other, c:] = upd
+            live -= int(np.count_nonzero(~upd.any(axis=1) & (other > r)))
         pivots.append(c)
         r += 1
     return a, r, pivots
@@ -179,7 +189,7 @@ class Subspace:
     which by canonicity is entrywise equality of the stored bases.
     """
 
-    __slots__ = ("p", "ambient", "basis", "pivots", "_basis_f64")
+    __slots__ = ("p", "ambient", "basis", "pivots", "_support", "_basis_f64")
 
     def __init__(self, p: int, ambient: int, basis: np.ndarray, _pivots=None):
         self.p = p
@@ -188,17 +198,25 @@ class Subspace:
         if _pivots is None:
             _pivots = [int(np.nonzero(row)[0][0]) for row in basis]
         self.pivots = tuple(_pivots)
-        self._basis_f64 = None
+        self._support = self._basis_f64 = None
 
     def reduce_rows(self, mat: np.ndarray) -> np.ndarray:
-        """Residuals of the rows of mat after eliminating the basis rows."""
+        """Residuals of the rows of mat after eliminating the basis rows.
+
+        Elimination changes only the columns where the basis is nonzero, so
+        it runs on those columns alone.
+        """
         mat = normalize(mat, self.p)
         if self.dim == 0:
             return mat
         if self._basis_f64 is None:
-            self._basis_f64 = self.basis.astype(np.float64)
+            support = np.flatnonzero(self.basis.any(axis=0))
+            self._support = slice(None) if support.size == self.ambient else support
+            self._basis_f64 = self.basis[:, self._support].astype(np.float64)
         coeffs = mat[:, list(self.pivots)].astype(np.float64)
-        return (mat - (coeffs @ self._basis_f64).astype(INT)) % self.p
+        on = mat[:, self._support] - (coeffs @ self._basis_f64).astype(INT)
+        mat[:, self._support] = on % self.p
+        return mat
 
     @classmethod
     def from_vectors(cls, vectors, p: int, ambient: int) -> "Subspace":

@@ -557,13 +557,11 @@ class HH1Presentation:
                 raise Hh1LieError("complement representatives are dependent modulo IDer")
             # class coordinates w.r.t. the residuals equal those w.r.t. the
             # representatives, since each residual is inner-equivalent to it
-            self._resid_rows = resid
             self._resid_piv = list(piv)
             self._resid_solver = gfp.inverse(resid[:, self._resid_piv], p)
-        else:
-            self._resid_rows = np.zeros((0, d * d), dtype=INT)
-            self._resid_piv = []
-            self._resid_solver = np.zeros((0, 0), dtype=INT)
+            # the residuals vanish off their support, so a member's residual must too
+            self._resid_support = np.flatnonzero(resid.any(axis=0))
+            self._resid_on = resid[:, self._resid_support]
         self.bracket_table, self.pmap_table = self._tables(self.complement_basis)
         self._verify_representative_independence(seed)
 
@@ -575,7 +573,9 @@ class HH1Presentation:
                 raise ValueError("matrix is not in IDer + complement")
             return np.zeros((mat.shape[0], 0), dtype=INT)
         coeffs = matmul(rv[:, self._resid_piv], self._resid_solver, self.p)
-        if ((rv - matmul(coeffs, self._resid_rows, self.p)) % self.p).any():
+        # entries lie in (-p, p) after the subtraction, so nonzero means nonzero mod p
+        rv[:, self._resid_support] -= matmul(coeffs, self._resid_on, self.p)
+        if rv.any():
             raise ValueError("matrix is not in IDer + complement")
         return coeffs
 

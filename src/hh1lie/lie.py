@@ -45,7 +45,7 @@ class RestrictedLie:
         if len(self.labels) != self.dim:
             raise DimensionMismatch("label count does not match dimension")
         self._bracket_f64 = self.bracket.astype(np.float64)
-        self._admats = None
+        self._admats = self._lie_gens = self._pmap_census = None
         if validate:
             self.validate()
 
@@ -249,22 +249,48 @@ def _spin_operator(mats) -> np.ndarray:
     return mats.transpose(2, 0, 1).reshape(mats.shape[2], -1).astype(np.float64)
 
 
-def _spin(op: np.ndarray, v, p: int) -> Subspace:
-    """Smallest subspace containing v and stable under the matrices of op.
+def _spin(op: np.ndarray, starts, p: int) -> Subspace:
+    """Smallest subspace containing the start rows and stable under the matrices of op.
 
     Each round applies op only to the rows the previous round added,
-    reduced against the span, and a full span stops at once.
+    reduced against the span, and a full span stops at once.  The new rows
+    are zero on the span's pivots, so one back-substitution clears the
+    span's rows on the new pivots, and sorting by pivot gives the RREF.
     """
     dim = op.shape[0]
-    span = Subspace.from_vectors([v], p, dim)
-    new = span.basis
-    while span.dim < dim:
-        imgs = (new.astype(np.float64) @ op).astype(INT) % p
-        new = gfp.row_space(span.reduce_rows(imgs.reshape(-1, dim)), p)
-        if not new.shape[0]:
-            return span
-        span = Subspace(p, dim, gfp.row_space(np.vstack([span.basis, new]), p))
+    basis, rank, pivots = rref(np.reshape(starts, (-1, dim)), p)
+    basis = new = basis[:rank]
+    while len(pivots) < dim:
+        imgs = matmul(new, op, p).reshape(-1, dim)
+        imgs = (imgs - matmul(imgs[:, pivots], basis, p)) % p
+        new, rank, new_pivots = rref(imgs, p)
+        if not rank:
+            return Subspace(p, dim, basis, pivots)
+        new = new[:rank]
+        basis = (basis - matmul(basis[:, new_pivots], new, p)) % p
+        order = np.argsort(pivots + new_pivots)
+        basis, pivots = np.vstack([basis, new])[order], sorted(pivots + new_pivots)
     return Subspace.full(dim, p)
+
+
+def _lie_generators(L: RestrictedLie) -> list[int]:
+    """Basis indices, chosen greedily in basis order, that generate L as a Lie algebra.
+
+    The subalgebra generated by a set S is the spin of S under ad(S), since
+    right-normed brackets of elements of S span it.  Built once.
+    """
+    if L._lie_gens is None:
+        mats, gens = L.ad_basis(), []
+        span = Subspace.zero(L.dim, L.p)
+        for i in range(L.dim):
+            if span.dim == L.dim:
+                break
+            if span.contains_vector(_unit(L.dim, i)):
+                continue
+            gens.append(i)
+            span = _spin(_spin_operator(mats[gens]), np.vstack([span.basis, _unit(L.dim, i)]), L.p)
+        L._lie_gens = gens
+    return L._lie_gens
 
 
 def _random_env_element(mats, p, rng) -> np.ndarray:
@@ -303,7 +329,10 @@ def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int 
         # abelian: every line is an ideal
         return Subspace.from_vectors([_unit(d, 0)], p, d)
     mats = L.ad_basis()
-    op, op_t = _spin_operator(mats), _spin_operator(mats.transpose(0, 2, 1))
+    # ad of a Lie generating set spans ad(L) under commutators, so it has
+    # the same invariant subspaces, in the dual too; the spins are unchanged
+    gen_mats = mats[_lie_generators(L)]
+    op, op_t = _spin_operator(gen_mats), _spin_operator(gen_mats.transpose(0, 2, 1))
 
     def dual_side(theta):
         """None if some transpose-kernel vector spins to the full dual,
@@ -528,7 +557,7 @@ def _pmap_enumeration(L: RestrictedLie):
     if not by_ad and total > ENUM_LIMIT_SLOW:
         return None
     vectors = _all_vectors_batch(p, d)
-    chunk = max(1, (1 << 22) // (d * d))
+    chunk = max(1, (1 << 22) // max(1, d * d))
 
     def chunks():
         for start in range(0, total, chunk):
@@ -545,17 +574,27 @@ def _pmap_enumeration(L: RestrictedLie):
     return chunks()
 
 
+def _pmap_census(L: RestrictedLie):
+    """(toral elements, nullcone count) from one enumeration, both None past its limit.
+
+    Built once: the torus certificate and the fingerprint both read it.
+    """
+    if L._pmap_census is None:
+        chunks = _pmap_enumeration(L)
+        if chunks is None:
+            L._pmap_census = (None, None)
+        else:
+            torals, nullcone = [], 0
+            for vs, xs, ys in chunks:
+                torals.extend(vs[(xs == ys).all(axis=1) & vs.any(axis=1)])
+                nullcone += int((~ys.any(axis=1)).sum())
+            L._pmap_census = (torals, nullcone)
+    return L._pmap_census
+
+
 def _toral_elements_exhaustive(L: RestrictedLie):
     """All toral elements when enumerable, else None."""
-    if L.dim == 0:
-        return []
-    chunks = _pmap_enumeration(L)
-    if chunks is None:
-        return None
-    out = []
-    for vs, xs, ys in chunks:
-        out.extend(vs[(xs == ys).all(axis=1) & vs.any(axis=1)])
-    return out
+    return _pmap_census(L)[0]
 
 
 def _projectivize(vectors, p) -> list[np.ndarray]:
@@ -782,12 +821,8 @@ class Fingerprint:
 
 
 def _nullcone_count(L: RestrictedLie):
-    if L.dim == 0:
-        return 1
-    chunks = _pmap_enumeration(L)
-    if chunks is None:
-        return None
-    return sum(int((~ys.any(axis=1)).sum()) for _, _, ys in chunks)
+    """Number of x with x^[p] = 0 when enumerable, else None."""
+    return _pmap_census(L)[1]
 
 
 def fingerprint(L: RestrictedLie, seed: int = 0) -> Fingerprint:

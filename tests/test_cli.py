@@ -1,11 +1,15 @@
 """Command line interface: flags, exit codes, determinism, fault injection."""
 
+import copy
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
+from hh1lie import algebras as alg
 from hh1lie import cli
 from hh1lie.errors import Hh1LieError
 
@@ -110,6 +114,103 @@ def test_hh1_lie_analysis_error_exits_3(monkeypatch, capsys):
     assert err.startswith("error: irreducibility test did not reach a decision")
 
 
+def exit_code(*argv):
+    """The CLI's exit code, including the usage errors argparse exits with."""
+    try:
+        return cli.main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command", ["build", "hh1"])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("unit", 5),
+        ("p", "x"),
+        ("p", 3.0),
+        ("p", True),
+        ("labels", []),
+        ("labels", "abc"),
+        ("unit", [1.5, 0, 0]),
+        ("counit", [True, False, False]),
+        ("counit", {}),
+        ("radical_gens", [[0, 1]]),
+    ],
+)
+def test_malformed_algebra_json_exits_3(tmp_path, capsys, command, field, value):
+    # "unit": 5 ended in a TypeError traceback (exit 1) and "p": "x" in a
+    # usage error (exit 2)
+    doc = alg.truncated_polynomial(3, (1,)).to_json_dict()
+    doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--kind", "json", "--file", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_malformed_mult_coefficient_exits_3(tmp_path, capsys):
+    doc = alg.truncated_polynomial(3, (1,)).to_json_dict()
+    doc["mult"][1][3] = "a"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "hh1", "--kind", "json", "--file", str(path))
+    assert code == 3 and err.startswith("error: ")
+
+
+BASE_DOC = alg.truncated_polynomial(3, (1,)).to_json_dict()
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# p is drawn small: the primality test of a huge p is slow, not wrong
+P_VALUES = st.integers(-5, 40) | st.sampled_from([251, 2**70]) | JSON_VALUES.filter(
+    lambda v: not isinstance(v, int) or isinstance(v, bool)
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(BASE_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(BASE_DOC) + ["name"]))
+        action = draw(st.sampled_from(["replace", "delete", "element"]))
+        target = doc.get(key)
+        if action == "delete":
+            doc.pop(key, None)
+        elif action == "element" and isinstance(target, list) and target:
+            pos = draw(st.integers(0, len(target) - 1))
+            inner = target[pos]
+            if isinstance(inner, list) and inner and draw(st.booleans()):
+                inner[draw(st.integers(0, len(inner) - 1))] = draw(JSON_VALUES)
+            else:
+                target[pos] = draw(JSON_VALUES)
+        else:
+            doc[key] = draw(P_VALUES if key == "p" else JSON_VALUES)
+    return doc
+
+
+@seed(20240501)
+@settings(
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=mutated_documents())
+def test_fuzzed_algebra_json_exits_0_or_3(tmp_path, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    for command in ("build", "hh1"):
+        assert exit_code(command, "--kind", "json", "--file", str(path)) in (0, 3)
+
+
 def test_build_invalid_table_exits_3(tmp_path, capsys):
     # well-formed JSON, but the table is not associative
     path = tmp_path / "nonassoc.json"
@@ -198,6 +299,8 @@ REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
         ("hh1-trunc-5-2", ["--kind", "trunc", "--p", "5", "--exps", "2"]),
         ("hh1-trivext-5", ["--kind", "trivext", "--p", "5"]),
         ("hh1-quiver-7", ["--kind", "quiver", "--p", "7"]),
+        ("hh1-trunc-3-2-1", ["--kind", "trunc", "--p", "3", "--exps", "2,1"]),
+        ("hh1-trunc-3-3", ["--kind", "trunc", "--p", "3", "--exps", "3"]),
     ],
 )
 def test_hh1_stdout_matches_recorded_reference(job, argv, capsys):
@@ -205,3 +308,12 @@ def test_hh1_stdout_matches_recorded_reference(job, argv, capsys):
     code, out, _ = run_cli(capsys, "hh1", *argv, "--seed", "0")
     assert code == expected["exit"] == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected["stdout_sha256"]
+
+
+@pytest.mark.parametrize("blob", ['["1", "2"]', '{"vertices": ["1"], "arrows": [["x", "1"]]}'])
+def test_malformed_quiver_file_exits_3(tmp_path, capsys, blob):
+    # a top-level list and a short arrow ended in tracebacks
+    path = tmp_path / "bad.json"
+    path.write_text(blob)
+    code, _, err = run_cli(capsys, "build", "--kind", "quiver", "--p", "3", "--file", str(path))
+    assert code == 3 and err.startswith("error: bad quiver presentation")

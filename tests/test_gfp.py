@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from hh1lie import algebras as alg
 from hh1lie import gfp
+from hh1lie import hochschild as hoch
 from hh1lie.errors import DimensionMismatch
 from hh1lie.gfp import Subspace, kernel, rref
 
@@ -235,3 +237,96 @@ def test_scatter_add_empty_and_all_zero_index():
     gfp.scatter_add(out, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     gfp.scatter_add(out, [0, 3], [0, 0], np.ones((2, 2), dtype=np.int64))
     assert np.array_equal(out, np.arange(8).reshape(4, 2))
+
+
+def rref_oracle(a, p):
+    """rref walking every column until the rows run out, with no early stop."""
+    a = gfp.normalize(a, p).copy()
+    rows, cols = a.shape
+    r = 0
+    pivots = []
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        piv = int(a[r, c])
+        if piv != 1:
+            a[r] = a[r] * gfp.inv_mod(piv, p) % p
+        other = np.nonzero(a[:, c])[0]
+        other = other[other != r]
+        if other.size:
+            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, r, pivots
+
+
+def sparse_low_rank(rng, p, rows, cols, rank):
+    """A seeded rows x cols matrix of the given rank at most, with zero rows and columns."""
+    m = rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols)) % p
+    m[rng.random(rows) < 0.3] = 0
+    m[:, rng.random(cols) < 0.3] = 0
+    return m
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 251])
+def test_rref_matches_the_full_column_walk(p):
+    rng = np.random.default_rng(p)
+    shapes = [(0, 4), (4, 0), (1, 1), (3, 9), (9, 3), (15, 54), (60, 20), (8, 8)]
+    for trial in range(60):
+        rows, cols = shapes[trial % len(shapes)]
+        rank = int(rng.integers(0, min(rows, cols) + 1)) if rows and cols else 0
+        m = sparse_low_rank(rng, p, rows, cols, rank)
+        if trial % 5 == 0 and rows:
+            m[rows // 2] = m[0] * 2  # a dependent row that elimination zeroes
+        red, r, piv = rref(m, p)
+        want, want_r, want_piv = rref_oracle(m, p)
+        assert np.array_equal(red, want) and r == want_r and piv == want_piv
+
+
+def test_rref_matches_the_full_column_walk_on_the_ider_matrix():
+    a, _ = alg.smash_product(5, 2, 1)
+    ads = [(a.basis_left_matrix(i) - a.basis_right_matrix(i)) % 5 for i in range(a.dim)]
+    rows = np.vstack([ad.reshape(-1) for ad in ads])
+    red, r, piv = rref(rows, 5)
+    want, want_r, want_piv = rref_oracle(rows, 5)
+    assert r == want_r == 120
+    assert np.array_equal(red, want) and piv == want_piv
+
+
+def reduce_rows_dense(sub, mat):
+    """Residuals by elimination on every column."""
+    mat = gfp.normalize(mat, sub.p)
+    return (mat - mat[:, list(sub.pivots)] @ sub.basis) % sub.p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_support_restricted_reduce_rows_matches_dense(p):
+    rng = np.random.default_rng(10 + p)
+    for trial in range(40):
+        n = int(rng.integers(1, 30))
+        basis = sparse_low_rank(rng, p, int(rng.integers(1, 8)), n, int(rng.integers(1, 5)))
+        if trial % 4 == 0:
+            basis = rng.integers(0, p, (3, n))  # usually nonzero on every column
+        sub = Subspace.from_vectors(basis, p, n)
+        members = rng.integers(0, p, (4, sub.dim)) @ sub.basis % p
+        mat = np.vstack([rng.integers(-p, 2 * p, (6, n)), members])
+        got = sub.reduce_rows(mat)
+        assert np.array_equal(got, reduce_rows_dense(sub, mat))
+        assert not got[6:].any()
+        assert np.array_equal(sub.reduce_rows(mat), got)  # with the cached support
+
+
+def test_support_restricted_reduce_rows_on_the_ider_subspace():
+    a, _ = alg.smash_product(5, 2, 1)
+    ider = Subspace.from_vectors([f.vec() for f in hoch.inner_derivations(a)], 5, a.dim**2)
+    assert np.count_nonzero(ider.basis.any(axis=0)) < a.dim**2
+    rng = np.random.default_rng(521)
+    ders = np.vstack([f.vec() for f in hoch.derivation_space(a)])
+    mat = np.vstack([rng.integers(0, 5, (3, ders.shape[0])) @ ders % 5, rng.integers(0, 5, (3, a.dim**2))])
+    assert np.array_equal(ider.reduce_rows(mat), reduce_rows_dense(ider, mat))

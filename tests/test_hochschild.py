@@ -468,3 +468,50 @@ def test_der_closed_under_bracket_and_ppower_on_basis():
         assert span.contains_vector(hoch.p_power(f).vec())
         for g in ders:
             assert span.contains_vector(hoch.bracket(f, g).vec())
+
+
+def project_rows_dense(h, mat):
+    """Class coordinates by elimination on every column, or None for a non-member."""
+    p = h.p
+    comp = np.vstack([f.vec() for f in h.complement_basis])
+    ider = h._ider_sub
+    resid = (comp - comp[:, list(ider.pivots)] @ ider.basis) % p
+    _, _, piv = gfp.rref(resid, p)
+    rv = (mat - mat[:, list(ider.pivots)] @ ider.basis) % p
+    coeffs = rv[:, piv] @ gfp.inverse(resid[:, piv], p) % p
+    bad = ((rv - coeffs @ resid) % p).any(axis=1)
+    return [None if b else c for b, c in zip(bad, coeffs)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: alg.smash_product(3, 2, 1)[0],
+        lambda: alg.truncated_polynomial(3, (1, 1)),
+        lambda: alg.u0_borel(3, 2),
+    ],
+)
+def test_support_restricted_projection_matches_dense(build):
+    a = build()
+    h = hoch.hh1(a)
+    p, n = a.p, a.dim**2
+    rng = np.random.default_rng(a.dim)
+    ders = np.vstack([f.vec() for f in h.der_basis])
+    members = rng.integers(0, p, (5, ders.shape[0])) @ ders % p
+    support = np.zeros(n, dtype=bool)
+    support[h._resid_support] = True
+    support[h._ider_sub.basis.any(axis=0)] = True
+    off = np.zeros(n, dtype=np.int64)
+    off[np.flatnonzero(~support)[0]] = 1  # zero on every basis and residual column
+    on = members[0].copy()
+    on[h._resid_support[0]] += 1
+    candidates = [*members, rng.integers(0, p, n), off, on % p]
+    want = project_rows_dense(h, np.vstack(candidates))
+    assert [w is None for w in want] == [False] * 5 + [True] * 3
+    for row, expected in zip(candidates, want):
+        if expected is None:
+            with pytest.raises(ValueError, match="not in IDer"):
+                h.project_rows(row[None, :])
+        else:
+            assert np.array_equal(h.project_rows(row[None, :])[0], expected)
+    assert np.array_equal(h.project_rows(members), np.stack(want[:5]))

@@ -237,3 +237,98 @@ def test_sliced_jacobi_check_reports_late_first_indices():
         if want is not None:
             firsts.add(want[0])
     assert min(firsts) >= 1 and len(firsts) >= 3
+
+
+def frontier_spin_oracle(op, v, p):
+    """The frontier spin under every ad matrix, as it ran before the generator spin."""
+    dim = op.shape[0]
+    span = Subspace.from_vectors(list(np.reshape(v, (-1, dim))), p, dim)
+    new = span.basis
+    while span.dim < dim:
+        imgs = (new.astype(np.float64) @ op).astype(INT) % p
+        new = gfp.row_space(span.reduce_rows(imgs.reshape(-1, dim)), p)
+        if not new.shape[0]:
+            return span
+        span = Subspace(p, dim, gfp.row_space(np.vstack([span.basis, new]), p))
+    return Subspace.full(dim, p)
+
+
+GENERATOR_CASES = {
+    "witt32": lambda: lielib.witt(3, 2),
+    "sl2-5": lambda: lielib.sl2(5),
+    "gl2-3": lambda: lielib.gl2(3),
+    "hh1-trunc3-21": lambda: hh1_lie(alg.truncated_polynomial(3, (2, 1))),
+    "hh1-trunc3-3": lambda: hh1_lie(alg.truncated_polynomial(3, (3,))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_CASES))
+def test_generator_spin_matches_the_all_ad_spin(name):
+    L = GENERATOR_CASES[name]()
+    p, d = L.p, L.dim
+    ads = L.ad_basis()
+    gens = ads[lielib._lie_generators(L)]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    starts = [np.eye(d, dtype=INT)[i] for i in range(d)]
+    starts += [rng.integers(0, p, d) for _ in range(6)]
+    starts += [rng.integers(0, p, (2, d)) for _ in range(2)]  # several start rows at once
+    sizes = set()
+    for mats, gmats in ((ads, gens), (ads.transpose(0, 2, 1), gens.transpose(0, 2, 1))):
+        op_all, op_gen = lielib._spin_operator(mats), lielib._spin_operator(gmats)
+        for v in starts:
+            got = lielib._spin(op_gen, v, p)
+            assert got == frontier_spin_oracle(op_all, v, p)
+            assert list(got.pivots) == [int(np.flatnonzero(row)[0]) for row in got.basis]
+            sizes.add(got.dim)
+    if name.startswith("hh1"):
+        assert min(sizes) < d  # not simple: proper submodules were reached
+
+
+def generated_subalgebra(L, indices):
+    """Span of the basis elements at indices closed under the bracket, by bracket spans."""
+    span = Subspace.from_vectors([np.eye(L.dim, dtype=INT)[i] for i in indices], L.p, L.dim)
+    while True:
+        grown = span.sum(lielib._bracket_span(L, span, span))
+        if grown == span:
+            return span
+        span = grown
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_CASES))
+def test_lie_generators_close_to_the_whole_algebra(name):
+    L = GENERATOR_CASES[name]()
+    gens = lielib._lie_generators(L)
+    assert gens == sorted(set(gens)) and lielib._lie_generators(L) is gens  # built once
+    assert generated_subalgebra(L, gens).dim == L.dim
+    # greedy in basis order: each generator lies outside what the earlier ones generate
+    for k, g in enumerate(gens):
+        assert not generated_subalgebra(L, gens[:k]).contains_vector(np.eye(L.dim, dtype=INT)[g])
+    if name == "hh1-trunc3-21":
+        assert len(gens) == 6 < L.dim == 54
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_CASES))
+def test_invariant_subspace_is_the_one_found_under_all_ad(name, monkeypatch):
+    L = GENERATOR_CASES[name]()
+    got = [lielib.adjoint_invariant_subspace(L, seed=s) for s in (0, 3)]
+    monkeypatch.setattr(lielib, "_lie_generators", lambda L: list(range(L.dim)))
+    want = [lielib.adjoint_invariant_subspace(L, seed=s) for s in (0, 3)]
+    assert got == want
+    assert (got[0] is None) == (name in ("witt32", "sl2-5"))
+
+
+def test_fingerprint_enumerates_the_p_map_once(monkeypatch):
+    calls = []
+    enumerate_pmap = lielib._pmap_enumeration
+
+    def counted(L):
+        calls.append(L)
+        return enumerate_pmap(L)
+
+    monkeypatch.setattr(lielib, "_pmap_enumeration", counted)
+    for L in (hh1_lie(alg.quiver_algebra(alg.tkr_quiver(), 7)), lielib.gl2(3), lielib.sl2(5)):
+        calls.clear()
+        fp = lielib.fingerprint(L)
+        assert len(calls) == 1 and fp.nullcone_count is not None
+        assert fp.mu_greedy == lielib.greedy_maximal_torus(L).dim
+        assert len(calls) == 1  # the census is kept on L
