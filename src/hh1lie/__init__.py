@@ -7,7 +7,7 @@ Hochschild cohomology with the restricted p-structure, and analyses the
 resulting restricted Lie algebras (solvability, simplicity, tori).
 """
 
-from .gfp import Subspace, check_prime, kernel, rref, subspace_ops
+from .gfp import Subspace, check_prime, kernel, rref
 from .algebras import (
     Algebra,
     QuiverPresentation,
@@ -36,7 +36,6 @@ from .hochschild import (
     named_inner,
     named_outer,
     p_power,
-    verify_complement,
 )
 from .lie import (
     Fingerprint,

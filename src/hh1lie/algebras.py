@@ -446,7 +446,8 @@ def algebra_from_json_dict(data: dict) -> Algebra:
 
     Every malformed document raises JsonFormatError: a missing field, a
     field of the wrong JSON type or length, an index out of range, a p that
-    is not an odd prime, or a table that is not a unital algebra.
+    is not an odd prime in the supported range (``gfp.check_prime``), or a
+    table that is not a unital algebra.
     """
     if not isinstance(data, dict):
         raise JsonFormatError("an algebra document must be a JSON object")
@@ -740,13 +741,30 @@ class QuiverPresentation:
     relations: tuple = ()
 
     def __post_init__(self):
-        names = [a[0] for a in self.arrows]
-        if len(set(names)) != len(names):
-            raise ValueError("arrow labels must be distinct")
+        """Vertices, arrows and relations are checked here, so an error names the bad one."""
+        verts = self.vertices
+        if not verts or not all(isinstance(v, str) for v in verts) or len(set(verts)) < len(verts):
+            raise ValueError("vertices must be a nonempty list of distinct strings")
+        ends = {}
+        for label, *arrow in self.arrows:
+            if not isinstance(label, str) or label in ends:
+                raise ValueError(f"arrow label {label!r} is not a string, or not distinct")
+            for end, v in zip(("source", "target"), arrow):
+                if v not in verts:
+                    raise ValueError(f"arrow {label!r} has {end} {v!r}, which is not a vertex")
+            ends[label] = arrow
         for rel in self.relations:
             for coeff, path in rel:
                 if len(path) < 2:
                     raise ValueError("relations must be admissible (length >= 2 paths)")
+                if any(not isinstance(lbl, str) or lbl not in ends for lbl in path):
+                    raise ValueError(f"relation path {path} has an unknown arrow")
+                if any(ends[s][1] != ends[t][0] for s, t in zip(path, path[1:])):
+                    raise ValueError(f"relation path {path} is not composable")
+                if (ends[path[0]][0], ends[path[-1]][1]) != (ends[rel[0][1][0]][0], ends[rel[0][1][-1]][1]):
+                    raise ValueError(f"relation paths {rel[0][1]} and {path} are not parallel")
+            if not rel:
+                raise ValueError("a relation needs at least one term")
 
 
 def kronecker_quiver() -> QuiverPresentation:
@@ -779,14 +797,6 @@ def quiver_algebra(q: QuiverPresentation, p) -> Algebra:
     """
     p = check_prime(p)
     arrow_by_label = {a[0]: a for a in q.arrows}
-    for rel in q.relations:
-        for coeff, path in rel:
-            for lbl in path:
-                if lbl not in arrow_by_label:
-                    raise ValueError(f"unknown arrow {lbl!r} in relation")
-            for s, t in zip(path, path[1:]):
-                if arrow_by_label[s][2] != arrow_by_label[t][1]:
-                    raise ValueError(f"relation path {path} is not composable")
     max_rel = max((max(len(path) for _, path in rel) for rel in q.relations), default=1)
     cap = max(2 * len(q.arrows) * max_rel, 6)
     max_paths = 200_000

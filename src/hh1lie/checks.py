@@ -19,6 +19,7 @@ from . import algebras as alg
 from . import gfp
 from . import hochschild as hoch
 from . import lie as lielib
+from .errors import Hh1LieError
 from .gfp import INT, Subspace
 
 
@@ -330,17 +331,17 @@ def check_lemma_3_3(ctx: SuiteContext) -> dict:
     for n, r in _criterion3_params(p):
         a, desc = ctx.smash(n, r)
         h = ctx.smash_hh1(n, r)
-        ider = Subspace(p, a.dim**2, np.vstack([f.vec() for f in h.ider_basis]))
-        g_rows = np.vstack(
+        g_mats = np.stack(
             [
-                hoch.named_outer(desc, lam, j, a).vec()
+                hoch.named_outer(desc, lam, j, a).matrix
                 for lam in range(desc.n_chars)
                 for j in desc.outer_exponents()
             ]
         )
-        resid = ider.reduce_rows(g_rows)
+        # g is injective on Der, so ranks in generator coordinates are the ranks of the maps
+        resid = h.space.inner()[2].reduce_rows(h.space.gen_coords(g_mats))
         _, extra, _ = gfp.rref(resid, p)
-        span_dim = ider.dim + extra
+        span_dim = h.dim_ider + extra
         detail[f"(p={p},n={n},r={r})"] = {"span_dim": span_dim, "dim_der": h.dim_der}
         if span_dim != h.dim_der:
             raise CheckFailure(detail)
@@ -370,12 +371,32 @@ def check_lemma_3_4(ctx: SuiteContext) -> dict:
 
 
 def check_lemma_3_5(ctx: SuiteContext) -> dict:
-    """H = {g_(0,j)} is a complement of IDer in Der, with the expected size."""
+    """H = {g_(0,j)} is a complement of IDer in Der, with the expected size.
+
+    Read off the generator-coordinate spaces of the presentation.  Also
+    confirms that g_(0,j) - g_(i alpha,j) is inner for every i.
+    """
     p = ctx.p
     detail = {}
     for n, r in _criterion3_params(p):
         a, desc = ctx.smash(n, r)
-        report = hoch.verify_complement(desc, algebra=a)
+        h = ctx.smash_hh1(n, r)
+        space, inner = h.space, h.space.inner()[2]
+        h_mats = np.stack([f.matrix for f in h.complement_basis])
+        h_rows = space.gen_coords(h_mats)
+        h_rank = gfp.rref(inner.reduce_rows(h_rows), p)[1]
+        diffs = [
+            (g0.matrix - hoch.named_outer(desc, i, j, a).matrix) % p
+            for j, g0 in zip(desc.outer_exponents(), h.complement_basis)
+            for i in range(1, desc.n_chars)
+        ]
+        report = {"p": p, "n": n, "r": r, "h_size": h.dim, "dim_der": h.dim_der, "dim_ider": h.dim_ider}
+        report["independent"] = gfp.rref(h_rows, p)[1] == h.dim
+        report["trivial_intersection"] = h_rank == h.dim
+        report["spans"] = space.contains(h_mats) and h.dim_ider + h.dim == h.dim_der and h_rank == h.dim
+        report["shifted_differences_inner"] = space.contains(np.stack(diffs), inner)
+        flags = ("independent", "trivial_intersection", "spans", "shifted_differences_inner")
+        report["ok"] = all(report[k] for k in flags)
         expected_h = p ** (n - r) if n >= r else 1
         detail[f"(p={p},n={n},r={r})"] = report
         if not report["ok"] or report["h_size"] != expected_h:
@@ -608,17 +629,15 @@ def check_properties(ctx: SuiteContext) -> dict:
     rng = np.random.default_rng(ctx.seed)
     sm, _ = ctx.smash(2, 1)
     h = ctx.smash_hh1(2, 1)
-    ders = h.der_basis
-    dmat = np.stack([f.matrix for f in ders])
+    space = h.space
     trials = 100
     d = sm.dim
-    dflat = dmat.reshape(len(ders), d * d)
     # closure under bracket and p-th power, and [f, ad a] = ad f(a);
     # trials are drawn up front and validated as one batched stack
-    c1 = rng.integers(0, p, size=(trials, len(ders)))
-    c2 = rng.integers(0, p, size=(trials, len(ders)))
-    fs = gfp.matmul(c1, dflat, p).reshape(trials, d, d).astype(np.float64)
-    gs = gfp.matmul(c2, dflat, p).reshape(trials, d, d).astype(np.float64)
+    c1 = rng.integers(0, p, size=(trials, h.dim_der))
+    c2 = rng.integers(0, p, size=(trials, h.dim_der))
+    fs = space.matrices(gfp.matmul(c1, space.basis, p)).astype(np.float64)
+    gs = space.matrices(gfp.matmul(c2, space.basis, p)).astype(np.float64)
     brs = (np.matmul(fs, gs) - np.matmul(gs, fs)).astype(INT) % p
     powers = fs.copy()
     for _ in range(p - 1):
@@ -636,18 +655,11 @@ def check_properties(ctx: SuiteContext) -> dict:
         rhs = (sm.left_mult_matrix(fa) - sm.right_mult_matrix(fa)) % p
         if not np.array_equal(lhs, rhs):
             raise CheckFailure({"property": "[f, ad a] = ad f(a)"})
-    # representative independence of the tables
-    ider_flat = np.vstack([f.vec() for f in h.ider_basis])
-    for _ in range(trials):
-        coeffs = rng.integers(0, p, size=(h.dim, len(h.ider_basis)))
-        shifts = gfp.matmul(coeffs, ider_flat, p).reshape(h.dim, d, d)
-        reps = [
-            hoch.Derivation(sm, (f.matrix + shift) % p)
-            for f, shift in zip(h.complement_basis, shifts)
-        ]
-        btab, ptab = h._tables(reps)
-        if not (np.array_equal(btab, h.bracket_table) and np.array_equal(ptab, h.pmap_table)):
-            raise CheckFailure({"property": "representative independence"})
+    # representative independence of the tables, drawing from the same generator
+    try:
+        h._verify_representative_independence(rng, trials)
+    except Hh1LieError:
+        raise CheckFailure({"property": "representative independence"})
     # Jacobson p-map vs composition oracle on the cohomology of the smash
     L = lielib.from_hh1(h)
     comp_mats = np.stack([f.matrix for f in h.complement_basis])

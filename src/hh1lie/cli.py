@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
             required=True,
             help="algebra family to build",
         )
-        p.add_argument("--p", type=int, default=3, help="odd prime >= 3 (default 3)")
+        p.add_argument("--p", type=int, default=3, help="odd prime, 3 <= p <= 317 (default 3)")
         p.add_argument("--n", type=int, help="x-height parameter (smash, u0borel)")
         p.add_argument("--r", type=int, help="character group height (smash)")
         p.add_argument("--exps", type=_parse_exps, help="truncation exponents, e.g. '2' or '1,1'")

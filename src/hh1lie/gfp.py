@@ -1,4 +1,4 @@
-"""Exact linear algebra over the prime field GF(p), p an odd prime >= 3.
+"""Exact linear algebra over the prime field GF(p), p an odd prime, 3 <= p <= 317.
 
 Matrices are numpy int64 arrays with entries reduced mod p.  Except for
 ``scatter_add``, which adds into ``out``, functions never mutate inputs and
@@ -8,29 +8,34 @@ is unique over a field, so two equal subspaces always store identical bases.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch
 
 INT = np.int64
 
+# Supported range: dimension up to MAX_DIM (one dense int64 matrix is then
+# 2 GiB).  Float64 sums are exact below 2^53, so MAX_DIM^2 (p-1)^3 < 2^53 for
+# unreduced triple products; 317 is the largest prime that meets it.
+MAX_DIM = 1 << 14
+P_MAX = 317
+
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Trial division; callers bound n first (see check_prime)."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 def check_prime(p: int) -> int:
-    """Validate the global characteristic: an odd prime >= 3."""
+    """Validate the global characteristic: an odd prime with 3 <= p <= P_MAX.
+
+    The range is checked first, so a huge p is rejected at once.
+    """
     p = int(p)
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime >= 3, got {p}")
+    if not 3 <= p <= P_MAX or not is_prime(p):
+        raise ValueError(f"p must be an odd prime with 3 <= p <= {P_MAX}, got {p}")
     return p
 
 
@@ -46,8 +51,9 @@ def inv_mod(x: int, p: int) -> int:
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact ``a @ b mod p``.
 
-    Routed through float64 BLAS: with entries < p <= 64 the integer sums
-    stay far below 2**53, so the product is exact.
+    Routed through float64 BLAS: with entries in [0, p), p <= P_MAX, and a
+    contraction of at most MAX_DIM^2 terms, every integer sum stays below
+    2**53, so the product is exact.
     """
     if a.shape[-1] != b.shape[0]:
         raise DimensionMismatch(f"matmul shapes {a.shape} x {b.shape}")
@@ -328,12 +334,3 @@ class Subspace:
             "basis": [[int(x) for x in row] for row in self.basis],
         }
 
-
-def subspace_ops(a: Subspace, b: Subspace) -> dict:
-    """Bundle of the standard subspace operations on a pair."""
-    return {
-        "sum": a.sum(b),
-        "intersection": a.intersection(b),
-        "contains": a.contains(b),
-        "quotient_basis": a.quotient_basis(b),
-    }

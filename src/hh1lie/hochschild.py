@@ -10,6 +10,11 @@ system: by induction on word length, f(a w s) = f(a w) s + a w f(s)
 extends Leibniz from words w to w s.  The system is built sparse in
 int64, deduplicated, and its kernel taken once.
 
+Der, IDer and the complement stay in the solver's coordinates, the values
+on the generators (|S| d numbers per map, against d^2 for the matrix).  d x d
+matrices are built only for the complement representatives, a block at a
+time for the checks, and for callers that ask for them.
+
 For smash-product algebras the distinguished outer derivations (zero on
 every idempotent u_lambda, sending x to u_lambda x^(j p^r + 1)) and the
 inner derivations ad(u_lambda x^j) are available by name, and the
@@ -33,6 +38,8 @@ from .gfp import INT, Subspace, matmul, normalize, rref
 
 DENSE_SOLVER_LIMIT = 32
 CHUNK = 1024  # dense rows per elimination step of the derivation solver
+STREAM_CELLS = 1 << 18  # int64 cells per block of streamed columns of phi(ker)
+MAP_CELLS = 1 << 20  # int64 cells per block of d x d maps built through phi
 
 
 class Derivation:
@@ -54,10 +61,10 @@ class Derivation:
     def is_derivation(self) -> bool:
         """Leibniz rule on every basis pair.
 
-        Small algebras are checked pair by pair.  Larger ones with a
-        generator presentation use the equivalent reduced system: f(1) = 0
-        and Leibniz against every generator (complete by induction on
-        word length).
+        Small algebras take every basis vector as a generator.  Larger ones
+        with a generator presentation use the equivalent reduced system:
+        f(1) = 0 and Leibniz against every generator (complete by induction
+        on word length).
         """
         a = self.algebra
         stack = self.matrix[None, :, :]
@@ -90,41 +97,6 @@ def p_power(f: Derivation) -> Derivation:
 
 
 # -- Leibniz residuals -----------------------------------------------------------
-
-
-def _pair_block_residual(a: Algebra, fstack: np.ndarray, i: int) -> np.ndarray:
-    """Residuals of F(e_i e_j) - F(e_i) e_j - e_i F(e_j) over all j.
-
-    fstack has shape (k, d, d); the result is (k, d*d), zero rows exactly
-    on the block's solution space.
-    """
-    d, p = a.dim, a.p
-    k = fstack.shape[0]
-    if k == 0:
-        return np.zeros((0, d * d), dtype=INT)
-    mono = a.monomial_tables()
-    if mono is not None:
-        kmat, cmat = mono
-        lhs = fstack[:, :, kmat[i, :]] * cmat[i, :][None, None, :]
-        # f(e_i) e_j = R_j f(e_i): scatter over b with e_b e_j = c e_k
-        term_r = np.zeros((d, d, k), dtype=INT)  # (target, j, k)
-        bgrid = np.broadcast_to(np.arange(d)[:, None], (d, d))
-        flat = kmat * d + bgrid.T  # (b, j) -> (target, j)
-        gfp.scatter_add(term_r.reshape(d * d, k), flat, cmat, fstack[:, :, i].T, bgrid)
-        # e_i f(e_j) = L_i f(e_j): scatter over b with e_i e_b = c e_k
-        term_l = np.zeros((d, d, k), dtype=INT)
-        gfp.scatter_add(term_l, kmat[i, :], cmat[i, :], fstack.transpose(1, 2, 0))
-        resid = (lhs - term_r.transpose(2, 0, 1) - term_l.transpose(2, 0, 1)) % p
-        return resid.reshape(k, d * d)
-    ls = a.left_stack().astype(np.float64)
-    rs = a.right_stack().astype(np.float64)
-    li = ls[i]
-    f64 = fstack.astype(np.float64)
-    lhs = np.einsum("tab,bj->taj", f64, li)  # columns of L_i are e_i e_j
-    term_r = np.einsum("jab,tb->taj", rs, f64[:, :, i])
-    term_l = np.einsum("ab,tbj->taj", li, f64)
-    resid = (lhs - term_r - term_l).astype(INT) % a.p
-    return resid.reshape(k, d * d)
 
 
 def _column_monomial(m: np.ndarray):
@@ -322,7 +294,9 @@ def _span_echelon(rows, cols, vals, nv: int, p: int) -> np.ndarray:
 
 
 def _fails_all_pairs(a: Algebra, fstack: np.ndarray) -> bool:
-    return any(_pair_block_residual(a, fstack, i).any() for i in range(a.dim))
+    """Leibniz on every basis pair: each basis vector in turn as the generator, for any dim."""
+    eye = np.eye(a.dim, dtype=INT)
+    return any(_gen_block_residual(a, fstack, eye[j], a.basis_right_matrix(j)).any() for j in range(a.dim))
 
 
 def _fails_leibniz(a: Algebra, fstack: np.ndarray, gens, rmats) -> bool:
@@ -338,43 +312,163 @@ def _fails_leibniz(a: Algebra, fstack: np.ndarray, gens, rmats) -> bool:
     )
 
 
-def _solve_derivations(a: Algebra, pres: Presentation, rmats) -> np.ndarray:
-    """Canonical basis (rows of vec(F), RREF) of Der(A).
+class DerivationSpace:
+    """Der(A) and IDer(A) in generator coordinates.
 
-    One exact kernel of the sparse Leibniz system over the generator
-    values, mapped through phi and brought to RREF in vec(F) coordinates.
+    A derivation F is held as g(F) = (F s)_s, its values on the generators
+    s: nv = |S| * d numbers, where F itself has d^2.  phi (sorted triplets
+    (vec(F) index, unknown, coefficient)) maps them back to vec(F).  Der_g
+    is the kernel of the Leibniz system.  ``basis`` holds g of the
+    canonical basis of Der(A), the RREF rows in vec(F) coordinates, and
+    ``pivots`` their vec(F) pivot columns, so every seeded draw over the
+    canonical basis is the one the d^2 form gives.
+
+    The Leibniz rule and g(phi(y)) = y are verified on the canonical basis.
+    Hence a map X lies in Der(A) iff g(X) lies in Der_g and X = phi(g(X)).
     """
-    d, p = a.dim, a.p
-    gens = [normalize(g, p) for g in pres.gen_vectors]
-    nv = len(gens) * d
-    consts = a.structure_constants()
-    fe, unk, val = _phi(a, pres, rmats, consts)
-    eq, ent, coef = _leibniz_terms(a, gens, consts)
-    term, pos = _expand(ent, np.searchsorted(fe, np.arange(d * d + 1)))
-    keys, vals = _merge(eq[term] * nv + unk[pos], coef[term] % p * val[pos], p)
-    ker = gfp.kernel(_span_echelon(*_distinct_rows(keys, vals, nv, p), nv, p), p)
-    fvecs = np.zeros((d * d, ker.shape[0]), dtype=INT)
-    gfp.scatter_add(fvecs, fe, val, np.ascontiguousarray(ker.T), unk)
-    basis = gfp.row_space(fvecs.T % p, p)
-    stack = basis.reshape(-1, d, d)
-    # honesty check on the canonical basis
-    if matmul(stack, a.unit, p).any():
-        raise Hh1LieError("derivation solver produced a map with f(1) != 0")
-    if _fails_leibniz(a, stack, gens, rmats):
-        raise Hh1LieError("derivation solver produced a non-derivation")
-    if d <= DENSE_SOLVER_LIMIT and _fails_all_pairs(a, stack):
-        raise Hh1LieError("derivation solver failed the all-pairs check")
-    return basis
+
+    def __init__(self, a: Algebra, pres: Presentation, rmats):
+        d, p = a.dim, a.p
+        self.algebra, self.p = a, p
+        self.gens = np.stack([normalize(g, p) for g in pres.gen_vectors])
+        self.nv = nv = self.gens.shape[0] * d
+        consts = a.structure_constants()
+        fe, unk, val = self._phi = _phi(a, pres, rmats, consts)
+        eq, ent, coef = _leibniz_terms(a, list(self.gens), consts)
+        term, pos = _expand(ent, np.searchsorted(fe, np.arange(d * d + 1)))
+        keys, vals = _merge(eq[term] * nv + unk[pos], coef[term] % p * val[pos], p)
+        ker = gfp.kernel(_span_echelon(*_distinct_rows(keys, vals, nv, p), nv, p), p)
+        self.der = Subspace(p, nv, ker)
+        # phi by layers: layer t holds the t-th term of every vec(F) entry phi reaches
+        start = np.flatnonzero(np.r_[True, fe[1:] != fe[:-1]]) if fe.size else fe
+        term = np.arange(fe.size) - np.repeat(start, np.diff(np.r_[start, fe.size]))
+        self._reached = fe[start]
+        self._unreached = np.setdiff1d(np.arange(d * d), self._reached)
+        self._layers = [
+            (np.searchsorted(self._reached, fe[sel]), unk[sel], val[sel])
+            for sel in (term == t for t in range(int(term.max(initial=0)) + 1))
+        ]
+        self._block = max(1, MAP_CELLS // (d * d))
+        self.pivots, self._m = self._stream_pivots(ker)
+        self.basis = matmul(gfp.inverse(self._m, p), ker, p)
+        self._inner = None
+        self._verify(rmats)
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    def _stream_pivots(self, ker):
+        """vec(F) pivots of the RREF of phi(ker), and M whose column i is column P_i.
+
+        A lazy-column RREF: the columns of phi(ker) are built in vec(F)
+        order, STREAM_CELLS cells at a time, until the rank reaches dim Der.  A
+        column is a pivot iff it is independent of the columns before it,
+        and the canonical basis is M^-1 phi(ker).
+        """
+        d, p, k = self.algebra.dim, self.p, ker.shape[0]
+        fe, unk, val = self._phi
+        ker_t = np.ascontiguousarray(ker.T)
+        step = max(1, STREAM_CELLS // max(k, 1))
+        echelon, ech_piv, pivots, cols = np.zeros((0, k), dtype=INT), [], [], []
+        for start in range(0, d * d, step):
+            if len(pivots) == k:
+                break
+            lo, hi = np.searchsorted(fe, [start, start + step])
+            block = np.zeros((min(step, d * d - start), k), dtype=INT)
+            gfp.scatter_add(block, fe[lo:hi] - start, val[lo:hi], ker_t, unk[lo:hi])
+            block %= p
+            red = (block - matmul(block[:, ech_piv], echelon, p)) % p if ech_piv else block
+            _, rank, new = rref(red.T, p)
+            if rank:
+                pivots += [start + c for c in new]
+                cols.append(block[new])
+                echelon, rank, ech_piv = rref(np.vstack([echelon, red[new]]), p)
+                echelon = echelon[:rank]
+        if len(pivots) < k:
+            raise Hh1LieError("phi maps distinct solved generator values to one map")
+        return pivots, np.vstack(cols).T if cols else np.zeros((0, 0), dtype=INT)
+
+    def _verify(self, rmats):
+        """Honesty check on the canonical basis: all of it at once when d <= 32, else 8 maps at a time."""
+        a, p = self.algebra, self.p
+        step = max(1, self.dim) if a.dim <= DENSE_SOLVER_LIMIT else min(8, self._block)
+        for s in range(0, self.dim, step):
+            rows = self.basis[s : s + step]
+            mats = self.matrices(rows)
+            if matmul(mats, a.unit, p).any():
+                raise Hh1LieError("derivation solver produced a map with f(1) != 0")
+            if _fails_leibniz(a, mats, self.gens, rmats):
+                raise Hh1LieError("derivation solver produced a non-derivation")
+            if a.dim <= DENSE_SOLVER_LIMIT and _fails_all_pairs(a, mats):
+                raise Hh1LieError("derivation solver failed the all-pairs check")
+            if not np.array_equal(self.gen_coords(mats), rows):
+                raise Hh1LieError("generator values do not determine the solved maps")
+
+    def _phi_reached(self, rows) -> np.ndarray:
+        """phi of rows of generator values on the reached vec(F) entries, one column per row."""
+        rows_t = np.ascontiguousarray(np.asarray(rows).reshape(-1, self.nv).T)
+        _, unk, val = self._layers[0]  # the first terms reach every entry, in order
+        out = rows_t[unk] * val[:, None]
+        for pos, unk, val in self._layers[1:]:
+            out[pos] += rows_t[unk] * val[:, None]
+        out %= self.p
+        return out
+
+    def matrices(self, rows) -> np.ndarray:
+        """phi of each row of generator values: the (n, d, d) stack of maps."""
+        d = self.algebra.dim
+        out = np.zeros((d * d, np.asarray(rows).reshape(-1, self.nv).shape[0]), dtype=INT)
+        out[self._reached] = self._phi_reached(rows)
+        return np.ascontiguousarray(out.T).reshape(-1, d, d)
+
+    def gen_coords(self, mats) -> np.ndarray:
+        """g(F) = (F s)_s for each map F of a stack, as rows of nv values."""
+        d = self.algebra.dim
+        vals = matmul(np.asarray(mats).reshape(-1, d, d), self.gens.T, self.p)
+        return np.ascontiguousarray(vals.transpose(0, 2, 1)).reshape(-1, self.nv)
+
+    def is_phi_of(self, mats, rows) -> bool:
+        """Whether the maps (entries reduced mod p) equal phi(rows), a block at a time."""
+        mats = np.asarray(mats).reshape(-1, self.algebra.dim**2)
+        for s in range(0, rows.shape[0], self._block):
+            part = mats[s : s + self._block]
+            if part[:, self._unreached].any() or not np.array_equal(
+                self._phi_reached(rows[s : s + self._block]), part[:, self._reached].T
+            ):
+                return False
+        return True
+
+    def contains(self, mats, sub: Subspace = None) -> bool:
+        """Whether every map of the stack lies in Der(A); with sub, in the part g maps into sub."""
+        mats = normalize(mats, self.p)
+        rows = self.gen_coords(mats)
+        return not (sub or self.der).reduce_rows(rows).any() and self.is_phi_of(mats, rows)
+
+    def inner(self):
+        """IDer(A): g of its canonical basis, their positions in ``basis``, and their span.
+
+        g(ad e_i) is (e_i s - s e_i)_s.  The RREF pivots of IDer are among
+        those of Der, so the RREF of the coordinates of the ad e_i in the
+        canonical basis of Der is the canonical basis of IDer.
+        """
+        if self._inner is None:
+            a, p, ad = self.algebra, self.p, []
+            for s in range(0, a.dim, self._block):
+                top = min(a.dim, s + self._block)
+                mats = np.stack([a.basis_left_matrix(i) - a.basis_right_matrix(i) for i in range(s, top)])
+                if not self.contains(mats):
+                    raise Hh1LieError("inner derivations escape the derivation space")
+                ad.append(self.gen_coords(mats))
+            # y = y[Q] K over the pivots Q of the kernel K, and K = M basis
+            red, rank, piv = rref(matmul(np.vstack(ad)[:, list(self.der.pivots)], self._m, p), p)
+            rows = matmul(red[:rank], self.basis, p)
+            self._inner = rows, piv, Subspace.from_vectors(rows, p, self.nv)
+        return self._inner
 
 
-def derivation_space(a: Algebra, method: str = "auto") -> list[Derivation]:
-    """Basis of Der(A), deterministic via RREF pivots.
-
-    Both methods run the same solver: "generator" on the values of f on the
-    presentation's generators, "dense" with every basis vector as a
-    generator (the test oracle).  "auto" takes the presentation when there
-    is one, else "dense" up to dimension DENSE_SOLVER_LIMIT.
-    """
+def _derivation_space(a: Algebra, method: str = "auto") -> DerivationSpace:
+    """The solved Der(A), cached on the algebra; see ``derivation_space``."""
     if method == "auto":
         method = "dense" if a.presentation is None else "generator"
         if method == "dense" and a.dim > DENSE_SOLVER_LIMIT:
@@ -385,7 +479,7 @@ def derivation_space(a: Algebra, method: str = "auto") -> list[Derivation]:
         raise ValueError(f"unknown method {method!r}")
     if method == "generator" and a.presentation is None:
         raise Hh1LieError("algebra has no generator presentation")
-    # the algebra is immutable, so the solved basis is cached on it
+    # the algebra is immutable, so the solved space is cached on it
     if method not in a._derivation_cache:
         if method == "generator":
             pres, rmats = a.presentation, a.presentation_right_mats()
@@ -393,9 +487,20 @@ def derivation_space(a: Algebra, method: str = "auto") -> list[Derivation]:
             eye = np.eye(a.dim, dtype=INT)
             pres = Presentation(tuple(eye), (), tuple((k, k) for k in range(a.dim)), ())
             rmats = [a.right_mult_matrix(e) for e in eye]
-        a._derivation_cache[method] = _solve_derivations(a, pres, rmats)
-    basis = a._derivation_cache[method]
-    return [Derivation(a, row.reshape(a.dim, a.dim)) for row in basis]
+        a._derivation_cache[method] = DerivationSpace(a, pres, rmats)
+    return a._derivation_cache[method]
+
+
+def derivation_space(a: Algebra, method: str = "auto") -> list[Derivation]:
+    """Basis of Der(A), deterministic via RREF pivots, as d x d maps.
+
+    Both methods run the same solver: "generator" on the values of f on the
+    presentation's generators, "dense" with every basis vector as a
+    generator (the test oracle).  "auto" takes the presentation when there
+    is one, else "dense" up to dimension DENSE_SOLVER_LIMIT.
+    """
+    space = _derivation_space(a, method)
+    return [Derivation(a, m) for m in space.matrices(space.basis)]
 
 
 def inner_derivations(a: Algebra) -> list[Derivation]:
@@ -470,149 +575,98 @@ def named_outer(desc: SmashDescriptor, lam: int, j: int, algebra: Algebra = None
     return der
 
 
-def verify_complement(desc: SmashDescriptor, algebra: Algebra = None) -> dict:
-    """Check that the lambda=0 weight derivations complement IDer in Der.
-
-    Also confirms the ideal-membership fact that combinations
-    sum_i a_i g_(i*alpha, j) with sum a_i = 0 are inner.  Failures are
-    reported in the returned dict, never raised.
-    """
-    from .algebras import smash_product
-
-    if algebra is None:
-        algebra, _ = smash_product(desc.p, desc.n, desc.r)
-    p, d = algebra.p, algebra.dim
-    ders = derivation_space(algebra)
-    iders = inner_derivations(algebra)
-    der_sub, ider_sub = _span(ders, p, d * d), _span(iders, p, d * d)
-    h = [named_outer(desc, 0, j, algebra) for j in desc.outer_exponents()]
-    h_mat = np.vstack([f.vec() for f in h])
-    h_resid = ider_sub.reduce_rows(h_mat)
-    _, h_rank, _ = rref(h_resid, p)
-    spans = all(der_sub.contains_vector(f.vec()) for f in h) and (
-        ider_sub.dim + len(h) == der_sub.dim and h_rank == len(h)
-    )
-    shifted_inner = True
-    for j in desc.outer_exponents():
-        g0 = named_outer(desc, 0, j, algebra)
-        for i in range(1, desc.n_chars):
-            gi = named_outer(desc, i, j, algebra)
-            diff = (g0.vec() - gi.vec()) % p
-            if not ider_sub.contains_vector(diff):
-                shifted_inner = False
-    report = {
-        "p": desc.p,
-        "n": desc.n,
-        "r": desc.r,
-        "h_size": len(h),
-        "dim_der": der_sub.dim,
-        "dim_ider": ider_sub.dim,
-        "independent": rref(h_mat, p)[1] == len(h),
-        "trivial_intersection": h_rank == len(h),
-        "spans": spans,
-        "shifted_differences_inner": shifted_inner,
-    }
-    report["ok"] = all(
-        report[key]
-        for key in ("independent", "trivial_intersection", "spans", "shifted_differences_inner")
-    )
-    return report
-
-
-def _span(ders: list[Derivation], p: int, n: int) -> Subspace:
-    """The subspace of GF(p)^n whose canonical basis is the vectorized derivations."""
-    return Subspace(p, n, np.vstack([f.vec() for f in ders])) if ders else Subspace.zero(n, p)
-
-
 # -- HH1 ------------------------------------------------------------------------
 
 
 class HH1Presentation:
     """Der(A) = IDer(A) + complement, with bracket and p-map on classes.
 
-    complement_basis holds chosen representatives; ``project`` maps any
-    derivation in Der(A) to its class coordinates.  The bracket and p-map
-    tables are verified to be independent of the representatives by
+    Der and IDer stay in the generator coordinates of ``space``.
+    complement_basis holds chosen representatives as maps; ``project`` maps
+    any derivation in Der(A) to its class coordinates.  The bracket and
+    p-map tables are verified to be independent of the representatives by
     re-deriving them after seeded inner perturbations.
     """
 
-    def __init__(self, algebra, der_basis, ider_basis, complement_basis, labels, seed=0):
-        self.algebra = algebra
-        self.der_basis = der_basis
-        self.ider_basis = ider_basis
+    def __init__(self, space: DerivationSpace, complement_basis, labels, seed=0):
+        self.algebra = space.algebra
+        self.space = space
         self.complement_basis = complement_basis
         self.complement_labels = labels
-        p, d = algebra.p, algebra.dim
-        self.p = p
-        self.dim_der = len(der_basis)
-        self.dim_ider = len(ider_basis)
+        self.p = p = space.p
+        inner_rows, _, self._ider = space.inner()
+        self.dim_der = space.dim
+        self.dim_ider = inner_rows.shape[0]
         self.dim = len(complement_basis)
-        self._ider_sub = _span(ider_basis, p, d * d)
-        self._der_sub = _span(der_basis, p, d * d)
-        if self.dim:
-            comp_rows = np.vstack([f.vec() for f in complement_basis])
-            resid = self._ider_sub.reduce_rows(comp_rows)
-            red, rank, piv = rref(resid, p)
-            if rank != self.dim:
-                raise Hh1LieError("complement representatives are dependent modulo IDer")
-            # class coordinates w.r.t. the residuals equal those w.r.t. the
-            # representatives, since each residual is inner-equivalent to it
-            self._resid_piv = list(piv)
-            self._resid_solver = gfp.inverse(resid[:, self._resid_piv], p)
-            # the residuals vanish off their support, so a member's residual must too
-            self._resid_support = np.flatnonzero(resid.any(axis=0))
-            self._resid_on = resid[:, self._resid_support]
+        comp = np.array([f.matrix for f in complement_basis], dtype=INT)
+        resid = self._ider.reduce_rows(space.gen_coords(comp))
+        _, rank, piv = rref(resid, p)
+        if rank != self.dim:
+            raise Hh1LieError("complement representatives are dependent modulo IDer")
+        # class coordinates w.r.t. the residuals equal those w.r.t. the
+        # representatives, since each residual is inner-equivalent to it
+        self._resid, self._resid_piv = resid, list(piv)
+        self._resid_solver = gfp.inverse(resid[:, self._resid_piv], p)
         self.bracket_table, self.pmap_table = self._tables(self.complement_basis)
         self._verify_representative_independence(seed)
 
-    def project_rows(self, mat: np.ndarray) -> np.ndarray:
-        """Class coordinates for a stack of vectorized derivation matrices."""
-        rv = self._ider_sub.reduce_rows(mat)
-        if not self.dim:
-            if rv.any():
-                raise ValueError("matrix is not in IDer + complement")
-            return np.zeros((mat.shape[0], 0), dtype=INT)
+    @property
+    def der_basis(self) -> list[Derivation]:
+        """The canonical basis of Der(A) as maps, built on request, as is ider_basis."""
+        return [Derivation(self.algebra, m) for m in self.space.matrices(self.space.basis)]
+
+    @property
+    def ider_basis(self) -> list[Derivation]:
+        return [Derivation(self.algebra, m) for m in self.space.matrices(self.space.inner()[0])]
+
+    def _class_coords(self, rows: np.ndarray) -> np.ndarray:
+        """Class coordinates of rows of generator values in IDer + complement."""
+        rv = self._ider.reduce_rows(rows)
         coeffs = matmul(rv[:, self._resid_piv], self._resid_solver, self.p)
-        # entries lie in (-p, p) after the subtraction, so nonzero means nonzero mod p
-        rv[:, self._resid_support] -= matmul(coeffs, self._resid_on, self.p)
-        if rv.any():
+        if ((rv - matmul(coeffs, self._resid, self.p)) % self.p).any():
+            raise ValueError("matrix is not in IDer + complement")
+        return coeffs
+
+    def project_rows(self, mat: np.ndarray) -> np.ndarray:
+        """Class coordinates for a stack of vectorized derivation matrices.
+
+        X lies in IDer + complement iff g(X) does and X = phi(g(X)).
+        """
+        mat = normalize(mat, self.p)
+        rows = self.space.gen_coords(mat)
+        coeffs = self._class_coords(rows)
+        if not self.space.is_phi_of(mat, rows):
             raise ValueError("matrix is not in IDer + complement")
         return coeffs
 
     def project_matrix(self, matrix) -> np.ndarray:
         """Class coordinates of a derivation matrix in the complement basis."""
-        v = normalize(matrix, self.p).reshape(-1)
-        return self.project_rows(v[None, :])[0]
+        return self.project_rows(np.reshape(matrix, (1, -1)))[0]
 
     def project(self, f: Derivation) -> np.ndarray:
         return self.project_matrix(f.matrix)
 
     def _tables(self, reps):
-        h = len(reps)
-        d = self.algebra.dim
-        btab = np.zeros((h, h, h), dtype=INT)
-        ptab = np.zeros((h, h), dtype=INT)
+        h, d = len(reps), self.algebra.dim
         if h == 0:
-            return btab, ptab
+            return np.zeros((0, 0, 0), dtype=INT), np.zeros((0, 0), dtype=INT)
         stack = np.stack([f.matrix for f in reps]).astype(np.float64)
         prod = np.matmul(stack[:, None], stack[None, :])
         comm = (prod - prod.transpose(1, 0, 2, 3)).astype(INT) % self.p
         powers = np.stack([gfp.mat_pow(f.matrix, self.p, self.p) for f in reps])
         rows = np.vstack([comm.reshape(h * h, d * d), powers.reshape(h, d * d)])
         coords = self.project_rows(rows)
-        btab = coords[: h * h].reshape(h, h, h)
-        ptab = coords[h * h :]
-        return btab, ptab
+        return coords[: h * h].reshape(h, h, h), coords[h * h :]
 
     def _verify_representative_independence(self, seed, trials=4):
+        """Re-derive the tables after seeded inner shifts; seed may be a Generator."""
         if self.dim == 0 or self.dim_ider == 0:
             return
         rng = np.random.default_rng(seed)
-        d = self.algebra.dim
-        ider_flat = np.vstack([f.vec() for f in self.ider_basis])
+        inner_rows = self.space.inner()[0]
         for _ in range(trials):
             coeffs = rng.integers(0, self.p, size=(self.dim, self.dim_ider))
-            shifts = matmul(coeffs, ider_flat, self.p).reshape(self.dim, d, d)
+            shifts = self.space.matrices(matmul(coeffs, inner_rows, self.p))
             perturbed = [
                 Derivation(self.algebra, (f.matrix + shift) % self.p)
                 for f, shift in zip(self.complement_basis, shifts)
@@ -645,37 +699,25 @@ def hh1(a: Algebra, method: str = "auto", seed: int = 0) -> HH1Presentation:
     derivations with lambda = 0, cross-validated against the pivot-chosen
     complement; otherwise the complement is pivot-chosen.
     """
-    p, d = a.p, a.dim
-    ders = derivation_space(a, method=method)
-    iders = inner_derivations(a)
-    der_sub, ider_sub = _span(ders, p, d * d), _span(iders, p, d * d)
-    if iders and der_sub.reduce_rows(np.vstack([f.vec() for f in iders])).any():
-        raise Hh1LieError("inner derivations escape the derivation space")
-    ider_pivots = set(ider_sub.pivots)
-    pivot_comp = [
-        row.copy() for row, piv in zip(der_sub.basis, der_sub.pivots) if piv not in ider_pivots
-    ]
+    space = _derivation_space(a, method)
+    ider_piv = space.inner()[1]
+    pivot_comp = [i for i in range(space.dim) if i not in set(ider_piv)]
     if a.descriptor is not None:
         desc = a.descriptor
         reps = [named_outer(desc, 0, j, a) for j in desc.outer_exponents()]
         labels = [f"g[0,{j}]" for j in desc.outer_exponents()]
-        h_mat = np.vstack([f.vec() for f in reps])
-        resid = ider_sub.reduce_rows(h_mat)
-        _, rank, _ = rref(resid, p)
-        if rank != len(reps):
-            raise Hh1LieError("weight derivations do not complement IDer")
-        if der_sub.reduce_rows(h_mat).any():
+        # the presentation checks that they are independent modulo IDer
+        if not space.contains(np.stack([f.matrix for f in reps])):
             raise Hh1LieError("weight derivations escape Der")
-        if ider_sub.dim + len(reps) != der_sub.dim or len(pivot_comp) != len(reps):
+        if len(ider_piv) + len(reps) != space.dim or len(pivot_comp) != len(reps):
             raise Hh1LieError("weight complement has the wrong dimension")
     else:
-        reps = [Derivation(a, v.reshape(d, d)) for v in pivot_comp]
+        reps = [Derivation(a, m) for m in space.matrices(space.basis[pivot_comp])]
         labels = [f"h{i}" for i in range(len(reps))]
-    pres = HH1Presentation(a, ders, iders, reps, labels, seed=seed)
+    pres = HH1Presentation(space, reps, labels, seed=seed)
     if a.descriptor is not None and pivot_comp:
         # projection equality: the pivot complement must project bijectively
-        proj = np.stack([pres.project_matrix(v.reshape(d, d)) for v in pivot_comp])
-        _, rank, _ = rref(proj, p)
+        _, rank, _ = rref(pres._class_coords(space.basis[pivot_comp]), a.p)
         if rank != len(pivot_comp):
             raise Hh1LieError("pivot complement does not project onto the weight complement")
     return pres

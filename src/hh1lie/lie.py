@@ -557,7 +557,7 @@ def _pmap_enumeration(L: RestrictedLie):
     if not by_ad and total > ENUM_LIMIT_SLOW:
         return None
     vectors = _all_vectors_batch(p, d)
-    chunk = max(1, (1 << 22) // max(1, d * d))
+    chunk = max(1, (1 << 18) // max(1, d * d))
 
     def chunks():
         for start in range(0, total, chunk):
@@ -616,8 +616,11 @@ def _max_commuting_toral_dim(L: RestrictedLie, torals) -> int:
     if n > TORAL_GRAPH_LIMIT:
         raise Hh1LieError(f"too many toral elements ({n}) for exhaustive certification")
     mat = np.stack(reps)
-    # commute[s, t] <=> [reps_s, reps_t] = 0
-    commute = ~_pairwise_brackets(L, mat, mat).any(axis=2)
+    # commute[s, t] <=> [reps_s, reps_t] = 0, in row blocks of about 2^18 bracket entries
+    step = max(1, (1 << 18) // (n * L.dim))
+    commute = np.vstack(
+        [~_pairwise_brackets(L, mat[s : s + step], mat).any(axis=2) for s in range(0, n, step)]
+    )
     best = 0
     seen = set()
 

@@ -3,6 +3,10 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from hh1lie import algebras as alg
-from hh1lie import cli
+from hh1lie import cli, gfp
 from hh1lie.errors import Hh1LieError
 
 
@@ -317,3 +321,140 @@ def test_malformed_quiver_file_exits_3(tmp_path, capsys, blob):
     path.write_text(blob)
     code, _, err = run_cli(capsys, "build", "--kind", "quiver", "--p", "3", "--file", str(path))
     assert code == 3 and err.startswith("error: bad quiver presentation")
+
+
+def test_cli_p_at_the_edge_of_the_supported_range(capsys):
+    code, out, _ = run_cli(capsys, "build", "--kind", "trunc", "--p", str(gfp.P_MAX), "--exps", "1")
+    assert code == 0 and json.loads(out)["p"] == gfp.P_MAX
+    for p in (331, 2**61 - 1):
+        assert exit_code("build", "--kind", "trunc", "--p", str(p), "--exps", "1") == 2
+        assert exit_code("hh1", "--kind", "trunc", "--p", str(p), "--exps", "1") == 2
+
+
+def test_json_p_at_the_edge_of_the_supported_range(tmp_path, capsys):
+    doc = alg.truncated_polynomial(3, (1,)).to_json_dict()
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({**doc, "p": gfp.P_MAX}))
+    code, out, _ = run_cli(capsys, "build", "--kind", "json", "--file", str(path))
+    assert code == 0 and json.loads(out)["p"] == gfp.P_MAX
+    for p in (331, 2**61 - 1):
+        path.write_text(json.dumps({**doc, "p": p}))
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "hh1", "--kind", "json", "--file", str(path))
+        # rejected before any primality test, so a huge p costs nothing
+        assert time.monotonic() - start < 1.0
+        assert code == 3 and out == "" and "3 <= p <= 317" in err
+
+
+def test_quiver_arrow_to_an_undeclared_vertex_is_named(tmp_path, capsys):
+    # this exited 3 with "unit law fails on basis element 1"
+    path = tmp_path / "bad.json"
+    path.write_text('{"vertices": ["1"], "arrows": [["x", "1", "2"]], "relations": []}')
+    for command in ("build", "hh1"):
+        code, out, err = run_cli(capsys, command, "--kind", "quiver", "--p", "3", "--file", str(path))
+        assert code == 3 and out == ""
+        assert err == "error: bad quiver presentation: arrow 'x' has target '2', which is not a vertex\n"
+
+
+BASE_QUIVER = {
+    "vertices": ["1", "2"],
+    "arrows": [["x1", "1", "2"], ["y1", "1", "2"], ["x2", "2", "1"], ["y2", "2", "1"]],
+    "relations": [
+        [[1, ["x1", "y2"]], [-1, ["y1", "x2"]]],
+        [[1, ["y2", "x1"]], [-1, ["x2", "y1"]]],
+        [[1, ["x2", "x1"]]],
+        [[1, ["x1", "x2"]]],
+        [[1, ["y1", "y2"]]],
+        [[1, ["y2", "y1"]]],
+    ],
+}
+QUIVER_VALUES = st.sampled_from(["1", "2", "3", "x1", "y1", "x2", "y2", "z"]) | JSON_VALUES
+
+
+def _mutate(draw, node, depth):
+    """Replace, drop or recurse into one element of a JSON list."""
+    if not isinstance(node, list) or not node or depth == 0:
+        return draw(QUIVER_VALUES)
+    pos = draw(st.integers(0, len(node) - 1))
+    action = draw(st.sampled_from(["replace", "delete", "inner", "duplicate"]))
+    if action == "delete":
+        del node[pos]
+    elif action == "duplicate":
+        node.append(copy.deepcopy(node[pos]))
+    elif action == "inner":
+        node[pos] = _mutate(draw, node[pos], depth - 1)
+    else:
+        node[pos] = draw(QUIVER_VALUES)
+    return node
+
+
+@st.composite
+def mutated_quivers(draw):
+    doc = copy.deepcopy(BASE_QUIVER)
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(BASE_QUIVER)))
+        action = draw(st.sampled_from(["replace", "delete", "element"]))
+        if action == "delete":
+            doc.pop(key, None)
+        elif action == "element" and isinstance(doc.get(key), list):
+            doc[key] = _mutate(draw, doc[key], 4)
+        else:
+            doc[key] = draw(QUIVER_VALUES)
+    return doc
+
+
+@seed(20241017)
+@settings(
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=mutated_quivers())
+def test_fuzzed_quiver_json_exits_0_or_3(tmp_path, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    for command in ("build", "hh1"):
+        assert exit_code(command, "--kind", "quiver", "--p", "3", "--file", str(path)) in (0, 3)
+
+
+# A child started by a large process inherits that process's peak RSS into
+# its ru_maxrss, so the CLI is started from a small launcher process.
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _child_maxrss_mib(*argv) -> float:
+    """Peak RSS of one single-threaded CLI child, read with wait4."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["MKL_NUM_THREADS"] = "1"
+    out = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "hh1lie.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert out[0] == "0"
+    return int(out[1]) / 1024  # KiB on Linux
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_hh1_peak_memory_stays_near_the_baseline():
+    # Der, IDer and the complement are held in generator coordinates, and the
+    # Lie side enumerates in blocks.  Measured on Linux, numpy with OpenBLAS:
+    # smash(3,2,1) peaks at 39 MiB; smash(5,2,1) and smash(3,3,1) peak 34 and
+    # 27 MiB above it, where the d^2 form of Der and IDer and the full
+    # pairwise-bracket array took 151 and 107 MiB above it.
+    base = _child_maxrss_mib("hh1", "--kind", "smash", "--p", "3", "--n", "2", "--r", "1")
+    for argv, limit in (
+        (("--p", "5", "--n", "2", "--r", "1"), 48.0),
+        (("--p", "3", "--n", "3", "--r", "1"), 40.0),
+    ):
+        peak = _child_maxrss_mib("hh1", "--kind", "smash", *argv)
+        assert peak - base <= limit, (argv, base, peak)

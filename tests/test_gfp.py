@@ -24,6 +24,31 @@ def test_check_prime():
             gfp.check_prime(bad)
 
 
+def test_supported_range_of_p_at_its_edge():
+    # P_MAX is the largest prime for which triple products over MAX_DIM^2
+    # terms stay below 2^53; the next prime breaks that bound
+    n = gfp.MAX_DIM**2
+    nxt = next(q for q in range(gfp.P_MAX + 1, 2 * gfp.P_MAX) if gfp.is_prime(q))
+    assert gfp.is_prime(gfp.P_MAX) and nxt == 331
+    assert n * (gfp.P_MAX - 1) ** 3 < 2**53 <= n * (nxt - 1) ** 3
+    assert n * (gfp.P_MAX - 1) ** 2 < 2**53
+    assert gfp.check_prime(gfp.P_MAX) == gfp.P_MAX
+    for bad in (nxt, gfp.P_MAX + 2, 2**61 - 1, 10**30 + 57):
+        with pytest.raises(ValueError, match="3 <= p <= 317"):
+            gfp.check_prime(bad)
+
+
+def test_matmul_is_exact_at_the_largest_p():
+    p = gfp.P_MAX
+    rng = np.random.default_rng(p)
+    a = rng.integers(0, p, (3, 1 << 16))
+    a[0] = p - 1
+    b = np.full((1 << 16, 2), p - 1, dtype=np.int64)
+    b[:, 1] = rng.integers(0, p, 1 << 16)
+    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+    assert gfp.matmul(a, b, p).tolist() == want
+
+
 def test_rref_identity():
     eye = np.eye(3, dtype=np.int64)
     red, rank, pivots = rref(eye, 3)
@@ -96,20 +121,18 @@ def test_subspace_canonical_form():
 
 def test_subspace_self_operations():
     a = Subspace.from_vectors([[1, 0, 2], [0, 1, 1]], 3, 3)
-    ops = gfp.subspace_ops(a, a)
-    assert ops["sum"] == a
-    assert ops["intersection"] == a
-    assert ops["contains"]
-    assert ops["quotient_basis"] == []
+    assert a.sum(a) == a
+    assert a.intersection(a) == a
+    assert a.contains(a)
+    assert a.quotient_basis(a) == []
 
 
 def test_subspace_complementary_coordinates():
     a = Subspace.from_vectors([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], 3, 5)
     b = Subspace.from_vectors([[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], 3, 5)
-    ops = gfp.subspace_ops(a, b)
-    assert ops["intersection"].dim == 0
-    assert ops["sum"].dim == 5
-    assert not ops["contains"]
+    assert a.intersection(b).dim == 0
+    assert a.sum(b).dim == 5
+    assert not a.contains(b)
 
 
 def test_subspace_dimension_identity_brute_force():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hh1lie import algebras as alg
+from hh1lie import checks
 from hh1lie import gfp
 from hh1lie import hochschild as hoch
 from hh1lie.errors import AlgebraMismatch, Hh1LieError
@@ -234,6 +235,26 @@ def test_missing_leibniz_rows_fail_the_generator_check(monkeypatch):
         hoch.derivation_space(a)
 
 
+def test_all_pairs_check_on_a_large_monomial_algebra_without_presentation():
+    # every basis pair is checked, one right-multiplication matrix at a time
+    a, desc = alg.smash_product(5, 2, 1)
+    b = alg.Algebra(a.p, a.labels, {}, a.unit, validate=False, _monomial=a.monomial_tables())
+    assert b.dim > alg.DENSE_DIM_LIMIT and b.presentation is None
+    g = hoch.named_outer(desc, 0, 1, a).matrix
+    assert hoch.Derivation(b, g).is_derivation()
+    assert not hoch.Derivation(b, (g + generator_killer(a)) % 5).is_derivation()
+
+
+def test_presentation_whose_generator_is_not_its_slot_fails_the_honesty_check():
+    # phi builds x as 1 * g with g = x + x^2: every solved map is a derivation,
+    # but its value on g is not the solved generator value, so g(phi(y)) != y
+    a = alg.truncated_polynomial(3, (1,))
+    bad = alg.Presentation((np.array([0, 1, 1]),), (0,), (), ((1, 0, 0), (2, 1, 0)))
+    b = alg.Algebra(a.p, a.labels, {}, a.unit, presentation=bad, validate=False, _monomial=a.monomial_tables())
+    with pytest.raises(Hh1LieError, match="generator values do not determine"):
+        hoch.derivation_space(b, method="generator")
+
+
 # -- named derivations ---------------------------------------------------------------
 
 
@@ -315,14 +336,34 @@ def test_named_outer_all_leibniz_at_criterion_params():
 
 
 def test_verify_complement_dimensions():
-    rep = hoch.verify_complement(alg.smash_product(3, 2, 1)[1])
+    # lemma-3.5 reads its report off the generator-coordinate spaces of hh1
+    detail = checks.check_lemma_3_5(checks.SuiteContext(p=3))
+    rep = detail["(p=3,n=2,r=1)"]
     assert rep["ok"]
     assert rep["h_size"] == 3
     assert rep["dim_der"] == 24 + 3
-    rep = hoch.verify_complement(alg.smash_product(3, 1, 1)[1])
+    rep = detail["(p=3,n=1,r=1)"]
     assert rep["ok"]
     assert rep["h_size"] == 1
     assert rep["dim_der"] == 8 + 1
+
+
+def test_lemma_3_5_sees_a_shifted_difference_that_is_not_inner(monkeypatch):
+    ctx = checks.SuiteContext(p=3)
+    for n, r in checks._criterion3_params(3):
+        ctx.smash_hh1(n, r)
+    real = hoch.named_outer
+
+    def doubled(desc, lam, j, algebra=None):
+        g = real(desc, lam, j, algebra)
+        return hoch.Derivation(g.algebra, 2 * g.matrix) if lam else g
+
+    monkeypatch.setattr(hoch, "named_outer", doubled)
+    with pytest.raises(checks.CheckFailure) as exc:
+        checks.check_lemma_3_5(ctx)
+    rep = exc.value.payload
+    assert not rep["shifted_differences_inner"] and not rep["ok"]
+    assert rep["spans"] and rep["independent"] and rep["trivial_intersection"]
 
 
 def test_shifted_outer_differences_are_inner():
@@ -471,16 +512,24 @@ def test_der_closed_under_bracket_and_ppower_on_basis():
 
 
 def project_rows_dense(h, mat):
-    """Class coordinates by elimination on every column, or None for a non-member."""
-    p = h.p
+    """Class coordinates by elimination on every d^2 column, or None for a non-member."""
+    p, n = h.p, h.algebra.dim ** 2
     comp = np.vstack([f.vec() for f in h.complement_basis])
-    ider = h._ider_sub
+    ider = Subspace.from_vectors(vecs(h.ider_basis), p, n) if h.dim_ider else Subspace.zero(n, p)
     resid = (comp - comp[:, list(ider.pivots)] @ ider.basis) % p
     _, _, piv = gfp.rref(resid, p)
     rv = (mat - mat[:, list(ider.pivots)] @ ider.basis) % p
     coeffs = rv[:, piv] @ gfp.inverse(resid[:, piv], p) % p
     bad = ((rv - coeffs @ resid) % p).any(axis=1)
     return [None if b else c for b, c in zip(bad, coeffs)]
+
+
+def generator_killer(a):
+    """A nonzero map E with E s = 0 for every presentation generator s."""
+    free = np.flatnonzero(~np.stack(a.presentation.gen_vectors).any(axis=0))
+    e = np.zeros((a.dim, a.dim), dtype=np.int64)
+    e[:, free[0]] = 1
+    return e
 
 
 @pytest.mark.parametrize(
@@ -496,18 +545,18 @@ def test_support_restricted_projection_matches_dense(build):
     h = hoch.hh1(a)
     p, n = a.p, a.dim**2
     rng = np.random.default_rng(a.dim)
-    ders = np.vstack([f.vec() for f in h.der_basis])
+    ders = vecs(h.der_basis)
     members = rng.integers(0, p, (5, ders.shape[0])) @ ders % p
-    support = np.zeros(n, dtype=bool)
-    support[h._resid_support] = True
-    support[h._ider_sub.basis.any(axis=0)] = True
+    support = vecs(h.der_basis).any(axis=0)
     off = np.zeros(n, dtype=np.int64)
-    off[np.flatnonzero(~support)[0]] = 1  # zero on every basis and residual column
+    off[np.flatnonzero(~support)[0]] = 1  # zero on every column a derivation reaches
     on = members[0].copy()
-    on[h._resid_support[0]] += 1
-    candidates = [*members, rng.integers(0, p, n), off, on % p]
+    on[np.flatnonzero(support)[0]] += 1
+    # same generator values as a member, but not a derivation
+    killed = (members[1] + generator_killer(a).reshape(-1)) % p
+    candidates = [*members, rng.integers(0, p, n), off, on % p, killed]
     want = project_rows_dense(h, np.vstack(candidates))
-    assert [w is None for w in want] == [False] * 5 + [True] * 3
+    assert [w is None for w in want] == [False] * 5 + [True] * 4
     for row, expected in zip(candidates, want):
         if expected is None:
             with pytest.raises(ValueError, match="not in IDer"):
@@ -515,3 +564,29 @@ def test_support_restricted_projection_matches_dense(build):
         else:
             assert np.array_equal(h.project_rows(row[None, :])[0], expected)
     assert np.array_equal(h.project_rows(members), np.stack(want[:5]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: alg.smash_product(3, 2, 1)[0],
+        lambda: alg.smash_product(5, 2, 1)[0],
+        lambda: alg.truncated_polynomial(3, (2, 1)),
+        lambda: alg.u0_borel(3, 2),
+    ],
+)
+def test_membership_rejects_a_derivation_plus_a_generator_killer(build):
+    # D + E has the generator values of the derivation D, so g(D + E) lies in
+    # Der_g; only the check X = phi(g(X)) tells that D + E is not a derivation
+    a = build()
+    h = hoch.hh1(a)
+    space = h.space
+    d_mat = h.complement_basis[-1].matrix
+    x = (d_mat + generator_killer(a)) % a.p
+    assert not hoch.Derivation(a, x).is_derivation()
+    assert np.array_equal(space.gen_coords(x), space.gen_coords(d_mat))
+    assert not space.der.reduce_rows(space.gen_coords(x)).any()
+    assert space.contains(d_mat[None]) and not space.contains(x[None])
+    assert h.project_matrix(d_mat).any()
+    with pytest.raises(ValueError, match="not in IDer"):
+        h.project_matrix(x)
