@@ -1017,39 +1017,48 @@ def center(a: Algebra) -> Subspace:
     return Subspace.from_vectors(cand, p, d)
 
 
+def _pairwise_products(a: Algebra, u, v) -> np.ndarray:
+    """u_s v_t for every pair of rows (entries reduced mod p), as (s, t, dim).
+
+    For a block of rows of u, about 2^18 cells, the left-multiplication
+    matrices are scattered from the structure constants and applied to all
+    of v in one batched matmul; every sum stays below dim (p-1)^2 < 2^53.
+    """
+    d, p = a.dim, a.p
+    i, j, k, c = a.structure_constants()
+    u_t = np.asarray(u, dtype=INT).reshape(-1, d).T
+    v = np.asarray(v, dtype=np.float64).reshape(-1, d)
+    out = np.zeros((u_t.shape[1], v.shape[0], d), dtype=INT)
+    step = max(1, (1 << 18) // (d * max(d, v.shape[0])))
+    for s in range(0, out.shape[0], step):
+        # row j d + k, column s: the coefficient of e_k in u_s e_j
+        left = np.zeros((d * d, min(step, out.shape[0] - s)), dtype=INT)
+        gfp.scatter_add(left, j * d + k, c, np.ascontiguousarray(u_t[:, s : s + step]), i)
+        left = (left % p).T.reshape(-1, d, d).astype(np.float64)
+        out[s : s + step] = (v @ left).astype(INT) % p
+    return out
+
+
 def commutator_subspace(a: Algebra) -> Subspace:
-    rows = []
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            v = (a.mul_basis(i, j) - a.mul_basis(j, i)) % a.p
-            if v.any():
-                rows.append(v)
-    return Subspace.from_vectors(rows, a.p, a.dim)
+    prods = _pairwise_products(a, np.eye(a.dim, dtype=INT), np.eye(a.dim, dtype=INT))
+    return Subspace.from_vectors((prods - prods.transpose(1, 0, 2)).reshape(-1, a.dim), a.p, a.dim)
 
 
 def _ideal_closure(a: Algebra, gens) -> Subspace:
-    span = Subspace.from_vectors(gens, a.p, a.dim)
+    span, eye = Subspace.from_vectors(gens, a.p, a.dim), np.eye(a.dim, dtype=INT)
     while True:
-        new_rows = list(span.basis)
-        for v in span.basis:
-            lv = a.left_mult_matrix(v)
-            rv = a.right_mult_matrix(v)
-            new_rows.extend(lv.T)  # columns of L_v are v * e_b: rows of L_v.T
-            new_rows.extend(rv.T)
-        grown = Subspace.from_vectors(new_rows, a.p, a.dim)
+        # the span with every v e_b and e_b v
+        prods = [_pairwise_products(a, span.basis, eye), _pairwise_products(a, eye, span.basis)]
+        rows = np.vstack([span.basis] + [x.reshape(-1, a.dim) for x in prods])
+        grown = Subspace.from_vectors(rows, a.p, a.dim)
         if grown.dim == span.dim:
             return grown
         span = grown
 
 
 def _span_products(a: Algebra, s1: Subspace, s2: Subspace) -> Subspace:
-    rows = []
-    for u in s1.basis:
-        for v in s2.basis:
-            w = a.mul_vec(u, v)
-            if w.any():
-                rows.append(w)
-    return Subspace.from_vectors(rows, a.p, a.dim)
+    prods = _pairwise_products(a, s1.basis, s2.basis)
+    return Subspace.from_vectors(prods.reshape(-1, a.dim), a.p, a.dim)
 
 
 def _is_nilpotent_ideal(a: Algebra, j: Subspace) -> bool:
@@ -1061,35 +1070,29 @@ def _is_nilpotent_ideal(a: Algebra, j: Subspace) -> bool:
     return False
 
 
-def _quotient_algebra(a: Algebra, j: Subspace):
-    """Structure constants of A/J on the canonical complement of J."""
-    comp = Subspace.full(a.dim, a.p).quotient_basis(j)
-    reps = np.vstack(comp) if comp else np.zeros((0, a.dim), dtype=INT)
+def _algebra_on(a: Algebra, reps: np.ndarray, coords_rows, unit, labels, name) -> Algebra:
+    """The algebra on the span of the rows reps, a subalgebra or a quotient of A.
+
+    Its table is the coordinates, by ``coords_rows``, of the pairwise
+    products of the rows, and its unit is the coordinates of ``unit``.
+    """
     m = reps.shape[0]
-    basis_rows = np.vstack([j.basis, reps]) if j.dim else reps
-    _, rank, piv = rref(basis_rows, a.p)
-    if rank != basis_rows.shape[0]:
-        raise RadicalInvalid("complement construction failed")
-    solver = gfp.inverse(basis_rows[:, piv], a.p)
-
-    def coords_mod_j(v):
-        c = matmul(normalize(v, a.p)[list(piv)], solver, a.p)
-        if ((normalize(v, a.p) - matmul(c, basis_rows, a.p)) % a.p).any():
-            raise RadicalInvalid("vector not in span during quotient construction")
-        return c[j.dim :]
-
+    table = coords_rows(_pairwise_products(a, reps, reps).reshape(m * m, a.dim)).reshape(m, m, m)
     mult: dict = {}
-    for s in range(m):
-        for t in range(m):
-            w = a.mul_vec(reps[s], reps[t])
-            cc = coords_mod_j(w)
-            terms = tuple((int(k), int(c)) for k, c in enumerate(cc) if c)
-            if terms:
-                mult[(s, t)] = terms
-    unit_c = coords_mod_j(a.unit)
-    labels = [f"q{i}" for i in range(m)]
-    q = make_algebra(a.p, labels, mult, unit_c, name=f"{a.name}/J")
-    return q, reps, coords_mod_j
+    for s, t, k in zip(*np.nonzero(table)):
+        mult.setdefault((int(s), int(t)), []).append((int(k), int(table[s, t, k])))
+    return make_algebra(a.p, labels, mult, coords_rows(unit[None])[0], name=name)
+
+
+def _quotient_algebra(a: Algebra, j: Subspace) -> Algebra:
+    """A/J on the classes of the unit vectors off J's pivots.
+
+    A class's coordinates are its residual modulo J on those columns.
+    """
+    free = np.setdiff1d(np.arange(a.dim), j.pivots)
+    labels = [f"q{i}" for i in range(free.size)]
+    reps, coords_rows = np.eye(a.dim, dtype=INT)[free], lambda rows: j.reduce_rows(rows)[:, free]
+    return _algebra_on(a, reps, coords_rows, a.unit, labels, f"{a.name}/J")
 
 
 def _frobenius_matrix(q: Algebra) -> np.ndarray:
@@ -1171,7 +1174,7 @@ def commutator_and_radical_checks(a: Algebra) -> dict:
         raise RadicalUnavailable("algebra carries neither a counit nor radical generators")
     if not _is_nilpotent_ideal(a, j):
         raise RadicalInvalid("provided radical is not nilpotent")
-    q, _, _ = _quotient_algebra(a, j)
+    q = _quotient_algebra(a, j)
     comm_q = commutator_subspace(q)
     if comm_q.dim != 0:
         raise RadicalInvalid("A/J is not commutative; split verification unsupported")
@@ -1197,41 +1200,15 @@ def block_decomposition(a: Algebra) -> list[tuple[np.ndarray, Algebra]]:
     """
     p, d = a.p, a.dim
     z = center(a)
-    # center as an algebra in its own coordinates
-    zb = z.basis
-    mult: dict = {}
-    for s in range(z.dim):
-        for t in range(z.dim):
-            w = a.mul_vec(zb[s], zb[t])
-            cc = z.coords(w)
-            terms = tuple((int(k), int(c)) for k, c in enumerate(cc) if c)
-            if terms:
-                mult[(s, t)] = terms
-    zalg = make_algebra(p, [f"z{i}" for i in range(z.dim)], mult, z.coords(a.unit), name="Z")
-    idems_z = _split_primitive_idempotents(zalg)
+    # the center as an algebra in its own coordinates
+    zalg = _algebra_on(a, z.basis, z.coords_rows, a.unit, [f"z{i}" for i in range(z.dim)], "Z")
     blocks = []
-    for ez in idems_z:
-        evec = matmul(ez, zb, p)
+    for ez in _split_primitive_idempotents(zalg):
+        evec = matmul(ez, z.basis, p)
         proj = matmul(a.left_mult_matrix(evec), a.right_mult_matrix(evec), p)
-        img = gfp.row_space(proj.T, p)
-        sub = Subspace(p, d, img)
-        m = sub.dim
-        bmult: dict = {}
-        for s in range(m):
-            for t in range(m):
-                w = a.mul_vec(img[s], img[t])
-                cc = sub.coords(w)
-                terms = tuple((int(k), int(c)) for k, c in enumerate(cc) if c)
-                if terms:
-                    bmult[(s, t)] = terms
-        block = make_algebra(
-            p,
-            [a.labels[piv] for piv in sub.pivots],
-            bmult,
-            sub.coords(evec),
-            name=f"block({a.name})",
-        )
-        blocks.append((evec, block))
+        sub = Subspace.from_vectors(proj.T, p, d)
+        labels, name = [a.labels[c] for c in sub.pivots], f"block({a.name})"
+        blocks.append((evec, _algebra_on(a, sub.basis, sub.coords_rows, evec, labels, name)))
     return blocks
 
 

@@ -202,15 +202,8 @@ def _torus_of_ideal(wit) -> int:
 
 
 def _sub_lie(L: lielib.RestrictedLie, sub: Subspace) -> lielib.RestrictedLie:
-    """Restricted subalgebra on the subspace basis (must be closed)."""
-    m = sub.dim
-    bracket = np.zeros((m, m, m), dtype=INT)
-    pmap = np.zeros((m, m), dtype=INT)
-    for i in range(m):
-        for j in range(m):
-            bracket[i, j] = sub.coords(L.bracket_vec(sub.basis[i], sub.basis[j]))
-        pmap[i] = sub.coords(lielib.jacobson_p_power(L, sub.basis[i]))
-    return lielib.RestrictedLie(L.p, bracket, pmap)
+    """Restricted subalgebra on the subspace basis; ValueError if sub is not closed."""
+    return lielib.structure_on(L, sub.basis, sub.coords_rows)
 
 
 def check_prop_2_3(ctx: SuiteContext) -> dict:

@@ -4,6 +4,11 @@ Matrices are numpy int64 arrays with entries reduced mod p.  Except for
 ``scatter_add``, which adds into ``out``, functions never mutate inputs and
 return fresh arrays.  Row spaces are kept in reduced row echelon form, which
 is unique over a field, so two equal subspaces always store identical bases.
+
+Coordinates have one primitive, ``coords_rows``: on a ``Subspace`` they are a
+stack's entries on the canonical pivots, and an ``OrderedBasis`` (rows in a
+fixed order, optionally modulo a Subspace) maps those through a pivot inverse
+built once.  Both raise on a row that is not a member.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, Hh1LieError
 
 INT = np.int64
 
@@ -155,19 +160,14 @@ def row_space(a, p: int) -> np.ndarray:
 def kernel(a, p: int) -> np.ndarray:
     """Canonical RREF basis of the right null space, one row per basis vector."""
     a = normalize(a, p)
-    rows, cols = a.shape if a.ndim == 2 else (0, 0)
     if a.ndim != 2:
         raise DimensionMismatch("kernel expects a 2d array")
     red, rank, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    if not free:
-        return np.zeros((0, cols), dtype=INT)
-    basis = np.zeros((len(free), cols), dtype=INT)
-    for idx, f in enumerate(free):
-        basis[idx, f] = 1
-        for row, c in enumerate(pivots):
-            basis[idx, c] = (-red[row, f]) % p
-    return row_space(basis, p)
+    free = np.setdiff1d(np.arange(a.shape[1]), pivots)
+    basis = np.zeros((free.size, a.shape[1]), dtype=INT)
+    basis[:, pivots] = -red[:rank, free].T % p
+    basis[np.arange(free.size), free] = 1
+    return row_space(basis, p) if free.size else basis
 
 
 def left_kernel(a, p: int) -> np.ndarray:
@@ -213,6 +213,8 @@ class Subspace:
         it runs on those columns alone.
         """
         mat = normalize(mat, self.p)
+        if mat.shape[-1] != self.ambient:
+            raise DimensionMismatch("vector length does not match ambient dimension")
         if self.dim == 0:
             return mat
         if self._basis_f64 is None:
@@ -226,14 +228,9 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, p: int, ambient: int) -> "Subspace":
-        vecs = [normalize(v, p) for v in vectors]
-        if not vecs:
-            return cls.zero(ambient, p)
-        mat = np.vstack([v.reshape(-1) for v in vecs])
-        if mat.shape[1] != ambient:
-            raise DimensionMismatch(
-                f"vectors of length {mat.shape[1]} in ambient dimension {ambient}"
-            )
+        mat = normalize(vectors, p) if len(vectors) else np.zeros((0, ambient), dtype=INT)
+        if mat.ndim != 2 or mat.shape[1] != ambient:
+            raise DimensionMismatch(f"vectors of shape {mat.shape[1:]} in ambient dimension {ambient}")
         red, rank, piv = rref(mat, p)
         return cls(p, ambient, red[:rank], piv)
 
@@ -257,28 +254,30 @@ class Subspace:
 
     def reduce_vector(self, v) -> np.ndarray:
         """Remainder of v after eliminating the basis rows; 0 iff v is a member."""
-        v = normalize(v, self.p).reshape(-1)
-        if v.shape[0] != self.ambient:
-            raise DimensionMismatch("vector length does not match ambient dimension")
-        if self.dim == 0:
-            return v
-        coeffs = v[list(self.pivots)]
-        return (v - matmul(coeffs, self.basis, self.p)) % self.p
+        return self.reduce_rows(np.reshape(v, (1, -1)))[0]
 
     def contains_vector(self, v) -> bool:
         return not self.reduce_vector(v).any()
 
+    def coords_rows(self, mat, error: Exception = None) -> np.ndarray:
+        """Coordinates of each row of a stack in the canonical basis: the entries on the pivots.
+
+        If some row is not a member, raises a copy of ``error``, by default
+        ValueError("vector is not in the subspace").
+        """
+        mat = normalize(mat, self.p)
+        if self.reduce_rows(mat).any():
+            error = error or ValueError("vector is not in the subspace")
+            raise type(error)(*error.args)
+        return mat[:, list(self.pivots)]
+
     def coords(self, v) -> np.ndarray:
         """Coordinates of a member vector w.r.t. the canonical basis."""
-        v = normalize(v, self.p).reshape(-1)
-        coeffs = v[list(self.pivots)] if self.dim else np.zeros(0, dtype=INT)
-        if ((v - matmul(coeffs, self.basis, self.p)) % self.p if self.dim else v).any():
-            raise ValueError("vector is not in the subspace")
-        return coeffs
+        return self.coords_rows(np.reshape(v, (1, -1)))[0]
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains_vector(row) for row in other.basis)
+        return not self.reduce_rows(other.basis).any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -333,4 +332,29 @@ class Subspace:
             "ambient": self.ambient,
             "basis": [[int(x) for x in row] for row in self.basis],
         }
+
+
+class OrderedBasis:
+    """Independent rows in a fixed order, optionally modulo a canonical Subspace.
+
+    The rows are reduced modulo ``modulo`` and their span S is kept in
+    canonical form.  A member's coordinates in the rows are its canonical
+    coordinates in S times the inverse of the rows on S's pivots, which is
+    built once.  Raises Hh1LieError on dependent rows, and a copy of
+    ``error`` on a row outside S + ``modulo`` (see Subspace.coords_rows).
+    """
+
+    def __init__(self, rows, p: int, modulo: Subspace = None, error: Exception = None):
+        self.modulo = modulo or Subspace.zero(np.shape(rows)[1], p)
+        rows = self.modulo.reduce_rows(rows)
+        red, rank, piv = rref(rows, p)
+        if rank != rows.shape[0]:
+            raise Hh1LieError("basis rows are linearly dependent")
+        self.span, self.error = Subspace(p, rows.shape[1], red[:rank], piv), error
+        self._solver = inverse(rows[:, piv], p)
+
+    def coords_rows(self, mat) -> np.ndarray:
+        """Coordinates of each row of a stack in the basis rows, modulo ``modulo``."""
+        residual = self.modulo.reduce_rows(mat)
+        return matmul(self.span.coords_rows(residual, self.error), self._solver, self.span.p)
 

@@ -578,6 +578,22 @@ def named_outer(desc: SmashDescriptor, lam: int, j: int, algebra: Algebra = None
 # -- HH1 ------------------------------------------------------------------------
 
 
+def matrix_tables(mats, p: int, coords_rows):
+    """Bracket and p-map tables of a span of d x d matrices under [X, Y] = XY - YX and X^p.
+
+    ``coords_rows`` gives the coordinates of a stack of vectorized matrices
+    in the span; bracket[i, j] holds those of [X_i, X_j], pmap[i] of X_i^p.
+    """
+    mats = normalize(mats, p)
+    h, d = mats.shape[0], mats.shape[-1]
+    stack = mats.astype(np.float64)
+    prod = np.matmul(stack[:, None], stack[None, :])
+    comm = (prod - prod.transpose(1, 0, 2, 3)).astype(INT) % p
+    powers = np.array([gfp.mat_pow(m, p, p) for m in mats], dtype=INT).reshape(h, d * d)
+    coords = coords_rows(np.vstack([comm.reshape(h * h, d * d), powers]))
+    return coords[: h * h].reshape(h, h, h), coords[h * h :]
+
+
 class HH1Presentation:
     """Der(A) = IDer(A) + complement, with bracket and p-map on classes.
 
@@ -594,20 +610,16 @@ class HH1Presentation:
         self.complement_basis = complement_basis
         self.complement_labels = labels
         self.p = p = space.p
-        inner_rows, _, self._ider = space.inner()
+        inner_rows, _, ider = space.inner()
         self.dim_der = space.dim
         self.dim_ider = inner_rows.shape[0]
         self.dim = len(complement_basis)
-        comp = np.array([f.matrix for f in complement_basis], dtype=INT)
-        resid = self._ider.reduce_rows(space.gen_coords(comp))
-        _, rank, piv = rref(resid, p)
-        if rank != self.dim:
-            raise Hh1LieError("complement representatives are dependent modulo IDer")
-        # class coordinates w.r.t. the residuals equal those w.r.t. the
-        # representatives, since each residual is inner-equivalent to it
-        self._resid, self._resid_piv = resid, list(piv)
-        self._resid_solver = gfp.inverse(resid[:, self._resid_piv], p)
-        self.bracket_table, self.pmap_table = self._tables(self.complement_basis)
+        d = self.algebra.dim
+        self._comp = np.array([f.matrix for f in complement_basis], dtype=INT).reshape(-1, d, d)
+        # class coordinates: coordinates in the representatives modulo IDer
+        not_in = ValueError("matrix is not in IDer + complement")
+        self._classes = gfp.OrderedBasis(space.gen_coords(self._comp), p, ider, not_in)
+        self.bracket_table, self.pmap_table = matrix_tables(self._comp, p, self.project_rows)
         self._verify_representative_independence(seed)
 
     @property
@@ -619,14 +631,6 @@ class HH1Presentation:
     def ider_basis(self) -> list[Derivation]:
         return [Derivation(self.algebra, m) for m in self.space.matrices(self.space.inner()[0])]
 
-    def _class_coords(self, rows: np.ndarray) -> np.ndarray:
-        """Class coordinates of rows of generator values in IDer + complement."""
-        rv = self._ider.reduce_rows(rows)
-        coeffs = matmul(rv[:, self._resid_piv], self._resid_solver, self.p)
-        if ((rv - matmul(coeffs, self._resid, self.p)) % self.p).any():
-            raise ValueError("matrix is not in IDer + complement")
-        return coeffs
-
     def project_rows(self, mat: np.ndarray) -> np.ndarray:
         """Class coordinates for a stack of vectorized derivation matrices.
 
@@ -634,7 +638,7 @@ class HH1Presentation:
         """
         mat = normalize(mat, self.p)
         rows = self.space.gen_coords(mat)
-        coeffs = self._class_coords(rows)
+        coeffs = self._classes.coords_rows(rows)
         if not self.space.is_phi_of(mat, rows):
             raise ValueError("matrix is not in IDer + complement")
         return coeffs
@@ -646,18 +650,6 @@ class HH1Presentation:
     def project(self, f: Derivation) -> np.ndarray:
         return self.project_matrix(f.matrix)
 
-    def _tables(self, reps):
-        h, d = len(reps), self.algebra.dim
-        if h == 0:
-            return np.zeros((0, 0, 0), dtype=INT), np.zeros((0, 0), dtype=INT)
-        stack = np.stack([f.matrix for f in reps]).astype(np.float64)
-        prod = np.matmul(stack[:, None], stack[None, :])
-        comm = (prod - prod.transpose(1, 0, 2, 3)).astype(INT) % self.p
-        powers = np.stack([gfp.mat_pow(f.matrix, self.p, self.p) for f in reps])
-        rows = np.vstack([comm.reshape(h * h, d * d), powers.reshape(h, d * d)])
-        coords = self.project_rows(rows)
-        return coords[: h * h].reshape(h, h, h), coords[h * h :]
-
     def _verify_representative_independence(self, seed, trials=4):
         """Re-derive the tables after seeded inner shifts; seed may be a Generator."""
         if self.dim == 0 or self.dim_ider == 0:
@@ -667,11 +659,7 @@ class HH1Presentation:
         for _ in range(trials):
             coeffs = rng.integers(0, self.p, size=(self.dim, self.dim_ider))
             shifts = self.space.matrices(matmul(coeffs, inner_rows, self.p))
-            perturbed = [
-                Derivation(self.algebra, (f.matrix + shift) % self.p)
-                for f, shift in zip(self.complement_basis, shifts)
-            ]
-            btab, ptab = self._tables(perturbed)
+            btab, ptab = matrix_tables(self._comp + shifts, self.p, self.project_rows)
             if not (
                 np.array_equal(btab, self.bracket_table)
                 and np.array_equal(ptab, self.pmap_table)
@@ -717,7 +705,7 @@ def hh1(a: Algebra, method: str = "auto", seed: int = 0) -> HH1Presentation:
     pres = HH1Presentation(space, reps, labels, seed=seed)
     if a.descriptor is not None and pivot_comp:
         # projection equality: the pivot complement must project bijectively
-        _, rank, _ = rref(pres._class_coords(space.basis[pivot_comp]), a.p)
+        _, rank, _ = rref(pres._classes.coords_rows(space.basis[pivot_comp]), a.p)
         if rank != len(pivot_comp):
             raise Hh1LieError("pivot complement does not project onto the weight complement")
     return pres

@@ -24,7 +24,7 @@ from . import gfp
 from .algebras import Algebra, truncated_polynomial
 from .errors import DimensionMismatch, Hh1LieError, RestrictednessViolation
 from .gfp import INT, Subspace, check_prime, matmul, normalize, rref
-from .hochschild import HH1Presentation, hh1
+from .hochschild import HH1Presentation, hh1, matrix_tables
 
 ENUM_LIMIT = 10**6
 ENUM_LIMIT_SLOW = 20_000
@@ -208,12 +208,8 @@ def _is_ideal(L: RestrictedLie, sub: Subspace) -> bool:
 
 
 def center_of(L: RestrictedLie) -> Subspace:
-    """Solutions of [x, b_i] = 0 for every basis element b_i."""
-    if L.dim == 0:
-        return Subspace.zero(0, L.p)
-    # [x, b_i] as a function of x is minus the stacked ad matrices
-    stacked = L.ad_basis().reshape(-1, L.dim)
-    return Subspace.from_vectors(gfp.kernel(stacked, L.p), L.p, L.dim)
+    """Solutions of [b_i, x] = 0 for every basis element b_i."""
+    return _centralizer(L, np.eye(L.dim, dtype=INT))
 
 
 def series_and_predicates(L: RestrictedLie) -> dict:
@@ -430,21 +426,12 @@ def p_envelope(L: RestrictedLie, x) -> tuple[Subspace, np.ndarray]:
     The envelope is abelian, and over GF(p) the p-map is additive and
     fixes scalars, hence acts linearly on the envelope.
     """
-    x = normalize(x, L.p).reshape(-1)
-    chain = [x]
-    span = Subspace.from_vectors([x], L.p, L.dim)
-    while True:
-        nxt = jacobson_p_power(L, chain[-1])
-        if span.contains_vector(nxt):
-            break
-        chain.append(nxt)
+    nxt = normalize(x, L.p).reshape(-1)
+    span = Subspace.from_vectors([nxt], L.p, L.dim)
+    while not span.contains_vector(nxt := jacobson_p_power(L, nxt)):
         span = span.sum(Subspace.from_vectors([nxt], L.p, L.dim))
-    m = span.dim
-    phi = np.zeros((m, m), dtype=INT)
-    for t in range(m):
-        img = jacobson_p_power(L, span.basis[t])
-        phi[:, t] = span.coords(img)
-    return span, phi
+    images = np.array([jacobson_p_power(L, b) for b in span.basis], dtype=INT).reshape(-1, L.dim)
+    return span, span.coords_rows(images).T
 
 
 def element_analysis(L: RestrictedLie, x) -> dict:
@@ -461,21 +448,14 @@ def element_analysis(L: RestrictedLie, x) -> dict:
             "nilpotent_part": zero.copy(),
         }
     env, phi = p_envelope(L, x)
-    m = env.dim
-    phi_n = gfp.mat_pow(phi, m, p)
-    ker = gfp.kernel(phi_n, p)  # coordinates of the nil part
-    img = gfp.row_space(phi_n.T, p)  # coordinates of the invertible part
-    stack = np.vstack([ker, img]) if ker.size or img.size else np.zeros((0, m), dtype=INT)
-    _, rank, piv = rref(stack, p)
-    if rank != m:
-        raise Hh1LieError("Fitting decomposition failed on the p-envelope")
-    solver = gfp.inverse(stack[:, piv], p)
+    phi_n = gfp.mat_pow(phi, env.dim, p)
+    # Fitting: the nil part lies in ker phi^m, the invertible part in its image
+    ker, img = gfp.kernel(phi_n, p), Subspace.from_vectors(phi_n.T, p, env.dim)
+    fitting = gfp.OrderedBasis(ker, p, img, Hh1LieError("Fitting decomposition failed"))
     xc = env.coords(x)
-    coeffs = matmul(xc[list(piv)], solver, p)
-    nil_c = matmul(coeffs[: ker.shape[0]], ker, p) if ker.shape[0] else np.zeros(m, dtype=INT)
-    ss_c = (xc - nil_c) % p
-    nil_part = matmul(nil_c, env.basis, p) if m else np.zeros(L.dim, dtype=INT)
-    ss_part = matmul(ss_c, env.basis, p) if m else np.zeros(L.dim, dtype=INT)
+    nil_c = matmul(fitting.coords_rows(xc[None]), ker, p)[0]
+    nil_part = matmul(nil_c, env.basis, p)
+    ss_part = matmul((xc - nil_c) % p, env.basis, p)
     return {
         "is_toral": bool(np.array_equal(px, x)),
         "is_p_nilpotent": is_p_nilpotent_element(L, x),
@@ -510,10 +490,10 @@ def _toral_fixed_points(L: RestrictedLie, env: Subspace, phi: np.ndarray) -> lis
 
 
 def _centralizer(L: RestrictedLie, vectors) -> Subspace:
-    if not vectors:
-        return Subspace.full(L.dim, L.p)
-    stacked = np.vstack([L.ad(v) for v in vectors])
-    return Subspace.from_vectors(gfp.kernel(stacked, L.p), L.p, L.dim)
+    """Solutions of [v, x] = 0 for every given vector v: the kernel of the stacked ad(v)."""
+    n, d = len(vectors), L.dim
+    ads = _pairwise_brackets(L, np.reshape(vectors, (n, d)), np.eye(d)).transpose(0, 2, 1)
+    return Subspace.from_vectors(gfp.kernel(ads.reshape(n * d, d), L.p), L.p, d)
 
 
 def _jacobson_batch(L: RestrictedLie, xs: np.ndarray) -> np.ndarray:
@@ -758,30 +738,10 @@ def witt(p: int, n: int) -> RestrictedLie:
 def lie_from_matrices(p: int, mats, labels) -> RestrictedLie:
     """Restricted Lie algebra spanned by matrices, closed under [ , ] and M^p."""
     p = check_prime(p)
-    flat = np.stack([normalize(m, p).reshape(-1) for m in mats])
-    _, rank, piv = rref(flat, p)
-    if rank != flat.shape[0]:
-        raise Hh1LieError("matrices are linearly dependent")
-    solver = gfp.inverse(flat[:, piv], p)
-
-    def coords(m):
-        v = normalize(m, p).reshape(-1)
-        c = matmul(v[list(piv)], solver, p)
-        if ((v - matmul(c, flat, p)) % p).any():
-            raise Hh1LieError("span is not closed under the required operations")
-        return c
-
-    n = len(mats)
-    bracket = np.zeros((n, n, n), dtype=INT)
-    pmap = np.zeros((n, n), dtype=INT)
-    for i in range(n):
-        mi = normalize(mats[i], p)
-        for j in range(n):
-            mj = normalize(mats[j], p)
-            comm = (matmul(mi, mj, p) - matmul(mj, mi, p)) % p
-            bracket[i, j] = coords(comm)
-        pmap[i] = coords(gfp.mat_pow(mi, p, p))
-    return RestrictedLie(p, bracket, pmap, labels=labels)
+    mats = normalize(mats, p)
+    not_closed = Hh1LieError("span is not closed under the required operations")
+    basis = gfp.OrderedBasis(mats.reshape(len(mats), -1), p, error=not_closed)
+    return RestrictedLie(p, *matrix_tables(mats, p, basis.coords_rows), labels=labels)
 
 
 def sl2(p: int) -> RestrictedLie:
@@ -922,29 +882,25 @@ def prop22_witness(p: int, exponents) -> Prop22Witness:
     return Prop22Witness(n_ideal, quotient, L, pres)
 
 
-def _quotient_lie(L: RestrictedLie, ideal: Subspace) -> RestrictedLie:
-    """L / ideal for a restricted ideal (p-map closed, verified by caller)."""
-    p = L.p
-    comp = Subspace.full(L.dim, p).quotient_basis(ideal)
-    reps = np.vstack(comp) if comp else np.zeros((0, L.dim), dtype=INT)
+def structure_on(L: RestrictedLie, reps: np.ndarray, coords_rows, labels=None) -> RestrictedLie:
+    """The restricted Lie algebra on the span of the rows reps: a subalgebra or a quotient.
+
+    Its bracket and p-map tables are the coordinates, by ``coords_rows``, of
+    the pairwise brackets and the p-th powers of the rows.
+    """
     m = reps.shape[0]
-    stack = np.vstack([ideal.basis, reps]) if ideal.dim else reps
-    _, rank, piv = rref(stack, p)
-    if rank != stack.shape[0]:
-        raise Hh1LieError("quotient complement is degenerate")
-    solver = gfp.inverse(stack[:, piv], p)
+    brackets = _pairwise_brackets(L, reps, reps).reshape(m * m, L.dim)
+    coords = coords_rows(np.vstack([brackets, _jacobson_batch(L, reps)]))
+    return RestrictedLie(L.p, coords[: m * m].reshape(m, m, m), coords[m * m :], labels=labels)
 
-    def class_coords(v):
-        c = matmul(normalize(v, p)[list(piv)], solver, p)
-        if ((normalize(v, p) - matmul(c, stack, p)) % p).any():
-            raise Hh1LieError("vector escaped the span in quotient construction")
-        return c[ideal.dim :]
 
-    bracket = np.zeros((m, m, m), dtype=INT)
-    pmap = np.zeros((m, m), dtype=INT)
-    for i in range(m):
-        for j in range(m):
-            bracket[i, j] = class_coords(L.bracket_vec(reps[i], reps[j]))
-        pmap[i] = class_coords(jacobson_p_power(L, reps[i]))
-    return RestrictedLie(p, bracket, pmap, labels=[f"q{i}" for i in range(m)])
+def _quotient_lie(L: RestrictedLie, ideal: Subspace) -> RestrictedLie:
+    """L / ideal for a restricted ideal (p-map closed, verified by caller).
+
+    The classes of the unit vectors off the ideal's pivots form the basis,
+    and a class's coordinates are its residual modulo the ideal on those columns.
+    """
+    free = np.setdiff1d(np.arange(L.dim), ideal.pivots)
+    reps, labels = np.eye(L.dim, dtype=INT)[free], [f"q{i}" for i in range(free.size)]
+    return structure_on(L, reps, lambda rows: ideal.reduce_rows(rows)[:, free], labels)
 

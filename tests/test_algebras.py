@@ -13,7 +13,7 @@ from hh1lie.errors import (
     RadicalUnavailable,
     UnitViolation,
 )
-from hh1lie.gfp import rref
+from hh1lie.gfp import Subspace, rref
 
 
 def basis_vec(dim, i):
@@ -532,3 +532,77 @@ def test_center_dimension_matches_weight_index_range():
     for p, n, r in [(3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2), (5, 1, 1)]:
         a, desc = alg.smash_product(p, n, r)
         assert alg.center(a).dim == len(desc.outer_exponents()), (p, n, r)
+
+
+# -- the pairwise-product kernel against the per-pair loops it replaced -----------
+
+
+def loop_product(a, u, v):
+    out = np.zeros(a.dim, dtype=np.int64)
+    for i in np.nonzero(u)[0]:
+        for j in np.nonzero(v)[0]:
+            for k, c in a.mult_terms(int(i), int(j)):
+                out[k] += u[i] * v[j] * c
+    return out % a.p
+
+
+PRODUCT_CASES = {
+    "u0borel-3-1": lambda: alg.u0_borel(3, 1),  # not monomial
+    "u0borel-3-2": lambda: alg.u0_borel(3, 2),
+    "trunc-5-11": lambda: alg.truncated_polynomial(5, (1, 1)),
+    "smash-3-1-1": lambda: alg.smash_product(3, 1, 1)[0],
+    "trivext-kr-3": lambda: alg.trivial_extension(alg.quiver_algebra(alg.kronecker_quiver(), 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+def test_pairwise_products_match_the_per_pair_loop(case):
+    a = PRODUCT_CASES[case]()
+    rng = np.random.default_rng(len(case))
+    u, v = rng.integers(0, a.p, (5, a.dim)), rng.integers(0, a.p, (4, a.dim))
+    got = alg._pairwise_products(a, u, v)
+    assert got.shape == (5, 4, a.dim)
+    for s in range(5):
+        for t in range(4):
+            assert np.array_equal(got[s, t], loop_product(a, u[s], v[t]))
+            assert np.array_equal(a.mul_vec(u[s], v[t]), got[s, t])
+        eye = np.eye(a.dim, dtype=np.int64)
+        left = np.stack([loop_product(a, u[s], e) for e in eye], axis=1)
+        right = np.stack([loop_product(a, e, u[s]) for e in eye], axis=1)
+        assert np.array_equal(a.left_mult_matrix(u[s]), left)
+        assert np.array_equal(a.right_mult_matrix(u[s]), right)
+
+
+def test_pairwise_products_across_row_blocks():
+    a = alg.smash_product(3, 2, 1)[0]  # d = 27: blocks of 2^18 // (27 * 27) = 359 rows
+    rng = np.random.default_rng(27)
+    u, v = rng.integers(0, 3, (800, a.dim)), rng.integers(0, 3, (3, a.dim))
+    got = alg._pairwise_products(a, u, v)
+    for s in range(0, 800, 7):
+        assert np.array_equal(got[s], v @ a.left_mult_matrix(u[s]).T % 3)
+    assert np.array_equal(got[-1], v @ a.left_mult_matrix(u[-1]).T % 3)
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+def test_span_products_commutators_and_ideal_closure_match_the_loops(case):
+    a = PRODUCT_CASES[case]()
+    p, d = a.p, a.dim
+    eye = np.eye(d, dtype=np.int64)
+    comm = [loop_product(a, x, y) - loop_product(a, y, x) for x in eye for y in eye]
+    assert alg.commutator_subspace(a) == Subspace.from_vectors(comm, p, d)
+    rng = np.random.default_rng(d)
+    s1 = Subspace.from_vectors(rng.integers(0, p, (3, d)), p, d)
+    s2 = Subspace.from_vectors(rng.integers(0, p, (2, d)), p, d)
+    prods = [loop_product(a, u, v) for u in s1.basis for v in s2.basis]
+    assert alg._span_products(a, s1, s2) == Subspace.from_vectors(prods, p, d)
+    gen = rng.integers(0, p, (1, d)) * (1 - a.unit)  # usually a proper ideal
+    span = Subspace.from_vectors(gen, p, d)
+    while True:  # the closure one vector at a time
+        rows = list(span.basis)
+        for w in span.basis:
+            rows += [loop_product(a, w, e) for e in eye] + [loop_product(a, e, w) for e in eye]
+        grown = Subspace.from_vectors(rows, p, d)
+        if grown == span:
+            break
+        span = grown
+    assert alg._ideal_closure(a, gen) == span

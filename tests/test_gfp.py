@@ -8,7 +8,7 @@ import pytest
 from hh1lie import algebras as alg
 from hh1lie import gfp
 from hh1lie import hochschild as hoch
-from hh1lie.errors import DimensionMismatch
+from hh1lie.errors import DimensionMismatch, Hh1LieError
 from hh1lie.gfp import Subspace, kernel, rref
 
 
@@ -353,3 +353,83 @@ def test_support_restricted_reduce_rows_on_the_ider_subspace():
     ders = np.vstack([f.vec() for f in hoch.derivation_space(a)])
     mat = np.vstack([rng.integers(0, 5, (3, ders.shape[0])) @ ders % 5, rng.integers(0, 5, (3, a.dim**2))])
     assert np.array_equal(ider.reduce_rows(mat), reduce_rows_dense(ider, mat))
+
+
+def old_kernel(a, p):
+    """gfp.kernel as it was: a Python loop over free x pivot columns, then the RREF."""
+    a = gfp.normalize(a, p)
+    cols = a.shape[1]
+    red, rank, pivots = rref(a, p)
+    free = [c for c in range(cols) if c not in set(pivots)]
+    if not free:
+        return np.zeros((0, cols), dtype=np.int64)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for idx, f in enumerate(free):
+        basis[idx, f] = 1
+        for row, c in enumerate(pivots):
+            basis[idx, c] = (-red[row, f]) % p
+    return gfp.row_space(basis, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 317])
+def test_kernel_matches_its_loop_copy(p):
+    rng = np.random.default_rng(p)
+    shapes = [(0, 4), (3, 0), (0, 0), (4, 6), (5, 5), (6, 3)]
+    for trial in range(20):
+        rows, cols = shapes[trial] if trial < len(shapes) else rng.integers(1, 9, 2)
+        if trial == 3:
+            a = np.zeros((rows, cols), dtype=np.int64)
+        elif trial == 4:
+            a = np.eye(rows, dtype=np.int64) * int(rng.integers(1, p))  # full rank
+        elif trial % 3 == 0:  # low rank
+            r = int(rng.integers(1, 3))
+            a = rng.integers(0, p, (rows, r)) @ rng.integers(0, p, (r, cols))
+        else:
+            a = rng.integers(-p, 2 * p, (rows, cols))
+        got, want = kernel(a, p), old_kernel(a, p)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert not (np.asarray(a, dtype=np.int64) % p @ got.T % p).any()
+
+
+def int_combination(coeffs, rows):
+    """coeffs @ rows with Python ints, unreduced."""
+    out = [[sum(int(c) * int(r) for c, r in zip(cr, col)) for col in rows.T] for cr in coeffs]
+    return np.array(out, dtype=object)
+
+
+def test_coords_rows_against_python_ints_at_the_largest_p():
+    p, n = gfp.P_MAX, 48
+    rng = np.random.default_rng(317)
+    sub = Subspace.from_vectors(rng.integers(0, p, (30, n)), p, n)
+    coeffs = rng.integers(0, p, (12, sub.dim))
+    rows = (int_combination(coeffs, sub.basis) % p).astype(np.int64)
+    assert sub.coords_rows(rows).tolist() == coeffs.tolist()
+    # a fixed-order basis modulo a subspace: rows = c B + s M
+    modulo = Subspace.from_vectors(rng.integers(0, p, (10, n)), p, n)
+    basis, coeffs = rng.integers(0, p, (15, n)), coeffs[:, :15]
+    shift = rng.integers(0, p, (12, modulo.dim))
+    rows = int_combination(coeffs, basis) + int_combination(shift, modulo.basis)
+    ordered = gfp.OrderedBasis(basis, p, modulo)
+    assert ordered.coords_rows((rows % p).astype(np.int64)).tolist() == coeffs.tolist()
+    rows = (int_combination(coeffs, basis) % p).astype(np.int64)
+    assert gfp.OrderedBasis(basis, p).coords_rows(rows).tolist() == coeffs.tolist()
+
+
+def test_coordinates_reject_non_members_and_dependent_rows():
+    p = 5
+    sub = Subspace.from_vectors([[1, 0, 2, 0], [0, 1, 1, 0]], p, 4)
+    assert sub.coords_rows(np.array([[2, 3, 2, 0]])).tolist() == [[2, 3]]
+    assert sub.coords([2, 3, 2, 0]).tolist() == [2, 3]
+    with pytest.raises(ValueError, match="not in the subspace"):
+        sub.coords_rows(np.array([[2, 3, 2, 0], [0, 0, 0, 1]]))
+    with pytest.raises(KeyError, match="custom"):
+        sub.coords_rows(np.array([[0, 0, 0, 1]]), KeyError("custom"))
+    assert Subspace.zero(4, p).coords_rows(np.zeros((2, 4), dtype=np.int64)).shape == (2, 0)
+    ordered = gfp.OrderedBasis([[0, 0, 3, 0]], p, sub)
+    assert ordered.coords_rows(np.array([[1, 1, 4, 0], [0, 1, 4, 0]])).tolist() == [[2], [1]]
+    with pytest.raises(ValueError):
+        ordered.coords_rows(np.array([[0, 0, 0, 1]]))
+    with pytest.raises(Hh1LieError, match="dependent"):
+        gfp.OrderedBasis([[1, 0, 2, 0], [0, 0, 1, 0]], p, sub)  # the first row lies in sub
+    assert gfp.OrderedBasis(np.zeros((0, 4), dtype=np.int64), p).coords_rows(np.zeros((1, 4))).shape == (1, 0)

@@ -483,11 +483,8 @@ def test_hh1_representative_independence_seeded():
     for _ in range(100):
         coeffs = rng.integers(0, 3, size=(h.dim, h.dim_ider))
         shifts = (coeffs @ ider_flat % 3).reshape(h.dim, sm.dim, sm.dim)
-        reps = [
-            hoch.Derivation(sm, (f.matrix + s) % 3)
-            for f, s in zip(h.complement_basis, shifts)
-        ]
-        btab, ptab = h._tables(reps)
+        reps = np.stack([(f.matrix + s) % 3 for f, s in zip(h.complement_basis, shifts)])
+        btab, ptab = hoch.matrix_tables(reps, 3, h.project_rows)
         assert np.array_equal(btab, h.bracket_table)
         assert np.array_equal(ptab, h.pmap_table)
 
