@@ -281,12 +281,18 @@ class Algebra:
         return (self._kmat, self._cmat) if self.is_monomial else None
 
     def structure_constants(self):
-        """Arrays (i, j, k, c) of every term e_i e_j = ... + c e_k, sorted."""
-        if self.is_monomial:
-            i, j = np.nonzero(self._cmat)
-            return i, j, self._kmat[i, j].astype(INT), self._cmat[i, j]
-        terms = sorted((i, j, k, c) for (i, j), ts in self._mult.items() for k, c in ts)
-        return tuple(np.array(terms, dtype=INT).reshape(-1, 4).T)
+        """Arrays (i, j, k, c) of every term e_i e_j = ... + c e_k, sorted; cached, read-only."""
+        if "consts" not in self._derivation_cache:
+            if self.is_monomial:
+                i, j = np.nonzero(self._cmat)
+                consts = i, j, self._kmat[i, j].astype(INT), self._cmat[i, j]
+            else:
+                terms = sorted((i, j, k, c) for (i, j), ts in self._mult.items() for k, c in ts)
+                consts = tuple(np.array(terms, dtype=INT).reshape(-1, 4).T)
+            for arr in consts:
+                arr.setflags(write=False)
+            self._derivation_cache["consts"] = consts
+        return self._derivation_cache["consts"]
 
     def presentation_right_mats(self) -> list[np.ndarray]:
         """Right-multiplication matrices of the presentation generators, cached."""

@@ -245,18 +245,25 @@ def _spin_operator(mats) -> np.ndarray:
     return mats.transpose(2, 0, 1).reshape(mats.shape[2], -1).astype(np.float64)
 
 
-def _spin(op: np.ndarray, starts, p: int) -> Subspace:
+def _spin(op: np.ndarray, starts, p: int, known=()) -> Subspace:
     """Smallest subspace containing the start rows and stable under the matrices of op.
 
     Each round applies op only to the rows the previous round added,
     reduced against the span, and a full span stops at once.  The new rows
     are zero on the span's pivots, so one back-substitution clears the
     span's rows on the new pivots, and sorting by pivot gives the RREF.
+
+    ``known`` holds rows proved to spin to the whole space under op: a span
+    holding one of them spins to the whole space, which returns at once.  A
+    proper invariant subspace holds none, so proper results never change.
     """
     dim = op.shape[0]
+    known = np.reshape(known, (-1, dim))
     basis, rank, pivots = rref(np.reshape(starts, (-1, dim)), p)
     basis = new = basis[:rank]
     while len(pivots) < dim:
+        if len(known) and (known == matmul(known[:, pivots], basis, p)).all(axis=1).any():
+            return Subspace.full(dim, p)
         imgs = matmul(new, op, p).reshape(-1, dim)
         imgs = (imgs - matmul(imgs[:, pivots], basis, p)) % p
         new, rank, new_pivots = rref(imgs, p)
@@ -317,6 +324,10 @@ def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int 
     space and some transpose-kernel vector spins to the whole dual space
     (irreducible).  Answers are certified by the returned witness or by
     that spin certificate; the seeded search is Las-Vegas.
+
+    Each probed kernel vector that spins to all of L is kept, and later
+    spins stop once they reach one (see ``_spin``): only full spins end
+    early, so the witness and verdict do not change.  The dual keeps none.
     """
     d, p = L.dim, L.p
     if d == 0:
@@ -329,6 +340,7 @@ def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int 
     # the same invariant subspaces, in the dual too; the spins are unchanged
     gen_mats = mats[_lie_generators(L)]
     op, op_t = _spin_operator(gen_mats), _spin_operator(gen_mats.transpose(0, 2, 1))
+    known = []  # probed vectors whose spin under op is all of L
 
     def dual_side(theta):
         """None if some transpose-kernel vector spins to the full dual,
@@ -351,9 +363,10 @@ def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int 
         # probe a few kernel vectors; conclusive certificates come from the
         # nullity-1 case or the exhaustive fallback below
         for v in ker[:3]:
-            span = _spin(op, v, p)
+            span = _spin(op, v, p, known)
             if span.dim < d:
                 return span
+            known.append(v)
         if nullity == 1:
             # Norton: the kernel line and one transpose-kernel vector decide
             witness = dual_side(theta)
@@ -368,9 +381,10 @@ def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int 
             v = matmul(coeffs, ker, p)
             if not v.any():
                 continue
-            span = _spin(op, v, p)
+            span = _spin(op, v, p, known)
             if span.dim < d:
                 return span
+            known.append(v)
         return dual_side(theta)
     raise Hh1LieError("irreducibility test did not reach a decision; increase max_rounds")
 

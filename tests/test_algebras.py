@@ -573,6 +573,29 @@ def test_pairwise_products_match_the_per_pair_loop(case):
         assert np.array_equal(a.right_mult_matrix(u[s]), right)
 
 
+CONSTANT_CASES = {
+    "u0borel-3-2": (lambda: alg.u0_borel(3, 2), False),
+    "trivext-kr-5": (lambda: alg.trivial_extension(alg.quiver_algebra(alg.kronecker_quiver(), 5)), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTANT_CASES))
+def test_structure_constants_are_built_once_and_read_only(case):
+    build, monomial = CONSTANT_CASES[case]
+    a = build()
+    assert a.is_monomial == monomial  # both table kinds are covered
+    first = a.structure_constants()
+    second = a.structure_constants()
+    assert all(x is y for x, y in zip(first, second)) and len(second) == 4
+    terms = sorted(
+        (i, j, k, c) for i in range(a.dim) for j in range(a.dim) for k, c in a.mult_terms(i, j) if c
+    )
+    assert np.stack(first, axis=1).tolist() == [list(t) for t in terms]
+    for arr in first:
+        with pytest.raises(ValueError):
+            arr[:1] = 0
+
+
 def test_pairwise_products_across_row_blocks():
     a = alg.smash_product(3, 2, 1)[0]  # d = 27: blocks of 2^18 // (27 * 27) = 359 rows
     rng = np.random.default_rng(27)

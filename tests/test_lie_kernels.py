@@ -51,14 +51,20 @@ def test_frontier_spin_matches_full_recompute(name):
     rng = np.random.default_rng(sum(map(ord, name)))
     starts = [np.eye(d, dtype=INT)[i] for i in range(d)]
     starts += [rng.integers(0, p, d) for _ in range(6)]
-    sizes = set()
+    sizes, generating = set(), 0
     for mats in families:
         op = lielib._spin_operator(mats)
-        for v in starts:
-            got = lielib._spin(op, v, p)
+        plain = [lielib._spin(op, v, p) for v in starts]
+        gens = [v for v, span in zip(starts, plain) if span.dim == d]
+        generating += len(gens)
+        for v, got in zip(starts, plain):
             assert got == spin_oracle(list(mats), v, p)
             sizes.add(got.dim)
+            # known generators end only full spins early: every span is the same
+            for known in ([], np.zeros((0, d), dtype=INT), gens, gens[::-1][:2]):
+                assert lielib._spin(op, v, p, known) == got
     assert min(sizes) < d  # proper spans were exercised, not only full ones
+    assert generating  # and full ones, so the known generators were used
 
 
 def test_spin_of_zero_and_of_full_span():
@@ -332,3 +338,108 @@ def test_fingerprint_enumerates_the_p_map_once(monkeypatch):
         assert len(calls) == 1 and fp.nullcone_count is not None
         assert fp.mu_greedy == lielib.greedy_maximal_torus(L).dim
         assert len(calls) == 1  # the census is kept on L
+
+
+def plain_invariant_subspace(L, seed=0, max_rounds=400):
+    """adjoint_invariant_subspace on a nonabelian L, every spin run to its end."""
+    d, p = L.dim, L.p
+    mats = L.ad_basis()
+    gen_mats = mats[lielib._lie_generators(L)]
+    op, op_t = lielib._spin_operator(gen_mats), lielib._spin_operator(gen_mats.transpose(0, 2, 1))
+
+    def dual_side(theta):
+        for u in gfp.left_kernel(theta, p):
+            span_t = lielib._spin(op_t, u, p)
+            if span_t.dim == d:
+                return None
+            perp = Subspace.from_vectors(gfp.kernel(span_t.basis, p), p, d)
+            if 0 < perp.dim < d:
+                return perp
+        raise Hh1LieError("transpose kernel vanished unexpectedly")
+
+    fallback = None
+    for theta in lielib._envelope_candidates(mats, p, seed, max_rounds):
+        ker = gfp.kernel(theta, p)
+        nullity = ker.shape[0]
+        if nullity == 0 or nullity == d:
+            continue
+        for v in ker[:3]:
+            span = lielib._spin(op, v, p)
+            if span.dim < d:
+                return span
+        if nullity == 1:
+            return dual_side(theta)
+        if fallback is None and p**nullity <= 2000:
+            fallback = (theta, ker, nullity)
+    if fallback is not None:
+        theta, ker, nullity = fallback
+        for coeffs in lielib._iterate_vectors(p, nullity):
+            v = gfp.matmul(coeffs, ker, p)
+            if not v.any():
+                continue
+            span = lielib._spin(op, v, p)
+            if span.dim < d:
+                return span
+        return dual_side(theta)
+    raise Hh1LieError("irreducibility test did not reach a decision; increase max_rounds")
+
+
+NORTON_CASES = {
+    **GENERATOR_CASES,
+    "hh1-trunc5-2": lambda: hh1_lie(alg.truncated_polynomial(5, (2,))),
+    "hh1-tkr5": lambda: hh1_lie(alg.trivial_extension(alg.quiver_algebra(alg.kronecker_quiver(), 5))),
+    # reducible, yet decided on the dual side, after full spins were kept
+    "hh1-smash321": lambda: hh1_lie(alg.smash_product(3, 2, 1)[0]),
+    "hh1-u0borel32": lambda: hh1_lie(alg.u0_borel(3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORTON_CASES))
+def test_known_generators_leave_every_witness_unchanged(name):
+    L = NORTON_CASES[name]()
+    for seed in (0, 3):
+        assert lielib.adjoint_invariant_subspace(L, seed=seed) == plain_invariant_subspace(L, seed=seed)
+
+
+def scaled_rows(rows, p):
+    """The distinct rows of a stack, each scaled to a leading 1."""
+    out = {}
+    for row in np.asarray(rows, dtype=INT):
+        lead = int(row[np.flatnonzero(row)[0]])
+        scaled = row * gfp.inv_mod(lead, p) % p
+        out[scaled.tobytes()] = scaled
+    return list(out.values())
+
+
+@pytest.mark.parametrize("name", ["hh1-trunc3-21", "hh1-trunc3-3", "hh1-trunc5-2", "witt32"])
+def test_every_known_row_generates_the_adjoint_module(name, monkeypatch):
+    L = NORTON_CASES[name]()
+    spin, seen = lielib._spin, {}
+
+    def spy(op, starts, p, known=()):
+        if len(known):
+            seen[id(op)] = (op, np.array(known))  # the stack only grows
+        return spin(op, starts, p, known)
+
+    monkeypatch.setattr(lielib, "_spin", spy)
+    for seed in (0, 3):
+        lielib.adjoint_invariant_subspace(L, seed=seed)
+    assert seen
+    for op, known in seen.values():
+        for row in scaled_rows(known, L.p):
+            assert frontier_spin_oracle(op, row, L.p).dim == L.dim
+
+
+def test_known_generators_cut_the_rref_calls_of_the_search(monkeypatch):
+    L = NORTON_CASES["hh1-trunc3-21"]()
+    calls = []
+    rref = gfp.rref
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(gfp, "rref", counted)
+    monkeypatch.setattr(lielib, "rref", counted)
+    assert lielib.adjoint_invariant_subspace(L, seed=0).dim == 36
+    assert len(calls) < 1500  # 5,361 when every full spin runs to its end
