@@ -1,9 +1,10 @@
 """Restricted Lie algebras over GF(p): structure, tori, recognition.
 
 A :class:`RestrictedLie` stores bracket structure constants and the
-p-map images of the basis.  The p-map of an arbitrary element is expanded
-with the Jacobson summands; construction verifies antisymmetry, the
-Jacobi identity and ad(x^[p]) = ad(x)^p on the basis.
+p-map images of the basis.  The p-map of arbitrary elements is expanded
+with the Jacobson summands by one batched evaluator, which a single
+element goes through as a one-row stack; construction verifies
+antisymmetry, the Jacobi identity and ad(x^[p]) = ad(x)^p on the basis.
 
 Analyses: derived / lower central series, solvability, nilpotency,
 simplicity (adjoint irreducibility via a seeded Norton-style kernel-spin
@@ -134,50 +135,59 @@ def from_hh1(h: HH1Presentation) -> RestrictedLie:
 # -- Jacobson p-map --------------------------------------------------------------
 
 
-def jacobson_p_power(L: RestrictedLie, x) -> np.ndarray:
-    """x^[p] for an arbitrary element, via the Jacobson summands.
+def _jacobson_batch(L: RestrictedLie, xs: np.ndarray) -> np.ndarray:
+    """x^[p] for every row of xs (entries in [0, p)), via the Jacobson summands.
 
-    (u+v)^[p] = u^[p] + v^[p] + sum s_i(u, v) where i s_i(u, v) is the
-    coefficient of t^(i-1) in ad(t u + v)^(p-1)(u).
+    Peeling coordinate c off x = u + v, with u = x_c b_c and v = (0, ..., 0,
+    x_{c+1}, ..., x_{d-1}), gives (u+v)^[p] = x_c b_c^[p] + v^[p] + sum s_i(u, v),
+    where i s_i(u, v) is the coefficient of t^(i-1) in ad(t u + v)^(p-1)(u).
+    The summands vanish unless u and v are both nonzero, so column c works
+    only on its live rows: x_c != 0 and some later entry nonzero.  int64
+    products, reduced mod p after each.
     """
-    p = L.p
-    x = normalize(x, p).reshape(-1)
-    nz = np.nonzero(x)[0]
-    if nz.size == 0:
-        return np.zeros(L.dim, dtype=INT)
-    i = int(nz[0])
-    # a^p = a in GF(p), so (a b_i)^[p] = a b_i^[p]
-    head = x[i] * L.pmap_basis[i] % p
-    if nz.size == 1:
-        return head
-    u = np.zeros(L.dim, dtype=INT)
-    u[i] = x[i]
-    v = x.copy()
-    v[i] = 0
-    total = (head + jacobson_p_power(L, v)) % p
-    # polynomial coefficients in t of ad(t u + v)^(p-1)(u)
-    poly = np.zeros((p, L.dim), dtype=INT)
-    poly[0] = u
-    for step in range(p - 1):
-        nxt = np.zeros_like(poly)
-        for deg in range(step + 1):
-            if poly[deg].any():
-                nxt[deg + 1] = (nxt[deg + 1] + L.bracket_vec(u, poly[deg])) % p
-                nxt[deg] = (nxt[deg] + L.bracket_vec(v, poly[deg])) % p
-        poly = nxt
-    for s in range(1, p):
-        if poly[s - 1].any():
-            total = (total + gfp.inv_mod(s, p) * poly[s - 1]) % p
-    return total
+    p, d = L.p, L.dim
+    out = matmul(xs, L.pmap_basis, p)
+    nonzero = xs != 0
+    live = np.zeros_like(nonzero)
+    live[:, :-1] = np.logical_or.accumulate(nonzero[:, :0:-1], axis=1)[:, ::-1]
+    live &= nonzero
+    cols = np.flatnonzero(live.any(axis=0))
+    if not cols.size:
+        return out
+    inv = np.array([gfp.inv_mod(s, p) for s in range(1, p)], dtype=INT)
+    for c in cols:
+        rows = slice(None) if live[:, c].all() else np.flatnonzero(live[:, c])
+        x = xs[rows]
+        xc = x[:, c, None, None]
+        ad_v = (x[:, c + 1 :] @ L.bracket[c + 1 :].reshape(-1, d * d)).reshape(-1, d, d) % p
+        poly = np.zeros((x.shape[0], p, d), dtype=INT)  # t-coefficients of ad(t u + v)^k (u)
+        poly[:, 0, c] = x[:, c]
+        for k in range(1, p):  # only the first k coefficients can be nonzero
+            shifted = poly[:, :k] @ L.bracket[c] % p * xc  # [u, .]
+            poly[:, :k] = poly[:, :k] @ ad_v  # [v, .]
+            poly[:, 1 : k + 1] += shifted
+            poly[:, : k + 1] %= p
+        out[rows] = (out[rows] + inv @ poly[:, : p - 1]) % p
+    return out
+
+
+def jacobson_p_power(L: RestrictedLie, x) -> np.ndarray:
+    """x^[p] for an arbitrary element: the one-row case of _jacobson_batch."""
+    return _jacobson_batch(L, normalize(x, L.p).reshape(1, -1))[0]
+
+
+def _p_nilpotent_rows(L: RestrictedLie, xs: np.ndarray) -> np.ndarray:
+    """Whether x^[p^(dim+1)] = 0, for every row x of the (n, dim) stack xs."""
+    ys = normalize(xs, L.p)
+    for _ in range(L.dim + 1):
+        if not ys.any():
+            break
+        ys = _jacobson_batch(L, ys)
+    return ~ys.any(axis=1)
 
 
 def is_p_nilpotent_element(L: RestrictedLie, x) -> bool:
-    y = normalize(x, L.p).reshape(-1)
-    for _ in range(L.dim + 1):
-        if not y.any():
-            return True
-        y = jacobson_p_power(L, y)
-    return not y.any()
+    return bool(_p_nilpotent_rows(L, normalize(x, L.p).reshape(1, -1))[0])
 
 
 # -- series and predicates --------------------------------------------------------
@@ -377,10 +387,7 @@ def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int 
         # no nullity-1 element found: apply the criterion with the full
         # kernel of a small-nullity element
         theta, ker, nullity = fallback
-        for coeffs in _iterate_vectors(p, nullity):
-            v = matmul(coeffs, ker, p)
-            if not v.any():
-                continue
+        for v in matmul(_all_vectors_batch(p, nullity)[1:], ker, p):  # every nonzero kernel vector
             span = _spin(op, v, p, known)
             if span.dim < d:
                 return span
@@ -408,18 +415,6 @@ def is_simple(L: RestrictedLie, seed: int = 0) -> bool:
     return False
 
 
-def _iterate_vectors(p: int, dim: int):
-    """All vectors of GF(p)^dim in mixed-radix order, one at a time."""
-    total = p**dim
-    for start in range(total):
-        digits = []
-        x = start
-        for _ in range(dim):
-            digits.append(x % p)
-            x //= p
-        yield np.array(digits, dtype=INT)
-
-
 def _all_vectors_batch(p: int, dim: int) -> np.ndarray:
     """(p^dim, dim) array of all coordinate vectors."""
     total = p**dim
@@ -444,8 +439,7 @@ def p_envelope(L: RestrictedLie, x) -> tuple[Subspace, np.ndarray]:
     span = Subspace.from_vectors([nxt], L.p, L.dim)
     while not span.contains_vector(nxt := jacobson_p_power(L, nxt)):
         span = span.sum(Subspace.from_vectors([nxt], L.p, L.dim))
-    images = np.array([jacobson_p_power(L, b) for b in span.basis], dtype=INT).reshape(-1, L.dim)
-    return span, span.coords_rows(images).T
+    return span, span.coords_rows(_jacobson_batch(L, span.basis)).T
 
 
 def element_analysis(L: RestrictedLie, x) -> dict:
@@ -510,32 +504,6 @@ def _centralizer(L: RestrictedLie, vectors) -> Subspace:
     return Subspace.from_vectors(gfp.kernel(ads.reshape(n * d, d), L.p), L.p, d)
 
 
-def _jacobson_batch(L: RestrictedLie, xs: np.ndarray) -> np.ndarray:
-    """x^[p] for every row of xs, peeling coordinates as jacobson_p_power does.
-
-    Coordinate c adds x_c b_c^[p] and the Jacobson summands of u = x_c b_c
-    and v = (0, ..., 0, x_{c+1}, ..., x_{d-1}); a coordinate that is zero
-    across the batch adds nothing.  int64 products, reduced mod p after each.
-    """
-    p, d = L.p, L.dim
-    out = matmul(xs, L.pmap_basis, p)
-    inv = np.array([gfp.inv_mod(s, p) for s in range(1, p)], dtype=INT)
-    for c in np.flatnonzero(xs.any(axis=0)):
-        xc = xs[:, c, None, None]
-        v = xs.copy()
-        v[:, : c + 1] = 0
-        ad_v = (v @ L.bracket.reshape(d, d * d)).reshape(-1, d, d) % p
-        poly = np.zeros((xs.shape[0], p, d), dtype=INT)  # t-coefficients of ad(t u + v)^k (u)
-        poly[:, 0, c] = xs[:, c]
-        for _ in range(p - 1):
-            shifted = (poly @ L.bracket[c]) % p * xc  # [u, .]
-            poly = poly @ ad_v  # [v, .]
-            poly[:, 1:] += shifted[:, :-1]
-            poly %= p
-        out = (out + inv @ poly[:, : p - 1]) % p
-    return out
-
-
 def _pmap_enumeration(L: RestrictedLie):
     """Chunks (vs, xs, ys) covering GF(p)^dim, or None past the enumeration limit.
 
@@ -586,11 +554,6 @@ def _pmap_census(L: RestrictedLie):
     return L._pmap_census
 
 
-def _toral_elements_exhaustive(L: RestrictedLie):
-    """All toral elements when enumerable, else None."""
-    return _pmap_census(L)[0]
-
-
 def _projectivize(vectors, p) -> list[np.ndarray]:
     seen = {}
     for v in vectors:
@@ -600,13 +563,17 @@ def _projectivize(vectors, p) -> list[np.ndarray]:
     return list(seen.values())
 
 
-def _max_commuting_toral_dim(L: RestrictedLie, torals) -> int:
-    """Maximum dimension of a span of pairwise-commuting toral elements."""
+def _max_commuting_torus(L: RestrictedLie, torals) -> list[np.ndarray]:
+    """A basis of pairwise-commuting toral elements whose span has maximum dimension.
+
+    It is the first such basis the depth-first search reaches.  A span met
+    again is not searched twice.
+    """
     p = L.p
     reps = _projectivize(torals, p)
     n = len(reps)
     if n == 0:
-        return 0
+        return []
     if n > TORAL_GRAPH_LIMIT:
         raise Hh1LieError(f"too many toral elements ({n}) for exhaustive certification")
     mat = np.stack(reps)
@@ -615,12 +582,13 @@ def _max_commuting_toral_dim(L: RestrictedLie, torals) -> int:
     commute = np.vstack(
         [~_pairwise_brackets(L, mat[s : s + step], mat).any(axis=2) for s in range(0, n, step)]
     )
-    best = 0
+    best = []
     seen = set()
 
-    def extend(span: Subspace, cand_idx):
+    def extend(span: Subspace, chosen, cand_idx):
         nonlocal best
-        best = max(best, span.dim)
+        if len(chosen) > len(best):
+            best = chosen
         key = span.basis.tobytes()
         if key in seen:
             return
@@ -629,9 +597,9 @@ def _max_commuting_toral_dim(L: RestrictedLie, torals) -> int:
             if span.contains_vector(reps[t]):
                 continue
             nxt_cand = [s for s in cand_idx[pos + 1 :] if commute[t, s]]
-            extend(span.sum(Subspace.from_vectors([reps[t]], p, L.dim)), nxt_cand)
+            extend(span.sum(Subspace.from_vectors([reps[t]], p, L.dim)), chosen + [reps[t]], nxt_cand)
 
-    extend(Subspace.zero(L.dim, p), list(range(n)))
+    extend(Subspace.zero(L.dim, p), [], list(range(n)))
     return best
 
 
@@ -671,50 +639,19 @@ def greedy_maximal_torus(L: RestrictedLie, seed: int = 0, random_rounds: int = 6
         pass
 
     status = "greedy-maximal"
-    torals = _toral_elements_exhaustive(L)
+    torals = _pmap_census(L)[0]
     if torals is not None:
-        exhaustive = _max_commuting_toral_dim(L, torals)
-        if exhaustive > len(torus):
-            # rebuild a torus of the certified dimension greedily over torals
-            torus = _rebuild_torus(L, torals, exhaustive)
+        exhaustive = _max_commuting_torus(L, torals)
+        if len(exhaustive) > len(torus):
+            torus = exhaustive
         status = "exhaustively-certified"
-    certs = []
-    for t in torus:
-        certs.append(
-            {
-                "toral": bool(np.array_equal(jacobson_p_power(L, t), t)),
-                "commutes": all(not L.bracket_vec(t, s).any() for s in torus),
-            }
-        )
+    basis = np.array(torus, dtype=INT).reshape(len(torus), d)
+    toral = (_jacobson_batch(L, basis) == basis).all(axis=1)
+    commutes = ~_pairwise_brackets(L, basis, basis).any(axis=(1, 2))
+    certs = [{"toral": bool(a), "commutes": bool(b)} for a, b in zip(toral, commutes)]
     if not all(c["toral"] and c["commutes"] for c in certs):
         raise Hh1LieError("torus certificate failed re-verification")
     return TorusReport([t.copy() for t in torus], len(torus), certs, status)
-
-
-def _rebuild_torus(L: RestrictedLie, torals, target_dim: int) -> list:
-    p = L.p
-    reps = _projectivize(torals, p)
-
-    def search(chosen, span, cand):
-        if span.dim == target_dim:
-            return chosen
-        for pos, t in enumerate(cand):
-            if span.contains_vector(reps[t]):
-                continue
-            nxt = [s for s in cand[pos + 1 :] if not L.bracket_vec(reps[t], reps[s]).any()]
-            got = search(
-                chosen + [reps[t]],
-                span.sum(Subspace.from_vectors([reps[t]], p, L.dim)),
-                nxt,
-            )
-            if got is not None:
-                return got
-        return None
-
-    found = search([], Subspace.zero(L.dim, p), list(range(len(reps))))
-    if found is None:
-        raise Hh1LieError("failed to rebuild a certified torus")
-    return found
 
 
 def is_trigonalizable(L: RestrictedLie) -> bool:
@@ -731,7 +668,7 @@ def is_trigonalizable(L: RestrictedLie) -> bool:
         term = _bracket_span(L, derived, term)
     if term.dim != 0:
         return False
-    return all(is_p_nilpotent_element(L, v) for v in derived.basis)
+    return bool(_p_nilpotent_rows(L, derived.basis).all())
 
 
 # -- models and fingerprints --------------------------------------------------------
@@ -797,11 +734,6 @@ class Fingerprint:
         }
 
 
-def _nullcone_count(L: RestrictedLie):
-    """Number of x with x^[p] = 0 when enumerable, else None."""
-    return _pmap_census(L)[1]
-
-
 def fingerprint(L: RestrictedLie, seed: int = 0) -> Fingerprint:
     preds = series_and_predicates(L)
     return Fingerprint(
@@ -811,7 +743,7 @@ def fingerprint(L: RestrictedLie, seed: int = 0) -> Fingerprint:
         dim_center=preds["center"].dim,
         is_simple=is_simple(L, seed=seed),
         mu_greedy=greedy_maximal_torus(L, seed=seed).dim,
-        nullcone_count=_nullcone_count(L),
+        nullcone_count=_pmap_census(L)[1],
     )
 
 
@@ -878,10 +810,12 @@ def prop22_witness(p: int, exponents) -> Prop22Witness:
     # ideal and p-map closure on the basis
     if not _is_ideal(L, n_ideal):
         raise Hh1LieError("witness subspace is not an ideal")
-    for v in n_ideal.basis:
-        if not is_p_nilpotent_element(L, v):
+    nilpotent = _p_nilpotent_rows(L, n_ideal.basis)
+    closed = ~n_ideal.reduce_rows(_jacobson_batch(L, n_ideal.basis)).any(axis=1)
+    for nil, close in zip(nilpotent, closed):  # the first failing basis vector
+        if not nil:
             raise Hh1LieError("witness ideal has a non-p-nilpotent basis element")
-        if not n_ideal.contains_vector(jacobson_p_power(L, v)):
+        if not close:
             raise Hh1LieError("witness ideal is not closed under the p-map")
     term = n_ideal
     for _ in range(L.dim + 1):

@@ -236,7 +236,7 @@ def test_torus_of_p_nilpotent_ideal_is_zero():
     # every nonzero element of the ideal is p-nilpotent, so no torus exists
     for v in sub.basis:
         assert lielib.is_p_nilpotent_element(wit.lie, v)
-    torals = lielib._toral_elements_exhaustive(wit.lie)
+    torals = lielib._pmap_census(wit.lie)[0]
     for t in torals:
         assert not sub.contains_vector(t)
 

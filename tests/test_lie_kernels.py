@@ -116,6 +116,50 @@ def test_pairwise_brackets_match_python_ints_at_p251():
     assert np.array_equal(sl2.bracket_vec(h, e), 2 * e)
 
 
+def recursive_p_power(L, x):
+    """x^[p] by the Jacobson recursion on the first nonzero coordinate, one bracket at a time.
+
+    (u+v)^[p] = u^[p] + v^[p] + sum s_i(u, v) where i s_i(u, v) is the
+    coefficient of t^(i-1) in ad(t u + v)^(p-1)(u).
+    """
+    p = L.p
+    x = gfp.normalize(x, p).reshape(-1)
+    nz = np.nonzero(x)[0]
+    if nz.size == 0:
+        return np.zeros(L.dim, dtype=INT)
+    i = int(nz[0])
+    head = x[i] * L.pmap_basis[i] % p  # a^p = a in GF(p)
+    if nz.size == 1:
+        return head
+    u = np.zeros(L.dim, dtype=INT)
+    u[i] = x[i]
+    v = x.copy()
+    v[i] = 0
+    total = (head + recursive_p_power(L, v)) % p
+    poly = np.zeros((p, L.dim), dtype=INT)
+    poly[0] = u
+    for step in range(p - 1):
+        nxt = np.zeros_like(poly)
+        for deg in range(step + 1):
+            if poly[deg].any():
+                nxt[deg + 1] = (nxt[deg + 1] + L.bracket_vec(u, poly[deg])) % p
+                nxt[deg] = (nxt[deg] + L.bracket_vec(v, poly[deg])) % p
+        poly = nxt
+    for s in range(1, p):
+        if poly[s - 1].any():
+            total = (total + gfp.inv_mod(s, p) * poly[s - 1]) % p
+    return total
+
+
+def recursive_p_nilpotent(L, x):
+    y = gfp.normalize(x, L.p).reshape(-1)
+    for _ in range(L.dim + 1):
+        if not y.any():
+            return True
+        y = recursive_p_power(L, y)
+    return not y.any()
+
+
 JACOBSON_CASES = {
     "hh1-tkr7": lambda: hh1_lie(alg.quiver_algebra(alg.tkr_quiver(), 7)),
     "gl2-3": lambda: lielib.gl2(3),
@@ -128,12 +172,230 @@ def test_jacobson_batch_matches_single_element_p_map(name):
     L = JACOBSON_CASES[name]()
     vectors = lielib._all_vectors_batch(L.p, L.dim)
     got = lielib._jacobson_batch(L, vectors)
-    want = np.stack([lielib.jacobson_p_power(L, v) for v in vectors])
+    want = np.stack([recursive_p_power(L, v) for v in vectors])
     assert np.array_equal(got, want)
+    for v, w in zip(vectors, want):
+        assert np.array_equal(lielib.jacobson_p_power(L, v), w)
     if lielib.center_of(L).dim:  # the enumerations go through the batch
         torals = [v for v, x in zip(vectors, want) if v.any() and np.array_equal(x, v)]
-        assert [t.tolist() for t in lielib._toral_elements_exhaustive(L)] == [t.tolist() for t in torals]
-        assert lielib._nullcone_count(L) == sum(not x.any() for x in want)
+        assert [t.tolist() for t in lielib._pmap_census(L)[0]] == [t.tolist() for t in torals]
+        assert lielib._pmap_census(L)[1] == sum(not x.any() for x in want)
+
+
+MIXED_CASES = {
+    **JACOBSON_CASES,
+    "hh1-trunc3-21": lambda: hh1_lie(alg.truncated_polynomial(3, (2, 1))),
+}
+
+
+def mixed_rows(p, d, rng):
+    """Rows with 0, 1, 2 and all coordinates nonzero, shuffled into one stack."""
+    rows = [np.zeros(d, dtype=INT)]
+    for support in [1] * 4 + [2] * 6 + [d] * 4:
+        row = np.zeros(d, dtype=INT)
+        cols = rng.choice(d, size=min(support, d), replace=False)
+        row[cols] = rng.integers(1, p, size=cols.size)
+        rows.append(row)
+    rows.append(np.eye(d, dtype=INT)[-1])  # its only nonzero entry is the last
+    return np.stack(rows)[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_CASES))
+def test_mixed_batch_matches_the_recursive_evaluator(name):
+    L = MIXED_CASES[name]()
+    rng = np.random.default_rng(sum(map(ord, name)))
+    rows = mixed_rows(L.p, L.dim, rng)
+    want = np.stack([recursive_p_power(L, x) for x in rows])
+    assert np.array_equal(lielib._jacobson_batch(L, rows), want)
+    dense = (rows != 0).all(axis=1)  # these rows are live at every column but the last
+    assert dense.any() and np.array_equal(lielib._jacobson_batch(L, rows[dense]), want[dense])
+    for x, w in zip(rows, want):
+        assert np.array_equal(lielib.jacobson_p_power(L, x), w)
+    assert lielib._jacobson_batch(L, rows[:0]).shape == (0, L.dim)
+
+
+def witness_and_ideal_basis(p, exponents):
+    wit = lielib.prop22_witness(p, exponents)
+    return wit.lie, wit.n_ideal.basis
+
+
+NILPOTENT_CASES = {
+    **{name: lambda make=make: (make(), None) for name, make in JACOBSON_CASES.items()},
+    "prop22-witness-3-2": lambda: witness_and_ideal_basis(3, (2,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NILPOTENT_CASES))
+def test_p_nilpotent_rows_match_the_recursive_evaluator(name):
+    L, ideal_basis = NILPOTENT_CASES[name]()
+    rows = mixed_rows(L.p, L.dim, np.random.default_rng(sum(map(ord, name))))
+    if ideal_basis is not None:
+        rows = np.vstack([ideal_basis, rows])
+    nilpotent = [recursive_p_nilpotent(L, x) for x in rows]
+    assert lielib._p_nilpotent_rows(L, rows).tolist() == nilpotent
+    assert [lielib.is_p_nilpotent_element(L, x) for x in rows] == nilpotent
+    assert any(nilpotent) and not all(nilpotent)
+
+
+@pytest.mark.parametrize(
+    "bad_nilpotent,bad_closure,message",
+    [
+        (3, None, "non-p-nilpotent basis element"),
+        (None, 3, "not closed under the p-map"),
+        (2, 2, "non-p-nilpotent basis element"),  # the same vector: nilpotency first
+        (2, 1, "not closed under the p-map"),  # the first failing vector decides
+        (1, 4, "non-p-nilpotent basis element"),
+    ],
+)
+def test_prop22_witness_reports_the_first_failing_basis_vector(
+    monkeypatch, bad_nilpotent, bad_closure, message
+):
+    ideal = lielib.prop22_witness(3, (2,)).n_ideal
+    off_ideal = np.eye(ideal.ambient, dtype=INT)[np.setdiff1d(np.arange(ideal.ambient), ideal.pivots)[0]]
+    batch = lielib._jacobson_batch
+
+    def nilpotent_rows(L, xs):
+        out = np.ones(len(xs), dtype=bool)
+        if bad_nilpotent is not None:
+            out[bad_nilpotent] = False
+        return out
+
+    def powers(L, xs):
+        out = batch(L, xs)
+        if bad_closure is not None:
+            out[bad_closure] = (out[bad_closure] + off_ideal) % L.p
+        return out
+
+    monkeypatch.setattr(lielib, "_p_nilpotent_rows", nilpotent_rows)
+    monkeypatch.setattr(lielib, "_jacobson_batch", powers)
+    with pytest.raises(Hh1LieError, match=message):
+        lielib.prop22_witness(3, (2,))
+
+
+def matrix_p_power_coords(kind, x, p):
+    """Coordinates of M^p, in Python ints, for the matrix M with coordinates x.
+
+    The basis is (e, h, f) for sl2 and (e, h, f, id) for gl2.
+    """
+    x = [int(c) for c in x] + [0] * (4 - len(x))
+    e, h, f, i = x
+    m = [[(h + i) % p, e], [f, (i - h) % p]]
+    power = [[1, 0], [0, 1]]
+    for _ in range(p):
+        power = [[sum(power[r][k] * m[k][c] for k in range(2)) % p for c in range(2)] for r in range(2)]
+    (a, b), (c, d) = power
+    half = pow(2, -1, p)
+    coords = [b, (a - d) * half % p, c, (a + d) * half % p]
+    if kind == "sl2":
+        assert coords[3] == 0
+        return coords[:3]
+    return coords
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 191, 251, 317])
+@pytest.mark.parametrize("kind", ["sl2", "gl2"])
+def test_jacobson_p_map_matches_python_int_matrix_powers(kind, p):
+    L = lielib.sl2(p) if kind == "sl2" else lielib.gl2(p)
+    rng = np.random.default_rng(p)
+    rows = np.vstack([
+        np.eye(L.dim, dtype=INT),
+        np.full((1, L.dim), p - 1, dtype=INT),
+        rng.integers(0, p, (6, L.dim)),
+        mixed_rows(p, L.dim, rng)[:6],
+    ])
+    want = [matrix_p_power_coords(kind, x, p) for x in rows]
+    assert lielib._jacobson_batch(L, rows).tolist() == want
+    for x, w in zip(rows[:4], want):
+        assert lielib.jacobson_p_power(L, x).tolist() == w
+
+
+def iterate_vectors(p, dim):
+    """All vectors of GF(p)^dim in mixed-radix order, one at a time, as the fallback read them."""
+    for start in range(p**dim):
+        digits, x = [], start
+        for _ in range(dim):
+            digits.append(x % p)
+            x //= p
+        yield digits
+
+
+@pytest.mark.parametrize("p,dim", [(3, 4), (5, 3), (7, 2), (3, 0)])
+def test_all_vectors_batch_lists_the_mixed_radix_order(p, dim):
+    assert lielib._all_vectors_batch(p, dim).tolist() == list(iterate_vectors(p, dim))
+
+
+def old_max_commuting_toral_dim(L, torals):
+    """The torus search as it was: the maximum dimension only."""
+    p = L.p
+    reps = lielib._projectivize(torals, p)
+    n = len(reps)
+    if n == 0:
+        return 0
+    mat = np.stack(reps)
+    commute = ~lielib._pairwise_brackets(L, mat, mat).any(axis=2)
+    best, seen = 0, set()
+
+    def extend(span, cand_idx):
+        nonlocal best
+        best = max(best, span.dim)
+        key = span.basis.tobytes()
+        if key in seen:
+            return
+        seen.add(key)
+        for pos, t in enumerate(cand_idx):
+            if span.contains_vector(reps[t]):
+                continue
+            nxt_cand = [s for s in cand_idx[pos + 1 :] if commute[t, s]]
+            extend(span.sum(Subspace.from_vectors([reps[t]], p, L.dim)), nxt_cand)
+
+    extend(Subspace.zero(L.dim, p), list(range(n)))
+    return best
+
+
+def old_rebuild_torus(L, torals, target_dim):
+    """The second search that rebuilt a torus of the certified dimension, unpruned."""
+    p = L.p
+    reps = lielib._projectivize(torals, p)
+
+    def search(chosen, span, cand):
+        if span.dim == target_dim:
+            return chosen
+        for pos, t in enumerate(cand):
+            if span.contains_vector(reps[t]):
+                continue
+            nxt = [s for s in cand[pos + 1 :] if not L.bracket_vec(reps[t], reps[s]).any()]
+            got = search(chosen + [reps[t]], span.sum(Subspace.from_vectors([reps[t]], p, L.dim)), nxt)
+            if got is not None:
+                return got
+        return None
+
+    return search([], Subspace.zero(L.dim, p), list(range(len(reps))))
+
+
+TORUS_CASES = {
+    **JACOBSON_CASES,
+    "sl2-3": lambda: lielib.sl2(3),
+    "gl2-5": lambda: lielib.gl2(5),
+    "witt31": lambda: lielib.witt(3, 1),
+    "hh1-smash321": lambda: hh1_lie(alg.smash_product(3, 2, 1)[0]),
+    "hh1-trunc3-2": lambda: hh1_lie(alg.truncated_polynomial(3, (2,))),
+    "hh1-tkr5": lambda: hh1_lie(alg.trivial_extension(alg.quiver_algebra(alg.kronecker_quiver(), 5))),
+    "hh1-tkr3": lambda: hh1_lie(alg.quiver_algebra(alg.tkr_quiver(), 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_CASES))
+def test_torus_search_returns_the_rebuilt_torus(name):
+    L = TORUS_CASES[name]()
+    torals = lielib._pmap_census(L)[0]
+    assert torals is not None
+    got = lielib._max_commuting_torus(L, torals)
+    dim = old_max_commuting_toral_dim(L, torals)
+    assert len(got) == dim
+    assert [t.tolist() for t in got] == [t.tolist() for t in old_rebuild_torus(L, torals, dim)]
+    report = lielib.greedy_maximal_torus(L)
+    assert report.dim == dim and report.maximality_status == "exhaustively-certified"
+    assert all(c == {"toral": True, "commutes": True} for c in report.certificates)
 
 
 ABELIAN_CASES = {
@@ -373,7 +635,7 @@ def plain_invariant_subspace(L, seed=0, max_rounds=400):
             fallback = (theta, ker, nullity)
     if fallback is not None:
         theta, ker, nullity = fallback
-        for coeffs in lielib._iterate_vectors(p, nullity):
+        for coeffs in lielib._all_vectors_batch(p, nullity):
             v = gfp.matmul(coeffs, ker, p)
             if not v.any():
                 continue
