@@ -34,11 +34,6 @@ from .errors import (
 )
 from .gfp import INT, Subspace, check_prime, matmul, normalize, rref
 
-# Dense validation / dense derivation solving is restricted to small
-# algebras; everything larger ships a monomial table or a presentation.
-DENSE_DIM_LIMIT = 64
-
-
 @dataclass(frozen=True)
 class SmashDescriptor:
     """Index data of the smash-product basis u_lambda x^j.
@@ -107,11 +102,11 @@ class Presentation:
 class Algebra:
     """Associative unital algebra over GF(p) with labelled basis.
 
-    Immutable after construction.  ``mult`` maps a basis pair (i, j) to a
-    tuple of (k, c) terms meaning e_i e_j = sum c e_k.  When every product
-    of basis elements is a scalar multiple of a single basis element the
-    table is also held as index/coefficient arrays, which all heavy
-    computations use.
+    Immutable after construction.  The table is held only as its structure
+    constants, arrays (i, j, k, c) with one entry per term e_i e_j = ... + c e_k,
+    sorted by (i, j, k), and every product reads them.  ``mult`` maps a basis
+    pair (i, j) to a tuple of (k, c) terms, or is the four arrays themselves;
+    ``_monomial`` gives grids (kmat, cmat) with e_i e_j = cmat[i, j] e_kmat[i, j].
     """
 
     def __init__(
@@ -137,84 +132,82 @@ class Algebra:
         self.name = name or f"algebra(dim={self.dim},p={self.p})"
         self.descriptor = descriptor
         self.presentation = presentation
-        if _monomial is not None:
-            self._kmat, self._cmat = _monomial
-            self._mult = None
-        else:
-            self._mult = self._clean_mult(mult)
-            self._kmat, self._cmat = self._detect_monomial()
+        self._consts = self._constants(mult, _monomial)
         self.radical_gens = (
             None
             if radical_gens is None
             else [normalize(g, self.p).reshape(-1) for g in radical_gens]
         )
         self.counit = None if counit is None else normalize(counit, self.p).reshape(-1)
-        self._lstack = None
-        self._rstack = None
         self._derivation_cache: dict = {}
         if validate:
             self.validate()
 
     # -- table plumbing ----------------------------------------------------
 
-    def _clean_mult(self, mult) -> dict:
-        clean = {}
-        for (i, j), terms in mult.items():
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
-                raise DimensionMismatch(f"basis pair ({i}, {j}) out of range")
-            acc: dict[int, int] = {}
-            for k, c in terms:
-                c = int(c) % self.p
-                if c:
-                    acc[int(k)] = (acc.get(int(k), 0) + c) % self.p
-            cleaned = tuple(sorted((k, c) for k, c in acc.items() if c))
-            if cleaned:
-                clean[(i, j)] = cleaned
-        return clean
+    def _constants(self, mult, monomial):
+        """Sorted arrays (i, j, k, c): terms on one (i, j, k) summed mod p, zero sums dropped."""
+        d, p = self.dim, self.p
+        if monomial is not None:
+            kmat, cmat = monomial
+            i, j = np.nonzero(cmat)
+            mult = i, j, kmat[i, j], cmat[i, j]
+        elif isinstance(mult, dict):
+            terms = [(i, j, int(k), int(c) % p) for (i, j), ts in mult.items() for k, c in ts]
+            mult = np.array(terms, dtype=INT).reshape(-1, 4).T
+        i, j, k, c = (np.asarray(x, dtype=INT).reshape(-1) for x in mult)
+        bad = np.flatnonzero(((i < 0) | (i >= d)) | ((j < 0) | (j >= d)) | ((k < 0) | (k >= d)))
+        if bad.size:
+            b = bad[0]
+            raise DimensionMismatch(f"term e{k[b]} of basis pair ({i[b]}, {j[b]}) out of range")
+        key, c = gfp.merge((i * d + j) * d + k, c, p)
+        i, key = np.divmod(key, d * d)
+        consts = (i, *np.divmod(key, d), c)
+        for arr in consts:
+            arr.setflags(write=False)
+        return consts
 
-    def _detect_monomial(self):
-        kmat = np.zeros((self.dim, self.dim), dtype=np.int32)
-        cmat = np.zeros((self.dim, self.dim), dtype=INT)
-        for (i, j), terms in self._mult.items():
-            if len(terms) > 1:
-                return None, None
-            k, c = terms[0]
-            kmat[i, j] = k
-            cmat[i, j] = c
-        return kmat, cmat
+    def structure_constants(self):
+        """Arrays (i, j, k, c) of every term e_i e_j = ... + c e_k, sorted; read-only."""
+        return self._consts
 
     @property
     def is_monomial(self) -> bool:
-        return self._kmat is not None
+        """Whether every product of two basis elements has at most one term."""
+        i, j = self._consts[:2]
+        return not ((i[1:] == i[:-1]) & (j[1:] == j[:-1])).any()
+
+    def monomial_tables(self):
+        """Grids (kmat, cmat) with e_i e_j = cmat[i, j] e_kmat[i, j], or None if not monomial."""
+        if not self.is_monomial:
+            return None
+        i, j, k, c = self._consts
+        kmat, cmat = np.zeros((2, self.dim, self.dim), dtype=INT)
+        kmat[i, j], cmat[i, j] = k, c
+        return kmat, cmat
 
     def mult_terms(self, i: int, j: int):
         """Terms (k, c) of e_i e_j."""
-        if self._mult is not None:
-            return self._mult.get((i, j), ())
-        c = int(self._cmat[i, j])
-        return ((int(self._kmat[i, j]), c),) if c else ()
+        ci, cj, ck, cc = self._consts
+        lo, hi = np.searchsorted(ci, [i, i + 1])
+        lo, hi = lo + np.searchsorted(cj[lo:hi], [j, j + 1])
+        return tuple(zip(ck[lo:hi].tolist(), cc[lo:hi].tolist()))
+
+    def _scatter(self, size: int, index, coef) -> np.ndarray:
+        return gfp.scatter_add(np.zeros(size, dtype=INT), index, coef) % self.p
 
     def mul_basis(self, i: int, j: int) -> np.ndarray:
         v = np.zeros(self.dim, dtype=INT)
         for k, c in self.mult_terms(i, j):
-            v[k] = (v[k] + c) % self.p
+            v[k] = c
         return v
 
     def mul_vec(self, u, v) -> np.ndarray:
         """Product of two coordinate vectors."""
         u = normalize(u, self.p).reshape(-1)
         v = normalize(v, self.p).reshape(-1)
-        out = np.zeros(self.dim, dtype=INT)
-        if self.is_monomial:
-            ui, vj = np.nonzero(u)[0], np.nonzero(v)[0]
-            grid = np.ix_(ui, vj)
-            weights = u[ui][:, None] * v[vj][None, :] * self._cmat[grid]
-            return gfp.scatter_add(out, self._kmat[grid], weights) % self.p
-        for i in np.nonzero(u)[0]:
-            for j in np.nonzero(v)[0]:
-                for k, c in self.mult_terms(int(i), int(j)):
-                    out[k] += u[i] * v[j] * c
-        return out % self.p
+        i, j, k, c = self._consts
+        return self._scatter(self.dim, k, c * u[i] * v[j])
 
     def element_power(self, v, k: int) -> np.ndarray:
         out = self.unit.copy()
@@ -225,32 +218,14 @@ class Algebra:
     def left_mult_matrix(self, v) -> np.ndarray:
         """Matrix of x -> v * x for an element v (coordinate vector)."""
         v = normalize(v, self.p).reshape(-1)
-        out = np.zeros((self.dim, self.dim), dtype=INT)
-        if self.is_monomial:
-            # column b receives sum_i v_i c_{ib} at row k_{ib}
-            flat = self._kmat * self.dim + np.arange(self.dim)[None, :]
-            gfp.scatter_add(out.reshape(-1), flat, v[:, None] * self._cmat)
-            return out % self.p
-        for i in np.nonzero(v)[0]:
-            for b in range(self.dim):
-                for k, c in self.mult_terms(int(i), b):
-                    out[k, b] += v[i] * c
-        return out % self.p
+        i, j, k, c = self._consts  # v_i e_i e_j = v_i c e_k: row k of column j
+        return self._scatter(self.dim**2, k * self.dim + j, c * v[i]).reshape(self.dim, self.dim)
 
     def right_mult_matrix(self, v) -> np.ndarray:
         """Matrix of x -> x * v for an element v (coordinate vector)."""
         v = normalize(v, self.p).reshape(-1)
-        out = np.zeros((self.dim, self.dim), dtype=INT)
-        if self.is_monomial:
-            # column b receives sum_j c_{bj} v_j at row k_{bj}
-            flat = self._kmat * self.dim + np.arange(self.dim)[:, None]
-            gfp.scatter_add(out.reshape(-1), flat, self._cmat * v[None, :])
-            return out % self.p
-        for j in np.nonzero(v)[0]:
-            for b in range(self.dim):
-                for k, c in self.mult_terms(b, int(j)):
-                    out[k, b] += v[j] * c
-        return out % self.p
+        i, j, k, c = self._consts  # e_i e_j v_j = c v_j e_k: row k of column i
+        return self._scatter(self.dim**2, k * self.dim + i, c * v[j]).reshape(self.dim, self.dim)
 
     def basis_left_matrix(self, i: int) -> np.ndarray:
         e = np.zeros(self.dim, dtype=INT)
@@ -261,38 +236,6 @@ class Algebra:
         e = np.zeros(self.dim, dtype=INT)
         e[j] = 1
         return self.right_mult_matrix(e)
-
-    def left_stack(self) -> np.ndarray:
-        """All left-multiplication matrices, cached; small dimensions only."""
-        if self._lstack is None:
-            if self.dim > DENSE_DIM_LIMIT:
-                raise DimensionMismatch("dense operator stack requested for large algebra")
-            self._lstack = np.stack([self.basis_left_matrix(i) for i in range(self.dim)])
-        return self._lstack
-
-    def right_stack(self) -> np.ndarray:
-        if self._rstack is None:
-            if self.dim > DENSE_DIM_LIMIT:
-                raise DimensionMismatch("dense operator stack requested for large algebra")
-            self._rstack = np.stack([self.basis_right_matrix(j) for j in range(self.dim)])
-        return self._rstack
-
-    def monomial_tables(self):
-        return (self._kmat, self._cmat) if self.is_monomial else None
-
-    def structure_constants(self):
-        """Arrays (i, j, k, c) of every term e_i e_j = ... + c e_k, sorted; cached, read-only."""
-        if "consts" not in self._derivation_cache:
-            if self.is_monomial:
-                i, j = np.nonzero(self._cmat)
-                consts = i, j, self._kmat[i, j].astype(INT), self._cmat[i, j]
-            else:
-                terms = sorted((i, j, k, c) for (i, j), ts in self._mult.items() for k, c in ts)
-                consts = tuple(np.array(terms, dtype=INT).reshape(-1, 4).T)
-            for arr in consts:
-                arr.setflags(write=False)
-            self._derivation_cache["consts"] = consts
-        return self._derivation_cache["consts"]
 
     def presentation_right_mats(self) -> list[np.ndarray]:
         """Right-multiplication matrices of the presentation generators, cached."""
@@ -309,88 +252,59 @@ class Algebra:
 
     def validate(self):
         self._validate_unit()
-        if self.is_monomial:
-            self._validate_assoc_monomial()
-        elif self.dim <= DENSE_DIM_LIMIT:
-            self._validate_assoc_dense()
-        else:
-            raise DimensionMismatch(
-                f"cannot validate a non-monomial table of dimension {self.dim}"
-            )
+        self._validate_assoc()
         if self.counit is not None:
             self._validate_counit()
 
     def _validate_unit(self):
-        for i in range(self.dim):
-            e = np.zeros(self.dim, dtype=INT)
-            e[i] = 1
-            if not np.array_equal(self.mul_vec(self.unit, e), e):
-                raise UnitViolation(i)
-            if not np.array_equal(self.mul_vec(e, self.unit), e):
-                raise UnitViolation(i)
+        """1 e_i = e_i = e_i 1 on every basis element; the first failing i is reported."""
+        eye = np.eye(self.dim, dtype=INT)
+        left, right = self.left_mult_matrix(self.unit), self.right_mult_matrix(self.unit)
+        bad = np.flatnonzero((left != eye).any(axis=0) | (right != eye).any(axis=0))
+        if bad.size:
+            raise UnitViolation(int(bad[0]))
 
-    def _validate_assoc_monomial(self):
-        """(e_i e_j) e_k = e_i (e_j e_k) on every triple where a side can be nonzero.
+    def _validate_assoc(self):
+        """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, as one sparse join.
 
-        The left side needs c_ij != 0 and the right side c_jk != 0, so
-        {c_ij != 0} x k and i x {c_jk != 0} hold every failure.  Each is walked
-        in lexicographic order; the smaller first failure is reported.
+        The left side joins the terms (i, j, t) and (t, k, s) on t, the right
+        side (i, u, s) and (j, k, u) on u.  Keyed by (i, j, k, s), their
+        difference is summed mod p, and its smallest nonzero key names the
+        smallest failing triple.  Blocks of the first index i hold both sides
+        at once, about 2^20 join terms each.
         """
-        d, p, kmat, cmat = self.dim, self.p, self._kmat, self._cmat
-        pi, pj = np.nonzero(cmat)
-        cij, kij = cmat[pi, pj], kmat[pi, pj]
-        bad = []
-
-        def failures(c2, k2, c3, k3):
-            c2, c3 = c2 % p, c3 % p
-            return np.argwhere((c2 != c3) | ((c2 != 0) & (k2 != k3)))
-
-        # rows: pairs (i, j) with c_ij != 0; columns: every k
-        step = max(1, (1 << 19) // max(d, 1))
-        for s in range(0, pi.size, step):
-            i, j, ij = pi[s : s + step, None], pj[s : s + step], kij[s : s + step]
-            jk = kmat[j]
-            c2 = cij[s : s + step, None] * cmat[ij]
-            hit = failures(c2, kmat[ij], cmat[j] * cmat[i, jk], kmat[i, jk])
-            if hit.size:
-                bad.append((int(pi[s + hit[0, 0]]), int(pj[s + hit[0, 0]]), int(hit[0, 1])))
-                break
-        # rows: every i; columns: pairs (j, k) with c_jk != 0
-        step = max(1, (1 << 19) // max(pi.size, 1))
-        for s in range(0, d, step):
-            i = np.arange(s, min(d, s + step))[:, None]
-            ij = kmat[i, pi]
-            c2 = cmat[i, pi] * cmat[ij, pj]
-            hit = failures(c2, kmat[ij, pj], cij * cmat[i, kij], kmat[i, kij])
-            if hit.size:
-                bad.append((s + int(hit[0, 0]), int(pi[hit[0, 1]]), int(pj[hit[0, 1]])))
-                break
-        if bad:
-            raise AssociativityViolation(*min(bad))
-
-    def _validate_assoc_dense(self):
         d, p = self.dim, self.p
-        ls = self.left_stack().astype(np.float64)
-        # (e_i e_j) e_k = R_k(m_ij); e_i (e_j e_k) = L_i(m_jk)
-        m = np.stack([[self.mul_basis(i, j) for j in range(d)] for i in range(d)])
-        rs = self.right_stack().astype(np.float64)
-        lhs = np.einsum("kab,ijb->ijka", rs, m.astype(np.float64)).astype(INT) % p
-        rhs = np.einsum("iab,jkb->ijka", ls, m.astype(np.float64)).astype(INT) % p
-        if not np.array_equal(lhs, rhs):
-            bad = np.argwhere((lhs != rhs).any(axis=3))[0]
-            raise AssociativityViolation(int(bad[0]), int(bad[1]), int(bad[2]))
+        ci, cj, ck, cc = self._consts
+        by_k = np.argsort(ck, kind="stable")
+        first = np.searchsorted(ci, np.arange(d + 1))  # terms (t, ., .) at first[t]:first[t + 1]
+        third = np.searchsorted(ck[by_k], np.arange(d + 1))  # terms (., ., u) in by_k order
+        size = np.diff(first)[ck] + np.diff(third)[cj]  # join terms of each term, both sides
+        at = np.r_[0, np.cumsum(size)][first]  # join terms before each first index
+        i0 = 0
+        while i0 < d:
+            i1 = max(i0 + 1, int(np.searchsorted(at, at[i0] + (1 << 20), "right")) - 1)
+            lo, hi = first[i0], first[i1]
+            a, pos = gfp.expand(ck[lo:hi], first)  # (i, j, t) (t, k, s)
+            a += lo
+            left = ((ci[a] * d + cj[a]) * d + cj[pos]) * d + ck[pos], cc[a] * cc[pos]
+            b, pos = gfp.expand(cj[lo:hi], third)  # (i, u, s) (j, k, u)
+            b, pos = b + lo, by_k[pos]
+            right = ((ci[b] * d + ci[pos]) * d + cj[pos]) * d + ck[b], -cc[b] * cc[pos]
+            key, _ = gfp.merge(np.r_[left[0], right[0]], np.r_[left[1], right[1]], p)
+            if key.size:
+                raise AssociativityViolation(*(int(x) for x in np.unravel_index(key[0] // d, (d,) * 3)))
+            i0 = i1
 
     def _validate_counit(self):
-        eps = self.counit
-        if int(eps @ self.unit % self.p) != 1:
+        """counit(1) = 1 and counit(e_i e_j) = counit(e_i) counit(e_j); the first failing pair is reported."""
+        eps, d, p = self.counit, self.dim, self.p
+        if int(eps @ self.unit % p) != 1:
             raise CounitViolation("counit(1) != 1")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                lhs = 0
-                for k, c in self.mult_terms(i, j):
-                    lhs += c * int(eps[k])
-                if lhs % self.p != int(eps[i]) * int(eps[j]) % self.p:
-                    raise CounitViolation(f"counit not multiplicative at ({i}, {j})")
+        i, j, k, c = self._consts
+        lhs = self._scatter(d * d, i * d + j, c * eps[k]).reshape(d, d)
+        bad = np.argwhere(lhs != np.outer(eps, eps) % p)
+        if bad.size:
+            raise CounitViolation(f"counit not multiplicative at ({bad[0, 0]}, {bad[0, 1]})")
 
     # -- serialization -------------------------------------------------------
 
@@ -421,7 +335,8 @@ def dumps_canonical(obj) -> str:
 def make_algebra(p, labels, mult, unit, radical_gens=None, counit=None, name=None) -> Algebra:
     """Build and validate an algebra from an explicit structure-constant table.
 
-    ``mult`` maps (i, j) to an iterable of (k, c) terms.  Raises
+    ``mult`` maps (i, j) to an iterable of (k, c) terms, or is the arrays
+    (i, j, k, c) of the terms e_i e_j = ... + c e_k.  Raises
     AssociativityViolation / UnitViolation when the table is not an
     associative unital algebra.
     """
@@ -850,13 +765,8 @@ def quiver_algebra(q: QuiverPresentation, p) -> Algebra:
                         vec[coord[full]] = (vec[coord[full]] + coeff) % p
                     if vec.any():
                         rows.append(vec)
-        if rows:
-            ideal, rank, piv = rref(np.vstack(rows), p)
-            ideal = ideal[:rank]
-            piv_set = set(piv)
-        else:
-            ideal = np.zeros((0, ncols), dtype=INT)
-            piv_set = set()
+        ideal = Subspace.from_vectors(rows, p, ncols)
+        piv_set = set(ideal.pivots)
 
         # saturated when every maximal-length path coordinate is a pivot
         top = [coord[pth] for pth in paths_by_len[-1]]
@@ -878,40 +788,24 @@ def _finish_quiver_algebra(q, p, arrow_by_label, basis_paths, ideal, coord, all_
     basis_paths = sorted(basis_paths, key=lambda pth: (len(pth[1]), pth))
     bindex = {pth: i for i, pth in enumerate(basis_paths)}
     dim = len(basis_paths)
+    # every product of two basis paths is its concatenation reduced modulo the ideal
+    ends = [arrow_by_label[w[-1]][2] if w else src for src, w in basis_paths]
+    pairs = [
+        (i, j, coord[(s1, w1 + w2)])
+        for i, (s1, w1) in enumerate(basis_paths)
+        for j, (s2, w2) in enumerate(basis_paths)
+        if s2 == ends[i] and (s1, w1 + w2) in coord  # a longer path is zero by saturation
+    ]
+    i, j, col = np.array(pairs, dtype=INT).reshape(-1, 3).T
+    concat = np.zeros((col.size, len(all_paths)), dtype=INT)
+    concat[np.arange(col.size), col] = 1
+    prods = ideal.reduce_rows(concat)
     free_cols = [coord[pth] for pth in basis_paths]
-
-    def reduce_coord_vec(vec):
-        """Reduce modulo the ideal RREF; remainder lives on basis columns."""
-        vec = vec.copy()
-        for row in ideal:
-            piv = int(np.nonzero(row)[0][0])
-            if vec[piv]:
-                vec = (vec - vec[piv] * row) % p
-        out = np.zeros(dim, dtype=INT)
-        for spot in np.nonzero(vec)[0]:
-            pth = all_paths[int(spot)]
-            if pth not in bindex:
-                raise InfiniteDimensionalQuotient("reduction escaped the chosen basis")
-            out[bindex[pth]] = vec[spot]
-        return out
-
-    mult: dict = {}
-    for i, (s1, w1) in enumerate(basis_paths):
-        e1 = arrow_by_label[w1[-1]][2] if w1 else s1
-        for j, (s2, w2) in enumerate(basis_paths):
-            if s2 != e1:
-                continue
-            concat = (s1, w1 + w2)
-            if concat in coord:
-                vec = np.zeros(len(all_paths), dtype=INT)
-                vec[coord[concat]] = 1
-                prod = reduce_coord_vec(vec)
-            else:
-                # longer than anything enumerated: saturation makes it zero
-                prod = np.zeros(dim, dtype=INT)
-            terms = tuple((int(k), int(c)) for k, c in enumerate(prod) if c)
-            if terms:
-                mult[(i, j)] = terms
+    if np.delete(prods, free_cols, axis=1).any():
+        raise InfiniteDimensionalQuotient("reduction escaped the chosen basis")
+    prods = prods[:, free_cols]
+    row, k = np.nonzero(prods)
+    mult = i[row], j[row], k, prods[row, k]
 
     def plabel(pth):
         src, word = pth
@@ -942,26 +836,9 @@ def trivial_extension(a: Algebra) -> Algebra:
     """
     d, p = a.dim, a.p
     dim = 2 * d
-    mult: dict = {}
-    for i in range(d):
-        for j in range(d):
-            terms = a.mult_terms(i, j)
-            if terms:
-                mult[(i, j)] = terms
-            # e_i . f_j = sum_k [e_k e_i]_j f_k ; f_j . e_i = sum_k [e_i e_k]_j f_k
-            left_terms = []
-            right_terms = []
-            for k in range(d):
-                for tgt, c in a.mult_terms(k, i):
-                    if tgt == j:
-                        left_terms.append((d + k, c))
-                for tgt, c in a.mult_terms(i, k):
-                    if tgt == j:
-                        right_terms.append((d + k, c))
-            if left_terms:
-                mult[(i, d + j)] = tuple(sorted(left_terms))
-            if right_terms:
-                mult[(d + j, i)] = tuple(sorted(right_terms))
+    # from e_i e_j = c e_k: e_j . f_k gets c f_i, and f_k . e_i gets c f_j
+    i, j, k, c = a.structure_constants()
+    mult = np.concatenate([[i, j, k, c], [j, d + k, d + i, c], [d + k, i, d + j, c]], axis=1)
     unit = np.concatenate([a.unit, np.zeros(d, dtype=INT)])
     labels = list(a.labels) + [f"{lbl}*" for lbl in a.labels]
     rad = None
@@ -988,38 +865,15 @@ def trivial_extension(a: Algebra) -> Algebra:
 # -- structural computations ---------------------------------------------------
 
 
-def _narrow_candidates(cand: np.ndarray, resid_fn, p: int) -> np.ndarray:
-    """Shrink a candidate row space until ``resid_fn`` vanishes on it.
-
-    resid_fn(C) must return a (k, m) residual matrix, linear in the rows
-    of C.  The loop keeps the left kernel of bounded column subsamples,
-    which only ever removes rows violating the constraints.
-    """
-    while cand.shape[0]:
-        resid = resid_fn(cand) % p
-        nzc = np.nonzero(resid.any(axis=0))[0]
-        if nzc.size == 0:
-            break
-        take = nzc[: max(2 * cand.shape[0], 64)]
-        lk = gfp.left_kernel(resid[:, take], p)
-        cand = matmul(lk, cand, p) if lk.shape[0] else np.zeros((0, cand.shape[1]), dtype=INT)
-    return cand
-
-
 def center(a: Algebra) -> Subspace:
-    """Solution space of [z, e_i] = 0 for all basis elements e_i.
-
-    Narrowing only ever shrinks the candidate space, so one completed
-    pass over all basis constraints is exact.
-    """
+    """The common kernel of ad(e_i) = L_i - R_i, narrowed one basis element at a time."""
     d, p = a.dim, a.p
     cand = np.eye(d, dtype=INT)
     for i in range(d):
-        if cand.shape[0] == 0:
-            break
-        m = (a.basis_left_matrix(i) - a.basis_right_matrix(i)) % p
-        # [e_i, z] = (L_i - R_i) z, evaluated on the candidate rows
-        cand = _narrow_candidates(cand, lambda c, m=m: matmul(c, m.T, p), p)
+        # [e_i, z] = (L_i - R_i) z on the candidate rows z; keep the combinations killing it
+        resid = matmul(cand, (a.basis_left_matrix(i) - a.basis_right_matrix(i)).T % p, p)
+        if resid.any():
+            cand = matmul(gfp.left_kernel(resid, p), cand, p)
     return Subspace.from_vectors(cand, p, d)
 
 
@@ -1084,10 +938,8 @@ def _algebra_on(a: Algebra, reps: np.ndarray, coords_rows, unit, labels, name) -
     """
     m = reps.shape[0]
     table = coords_rows(_pairwise_products(a, reps, reps).reshape(m * m, a.dim)).reshape(m, m, m)
-    mult: dict = {}
-    for s, t, k in zip(*np.nonzero(table)):
-        mult.setdefault((int(s), int(t)), []).append((int(k), int(table[s, t, k])))
-    return make_algebra(a.p, labels, mult, coords_rows(unit[None])[0], name=name)
+    s, t, k = np.nonzero(table)
+    return make_algebra(a.p, labels, (s, t, k, table[s, t, k]), coords_rows(unit[None])[0], name=name)
 
 
 def _quotient_algebra(a: Algebra, j: Subspace) -> Algebra:
@@ -1221,43 +1073,20 @@ def block_decomposition(a: Algebra) -> list[tuple[np.ndarray, Algebra]]:
 def symmetric_form_search(a: Algebra, trials: int = 64, seed: int = 0):
     """Search for a nondegenerate symmetric associative bilinear form.
 
-    Solves B(ab, c) = B(a, bc), B(a, b) = B(b, a) exactly, then samples
-    ``trials`` elements of the solution space with the seeded generator.
-    Returns the first nondegenerate form as a (dim, dim) matrix, or None
-    when no sample is nondegenerate (which is inconclusive by design).
+    On a unital algebra these forms are exactly B(x, y) = lam(x y) for the
+    functionals lam vanishing on [A, A] (Skowronski-Yamagata, Frobenius
+    Algebras I, Ch. IV).  Samples ``trials`` elements of that space with the
+    seeded generator and returns the Gram matrix lam(e_i e_j) of the first
+    nondegenerate form, or None when no sample is nondegenerate (which is
+    inconclusive by design).
     """
     d, p = a.dim, a.p
-    nv = d * d
-
-    def rows_for_triples(triples):
-        rows = np.zeros((len(triples), nv), dtype=INT)
-        for r, (i, j, k) in enumerate(triples):
-            for tgt, c in a.mult_terms(i, j):
-                rows[r, tgt * d + k] = (rows[r, tgt * d + k] + c) % p
-            for tgt, c in a.mult_terms(j, k):
-                rows[r, i * d + tgt] = (rows[r, i * d + tgt] - c) % p
-        return rows
-
-    cand = np.eye(nv, dtype=INT)
-    sym = np.zeros((d * (d - 1) // 2, nv), dtype=INT)
-    r = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            sym[r, i * d + j] = 1
-            sym[r, j * d + i] = p - 1
-            r += 1
-    cand = _narrow_candidates(cand, lambda c: matmul(c, sym.T, p), p)
-    triples = [(i, j, k) for i in range(d) for j in range(d) for k in range(d)]
-    chunk = max(1, 4096 // max(d, 1))
-    for start in range(0, len(triples), chunk * d):
-        block = rows_for_triples(triples[start : start + chunk * d])
-        cand = _narrow_candidates(cand, lambda c, b=block: matmul(c, b.T, p), p)
-        if cand.shape[0] == 0:
-            return None
+    lams = gfp.kernel(commutator_subspace(a).basis, p)
+    i, j, k, c = a.structure_constants()
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        coeffs = rng.integers(0, p, size=cand.shape[0])
-        bmat = matmul(coeffs, cand, p).reshape(d, d)
+        lam = matmul(rng.integers(0, p, size=lams.shape[0]), lams, p)
+        bmat = a._scatter(d * d, i * d + j, c * lam[k]).reshape(d, d)
         _, rank, _ = rref(bmat, p)
         if rank == d:
             return bmat

@@ -5,6 +5,9 @@ Matrices are numpy int64 arrays with entries reduced mod p.  Except for
 return fresh arrays.  Row spaces are kept in reduced row echelon form, which
 is unique over a field, so two equal subspaces always store identical bases.
 
+Sparse sums are key and value arrays: ``merge`` sums the values on equal keys
+mod p, and ``expand`` lists the entries of rows stored CSR-style.
+
 Coordinates have one primitive, ``coords_rows``: on a ``Subspace`` they are a
 stack's entries on the canonical pivots, and an ``OrderedBasis`` (rows in a
 fixed order, optionally modulo a Subspace) maps those through a pivot inverse
@@ -93,6 +96,25 @@ def scatter_add(out: np.ndarray, index, coef, src=None, take=None) -> np.ndarray
             vals *= scale.reshape((-1,) + (1,) * (vals.ndim - 1))
         out[index[sel]] += vals
     return out
+
+
+def merge(keys: np.ndarray, vals: np.ndarray, p: int):
+    """Sum vals over equal keys mod p: sorted distinct keys and nonzero sums."""
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order] % p
+    if keys.size == 0:
+        return keys, vals
+    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sums = np.add.reduceat(vals, start) % p
+    return keys[start][sums != 0], sums[sums != 0]
+
+
+def expand(rows: np.ndarray, ptr: np.ndarray):
+    """(term, position) for every entry ptr[r] <= position < ptr[r + 1] of r = rows[term]."""
+    lo = ptr[rows]
+    counts = ptr[rows + 1] - lo
+    term = np.repeat(np.arange(rows.size), counts)
+    return term, np.arange(term.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
 
 
 def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:

@@ -138,19 +138,12 @@ def _gen_block_residual(a: Algebra, fstack: np.ndarray, svec: np.ndarray, rs: np
         f64 = fstack.astype(np.float64)
         lhs = np.einsum("tab,bi->tai", f64, rs.astype(np.float64)).astype(INT)
         term_r = np.einsum("ab,tbi->tai", rs.astype(np.float64), f64).astype(INT)
-    # e_i F(s): columns are right-multiplication by the vector y = F(s)
+    # e_i F(s): each term e_i e_j = c e_k adds c F(s)_j to coordinate k
     ys = matmul(fstack, svec, p)  # (k, d)
-    mono = a.monomial_tables()
-    if mono is not None:
-        kmat, cmat = mono
-        term_y = np.zeros((d, d, k), dtype=INT)  # (target, i, t)
-        jgrid = np.broadcast_to(np.arange(d), (d, d))
-        flat = kmat * d + np.arange(d)[:, None]  # (i, j) -> (target, i)
-        gfp.scatter_add(term_y.reshape(d * d, k), flat, cmat, ys.T, jgrid)
-        term_y = term_y.transpose(2, 0, 1)
-    else:
-        ls = a.left_stack().astype(np.float64)
-        term_y = np.einsum("iab,tb->tai", ls, ys.astype(np.float64)).astype(INT)
+    ci, cj, ck, cc = a.structure_constants()
+    term_y = np.zeros((d * d, k), dtype=INT)  # (target * d + i, t)
+    gfp.scatter_add(term_y, ck * d + ci, cc, ys.T, cj)
+    term_y = term_y.reshape(d, d, k).transpose(2, 0, 1)
     lhs -= term_r
     lhs -= term_y
     return (lhs % p).reshape(k, d * d)
@@ -162,25 +155,6 @@ def _gen_block_residual(a: Algebra, fstack: np.ndarray, svec: np.ndarray, rs: np
 # e_b coordinate of F(g_t).  vec(F)[x * d + k] is the e_x coordinate of
 # F(e_k), a sparse linear map phi of v.  Sparse matrices are int64 triplets
 # (row, column, coefficient), reduced mod p before any two are multiplied.
-
-
-def _merge(keys: np.ndarray, vals: np.ndarray, p: int):
-    """Sum vals over equal keys mod p: sorted distinct keys and nonzero sums."""
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order] % p
-    if keys.size == 0:
-        return keys, vals
-    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    sums = np.add.reduceat(vals, start) % p
-    return keys[start][sums != 0], sums[sums != 0]
-
-
-def _expand(rows: np.ndarray, ptr: np.ndarray):
-    """(term, position) for every entry ptr[r] <= position < ptr[r + 1] of r = rows[term]."""
-    lo = ptr[rows]
-    counts = ptr[rows + 1] - lo
-    term = np.repeat(np.arange(rows.size), counts)
-    return term, np.arange(term.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
 
 
 def _phi(a: Algebra, pres: Presentation, rmats, consts):
@@ -205,15 +179,15 @@ def _phi(a: Algebra, pres: Presentation, rmats, consts):
     for target, parent, t in pres.steps:
         rows, unk, val = cols[parent]
         ptr, r_rows, r_vals = right[t]
-        term, pos = _expand(rows, ptr)
+        term, pos = gfp.expand(rows, ptr)
         lo, hi = lptr[parent], lptr[parent + 1]
-        key, val = _merge(
+        key, val = gfp.merge(
             np.concatenate([r_rows[pos] * nv + unk[term], ck[lo:hi] * nv + t * d + cj[lo:hi]]),
             np.concatenate([r_vals[pos] * val[term], cc[lo:hi]]),
             p,
         )
         cols[target] = (key // nv, key % nv, val)
-    key, val = _merge(
+    key, val = gfp.merge(
         np.concatenate([(rows * d + k) * nv + unk for k, (rows, unk, _) in enumerate(cols)]),
         np.concatenate([val for _, _, val in cols]),
         p,
@@ -335,8 +309,8 @@ class DerivationSpace:
         consts = a.structure_constants()
         fe, unk, val = self._phi = _phi(a, pres, rmats, consts)
         eq, ent, coef = _leibniz_terms(a, list(self.gens), consts)
-        term, pos = _expand(ent, np.searchsorted(fe, np.arange(d * d + 1)))
-        keys, vals = _merge(eq[term] * nv + unk[pos], coef[term] % p * val[pos], p)
+        term, pos = gfp.expand(ent, np.searchsorted(fe, np.arange(d * d + 1)))
+        keys, vals = gfp.merge(eq[term] * nv + unk[pos], coef[term] % p * val[pos], p)
         ker = gfp.kernel(_span_echelon(*_distinct_rows(keys, vals, nv, p), nv, p), p)
         self.der = Subspace(p, nv, ker)
         # phi by layers: layer t holds the t-th term of every vec(F) entry phi reaches

@@ -466,7 +466,7 @@ def element_analysis(L: RestrictedLie, x) -> dict:
     ss_part = matmul((xc - nil_c) % p, env.basis, p)
     return {
         "is_toral": bool(np.array_equal(px, x)),
-        "is_p_nilpotent": is_p_nilpotent_element(L, x),
+        "is_p_nilpotent": not ss_part.any(),  # x^[p^m] = 0 iff x lies in the nil part
         "semisimple_part": ss_part,
         "nilpotent_part": nil_part,
     }

@@ -8,12 +8,13 @@ import pytest
 from hh1lie import algebras as alg
 from hh1lie.errors import (
     AssociativityViolation,
+    CounitViolation,
     InfiniteDimensionalQuotient,
     JsonFormatError,
     RadicalUnavailable,
     UnitViolation,
 )
-from hh1lie.gfp import Subspace, rref
+from hh1lie.gfp import Subspace, left_kernel, matmul, rref
 
 
 def basis_vec(dim, i):
@@ -70,6 +71,53 @@ def test_tkr_quiver_table_is_associative_by_independent_loop():
                 assert np.array_equal(left, right)
 
 
+def dense_assoc_failure(a):
+    """First triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), or None.
+
+    The oracle for the sparse join: the dense product tensor m[i, j] = e_i e_j,
+    both sides compared one first index i at a time.
+    """
+    d, p = a.dim, a.p
+    i, j, k, c = a.structure_constants()
+    m = np.zeros((d, d, d))
+    np.add.at(m, (i, j, k), c)
+    for i in range(d):
+        lhs = m[i] @ m.reshape(d, d * d)  # (e_i e_j) e_k at [j, k * d + s]
+        rhs = m.reshape(d * d, d) @ m[i]  # e_i (e_j e_k) at [j * d + k, s]
+        bad = np.argwhere(((lhs.reshape(d, d, d) - rhs.reshape(d, d, d)) % p).any(axis=2))
+        if bad.size:
+            return i, int(bad[0, 0]), int(bad[0, 1])
+    return None
+
+
+def support_assoc_failure(a):
+    """First failing triple by the support-triple walk of a monomial table, or None.
+
+    (e_i e_j) e_k needs c_ij != 0 and e_i (e_j e_k) needs c_jk != 0, so those
+    two triple sets hold every failure; the smaller first failure is reported.
+    """
+    kmat, cmat = a.monomial_tables()
+    d, p = a.dim, a.p
+    pi, pj = np.nonzero(cmat)
+    cij, kij = cmat[pi, pj], kmat[pi, pj]
+
+    def first(c2, k2, c3, k3):
+        hit = np.argwhere((c2 % p != c3 % p) | ((c2 % p != 0) & (k2 != k3)))
+        return hit[0] if hit.size else None
+
+    bad = []
+    jk = kmat[pj]  # rows: pairs (i, j) with c_ij != 0; columns: every k
+    hit = first(cij[:, None] * cmat[kij], kmat[kij], cmat[pj] * cmat[pi[:, None], jk], kmat[pi[:, None], jk])
+    if hit is not None:
+        bad.append((int(pi[hit[0]]), int(pj[hit[0]]), int(hit[1])))
+    i = np.arange(d)[:, None]  # rows: every i; columns: pairs (j, k) with c_jk != 0
+    ij = kmat[i, pi]
+    hit = first(cmat[i, pi] * cmat[ij, pj], kmat[ij, pj], cij * cmat[i, kij], kmat[i, kij])
+    if hit is not None:
+        bad.append((int(hit[0]), int(pi[hit[1]]), int(pj[hit[1]])))
+    return min(bad) if bad else None
+
+
 @pytest.mark.parametrize("p", [191, 251])
 def test_signed_truncated_basis_is_associative_at_large_p(p):
     # k[x]/(x^5) on the basis 1, x, x^2, -x^3, x^4: coefficients p - 1 make
@@ -83,7 +131,8 @@ def test_signed_truncated_basis_is_associative_at_large_p(p):
     }
     a = alg.make_algebra(p, ["1", "x", "x^2", "-x^3", "x^4"], mult, basis_vec(5, 0))
     assert a.is_monomial and a.mul_basis(1, 2).tolist() == [0, 0, 0, p - 1, 0]
-    a._validate_assoc_dense()
+    assert dense_assoc_failure(a) is None
+    a._validate_assoc()
 
 
 def test_empty_table_is_accepted():
@@ -98,6 +147,23 @@ def assoc_failure(check):
     return None
 
 
+def corrupted_tables(base, trials, seed, add_terms=True):
+    """Copies of base, unvalidated, each with one term's k or c changed or one term added."""
+    i, j, k, c = (np.array(x) for x in base.structure_constants())
+    d, p = base.dim, base.p
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        t, mode = int(rng.integers(0, i.size)), int(rng.integers(0, 3 if add_terms else 2))
+        terms = [i.copy(), j.copy(), k.copy(), c.copy()]
+        if mode == 0:
+            terms[2][t] = rng.integers(0, d)
+        elif mode == 1:
+            terms[3][t] = rng.integers(0, p)
+        else:
+            terms = [np.r_[x, rng.integers(0, n)] for x, n in zip(terms, (d, d, d, p))]
+        yield alg.Algebra(p, base.labels, tuple(terms), base.unit, validate=False)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -109,8 +175,9 @@ def assoc_failure(check):
     ids=["smash321", "trunc3-11", "trunc5-1", "trunc3-2"],
 )
 def test_support_triple_check_matches_dense_oracle(build):
-    # one corrupted kmat and/or cmat entry per trial; both checks must agree
-    # on acceptance and on the first failing triple
+    # one corrupted kmat and/or cmat entry per trial; the join, the dense
+    # oracle and the support-triple walk agree on acceptance and on the
+    # first failing triple
     base = build()
     kmat, cmat = base.monomial_tables()
     d, p = base.dim, base.p
@@ -125,10 +192,87 @@ def test_support_triple_check_matches_dense_oracle(build):
         if mode != 0:
             c2[i, j] = rng.integers(0, p)
         a = alg.Algebra(p, base.labels, {}, base.unit, validate=False, _monomial=(k2, c2))
-        sparse = assoc_failure(a._validate_assoc_monomial)
-        assert sparse == assoc_failure(a._validate_assoc_dense)
-        outcomes.add(sparse is None)
+        join = assoc_failure(a._validate_assoc)
+        assert join == dense_assoc_failure(a) == support_assoc_failure(a)
+        outcomes.add(join is None)
     assert outcomes == {True, False}
+
+
+def integral_table(build, p):
+    """An algebra whose table has integer constants, taken over GF(p)."""
+    a = build()
+    return alg.Algebra(p, a.labels, a.structure_constants(), a.unit)
+
+
+JOIN_CASES = {  # name -> p -> algebra over GF(p)
+    "smash521": lambda p: integral_table(lambda: alg.smash_product(5, 2, 1)[0], p),
+    "trunc321": lambda p: integral_table(lambda: alg.truncated_polynomial(3, (2, 1)), p),
+    "u0borel": lambda p: alg.u0_borel(p, 2 if p == 3 else 1),
+    "tkron": lambda p: alg.trivial_extension(alg.quiver_algebra(alg.kronecker_quiver(), p)),
+    "tkr": lambda p: alg.quiver_algebra(alg.tkr_quiver(), p),
+    "tsmash321": lambda p: integral_table(lambda: alg.trivial_extension(alg.smash_product(3, 2, 1)[0]), p),
+}
+
+
+@pytest.mark.parametrize(  # u0borel(251, n) has dim at least 251^2
+    "case,p", [(case, p) for case in sorted(JOIN_CASES) for p in (3, 5, 251) if (case, p) != ("u0borel", 251)]
+)
+def test_join_matches_dense_oracle_on_corrupted_tables(case, p):
+    # multi-term tables (u0borel, and every table once a term is added) and
+    # monomial ones; the support-triple walk is checked too where it applies
+    base = JOIN_CASES[case](p)
+    big = base.dim > 64  # smash521: the dense oracle is too slow, the support walk is the old check
+    outcomes = []
+    for a in corrupted_tables(base, 6 if big else 12, base.dim + p, add_terms=not big):
+        join = assoc_failure(a._validate_assoc)
+        if a.is_monomial:
+            assert join == support_assoc_failure(a)
+        if not big:
+            assert join == dense_assoc_failure(a)
+        outcomes.append(join is None)
+    assert False in outcomes
+    assert assoc_failure(base._validate_assoc) is None
+
+
+def test_u0borel_above_dim_64_builds_and_a_corrupted_copy_is_rejected():
+    a = alg.u0_borel(5, 2)  # dim 125, multi-term: rejected when only monomial tables were joined
+    assert a.dim == 125 and not a.is_monomial
+    i, j, k, c = (np.array(x) for x in a.structure_constants())
+    c[-1] = (c[-1] + 1) % a.p
+    bad = alg.Algebra(a.p, a.labels, (i, j, k, c), a.unit, validate=False)
+    first = assoc_failure(bad.validate)
+    assert first is not None and first == dense_assoc_failure(bad)
+
+
+def direct_product(*factors):
+    """A_1 x ... x A_n on the concatenated bases; e_a e_b = 0 across factors."""
+    terms, shift = [[], [], [], []], 0
+    for f in factors:
+        for n, x in enumerate(f.structure_constants()):
+            terms[n].append(x + shift if n < 3 else x)
+        shift += f.dim
+    labels = [f"{n}:{lbl}" for n, f in enumerate(factors) for lbl in f.labels]
+    unit = np.concatenate([f.unit for f in factors])
+    return alg.Algebra(factors[0].p, labels, tuple(np.concatenate(x) for x in terms), unit, validate=False)
+
+
+def test_a_failure_in_a_later_block_of_first_indices(monkeypatch):
+    # u0borel(7, 1) twice has about 1.1 * 2^20 join terms, so the corrupted
+    # last factor, whose basis comes last, starts in the second block
+    u = alg.u0_borel(7, 1)
+    t = alg.truncated_polynomial(7, (1,))
+    i, j, k, c = (np.array(x) for x in t.structure_constants())
+    c[np.flatnonzero((i == 1) & (j == 5))] = 2  # x x^5 = 2 x^6, but (x x) x^4 = x^6
+    bad = alg.Algebra(7, t.labels, (i, j, k, c), t.unit, validate=False)
+    a = direct_product(u, u, bad)
+    calls = []
+    merge = alg.gfp.merge
+    monkeypatch.setattr(alg.gfp, "merge", lambda *args: calls.append(1) or merge(*args))
+    # products across factors vanish, so the failures are those of the last factor, shifted
+    assert assoc_failure(a._validate_assoc) == tuple(x + 2 * u.dim for x in dense_assoc_failure(bad))
+    assert len(calls) > 1
+    calls.clear()
+    assert assoc_failure(direct_product(u, u, t)._validate_assoc) is None and len(calls) > 1
 
 
 # -- truncated polynomial rings ---------------------------------------------------
@@ -629,3 +773,133 @@ def test_span_products_commutators_and_ideal_closure_match_the_loops(case):
             break
         span = grown
     assert alg._ideal_closure(a, gen) == span
+
+
+# -- center, forms, unit and counit against copies of the loops they replaced -------
+
+
+def narrow_candidates(cand, resid_fn, p):
+    """Shrink a candidate row space by left kernels of column subsamples until resid_fn vanishes."""
+    while cand.shape[0]:
+        resid = resid_fn(cand) % p
+        nzc = np.nonzero(resid.any(axis=0))[0]
+        if nzc.size == 0:
+            break
+        lk = left_kernel(resid[:, nzc[: max(2 * cand.shape[0], 64)]], p)
+        cand = matmul(lk, cand, p) if lk.shape[0] else np.zeros((0, cand.shape[1]), dtype=np.int64)
+    return cand
+
+
+def narrowed_center(a):
+    d, p = a.dim, a.p
+    cand = np.eye(d, dtype=np.int64)
+    for i in range(d):
+        m = (a.basis_left_matrix(i) - a.basis_right_matrix(i)) % p
+        cand = narrow_candidates(cand, lambda c, m=m: matmul(c, m.T, p), p)
+    return Subspace.from_vectors(cand, p, d)
+
+
+def narrowed_form_space(a):
+    """Basis of the symmetric associative forms, solved over d^2 unknowns B[i, j]."""
+    d, p = a.dim, a.p
+    nv = d * d
+    cand = np.eye(nv, dtype=np.int64)
+    for i in range(d):  # the equations of one first index at a time
+        rows = np.zeros((d + d * d, nv), dtype=np.int64)
+        for j in range(i + 1, d):  # B(e_i, e_j) = B(e_j, e_i)
+            rows[j, i * d + j], rows[j, j * d + i] = 1, p - 1
+        for j in range(d):
+            for k in range(d):  # B(e_i e_j, e_k) = B(e_i, e_j e_k)
+                for t, c in a.mult_terms(i, j):
+                    rows[d + j * d + k, t * d + k] += c
+                for t, c in a.mult_terms(j, k):
+                    rows[d + j * d + k, i * d + t] -= c
+        cand = narrow_candidates(cand, lambda c, r=rows % p: matmul(c, r.T, p), p)
+    return cand
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+def test_center_and_form_search_match_the_narrowing_loops(case):
+    a = PRODUCT_CASES[case]()
+    d, p = a.dim, a.p
+    assert alg.center(a) == narrowed_center(a)
+    space = narrowed_form_space(a)
+    # every form is lam(x y) with lam killing [A, A]: the solved space is the
+    # Gram matrices of those functionals
+    grams = []
+    for lam in left_kernel(alg.commutator_subspace(a).basis.T, p):
+        grams.append([sum(c * int(lam[k]) for k, c in a.mult_terms(i, j)) % p for i in range(d) for j in range(d)])
+    assert Subspace.from_vectors(space, p, d * d) == Subspace.from_vectors(grams, p, d * d)
+    rng = np.random.default_rng(0)
+    old = None
+    for _ in range(64):  # the old search, sampling the solved space
+        bmat = matmul(rng.integers(0, p, size=space.shape[0]), space, p).reshape(d, d)
+        if rref(bmat, p)[1] == d:
+            old = bmat
+            break
+    found = alg.symmetric_form_search(a, trials=64, seed=0)
+    assert (found is None) == (old is None)
+    if found is not None:
+        assert rref(found, p)[1] == d and np.array_equal(found, found.T)
+        assert Subspace.from_vectors(space, p, d * d).contains_vector(found.reshape(-1))
+
+
+def loop_unit_failure(a):
+    for i in range(a.dim):
+        e = basis_vec(a.dim, i)
+        if not np.array_equal(a.mul_vec(a.unit, e), e) or not np.array_equal(a.mul_vec(e, a.unit), e):
+            return ("unit", i)
+    return None
+
+
+def loop_counit_failure(a):
+    eps, p = a.counit, a.p
+    if int(eps @ a.unit % p) != 1:
+        return ("counit", "counit(1) != 1")
+    for i in range(a.dim):
+        for j in range(a.dim):
+            lhs = sum(c * int(eps[k]) for k, c in a.mult_terms(i, j))
+            if lhs % p != int(eps[i]) * int(eps[j]) % p:
+                return ("counit", f"counit not multiplicative at ({i}, {j})")
+    return None
+
+
+def unit_counit_failure(a):
+    try:
+        a._validate_unit()
+        if a.counit is not None:
+            a._validate_counit()
+    except UnitViolation as exc:
+        return ("unit", exc.index)
+    except CounitViolation as exc:
+        return ("counit", str(exc))
+    return None
+
+
+def local_xy(p):
+    """k<x, y>/(x^2, y^2, y x) on 1, x, y, x y: local, with a counit, and not commutative."""
+    mult = {(0, t): [(t, 1)] for t in range(4)} | {(t, 0): [(t, 1)] for t in range(1, 4)}
+    mult[(1, 2)] = [(3, 1)]
+    return alg.make_algebra(p, ["1", "x", "y", "x*y"], mult, basis_vec(4, 0), counit=basis_vec(4, 0))
+
+
+@pytest.mark.parametrize("case", ["trunc-5-11", "trivext-kr-3", "u0borel-3-2", "smash-3-1-1", "local-xy-5"])
+def test_unit_and_counit_checks_match_the_loops(case):
+    base = local_xy(5) if case == "local-xy-5" else PRODUCT_CASES[case]()
+    d, p = base.dim, base.p
+    rng = np.random.default_rng(d)
+    outcomes = []
+    for trial in range(16):
+        unit, counit = base.unit.copy(), None if base.counit is None else base.counit.copy()
+        if trial % 2 or counit is None:
+            unit[rng.integers(0, d)] = rng.integers(0, p)
+        else:
+            counit[rng.integers(0, d)] = rng.integers(0, p)
+        a = alg.Algebra(p, base.labels, base.structure_constants(), unit, counit=counit, validate=False)
+        want = loop_unit_failure(a) or (None if counit is None else loop_counit_failure(a))
+        assert unit_counit_failure(a) == want
+        outcomes.append(want)
+    assert None in outcomes and any(outcomes)
+    if case == "local-xy-5":  # counit(x y) = 1 != counit(x) counit(y), while counit(y x) = 0
+        a = alg.Algebra(p, base.labels, base.structure_constants(), base.unit, counit=[1, 0, 0, 1], validate=False)
+        assert unit_counit_failure(a) == loop_counit_failure(a) == ("counit", "counit not multiplicative at (1, 2)")

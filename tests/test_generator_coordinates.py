@@ -368,6 +368,7 @@ def test_p_envelope_and_element_analysis_match_the_pivot_solver(build):
         ss, nil = old_fitting_parts(L, x)
         assert np.array_equal(res["semisimple_part"], ss)
         assert np.array_equal(res["nilpotent_part"], nil)
+        assert res["is_p_nilpotent"] == lielib.is_p_nilpotent_element(L, x)
 
 
 def old_center_of(L):
