@@ -98,15 +98,21 @@ class Presentation:
     base_gen: tuple  # (basis_index, generator_slot) pairs
     steps: tuple  # (target, parent, generator_slot), topologically ordered
 
+    @classmethod
+    def all_basis(cls, dim: int) -> "Presentation":
+        """Every basis vector a generator in its own slot, for an algebra with no presentation."""
+        eye = np.eye(dim, dtype=INT)
+        return cls(tuple(eye), (), tuple((k, k) for k in range(dim)), ())
+
 
 class Algebra:
     """Associative unital algebra over GF(p) with labelled basis.
 
     Immutable after construction.  The table is held only as its structure
     constants, arrays (i, j, k, c) with one entry per term e_i e_j = ... + c e_k,
-    sorted by (i, j, k), and every product reads them.  ``mult`` maps a basis
-    pair (i, j) to a tuple of (k, c) terms, or is the four arrays themselves;
-    ``_monomial`` gives grids (kmat, cmat) with e_i e_j = cmat[i, j] e_kmat[i, j].
+    sorted by (i, j, k), and every product reads them.  ``mult`` is the four
+    arrays of raw terms, where terms on one (i, j, k) are summed mod p, or maps
+    a basis pair (i, j) to a tuple of (k, c) terms.
     """
 
     def __init__(
@@ -121,7 +127,6 @@ class Algebra:
         descriptor=None,
         presentation=None,
         validate=True,
-        _monomial=None,
     ):
         self.p = check_prime(p)
         self.labels = list(labels)
@@ -132,7 +137,7 @@ class Algebra:
         self.name = name or f"algebra(dim={self.dim},p={self.p})"
         self.descriptor = descriptor
         self.presentation = presentation
-        self._consts = self._constants(mult, _monomial)
+        self._consts = self._constants(mult)
         self.radical_gens = (
             None
             if radical_gens is None
@@ -145,14 +150,10 @@ class Algebra:
 
     # -- table plumbing ----------------------------------------------------
 
-    def _constants(self, mult, monomial):
+    def _constants(self, mult):
         """Sorted arrays (i, j, k, c): terms on one (i, j, k) summed mod p, zero sums dropped."""
         d, p = self.dim, self.p
-        if monomial is not None:
-            kmat, cmat = monomial
-            i, j = np.nonzero(cmat)
-            mult = i, j, kmat[i, j], cmat[i, j]
-        elif isinstance(mult, dict):
+        if isinstance(mult, dict):
             terms = [(i, j, int(k), int(c) % p) for (i, j), ts in mult.items() for k, c in ts]
             mult = np.array(terms, dtype=INT).reshape(-1, 4).T
         i, j, k, c = (np.asarray(x, dtype=INT).reshape(-1) for x in mult)
@@ -171,21 +172,6 @@ class Algebra:
         """Arrays (i, j, k, c) of every term e_i e_j = ... + c e_k, sorted; read-only."""
         return self._consts
 
-    @property
-    def is_monomial(self) -> bool:
-        """Whether every product of two basis elements has at most one term."""
-        i, j = self._consts[:2]
-        return not ((i[1:] == i[:-1]) & (j[1:] == j[:-1])).any()
-
-    def monomial_tables(self):
-        """Grids (kmat, cmat) with e_i e_j = cmat[i, j] e_kmat[i, j], or None if not monomial."""
-        if not self.is_monomial:
-            return None
-        i, j, k, c = self._consts
-        kmat, cmat = np.zeros((2, self.dim, self.dim), dtype=INT)
-        kmat[i, j], cmat[i, j] = k, c
-        return kmat, cmat
-
     def mult_terms(self, i: int, j: int):
         """Terms (k, c) of e_i e_j."""
         ci, cj, ck, cc = self._consts
@@ -195,12 +181,6 @@ class Algebra:
 
     def _scatter(self, size: int, index, coef) -> np.ndarray:
         return gfp.scatter_add(np.zeros(size, dtype=INT), index, coef) % self.p
-
-    def mul_basis(self, i: int, j: int) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=INT)
-        for k, c in self.mult_terms(i, j):
-            v[k] = c
-        return v
 
     def mul_vec(self, u, v) -> np.ndarray:
         """Product of two coordinate vectors."""
@@ -237,16 +217,17 @@ class Algebra:
         e[j] = 1
         return self.right_mult_matrix(e)
 
-    def presentation_right_mats(self) -> list[np.ndarray]:
-        """Right-multiplication matrices of the presentation generators, cached."""
-        key = "_pres_right_mats"
-        if key not in self._derivation_cache:
-            if self.presentation is None:
-                raise DimensionMismatch("algebra has no generator presentation")
-            self._derivation_cache[key] = [
-                self.right_mult_matrix(g) for g in self.presentation.gen_vectors
-            ]
-        return self._derivation_cache[key]
+    def generating_set(self) -> tuple[Presentation, list[np.ndarray]]:
+        """(presentation, R_g for each generator g) that derivations are solved and checked on, cached.
+
+        It is the algebra's own presentation, or with none, every basis vector
+        as a generator.
+        """
+        if "generators" not in self._derivation_cache:
+            pres = self.presentation or Presentation.all_basis(self.dim)
+            rmats = [self.right_mult_matrix(g) for g in pres.gen_vectors]
+            self._derivation_cache["generators"] = pres, rmats
+        return self._derivation_cache["generators"]
 
     # -- validation ---------------------------------------------------------
 
@@ -433,14 +414,9 @@ def truncated_polynomial(p, exponents) -> Algebra:
                 parts.append(f"x{v + 1}^{e}")
         return "*".join(parts) if parts else "1"
 
-    kmat = np.zeros((dim, dim), dtype=np.int32)
-    cmat = np.zeros((dim, dim), dtype=INT)
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            s = tuple(x + y for x, y in zip(a, b))
-            if all(x < bnd for x, bnd in zip(s, bounds)):
-                kmat[i, j] = index[s]
-                cmat[i, j] = 1
+    # x^a x^b = x^(a + b) unless an exponent overflows; the index is mixed radix, so it adds
+    monos = np.array(basis).reshape(dim, -1)
+    i, j = np.nonzero((monos[:, None] + monos[None, :] < bounds).all(axis=2))
     unit = np.zeros(dim, dtype=INT)
     unit[index[tuple(0 for _ in exponents)]] = 1
     counit = unit.copy()
@@ -470,13 +446,12 @@ def truncated_polynomial(p, exponents) -> Algebra:
     return Algebra(
         p,
         [label(m) for m in basis],
-        {},
+        (i, j, i + j, np.ones_like(i)),
         unit,
         radical_gens=gens,
         counit=counit,
         name=f"trunc(p={p},exps={','.join(map(str, exponents))})",
         presentation=pres,
-        _monomial=(kmat, cmat),
     )
 
 
@@ -494,19 +469,9 @@ def smash_product(p, n, r) -> tuple[Algebra, SmashDescriptor]:
     nc, xb = desc.n_chars, desc.x_bound
     dim = nc * xb
 
-    lam = np.arange(nc)
-    jj = np.arange(xb)
-    # (u_lam x^i)(u_mu x^j) = [lam == mu + i*alpha] * u_lam x^(i+j)
-    lam_i = np.repeat(lam, xb)  # row index -> lambda
-    i_i = np.tile(jj, nc)  # row index -> i
-    mu_j = np.repeat(lam, xb)
-    j_j = np.tile(jj, nc)
-    match = (lam_i[:, None] - mu_j[None, :] - i_i[:, None] * desc.alpha) % nc == 0
-    exp = i_i[:, None] + j_j[None, :]
-    nonzero = match & (exp < xb)
-    kmat = np.where(nonzero, lam_i[:, None] * xb + np.minimum(exp, xb - 1), 0).astype(np.int32)
-    cmat = nonzero.astype(INT)
-
+    # (u_lam x^a)(u_mu x^b) = [lam == mu + a*alpha] u_lam x^(a+b), zero once a + b >= p^n
+    lam, a = np.divmod(np.arange(dim), xb)
+    i, j = np.nonzero(((lam[:, None] - lam - a[:, None] * desc.alpha) % nc == 0) & (a[:, None] + a < xb))
     unit = np.zeros(dim, dtype=INT)
     for l0 in range(nc):
         unit[desc.index(l0, 0)] = 1
@@ -535,13 +500,12 @@ def smash_product(p, n, r) -> tuple[Algebra, SmashDescriptor]:
     alg = Algebra(
         p,
         labels,
-        {},
+        (i, j, i + a[j], np.ones_like(i)),
         unit,
         radical_gens=rad,
         name=f"smash(p={p},n={n},r={r})",
         descriptor=desc,
         presentation=pres,
-        _monomial=(kmat, cmat),
     )
     return alg, desc
 
@@ -558,28 +522,14 @@ def u0_borel(p, n) -> Algebra:
     def idx(b, a):
         return b * p + a
 
-    mult: dict = {}
-    binom = [[math.comb(a, k) for k in range(a + 1)] for a in range(p)]
-    for b in range(xb):
-        for a in range(p):
-            for c in range(xb):
-                for d_ in range(p):
-                    if b + c >= xb:
-                        continue
-                    # t^a x^c = x^c (t + c)^a, then t^(k+d) with t^p = t
-                    acc: dict[int, int] = {}
-                    for k in range(a + 1):
-                        coeff = binom[a][k] * pow(c, a - k, p) % p
-                        if coeff == 0:
-                            continue
-                        e = k + d_
-                        while e >= p:
-                            e -= p - 1
-                        tgt = idx(b + c, e)
-                        acc[tgt] = (acc.get(tgt, 0) + coeff) % p
-                    terms = tuple(sorted((t, v) for t, v in acc.items() if v))
-                    if terms:
-                        mult[(idx(b, a), idx(c, d_))] = terms
+    terms = []  # raw; the constructor sums the terms on one (i, j, k) mod p
+    for b, a, c, d_ in itertools.product(range(xb), range(p), range(xb), range(p)):
+        if b + c >= xb:
+            continue
+        # t^a x^c = x^c (t + c)^a, then t^(k+d) with t^p = t
+        for k in range(a + 1):
+            e = k + d_ if k + d_ < p else k + d_ - (p - 1)
+            terms.append((idx(b, a), idx(c, d_), idx(b + c, e), math.comb(a, k) * pow(c, a - k, p) % p))
     labels = []
     for b in range(xb):
         for a in range(p):
@@ -609,7 +559,7 @@ def u0_borel(p, n) -> Algebra:
     return Algebra(
         p,
         labels,
-        mult,
+        np.array(terms, dtype=INT).reshape(-1, 4).T,
         unit,
         radical_gens=[xvec],
         name=f"u0borel(p={p},n={n})",
@@ -623,11 +573,6 @@ def split_semisimple(p, m) -> Algebra:
     m = int(m)
     if m < 1:
         raise ValueError("need m >= 1")
-    kmat = np.zeros((m, m), dtype=np.int32)
-    cmat = np.zeros((m, m), dtype=INT)
-    for i in range(m):
-        kmat[i, i] = i
-        cmat[i, i] = 1
     unit = np.ones(m, dtype=INT)
     counit = None
     if m == 1:
@@ -635,12 +580,11 @@ def split_semisimple(p, m) -> Algebra:
     return Algebra(
         p,
         [f"e{i + 1}" for i in range(m)],
-        {},
+        (np.arange(m),) * 3 + (unit,),
         unit,
         radical_gens=[],
         counit=counit,
         name=f"gf{p}^{m}",
-        _monomial=(kmat, cmat),
     )
 
 
@@ -943,13 +887,9 @@ def _algebra_on(a: Algebra, reps: np.ndarray, coords_rows, unit, labels, name) -
 
 
 def _quotient_algebra(a: Algebra, j: Subspace) -> Algebra:
-    """A/J on the classes of the unit vectors off J's pivots.
-
-    A class's coordinates are its residual modulo J on those columns.
-    """
-    free = np.setdiff1d(np.arange(a.dim), j.pivots)
-    labels = [f"q{i}" for i in range(free.size)]
-    reps, coords_rows = np.eye(a.dim, dtype=INT)[free], lambda rows: j.reduce_rows(rows)[:, free]
+    """A/J on the basis of classes that ``Subspace.quotient`` chooses."""
+    reps, coords_rows = j.quotient()
+    labels = [f"q{i}" for i in range(reps.shape[0])]
     return _algebra_on(a, reps, coords_rows, a.unit, labels, f"{a.name}/J")
 
 

@@ -59,25 +59,19 @@ class SuiteContext:
         return self._cache[key]
 
     def faulty_smash(self, n, r):
-        """Smash table with one structure constant flipped (negative control)."""
+        """Smash table with the zero product u_0 x * u_0 given a stray u_0 term (negative control)."""
         a, desc = alg.smash_product(self.p, n, r)
-        kmat, cmat = a.monomial_tables()
-        kmat = kmat.copy()
-        cmat = cmat.copy()
-        i = desc.index(0, 1)
-        j = desc.index(0, 0)
-        cmat[i, j] = (cmat[i, j] + 1) % self.p
+        stray = (desc.index(0, 1), desc.index(0, 0), desc.index(0, 0), 1)
         bad = alg.Algebra(
             a.p,
             a.labels,
-            {},
+            [np.r_[x, t] for x, t in zip(a.structure_constants(), stray)],
             a.unit,
             radical_gens=a.radical_gens,
             name=a.name + "+fault",
             descriptor=desc,
             presentation=a.presentation,
             validate=False,
-            _monomial=(kmat, cmat),
         )
         return bad, desc
 
@@ -639,7 +633,8 @@ def check_properties(ctx: SuiteContext) -> dict:
         to_validate = np.vstack([brs, powers.astype(INT)])
         if gfp.matmul(to_validate, sm.unit, p).any():
             raise CheckFailure({"property": "closure (unit value)"})
-        if hoch._fails_leibniz(sm, to_validate, sm.presentation.gen_vectors, sm.presentation_right_mats()):
+        pres, rmats = sm.generating_set()
+        if hoch._fails_leibniz(sm, to_validate, pres.gen_vectors, rmats):
             raise CheckFailure({"property": "closure under bracket / p-power"})
         for f in fs:
             avec = rng.integers(0, p, size=d)

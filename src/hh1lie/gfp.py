@@ -348,6 +348,16 @@ class Subspace:
         assert inter_pivots <= set(self.pivots)
         return [row.copy() for row, piv in zip(self.basis, self.pivots) if piv not in inter_pivots]
 
+    def quotient(self):
+        """The ambient space modulo this subspace: (reps, coords_rows).
+
+        The classes of reps, the unit vectors off the pivots, are the basis,
+        and ``coords_rows`` maps a stack of vectors to their classes'
+        coordinates, the residuals on those columns.
+        """
+        free = np.setdiff1d(np.arange(self.ambient), self.pivots)
+        return np.eye(self.ambient, dtype=INT)[free], lambda rows: self.reduce_rows(rows)[:, free]
+
     def to_json_dict(self) -> dict:
         return {
             "p": self.p,

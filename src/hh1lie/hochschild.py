@@ -59,21 +59,8 @@ class Derivation:
         return matmul(self.matrix, normalize(v, self.algebra.p).reshape(-1), self.algebra.p)
 
     def is_derivation(self) -> bool:
-        """Leibniz rule on every basis pair.
-
-        Small algebras take every basis vector as a generator.  Larger ones
-        with a generator presentation use the equivalent reduced system:
-        f(1) = 0 and Leibniz against every generator (complete by induction
-        on word length).
-        """
-        a = self.algebra
-        stack = self.matrix[None, :, :]
-        if a.dim > DENSE_SOLVER_LIMIT and a.presentation is not None:
-            if matmul(stack, a.unit, a.p).any():
-                return False
-            pres = a.presentation
-            return not _fails_leibniz(a, stack, pres.gen_vectors, a.presentation_right_mats())
-        return not _fails_all_pairs(a, stack)
+        """Leibniz rule on every basis pair, checked as in ``_leibniz_failure``."""
+        return _leibniz_failure(self.algebra, self.matrix[None, :, :]) is None
 
     def vec(self) -> np.ndarray:
         return self.matrix.reshape(-1)
@@ -267,12 +254,6 @@ def _span_echelon(rows, cols, vals, nv: int, p: int) -> np.ndarray:
     return basis
 
 
-def _fails_all_pairs(a: Algebra, fstack: np.ndarray) -> bool:
-    """Leibniz on every basis pair: each basis vector in turn as the generator, for any dim."""
-    eye = np.eye(a.dim, dtype=INT)
-    return any(_gen_block_residual(a, fstack, eye[j], a.basis_right_matrix(j)).any() for j in range(a.dim))
-
-
 def _fails_leibniz(a: Algebra, fstack: np.ndarray, gens, rmats) -> bool:
     """Whether some map fails Leibniz against some generator.
 
@@ -284,6 +265,27 @@ def _fails_leibniz(a: Algebra, fstack: np.ndarray, gens, rmats) -> bool:
         for s, rs in zip(gens, rmats)
         for t in range(0, fstack.shape[0], 8)
     )
+
+
+def _leibniz_failure(a: Algebra, fstack: np.ndarray):
+    """The first check some map of the stack fails, or None if every map is a derivation.
+
+    f(1) = 0, then Leibniz against every generator of ``a.generating_set()``,
+    which implies every basis pair by induction on word length.  A
+    hand-written presentation is also checked on every basis pair when
+    d <= DENSE_SOLVER_LIMIT; with the basis as the generators, the generator
+    pass is that check already.
+    """
+    pres, rmats = a.generating_set()
+    if matmul(fstack, a.unit, a.p).any():
+        return "produced a map with f(1) != 0"
+    if _fails_leibniz(a, fstack, pres.gen_vectors, rmats):
+        return "produced a non-derivation"
+    if a.presentation is not None and a.dim <= DENSE_SOLVER_LIMIT:
+        eye = np.eye(a.dim, dtype=INT)
+        if _fails_leibniz(a, fstack, eye, map(a.right_mult_matrix, eye)):
+            return "failed the all-pairs check"
+    return None
 
 
 class DerivationSpace:
@@ -301,8 +303,9 @@ class DerivationSpace:
     Hence a map X lies in Der(A) iff g(X) lies in Der_g and X = phi(g(X)).
     """
 
-    def __init__(self, a: Algebra, pres: Presentation, rmats):
+    def __init__(self, a: Algebra):
         d, p = a.dim, a.p
+        pres, rmats = a.generating_set()
         self.algebra, self.p = a, p
         self.gens = np.stack([normalize(g, p) for g in pres.gen_vectors])
         self.nv = nv = self.gens.shape[0] * d
@@ -326,7 +329,7 @@ class DerivationSpace:
         self.pivots, self._m = self._stream_pivots(ker)
         self.basis = matmul(gfp.inverse(self._m, p), ker, p)
         self._inner = None
-        self._verify(rmats)
+        self._verify()
 
     @property
     def dim(self) -> int:
@@ -363,19 +366,16 @@ class DerivationSpace:
             raise Hh1LieError("phi maps distinct solved generator values to one map")
         return pivots, np.vstack(cols).T if cols else np.zeros((0, 0), dtype=INT)
 
-    def _verify(self, rmats):
+    def _verify(self):
         """Honesty check on the canonical basis: all of it at once when d <= 32, else 8 maps at a time."""
-        a, p = self.algebra, self.p
+        a = self.algebra
         step = max(1, self.dim) if a.dim <= DENSE_SOLVER_LIMIT else min(8, self._block)
         for s in range(0, self.dim, step):
             rows = self.basis[s : s + step]
             mats = self.matrices(rows)
-            if matmul(mats, a.unit, p).any():
-                raise Hh1LieError("derivation solver produced a map with f(1) != 0")
-            if _fails_leibniz(a, mats, self.gens, rmats):
-                raise Hh1LieError("derivation solver produced a non-derivation")
-            if a.dim <= DENSE_SOLVER_LIMIT and _fails_all_pairs(a, mats):
-                raise Hh1LieError("derivation solver failed the all-pairs check")
+            failure = _leibniz_failure(a, mats)
+            if failure:
+                raise Hh1LieError(f"derivation solver {failure}")
             if not np.array_equal(self.gen_coords(mats), rows):
                 raise Hh1LieError("generator values do not determine the solved maps")
 
@@ -441,39 +441,26 @@ class DerivationSpace:
         return self._inner
 
 
-def _derivation_space(a: Algebra, method: str = "auto") -> DerivationSpace:
+def _derivation_space(a: Algebra) -> DerivationSpace:
     """The solved Der(A), cached on the algebra; see ``derivation_space``."""
-    if method == "auto":
-        method = "dense" if a.presentation is None else "generator"
-        if method == "dense" and a.dim > DENSE_SOLVER_LIMIT:
-            raise Hh1LieError(
-                f"dimension {a.dim} needs a generator presentation for the derivation solver"
-            )
-    if method not in ("dense", "generator"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "generator" and a.presentation is None:
-        raise Hh1LieError("algebra has no generator presentation")
+    if a.presentation is None and a.dim > DENSE_SOLVER_LIMIT:
+        raise Hh1LieError(
+            f"dimension {a.dim} needs a generator presentation for the derivation solver"
+        )
     # the algebra is immutable, so the solved space is cached on it
-    if method not in a._derivation_cache:
-        if method == "generator":
-            pres, rmats = a.presentation, a.presentation_right_mats()
-        else:
-            eye = np.eye(a.dim, dtype=INT)
-            pres = Presentation(tuple(eye), (), tuple((k, k) for k in range(a.dim)), ())
-            rmats = [a.right_mult_matrix(e) for e in eye]
-        a._derivation_cache[method] = DerivationSpace(a, pres, rmats)
-    return a._derivation_cache[method]
+    if "der" not in a._derivation_cache:
+        a._derivation_cache["der"] = DerivationSpace(a)
+    return a._derivation_cache["der"]
 
 
-def derivation_space(a: Algebra, method: str = "auto") -> list[Derivation]:
+def derivation_space(a: Algebra) -> list[Derivation]:
     """Basis of Der(A), deterministic via RREF pivots, as d x d maps.
 
-    Both methods run the same solver: "generator" on the values of f on the
-    presentation's generators, "dense" with every basis vector as a
-    generator (the test oracle).  "auto" takes the presentation when there
-    is one, else "dense" up to dimension DENSE_SOLVER_LIMIT.
+    The solver's unknowns are the values of f on ``a.generating_set()``: the
+    presentation's generators, or with none, every basis vector, which is
+    allowed up to dimension DENSE_SOLVER_LIMIT.
     """
-    space = _derivation_space(a, method)
+    space = _derivation_space(a)
     return [Derivation(a, m) for m in space.matrices(space.basis)]
 
 
@@ -530,16 +517,16 @@ def named_outer(desc: SmashDescriptor, lam: int, j: int, algebra: Algebra = None
     vidx = desc.index(lam, exp)
     f = np.zeros((d, d), dtype=INT)
     # f(u_mu) = 0; extend along u_mu x^j = (u_mu x^(j-1)) x by Leibniz:
-    # f(col) = R_x f(parent) + e_parent * e_(lam, exp), both monomial
+    # f(col) = R_x f(parent) + e_parent * e_(lam, exp), column parent of R_v
     rows_rx, coefs_rx = _column_monomial(algebra.right_mult_matrix(desc.x_vector()))
-    kmat, cmat = algebra.monomial_tables()
+    right_v = algebra.basis_right_matrix(vidx)
     mus = np.arange(desc.n_chars)
     for jj in range(1, desc.x_bound):
         tgt = mus * desc.x_bound + jj
         par = tgt - 1
         cols = np.zeros((d, desc.n_chars), dtype=INT)
         gfp.scatter_add(cols, rows_rx, coefs_rx, f[:, par])
-        cols[kmat[par, vidx], mus] += cmat[par, vidx]
+        cols += right_v[:, par]
         f[:, tgt] = cols % p
     der = Derivation(algebra, f)
     if not der.is_derivation():
@@ -654,14 +641,14 @@ class HH1Presentation:
         }
 
 
-def hh1(a: Algebra, method: str = "auto", seed: int = 0) -> HH1Presentation:
+def hh1(a: Algebra, seed: int = 0) -> HH1Presentation:
     """HH1(A, A) as a deterministic presentation Der = IDer + complement.
 
     For smash products the complement is the span of the named weight
     derivations with lambda = 0, cross-validated against the pivot-chosen
     complement; otherwise the complement is pivot-chosen.
     """
-    space = _derivation_space(a, method)
+    space = _derivation_space(a)
     ider_piv = space.inner()[1]
     pivot_comp = [i for i in range(space.dim) if i not in set(ider_piv)]
     if a.descriptor is not None:

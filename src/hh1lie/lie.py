@@ -211,6 +211,16 @@ def _bracket_span(L: RestrictedLie, s1: Subspace, s2: Subspace) -> Subspace:
     return Subspace(L.p, L.dim, gfp.row_space(rows, L.p))
 
 
+def _is_lie_nilpotent(L: RestrictedLie, sub: Subspace) -> bool:
+    """Whether the subalgebra sub is nilpotent: [sub, [sub, ... sub]] reaches 0 within dim + 1 steps."""
+    term = sub
+    for _ in range(L.dim + 1):
+        if term.dim == 0:
+            return True
+        term = _bracket_span(L, sub, term)
+    return term.dim == 0
+
+
 def _is_ideal(L: RestrictedLie, sub: Subspace) -> bool:
     """Whether [b_i, v] lies in sub for every basis element b_i and v in sub."""
     rows = _pairwise_brackets(L, np.eye(L.dim), sub.basis).reshape(-1, L.dim)
@@ -660,15 +670,7 @@ def is_trigonalizable(L: RestrictedLie) -> bool:
     if not preds["is_solvable"]:
         return False
     derived = preds["derived_series"][1] if len(preds["derived_series"]) > 1 else Subspace.zero(L.dim, L.p)
-    # nilpotency of the derived subalgebra as a Lie algebra
-    term = derived
-    for _ in range(L.dim + 1):
-        if term.dim == 0:
-            break
-        term = _bracket_span(L, derived, term)
-    if term.dim != 0:
-        return False
-    return bool(_p_nilpotent_rows(L, derived.basis).all())
+    return _is_lie_nilpotent(L, derived) and bool(_p_nilpotent_rows(L, derived.basis).all())
 
 
 # -- models and fingerprints --------------------------------------------------------
@@ -817,12 +819,7 @@ def prop22_witness(p: int, exponents) -> Prop22Witness:
             raise Hh1LieError("witness ideal has a non-p-nilpotent basis element")
         if not close:
             raise Hh1LieError("witness ideal is not closed under the p-map")
-    term = n_ideal
-    for _ in range(L.dim + 1):
-        if term.dim == 0:
-            break
-        term = _bracket_span(L, n_ideal, term)
-    if term.dim != 0:
+    if not _is_lie_nilpotent(L, n_ideal):
         raise Hh1LieError("witness ideal is not nilpotent as a Lie algebra")
     quotient = _quotient_lie(L, n_ideal)
     if not same_fingerprint(quotient, witt(p, n_vars)):
@@ -845,10 +842,7 @@ def structure_on(L: RestrictedLie, reps: np.ndarray, coords_rows, labels=None) -
 def _quotient_lie(L: RestrictedLie, ideal: Subspace) -> RestrictedLie:
     """L / ideal for a restricted ideal (p-map closed, verified by caller).
 
-    The classes of the unit vectors off the ideal's pivots form the basis,
-    and a class's coordinates are its residual modulo the ideal on those columns.
+    The basis is the classes that ``Subspace.quotient`` chooses.
     """
-    free = np.setdiff1d(np.arange(L.dim), ideal.pivots)
-    reps, labels = np.eye(L.dim, dtype=INT)[free], [f"q{i}" for i in range(free.size)]
-    return structure_on(L, reps, lambda rows: ideal.reduce_rows(rows)[:, free], labels)
-
+    reps, coords_rows = ideal.quotient()
+    return structure_on(L, reps, coords_rows, [f"q{i}" for i in range(reps.shape[0])])

@@ -1,6 +1,8 @@
 """Algebra constructors, validation, center, radical checks, blocks, forms."""
 
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +25,35 @@ def basis_vec(dim, i):
     return v
 
 
+def mul_basis(a, i, j):
+    """e_i e_j as a coordinate vector, read from the terms of the table."""
+    v = np.zeros(a.dim, dtype=np.int64)
+    for k, c in a.mult_terms(i, j):
+        v[k] = c
+    return v
+
+
+def is_monomial(a):
+    """Whether every product of two basis elements has at most one term."""
+    i, j = a.structure_constants()[:2]
+    return not ((i[1:] == i[:-1]) & (j[1:] == j[:-1])).any()
+
+
+def monomial_grids(a):
+    """Grids (kmat, cmat) with e_i e_j = cmat[i, j] e_kmat[i, j] of a monomial table."""
+    assert is_monomial(a)
+    i, j, k, c = a.structure_constants()
+    kmat, cmat = np.zeros((2, a.dim, a.dim), dtype=np.int64)
+    kmat[i, j], cmat[i, j] = k, c
+    return kmat, cmat
+
+
+def from_grids(base, kmat, cmat):
+    """An unvalidated copy of base whose table is the grids (kmat, cmat)."""
+    i, j = np.nonzero(cmat)
+    return alg.Algebra(base.p, base.labels, (i, j, kmat[i, j], cmat[i, j]), base.unit, validate=False)
+
+
 # -- make_algebra ---------------------------------------------------------------
 
 
@@ -31,7 +62,7 @@ def test_make_algebra_split_product():
         3, ["e1", "e2"], {(0, 0): [(0, 1)], (1, 1): [(1, 1)]}, [1, 1]
     )
     assert a.dim == 2
-    assert np.array_equal(a.mul_basis(0, 1), np.zeros(2, dtype=np.int64))
+    assert np.array_equal(mul_basis(a, 0, 1), np.zeros(2, dtype=np.int64))
 
 
 def test_make_algebra_rejects_non_associative():
@@ -64,10 +95,10 @@ def test_tkr_quiver_table_is_associative_by_independent_loop():
     assert a.dim == 8
     for i in range(8):
         for j in range(8):
-            ij = a.mul_basis(i, j)
+            ij = mul_basis(a, i, j)
             for k in range(8):
                 left = a.mul_vec(ij, basis_vec(8, k))
-                right = a.mul_vec(basis_vec(8, i), a.mul_basis(j, k))
+                right = a.mul_vec(basis_vec(8, i), mul_basis(a, j, k))
                 assert np.array_equal(left, right)
 
 
@@ -96,7 +127,7 @@ def support_assoc_failure(a):
     (e_i e_j) e_k needs c_ij != 0 and e_i (e_j e_k) needs c_jk != 0, so those
     two triple sets hold every failure; the smaller first failure is reported.
     """
-    kmat, cmat = a.monomial_tables()
+    kmat, cmat = monomial_grids(a)
     d, p = a.dim, a.p
     pi, pj = np.nonzero(cmat)
     cij, kij = cmat[pi, pj], kmat[pi, pj]
@@ -130,7 +161,7 @@ def test_signed_truncated_basis_is_associative_at_large_p(p):
         if i + j < 5
     }
     a = alg.make_algebra(p, ["1", "x", "x^2", "-x^3", "x^4"], mult, basis_vec(5, 0))
-    assert a.is_monomial and a.mul_basis(1, 2).tolist() == [0, 0, 0, p - 1, 0]
+    assert is_monomial(a) and mul_basis(a, 1, 2).tolist() == [0, 0, 0, p - 1, 0]
     assert dense_assoc_failure(a) is None
     a._validate_assoc()
 
@@ -179,7 +210,7 @@ def test_support_triple_check_matches_dense_oracle(build):
     # oracle and the support-triple walk agree on acceptance and on the
     # first failing triple
     base = build()
-    kmat, cmat = base.monomial_tables()
+    kmat, cmat = monomial_grids(base)
     d, p = base.dim, base.p
     rng = np.random.default_rng(d * 1000 + p)
     outcomes = set()
@@ -191,7 +222,7 @@ def test_support_triple_check_matches_dense_oracle(build):
             k2[i, j] = rng.integers(0, d)
         if mode != 0:
             c2[i, j] = rng.integers(0, p)
-        a = alg.Algebra(p, base.labels, {}, base.unit, validate=False, _monomial=(k2, c2))
+        a = from_grids(base, k2, c2)
         join = assoc_failure(a._validate_assoc)
         assert join == dense_assoc_failure(a) == support_assoc_failure(a)
         outcomes.add(join is None)
@@ -225,7 +256,7 @@ def test_join_matches_dense_oracle_on_corrupted_tables(case, p):
     outcomes = []
     for a in corrupted_tables(base, 6 if big else 12, base.dim + p, add_terms=not big):
         join = assoc_failure(a._validate_assoc)
-        if a.is_monomial:
+        if is_monomial(a):
             assert join == support_assoc_failure(a)
         if not big:
             assert join == dense_assoc_failure(a)
@@ -236,7 +267,7 @@ def test_join_matches_dense_oracle_on_corrupted_tables(case, p):
 
 def test_u0borel_above_dim_64_builds_and_a_corrupted_copy_is_rejected():
     a = alg.u0_borel(5, 2)  # dim 125, multi-term: rejected when only monomial tables were joined
-    assert a.dim == 125 and not a.is_monomial
+    assert a.dim == 125 and not is_monomial(a)
     i, j, k, c = (np.array(x) for x in a.structure_constants())
     c[-1] = (c[-1] + 1) % a.p
     bad = alg.Algebra(a.p, a.labels, (i, j, k, c), a.unit, validate=False)
@@ -275,6 +306,121 @@ def test_a_failure_in_a_later_block_of_first_indices(monkeypatch):
     assert assoc_failure(direct_product(u, u, t)._validate_assoc) is None and len(calls) > 1
 
 
+# -- constructor tables against the grid loops they replaced -----------------------
+
+
+def grid_terms(kmat, cmat):
+    """Sorted [i, j, k, c] of the terms of grids e_i e_j = cmat[i, j] e_kmat[i, j]."""
+    i, j = np.nonzero(cmat)
+    return np.stack([i, j, kmat[i, j], cmat[i, j]], axis=1).tolist()
+
+
+def old_truncated_grids(p, exponents):
+    bounds = [p**a for a in exponents]
+    basis = list(itertools.product(*[range(b) for b in bounds]))
+    index = {mono: i for i, mono in enumerate(basis)}
+    dim = len(basis)
+    kmat = np.zeros((dim, dim), dtype=np.int32)
+    cmat = np.zeros((dim, dim), dtype=np.int64)
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            s = tuple(x + y for x, y in zip(a, b))
+            if all(x < bnd for x, bnd in zip(s, bounds)):
+                kmat[i, j] = index[s]
+                cmat[i, j] = 1
+    return kmat, cmat
+
+
+def old_smash_grids(p, n, r):
+    desc = alg.SmashDescriptor(p, n, r)
+    nc, xb = desc.n_chars, desc.x_bound
+    lam = np.arange(nc)
+    jj = np.arange(xb)
+    # (u_lam x^i)(u_mu x^j) = [lam == mu + i*alpha] * u_lam x^(i+j)
+    lam_i = np.repeat(lam, xb)  # row index -> lambda
+    i_i = np.tile(jj, nc)  # row index -> i
+    mu_j = np.repeat(lam, xb)
+    j_j = np.tile(jj, nc)
+    match = (lam_i[:, None] - mu_j[None, :] - i_i[:, None] * desc.alpha) % nc == 0
+    exp = i_i[:, None] + j_j[None, :]
+    nonzero = match & (exp < xb)
+    kmat = np.where(nonzero, lam_i[:, None] * xb + np.minimum(exp, xb - 1), 0).astype(np.int32)
+    return kmat, nonzero.astype(np.int64)
+
+
+def old_split_semisimple_grids(m):
+    kmat = np.zeros((m, m), dtype=np.int32)
+    cmat = np.zeros((m, m), dtype=np.int64)
+    for i in range(m):
+        kmat[i, i] = i
+        cmat[i, i] = 1
+    return kmat, cmat
+
+
+def old_u0_borel_terms(p, n):
+    """Sorted [i, j, k, c] of u0borel(p, n), each product summed in a dict."""
+    xb = p**n
+
+    def idx(b, a):
+        return b * p + a
+
+    terms = []
+    binom = [[math.comb(a, k) for k in range(a + 1)] for a in range(p)]
+    for b in range(xb):
+        for a in range(p):
+            for c in range(xb):
+                for d_ in range(p):
+                    if b + c >= xb:
+                        continue
+                    # t^a x^c = x^c (t + c)^a, then t^(k+d) with t^p = t
+                    acc: dict[int, int] = {}
+                    for k in range(a + 1):
+                        coeff = binom[a][k] * pow(c, a - k, p) % p
+                        if coeff == 0:
+                            continue
+                        e = k + d_
+                        while e >= p:
+                            e -= p - 1
+                        tgt = idx(b + c, e)
+                        acc[tgt] = (acc.get(tgt, 0) + coeff) % p
+                    terms += [[idx(b, a), idx(c, d_), t, v] for t, v in sorted(acc.items()) if v]
+    return sorted(terms)
+
+
+GRID_CASES = {  # name -> (build, old terms)
+    **{
+        f"trunc-{p}-{''.join(map(str, e))}": (
+            lambda p=p, e=e: alg.truncated_polynomial(p, e),
+            lambda p=p, e=e: grid_terms(*old_truncated_grids(p, e)),
+        )
+        for p in (3, 5, 7)
+        for e in ((1,), (2, 1), (1, 1, 1))
+    },
+    **{
+        f"smash-{p}-{n}-{r}": (
+            lambda p=p, n=n, r=r: alg.smash_product(p, n, r)[0],
+            lambda p=p, n=n, r=r: grid_terms(*old_smash_grids(p, n, r)),
+        )
+        for p in (3, 5, 7)
+        for n, r in ((1, 1), (2, 1), (1, 2))
+    },
+    **{
+        f"u0borel-{p}-{n}": (lambda p=p, n=n: alg.u0_borel(p, n), lambda p=p, n=n: old_u0_borel_terms(p, n))
+        for p, n in ((3, 1), (3, 2), (5, 1), (7, 1))
+    },
+    **{
+        f"gf3^{m}": (lambda m=m: alg.split_semisimple(3, m), lambda m=m: grid_terms(*old_split_semisimple_grids(m)))
+        for m in (1, 4)
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_CASES))
+def test_constructor_tables_match_the_old_loops(case):
+    build, old_terms = GRID_CASES[case]
+    assert np.stack(build().structure_constants(), axis=1).tolist() == old_terms()
+
+
 # -- truncated polynomial rings ---------------------------------------------------
 
 
@@ -291,7 +437,7 @@ def test_truncated_polynomial_commutative():
     assert a.dim == 9
     for i in range(9):
         for j in range(9):
-            assert np.array_equal(a.mul_basis(i, j), a.mul_basis(j, i))
+            assert np.array_equal(mul_basis(a, i, j), mul_basis(a, j, i))
 
 
 def test_truncated_polynomial_high_exponent():
@@ -319,7 +465,7 @@ def test_smash_multiplication_example():
     a, desc = alg.smash_product(3, 1, 1)
     assert a.dim == 9
     # (u_1 x)(u_0 x) = u_1 x^2 != 0
-    prod = a.mul_basis(desc.index(1, 1), desc.index(0, 1))
+    prod = mul_basis(a, desc.index(1, 1), desc.index(0, 1))
     want = basis_vec(9, desc.index(1, 2))
     assert np.array_equal(prod, want)
 
@@ -389,12 +535,12 @@ def test_loop_quiver_infinite_dimensional():
 def test_quiver_relation_identifies_paths():
     a = alg.quiver_algebra(alg.tkr_quiver(), 3)
     lbl = {name: i for i, name in enumerate(a.labels)}
-    x1y2 = a.mul_basis(lbl["x1"], lbl["y2"])
-    y1x2 = a.mul_basis(lbl["y1"], lbl["x2"])
+    x1y2 = mul_basis(a, lbl["x1"], lbl["y2"])
+    y1x2 = mul_basis(a, lbl["y1"], lbl["x2"])
     assert x1y2.any()
     assert np.array_equal(x1y2, y1x2)
-    assert not a.mul_basis(lbl["x2"], lbl["x1"]).any()
-    assert not a.mul_basis(lbl["x1"], lbl["x2"]).any()
+    assert not mul_basis(a, lbl["x2"], lbl["x1"]).any()
+    assert not mul_basis(a, lbl["x1"], lbl["x2"]).any()
 
 
 # -- trivial extensions --------------------------------------------------------------
@@ -414,7 +560,7 @@ def test_trivial_extension_dual_square_zero():
     assert te.dim == 8
     for i in range(4, 8):
         for j in range(4, 8):
-            assert not te.mul_basis(i, j).any()
+            assert not mul_basis(te, i, j).any()
 
 
 def test_trivial_extension_matches_bound_quiver_table():
@@ -435,9 +581,9 @@ def test_trivial_extension_matches_bound_quiver_table():
     mapping = [te.labels.index(target[lbl]) for lbl in tq.labels]
     for i in range(8):
         for j in range(8):
-            prod_te = te.mul_basis(mapping[i], mapping[j])
+            prod_te = mul_basis(te, mapping[i], mapping[j])
             mapped = np.zeros(8, dtype=np.int64)
-            for k, c in enumerate(tq.mul_basis(i, j)):
+            for k, c in enumerate(mul_basis(tq, i, j)):
                 if c:
                     mapped[mapping[k]] = c
             assert np.array_equal(prod_te, mapped), (tq.labels[i], tq.labels[j])
@@ -587,8 +733,8 @@ def test_symmetric_form_truncated_frobenius():
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                ab = a.mul_basis(i, j)
-                bc = a.mul_basis(j, k)
+                ab = mul_basis(a, i, j)
+                bc = mul_basis(a, j, k)
                 lhs = sum(int(ab[m]) * frob[m, k] for m in range(3)) % 3
                 rhs = sum(frob[i, m] * int(bc[m]) for m in range(3)) % 3
                 assert lhs == rhs
@@ -623,9 +769,9 @@ def test_symmetric_form_properties_of_result():
     d = te.dim
     for i in range(d):
         for j in range(d):
-            ab = te.mul_basis(i, j)
+            ab = mul_basis(te, i, j)
             for k in range(d):
-                bc = te.mul_basis(j, k)
+                bc = mul_basis(te, j, k)
                 lhs = int(ab @ b[:, k]) % 3
                 rhs = int(b[i, :] @ bc) % 3
                 assert lhs == rhs
@@ -727,7 +873,7 @@ CONSTANT_CASES = {
 def test_structure_constants_are_built_once_and_read_only(case):
     build, monomial = CONSTANT_CASES[case]
     a = build()
-    assert a.is_monomial == monomial  # both table kinds are covered
+    assert is_monomial(a) == monomial  # both table kinds are covered
     first = a.structure_constants()
     second = a.structure_constants()
     assert all(x is y for x, y in zip(first, second)) and len(second) == 4

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -22,6 +23,25 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_cli_examples():
+    """The argument lists of every ``hh1lie ...`` line in the README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("hh1lie ")]
+
+
+def test_readme_cli_examples_parse():
+    # parsing only, nothing runs: an example with a stale flag set fails here
+    examples = readme_cli_examples()
+    assert len(examples) >= 9
+    parser = cli._build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: hh1lie {shlex.join(argv)}")
 
 
 def test_build_smash_dimension(capsys):

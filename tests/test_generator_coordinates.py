@@ -19,7 +19,6 @@ from hh1lie import checks
 from hh1lie import gfp
 from hh1lie import hochschild as hoch
 from hh1lie import lie as lielib
-from hh1lie.algebras import Presentation
 from hh1lie.errors import Hh1LieError
 from hh1lie.gfp import INT, Subspace
 
@@ -27,13 +26,7 @@ from hh1lie.gfp import INT, Subspace
 def d2_derivations(a):
     """Canonical RREF basis of Der(A) in vec(F) coordinates, as rows."""
     d, p = a.dim, a.p
-    if a.presentation is not None:
-        pres, rmats = a.presentation, a.presentation_right_mats()
-    else:
-        eye = np.eye(d, dtype=INT)
-        pres = Presentation(tuple(eye), (), tuple((k, k) for k in range(d)), ())
-        rmats = [a.right_mult_matrix(e) for e in eye]
-    space = hoch.DerivationSpace(a, pres, rmats)
+    space = hoch.DerivationSpace(a)
     ker, (fe, unk, val) = space.der.basis, space._phi
     fvecs = np.zeros((d * d, ker.shape[0]), dtype=INT)
     gfp.scatter_add(fvecs, fe, val, np.ascontiguousarray(ker.T), unk)
@@ -133,7 +126,7 @@ def test_streamed_pivots_do_not_depend_on_the_block_size(monkeypatch):
     want = d2_derivations(a)
     for cells in (1, 27, 1 << 10):
         monkeypatch.setattr(hoch, "STREAM_CELLS", cells)
-        space = hoch.DerivationSpace(a, a.presentation, a.presentation_right_mats())
+        space = hoch.DerivationSpace(a)
         assert np.array_equal(space.matrices(space.basis).reshape(len(want), -1), want)
 
 

@@ -174,6 +174,21 @@ def test_quotient_basis_extends_intersection():
             assert span_q.intersection(b).dim == 0
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_quotient_coordinates_are_the_classes_of_the_rows(p):
+    # random subspaces, whose RREF rows are nonzero off their pivots: each
+    # vector differs from its coordinates times the representatives by a member
+    rng = np.random.default_rng(p)
+    for n, k in ((6, 2), (7, 4), (5, 0), (4, 4)):
+        sub = Subspace.from_vectors(rng.integers(0, p, size=(k, n)), p, n)
+        reps, coords_rows = sub.quotient()
+        assert reps.shape == (n - sub.dim, n)
+        assert np.array_equal(coords_rows(reps), np.eye(n - sub.dim, dtype=np.int64))
+        assert not coords_rows(sub.basis).any()
+        vs = rng.integers(0, p, size=(20, n))
+        assert sub.contains(Subspace.from_vectors((vs - coords_rows(vs) @ reps) % p, p, n))
+
+
 def test_subspace_mixed_characteristic_rejected():
     a = Subspace.from_vectors([[1, 0]], 3, 2)
     b = Subspace.from_vectors([[1, 0]], 5, 2)

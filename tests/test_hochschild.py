@@ -64,8 +64,9 @@ def test_dense_and_generator_solvers_agree_exactly():
         alg.u0_borel(3, 2),
     ]
     for a in cases:
-        dense = vecs(hoch.derivation_space(a, method="dense"))
-        gen = vecs(hoch.derivation_space(a, method="generator"))
+        # the same table with no presentation: every basis vector is a generator
+        dense = vecs(hoch.derivation_space(alg.Algebra(a.p, a.labels, a.structure_constants(), a.unit)))
+        gen = vecs(hoch.derivation_space(a))
         assert np.array_equal(dense, gen), a.name
 
 
@@ -174,7 +175,8 @@ def test_derivations_of_non_injective_table_match_python_int_system(p):
     for x in (1, 2, 3):
         mult[(0, x)] = mult[(x, 0)] = [(x, 1)]
     a = alg.make_algebra(p, ["1", "a", "b", "c"], mult, basis_vec(4, 0))
-    assert a.is_monomial
+    i, j = a.structure_constants()[:2]
+    assert np.unique(i * a.dim + j).size == i.size  # monomial: one term per product
     assert a.mul_vec(basis_vec(4, 1), [0, 1, 1, 0]).tolist() == [0, 0, 0, 2]
     assert a.left_mult_matrix([0, 1, 0, 0])[3].tolist() == [0, 1, 1, 0]
     assert np.array_equal(vecs(hoch.derivation_space(a)), leibniz_kernel_by_python_ints(a))
@@ -198,13 +200,9 @@ def test_derivation_space_matches_python_int_system(build):
 
 def corrupted(a, i, j):
     """Copy of a monomial algebra with c_ij raised by one, not validated."""
-    kmat, cmat = a.monomial_tables()
-    cmat = cmat.copy()
-    cmat[i, j] = (cmat[i, j] + 1) % a.p
-    return alg.Algebra(
-        a.p, a.labels, {}, a.unit, presentation=a.presentation, validate=False,
-        _monomial=(kmat.copy(), cmat),
-    )
+    k = next((k for k, _ in a.mult_terms(i, j)), 0)  # the target of e_i e_j, or e_0 where it is 0
+    terms = [np.r_[x, t] for x, t in zip(a.structure_constants(), (i, j, k, 1))]
+    return alg.Algebra(a.p, a.labels, terms, a.unit, presentation=a.presentation, validate=False)
 
 
 @pytest.mark.parametrize("i,j", [(22, 17), (13, 7), (4, 21)])
@@ -238,11 +236,25 @@ def test_missing_leibniz_rows_fail_the_generator_check(monkeypatch):
 def test_all_pairs_check_on_a_large_monomial_algebra_without_presentation():
     # every basis pair is checked, one right-multiplication matrix at a time
     a, desc = alg.smash_product(5, 2, 1)
-    b = alg.Algebra(a.p, a.labels, {}, a.unit, validate=False, _monomial=a.monomial_tables())
+    b = alg.Algebra(a.p, a.labels, a.structure_constants(), a.unit, validate=False)
     assert b.dim == 125 and b.presentation is None
     g = hoch.named_outer(desc, 0, 1, a).matrix
     assert hoch.Derivation(b, g).is_derivation()
     assert not hoch.Derivation(b, (g + generator_killer(a)) % 5).is_derivation()
+
+
+def test_unit_check_rejects_a_map_that_passes_every_generator():
+    # F(1) = x1^2 x2^2 x3^2 x4^2, the socle, and F = 0 elsewhere: F(m s) = 0 =
+    # F(m) s + m F(s) for every monomial m and generator s, but F(1 1) != 2 F(1);
+    # at dim 81 only the unit check of the shared Leibniz checker sees it
+    a = alg.truncated_polynomial(3, (1, 1, 1, 1))
+    assert a.dim > hoch.DENSE_SOLVER_LIMIT and a.presentation is not None
+    f = np.zeros((a.dim, a.dim), dtype=np.int64)
+    f[a.dim - 1, 0] = 1
+    pres, rmats = a.generating_set()
+    assert not hoch._fails_leibniz(a, f[None], pres.gen_vectors, rmats)
+    assert hoch._leibniz_failure(a, f[None]) == "produced a map with f(1) != 0"
+    assert not hoch.Derivation(a, f).is_derivation()
 
 
 def test_presentation_whose_generator_is_not_its_slot_fails_the_honesty_check():
@@ -250,9 +262,9 @@ def test_presentation_whose_generator_is_not_its_slot_fails_the_honesty_check():
     # but its value on g is not the solved generator value, so g(phi(y)) != y
     a = alg.truncated_polynomial(3, (1,))
     bad = alg.Presentation((np.array([0, 1, 1]),), (0,), (), ((1, 0, 0), (2, 1, 0)))
-    b = alg.Algebra(a.p, a.labels, {}, a.unit, presentation=bad, validate=False, _monomial=a.monomial_tables())
+    b = alg.Algebra(a.p, a.labels, a.structure_constants(), a.unit, presentation=bad, validate=False)
     with pytest.raises(Hh1LieError, match="generator values do not determine"):
-        hoch.derivation_space(b, method="generator")
+        hoch.derivation_space(b)
 
 
 # -- named derivations ---------------------------------------------------------------

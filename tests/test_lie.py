@@ -46,6 +46,22 @@ def test_restrictedness_violation_detected():
         lielib.RestrictedLie(3, s.bracket, bad_pmap)
 
 
+def test_lie_nilpotency_follows_the_lower_central_series():
+    # <a, b> with [a, b] = b is solvable, but [L, L] = [L, [L, L]] = <b> never
+    # vanishes; the Heisenberg algebra [x, y] = z is nilpotent
+    p = 3
+    two = np.zeros((2, 2, 2), dtype=np.int64)
+    two[0, 1], two[1, 0] = unit(2, 1), (-unit(2, 1)) % p
+    L2 = lielib.RestrictedLie(p, two, np.diag([1, 0]))  # a toral, b p-nilpotent
+    heis = np.zeros((3, 3, 3), dtype=np.int64)
+    heis[0, 1], heis[1, 0] = unit(3, 2), (-unit(3, 2)) % p
+    L3 = lielib.RestrictedLie(p, heis, np.zeros((3, 3), dtype=np.int64))
+    assert lielib.series_and_predicates(L2)["is_solvable"]
+    assert not lielib._is_lie_nilpotent(L2, Subspace.full(2, p))
+    assert lielib._is_lie_nilpotent(L2, Subspace.from_vectors([unit(2, 1)], p, 2))
+    assert lielib._is_lie_nilpotent(L3, Subspace.full(3, p))
+
+
 def test_validate_rejects_non_jacobi():
     c = np.zeros((3, 3, 3), dtype=np.int64)
     # [a,b] = c, [b,c] = a, [c,a] = a: fails Jacobi
