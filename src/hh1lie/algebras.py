@@ -13,6 +13,7 @@ triples and the two-sided unit law on all basis elements.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -81,20 +82,37 @@ class SmashDescriptor:
         pr = self.p**self.r
         return [j for j in range(self.x_bound) if j * pr + 1 <= self.x_bound - 1]
 
+    @functools.cached_property
+    def presentation(self) -> "Presentation":
+        """The smash presentation: u_0, ..., u_(p^r - 1), each in its own slot, then x.
+
+        Its steps are u_lam x^j = (u_lam x^(j-1)) x.  It is built once per
+        descriptor, so an algebra built from it carries this very object.
+        """
+        nc, dim = self.n_chars, self.n_chars * self.x_bound
+        units = [self.index(lam, 0) for lam in range(nc)]
+        return Presentation(
+            gen_vectors=tuple(gfp.basis_vector(dim, k) for k in units) + (self.x_vector(),),
+            base_gen=tuple((k, lam) for lam, k in enumerate(units)),
+            steps=tuple(
+                (self.index(lam, j), self.index(lam, j - 1), nc)
+                for j in range(1, self.x_bound)
+                for lam in range(nc)
+            ),
+        )
+
 
 @dataclass(frozen=True)
 class Presentation:
     """Generator data used by the generator-based derivation solver.
 
     A derivation is determined by its values on the generators.  Each
-    basis element is either the unit (where every derivation vanishes),
-    the value slot of a generator, or ``parent * generator`` for an
-    earlier basis element, which extends any candidate by the Leibniz
-    rule.
+    basis element is the value slot of a generator, or ``parent *
+    generator`` for an earlier basis element, which extends any candidate
+    by the Leibniz rule, or else the unit, where every derivation vanishes.
     """
 
     gen_vectors: tuple  # tuple of coordinate vectors, one per generator
-    base_zero: tuple  # basis indices where derivations vanish (the unit)
     base_gen: tuple  # (basis_index, generator_slot) pairs
     steps: tuple  # (target, parent, generator_slot), topologically ordered
 
@@ -102,7 +120,7 @@ class Presentation:
     def all_basis(cls, dim: int) -> "Presentation":
         """Every basis vector a generator in its own slot, for an algebra with no presentation."""
         eye = np.eye(dim, dtype=INT)
-        return cls(tuple(eye), (), tuple((k, k) for k in range(dim)), ())
+        return cls(tuple(eye), tuple((k, k) for k in range(dim)), ())
 
 
 class Algebra:
@@ -208,14 +226,10 @@ class Algebra:
         return self._scatter(self.dim**2, k * self.dim + i, c * v[j]).reshape(self.dim, self.dim)
 
     def basis_left_matrix(self, i: int) -> np.ndarray:
-        e = np.zeros(self.dim, dtype=INT)
-        e[i] = 1
-        return self.left_mult_matrix(e)
+        return self.left_mult_matrix(gfp.basis_vector(self.dim, i))
 
     def basis_right_matrix(self, j: int) -> np.ndarray:
-        e = np.zeros(self.dim, dtype=INT)
-        e[j] = 1
-        return self.right_mult_matrix(e)
+        return self.right_mult_matrix(gfp.basis_vector(self.dim, j))
 
     def generating_set(self) -> tuple[Presentation, list[np.ndarray]]:
         """(presentation, R_g for each generator g) that derivations are solved and checked on, cached.
@@ -436,12 +450,7 @@ def truncated_polynomial(p, exponents) -> Algebra:
         v = next(w for w, e in enumerate(mono) if e > 0)
         parent = tuple(e - 1 if w == v else e for w, e in enumerate(mono))
         steps.append((index[mono], index[parent], v))
-    pres = Presentation(
-        gen_vectors=tuple(gens),
-        base_zero=(index[tuple(0 for _ in exponents)],),
-        base_gen=(),
-        steps=tuple(steps),
-    )
+    pres = Presentation(gen_vectors=tuple(gens), base_gen=(), steps=tuple(steps))
 
     return Algebra(
         p,
@@ -475,27 +484,8 @@ def smash_product(p, n, r) -> tuple[Algebra, SmashDescriptor]:
     unit = np.zeros(dim, dtype=INT)
     for l0 in range(nc):
         unit[desc.index(l0, 0)] = 1
-    rad = []
-    for l0 in range(nc):
-        g = np.zeros(dim, dtype=INT)
-        g[desc.index(l0, 1)] = 1
-        rad.append(g)
+    rad = [gfp.basis_vector(dim, desc.index(l0, 1)) for l0 in range(nc)]
     labels = [desc.label(l0, j0) for l0 in range(nc) for j0 in range(xb)]
-
-    # presentation: unknowns are the values on each u_lambda and on x
-    base_gen = tuple((desc.index(l0, 0), l0) for l0 in range(nc))
-    gen_vectors = [np.zeros(dim, dtype=INT) for _ in range(nc)]
-    for l0 in range(nc):
-        gen_vectors[l0][desc.index(l0, 0)] = 1
-    gen_vectors.append(desc.x_vector())
-    steps = tuple(
-        (desc.index(l0, j0), desc.index(l0, j0 - 1), nc)
-        for j0 in range(1, xb)
-        for l0 in range(nc)
-    )
-    pres = Presentation(
-        gen_vectors=tuple(gen_vectors), base_zero=(), base_gen=base_gen, steps=steps
-    )
 
     alg = Algebra(
         p,
@@ -505,7 +495,7 @@ def smash_product(p, n, r) -> tuple[Algebra, SmashDescriptor]:
         radical_gens=rad,
         name=f"smash(p={p},n={n},r={r})",
         descriptor=desc,
-        presentation=pres,
+        presentation=desc.presentation,
     )
     return alg, desc
 
@@ -550,12 +540,7 @@ def u0_borel(p, n) -> Algebra:
                 steps.append((idx(b, a), idx(b, a - 1), 1))
             elif b >= 1:
                 steps.append((idx(b, 0), idx(b - 1, 0), 0))
-    pres = Presentation(
-        gen_vectors=(xvec, tvec),
-        base_zero=(idx(0, 0),),
-        base_gen=(),
-        steps=tuple(sorted(steps)),
-    )
+    pres = Presentation(gen_vectors=(xvec, tvec), base_gen=(), steps=tuple(sorted(steps)))
     return Algebra(
         p,
         labels,
@@ -897,9 +882,7 @@ def _frobenius_matrix(q: Algebra) -> np.ndarray:
     """Matrix of z -> z^p on a commutative algebra (columns are basis images)."""
     cols = []
     for i in range(q.dim):
-        e = np.zeros(q.dim, dtype=INT)
-        e[i] = 1
-        cols.append(q.element_power(e, q.p))
+        cols.append(q.element_power(gfp.basis_vector(q.dim, i), q.p))
     return np.stack(cols, axis=1)
 
 

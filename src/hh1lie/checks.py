@@ -124,12 +124,6 @@ class SuiteContext:
         return self._cache[key]
 
 
-def _basis_vec(dim, idx):
-    v = np.zeros(dim, dtype=INT)
-    v[idx] = 1
-    return v
-
-
 # -- individual checks ------------------------------------------------------------
 
 
@@ -187,17 +181,12 @@ def _torus_of_ideal(wit) -> int:
     enumeration corroborates when feasible.
     """
     L, ideal = wit.lie, wit.n_ideal
-    sub = _sub_lie(L, ideal)
+    sub = lielib.structure_on(L, ideal.basis, ideal.coords_rows)
     if L.p**sub.dim <= lielib.ENUM_LIMIT_SLOW:
         torals = lielib._pmap_census(sub)[0]
         if torals:
             return len(lielib._max_commuting_torus(sub, torals))
     return 0 if lielib._p_nilpotent_rows(L, ideal.basis).all() else -1
-
-
-def _sub_lie(L: lielib.RestrictedLie, sub: Subspace) -> lielib.RestrictedLie:
-    """Restricted subalgebra on the subspace basis; ValueError if sub is not closed."""
-    return lielib.structure_on(L, sub.basis, sub.coords_rows)
 
 
 def check_prop_2_3(ctx: SuiteContext) -> dict:
@@ -236,10 +225,10 @@ def check_lemma_3_1(ctx: SuiteContext) -> dict:
             nc = desc.n_chars
             xvec = desc.x_vector()
             for lam in range(nc):
-                ul = _basis_vec(a.dim, desc.index(lam, 0))
+                ul = gfp.basis_vector(a.dim, desc.index(lam, 0))
                 ulx = a.mul_vec(ul, xvec)
                 for mu in range(nc):
-                    um = _basis_vec(a.dim, desc.index(mu, 0))
+                    um = gfp.basis_vector(a.dim, desc.index(mu, 0))
                     got = a.mul_vec(ulx, um)
                     want = (
                         a.mul_vec(xvec, um)
@@ -256,7 +245,7 @@ def check_lemma_3_1(ctx: SuiteContext) -> dict:
                                 "want": want.tolist(),
                             }
                         )
-                shifted = a.mul_vec(xvec, _basis_vec(a.dim, desc.index((lam - desc.alpha) % nc, 0)))
+                shifted = a.mul_vec(xvec, gfp.basis_vector(a.dim, desc.index(lam - desc.alpha, 0)))
                 if not np.array_equal(ulx, shifted):
                     raise CheckFailure({"params": {"p": p, "n": n, "r": r}, "lambda": lam})
             detail[f"(p={p},n={n},r={r})"] = "all pairs"
@@ -280,9 +269,9 @@ def check_lemma_3_2(ctx: SuiteContext) -> dict:
                     d = hoch.named_inner(desc, lam, j, a)
                     # d(u_mu) = (delta_{mu+j*alpha,lam} - delta_{mu,lam}) u_lam x^j
                     for mu in range(nc):
-                        got = d(_basis_vec(a.dim, desc.index(mu, 0)))
+                        got = d(gfp.basis_vector(a.dim, desc.index(mu, 0)))
                         coef = (int((mu + j * desc.alpha - lam) % nc == 0) - int(mu == lam)) % p
-                        want = coef * _basis_vec(a.dim, desc.index(lam, j)) % p
+                        want = coef * gfp.basis_vector(a.dim, desc.index(lam, j)) % p
                         if not np.array_equal(got, want):
                             raise CheckFailure(
                                 {"params": (p, n, r), "lambda": lam, "j": j, "mu": mu}
@@ -347,9 +336,9 @@ def check_lemma_3_4(ctx: SuiteContext) -> dict:
             for j in desc.outer_exponents():
                 g = hoch.named_outer(desc, lam, j, a)  # raises if Leibniz fails
                 for mu in range(desc.n_chars):
-                    if g(_basis_vec(a.dim, desc.index(mu, 0))).any():
+                    if g(gfp.basis_vector(a.dim, desc.index(mu, 0))).any():
                         raise CheckFailure({"params": (p, n, r), "case": "g(u)", "lambda": lam})
-                want = _basis_vec(a.dim, desc.index(lam, j * p**r + 1))
+                want = gfp.basis_vector(a.dim, desc.index(lam, j * p**r + 1))
                 if not np.array_equal(g(xvec), want):
                     raise CheckFailure({"params": (p, n, r), "case": "g(x)", "lambda": lam, "j": j})
                 count += 1
@@ -551,7 +540,7 @@ def check_lemma_4_1(ctx: SuiteContext) -> dict:
     detail["derived_dim"] = derived.dim
     if preds["center"].dim != 1 or derived.dim != 3:
         raise CheckFailure(detail)
-    dsub = _sub_lie(L, derived)
+    dsub = lielib.structure_on(L, derived.basis, derived.coords_rows)
     detail["derived_simple"] = lielib.is_simple(dsub, seed=ctx.seed)
     if not detail["derived_simple"]:
         raise CheckFailure(detail)
@@ -630,12 +619,10 @@ def check_properties(ctx: SuiteContext) -> dict:
         powers = fs.copy()
         for _ in range(p - 1):
             powers = np.matmul(powers, fs) % p
-        to_validate = np.vstack([brs, powers.astype(INT)])
-        if gfp.matmul(to_validate, sm.unit, p).any():
-            raise CheckFailure({"property": "closure (unit value)"})
-        pres, rmats = sm.generating_set()
-        if hoch._fails_leibniz(sm, to_validate, pres.gen_vectors, rmats):
-            raise CheckFailure({"property": "closure under bracket / p-power"})
+        failure = hoch._leibniz_failure(sm, np.vstack([brs, powers.astype(INT)]))
+        if failure:
+            prop = "closure (unit value)" if "f(1)" in failure else "closure under bracket / p-power"
+            raise CheckFailure({"property": prop})
         for f in fs:
             avec = rng.integers(0, p, size=d)
             ada = ((sm.left_mult_matrix(avec) - sm.right_mult_matrix(avec)) % p).astype(np.float64)

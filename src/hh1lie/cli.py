@@ -119,6 +119,16 @@ def _build_algebra(args, parser) -> alg.Algebra:
     return alg.algebra_from_json_dict(data)
 
 
+def _hh1_payload(a: alg.Algebra, seed: int) -> dict:
+    pres = hoch.hh1(a, seed=seed)
+    L = lielib.from_hh1(pres)
+    return {
+        "report": pres.to_report_dict(),
+        "lie": L.to_json_dict(),
+        "fingerprint": lielib.fingerprint(L, seed=seed).to_json_dict(),
+    }
+
+
 def _emit(text: str, path: str | None):
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -130,38 +140,15 @@ def _emit(text: str, path: str | None):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "build":
+    if args.command in ("build", "hh1"):
         try:
             a = _build_algebra(args, parser)
-        except (JsonFormatError, json.JSONDecodeError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID_INPUT
-        except Hh1LieError as exc:
+            payload = a.to_json_dict() if args.command == "build" else _hh1_payload(a, args.seed)
+        except (Hh1LieError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID_INPUT
         except ValueError as exc:
             parser.error(str(exc))
-        _emit(dumps_canonical(a.to_json_dict()), args.json_out)
-        return 0
-    if args.command == "hh1":
-        try:
-            a = _build_algebra(args, parser)
-            pres = hoch.hh1(a, seed=args.seed)
-            L = lielib.from_hh1(pres)
-            fp = lielib.fingerprint(L, seed=args.seed)
-        except (JsonFormatError, json.JSONDecodeError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID_INPUT
-        except Hh1LieError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID_INPUT
-        except ValueError as exc:
-            parser.error(str(exc))
-        payload = {
-            "report": pres.to_report_dict(),
-            "lie": L.to_json_dict(),
-            "fingerprint": fp.to_json_dict(),
-        }
         _emit(dumps_canonical(payload), args.json_out)
         return 0
     from . import checks as checkmod  # only the suite needs it, so hh1 and build skip its import

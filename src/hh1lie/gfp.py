@@ -52,6 +52,13 @@ def normalize(a, p: int) -> np.ndarray:
     return np.asarray(a, dtype=INT) % p
 
 
+def basis_vector(dim: int, i: int) -> np.ndarray:
+    """The i-th standard basis vector of length dim."""
+    v = np.zeros(dim, dtype=INT)
+    v[i] = 1
+    return v
+
+
 def inv_mod(x: int, p: int) -> int:
     return pow(int(x) % p, -1, p)
 

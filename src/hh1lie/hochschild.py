@@ -3,12 +3,14 @@
 HH1(A, A) is realized as Der(A)/IDer(A).  Derivations are solved exactly
 as the null space of the Leibniz system f(e_i e_j) = f(e_i) e_j + e_i f(e_j).
 The unknowns are the values of f on a generating set, which determine f
-through a presentation; with no presentation every basis vector is a
-generator.  The solver enforces f(1) = 0 together with the pairs (e_i, s)
-for every basis element e_i and generator s, which implies the full
-system: by induction on word length, f(a w s) = f(a w) s + a w f(s)
-extends Leibniz from words w to w s.  The system is built sparse in
-int64, deduplicated, and its kernel taken once.
+through a presentation: f is phi of them, and ``Extender`` (phi) is the
+only code that extends a map from generator values.  With no presentation
+every basis vector is a generator.  The solver enforces f(1) = 0 together
+with the pairs (e_i, s) for every basis element e_i and generator s, which
+implies the full system: by induction on word length, f(a w s) =
+f(a w) s + a w f(s) extends Leibniz from words w to w s.  The system is
+built sparse in int64, deduplicated, and its kernel taken once.
+``_leibniz_failure`` is the only Leibniz checker.
 
 Der, IDer and the complement stay in the solver's coordinates, the values
 on the generators (|S| d numbers per map, against d^2 for the matrix).  d x d
@@ -16,10 +18,11 @@ matrices are built only for the complement representatives, a block at a
 time for the checks, and for callers that ask for them.
 
 For smash-product algebras the distinguished outer derivations (zero on
-every idempotent u_lambda, sending x to u_lambda x^(j p^r + 1)) and the
-inner derivations ad(u_lambda x^j) are available by name, and the
-complement of IDer inside Der is the span of the weight derivations with
-lambda = 0, cross-validated against the pivot-chosen complement.
+every idempotent u_lambda, sending x to u_lambda x^(j p^r + 1), built as
+phi of those values) and the inner derivations ad(u_lambda x^j) are
+available by name, and the complement of IDer inside Der is the span of
+the weight derivations with lambda = 0, cross-validated against the
+pivot-chosen complement.
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ def _gen_block_residual(a: Algebra, fstack: np.ndarray, svec: np.ndarray, rs: np
     return (lhs % p).reshape(k, d * d)
 
 
-# -- the derivation solver ------------------------------------------------------
+# -- phi: maps from their generator values ----------------------------------------
 #
 # The unknowns are the values of F on a generating set: v[t * d + b] is the
 # e_b coordinate of F(g_t).  vec(F)[x * d + k] is the e_x coordinate of
@@ -144,7 +147,7 @@ def _gen_block_residual(a: Algebra, fstack: np.ndarray, svec: np.ndarray, rs: np
 # (row, column, coefficient), reduced mod p before any two are multiplied.
 
 
-def _phi(a: Algebra, pres: Presentation, rmats, consts):
+def _phi(a: Algebra, gens: np.ndarray, pres: Presentation):
     """phi as triplets (vec(F) index, unknown, coefficient), sorted.
 
     F(e_k) is v_t on a base generator slot, and F(e_parent g_t) =
@@ -152,13 +155,14 @@ def _phi(a: Algebra, pres: Presentation, rmats, consts):
     unit.
     """
     d, p = a.dim, a.p
-    nv = len(pres.gen_vectors) * d
-    ci, cj, ck, cc = consts
+    nv = gens.shape[0] * d
+    ci, cj, ck, cc = a.structure_constants()
     lptr = np.searchsorted(ci, np.arange(d + 1))  # e_parent e_b = c e_k, by parent
     right = []  # R_g by columns: R_g[x, b] for x in rows[ptr[b] : ptr[b + 1]]
-    for rg in rmats:
-        b, x = np.nonzero(rg.T)
-        right.append((np.searchsorted(b, np.arange(d + 1)), x, rg[x, b]))
+    for g in gens:
+        sel = np.flatnonzero(g[cj])  # e_b e_j = c e_x adds c g_j to R_g[x, b]
+        key, val = gfp.merge(ci[sel] * d + ck[sel], cc[sel] * g[cj[sel]], p)
+        right.append((np.searchsorted(key // d, np.arange(d + 1)), key % d, val))
     empty = np.zeros(0, dtype=INT)
     cols = [(empty, empty, empty)] * d  # F(e_k) as (coordinate, unknown, coefficient)
     for k, t in pres.base_gen:
@@ -180,6 +184,78 @@ def _phi(a: Algebra, pres: Presentation, rmats, consts):
         p,
     )
     return key // nv, key % nv, val
+
+
+class Extender:
+    """phi along a presentation: rows of generator values to the d x d maps they extend to.
+
+    The only code that extends a map from its values on generators: the
+    derivation solver, the weight derivations of ``named_outer`` and the
+    monomial derivations of the Proposition 2.2 witness all go through it.
+    It reads only the presentation and the table, never a solved Der(A).
+    phi(v) is a derivation iff v extends to one; ``_leibniz_failure`` decides.
+    """
+
+    def __init__(self, a: Algebra, pres: Presentation):
+        d, p = a.dim, a.p
+        self.algebra, self.p = a, p
+        self.gens = np.stack([normalize(g, p) for g in pres.gen_vectors])
+        self.nv = self.gens.shape[0] * d
+        fe, unk, val = self.triplets = _phi(a, self.gens, pres)
+        # phi by layers: layer t holds the t-th term of every vec(F) entry phi reaches
+        start = np.flatnonzero(np.r_[True, fe[1:] != fe[:-1]]) if fe.size else fe
+        term = np.arange(fe.size) - np.repeat(start, np.diff(np.r_[start, fe.size]))
+        self._reached = fe[start]
+        self._unreached = np.setdiff1d(np.arange(d * d), self._reached)
+        self._layers = [
+            (np.searchsorted(self._reached, fe[sel]), unk[sel], val[sel])
+            for sel in (term == t for t in range(int(term.max(initial=0)) + 1))
+        ]
+        self._block = max(1, MAP_CELLS // (d * d))
+
+    def _phi_reached(self, rows) -> np.ndarray:
+        """phi of rows of generator values on the reached vec(F) entries, one column per row."""
+        rows_t = np.ascontiguousarray(np.asarray(rows).reshape(-1, self.nv).T)
+        _, unk, val = self._layers[0]  # the first terms reach every entry, in order
+        out = rows_t[unk] * val[:, None]
+        for pos, unk, val in self._layers[1:]:
+            out[pos] += rows_t[unk] * val[:, None]
+        out %= self.p
+        return out
+
+    def matrices(self, rows) -> np.ndarray:
+        """phi of each row of generator values: the (n, d, d) stack of maps."""
+        d = self.algebra.dim
+        out = np.zeros((d * d, np.asarray(rows).reshape(-1, self.nv).shape[0]), dtype=INT)
+        out[self._reached] = self._phi_reached(rows)
+        return np.ascontiguousarray(out.T).reshape(-1, d, d)
+
+    def gen_coords(self, mats) -> np.ndarray:
+        """g(F) = (F s)_s for each map F of a stack, as rows of nv values."""
+        d = self.algebra.dim
+        vals = matmul(np.asarray(mats).reshape(-1, d, d), self.gens.T, self.p)
+        return np.ascontiguousarray(vals.transpose(0, 2, 1)).reshape(-1, self.nv)
+
+    def is_phi_of(self, mats, rows) -> bool:
+        """Whether the maps (entries reduced mod p) equal phi(rows), a block at a time."""
+        mats = np.asarray(mats).reshape(-1, self.algebra.dim**2)
+        for s in range(0, rows.shape[0], self._block):
+            part = mats[s : s + self._block]
+            if part[:, self._unreached].any() or not np.array_equal(
+                self._phi_reached(rows[s : s + self._block]), part[:, self._reached].T
+            ):
+                return False
+        return True
+
+
+def extender(a: Algebra) -> Extender:
+    """phi along ``a.generating_set()``, built once per algebra and cached on it."""
+    if "phi" not in a._derivation_cache:
+        a._derivation_cache["phi"] = Extender(a, a.generating_set()[0])
+    return a._derivation_cache["phi"]
+
+
+# -- the derivation solver ------------------------------------------------------
 
 
 def _leibniz_terms(a: Algebra, gens, consts):
@@ -270,6 +346,9 @@ def _fails_leibniz(a: Algebra, fstack: np.ndarray, gens, rmats) -> bool:
 def _leibniz_failure(a: Algebra, fstack: np.ndarray):
     """The first check some map of the stack fails, or None if every map is a derivation.
 
+    The one Leibniz checker: the solver's honesty check, ``is_derivation``,
+    ``named_outer`` and the seeded closure property all call it.
+
     f(1) = 0, then Leibniz against every generator of ``a.generating_set()``,
     which implies every basis pair by induction on word length.  A
     hand-written presentation is also checked on every basis pair when
@@ -292,12 +371,13 @@ class DerivationSpace:
     """Der(A) and IDer(A) in generator coordinates.
 
     A derivation F is held as g(F) = (F s)_s, its values on the generators
-    s: nv = |S| * d numbers, where F itself has d^2.  phi (sorted triplets
-    (vec(F) index, unknown, coefficient)) maps them back to vec(F).  Der_g
-    is the kernel of the Leibniz system.  ``basis`` holds g of the
-    canonical basis of Der(A), the RREF rows in vec(F) coordinates, and
-    ``pivots`` their vec(F) pivot columns, so every seeded draw over the
-    canonical basis is the one the d^2 form gives.
+    s: nv = |S| * d numbers, where F itself has d^2.  ``phi``, the
+    algebra's cached ``Extender``, maps them back to vec(F); ``matrices``,
+    ``gen_coords`` and ``is_phi_of`` are its methods.  Der_g is the kernel
+    of the Leibniz system.  ``basis`` holds g of the canonical basis of
+    Der(A), the RREF rows in vec(F) coordinates, and ``pivots`` their
+    vec(F) pivot columns, so every seeded draw over the canonical basis is
+    the one the d^2 form gives.
 
     The Leibniz rule and g(phi(y)) = y are verified on the canonical basis.
     Hence a map X lies in Der(A) iff g(X) lies in Der_g and X = phi(g(X)).
@@ -305,27 +385,16 @@ class DerivationSpace:
 
     def __init__(self, a: Algebra):
         d, p = a.dim, a.p
-        pres, rmats = a.generating_set()
         self.algebra, self.p = a, p
-        self.gens = np.stack([normalize(g, p) for g in pres.gen_vectors])
-        self.nv = nv = self.gens.shape[0] * d
-        consts = a.structure_constants()
-        fe, unk, val = self._phi = _phi(a, pres, rmats, consts)
-        eq, ent, coef = _leibniz_terms(a, list(self.gens), consts)
+        self.phi = phi = extender(a)
+        self.gens, self.nv, self._block = phi.gens, phi.nv, phi._block
+        self.matrices, self.gen_coords, self.is_phi_of = phi.matrices, phi.gen_coords, phi.is_phi_of
+        fe, unk, val = phi.triplets
+        eq, ent, coef = _leibniz_terms(a, list(self.gens), a.structure_constants())
         term, pos = gfp.expand(ent, np.searchsorted(fe, np.arange(d * d + 1)))
-        keys, vals = gfp.merge(eq[term] * nv + unk[pos], coef[term] % p * val[pos], p)
-        ker = gfp.kernel(_span_echelon(*_distinct_rows(keys, vals, nv, p), nv, p), p)
-        self.der = Subspace(p, nv, ker)
-        # phi by layers: layer t holds the t-th term of every vec(F) entry phi reaches
-        start = np.flatnonzero(np.r_[True, fe[1:] != fe[:-1]]) if fe.size else fe
-        term = np.arange(fe.size) - np.repeat(start, np.diff(np.r_[start, fe.size]))
-        self._reached = fe[start]
-        self._unreached = np.setdiff1d(np.arange(d * d), self._reached)
-        self._layers = [
-            (np.searchsorted(self._reached, fe[sel]), unk[sel], val[sel])
-            for sel in (term == t for t in range(int(term.max(initial=0)) + 1))
-        ]
-        self._block = max(1, MAP_CELLS // (d * d))
+        keys, vals = gfp.merge(eq[term] * self.nv + unk[pos], coef[term] % p * val[pos], p)
+        ker = gfp.kernel(_span_echelon(*_distinct_rows(keys, vals, self.nv, p), self.nv, p), p)
+        self.der = Subspace(p, self.nv, ker)
         self.pivots, self._m = self._stream_pivots(ker)
         self.basis = matmul(gfp.inverse(self._m, p), ker, p)
         self._inner = None
@@ -344,7 +413,7 @@ class DerivationSpace:
         and the canonical basis is M^-1 phi(ker).
         """
         d, p, k = self.algebra.dim, self.p, ker.shape[0]
-        fe, unk, val = self._phi
+        fe, unk, val = self.phi.triplets
         ker_t = np.ascontiguousarray(ker.T)
         step = max(1, STREAM_CELLS // max(k, 1))
         echelon, ech_piv, pivots, cols = np.zeros((0, k), dtype=INT), [], [], []
@@ -378,40 +447,6 @@ class DerivationSpace:
                 raise Hh1LieError(f"derivation solver {failure}")
             if not np.array_equal(self.gen_coords(mats), rows):
                 raise Hh1LieError("generator values do not determine the solved maps")
-
-    def _phi_reached(self, rows) -> np.ndarray:
-        """phi of rows of generator values on the reached vec(F) entries, one column per row."""
-        rows_t = np.ascontiguousarray(np.asarray(rows).reshape(-1, self.nv).T)
-        _, unk, val = self._layers[0]  # the first terms reach every entry, in order
-        out = rows_t[unk] * val[:, None]
-        for pos, unk, val in self._layers[1:]:
-            out[pos] += rows_t[unk] * val[:, None]
-        out %= self.p
-        return out
-
-    def matrices(self, rows) -> np.ndarray:
-        """phi of each row of generator values: the (n, d, d) stack of maps."""
-        d = self.algebra.dim
-        out = np.zeros((d * d, np.asarray(rows).reshape(-1, self.nv).shape[0]), dtype=INT)
-        out[self._reached] = self._phi_reached(rows)
-        return np.ascontiguousarray(out.T).reshape(-1, d, d)
-
-    def gen_coords(self, mats) -> np.ndarray:
-        """g(F) = (F s)_s for each map F of a stack, as rows of nv values."""
-        d = self.algebra.dim
-        vals = matmul(np.asarray(mats).reshape(-1, d, d), self.gens.T, self.p)
-        return np.ascontiguousarray(vals.transpose(0, 2, 1)).reshape(-1, self.nv)
-
-    def is_phi_of(self, mats, rows) -> bool:
-        """Whether the maps (entries reduced mod p) equal phi(rows), a block at a time."""
-        mats = np.asarray(mats).reshape(-1, self.algebra.dim**2)
-        for s in range(0, rows.shape[0], self._block):
-            part = mats[s : s + self._block]
-            if part[:, self._unreached].any() or not np.array_equal(
-                self._phi_reached(rows[s : s + self._block]), part[:, self._reached].T
-            ):
-                return False
-        return True
 
     def contains(self, mats, sub: Subspace = None) -> bool:
         """Whether every map of the stack lies in Der(A); with sub, in the part g maps into sub."""
@@ -478,12 +513,6 @@ def inner_derivations(a: Algebra) -> list[Derivation]:
 # -- named derivations on smash products ----------------------------------------
 
 
-def _basis_vector(dim: int, idx: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=INT)
-    v[idx] = 1
-    return v
-
-
 def named_inner(desc: SmashDescriptor, lam: int, j: int, algebra: Algebra = None) -> Derivation:
     """The inner derivation ad(u_lambda x^j)."""
     from .algebras import smash_product
@@ -493,7 +522,7 @@ def named_inner(desc: SmashDescriptor, lam: int, j: int, algebra: Algebra = None
     if not 0 <= j <= desc.x_bound - 1:
         raise IndexError(f"x-exponent {j} out of range")
     lam %= desc.n_chars
-    v = _basis_vector(algebra.dim, desc.index(lam, j))
+    v = gfp.basis_vector(algebra.dim, desc.index(lam, j))
     m = (algebra.left_mult_matrix(v) - algebra.right_mult_matrix(v)) % algebra.p
     return Derivation(algebra, m)
 
@@ -501,9 +530,9 @@ def named_inner(desc: SmashDescriptor, lam: int, j: int, algebra: Algebra = None
 def named_outer(desc: SmashDescriptor, lam: int, j: int, algebra: Algebra = None) -> Derivation:
     """The weight derivation killing every u_mu with x -> u_lambda x^(j p^r + 1).
 
-    The map is extended to all basis monomials by the Leibniz rule and
-    then fully validated; a failure would mean the extension is not well
-    defined.
+    phi of those values along ``desc.presentation``, the algebra's own phi
+    when it carries that presentation; no Der solve.  The map is then
+    validated, and a failure means the values extend to no derivation.
     """
     from .algebras import smash_product
 
@@ -513,27 +542,16 @@ def named_outer(desc: SmashDescriptor, lam: int, j: int, algebra: Algebra = None
     if not 0 <= exp <= desc.x_bound - 1:
         raise IndexError(f"weight exponent {j} maps to x^{exp}, out of range")
     lam %= desc.n_chars
-    d, p = algebra.dim, algebra.p
-    vidx = desc.index(lam, exp)
-    f = np.zeros((d, d), dtype=INT)
-    # f(u_mu) = 0; extend along u_mu x^j = (u_mu x^(j-1)) x by Leibniz:
-    # f(col) = R_x f(parent) + e_parent * e_(lam, exp), column parent of R_v
-    rows_rx, coefs_rx = _column_monomial(algebra.right_mult_matrix(desc.x_vector()))
-    right_v = algebra.basis_right_matrix(vidx)
-    mus = np.arange(desc.n_chars)
-    for jj in range(1, desc.x_bound):
-        tgt = mus * desc.x_bound + jj
-        par = tgt - 1
-        cols = np.zeros((d, desc.n_chars), dtype=INT)
-        gfp.scatter_add(cols, rows_rx, coefs_rx, f[:, par])
-        cols += right_v[:, par]
-        f[:, tgt] = cols % p
-    der = Derivation(algebra, f)
-    if not der.is_derivation():
+    pres = desc.presentation
+    phi = extender(algebra) if algebra.presentation is pres else Extender(algebra, pres)
+    values = np.zeros(phi.nv, dtype=INT)
+    values[desc.n_chars * algebra.dim + desc.index(lam, exp)] = 1  # F(x) in x's slot, the last
+    m = phi.matrices(values)
+    if _leibniz_failure(algebra, m):
         raise WellDefinednessFailure(
             f"Leibniz extension of the weight derivation (lambda={lam}, j={j}) failed"
         )
-    return der
+    return Derivation(algebra, m[0])
 
 
 # -- HH1 ------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp
-from .algebras import Algebra, truncated_polynomial
+from .algebras import truncated_polynomial
 from .errors import DimensionMismatch, Hh1LieError, RestrictednessViolation
 from .gfp import INT, Subspace, check_prime, matmul, normalize, rref
 from .hochschild import HH1Presentation, hh1, matrix_tables
@@ -117,12 +117,6 @@ class RestrictedLie:
 
     def __repr__(self):
         return f"RestrictedLie(dim={self.dim}, p={self.p})"
-
-
-def _unit(dim: int, i: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=INT)
-    v[i] = 1
-    return v
 
 
 def from_hh1(h: HH1Presentation) -> RestrictedLie:
@@ -308,10 +302,11 @@ def _lie_generators(L: RestrictedLie) -> list[int]:
         for i in range(L.dim):
             if span.dim == L.dim:
                 break
-            if span.contains_vector(_unit(L.dim, i)):
+            e = gfp.basis_vector(L.dim, i)
+            if span.contains_vector(e):
                 continue
             gens.append(i)
-            span = _spin(_spin_operator(mats[gens]), np.vstack([span.basis, _unit(L.dim, i)]), L.p)
+            span = _spin(_spin_operator(mats[gens]), np.vstack([span.basis, e]), L.p)
         L._lie_gens = gens
     return L._lie_gens
 
@@ -354,7 +349,7 @@ def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int 
         return None
     if not L.bracket.any():
         # abelian: every line is an ideal
-        return Subspace.from_vectors([_unit(d, 0)], p, d)
+        return Subspace.from_vectors([gfp.basis_vector(d, 0)], p, d)
     mats = L.ad_basis()
     # ad of a Lie generating set spans ad(L) under commutators, so it has
     # the same invariant subspaces, in the dual too; the spins are unchanged
@@ -756,24 +751,6 @@ def same_fingerprint(L1: RestrictedLie, L2: RestrictedLie, seed: int = 0) -> boo
 # -- abelian unipotent witness -------------------------------------------------------
 
 
-def _monomial_derivation_matrix(algebra: Algebra, exponents, alpha, k_var) -> np.ndarray:
-    """Matrix of x^alpha * d/dx_k on a truncated polynomial basis."""
-    p = algebra.p
-    bounds = [p**a for a in exponents]
-    monos = list(itertools.product(*[range(b) for b in bounds]))
-    index = {m: i for i, m in enumerate(monos)}
-    out = np.zeros((algebra.dim, algebra.dim), dtype=INT)
-    for m, i in index.items():
-        if m[k_var] == 0:
-            continue
-        shifted = tuple(
-            e + alpha[v] - (1 if v == k_var else 0) for v, e in enumerate(m)
-        )
-        if all(e < b for e, b in zip(shifted, bounds)):
-            out[index[shifted], i] = m[k_var] % p
-    return out
-
-
 @dataclass
 class Prop22Witness:
     n_ideal: Subspace
@@ -798,17 +775,15 @@ def prop22_witness(p: int, exponents) -> Prop22Witness:
     algebra = truncated_polynomial(p, exponents)
     pres = hh1(algebra)
     L = from_hh1(pres)
-    n_vars = len(exponents)
-    bounds = [p**a for a in exponents]
-    rows = []
-    for alpha in itertools.product(*[range(b) for b in bounds]):
-        if not any(e >= p for e in alpha):
-            continue
-        for k_var in range(n_vars):
-            m = _monomial_derivation_matrix(algebra, exponents, alpha, k_var)
-            if m.any():
-                rows.append(pres.project_matrix(m))
-    n_ideal = Subspace.from_vectors(rows, p, L.dim)
+    n_vars, d = len(exponents), algebra.dim
+    # x^alpha d/dx_k is phi of F(x_k) = x^alpha, zero on the other variables;
+    # the generators are the variables in order, the basis the monomials alpha
+    monos = itertools.product(*[range(p**a) for a in exponents])
+    slots = [k * d + i for i, alpha in enumerate(monos) if max(alpha) >= p for k in range(n_vars)]
+    values = np.zeros((len(slots), pres.space.nv), dtype=INT)
+    values[np.arange(len(slots)), slots] = 1
+    mats = pres.space.phi.matrices(values).reshape(len(slots), d * d)
+    n_ideal = Subspace.from_vectors(pres.project_rows(mats[mats.any(axis=1)]), p, L.dim)
     # ideal and p-map closure on the basis
     if not _is_ideal(L, n_ideal):
         raise Hh1LieError("witness subspace is not an ideal")

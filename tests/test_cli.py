@@ -313,6 +313,20 @@ def test_build_bad_quiver_file_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["build", "hh1"])
+@pytest.mark.parametrize("kind", ["json", "quiver"])
+@pytest.mark.parametrize("problem", ["not-utf8", "missing"])
+def test_unreadable_file_exits_3(tmp_path, capsys, command, kind, problem):
+    # bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError, which
+    # once reached the usage-error path and exited 2
+    path = tmp_path / "input.json"
+    if problem == "not-utf8":
+        path.write_bytes(b"\xff\xfe\x00{}")
+    code, out, err = run_cli(capsys, command, "--kind", kind, "--p", "3", "--file", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "usage:" not in err
+
+
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from hh1lie import algebras as alg
-from hh1lie import checks
 from hh1lie import gfp
 from hh1lie import hochschild as hoch
 from hh1lie import lie as lielib
@@ -27,7 +26,7 @@ def d2_derivations(a):
     """Canonical RREF basis of Der(A) in vec(F) coordinates, as rows."""
     d, p = a.dim, a.p
     space = hoch.DerivationSpace(a)
-    ker, (fe, unk, val) = space.der.basis, space._phi
+    ker, (fe, unk, val) = space.der.basis, space.phi.triplets
     fvecs = np.zeros((d * d, ker.shape[0]), dtype=INT)
     gfp.scatter_add(fvecs, fe, val, np.ascontiguousarray(ker.T), unk)
     return gfp.row_space(fvecs.T % p, p)
@@ -267,7 +266,7 @@ def old_quotient_lie(L, ideal):
 def test_sub_and_quotient_lie_match_the_pivot_solver(p):
     wit = lielib.prop22_witness(p, (2,))
     L, ideal = wit.lie, wit.n_ideal
-    sub = checks._sub_lie(L, ideal)
+    sub = lielib.structure_on(L, ideal.basis, ideal.coords_rows)
     bracket, pmap = old_sub_lie(L, ideal)
     assert np.array_equal(sub.bracket, bracket) and np.array_equal(sub.pmap_basis, pmap)
     quo = lielib._quotient_lie(L, ideal)
@@ -403,7 +402,8 @@ def test_non_members_raise_the_documented_errors():
     # a subspace that is not a subalgebra
     L = lielib.sl2(5)
     with pytest.raises(ValueError):
-        checks._sub_lie(L, Subspace.from_vectors([[1, 0, 0], [0, 0, 1]], 5, 3))
+        sub = Subspace.from_vectors([[1, 0, 0], [0, 0, 1]], 5, 3)
+        lielib.structure_on(L, sub.basis, sub.coords_rows)
     # maps outside IDer + complement
     a = alg.smash_product(3, 2, 1)[0]
     h = hoch.hh1(a)

@@ -9,7 +9,7 @@ from hh1lie import algebras as alg
 from hh1lie import checks
 from hh1lie import gfp
 from hh1lie import hochschild as hoch
-from hh1lie.errors import AlgebraMismatch, Hh1LieError
+from hh1lie.errors import AlgebraMismatch, Hh1LieError, WellDefinednessFailure
 from hh1lie.gfp import Subspace
 
 
@@ -261,7 +261,7 @@ def test_presentation_whose_generator_is_not_its_slot_fails_the_honesty_check():
     # phi builds x as 1 * g with g = x + x^2: every solved map is a derivation,
     # but its value on g is not the solved generator value, so g(phi(y)) != y
     a = alg.truncated_polynomial(3, (1,))
-    bad = alg.Presentation((np.array([0, 1, 1]),), (0,), (), ((1, 0, 0), (2, 1, 0)))
+    bad = alg.Presentation((np.array([0, 1, 1]),), (), ((1, 0, 0), (2, 1, 0)))
     b = alg.Algebra(a.p, a.labels, a.structure_constants(), a.unit, presentation=bad, validate=False)
     with pytest.raises(Hh1LieError, match="generator values do not determine"):
         hoch.derivation_space(b)
@@ -344,6 +344,70 @@ def test_named_outer_all_leibniz_at_criterion_params():
                 assert g.is_derivation()
 
 
+def old_named_outer(desc, lam, j, a):
+    """The Leibniz loop named_outer ran before it went through phi, as a dense oracle.
+
+    f(u_mu) = 0, and along u_mu x^k = (u_mu x^(k-1)) x,
+    f(u_mu x^k) = f(u_mu x^(k-1)) x + u_mu x^(k-1) u_lam x^(j p^r + 1).
+    """
+    p, d = a.p, a.dim
+    rx = a.right_mult_matrix(desc.x_vector())
+    right_v = a.basis_right_matrix(desc.index(lam, j * p**desc.r + 1))
+    f = np.zeros((d, d), dtype=np.int64)
+    for k in range(1, desc.x_bound):
+        for mu in range(desc.n_chars):
+            par = desc.index(mu, k - 1)
+            f[:, desc.index(mu, k)] = (rx @ f[:, par] + right_v[:, par]) % p
+    return f
+
+
+@pytest.mark.parametrize(
+    "p,n,r", [(3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2), (5, 1, 1), (5, 2, 1), (7, 1, 1)]
+)
+def test_named_outer_is_phi_of_its_values_and_matches_the_old_loop(p, n, r):
+    sm, desc = alg.smash_product(p, n, r)
+    for lam in range(desc.n_chars):
+        for j in desc.outer_exponents():
+            want = old_named_outer(desc, lam, j, sm)
+            assert np.array_equal(hoch.named_outer(desc, lam, j, sm).matrix, want)
+
+
+def test_named_outer_without_a_stored_presentation():
+    # phi along the descriptor's presentation, on a copy of the table with no
+    # presentation and on the algebra built from an equal descriptor
+    for p, n, r in [(3, 2, 1), (3, 1, 2)]:
+        sm, desc = alg.smash_product(p, n, r)
+        bare = alg.Algebra(p, sm.labels, sm.structure_constants(), sm.unit, validate=False)
+        assert bare.presentation is None
+        for lam in range(desc.n_chars):
+            for j in desc.outer_exponents():
+                want = old_named_outer(desc, lam, j, sm)
+                assert np.array_equal(hoch.named_outer(desc, lam, j, bare).matrix, want)
+                fresh = hoch.named_outer(alg.SmashDescriptor(p, n, r), lam, j)  # builds its own algebra
+                assert np.array_equal(fresh.matrix, want)
+
+
+def test_named_outer_runs_no_derivation_solve(monkeypatch):
+    def no_solve(a):
+        raise AssertionError("Der(A) was solved")
+
+    monkeypatch.setattr(hoch, "DerivationSpace", no_solve)
+    sm, desc = alg.smash_product(3, 2, 1)
+    hoch.named_outer(desc, 1, 1, sm)
+    assert "der" not in sm._derivation_cache
+    assert sm._derivation_cache["phi"] is hoch.extender(sm)
+    monkeypatch.undo()
+    assert hoch.hh1(sm).space.phi is hoch.extender(sm)  # the solver reads the same phi
+
+
+def test_named_outer_values_that_extend_to_no_derivation_raise():
+    # on a table with a stray term, phi of the weight values breaks Leibniz
+    sm, desc = alg.smash_product(3, 1, 1)
+    bad = corrupted(sm, desc.index(0, 1), desc.index(0, 1))
+    with pytest.raises(WellDefinednessFailure, match="lambda=0, j=0"):
+        hoch.named_outer(desc, 0, 0, bad)
+
+
 # -- complement and hh1 -----------------------------------------------------------------
 
 
@@ -376,6 +440,28 @@ def test_lemma_3_5_sees_a_shifted_difference_that_is_not_inner(monkeypatch):
     rep = exc.value.payload
     assert not rep["shifted_differences_inner"] and not rep["ok"]
     assert rep["spans"] and rep["independent"] and rep["trivial_intersection"]
+
+
+@pytest.mark.parametrize(
+    "fault,prop",
+    [("identity", "closure (unit value)"), ("projection", "closure under bracket / p-power")],
+)
+def test_properties_check_rejects_an_injected_non_derivation(monkeypatch, fault, prop):
+    # every sampled map is replaced by one non-derivation: the identity, with
+    # f(1) = 1, or the projection onto u_0 x, with f(1) = 0 but
+    # f(x x) = 0 != f(x) x + x f(x) = (u_0 + u_1) x^2; the p-th powers are
+    # the maps themselves, so the shared Leibniz checker sees each failure
+    ctx = checks.SuiteContext(p=3)
+    sm, desc = ctx.smash(2, 1)
+    space = ctx.smash_hh1(2, 1).space
+    f = np.eye(sm.dim, dtype=np.int64)
+    if fault == "projection":
+        f = np.diag(basis_vec(sm.dim, desc.index(0, 1)))
+    assert hoch._leibniz_failure(sm, f[None])
+    monkeypatch.setattr(space, "matrices", lambda rows: np.repeat(f[None], len(rows), axis=0))
+    with pytest.raises(checks.CheckFailure) as exc:
+        checks.check_properties(ctx)
+    assert exc.value.payload == {"property": prop}
 
 
 def test_shifted_outer_differences_are_inner():

@@ -411,10 +411,8 @@ def test_ad_p_power_equals_ad_of_p_th_power():
 
 
 def test_greedy_torus_of_p_nilpotent_subalgebra_is_zero():
-    from hh1lie.checks import _sub_lie
-
     wit = lielib.prop22_witness(3, (2,))
-    sub = _sub_lie(wit.lie, wit.n_ideal)
+    sub = lielib.structure_on(wit.lie, wit.n_ideal.basis, wit.n_ideal.coords_rows)
     rep = lielib.greedy_maximal_torus(sub)
     assert rep.dim == 0
     assert rep.maximality_status == "exhaustively-certified"

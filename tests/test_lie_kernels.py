@@ -272,6 +272,46 @@ def test_prop22_witness_reports_the_first_failing_basis_vector(
         lielib.prop22_witness(3, (2,))
 
 
+def old_monomial_derivation_matrix(algebra, exponents, alpha, k_var):
+    """x^alpha d/dx_k on the monomial basis, entry by entry, as prop22_witness built it before phi."""
+    p = algebra.p
+    bounds = [p**a for a in exponents]
+    index = {m: i for i, m in enumerate(itertools.product(*[range(b) for b in bounds]))}
+    out = np.zeros((algebra.dim, algebra.dim), dtype=INT)
+    for m, i in index.items():
+        if m[k_var] == 0:
+            continue
+        shifted = tuple(e + alpha[v] - (1 if v == k_var else 0) for v, e in enumerate(m))
+        if all(e < b for e, b in zip(shifted, bounds)):
+            out[index[shifted], i] = m[k_var] % p
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,exps", [(3, (1,)), (3, (2,)), (3, (1, 1)), (3, (2, 1)), (5, (2,)), (5, (1, 1)), (7, (1,))]
+)
+def test_monomial_derivations_are_phi_of_their_values(p, exps):
+    # phi of F(x_k) = x^alpha, zero on the other variables, for every alpha and k
+    a = alg.truncated_polynomial(p, exps)
+    phi = hoch.extender(a)
+    monos = itertools.product(*[range(p**e) for e in exps])
+    cases = [(i, alpha, k) for i, alpha in enumerate(monos) for k in range(len(exps))]
+    values = np.zeros((len(cases), phi.nv), dtype=INT)
+    for row, (i, _, k) in enumerate(cases):
+        values[row, k * a.dim + i] = 1
+    want = np.stack([old_monomial_derivation_matrix(a, exps, alpha, k) for _, alpha, k in cases])
+    assert np.array_equal(phi.matrices(values), want)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_prop22_ideal_is_spanned_by_the_old_monomial_matrices(p):
+    wit = lielib.prop22_witness(p, (2,))
+    a = wit.presentation.algebra
+    mats = [old_monomial_derivation_matrix(a, (2,), (e,), 0) for e in range(p, p * p)]
+    rows = [wit.presentation.project_matrix(m) for m in mats if m.any()]
+    assert wit.n_ideal == Subspace.from_vectors(rows, p, wit.lie.dim)
+
+
 def matrix_p_power_coords(kind, x, p):
     """Coordinates of M^p, in Python ints, for the matrix M with coordinates x.
 
