@@ -33,7 +33,7 @@ from .errors import (
     RadicalUnavailable,
     UnitViolation,
 )
-from .gfp import INT, Subspace, check_prime, matmul, normalize, rref
+from .gfp import INT, Subspace, check_dim, check_prime, matmul, normalize, rref
 
 @dataclass(frozen=True)
 class SmashDescriptor:
@@ -148,7 +148,7 @@ class Algebra:
     ):
         self.p = check_prime(p)
         self.labels = list(labels)
-        self.dim = len(self.labels)
+        self.dim = check_dim(len(self.labels), error=DimensionMismatch)
         self.unit = normalize(unit, self.p).reshape(-1)
         if self.unit.shape[0] != self.dim:
             raise DimensionMismatch("unit vector length does not match basis size")
@@ -219,11 +219,21 @@ class Algebra:
         i, j, k, c = self._consts  # v_i e_i e_j = v_i c e_k: row k of column j
         return self._scatter(self.dim**2, k * self.dim + j, c * v[i]).reshape(self.dim, self.dim)
 
+    def right_terms(self, v):
+        """Terms (x, y, c) of R_v, the map x -> x * v: R_v[y, x] is the sum of c over them.
+
+        One term per table term e_x e_j = c' e_y with v_j != 0, with c = c' v_j
+        reduced mod p; terms on one (y, x) are not summed.
+        """
+        v = normalize(v, self.p).reshape(-1)
+        i, j, k, c = self._consts
+        sel = np.flatnonzero(v[j])
+        return i[sel], k[sel], c[sel] * v[j[sel]] % self.p
+
     def right_mult_matrix(self, v) -> np.ndarray:
         """Matrix of x -> x * v for an element v (coordinate vector)."""
-        v = normalize(v, self.p).reshape(-1)
-        i, j, k, c = self._consts  # e_i e_j v_j = c v_j e_k: row k of column i
-        return self._scatter(self.dim**2, k * self.dim + i, c * v[j]).reshape(self.dim, self.dim)
+        x, y, c = self.right_terms(v)
+        return self._scatter(self.dim**2, y * self.dim + x, c).reshape(self.dim, self.dim)
 
     def basis_left_matrix(self, i: int) -> np.ndarray:
         return self.left_mult_matrix(gfp.basis_vector(self.dim, i))
@@ -231,17 +241,13 @@ class Algebra:
     def basis_right_matrix(self, j: int) -> np.ndarray:
         return self.right_mult_matrix(gfp.basis_vector(self.dim, j))
 
-    def generating_set(self) -> tuple[Presentation, list[np.ndarray]]:
-        """(presentation, R_g for each generator g) that derivations are solved and checked on, cached.
+    def generating_set(self) -> Presentation:
+        """The presentation derivations are solved and checked on.
 
         It is the algebra's own presentation, or with none, every basis vector
         as a generator.
         """
-        if "generators" not in self._derivation_cache:
-            pres = self.presentation or Presentation.all_basis(self.dim)
-            rmats = [self.right_mult_matrix(g) for g in pres.gen_vectors]
-            self._derivation_cache["generators"] = pres, rmats
-        return self._derivation_cache["generators"]
+        return self.presentation or Presentation.all_basis(self.dim)
 
     # -- validation ---------------------------------------------------------
 
@@ -414,6 +420,7 @@ def truncated_polynomial(p, exponents) -> Algebra:
     exponents = tuple(int(a) for a in exponents)
     if len(exponents) < 1 or any(a < 1 for a in exponents):
         raise ValueError(f"exponents must be integers >= 1, got {exponents}")
+    check_dim(p, sum(exponents))
     bounds = [p**a for a in exponents]
     basis = list(itertools.product(*[range(b) for b in bounds]))
     index = {mono: i for i, mono in enumerate(basis)}
@@ -474,9 +481,9 @@ def smash_product(p, n, r) -> tuple[Algebra, SmashDescriptor]:
     n, r = int(n), int(r)
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
+    dim = check_dim(p, n + r)
     desc = SmashDescriptor(p, n, r)
     nc, xb = desc.n_chars, desc.x_bound
-    dim = nc * xb
 
     # (u_lam x^a)(u_mu x^b) = [lam == mu + a*alpha] u_lam x^(a+b), zero once a + b >= p^n
     lam, a = np.divmod(np.arange(dim), xb)
@@ -506,8 +513,8 @@ def u0_borel(p, n) -> Algebra:
     n = int(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
+    dim = check_dim(p, n + 1)
     xb = p**n
-    dim = xb * p
 
     def idx(b, a):
         return b * p + a
@@ -555,7 +562,7 @@ def u0_borel(p, n) -> Algebra:
 def split_semisimple(p, m) -> Algebra:
     """GF(p)^m with the coordinatewise product."""
     p = check_prime(p)
-    m = int(m)
+    m = check_dim(int(m))
     if m < 1:
         raise ValueError("need m >= 1")
     unit = np.ones(m, dtype=INT)

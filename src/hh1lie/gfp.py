@@ -47,6 +47,18 @@ def check_prime(p: int) -> int:
     return p
 
 
+def check_dim(base: int, exp: int = 1, error=ValueError) -> int:
+    """The algebra dimension base^exp if it is at most MAX_DIM, else ``error``.
+
+    Constructors call it before they allocate.  A large exponent is rejected
+    before the power is formed (base >= 2 there).
+    """
+    if (exp >= MAX_DIM.bit_length() and base > 1) or base**exp > MAX_DIM:
+        shown = base if exp == 1 else f"{base}^{exp}"
+        raise error(f"dimension {shown} exceeds the supported maximum {MAX_DIM}")
+    return base**exp
+
+
 def normalize(a, p: int) -> np.ndarray:
     """Return ``a`` as an int64 array with entries reduced mod p."""
     return np.asarray(a, dtype=INT) % p

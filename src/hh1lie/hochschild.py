@@ -89,54 +89,33 @@ def p_power(f: Derivation) -> Derivation:
 # -- Leibniz residuals -----------------------------------------------------------
 
 
-def _column_monomial(m: np.ndarray):
-    """(rows, coefs) if every column of m has at most one nonzero, else None."""
-    d = m.shape[0]
-    counts = (m != 0).sum(axis=0)
-    if (counts > 1).any():
-        return None
-    rows = np.zeros(d, dtype=np.int64)
-    coefs = np.zeros(d, dtype=INT)
-    nz = np.nonzero(m.T)
-    rows[nz[0]] = nz[1]
-    coefs[nz[0]] = m[nz[1], nz[0]]
-    return rows, coefs
-
-
-def _gen_block_residual(a: Algebra, fstack: np.ndarray, svec: np.ndarray, rs: np.ndarray):
+def _gen_block_residual(a: Algebra, fstack: np.ndarray, svec) -> np.ndarray:
     """Residuals of F(e_i s) - F(e_i) s - e_i F(s) over all basis indices i.
 
-    rs is the right-multiplication matrix of s.  Shape (k, d * d), zero rows
-    exactly on the maps that satisfy Leibniz against s.  Entries stay below
-    d * p^2, so mods are deferred to the end.
+    Shape (k, d, d), entry [t, a, i] the e_a coordinate for the map
+    fstack[t]; zero exactly on the maps that satisfy Leibniz against s.  R_s
+    is read as its table terms (x, y, c), each c reduced mod p, and each of
+    the three parts is a scatter over table terms.  A part's entry sums at
+    most d |supp s| products below p^2, so it stays below d |supp s| p^2
+    (under 2^45 at MAX_DIM and P_MAX) and the mods are deferred to the end.
     """
     d, p = a.dim, a.p
+    svec = normalize(svec, p)
     k = fstack.shape[0]
-    if k == 0:
-        return np.zeros((0, d * d), dtype=INT)
-    colmono = _column_monomial(rs)
-    if colmono is not None:
-        rows, coefs = colmono
-        # F(e_i s) = (F R_s)[:, i]: gather since R_s[:, i] = coefs[i] e_rows[i]
-        lhs = fstack[:, :, rows]
-        lhs *= coefs[None, None, :]
-        # F(e_i) s = (R_s F)[:, i]: scatter rows of F
-        term_r = np.zeros((d, k, d), dtype=INT)  # (target, t, i)
-        gfp.scatter_add(term_r, rows, coefs, fstack.transpose(1, 0, 2))
-        term_r = term_r.transpose(1, 0, 2)
-    else:
-        f64 = fstack.astype(np.float64)
-        lhs = np.einsum("tab,bi->tai", f64, rs.astype(np.float64)).astype(INT)
-        term_r = np.einsum("ab,tbi->tai", rs.astype(np.float64), f64).astype(INT)
+    x, y, c = a.right_terms(svec)
+    # F(e_x s) = sum c F(e_y): column x gathers columns y, held as (i, t, coordinate)
+    lhs = gfp.scatter_add(np.zeros((d, k, d), dtype=INT), x, c, fstack.transpose(2, 0, 1), y)
+    # F(e_i) s = R_s F(e_i): row y gathers rows x, held as (coordinate, t, i)
+    res = gfp.scatter_add(np.zeros((d, k, d), dtype=INT), y, -c, fstack.transpose(1, 0, 2), x)
+    res += lhs.transpose(2, 1, 0)
     # e_i F(s): each term e_i e_j = c e_k adds c F(s)_j to coordinate k
-    ys = matmul(fstack, svec, p)  # (k, d)
+    ys = (fstack @ svec) % p  # (k, d)
     ci, cj, ck, cc = a.structure_constants()
-    term_y = np.zeros((d * d, k), dtype=INT)  # (target * d + i, t)
+    term_y = np.zeros((d * d, k), dtype=INT)  # (coordinate * d + i, t)
     gfp.scatter_add(term_y, ck * d + ci, cc, ys.T, cj)
-    term_y = term_y.reshape(d, d, k).transpose(2, 0, 1)
-    lhs -= term_r
-    lhs -= term_y
-    return (lhs % p).reshape(k, d * d)
+    res -= term_y.reshape(d, d, k).transpose(0, 2, 1)
+    res %= p
+    return res.transpose(1, 0, 2)
 
 
 # -- phi: maps from their generator values ----------------------------------------
@@ -160,8 +139,8 @@ def _phi(a: Algebra, gens: np.ndarray, pres: Presentation):
     lptr = np.searchsorted(ci, np.arange(d + 1))  # e_parent e_b = c e_k, by parent
     right = []  # R_g by columns: R_g[x, b] for x in rows[ptr[b] : ptr[b + 1]]
     for g in gens:
-        sel = np.flatnonzero(g[cj])  # e_b e_j = c e_x adds c g_j to R_g[x, b]
-        key, val = gfp.merge(ci[sel] * d + ck[sel], cc[sel] * g[cj[sel]], p)
+        b, x, c = a.right_terms(g)
+        key, val = gfp.merge(b * d + x, c, p)
         right.append((np.searchsorted(key // d, np.arange(d + 1)), key % d, val))
     empty = np.zeros(0, dtype=INT)
     cols = [(empty, empty, empty)] * d  # F(e_k) as (coordinate, unknown, coefficient)
@@ -251,7 +230,7 @@ class Extender:
 def extender(a: Algebra) -> Extender:
     """phi along ``a.generating_set()``, built once per algebra and cached on it."""
     if "phi" not in a._derivation_cache:
-        a._derivation_cache["phi"] = Extender(a, a.generating_set()[0])
+        a._derivation_cache["phi"] = Extender(a, a.generating_set())
     return a._derivation_cache["phi"]
 
 
@@ -273,8 +252,7 @@ def _leibniz_terms(a: Algebra, gens, consts):
     parts = [np.broadcast_arrays(ar[:, None], ar[:, None] * d + u, a.unit[u])]
     for t, s in enumerate(gens):
         base = d + t * d * d
-        sel = np.flatnonzero(s[cj])
-        i, k, c = ci[sel, None], ck[sel, None], (cc[sel] * s[cj[sel]])[:, None]
+        i, k, c = (col[:, None] for col in a.right_terms(s))
         ys = np.flatnonzero(s)
         parts += [
             np.broadcast_arrays(base + i * d + ar, ar * d + k, c),  # F(e_i s): c s_j F[x, k]
@@ -330,15 +308,15 @@ def _span_echelon(rows, cols, vals, nv: int, p: int) -> np.ndarray:
     return basis
 
 
-def _fails_leibniz(a: Algebra, fstack: np.ndarray, gens, rmats) -> bool:
+def _fails_leibniz(a: Algebra, fstack: np.ndarray, gens) -> bool:
     """Whether some map fails Leibniz against some generator.
 
     Eight maps at a time: small residual arrays stay in cache, which made
     the check about 40% faster on smash(5,2,1) than one full-stack call.
     """
     return any(
-        _gen_block_residual(a, fstack[t : t + 8], normalize(s, a.p), rs).any()
-        for s, rs in zip(gens, rmats)
+        _gen_block_residual(a, fstack[t : t + 8], s).any()
+        for s in gens
         for t in range(0, fstack.shape[0], 8)
     )
 
@@ -355,14 +333,12 @@ def _leibniz_failure(a: Algebra, fstack: np.ndarray):
     d <= DENSE_SOLVER_LIMIT; with the basis as the generators, the generator
     pass is that check already.
     """
-    pres, rmats = a.generating_set()
     if matmul(fstack, a.unit, a.p).any():
         return "produced a map with f(1) != 0"
-    if _fails_leibniz(a, fstack, pres.gen_vectors, rmats):
+    if _fails_leibniz(a, fstack, a.generating_set().gen_vectors):
         return "produced a non-derivation"
     if a.presentation is not None and a.dim <= DENSE_SOLVER_LIMIT:
-        eye = np.eye(a.dim, dtype=INT)
-        if _fails_leibniz(a, fstack, eye, map(a.right_mult_matrix, eye)):
+        if _fails_leibniz(a, fstack, np.eye(a.dim, dtype=INT)):
             return "failed the all-pairs check"
     return None
 
@@ -436,11 +412,10 @@ class DerivationSpace:
         return pivots, np.vstack(cols).T if cols else np.zeros((0, 0), dtype=INT)
 
     def _verify(self):
-        """Honesty check on the canonical basis: all of it at once when d <= 32, else 8 maps at a time."""
+        """Honesty check on the canonical basis, a block of maps at a time."""
         a = self.algebra
-        step = max(1, self.dim) if a.dim <= DENSE_SOLVER_LIMIT else min(8, self._block)
-        for s in range(0, self.dim, step):
-            rows = self.basis[s : s + step]
+        for s in range(0, self.dim, self._block):
+            rows = self.basis[s : s + self._block]
             mats = self.matrices(rows)
             failure = _leibniz_failure(a, mats)
             if failure:
@@ -522,8 +497,8 @@ def named_inner(desc: SmashDescriptor, lam: int, j: int, algebra: Algebra = None
     if not 0 <= j <= desc.x_bound - 1:
         raise IndexError(f"x-exponent {j} out of range")
     lam %= desc.n_chars
-    v = gfp.basis_vector(algebra.dim, desc.index(lam, j))
-    m = (algebra.left_mult_matrix(v) - algebra.right_mult_matrix(v)) % algebra.p
+    i = desc.index(lam, j)
+    m = (algebra.basis_left_matrix(i) - algebra.basis_right_matrix(i)) % algebra.p
     return Derivation(algebra, m)
 
 

@@ -3,14 +3,17 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hh1lie import algebras as alg
+from hh1lie import gfp
 from hh1lie.errors import (
     AssociativityViolation,
     CounitViolation,
+    DimensionMismatch,
     InfiniteDimensionalQuotient,
     JsonFormatError,
     RadicalUnavailable,
@@ -786,6 +789,37 @@ def test_algebra_json_round_trip_byte_identical():
     loaded = alg.algebra_from_json_dict(json.loads(blob))
     blob2 = alg.dumps_canonical(loaded.to_json_dict())
     assert blob.encode() == blob2.encode()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: alg.truncated_polynomial(3, (99,)),
+        lambda: alg.truncated_polynomial(3, (30,)),
+        lambda: alg.truncated_polynomial(3, (5, 4)),
+        lambda: alg.u0_borel(3, 40),
+        lambda: alg.smash_product(3, 40, 1),
+        lambda: alg.split_semisimple(3, gfp.MAX_DIM + 1),
+    ],
+    ids=["trunc-99", "trunc-30", "trunc-5-4", "u0borel-40", "smash-40-1", "semisimple"],
+)
+def test_constructors_reject_a_dimension_above_max_dim_before_allocating(build):
+    # unchecked, these raised OverflowError or MemoryError, or ran out of memory
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"exceeds the supported maximum {gfp.MAX_DIM}"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_algebra_with_more_labels_than_max_dim_raises():
+    n = gfp.MAX_DIM + 1
+    doc = {"p": 3, "labels": [f"e{i}" for i in range(n)], "unit": [1] + [0] * (n - 1), "mult": []}
+    with pytest.raises(DimensionMismatch, match=f"dimension {n} exceeds"):
+        alg.algebra_from_json_dict(doc)
 
 
 def test_algebra_json_rejects_malformed():

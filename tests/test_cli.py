@@ -64,6 +64,36 @@ def test_build_rejects_p2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--kind", "trunc", "--exps", "99"],
+        ["--kind", "trunc", "--exps", "30"],
+        ["--kind", "u0borel", "--n", "40"],
+        ["--kind", "smash", "--n", "40", "--r", "1"],
+    ],
+    ids=["trunc-99", "trunc-30", "u0borel-40", "smash-40-1"],
+)
+@pytest.mark.parametrize("command", ["build", "hh1"])
+def test_dimension_above_max_dim_exits_2(capsys, command, args):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--p", "3", *args])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error: dimension 3^" in err and f"exceeds the supported maximum {gfp.MAX_DIM}" in err
+    assert "Traceback" not in err
+
+
+def test_json_file_above_max_dim_exits_3(tmp_path, capsys):
+    n = gfp.MAX_DIM + 1
+    doc = {"p": 3, "labels": [f"e{i}" for i in range(n)], "unit": [1] + [0] * (n - 1), "mult": []}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "build", "--kind", "json", "--file", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: dimension {n} exceeds the supported maximum {gfp.MAX_DIM}\n"
+
+
 def test_build_rejects_missing_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["build", "--kind", "smash", "--p", "3"])

@@ -38,6 +38,14 @@ def test_supported_range_of_p_at_its_edge():
             gfp.check_prime(bad)
 
 
+def test_supported_dimension_at_its_edge():
+    assert gfp.check_dim(gfp.MAX_DIM) == gfp.check_dim(2, 14) == gfp.MAX_DIM
+    assert gfp.check_dim(3, 0) == 1
+    for base, exp in ((gfp.MAX_DIM + 1, 1), (2, 15), (3, 9), (3, 10**12)):
+        with pytest.raises(ValueError, match=f"exceeds the supported maximum {gfp.MAX_DIM}"):
+            gfp.check_dim(base, exp)
+
+
 def test_matmul_is_exact_at_the_largest_p():
     p = gfp.P_MAX
     rng = np.random.default_rng(p)

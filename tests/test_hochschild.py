@@ -234,12 +234,14 @@ def test_missing_leibniz_rows_fail_the_generator_check(monkeypatch):
 
 
 def test_all_pairs_check_on_a_large_monomial_algebra_without_presentation():
-    # every basis pair is checked, one right-multiplication matrix at a time
+    # every basis pair is checked, each R_s read as its table terms; no
+    # right-multiplication matrix is built or cached on the algebra
     a, desc = alg.smash_product(5, 2, 1)
     b = alg.Algebra(a.p, a.labels, a.structure_constants(), a.unit, validate=False)
     assert b.dim == 125 and b.presentation is None
     g = hoch.named_outer(desc, 0, 1, a).matrix
     assert hoch.Derivation(b, g).is_derivation()
+    assert not b._derivation_cache
     assert not hoch.Derivation(b, (g + generator_killer(a)) % 5).is_derivation()
 
 
@@ -251,8 +253,7 @@ def test_unit_check_rejects_a_map_that_passes_every_generator():
     assert a.dim > hoch.DENSE_SOLVER_LIMIT and a.presentation is not None
     f = np.zeros((a.dim, a.dim), dtype=np.int64)
     f[a.dim - 1, 0] = 1
-    pres, rmats = a.generating_set()
-    assert not hoch._fails_leibniz(a, f[None], pres.gen_vectors, rmats)
+    assert not hoch._fails_leibniz(a, f[None], a.generating_set().gen_vectors)
     assert hoch._leibniz_failure(a, f[None]) == "produced a map with f(1) != 0"
     assert not hoch.Derivation(a, f).is_derivation()
 
