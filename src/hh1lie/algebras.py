@@ -258,12 +258,16 @@ class Algebra:
             self._validate_counit()
 
     def _validate_unit(self):
-        """1 e_i = e_i = e_i 1 on every basis element; the first failing i is reported."""
-        eye = np.eye(self.dim, dtype=INT)
-        left, right = self.left_mult_matrix(self.unit), self.right_mult_matrix(self.unit)
-        bad = np.flatnonzero((left != eye).any(axis=0) | (right != eye).any(axis=0))
-        if bad.size:
-            raise UnitViolation(int(bad[0]))
+        """1 e_i = e_i = e_i 1 on every basis element; the first failing i is reported.
+
+        From the table terms: 1 e_j - e_j sums under keys (j, k), e_i 1 - e_i under (d + i, k).
+        """
+        d, u, diag = self.dim, self.unit, np.arange(self.dim)
+        i, j, k, c = self._consts
+        keys = np.r_[j * d + k, (d + i) * d + k, diag * (d + 1), (d + diag) * d + diag]
+        key, _ = gfp.merge(keys, np.r_[c * u[i], c * u[j], np.full(2 * d, -1)], self.p)
+        if key.size:
+            raise UnitViolation(int((key // d % d).min()))
 
     def _validate_assoc(self):
         """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, as one sparse join.
@@ -302,10 +306,20 @@ class Algebra:
         if int(eps @ self.unit % p) != 1:
             raise CounitViolation("counit(1) != 1")
         i, j, k, c = self._consts
-        lhs = self._scatter(d * d, i * d + j, c * eps[k]).reshape(d, d)
-        bad = np.argwhere(lhs != np.outer(eps, eps) % p)
+        # counit(e_i e_j) is lhs on the pairs listed and 0 off them, where a pair
+        # fails iff both lie in the support: first in the first short support row
+        pair, lhs = gfp.merge(i * d + j, c * eps[k], p)
+        row, col = np.divmod(pair, d)
+        bad = pair[lhs != eps[row] * eps[col] % p]
+        supp = np.flatnonzero(eps)
+        on_supp = pair[(eps[row] != 0) & (eps[col] != 0)]
+        short = supp[np.bincount(on_supp // d, minlength=d)[supp] < supp.size]
+        if short.size:
+            r = short[0]
+            bad = np.r_[bad, r * d + np.setdiff1d(supp, on_supp[on_supp // d == r] % d)[0]]
         if bad.size:
-            raise CounitViolation(f"counit not multiplicative at ({bad[0, 0]}, {bad[0, 1]})")
+            r, s = divmod(int(bad.min()), d)
+            raise CounitViolation(f"counit not multiplicative at ({r}, {s})")
 
     # -- serialization -------------------------------------------------------
 
@@ -818,20 +832,19 @@ def _pairwise_products(a: Algebra, u, v) -> np.ndarray:
 
     For a block of rows of u, about 2^18 cells, the left-multiplication
     matrices are scattered from the structure constants and applied to all
-    of v in one batched matmul; every sum stays below dim (p-1)^2 < 2^53.
+    of v in one batched matmul.
     """
     d, p = a.dim, a.p
     i, j, k, c = a.structure_constants()
     u_t = np.asarray(u, dtype=INT).reshape(-1, d).T
-    v = np.asarray(v, dtype=np.float64).reshape(-1, d)
+    v = np.asarray(v).reshape(-1, d)
     out = np.zeros((u_t.shape[1], v.shape[0], d), dtype=INT)
     step = max(1, (1 << 18) // (d * max(d, v.shape[0])))
     for s in range(0, out.shape[0], step):
         # row j d + k, column s: the coefficient of e_k in u_s e_j
         left = np.zeros((d * d, min(step, out.shape[0] - s)), dtype=INT)
         gfp.scatter_add(left, j * d + k, c, np.ascontiguousarray(u_t[:, s : s + step]), i)
-        left = (left % p).T.reshape(-1, d, d).astype(np.float64)
-        out[s : s + step] = (v @ left).astype(INT) % p
+        out[s : s + step] = matmul(v, (left % p).T.reshape(-1, d, d), p)
     return out
 
 

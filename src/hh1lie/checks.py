@@ -52,11 +52,14 @@ class SuiteContext:
     inject_fault: str | None = None
     _cache: dict = field(default_factory=dict)
 
-    def smash(self, n, r):
-        key = ("smash", self.p, n, r)
+    def _once(self, key, build):
+        """build(), made once per suite under key."""
         if key not in self._cache:
-            self._cache[key] = alg.smash_product(self.p, n, r)
+            self._cache[key] = build()
         return self._cache[key]
+
+    def smash(self, n, r):
+        return self._once(("smash", self.p, n, r), lambda: alg.smash_product(self.p, n, r))
 
     def faulty_smash(self, n, r):
         """Smash table with the zero product u_0 x * u_0 given a stray u_0 term (negative control)."""
@@ -76,52 +79,37 @@ class SuiteContext:
         return bad, desc
 
     def trunc(self, exps):
-        key = ("trunc", self.p, tuple(exps))
-        if key not in self._cache:
-            self._cache[key] = alg.truncated_polynomial(self.p, exps)
-        return self._cache[key]
+        return self._once(("trunc", self.p, tuple(exps)), lambda: alg.truncated_polynomial(self.p, exps))
 
     def hh1_of(self, key, builder):
-        ck = ("hh1", key)
-        if ck not in self._cache:
-            self._cache[ck] = hoch.hh1(builder(), seed=self.seed)
-        return self._cache[ck]
+        return self._once(("hh1", key), lambda: hoch.hh1(builder(), seed=self.seed))
 
     def smash_hh1(self, n, r):
         return self.hh1_of((self.p, "smash", n, r), lambda: self.smash(n, r)[0])
 
     def kronecker(self):
-        key = ("kr", self.p)
-        if key not in self._cache:
-            self._cache[key] = alg.quiver_algebra(alg.kronecker_quiver(), self.p)
-        return self._cache[key]
+        return self._once(("kr", self.p), lambda: alg.quiver_algebra(alg.kronecker_quiver(), self.p))
 
     def tkr(self):
-        key = ("tkr", self.p)
-        if key not in self._cache:
-            self._cache[key] = alg.trivial_extension(self.kronecker())
-        return self._cache[key]
+        return self._once(("tkr", self.p), lambda: alg.trivial_extension(self.kronecker()))
 
     def tkr_hh1(self):
         return self.hh1_of((self.p, "tkr"), self.tkr)
 
     def u0borel_blocks(self):
         """u0borel(p, 1) and its block decomposition."""
-        key = ("u0borel-blocks", self.p)
-        if key not in self._cache:
+        def build():
             ub = alg.u0_borel(self.p, 1)
-            self._cache[key] = ub, alg.block_decomposition(ub)
-        return self._cache[key]
+            return ub, alg.block_decomposition(ub)
+
+        return self._once(("u0borel-blocks", self.p), build)
 
     def u0borel_block_hh1(self):
         return self.hh1_of((self.p, "u0borel-block"), lambda: self.u0borel_blocks()[1][0][1])
 
     def prop22_witness(self):
         """The Proposition 2.2 witness for one variable of exponent 2."""
-        key = ("prop22", self.p)
-        if key not in self._cache:
-            self._cache[key] = lielib.prop22_witness(self.p, (2,))
-        return self._cache[key]
+        return self._once(("prop22", self.p), lambda: lielib.prop22_witness(self.p, (2,)))
 
 
 # -- individual checks ------------------------------------------------------------
@@ -613,21 +601,18 @@ def check_properties(ctx: SuiteContext) -> dict:
     c1 = rng.integers(0, p, size=(trials, h.dim_der))
     c2 = rng.integers(0, p, size=(trials, h.dim_der))
     for s in range(0, trials, 8):
-        fs = space.matrices(gfp.matmul(c1[s : s + 8], space.basis, p)).astype(np.float64)
-        gs = space.matrices(gfp.matmul(c2[s : s + 8], space.basis, p)).astype(np.float64)
-        brs = (np.matmul(fs, gs) - np.matmul(gs, fs)).astype(INT) % p
-        powers = fs.copy()
-        for _ in range(p - 1):
-            powers = np.matmul(powers, fs) % p
-        failure = hoch._leibniz_failure(sm, np.vstack([brs, powers.astype(INT)]))
+        fs = space.matrices(gfp.matmul(c1[s : s + 8], space.basis, p))
+        gs = space.matrices(gfp.matmul(c2[s : s + 8], space.basis, p))
+        brs = (gfp.matmul(fs, gs, p) - gfp.matmul(gs, fs, p)) % p
+        failure = hoch._leibniz_failure(sm, np.vstack([brs, gfp.mat_pow(fs, p, p)]))
         if failure:
             prop = "closure (unit value)" if "f(1)" in failure else "closure under bracket / p-power"
             raise CheckFailure({"property": prop})
         for f in fs:
             avec = rng.integers(0, p, size=d)
-            ada = ((sm.left_mult_matrix(avec) - sm.right_mult_matrix(avec)) % p).astype(np.float64)
-            lhs = (f @ ada - ada @ f).astype(INT) % p
-            fa = gfp.matmul(f.astype(INT), avec, p)
+            ada = (sm.left_mult_matrix(avec) - sm.right_mult_matrix(avec)) % p
+            lhs = (gfp.matmul(f, ada, p) - gfp.matmul(ada, f, p)) % p
+            fa = gfp.matmul(f, avec, p)
             rhs = (sm.left_mult_matrix(fa) - sm.right_mult_matrix(fa)) % p
             if not np.array_equal(lhs, rhs):
                 raise CheckFailure({"property": "[f, ad a] = ad f(a)"})
@@ -638,10 +623,10 @@ def check_properties(ctx: SuiteContext) -> dict:
         raise CheckFailure({"property": "representative independence"})
     # Jacobson p-map vs composition oracle on the cohomology of the smash
     L = lielib.from_hh1(h)
-    comp_mats = np.stack([f.matrix for f in h.complement_basis])
+    comp_mats = np.stack([f.matrix.reshape(-1) for f in h.complement_basis])
     xs = np.array([rng.integers(0, p, size=L.dim) for _ in range(trials)], dtype=INT)
     for x, via_jac in zip(xs, lielib._jacobson_batch(L, xs)):
-        lift = np.tensordot(x, comp_mats, axes=(0, 0)) % p
+        lift = gfp.matmul(x, comp_mats, p).reshape(d, d)
         via_comp = h.project_matrix(gfp.mat_pow(lift, p, p))
         if not np.array_equal(via_comp, via_jac):
             raise CheckFailure({"property": "jacobson vs composition", "x": x.tolist()})

@@ -12,6 +12,11 @@ Coordinates have one primitive, ``coords_rows``: on a ``Subspace`` they are a
 stack's entries on the canonical pivots, and an ``OrderedBasis`` (rows in a
 fixed order, optionally modulo a Subspace) maps those through a pivot inverse
 built once.  Both raise on a row that is not a member.
+
+Products have one primitive, ``matmul`` (``mat_pow`` goes through it), the
+only float64 code in the package: float64 BLAS on entries in [0, p) is exact
+while k (p-1)^2 < 2^53 for contraction length k, which it checks (delayed
+reduction; Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
 """
 
 from __future__ import annotations
@@ -25,10 +30,10 @@ from .errors import DimensionMismatch, Hh1LieError
 INT = np.int64
 
 # Supported range: dimension up to MAX_DIM (one dense int64 matrix is then
-# 2 GiB).  Float64 sums are exact below 2^53, so MAX_DIM^2 (p-1)^3 < 2^53 for
-# unreduced triple products; 317 is the largest prime that meets it.
+# 2 GiB) and p up to P_MAX, where a contraction of MAX_DIM^2 terms is exact.
 MAX_DIM = 1 << 14
 P_MAX = 317
+EXACT = 1 << 53  # float64 sums of integers are exact below this
 
 
 def is_prime(n: int) -> bool:
@@ -75,19 +80,19 @@ def inv_mod(x: int, p: int) -> int:
     return pow(int(x) % p, -1, p)
 
 
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact ``a @ b mod p``.
+def matmul(a, b, p: int) -> np.ndarray:
+    """Exact ``a @ b mod p`` for entries in [0, p), stacks broadcast as by ``@``; reduced int64.
 
-    Routed through float64 BLAS: with entries in [0, p), p <= P_MAX, and a
-    contraction of at most MAX_DIM^2 terms, every integer sum stays below
-    2**53, so the product is exact.
+    Raises DimensionMismatch before the product unless k (p-1)^2 < 2^53 for
+    the contraction length k.
     """
-    if a.shape[-1] != b.shape[0]:
+    a, b = np.asarray(a), np.asarray(b)
+    k = a.shape[-1]
+    if k != b.shape[-2 if b.ndim > 1 else 0]:
         raise DimensionMismatch(f"matmul shapes {a.shape} x {b.shape}")
-    if a.shape[-1] == 0:
-        return np.zeros(a.shape[:-1] + b.shape[1:], dtype=INT)
-    prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-    out = prod.astype(INT)
+    if k * (p - 1) ** 2 >= EXACT:
+        raise DimensionMismatch(f"a contraction of {k} terms mod {p} is not exact in float64")
+    out = (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(INT)
     out %= p  # in place: one int64 copy of the product, not two
     return out
 
@@ -136,8 +141,8 @@ def expand(rows: np.ndarray, ptr: np.ndarray):
     return term, np.arange(term.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
 
 
-def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
-    """k-th power of a square matrix mod p by square-and-multiply."""
+def mat_pow(a, k: int, p: int) -> np.ndarray:
+    """k-th power mod p of a square matrix, or of each in a stack, by square-and-multiply."""
     out, base = None, normalize(a, p)
     while k > 0:
         if k & 1:
@@ -145,7 +150,7 @@ def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
         k >>= 1
         if k:
             base = matmul(base, base, p)
-    return np.eye(a.shape[0], dtype=INT) if out is None else out
+    return np.broadcast_to(np.eye(base.shape[-1], dtype=INT), base.shape).copy() if out is None else out
 
 
 def rref(a, p: int):
@@ -258,12 +263,11 @@ class Subspace:
             raise DimensionMismatch("vector length does not match ambient dimension")
         if self.dim == 0:
             return mat
-        if self._basis_f64 is None:
+        if self._basis_f64 is None:  # built once; matmul reads it without a copy
             support = np.flatnonzero(self.basis.any(axis=0))
             self._support = slice(None) if support.size == self.ambient else support
             self._basis_f64 = self.basis[:, self._support].astype(np.float64)
-        coeffs = mat[:, list(self.pivots)].astype(np.float64)
-        on = mat[:, self._support] - (coeffs @ self._basis_f64).astype(INT)
+        on = mat[:, self._support] - matmul(mat[:, list(self.pivots)], self._basis_f64, self.p)
         mat[:, self._support] = on % self.p
         return mat
 

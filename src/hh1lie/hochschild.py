@@ -537,15 +537,19 @@ def matrix_tables(mats, p: int, coords_rows):
 
     ``coords_rows`` gives the coordinates of a stack of vectorized matrices
     in the span; bracket[i, j] holds those of [X_i, X_j], pmap[i] of X_i^p.
+    Pairs i < j go in blocks of about 2^18 cells; bracket[j, i] = -bracket[i, j].
     """
     mats = normalize(mats, p)
     h, d = mats.shape[0], mats.shape[-1]
-    stack = mats.astype(np.float64)
-    prod = np.matmul(stack[:, None], stack[None, :])
-    comm = (prod - prod.transpose(1, 0, 2, 3)).astype(INT) % p
-    powers = np.array([gfp.mat_pow(m, p, p) for m in mats], dtype=INT).reshape(h, d * d)
-    coords = coords_rows(np.vstack([comm.reshape(h * h, d * d), powers]))
-    return coords[: h * h].reshape(h, h, h), coords[h * h :]
+    bracket = np.zeros((h, h, h), dtype=INT)
+    first, second = np.triu_indices(h, 1)
+    step = max(1, (1 << 18) // max(d * d, 1))
+    for s in range(0, first.size, step):
+        i, j = first[s : s + step], second[s : s + step]
+        comm = (matmul(mats[i], mats[j], p) - matmul(mats[j], mats[i], p)) % p
+        bracket[i, j] = coords_rows(comm.reshape(i.size, d * d))
+    bracket[second, first] = -bracket[first, second] % p
+    return bracket, coords_rows(gfp.mat_pow(mats, p, p).reshape(h, d * d))
 
 
 class HH1Presentation:

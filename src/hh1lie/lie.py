@@ -45,7 +45,6 @@ class RestrictedLie:
         self.labels = list(labels) if labels is not None else [f"b{i}" for i in range(self.dim)]
         if len(self.labels) != self.dim:
             raise DimensionMismatch("label count does not match dimension")
-        self._bracket_f64 = self.bracket.astype(np.float64)
         self._admats = self._lie_gens = self._pmap_census = None
         if validate:
             self.validate()
@@ -58,10 +57,10 @@ class RestrictedLie:
         return _pairwise_brackets(self, x, y)[0, 0]
 
     def ad(self, x) -> np.ndarray:
-        """Matrix of y -> [x, y]."""
-        x = normalize(x, self.p).reshape(-1)
-        out = np.einsum("i,ijk->kj", x.astype(np.float64), self._bracket_f64)
-        return out.astype(INT) % self.p
+        """Matrix of y -> [x, y], or the stack of them for a stack of elements x."""
+        x, d = normalize(x, self.p), self.dim
+        rows = matmul(x, self.bracket.reshape(d, d * d), self.p)  # [., j, k]: e_k in [x, b_j]
+        return rows.reshape(x.shape[:-1] + (d, d)).swapaxes(-1, -2)
 
     def ad_basis(self) -> np.ndarray:
         """The (dim, dim, dim) stack of ad(b_i), built once."""
@@ -81,24 +80,23 @@ class RestrictedLie:
         # [b_i, [b_j, b_k]] + [b_k, [b_i, b_j]] + [b_j, [b_k, b_i]] for a slice of
         # first indices i at a time, about 2^18 cells, so no d^4 array is held.
         # With t[i, j, k] = [b_k, [b_i, b_j]] and antisymmetry, the last two
-        # terms are t[i, j, k] - t[i, k, j].
-        cf = self._bracket_f64
+        # terms are t[i, j, k] - t[i, k, j].  The sum is alternating, so the
+        # first failing triple has i < j < k: j and k run past the slice start.
         step = max(1, (1 << 18) // max(d**3, 1))
-        cflat, ct = cf.reshape(d * d, d), cf.transpose(1, 0, 2).reshape(d, d * d)
         for i0 in range(0, d, step):
-            block = cf[i0 : i0 + step]
-            b = block.shape[0]
-            t = (block.reshape(b * d, d) @ ct).reshape(b, d, d, d)
-            jac = np.matmul(cflat, block).reshape(b, d, d, d) + t - t.transpose(0, 2, 1, 3)
-            jac = jac.astype(INT) % p
+            block, rest = c[i0 : i0 + step], c[i0 + 1 :]
+            b, m = block.shape[0], rest.shape[0]
+            ct = rest.transpose(1, 0, 2).reshape(d, m * d)
+            t = matmul(block[:, i0 + 1 :].reshape(b * m, d), ct, p).reshape(b, m, m, d)
+            jac = matmul(rest[:, i0 + 1 :].reshape(m * m, d), block, p).reshape(b, m, m, d)
+            jac = (jac + t - t.transpose(0, 2, 1, 3)) % p
             if jac.any():
-                bad = np.argwhere(jac.any(axis=3))[0]
-                raise Hh1LieError(
-                    f"Jacobi identity fails at triple {(i0 + int(bad[0]), int(bad[1]), int(bad[2]))}"
-                )
-        for i, ad_i in enumerate(self.ad_basis()):
-            if not np.array_equal(self.ad(self.pmap_basis[i]), gfp.mat_pow(ad_i, p, p)):
-                raise RestrictednessViolation(f"ad(b{i}^[p]) != ad(b{i})^p")
+                i, j, k = (int(x) for x in np.argwhere(jac.any(axis=3))[0])
+                raise Hh1LieError(f"Jacobi identity fails at triple {(i0 + i, i0 + 1 + j, i0 + 1 + k)}")
+        powers = gfp.mat_pow(self.ad_basis(), p, p)
+        bad = np.flatnonzero((self.ad(self.pmap_basis) != powers).any(axis=(1, 2)))
+        if bad.size:
+            raise RestrictednessViolation(f"ad(b{bad[0]}^[p]) != ad(b{bad[0]})^p")
 
     def to_json_dict(self) -> dict:
         triples = []
@@ -188,16 +186,8 @@ def is_p_nilpotent_element(L: RestrictedLie, x) -> bool:
 
 
 def _pairwise_brackets(L: RestrictedLie, a, b) -> np.ndarray:
-    """[a_s, b_t] for every pair of rows (entries reduced mod p), as (s, t, dim).
-
-    A tensordot with the float64 bracket, then a batched matmul, each
-    reduced mod p, so every sum stays below dim (p-1)^2 < 2^53: exact.
-    """
-    left = np.tensordot(np.asarray(a, dtype=np.float64), L._bracket_f64, axes=(1, 0))
-    left %= L.p  # left[s] is the matrix of y -> [a_s, y] acting on rows
-    out = (np.asarray(b, dtype=np.float64) @ left).astype(INT)
-    out %= L.p
-    return out
+    """[a_s, b_t] = b_t ad(a_s)^T for every pair of rows (entries reduced mod p), as (s, t, dim)."""
+    return matmul(b, L.ad(a).swapaxes(1, 2), L.p)
 
 
 def _bracket_span(L: RestrictedLie, s1: Subspace, s2: Subspace) -> Subspace:
@@ -255,8 +245,8 @@ def series_and_predicates(L: RestrictedLie) -> dict:
 
 
 def _spin_operator(mats) -> np.ndarray:
-    """The (d, m*d) float64 operator whose row product lists a row's m images."""
-    return mats.transpose(2, 0, 1).reshape(mats.shape[2], -1).astype(np.float64)
+    """The (d, m*d) operator whose row product lists a row's m images."""
+    return mats.transpose(2, 0, 1).reshape(mats.shape[2], -1)
 
 
 def _spin(op: np.ndarray, starts, p: int, known=()) -> Subspace:
@@ -505,7 +495,7 @@ def _toral_fixed_points(L: RestrictedLie, env: Subspace, phi: np.ndarray) -> lis
 def _centralizer(L: RestrictedLie, vectors) -> Subspace:
     """Solutions of [v, x] = 0 for every given vector v: the kernel of the stacked ad(v)."""
     n, d = len(vectors), L.dim
-    ads = _pairwise_brackets(L, np.reshape(vectors, (n, d)), np.eye(d)).transpose(0, 2, 1)
+    ads = L.ad(np.reshape(vectors, (n, d)))
     return Subspace.from_vectors(gfp.kernel(ads.reshape(n * d, d), L.p), L.p, d)
 
 

@@ -1083,3 +1083,74 @@ def test_unit_and_counit_checks_match_the_loops(case):
     if case == "local-xy-5":  # counit(x y) = 1 != counit(x) counit(y), while counit(y x) = 0
         a = alg.Algebra(p, base.labels, base.structure_constants(), base.unit, counit=[1, 0, 0, 1], validate=False)
         assert unit_counit_failure(a) == loop_counit_failure(a) == ("counit", "counit not multiplicative at (1, 2)")
+
+
+def dense_unit_failure(a):
+    """The unit check as it was: the dense L_1 and R_1 against the identity."""
+    eye = np.eye(a.dim, dtype=np.int64)
+    left, right = a.left_mult_matrix(a.unit), a.right_mult_matrix(a.unit)
+    bad = np.flatnonzero((left != eye).any(axis=0) | (right != eye).any(axis=0))
+    return ("unit", int(bad[0])) if bad.size else None
+
+
+def dense_counit_failure(a):
+    """The counit check as it was: a dense d x d left side against the outer product."""
+    eps, d, p = a.counit, a.dim, a.p
+    if int(eps @ a.unit % p) != 1:
+        return ("counit", "counit(1) != 1")
+    i, j, k, c = a.structure_constants()
+    lhs = np.zeros((d, d), dtype=np.int64)
+    np.add.at(lhs, (i, j), c * eps[k])
+    bad = np.argwhere(lhs % p != np.outer(eps, eps) % p)
+    return ("counit", f"counit not multiplicative at ({bad[0, 0]}, {bad[0, 1]})") if bad.size else None
+
+
+def with_counit_one(eps, unit, p):
+    """eps changed on the first entry of the unit's support so that eps(1) = 1."""
+    eps, lead = eps.copy(), int(np.flatnonzero(unit)[0])
+    eps[lead] = 0
+    eps[lead] = (1 - int(eps @ unit)) * gfp.inv_mod(unit[lead], p) % p
+    return eps
+
+
+@pytest.mark.parametrize("case", ["trunc-5-11", "trivext-kr-3", "u0borel-3-1", "smash-3-1-1", "local-xy-5"])
+def test_sparse_unit_and_counit_checks_match_the_dense_oracles(case):
+    # corrupted tables and units, and counits of every support size: the
+    # base one, one entry changed, a random sparse one and a dense one
+    base = local_xy(5) if case == "local-xy-5" else PRODUCT_CASES[case]()
+    d, p = base.dim, base.p
+    rng = np.random.default_rng(d + p)
+    base_eps = base.counit if base.counit is not None else gfp.basis_vector(d, 0)
+    outcomes = []
+    for trial, bad in enumerate(corrupted_tables(base, 40, d * p)):
+        unit, eps, consts = base.unit.copy(), base_eps.copy(), base.structure_constants()
+        mode = trial % 5
+        if mode == 0:
+            unit[rng.integers(0, d)] = rng.integers(0, p)
+        elif mode == 1:
+            consts = bad.structure_constants()
+        elif mode == 2:
+            eps[rng.integers(0, d)] = rng.integers(0, p)
+        elif mode == 3:
+            eps = np.zeros(d, dtype=np.int64)
+            eps[rng.integers(0, d, 2)] = rng.integers(1, p, 2)
+        else:
+            eps = rng.integers(1, p, d)
+        if mode > 2 or trial % 10 == 2:
+            eps = with_counit_one(eps, unit, p)
+        a = alg.Algebra(p, base.labels, consts, unit, counit=eps, validate=False)
+        want = dense_unit_failure(a) or dense_counit_failure(a)
+        assert unit_counit_failure(a) == want
+        outcomes.append(want and want[0])
+    assert {None, "unit", "counit"} <= set(outcomes)
+
+
+def test_a_large_semisimple_algebra_builds_in_little_memory():
+    # the dense unit check held 3 d^2 int64, 3.2 GiB at d = 12000
+    tracemalloc.start()
+    try:
+        a = alg.split_semisimple(3, 12000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.dim == 12000 and peak < 32 << 20

@@ -547,6 +547,27 @@ def test_sliced_jacobi_check_reports_late_first_indices():
     assert min(firsts) >= 1 and len(firsts) >= 3
 
 
+def test_sliced_jacobi_check_in_slices_of_several_first_indices():
+    # dim 30 takes 9 first indices a slice; gl4 sits at an offset, so a
+    # corrupted bracket of two of its basis elements first fails in any slice
+    p, d = 5, 30
+    units = np.eye(16, dtype=INT).reshape(16, 4, 4)
+    gl4 = lielib.lie_from_matrices(p, units, [f"E{n}" for n in range(16)]).bracket
+    rng = np.random.default_rng(30)
+    firsts = set()
+    for _ in range(30):
+        off = int(rng.integers(0, d - 15))
+        c = np.zeros((d, d, d), dtype=INT)
+        c[off : off + 16, off : off + 16, off : off + 16] = gl4
+        i, j = sorted(rng.choice(np.arange(off, off + 16), 2, replace=False))
+        c[i, j, off : off + 16] = rng.integers(0, p, 16)
+        c[j, i] = -c[i, j] % p
+        want = full_tensor_jacobi_triple(c, p)
+        assert jacobi_error(c, p) == want
+        firsts.add(want and want[0] // 9)
+    assert {0, 1} <= firsts
+
+
 def frontier_spin_oracle(op, v, p):
     """The frontier spin under every ad matrix, as it ran before the generator spin."""
     dim = op.shape[0]
