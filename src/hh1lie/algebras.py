@@ -5,7 +5,10 @@ table.  Constructors for the algebra families used throughout the package
 live here (truncated polynomial rings, smash products u_lambda x^j, bound
 quiver algebras, trivial extensions, the solvable restricted enveloping
 algebra with relations t x = x t + x), together with center, commutator /
-radical checks, block decomposition and the symmetric-form search.
+radical checks, block decomposition and the symmetric-form search.  The
+smash, truncated and u0(b) constructors name the paper's generators
+(``Algebra.generators``); how each basis element is reached from them is
+derived from the table in ``hochschild``.
 
 Every constructed algebra is validated: associativity on all basis
 triples and the two-sided unit law on all basis elements.
@@ -83,44 +86,15 @@ class SmashDescriptor:
         return [j for j in range(self.x_bound) if j * pr + 1 <= self.x_bound - 1]
 
     @functools.cached_property
-    def presentation(self) -> "Presentation":
-        """The smash presentation: u_0, ..., u_(p^r - 1), each in its own slot, then x.
+    def generators(self) -> tuple:
+        """The smash generators: u_0, ..., u_(p^r - 1), then x.
 
-        Its steps are u_lam x^j = (u_lam x^(j-1)) x.  It is built once per
-        descriptor, so an algebra built from it carries this very object.
+        Built once per descriptor, so an algebra built from it carries this
+        very tuple.
         """
-        nc, dim = self.n_chars, self.n_chars * self.x_bound
-        units = [self.index(lam, 0) for lam in range(nc)]
-        return Presentation(
-            gen_vectors=tuple(gfp.basis_vector(dim, k) for k in units) + (self.x_vector(),),
-            base_gen=tuple((k, lam) for lam, k in enumerate(units)),
-            steps=tuple(
-                (self.index(lam, j), self.index(lam, j - 1), nc)
-                for j in range(1, self.x_bound)
-                for lam in range(nc)
-            ),
-        )
-
-
-@dataclass(frozen=True)
-class Presentation:
-    """Generator data used by the generator-based derivation solver.
-
-    A derivation is determined by its values on the generators.  Each
-    basis element is the value slot of a generator, or ``parent *
-    generator`` for an earlier basis element, which extends any candidate
-    by the Leibniz rule, or else the unit, where every derivation vanishes.
-    """
-
-    gen_vectors: tuple  # tuple of coordinate vectors, one per generator
-    base_gen: tuple  # (basis_index, generator_slot) pairs
-    steps: tuple  # (target, parent, generator_slot), topologically ordered
-
-    @classmethod
-    def all_basis(cls, dim: int) -> "Presentation":
-        """Every basis vector a generator in its own slot, for an algebra with no presentation."""
-        eye = np.eye(dim, dtype=INT)
-        return cls(tuple(eye), tuple((k, k) for k in range(dim)), ())
+        dim = self.n_chars * self.x_bound
+        units = tuple(gfp.basis_vector(dim, self.index(lam, 0)) for lam in range(self.n_chars))
+        return units + (self.x_vector(),)
 
 
 class Algebra:
@@ -143,7 +117,7 @@ class Algebra:
         counit=None,
         name=None,
         descriptor=None,
-        presentation=None,
+        generators=None,
         validate=True,
     ):
         self.p = check_prime(p)
@@ -154,7 +128,7 @@ class Algebra:
             raise DimensionMismatch("unit vector length does not match basis size")
         self.name = name or f"algebra(dim={self.dim},p={self.p})"
         self.descriptor = descriptor
-        self.presentation = presentation
+        self.generators = generators
         self._consts = self._constants(mult)
         self.radical_gens = (
             None
@@ -241,13 +215,9 @@ class Algebra:
     def basis_right_matrix(self, j: int) -> np.ndarray:
         return self.right_mult_matrix(gfp.basis_vector(self.dim, j))
 
-    def generating_set(self) -> Presentation:
-        """The presentation derivations are solved and checked on.
-
-        It is the algebra's own presentation, or with none, every basis vector
-        as a generator.
-        """
-        return self.presentation or Presentation.all_basis(self.dim)
+    def generating_set(self) -> tuple:
+        """The generators derivations are solved and checked on: the algebra's own, or every basis vector."""
+        return self.generators or tuple(np.eye(self.dim, dtype=INT))
 
     # -- validation ---------------------------------------------------------
 
@@ -462,17 +432,6 @@ def truncated_polynomial(p, exponents) -> Algebra:
         g[index[mono]] = 1
         gens.append(g)
 
-    # generator presentation: every monomial is parent * x_v for the first
-    # variable with a positive exponent
-    steps = []
-    for mono in sorted(basis, key=sum):
-        if sum(mono) == 0:
-            continue
-        v = next(w for w, e in enumerate(mono) if e > 0)
-        parent = tuple(e - 1 if w == v else e for w, e in enumerate(mono))
-        steps.append((index[mono], index[parent], v))
-    pres = Presentation(gen_vectors=tuple(gens), base_gen=(), steps=tuple(steps))
-
     return Algebra(
         p,
         [label(m) for m in basis],
@@ -481,7 +440,7 @@ def truncated_polynomial(p, exponents) -> Algebra:
         radical_gens=gens,
         counit=counit,
         name=f"trunc(p={p},exps={','.join(map(str, exponents))})",
-        presentation=pres,
+        generators=tuple(gens),
     )
 
 
@@ -516,7 +475,7 @@ def smash_product(p, n, r) -> tuple[Algebra, SmashDescriptor]:
         radical_gens=rad,
         name=f"smash(p={p},n={n},r={r})",
         descriptor=desc,
-        presentation=desc.presentation,
+        generators=desc.generators,
     )
     return alg, desc
 
@@ -553,15 +512,6 @@ def u0_borel(p, n) -> Algebra:
     xvec[idx(1, 0)] = 1
     tvec = np.zeros(dim, dtype=INT)
     tvec[idx(0, 1)] = 1
-
-    steps = []
-    for b in range(xb):
-        for a in range(p):
-            if a >= 1:
-                steps.append((idx(b, a), idx(b, a - 1), 1))
-            elif b >= 1:
-                steps.append((idx(b, 0), idx(b - 1, 0), 0))
-    pres = Presentation(gen_vectors=(xvec, tvec), base_gen=(), steps=tuple(sorted(steps)))
     return Algebra(
         p,
         labels,
@@ -569,7 +519,7 @@ def u0_borel(p, n) -> Algebra:
         unit,
         radical_gens=[xvec],
         name=f"u0borel(p={p},n={n})",
-        presentation=pres,
+        generators=(xvec, tvec),
     )
 
 
@@ -718,14 +668,8 @@ def quiver_algebra(q: QuiverPresentation, p) -> Algebra:
         ideal = Subspace.from_vectors(rows, p, ncols)
         piv_set = set(ideal.pivots)
 
-        # saturated when every maximal-length path coordinate is a pivot
-        top = [coord[pth] for pth in paths_by_len[-1]]
-        if top and all(c in piv_set for c in top):
-            basis_paths = [pth for pth in all_paths if coord[pth] not in piv_set]
-            if any(len(w) >= length for _, w in basis_paths):
-                continue  # a long path survived; enumerate further
-            return _finish_quiver_algebra(q, p, arrow_by_label, basis_paths, ideal, coord, all_paths)
-        if not paths_by_len[-1]:
+        # saturated when every path of the top length is a pivot, or there is none
+        if all(coord[pth] in piv_set for pth in paths_by_len[-1]):
             basis_paths = [pth for pth in all_paths if coord[pth] not in piv_set]
             return _finish_quiver_algebra(q, p, arrow_by_label, basis_paths, ideal, coord, all_paths)
     raise InfiniteDimensionalQuotient(

@@ -73,7 +73,7 @@ class SuiteContext:
             radical_gens=a.radical_gens,
             name=a.name + "+fault",
             descriptor=desc,
-            presentation=a.presentation,
+            generators=a.generators,
             validate=False,
         )
         return bad, desc

@@ -2,10 +2,11 @@
 
 HH1(A, A) is realized as Der(A)/IDer(A).  Derivations are solved exactly
 as the null space of the Leibniz system f(e_i e_j) = f(e_i) e_j + e_i f(e_j).
-The unknowns are the values of f on a generating set, which determine f
-through a presentation: f is phi of them, and ``Extender`` (phi) is the
-only code that extends a map from generator values.  With no presentation
-every basis vector is a generator.  The solver enforces f(1) = 0 together
+The unknowns are the values of f on the algebra's generators, or on every
+basis vector when it names none.  f is phi of them: ``Extender`` (phi)
+derives from the table how each basis element is reached from the
+generators, and is the only code that extends a map from generator
+values.  The solver enforces f(1) = 0 together
 with the pairs (e_i, s) for every basis element e_i and generator s, which
 implies the full system: by induction on word length, f(a w s) =
 f(a w) s + a w f(s) extends Leibniz from words w to w s.  The system is
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gfp
-from .algebras import Algebra, Presentation, SmashDescriptor
+from .algebras import Algebra, SmashDescriptor
 from .errors import (
     AlgebraMismatch,
     DimensionMismatch,
@@ -126,61 +127,86 @@ def _gen_block_residual(a: Algebra, fstack: np.ndarray, svec) -> np.ndarray:
 # (row, column, coefficient), reduced mod p before any two are multiplied.
 
 
-def _phi(a: Algebra, gens: np.ndarray, pres: Presentation):
-    """phi as triplets (vec(F) index, unknown, coefficient), sorted.
+def _phi(a: Algebra, gens: np.ndarray):
+    """phi as triplets (vec(F) index, unknown, coefficient), sorted, and its steps.
 
-    F(e_k) is v_t on a base generator slot, and F(e_parent g_t) =
-    R_(g_t) F(e_parent) + L_parent v_t along the steps; it is zero on the
-    unit.
+    The steps (target, parent, t) are found breadth-first from the table.  A
+    generator g_t that is a basis vector e_k gives F(e_k) = v_t.  A one-term
+    product e_parent g_t = e_target, taken the first time the target is
+    reached, gives F(e_target) = R_(g_t) F(e_parent) + L_parent v_t.  F is
+    zero on a lone unit, and any other basis element left unreached raises.
     """
     d, p = a.dim, a.p
     nv = gens.shape[0] * d
     ci, cj, ck, cc = a.structure_constants()
     lptr = np.searchsorted(ci, np.arange(d + 1))  # e_parent e_b = c e_k, by parent
     right = []  # R_g by columns: R_g[x, b] for x in rows[ptr[b] : ptr[b + 1]]
-    for g in gens:
+    single = np.full((len(gens), d), -1)  # single[t, b] = target if e_b g_t = e_target
+    for t, g in enumerate(gens):
         b, x, c = a.right_terms(g)
         key, val = gfp.merge(b * d + x, c, p)
-        right.append((np.searchsorted(key // d, np.arange(d + 1)), key % d, val))
+        ptr = np.searchsorted(key // d, np.arange(d + 1))
+        right.append((ptr, key % d, val))
+        one = np.flatnonzero(np.diff(ptr) == 1)
+        one = one[val[ptr[one]] == 1]
+        single[t, one] = key[ptr[one]] % d
+    single = single.T.tolist()
     empty = np.zeros(0, dtype=INT)
-    cols = [(empty, empty, empty)] * d  # F(e_k) as (coordinate, unknown, coefficient)
-    for k, t in pres.base_gen:
-        cols[k] = (np.arange(d), t * d + np.arange(d), np.ones(d, dtype=INT))
-    for target, parent, t in pres.steps:
-        rows, unk, val = cols[parent]
-        ptr, r_rows, r_vals = right[t]
-        term, pos = gfp.expand(rows, ptr)
-        lo, hi = lptr[parent], lptr[parent + 1]
-        key, val = gfp.merge(
-            np.concatenate([r_rows[pos] * nv + unk[term], ck[lo:hi] * nv + t * d + cj[lo:hi]]),
-            np.concatenate([r_vals[pos] * val[term], cc[lo:hi]]),
-            p,
-        )
-        cols[target] = (key // nv, key % nv, val)
+    cols = [None] * d  # F(e_k) as (coordinate, unknown, coefficient)
+    queue, steps = [], []
+    for t, g in enumerate(gens):
+        k = np.flatnonzero(g)
+        if k.size == 1 and g[k[0]] == 1 and cols[k[0]] is None:
+            cols[k[0]] = (np.arange(d), t * d + np.arange(d), np.ones(d, dtype=INT))
+            queue.append(int(k[0]))
+    unit = np.flatnonzero(a.unit)
+    if unit.size == 1 and cols[unit[0]] is None:
+        cols[unit[0]] = (empty, empty, empty)
+    for parent in queue:  # the queue grows as it is read
+        for t, target in enumerate(single[parent]):
+            if target < 0 or cols[target] is not None:
+                continue
+            rows, unk, val = cols[parent]
+            ptr, r_rows, r_vals = right[t]
+            term, pos = gfp.expand(rows, ptr)
+            lo, hi = lptr[parent], lptr[parent + 1]
+            key, val = gfp.merge(
+                np.concatenate([r_rows[pos] * nv + unk[term], ck[lo:hi] * nv + t * d + cj[lo:hi]]),
+                np.concatenate([r_vals[pos] * val[term], cc[lo:hi]]),
+                p,
+            )
+            cols[target] = (key // nv, key % nv, val)
+            queue.append(target)
+            steps.append((target, parent, t))
+    missing = [k for k, col in enumerate(cols) if col is None]
+    if missing:
+        k = missing[0]
+        raise Hh1LieError(f"the generators do not reach basis element {k} ({a.labels[k]})")
     key, val = gfp.merge(
         np.concatenate([(rows * d + k) * nv + unk for k, (rows, unk, _) in enumerate(cols)]),
         np.concatenate([val for _, _, val in cols]),
         p,
     )
-    return key // nv, key % nv, val
+    return (key // nv, key % nv, val), steps
 
 
 class Extender:
-    """phi along a presentation: rows of generator values to the d x d maps they extend to.
+    """phi along a generating set: rows of generator values to the d x d maps they extend to.
 
     The only code that extends a map from its values on generators: the
     derivation solver, the weight derivations of ``named_outer`` and the
     monomial derivations of the Proposition 2.2 witness all go through it.
-    It reads only the presentation and the table, never a solved Der(A).
+    It reads only the generators and the table, never a solved Der(A).
     phi(v) is a derivation iff v extends to one; ``_leibniz_failure`` decides.
     """
 
-    def __init__(self, a: Algebra, pres: Presentation):
+    def __init__(self, a: Algebra, gens):
         d, p = a.dim, a.p
         self.algebra, self.p = a, p
-        self.gens = np.stack([normalize(g, p) for g in pres.gen_vectors])
+        self.gens = np.stack([normalize(g, p).reshape(-1) for g in gens])
         self.nv = self.gens.shape[0] * d
-        fe, unk, val = self.triplets = _phi(a, self.gens, pres)
+        self.triplets, self.steps = _phi(a, self.gens)
+        fe, unk, val = self.triplets
         # phi by layers: layer t holds the t-th term of every vec(F) entry phi reaches
         start = np.flatnonzero(np.r_[True, fe[1:] != fe[:-1]]) if fe.size else fe
         term = np.arange(fe.size) - np.repeat(start, np.diff(np.r_[start, fe.size]))
@@ -328,16 +354,17 @@ def _leibniz_failure(a: Algebra, fstack: np.ndarray):
     ``named_outer`` and the seeded closure property all call it.
 
     f(1) = 0, then Leibniz against every generator of ``a.generating_set()``,
-    which implies every basis pair by induction on word length.  A
-    hand-written presentation is also checked on every basis pair when
-    d <= DENSE_SOLVER_LIMIT; with the basis as the generators, the generator
+    which implies every basis pair by induction on word length on an
+    associative table.  Named generators are also checked on every basis
+    pair when d <= DENSE_SOLVER_LIMIT, which catches an unvalidated
+    non-associative table; with the basis as the generators, the generator
     pass is that check already.
     """
     if matmul(fstack, a.unit, a.p).any():
         return "produced a map with f(1) != 0"
-    if _fails_leibniz(a, fstack, a.generating_set().gen_vectors):
+    if _fails_leibniz(a, fstack, a.generating_set()):
         return "produced a non-derivation"
-    if a.presentation is not None and a.dim <= DENSE_SOLVER_LIMIT:
+    if a.generators is not None and a.dim <= DENSE_SOLVER_LIMIT:
         if _fails_leibniz(a, fstack, np.eye(a.dim, dtype=INT)):
             return "failed the all-pairs check"
     return None
@@ -453,7 +480,7 @@ class DerivationSpace:
 
 def _derivation_space(a: Algebra) -> DerivationSpace:
     """The solved Der(A), cached on the algebra; see ``derivation_space``."""
-    if a.presentation is None and a.dim > DENSE_SOLVER_LIMIT:
+    if a.generators is None and a.dim > DENSE_SOLVER_LIMIT:
         raise Hh1LieError(
             f"dimension {a.dim} needs a generator presentation for the derivation solver"
         )
@@ -467,7 +494,7 @@ def derivation_space(a: Algebra) -> list[Derivation]:
     """Basis of Der(A), deterministic via RREF pivots, as d x d maps.
 
     The solver's unknowns are the values of f on ``a.generating_set()``: the
-    presentation's generators, or with none, every basis vector, which is
+    algebra's generators, or with none, every basis vector, which is
     allowed up to dimension DENSE_SOLVER_LIMIT.
     """
     space = _derivation_space(a)
@@ -505,8 +532,8 @@ def named_inner(desc: SmashDescriptor, lam: int, j: int, algebra: Algebra = None
 def named_outer(desc: SmashDescriptor, lam: int, j: int, algebra: Algebra = None) -> Derivation:
     """The weight derivation killing every u_mu with x -> u_lambda x^(j p^r + 1).
 
-    phi of those values along ``desc.presentation``, the algebra's own phi
-    when it carries that presentation; no Der solve.  The map is then
+    phi of those values along ``desc.generators``, the algebra's own phi
+    when it carries those generators; no Der solve.  The map is then
     validated, and a failure means the values extend to no derivation.
     """
     from .algebras import smash_product
@@ -517,8 +544,8 @@ def named_outer(desc: SmashDescriptor, lam: int, j: int, algebra: Algebra = None
     if not 0 <= exp <= desc.x_bound - 1:
         raise IndexError(f"weight exponent {j} maps to x^{exp}, out of range")
     lam %= desc.n_chars
-    pres = desc.presentation
-    phi = extender(algebra) if algebra.presentation is pres else Extender(algebra, pres)
+    gens = desc.generators
+    phi = extender(algebra) if algebra.generators is gens else Extender(algebra, gens)
     values = np.zeros(phi.nv, dtype=INT)
     values[desc.n_chars * algebra.dim + desc.index(lam, exp)] = 1  # F(x) in x's slot, the last
     m = phi.matrices(values)
@@ -630,10 +657,8 @@ class HH1Presentation:
             "dim_der": self.dim_der,
             "dim_ider": self.dim_ider,
             "dim_hh1": self.dim,
-            "bracket_table": [
-                [[int(c) for c in row] for row in plane] for plane in self.bracket_table
-            ],
-            "pmap_table": [[int(c) for c in row] for row in self.pmap_table],
+            "bracket_table": self.bracket_table.tolist(),
+            "pmap_table": self.pmap_table.tolist(),
             "complement_labels": list(self.complement_labels),
         }
 

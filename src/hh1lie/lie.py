@@ -71,12 +71,15 @@ class RestrictedLie:
     def validate(self):
         p, d = self.p, self.dim
         c = self.bracket
-        for i in range(d):
-            if c[i, i].any():
+        # the first failing row i reports [b_i, b_i] before any pair (i, j)
+        square = c[np.arange(d), np.arange(d)].any(axis=1)
+        asym = ((c + c.transpose(1, 0, 2)) % p).any(axis=2)
+        bad = np.flatnonzero(square | asym.any(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            if square[i]:
                 raise Hh1LieError(f"[b{i}, b{i}] != 0")
-            for j in range(d):
-                if ((c[i, j] + c[j, i]) % p).any():
-                    raise Hh1LieError(f"bracket not antisymmetric at ({i}, {j})")
+            raise Hh1LieError(f"bracket not antisymmetric at ({i}, {int(np.argmax(asym[i]))})")
         # [b_i, [b_j, b_k]] + [b_k, [b_i, b_j]] + [b_j, [b_k, b_i]] for a slice of
         # first indices i at a time, about 2^18 cells, so no d^4 array is held.
         # With t[i, j, k] = [b_k, [b_i, b_j]] and antisymmetry, the last two
@@ -99,18 +102,12 @@ class RestrictedLie:
             raise RestrictednessViolation(f"ad(b{bad[0]}^[p]) != ad(b{bad[0]})^p")
 
     def to_json_dict(self) -> dict:
-        triples = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    cc = int(self.bracket[i, j, k])
-                    if cc:
-                        triples.append([i, j, k, cc])
+        ijk = np.argwhere(self.bracket)  # C order: sorted by (i, j, k)
         return {
             "p": self.p,
             "labels": list(self.labels),
-            "bracket": triples,
-            "pmap": [[int(x) for x in row] for row in self.pmap_basis],
+            "bracket": np.column_stack([ijk, self.bracket[tuple(ijk.T)]]).tolist(),
+            "pmap": self.pmap_basis.tolist(),
         }
 
     def __repr__(self):

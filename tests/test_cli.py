@@ -157,6 +157,16 @@ def test_hh1_invalid_json_exits_3(tmp_path, capsys):
     assert "error" in err
 
 
+def test_hh1_of_a_large_algebra_without_generators_exits_3_with_the_known_limit(tmp_path, capsys):
+    # T(smash(3,2,1)) from JSON names no generators, and dim 54 is past the dense solver
+    t = alg.trivial_extension(alg.smash_product(3, 2, 1)[0])
+    path = tmp_path / "tsmash-3-2-1.json"
+    path.write_text(alg.dumps_canonical(t.to_json_dict()))
+    code, out, err = run_cli(capsys, "hh1", "--kind", "json", "--file", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: dimension 54 needs a generator presentation for the derivation solver\n"
+
+
 def test_hh1_lie_analysis_error_exits_3(monkeypatch, capsys):
     def undecided(*args, **kwargs):
         raise Hh1LieError("irreducibility test did not reach a decision")

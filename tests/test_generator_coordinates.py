@@ -92,7 +92,7 @@ def test_hh1_matches_the_d2_pipeline(case):
     h = hoch.hh1(a)
     space = h.space
     d2 = a.dim**2
-    assert space.nv == (d2 if a.presentation is None else len(a.presentation.gen_vectors) * a.dim)
+    assert space.nv == (d2 if a.generators is None else len(a.generators) * a.dim)
     assert (h.dim_der, h.dim_ider, h.dim) == (
         len(want["der"]),
         len(want["ider"]),

@@ -64,7 +64,7 @@ def test_dense_and_generator_solvers_agree_exactly():
         alg.u0_borel(3, 2),
     ]
     for a in cases:
-        # the same table with no presentation: every basis vector is a generator
+        # the same table with no generators: every basis vector is a generator
         dense = vecs(hoch.derivation_space(alg.Algebra(a.p, a.labels, a.structure_constants(), a.unit)))
         gen = vecs(hoch.derivation_space(a))
         assert np.array_equal(dense, gen), a.name
@@ -193,7 +193,7 @@ def test_derivations_of_non_injective_table_match_python_int_system(p):
     ids=["smash321", "u0borel32", "trunc3-21", "tkr3"],
 )
 def test_derivation_space_matches_python_int_system(build):
-    # the first three take the generator path, T(Kr) has no presentation
+    # the first three take the generator path, T(Kr) names no generators
     a = build()
     assert np.array_equal(vecs(hoch.derivation_space(a)), leibniz_kernel_by_python_ints(a))
 
@@ -202,7 +202,7 @@ def corrupted(a, i, j):
     """Copy of a monomial algebra with c_ij raised by one, not validated."""
     k = next((k for k, _ in a.mult_terms(i, j)), 0)  # the target of e_i e_j, or e_0 where it is 0
     terms = [np.r_[x, t] for x, t in zip(a.structure_constants(), (i, j, k, 1))]
-    return alg.Algebra(a.p, a.labels, terms, a.unit, presentation=a.presentation, validate=False)
+    return alg.Algebra(a.p, a.labels, terms, a.unit, generators=a.generators, validate=False)
 
 
 @pytest.mark.parametrize("i,j", [(22, 17), (13, 7), (4, 21)])
@@ -238,7 +238,7 @@ def test_all_pairs_check_on_a_large_monomial_algebra_without_presentation():
     # right-multiplication matrix is built or cached on the algebra
     a, desc = alg.smash_product(5, 2, 1)
     b = alg.Algebra(a.p, a.labels, a.structure_constants(), a.unit, validate=False)
-    assert b.dim == 125 and b.presentation is None
+    assert b.dim == 125 and b.generators is None
     g = hoch.named_outer(desc, 0, 1, a).matrix
     assert hoch.Derivation(b, g).is_derivation()
     assert not b._derivation_cache
@@ -250,22 +250,93 @@ def test_unit_check_rejects_a_map_that_passes_every_generator():
     # F(m) s + m F(s) for every monomial m and generator s, but F(1 1) != 2 F(1);
     # at dim 81 only the unit check of the shared Leibniz checker sees it
     a = alg.truncated_polynomial(3, (1, 1, 1, 1))
-    assert a.dim > hoch.DENSE_SOLVER_LIMIT and a.presentation is not None
+    assert a.dim > hoch.DENSE_SOLVER_LIMIT and a.generators is not None
     f = np.zeros((a.dim, a.dim), dtype=np.int64)
     f[a.dim - 1, 0] = 1
-    assert not hoch._fails_leibniz(a, f[None], a.generating_set().gen_vectors)
+    assert not hoch._fails_leibniz(a, f[None], a.generating_set())
     assert hoch._leibniz_failure(a, f[None]) == "produced a map with f(1) != 0"
     assert not hoch.Derivation(a, f).is_derivation()
 
 
-def test_presentation_whose_generator_is_not_its_slot_fails_the_honesty_check():
-    # phi builds x as 1 * g with g = x + x^2: every solved map is a derivation,
-    # but its value on g is not the solved generator value, so g(phi(y)) != y
+def test_presentation_whose_generator_is_not_its_slot_fails_the_honesty_check(monkeypatch):
+    # g(F) read on x + x^2 in place of the generator x: every solved map is a
+    # derivation, but its value there is not the solved generator value, so
+    # g(phi(y)) != y
     a = alg.truncated_polynomial(3, (1,))
-    bad = alg.Presentation((np.array([0, 1, 1]),), (), ((1, 0, 0), (2, 1, 0)))
-    b = alg.Algebra(a.p, a.labels, a.structure_constants(), a.unit, presentation=bad, validate=False)
+    off_slot = np.array([0, 1, 1])
+    monkeypatch.setattr(hoch.Extender, "gen_coords", lambda self, mats: np.asarray(mats) @ off_slot % 3)
     with pytest.raises(Hh1LieError, match="generator values do not determine"):
+        hoch.derivation_space(a)
+
+
+@pytest.mark.parametrize("gen", [[0, 1, 1], [0, 2, 0]], ids=["x+x^2", "2x"])
+def test_a_generator_that_reaches_no_basis_element_is_rejected(gen):
+    # neither is a basis vector, and 1 g is not one term with coefficient 1, so phi has no step
+    a = alg.truncated_polynomial(3, (1,))
+    gens = (np.array(gen),)
+    b = alg.Algebra(a.p, a.labels, a.structure_constants(), a.unit, generators=gens, validate=False)
+    with pytest.raises(Hh1LieError, match=r"do not reach basis element 1 \(x1\)"):
         hoch.derivation_space(b)
+
+
+def test_a_step_product_that_is_not_one_term_with_coefficient_1_is_rejected():
+    # u_0 x * u_2 x is the only nonzero part of (u_0 x) x = u_0 x^2: with a
+    # stray term before or after u_0 x^2, or coefficient 2, no step reaches it
+    sm, desc = alg.smash_product(3, 1, 1)
+    i, j = desc.index(0, 1), desc.index(2, 1)
+    for stray in (desc.index(0, 0), desc.index(2, 2), desc.index(0, 2)):
+        terms = [np.r_[x, t] for x, t in zip(sm.structure_constants(), (i, j, stray, 1))]
+        bad = alg.Algebra(3, sm.labels, terms, sm.unit, generators=sm.generators, validate=False)
+        with pytest.raises(Hh1LieError, match=r"do not reach basis element 2 \(u0\*x\^2\)"):
+            hoch.extender(bad)
+
+
+def old_smash_presentation(p, n, r):
+    """The hand-written smash slots and steps.
+
+    u_lam is in slot lam and x in slot p^r; u_lam x^j = (u_lam x^(j-1)) x.
+    """
+    desc = alg.SmashDescriptor(p, n, r)
+    nc = desc.n_chars
+    base_gen = {(desc.index(lam, 0), lam) for lam in range(nc)}
+    steps = {
+        (desc.index(lam, j), desc.index(lam, j - 1), nc) for j in range(1, desc.x_bound) for lam in range(nc)
+    }
+    return alg.smash_product(p, n, r)[0], base_gen, steps
+
+
+def old_u0_borel_presentation(p, n):
+    """The hand-written u0(b) steps, x in slot 0 and t in 1.
+
+    x^b t^a = (x^b t^(a-1)) t, and x^b = x^(b-1) x.
+    """
+    steps = set()
+    for b in range(p**n):
+        for a in range(p):
+            if a >= 1:
+                steps.add((b * p + a, b * p + a - 1, 1))
+            elif b >= 1:
+                steps.add((b * p, (b - 1) * p, 0))
+    return alg.u0_borel(p, n), set(), steps
+
+
+@pytest.mark.parametrize(
+    "old, args",
+    [(old_smash_presentation, pnr) for pnr in [(3, 2, 1), (3, 1, 2), (5, 2, 1)]]
+    + [(old_u0_borel_presentation, pn) for pn in [(3, 2), (5, 1)]],
+    ids=["smash-3-2-1", "smash-3-1-2", "smash-5-2-1", "u0borel-3-2", "u0borel-5-1"],
+)
+def test_derived_steps_match_the_hand_written_presentations(old, args):
+    a, base_gen, steps = old(*args)
+    # a hand-written step 1 g_t = e_k from a lone unit gave F(e_k) = v_t: the slot of g_t = e_k
+    unit = np.flatnonzero(a.unit)
+    from_unit = {(k, t) for k, parent, t in steps if unit.size == 1 and parent == unit[0]}
+    phi = hoch.extender(a)
+    slots = {(int(np.flatnonzero(g)[0]), t) for t, g in enumerate(phi.gens) if np.count_nonzero(g) == 1}
+    assert slots == base_gen | from_unit
+    assert set(phi.steps) == steps - {(k, unit[0], t) for k, t in from_unit}
+    for target, parent, t in phi.steps:  # each a one-term, coefficient-1 product
+        assert np.array_equal(a.mul_vec(basis_vec(a.dim, parent), phi.gens[t]), basis_vec(a.dim, target))
 
 
 # -- named derivations ---------------------------------------------------------------
@@ -374,12 +445,12 @@ def test_named_outer_is_phi_of_its_values_and_matches_the_old_loop(p, n, r):
 
 
 def test_named_outer_without_a_stored_presentation():
-    # phi along the descriptor's presentation, on a copy of the table with no
-    # presentation and on the algebra built from an equal descriptor
+    # phi along the descriptor's generators, on a copy of the table with none
+    # and on the algebra built from an equal descriptor
     for p, n, r in [(3, 2, 1), (3, 1, 2)]:
         sm, desc = alg.smash_product(p, n, r)
         bare = alg.Algebra(p, sm.labels, sm.structure_constants(), sm.unit, validate=False)
-        assert bare.presentation is None
+        assert bare.generators is None
         for lam in range(desc.n_chars):
             for j in desc.outer_exponents():
                 want = old_named_outer(desc, lam, j, sm)
@@ -402,9 +473,15 @@ def test_named_outer_runs_no_derivation_solve(monkeypatch):
 
 
 def test_named_outer_values_that_extend_to_no_derivation_raise():
-    # on a table with a stray term, phi of the weight values breaks Leibniz
     sm, desc = alg.smash_product(3, 1, 1)
+    # a stray u_0 on u_0 x * u_0 x makes the step (u_0 x) x = u_0 x^2 two terms,
+    # and phi finds no other way to reach u_0 x^2
     bad = corrupted(sm, desc.index(0, 1), desc.index(0, 1))
+    with pytest.raises(Hh1LieError, match=r"do not reach basis element 2 \(u0\*x\^2\)"):
+        hoch.named_outer(desc, 0, 0, bad)
+    # off the steps, on u_0 x^2 * u_0 x, phi of the weight values breaks Leibniz
+    bad = corrupted(sm, desc.index(0, 2), desc.index(0, 1))
+    assert set(hoch.extender(bad).steps) == set(hoch.extender(sm).steps)
     with pytest.raises(WellDefinednessFailure, match="lambda=0, j=0"):
         hoch.named_outer(desc, 0, 0, bad)
 
@@ -621,8 +698,8 @@ def project_rows_dense(h, mat):
 
 
 def generator_killer(a):
-    """A nonzero map E with E s = 0 for every presentation generator s."""
-    free = np.flatnonzero(~np.stack(a.presentation.gen_vectors).any(axis=0))
+    """A nonzero map E with E s = 0 for every generator s."""
+    free = np.flatnonzero(~np.stack(a.generators).any(axis=0))
     e = np.zeros((a.dim, a.dim), dtype=np.int64)
     e[:, free[0]] = 1
     return e

@@ -87,10 +87,9 @@ CASES.append(("u0borel-n1", 5))
 
 def elements(a, rng):
     """The generators, every basis vector, and random elements, whose R_s has many terms."""
-    pres = a.generating_set()
     eye = np.eye(a.dim, dtype=INT)
     rand = rng.integers(0, a.p, size=(3, a.dim))
-    return [np.asarray(g, dtype=INT) for g in pres.gen_vectors] + list(eye) + list(rand)
+    return [np.asarray(g, dtype=INT) for g in a.generating_set()] + list(eye) + list(rand)
 
 
 def stacks(a, rng):

@@ -766,3 +766,91 @@ def test_known_generators_cut_the_rref_calls_of_the_search(monkeypatch):
     monkeypatch.setattr(lielib, "rref", counted)
     assert lielib.adjoint_invariant_subspace(L, seed=0).dim == 36
     assert len(calls) < 1500  # 5,361 when every full spin runs to its end
+
+
+def antisymmetry_loop_error(c, p):
+    """The first antisymmetry failure of the double loop over the pairs, or None."""
+    d = c.shape[0]
+    for i in range(d):
+        if c[i, i].any():
+            return f"[b{i}, b{i}] != 0"
+        for j in range(d):
+            if ((c[i, j] + c[j, i]) % p).any():
+                return f"bracket not antisymmetric at ({i}, {j})"
+    return None
+
+
+def antisymmetry_error(c, p):
+    """The antisymmetry failure validate reports, or None if it reports another or none."""
+    try:
+        lielib.RestrictedLie(p, c, np.zeros((c.shape[0],) * 2, dtype=INT))
+    except Hh1LieError as exc:
+        if re.fullmatch(r"\[b\d+, b\d+\] != 0|bracket not antisymmetric at .*", str(exc)):
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 5), (5, 7), (7, 4)])
+def test_antisymmetry_check_reports_the_loop_failure(p, d):
+    rng = np.random.default_rng(p * 10 + d)
+    kinds = []
+    for trial in range(80):
+        c = rng.integers(0, p, (d, d, d))
+        c = (c - c.transpose(1, 0, 2)) % p
+        for _ in range(trial % 3):  # 0, 1 or 2 corrupted entries
+            i, j, k = rng.integers(0, d, 3)
+            if trial % 4 == 0:
+                j = i  # a corrupted [b_i, b_i]
+            c[i, j, k] = (c[i, j, k] + rng.integers(1, p)) % p
+        want = antisymmetry_loop_error(c, p)
+        assert antisymmetry_error(c, p) == want
+        kinds.append(want and want[0])
+    assert {None, "["} <= set(kinds) and ("b" in kinds or d == 1)
+
+
+def test_antisymmetry_check_reports_the_square_before_a_later_pair():
+    # row 2 has both a nonzero [b2, b2] and a failing pair (2, 3); the loop
+    # reports the square, and a pair of an earlier row before either
+    p, d = 5, 4
+    c = np.zeros((d, d, d), dtype=INT)
+    c[2, 2, 1] = c[2, 3, 0] = 1
+    assert antisymmetry_error(c, p) == antisymmetry_loop_error(c, p) == "[b2, b2] != 0"
+    c[1, 3, 0] = 2
+    assert antisymmetry_error(c, p) == antisymmetry_loop_error(c, p) == "bracket not antisymmetric at (1, 3)"
+
+
+def old_lie_json_dict(L):
+    triples = []
+    for i in range(L.dim):
+        for j in range(L.dim):
+            for k in range(L.dim):
+                cc = int(L.bracket[i, j, k])
+                if cc:
+                    triples.append([i, j, k, cc])
+    pmap = [[int(x) for x in row] for row in L.pmap_basis]
+    return {"p": L.p, "labels": list(L.labels), "bracket": triples, "pmap": pmap}
+
+
+SERIALIZED_CASES = {
+    "gf3^2": lambda: alg.split_semisimple(3, 2),  # HH1 = 0
+    "trunc3-1": lambda: alg.truncated_polynomial(3, (1,)),
+    "trunc3-11": lambda: alg.truncated_polynomial(3, (1, 1)),
+    "smash-3-2-1": lambda: alg.smash_product(3, 2, 1)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIALIZED_CASES))
+def test_serialized_tables_match_the_old_loops(name):
+    h = hoch.hh1(SERIALIZED_CASES[name]())
+    L = lielib.from_hh1(h)
+    report = h.to_report_dict()
+    assert report["bracket_table"] == [[[int(c) for c in row] for row in plane] for plane in h.bracket_table]
+    assert report["pmap_table"] == [[int(c) for c in row] for row in h.pmap_table]
+    assert alg.dumps_canonical(L.to_json_dict()) == alg.dumps_canonical(old_lie_json_dict(L))
+
+
+def test_serialized_tables_of_dimension_zero():
+    L = lielib.RestrictedLie(3, np.zeros((0, 0, 0), dtype=INT), np.zeros((0, 0), dtype=INT))
+    assert L.to_json_dict() == old_lie_json_dict(L) == {"p": 3, "labels": [], "bracket": [], "pmap": []}
+    report = hoch.hh1(SERIALIZED_CASES["gf3^2"]()).to_report_dict()
+    assert (report["dim_hh1"], report["bracket_table"], report["pmap_table"]) == (0, [], [])
