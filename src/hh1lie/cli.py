@@ -7,7 +7,7 @@ Subcommands:
   reproduce   run the registered verification suite
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 input validation
-error.  Output is deterministic for fixed flags and seed.
+or computation error.  Output is deterministic for fixed flags and seed.
 """
 
 from __future__ import annotations
@@ -89,10 +89,8 @@ def _load_quiver(path: str) -> alg.QuiverPresentation:
 
 
 def _build_algebra(args, parser) -> alg.Algebra:
-    try:
-        p = check_prime(args.p)
-    except ValueError as exc:
-        parser.error(str(exc))  # exits 2
+    """The algebra the flags name; ``main`` reports a ValueError from here as a usage error."""
+    p = check_prime(args.p)
     if args.kind == "smash":
         if args.n is None or args.r is None:
             parser.error("--kind smash needs --n and --r")
@@ -142,13 +140,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("build", "hh1"):
         try:
-            a = _build_algebra(args, parser)
+            try:
+                a = _build_algebra(args, parser)
+            except ValueError as exc:  # a bad flag value exits 2, an unreadable file 3
+                if isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
+                    raise
+                parser.error(str(exc))
             payload = a.to_json_dict() if args.command == "build" else _hh1_payload(a, args.seed)
-        except (Hh1LieError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+        except (Hh1LieError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID_INPUT
-        except ValueError as exc:
-            parser.error(str(exc))
         _emit(dumps_canonical(payload), args.json_out)
         return 0
     from . import checks as checkmod  # only the suite needs it, so hh1 and build skip its import

@@ -13,10 +13,10 @@ f(a w) s + a w f(s) extends Leibniz from words w to w s.  The system is
 built sparse in int64, deduplicated, and its kernel taken once.
 ``_leibniz_failure`` is the only Leibniz checker.
 
-Der, IDer and the complement stay in the solver's coordinates, the values
-on the generators (|S| d numbers per map, against d^2 for the matrix).  d x d
-matrices are built only for the complement representatives, a block at a
-time for the checks, and for callers that ask for them.
+Der, IDer, the complement and the HH1 tables stay in the solver's
+coordinates, the values on the generators (|S| d numbers per map, against
+d^2 for the matrix).  d x d matrices are built only for the complement
+representatives, a block at a time for the checks, and on request.
 
 For smash-product algebras the distinguished outer derivations (zero on
 every idempotent u_lambda, sending x to u_lambda x^(j p^r + 1), built as
@@ -559,34 +559,48 @@ def named_outer(desc: SmashDescriptor, lam: int, j: int, algebra: Algebra = None
 # -- HH1 ------------------------------------------------------------------------
 
 
-def matrix_tables(mats, p: int, coords_rows):
-    """Bracket and p-map tables of a span of d x d matrices under [X, Y] = XY - YX and X^p.
+def generator_tables(mats, values, p: int, coords_rows):
+    """Bracket and p-map tables of maps X_i from their values g(X_i) = (X_i s)_s on generators s.
 
-    ``coords_rows`` gives the coordinates of a stack of vectorized matrices
-    in the span; bracket[i, j] holds those of [X_i, X_j], pmap[i] of X_i^p.
-    Pairs i < j go in blocks of about 2^18 cells; bracket[j, i] = -bracket[i, j].
+    bracket[i, j] holds the ``coords_rows`` of g([X_i, X_j]) = X_i g(X_j) - X_j g(X_i), and
+    pmap[i] of g(X_i^p) = X_i^(p-1) g(X_i): d^2 |S| per entry, no d x d product.
+    Derivations, and so their brackets and p-th powers, are fixed by their
+    values.  X_i g(X_j) is one product; it and the pairs i < j go in blocks
+    of about 2^18 cells.
     """
     mats = normalize(mats, p)
     h, d = mats.shape[0], mats.shape[-1]
+    m = np.shape(values)[-1] // d
+    vals = normalize(values, p).reshape(h * m, d)  # row (j, t) is X_j s_t
+    xt = np.ascontiguousarray(mats.transpose(2, 0, 1)).reshape(d, h * d)  # column block i is X_i^T
+    prod = np.empty((h * m, h * d), dtype=INT)
+    step = max(1, (1 << 18) // max(h * m * d, 1)) * d
+    for s in range(0, h * d, step):
+        prod[:, s : s + step] = matmul(vals, xt[:, s : s + step], p)
+    prod = prod.reshape(h, m, h, d)  # prod[j, t, i] is X_i X_j s_t
     bracket = np.zeros((h, h, h), dtype=INT)
     first, second = np.triu_indices(h, 1)
-    step = max(1, (1 << 18) // max(d * d, 1))
+    step = max(1, (1 << 18) // max(m * d, 1))
     for s in range(0, first.size, step):
         i, j = first[s : s + step], second[s : s + step]
-        comm = (matmul(mats[i], mats[j], p) - matmul(mats[j], mats[i], p)) % p
-        bracket[i, j] = coords_rows(comm.reshape(i.size, d * d))
+        comm = (prod[j, :, i] - prod[i, :, j]) % p  # g([X_i, X_j])
+        bracket[i, j] = coords_rows(comm.reshape(i.size, m * d))
     bracket[second, first] = -bracket[first, second] % p
-    return bracket, coords_rows(gfp.mat_pow(mats, p, p).reshape(h, d * d))
+    power = prod[np.arange(h), :, np.arange(h)]  # g(X_i^2)
+    for _ in range(p - 2):
+        power = matmul(power, mats.transpose(0, 2, 1), p)
+    return bracket, coords_rows(power.reshape(h, m * d))
 
 
 class HH1Presentation:
     """Der(A) = IDer(A) + complement, with bracket and p-map on classes.
 
     Der and IDer stay in the generator coordinates of ``space``.
-    complement_basis holds chosen representatives as maps; ``project`` maps
-    any derivation in Der(A) to its class coordinates.  The bracket and
-    p-map tables are verified to be independent of the representatives by
-    re-deriving them after seeded inner perturbations.
+    complement_basis holds chosen representatives as maps, checked once to
+    lie in Der(A); ``project`` maps any derivation to its class coordinates.
+    The tables come from the representatives' generator values, and are
+    verified to be independent of the representatives by re-deriving them
+    after seeded inner perturbations.
     """
 
     def __init__(self, space: DerivationSpace, complement_basis, labels, seed=0):
@@ -601,10 +615,14 @@ class HH1Presentation:
         self.dim = len(complement_basis)
         d = self.algebra.dim
         self._comp = np.array([f.matrix for f in complement_basis], dtype=INT).reshape(-1, d, d)
+        if not space.contains(self._comp):
+            raise Hh1LieError("complement representatives escape Der")
+        self._values = space.gen_coords(self._comp)
         # class coordinates: coordinates in the representatives modulo IDer
         not_in = ValueError("matrix is not in IDer + complement")
-        self._classes = gfp.OrderedBasis(space.gen_coords(self._comp), p, ider, not_in)
-        self.bracket_table, self.pmap_table = matrix_tables(self._comp, p, self.project_rows)
+        self._classes = gfp.OrderedBasis(self._values, p, ider, not_in)
+        tables = generator_tables(self._comp, self._values, p, self._classes.coords_rows)
+        self.bracket_table, self.pmap_table = tables
         self._verify_representative_independence(seed)
 
     @property
@@ -617,16 +635,10 @@ class HH1Presentation:
         return [Derivation(self.algebra, m) for m in self.space.matrices(self.space.inner()[0])]
 
     def project_rows(self, mat: np.ndarray) -> np.ndarray:
-        """Class coordinates for a stack of vectorized derivation matrices.
-
-        X lies in IDer + complement iff g(X) does and X = phi(g(X)).
-        """
-        mat = normalize(mat, self.p)
-        rows = self.space.gen_coords(mat)
-        coeffs = self._classes.coords_rows(rows)
-        if not self.space.is_phi_of(mat, rows):
+        """Class coordinates for a stack of vectorized derivation matrices."""
+        if not self.space.contains(mat):
             raise ValueError("matrix is not in IDer + complement")
-        return coeffs
+        return self._classes.coords_rows(self.space.gen_coords(normalize(mat, self.p)))
 
     def project_matrix(self, matrix) -> np.ndarray:
         """Class coordinates of a derivation matrix in the complement basis."""
@@ -643,12 +655,10 @@ class HH1Presentation:
         inner_rows = self.space.inner()[0]
         for _ in range(trials):
             coeffs = rng.integers(0, self.p, size=(self.dim, self.dim_ider))
-            shifts = self.space.matrices(matmul(coeffs, inner_rows, self.p))
-            btab, ptab = matrix_tables(self._comp + shifts, self.p, self.project_rows)
-            if not (
-                np.array_equal(btab, self.bracket_table)
-                and np.array_equal(ptab, self.pmap_table)
-            ):
+            shifts = matmul(coeffs, inner_rows, self.p)  # their values: no gen_coords per trial
+            reps = self._comp + self.space.matrices(shifts)
+            btab, ptab = generator_tables(reps, self._values + shifts, self.p, self._classes.coords_rows)
+            if not (np.array_equal(btab, self.bracket_table) and np.array_equal(ptab, self.pmap_table)):
                 raise Hh1LieError("bracket or p-map table depends on the representatives")
 
     def to_report_dict(self) -> dict:
@@ -677,9 +687,7 @@ def hh1(a: Algebra, seed: int = 0) -> HH1Presentation:
         desc = a.descriptor
         reps = [named_outer(desc, 0, j, a) for j in desc.outer_exponents()]
         labels = [f"g[0,{j}]" for j in desc.outer_exponents()]
-        # the presentation checks that they are independent modulo IDer
-        if not space.contains(np.stack([f.matrix for f in reps])):
-            raise Hh1LieError("weight derivations escape Der")
+        # the presentation checks that they lie in Der and are independent modulo IDer
         if len(ider_piv) + len(reps) != space.dim or len(pivot_comp) != len(reps):
             raise Hh1LieError("weight complement has the wrong dimension")
     else:

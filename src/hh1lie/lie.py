@@ -25,7 +25,7 @@ from . import gfp
 from .algebras import truncated_polynomial
 from .errors import DimensionMismatch, Hh1LieError, RestrictednessViolation
 from .gfp import INT, Subspace, check_prime, matmul, normalize, rref
-from .hochschild import HH1Presentation, hh1, matrix_tables
+from .hochschild import HH1Presentation, generator_tables, hh1
 
 ENUM_LIMIT = 10**6
 ENUM_LIMIT_SLOW = 20_000
@@ -674,9 +674,10 @@ def lie_from_matrices(p: int, mats, labels) -> RestrictedLie:
     """Restricted Lie algebra spanned by matrices, closed under [ , ] and M^p."""
     p = check_prime(p)
     mats = normalize(mats, p)
+    values = mats.transpose(0, 2, 1).reshape(len(mats), -1)  # g(X) = X^T: the basis generates
     not_closed = Hh1LieError("span is not closed under the required operations")
-    basis = gfp.OrderedBasis(mats.reshape(len(mats), -1), p, error=not_closed)
-    return RestrictedLie(p, *matrix_tables(mats, p, basis.coords_rows), labels=labels)
+    basis = gfp.OrderedBasis(values, p, error=not_closed)
+    return RestrictedLie(p, *generator_tables(mats, values, p, basis.coords_rows), labels=labels)
 
 
 def sl2(p: int) -> RestrictedLie:

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from hh1lie import algebras as alg
@@ -176,6 +176,22 @@ def test_hh1_lie_analysis_error_exits_3(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: irreducibility test did not reach a decision")
+
+
+@pytest.mark.parametrize("stage", ["hh1", "from_hh1"])
+def test_a_value_error_from_the_pipeline_is_not_a_usage_error(monkeypatch, capsys, stage):
+    # only a bad flag value is a usage error (exit 2); an internal ValueError
+    # once came out as argparse usage text
+    def broken(*args, **kwargs):
+        raise ValueError("cannot reshape array of size 0 into shape (0,newaxis)")
+
+    module = cli.hoch if stage == "hh1" else cli.lielib
+    monkeypatch.setattr(module, stage, broken)
+    code, out, err = run_cli(capsys, "hh1", "--kind", "trunc", "--p", "3", "--exps", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: cannot reshape array of size 0 into shape (0,newaxis)\n"
+    assert exit_code("hh1", "--kind", "trunc", "--p", "3", "--exps", "99") == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def exit_code(*argv):
@@ -485,6 +501,7 @@ def mutated_quivers(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(doc=mutated_quivers())
+@example(doc={"vertices": ["1", "2"], "arrows": []})  # HH1 = 0: empty tables
 def test_fuzzed_quiver_json_exits_0_or_3(tmp_path, doc):
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(doc))

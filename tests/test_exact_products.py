@@ -156,12 +156,16 @@ def test_spin_operator_products_match_python_ints(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_matrix_tables_match_python_ints(p):
-    # coords_rows is the identity on the n^2 entries, so bracket[i, j] is
-    # [X_i, X_j] itself and pmap[i] is X_i^p
+    # with the basis as generators g(X) = X^T, and coords_rows the identity on
+    # the n^2 values, so transposed back bracket[i, j] is [X_i, X_j] itself
+    # and pmap[i] is X_i^p
     rng = np.random.default_rng(p)
     n = 3
     mats = np.stack([np.full((n, n), p - 1)] + [rng.integers(0, p, (n, n)) for _ in range(n * n - 1)])
-    bracket, pmap = hoch.matrix_tables(mats, p, lambda rows: rows)
+    values = mats.transpose(0, 2, 1).reshape(n * n, n * n)
+    bracket, pmap = hoch.generator_tables(mats, values, p, lambda rows: rows)
+    bracket = bracket.reshape(n * n, n * n, n, n).swapaxes(-1, -2).reshape(n * n, n * n, n * n)
+    pmap = pmap.reshape(n * n, n, n).swapaxes(-1, -2).reshape(n * n, n * n)
     lists = mats.tolist()
     for i, j in itertools.product(range(n * n), repeat=2):
         xy, yx = py_matmul(lists[i], lists[j], p), py_matmul(lists[j], lists[i], p)
@@ -170,7 +174,7 @@ def test_matrix_tables_match_python_ints(p):
 
 
 def all_pairs_matrix_tables(mats, p, coords_rows):
-    """The tables from every ordered pair at once, as they were built before the pair blocks."""
+    """The d x d oracle: the tables from every product [X_i, X_j] and X_i^p at once."""
     h, d = mats.shape[0], mats.shape[-1]
     prod = gfp.matmul(mats[:, None], mats[None, :], p)
     comm = (prod - prod.transpose(1, 0, 2, 3)) % p
@@ -180,12 +184,20 @@ def all_pairs_matrix_tables(mats, p, coords_rows):
 
 @pytest.mark.parametrize("p", [3, 317])
 def test_matrix_tables_in_pair_blocks_match_all_pairs(p):
-    # d = 100: 26 pairs a block, so the 435 pairs of 30 matrices span 17 blocks
+    # d = 100 and 20 generators: 4 matrices a column block (8 blocks) and
+    # 131 pairs a pair block, so the 435 pairs of 30 matrices span 4 blocks
     rng = np.random.default_rng(p)
-    h, d = 30, 100
+    h, d, m = 30, 100, 20
     mats = rng.integers(0, p, (h, d, d))
-    coords = lambda rows: rows[:, :h]  # noqa: E731 - any linear map serves
-    got, want = hoch.matrix_tables(mats, p, coords), all_pairs_matrix_tables(mats, p, coords)
+    gens = rng.integers(0, p, (m, d))
+
+    def values(maps):  # g(X) = (X s)_s
+        return gfp.matmul(maps.reshape(-1, d, d), gens.T, p).transpose(0, 2, 1).reshape(-1, m * d)
+
+    coords = lambda rows: rows[:, :h]  # noqa: E731 - any linear map of the values serves
+    got = hoch.generator_tables(mats, values(mats), p, coords)
+    want = all_pairs_matrix_tables(mats, p, lambda rows: coords(values(rows)))
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    empty = hoch.matrix_tables(np.zeros((0, 4, 4), dtype=INT), p, lambda rows: rows[:, :0])
+    no_maps, no_values = np.zeros((0, 4, 4), dtype=INT), np.zeros((0, 8), dtype=INT)
+    empty = hoch.generator_tables(no_maps, no_values, p, lambda rows: rows[:, :0])
     assert empty[0].shape == (0, 0, 0) and empty[1].shape == (0, 0)

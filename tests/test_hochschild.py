@@ -660,9 +660,85 @@ def test_hh1_representative_independence_seeded():
         coeffs = rng.integers(0, 3, size=(h.dim, h.dim_ider))
         shifts = (coeffs @ ider_flat % 3).reshape(h.dim, sm.dim, sm.dim)
         reps = np.stack([(f.matrix + s) % 3 for f, s in zip(h.complement_basis, shifts)])
-        btab, ptab = hoch.matrix_tables(reps, 3, h.project_rows)
+        btab, ptab = matrix_tables(reps, 3, h.project_rows)
         assert np.array_equal(btab, h.bracket_table)
         assert np.array_equal(ptab, h.pmap_table)
+
+
+def matrix_tables(mats, p, coords_rows):
+    """The d x d oracle: the tables from the products [X_i, X_j] and X_i^p themselves.
+
+    ``coords_rows`` gives the coordinates of a stack of vectorized matrices;
+    pairs i < j go in blocks of about 2^18 cells.
+    """
+    mats = gfp.normalize(mats, p)
+    h, d = mats.shape[0], mats.shape[-1]
+    bracket = np.zeros((h, h, h), dtype=np.int64)
+    first, second = np.triu_indices(h, 1)
+    step = max(1, (1 << 18) // max(d * d, 1))
+    for s in range(0, first.size, step):
+        i, j = first[s : s + step], second[s : s + step]
+        comm = (gfp.matmul(mats[i], mats[j], p) - gfp.matmul(mats[j], mats[i], p)) % p
+        bracket[i, j] = coords_rows(comm.reshape(i.size, d * d))
+    bracket[second, first] = -bracket[first, second] % p
+    return bracket, coords_rows(gfp.mat_pow(mats, p, p).reshape(h, d * d))
+
+
+TABLE_LADDER = {
+    "smash(3,2,1)": lambda: alg.smash_product(3, 2, 1)[0],
+    "smash(5,2,1)": lambda: alg.smash_product(5, 2, 1)[0],
+    "u0borel(3,2)": lambda: alg.u0_borel(3, 2),
+    "trunc(3,(2,1))": lambda: alg.truncated_polynomial(3, (2, 1)),
+    "trivext(Kr,5)": lambda: alg.trivial_extension(alg.quiver_algebra(alg.kronecker_quiver(), 5)),
+    "quiver(tkr,7)": lambda: alg.quiver_algebra(alg.tkr_quiver(), 7),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_LADDER))
+def test_generator_tables_match_the_matrix_oracle(name):
+    # on the first h representatives for h = 0, 1 (no pairs) and all of them,
+    # then after seeded inner shifts, whose values need no gen_coords
+    a = TABLE_LADDER[name]()
+    h = hoch.hh1(a)
+    p, comp = a.p, np.stack([f.matrix for f in h.complement_basis])
+    values = h.space.gen_coords(comp)
+    for k in sorted({0, 1, h.dim}):
+        got = hoch.generator_tables(comp[:k], values[:k], p, h._classes.coords_rows)
+        want = matrix_tables(comp[:k], p, h.project_rows)
+        assert all(x.shape == y.shape and np.array_equal(x, y) for x, y in zip(got, want))
+    assert np.array_equal(got[0], h.bracket_table) and np.array_equal(got[1], h.pmap_table)
+    inner_rows = h.space.inner()[0]
+    rng = np.random.default_rng(len(name))
+    for _ in range(3):
+        shifts = gfp.matmul(rng.integers(0, p, (h.dim, h.dim_ider)), inner_rows, p)
+        reps = comp + h.space.matrices(shifts)
+        got = hoch.generator_tables(reps, values + shifts, p, h._classes.coords_rows)
+        want = matrix_tables(reps, p, h.project_rows)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(got[0], h.bracket_table) and np.array_equal(got[1], h.pmap_table)
+
+
+def test_hh1_of_an_arrowless_quiver_has_empty_tables():
+    a = alg.quiver_algebra(alg.QuiverPresentation(("1", "2"), ()), 3)
+    h = hoch.hh1(a)
+    assert (h.dim_der, h.dim_ider, h.dim) == (0, 0, 0)
+    assert h.bracket_table.shape == (0, 0, 0) and h.pmap_table.shape == (0, 0)
+
+
+@pytest.mark.parametrize("column", ["generator", "killed"])
+def test_a_complement_representative_corrupted_in_one_entry_is_rejected(column):
+    # the tables read only the values on the generators, so the presentation
+    # checks the representatives themselves, once, on entry
+    a = alg.smash_product(3, 2, 1)[0]
+    h = hoch.hh1(a)
+    used = np.stack(a.generators).any(axis=0)
+    j = np.flatnonzero(used if column == "generator" else ~used)[0]
+    bad = h.complement_basis[1].matrix.copy()
+    bad[0, j] = (bad[0, j] + 1) % a.p
+    reps = [h.complement_basis[0], hoch.Derivation(a, bad), *h.complement_basis[2:]]
+    with pytest.raises(Hh1LieError, match="complement representatives escape Der"):
+        hoch.HH1Presentation(h.space, reps, h.complement_labels)
+    hoch.HH1Presentation(h.space, h.complement_basis, h.complement_labels)  # the uncorrupted ones pass
 
 
 def test_hh1_report_dict_shape():
