@@ -29,19 +29,16 @@ from .algebras import (
 from .hochschild import (
     Derivation,
     HH1Presentation,
-    bracket,
     derivation_space,
     hh1,
     inner_derivations,
     named_inner,
     named_outer,
-    p_power,
 )
 from .lie import (
     Fingerprint,
     RestrictedLie,
     TorusReport,
-    element_analysis,
     fingerprint,
     from_hh1,
     gl2,

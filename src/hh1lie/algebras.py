@@ -164,13 +164,6 @@ class Algebra:
         """Arrays (i, j, k, c) of every term e_i e_j = ... + c e_k, sorted; read-only."""
         return self._consts
 
-    def mult_terms(self, i: int, j: int):
-        """Terms (k, c) of e_i e_j."""
-        ci, cj, ck, cc = self._consts
-        lo, hi = np.searchsorted(ci, [i, i + 1])
-        lo, hi = lo + np.searchsorted(cj[lo:hi], [j, j + 1])
-        return tuple(zip(ck[lo:hi].tolist(), cc[lo:hi].tolist()))
-
     def _scatter(self, size: int, index, coef) -> np.ndarray:
         return gfp.scatter_add(np.zeros(size, dtype=INT), index, coef) % self.p
 
@@ -622,7 +615,7 @@ def quiver_algebra(q: QuiverPresentation, p) -> Algebra:
     cap = max(2 * len(q.arrows) * max_rel, 6)
     max_paths = 200_000
 
-    # paths be length: a path is (source_vertex, (arrow labels...))
+    # paths by length: a path is (source_vertex, (arrow labels...))
     paths_by_len: list[list[tuple]] = [[(v, ()) for v in q.vertices]]
     while len(paths_by_len) <= cap:
         prev = paths_by_len[-1]

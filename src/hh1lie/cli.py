@@ -35,6 +35,16 @@ def _parse_exps(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"cannot parse exponent list {text!r}")
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hh1lie",
@@ -61,11 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     h = sub.add_parser("hh1", help="first cohomology report for an algebra")
     add_algebra_flags(h)
-    h.add_argument("--seed", type=int, default=0)
+    h.add_argument("--seed", type=_parse_seed, default=0)
 
     r = sub.add_parser("reproduce", help="run the verification suite")
     r.add_argument("--p", type=int, default=3, choices=[3, 5])
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=_parse_seed, default=0)
     r.add_argument("--json", dest="json_out", help="write the JSON report to a file")
     r.add_argument("--md", dest="md_out", help="write the markdown table to a file")
     r.add_argument("--inject-fault", help=argparse.SUPPRESS)
@@ -135,21 +145,15 @@ def _emit(text: str, path: str | None):
         sys.stdout.write(text)
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _run(args, parser) -> int:
     if args.command in ("build", "hh1"):
         try:
-            try:
-                a = _build_algebra(args, parser)
-            except ValueError as exc:  # a bad flag value exits 2, an unreadable file 3
-                if isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
-                    raise
-                parser.error(str(exc))
-            payload = a.to_json_dict() if args.command == "build" else _hh1_payload(a, args.seed)
-        except (Hh1LieError, ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID_INPUT
+            a = _build_algebra(args, parser)
+        except ValueError as exc:  # a bad flag value exits 2, an unreadable file 3
+            if isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
+                raise
+            parser.error(str(exc))
+        payload = a.to_json_dict() if args.command == "build" else _hh1_payload(a, args.seed)
         _emit(dumps_canonical(payload), args.json_out)
         return 0
     from . import checks as checkmod  # only the suite needs it, so hh1 and build skip its import
@@ -164,6 +168,16 @@ def main(argv=None) -> int:
     for r in failures:
         print(f"FAIL {r.check_id}: {json.dumps(r.details, sort_keys=True)[:400]}", file=sys.stderr)
     return EXIT_CHECK_FAILURE if failures else 0
+
+
+def main(argv=None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _run(args, parser)
+    except (Hh1LieError, ValueError, OSError) as exc:  # an unwritable output path too
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":

@@ -45,10 +45,6 @@ class WellDefinednessFailure(Hh1LieError):
     """A map extended from generator values fails the Leibniz rule."""
 
 
-class AlgebraMismatch(Hh1LieError):
-    """Derivations of different algebras were combined."""
-
-
 class RestrictednessViolation(Hh1LieError):
     """ad(x^[p]) differs from ad(x)^p for some basis element."""
 

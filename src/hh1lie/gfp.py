@@ -316,10 +316,6 @@ class Subspace:
             raise type(error)(*error.args)
         return mat[:, list(self.pivots)]
 
-    def coords(self, v) -> np.ndarray:
-        """Coordinates of a member vector w.r.t. the canonical basis."""
-        return self.coords_rows(np.reshape(v, (1, -1)))[0]
-
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
         return not self.reduce_rows(other.basis).any()
@@ -345,32 +341,6 @@ class Subspace:
         stacked = np.vstack([self.basis, other.basis])
         return Subspace.from_vectors(stacked, self.p, self.ambient)
 
-    def intersection(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: rows [A|A], [B|0]; left-zero rows carry the intersection."""
-        self._check_compatible(other)
-        n = self.ambient
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(n, self.p)
-        top = np.hstack([self.basis, self.basis])
-        bot = np.hstack([other.basis, np.zeros_like(other.basis)])
-        red, rank, _ = rref(np.vstack([top, bot]), self.p)
-        rows = [red[i, n:] for i in range(rank) if not red[i, :n].any()]
-        return Subspace.from_vectors(rows, self.p, n)
-
-    def quotient_basis(self, other: "Subspace") -> list[np.ndarray]:
-        """Canonical complement of ``self & other`` inside ``self``.
-
-        Returns the rows of the canonical basis of ``self`` whose pivots do
-        not occur among the pivots of the intersection.  Deterministic by
-        pivot order.
-        """
-        inter = self.intersection(other)
-        inter_pivots = set(inter.pivots)
-        # RREF pivots of a subspace are a subset of the pivots of any
-        # enclosing subspace, so the selection below has the right size.
-        assert inter_pivots <= set(self.pivots)
-        return [row.copy() for row, piv in zip(self.basis, self.pivots) if piv not in inter_pivots]
-
     def quotient(self):
         """The ambient space modulo this subspace: (reps, coords_rows).
 
@@ -380,13 +350,6 @@ class Subspace:
         """
         free = np.setdiff1d(np.arange(self.ambient), self.pivots)
         return np.eye(self.ambient, dtype=INT)[free], lambda rows: self.reduce_rows(rows)[:, free]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "ambient": self.ambient,
-            "basis": [[int(x) for x in row] for row in self.basis],
-        }
 
 
 class OrderedBasis:

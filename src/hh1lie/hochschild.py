@@ -32,12 +32,7 @@ import numpy as np
 
 from . import gfp
 from .algebras import Algebra, SmashDescriptor
-from .errors import (
-    AlgebraMismatch,
-    DimensionMismatch,
-    Hh1LieError,
-    WellDefinednessFailure,
-)
+from .errors import DimensionMismatch, Hh1LieError, WellDefinednessFailure
 from .gfp import INT, Subspace, matmul, normalize, rref
 
 DENSE_SOLVER_LIMIT = 32
@@ -66,25 +61,8 @@ class Derivation:
         """Leibniz rule on every basis pair, checked as in ``_leibniz_failure``."""
         return _leibniz_failure(self.algebra, self.matrix[None, :, :]) is None
 
-    def vec(self) -> np.ndarray:
-        return self.matrix.reshape(-1)
-
     def __repr__(self):
         return f"Derivation(dim={self.algebra.dim}, p={self.algebra.p})"
-
-
-def bracket(f: Derivation, g: Derivation) -> Derivation:
-    """Commutator f o g - g o f; a derivation whenever f and g are."""
-    if f.algebra is not g.algebra:
-        raise AlgebraMismatch("bracket of derivations of different algebras")
-    p = f.algebra.p
-    m = (matmul(f.matrix, g.matrix, p) - matmul(g.matrix, f.matrix, p)) % p
-    return Derivation(f.algebra, m)
-
-
-def p_power(f: Derivation) -> Derivation:
-    """p-fold composition; again a derivation in characteristic p."""
-    return Derivation(f.algebra, gfp.mat_pow(f.matrix, f.algebra.p, f.algebra.p))
 
 
 # -- Leibniz residuals -----------------------------------------------------------
@@ -597,7 +575,8 @@ class HH1Presentation:
 
     Der and IDer stay in the generator coordinates of ``space``.
     complement_basis holds chosen representatives as maps, checked once to
-    lie in Der(A); ``project`` maps any derivation to its class coordinates.
+    lie in Der(A); ``project_rows`` maps a stack of derivations to their
+    class coordinates.
     The tables come from the representatives' generator values, and are
     verified to be independent of the representatives by re-deriving them
     after seeded inner perturbations.
@@ -625,27 +604,11 @@ class HH1Presentation:
         self.bracket_table, self.pmap_table = tables
         self._verify_representative_independence(seed)
 
-    @property
-    def der_basis(self) -> list[Derivation]:
-        """The canonical basis of Der(A) as maps, built on request, as is ider_basis."""
-        return [Derivation(self.algebra, m) for m in self.space.matrices(self.space.basis)]
-
-    @property
-    def ider_basis(self) -> list[Derivation]:
-        return [Derivation(self.algebra, m) for m in self.space.matrices(self.space.inner()[0])]
-
-    def project_rows(self, mat: np.ndarray) -> np.ndarray:
-        """Class coordinates for a stack of vectorized derivation matrices."""
-        if not self.space.contains(mat):
+    def project_rows(self, stack) -> np.ndarray:
+        """Class coordinates of each derivation of a stack of d x d maps, or of vec(F) rows."""
+        if not self.space.contains(stack):
             raise ValueError("matrix is not in IDer + complement")
-        return self._classes.coords_rows(self.space.gen_coords(normalize(mat, self.p)))
-
-    def project_matrix(self, matrix) -> np.ndarray:
-        """Class coordinates of a derivation matrix in the complement basis."""
-        return self.project_rows(np.reshape(matrix, (1, -1)))[0]
-
-    def project(self, f: Derivation) -> np.ndarray:
-        return self.project_matrix(f.matrix)
+        return self._classes.coords_rows(self.space.gen_coords(normalize(stack, self.p)))
 
     def _verify_representative_independence(self, seed, trials=4):
         """Re-derive the tables after seeded inner shifts; seed may be a Generator."""

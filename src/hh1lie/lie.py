@@ -8,10 +8,10 @@ antisymmetry, the Jacobi identity and ad(x^[p]) = ad(x)^p on the basis.
 
 Analyses: derived / lower central series, solvability, nilpotency,
 simplicity (adjoint irreducibility via a seeded Norton-style kernel-spin
-test with explicit witnesses), toral and p-nilpotent elements with
-Fitting decompositions, greedy maximal tori with exhaustive certification
-at enumerable sizes, trigonalizability, and fingerprints that recognize
-the derivation algebras of truncated polynomial rings, sl2 and gl2.
+test with explicit witnesses), toral and p-nilpotent elements, greedy
+maximal tori with exhaustive certification at enumerable sizes,
+trigonalizability, and fingerprints that recognize the derivation
+algebras of truncated polynomial rings, sl2 and gl2.
 """
 
 from __future__ import annotations
@@ -50,11 +50,6 @@ class RestrictedLie:
             self.validate()
 
     # -- basic operations --------------------------------------------------
-
-    def bracket_vec(self, x, y) -> np.ndarray:
-        x = normalize(x, self.p).reshape(1, -1)
-        y = normalize(y, self.p).reshape(1, -1)
-        return _pairwise_brackets(self, x, y)[0, 0]
 
     def ad(self, x) -> np.ndarray:
         """Matrix of y -> [x, y], or the stack of them for a stack of elements x."""
@@ -173,10 +168,6 @@ def _p_nilpotent_rows(L: RestrictedLie, xs: np.ndarray) -> np.ndarray:
             break
         ys = _jacobson_batch(L, ys)
     return ~ys.any(axis=1)
-
-
-def is_p_nilpotent_element(L: RestrictedLie, x) -> bool:
-    return bool(_p_nilpotent_rows(L, normalize(x, L.p).reshape(1, -1))[0])
 
 
 # -- series and predicates --------------------------------------------------------
@@ -418,7 +409,7 @@ def _all_vectors_batch(p: int, dim: int) -> np.ndarray:
     return out
 
 
-# -- element analysis and tori -----------------------------------------------------
+# -- tori ---------------------------------------------------------------------------
 
 
 def p_envelope(L: RestrictedLie, x) -> tuple[Subspace, np.ndarray]:
@@ -432,36 +423,6 @@ def p_envelope(L: RestrictedLie, x) -> tuple[Subspace, np.ndarray]:
     while not span.contains_vector(nxt := jacobson_p_power(L, nxt)):
         span = span.sum(Subspace.from_vectors([nxt], L.p, L.dim))
     return span, span.coords_rows(_jacobson_batch(L, span.basis)).T
-
-
-def element_analysis(L: RestrictedLie, x) -> dict:
-    """Toral / p-nilpotent status and the Fitting parts of the p-map."""
-    p = L.p
-    x = normalize(x, L.p).reshape(-1)
-    px = jacobson_p_power(L, x)
-    if not x.any():
-        zero = np.zeros(L.dim, dtype=INT)
-        return {
-            "is_toral": False,
-            "is_p_nilpotent": True,
-            "semisimple_part": zero,
-            "nilpotent_part": zero.copy(),
-        }
-    env, phi = p_envelope(L, x)
-    phi_n = gfp.mat_pow(phi, env.dim, p)
-    # Fitting: the nil part lies in ker phi^m, the invertible part in its image
-    ker, img = gfp.kernel(phi_n, p), Subspace.from_vectors(phi_n.T, p, env.dim)
-    fitting = gfp.OrderedBasis(ker, p, img, Hh1LieError("Fitting decomposition failed"))
-    xc = env.coords(x)
-    nil_c = matmul(fitting.coords_rows(xc[None]), ker, p)[0]
-    nil_part = matmul(nil_c, env.basis, p)
-    ss_part = matmul((xc - nil_c) % p, env.basis, p)
-    return {
-        "is_toral": bool(np.array_equal(px, x)),
-        "is_p_nilpotent": not ss_part.any(),  # x^[p^m] = 0 iff x lies in the nil part
-        "semisimple_part": ss_part,
-        "nilpotent_part": nil_part,
-    }
 
 
 @dataclass

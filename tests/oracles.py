@@ -1,0 +1,82 @@
+"""Test-local oracles: direct forms of operations the package computes another way.
+
+The package keeps one name per job and no entry point that its pipelines
+do not reach.  The tests still want the single-element and per-pair forms,
+written from the definitions, to compare the batched kernels against.
+"""
+
+import numpy as np
+
+from hh1lie import gfp
+from hh1lie import lie as lielib
+from hh1lie.errors import Hh1LieError
+from hh1lie.gfp import INT, Subspace, matmul, normalize, rref
+
+
+def mult_terms(a, i, j):
+    """Terms (k, c) of e_i e_j, read from the structure constants."""
+    ci, cj, ck, cc = a.structure_constants()
+    sel = (ci == i) & (cj == j)
+    return tuple(zip(ck[sel].tolist(), cc[sel].tolist()))
+
+
+def bracket_vec(L, x, y):
+    """[x, y] = sum_(i, j) x_i y_j [b_i, b_j] in GF(p)^dim."""
+    x, y = normalize(x, L.p).reshape(-1), normalize(y, L.p).reshape(-1)
+    return np.einsum("i,j,ijk->k", x, y, L.bracket) % L.p
+
+
+def is_p_nilpotent_element(L, x) -> bool:
+    """Whether x^[p^(dim+1)] = 0, one ``jacobson_p_power`` at a time."""
+    x = normalize(x, L.p).reshape(-1)
+    for _ in range(L.dim + 1):
+        x = lielib.jacobson_p_power(L, x)
+    return not x.any()
+
+
+def element_analysis(L, x) -> dict:
+    """Toral / p-nilpotent status and the Fitting parts of the p-map on the p-envelope of x."""
+    p = L.p
+    x = normalize(x, p).reshape(-1)
+    px = lielib.jacobson_p_power(L, x)
+    if not x.any():
+        zero = np.zeros(L.dim, dtype=INT)
+        return {
+            "is_toral": False,
+            "is_p_nilpotent": True,
+            "semisimple_part": zero,
+            "nilpotent_part": zero.copy(),
+        }
+    env, phi = lielib.p_envelope(L, x)
+    phi_n = gfp.mat_pow(phi, env.dim, p)
+    # Fitting: the nil part lies in ker phi^m, the invertible part in its image
+    ker, img = gfp.kernel(phi_n, p), Subspace.from_vectors(phi_n.T, p, env.dim)
+    fitting = gfp.OrderedBasis(ker, p, img, Hh1LieError("Fitting decomposition failed"))
+    xc = env.coords_rows(x[None])[0]
+    nil_c = matmul(fitting.coords_rows(xc[None]), ker, p)[0]
+    nil_part = matmul(nil_c, env.basis, p)
+    ss_part = matmul((xc - nil_c) % p, env.basis, p)
+    return {
+        "is_toral": bool(np.array_equal(px, x)),
+        "is_p_nilpotent": not ss_part.any(),  # x^[p^m] = 0 iff x lies in the nil part
+        "semisimple_part": ss_part,
+        "nilpotent_part": nil_part,
+    }
+
+
+def intersection(a: Subspace, b: Subspace) -> Subspace:
+    """Zassenhaus: rows [A|A], [B|0]; left-zero rows carry the intersection."""
+    n = a.ambient
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(n, a.p)
+    top = np.hstack([a.basis, a.basis])
+    bot = np.hstack([b.basis, np.zeros_like(b.basis)])
+    red, rank, _ = rref(np.vstack([top, bot]), a.p)
+    rows = [red[i, n:] for i in range(rank) if not red[i, :n].any()]
+    return Subspace.from_vectors(rows, a.p, n)
+
+
+def quotient_basis(a: Subspace, b: Subspace) -> list:
+    """The rows of a's canonical basis whose pivots are not pivots of a & b."""
+    inter_pivots = set(intersection(a, b).pivots)
+    return [row.copy() for row, piv in zip(a.basis, a.pivots) if piv not in inter_pivots]

@@ -20,6 +20,7 @@ from hh1lie.errors import (
     UnitViolation,
 )
 from hh1lie.gfp import Subspace, left_kernel, matmul, rref
+from oracles import mult_terms
 
 
 def basis_vec(dim, i):
@@ -31,7 +32,7 @@ def basis_vec(dim, i):
 def mul_basis(a, i, j):
     """e_i e_j as a coordinate vector, read from the terms of the table."""
     v = np.zeros(a.dim, dtype=np.int64)
-    for k, c in a.mult_terms(i, j):
+    for k, c in mult_terms(a, i, j):
         v[k] = c
     return v
 
@@ -865,7 +866,7 @@ def loop_product(a, u, v):
     out = np.zeros(a.dim, dtype=np.int64)
     for i in np.nonzero(u)[0]:
         for j in np.nonzero(v)[0]:
-            for k, c in a.mult_terms(int(i), int(j)):
+            for k, c in mult_terms(a, int(i), int(j)):
                 out[k] += u[i] * v[j] * c
     return out % a.p
 
@@ -912,7 +913,7 @@ def test_structure_constants_are_built_once_and_read_only(case):
     second = a.structure_constants()
     assert all(x is y for x, y in zip(first, second)) and len(second) == 4
     terms = sorted(
-        (i, j, k, c) for i in range(a.dim) for j in range(a.dim) for k, c in a.mult_terms(i, j) if c
+        (i, j, k, c) for i in range(a.dim) for j in range(a.dim) for k, c in mult_terms(a, i, j) if c
     )
     assert np.stack(first, axis=1).tolist() == [list(t) for t in terms]
     for arr in first:
@@ -990,9 +991,9 @@ def narrowed_form_space(a):
             rows[j, i * d + j], rows[j, j * d + i] = 1, p - 1
         for j in range(d):
             for k in range(d):  # B(e_i e_j, e_k) = B(e_i, e_j e_k)
-                for t, c in a.mult_terms(i, j):
+                for t, c in mult_terms(a, i, j):
                     rows[d + j * d + k, t * d + k] += c
-                for t, c in a.mult_terms(j, k):
+                for t, c in mult_terms(a, j, k):
                     rows[d + j * d + k, i * d + t] -= c
         cand = narrow_candidates(cand, lambda c, r=rows % p: matmul(c, r.T, p), p)
     return cand
@@ -1008,7 +1009,7 @@ def test_center_and_form_search_match_the_narrowing_loops(case):
     # Gram matrices of those functionals
     grams = []
     for lam in left_kernel(alg.commutator_subspace(a).basis.T, p):
-        grams.append([sum(c * int(lam[k]) for k, c in a.mult_terms(i, j)) % p for i in range(d) for j in range(d)])
+        grams.append([sum(c * int(lam[k]) for k, c in mult_terms(a, i, j)) % p for i in range(d) for j in range(d)])
     assert Subspace.from_vectors(space, p, d * d) == Subspace.from_vectors(grams, p, d * d)
     rng = np.random.default_rng(0)
     old = None
@@ -1038,7 +1039,7 @@ def loop_counit_failure(a):
         return ("counit", "counit(1) != 1")
     for i in range(a.dim):
         for j in range(a.dim):
-            lhs = sum(c * int(eps[k]) for k, c in a.mult_terms(i, j))
+            lhs = sum(c * int(eps[k]) for k, c in mult_terms(a, i, j))
             if lhs % p != int(eps[i]) * int(eps[j]) % p:
                 return ("counit", f"counit not multiplicative at ({i}, {j})")
     return None

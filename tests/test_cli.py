@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from hh1lie import algebras as alg
-from hh1lie import cli, gfp
+from hh1lie import checks, cli, gfp
 from hh1lie.errors import Hh1LieError
 
 
@@ -381,6 +381,37 @@ def test_unreadable_file_exits_3(tmp_path, capsys, command, kind, problem):
     code, out, err = run_cli(capsys, command, "--kind", kind, "--p", "3", "--file", str(path))
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "usage:" not in err
+
+
+TRUNC_3_1 = ("--kind", "trunc", "--p", "3", "--exps", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", *TRUNC_3_1, "--json"),
+        ("hh1", *TRUNC_3_1, "--json"),
+        ("reproduce", "--md"),
+        ("reproduce", "--json"),
+    ],
+)
+def test_unwritable_output_path_exits_3(tmp_path, monkeypatch, capsys, argv):
+    # the output file was once written outside every handler: a traceback and exit 1
+    monkeypatch.setattr(checks, "run_suite", lambda **kwargs: [])
+    code, _, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "out"))
+    assert code == 3
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
+@pytest.mark.parametrize("argv", [("hh1", *TRUNC_3_1), ("reproduce",)])
+def test_negative_seed_is_a_usage_error(monkeypatch, capsys, argv):
+    # hh1 once exited 3 with numpy's message, and reproduce ran the suite,
+    # failed all 17 checks and exited 1 as if the paper's claims had failed
+    monkeypatch.setattr(checks, "run_suite", lambda **kwargs: pytest.fail("the suite ran"))
+    assert exit_code(*argv, "--seed", "-1") == 2
+    assert "argument --seed: seed must be non-negative, got -1" in capsys.readouterr().err
+    assert exit_code(*argv, "--seed", "x") == 2
+    assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"

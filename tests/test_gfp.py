@@ -10,6 +10,7 @@ from hh1lie import gfp
 from hh1lie import hochschild as hoch
 from hh1lie.errors import DimensionMismatch, Hh1LieError
 from hh1lie.gfp import Subspace, kernel, rref
+from oracles import intersection, quotient_basis
 
 
 def all_vectors(p, n):
@@ -130,15 +131,15 @@ def test_subspace_canonical_form():
 def test_subspace_self_operations():
     a = Subspace.from_vectors([[1, 0, 2], [0, 1, 1]], 3, 3)
     assert a.sum(a) == a
-    assert a.intersection(a) == a
+    assert intersection(a, a) == a
     assert a.contains(a)
-    assert a.quotient_basis(a) == []
+    assert quotient_basis(a, a) == []
 
 
 def test_subspace_complementary_coordinates():
     a = Subspace.from_vectors([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], 3, 5)
     b = Subspace.from_vectors([[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], 3, 5)
-    assert a.intersection(b).dim == 0
+    assert intersection(a, b).dim == 0
     assert a.sum(b).dim == 5
     assert not a.contains(b)
 
@@ -153,7 +154,7 @@ def test_subspace_dimension_identity_brute_force():
         a = Subspace.from_vectors(rng.integers(0, p, size=(3, 5)), p, 5)
         b = Subspace.from_vectors(rng.integers(0, p, size=(2, 5)), p, 5)
         s = a.sum(b)
-        i = a.intersection(b)
+        i = intersection(a, b)
         assert s.dim + i.dim == a.dim + b.dim
         count_a = sum(1 for v in vecs if a.contains_vector(v))
         count_b = sum(1 for v in vecs if b.contains_vector(v))
@@ -170,8 +171,8 @@ def test_quotient_basis_extends_intersection():
     for _ in range(25):
         a = Subspace.from_vectors(rng.integers(0, p, size=(3, 6)), p, 6)
         b = Subspace.from_vectors(rng.integers(0, p, size=(2, 6)), p, 6)
-        q = a.quotient_basis(b)
-        inter = a.intersection(b)
+        q = quotient_basis(a, b)
+        inter = intersection(a, b)
         assert len(q) == a.dim - inter.dim
         # the extension vectors together with the intersection span a, and
         # no combination of them falls into b
@@ -179,7 +180,7 @@ def test_quotient_basis_extends_intersection():
         assert back == a
         if q:
             span_q = Subspace.from_vectors(q, p, 6)
-            assert span_q.intersection(b).dim == 0
+            assert intersection(span_q, b).dim == 0
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -203,7 +204,7 @@ def test_subspace_mixed_characteristic_rejected():
     with pytest.raises(DimensionMismatch):
         a.sum(b)
     with pytest.raises(DimensionMismatch):
-        a.intersection(Subspace.from_vectors([[1, 0, 0]], 3, 3))
+        a.contains(Subspace.from_vectors([[1, 0, 0]], 3, 3))
 
 
 def test_matmul_and_inverse():
@@ -370,10 +371,10 @@ def test_support_restricted_reduce_rows_matches_dense(p):
 
 def test_support_restricted_reduce_rows_on_the_ider_subspace():
     a, _ = alg.smash_product(5, 2, 1)
-    ider = Subspace.from_vectors([f.vec() for f in hoch.inner_derivations(a)], 5, a.dim**2)
+    ider = Subspace.from_vectors([f.matrix.reshape(-1) for f in hoch.inner_derivations(a)], 5, a.dim**2)
     assert np.count_nonzero(ider.basis.any(axis=0)) < a.dim**2
     rng = np.random.default_rng(521)
-    ders = np.vstack([f.vec() for f in hoch.derivation_space(a)])
+    ders = np.vstack([f.matrix.reshape(-1) for f in hoch.derivation_space(a)])
     mat = np.vstack([rng.integers(0, 5, (3, ders.shape[0])) @ ders % 5, rng.integers(0, 5, (3, a.dim**2))])
     assert np.array_equal(ider.reduce_rows(mat), reduce_rows_dense(ider, mat))
 
@@ -443,7 +444,6 @@ def test_coordinates_reject_non_members_and_dependent_rows():
     p = 5
     sub = Subspace.from_vectors([[1, 0, 2, 0], [0, 1, 1, 0]], p, 4)
     assert sub.coords_rows(np.array([[2, 3, 2, 0]])).tolist() == [[2, 3]]
-    assert sub.coords([2, 3, 2, 0]).tolist() == [2, 3]
     with pytest.raises(ValueError, match="not in the subspace"):
         sub.coords_rows(np.array([[2, 3, 2, 0], [0, 0, 0, 1]]))
     with pytest.raises(KeyError, match="custom"):

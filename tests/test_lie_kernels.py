@@ -12,6 +12,7 @@ from hh1lie import hochschild as hoch
 from hh1lie import lie as lielib
 from hh1lie.errors import Hh1LieError
 from hh1lie.gfp import INT, Subspace
+from oracles import bracket_vec
 
 
 def hh1_lie(algebra):
@@ -91,7 +92,7 @@ def test_pairwise_brackets_match_bracket_vec(name):
     got = lielib._pairwise_brackets(L, a, b)
     assert got.shape == (5, b.shape[0], L.dim) and got.dtype == INT
     for s, t in itertools.product(range(5), range(b.shape[0])):
-        assert np.array_equal(got[s, t], L.bracket_vec(a[s], b[t]))
+        assert np.array_equal(got[s, t], bracket_vec(L, a[s], b[t]))
 
 
 def test_pairwise_brackets_match_python_ints_at_p251():
@@ -112,8 +113,8 @@ def test_pairwise_brackets_match_python_ints_at_p251():
         assert got[s, t].tolist() == want
     sl2 = lielib.sl2(p)
     e, h, f = np.eye(3, dtype=INT)
-    assert np.array_equal(sl2.bracket_vec(e, f), h)
-    assert np.array_equal(sl2.bracket_vec(h, e), 2 * e)
+    assert np.array_equal(bracket_vec(sl2, e, f), h)
+    assert np.array_equal(bracket_vec(sl2, h, e), 2 * e)
 
 
 def recursive_p_power(L, x):
@@ -142,8 +143,8 @@ def recursive_p_power(L, x):
         nxt = np.zeros_like(poly)
         for deg in range(step + 1):
             if poly[deg].any():
-                nxt[deg + 1] = (nxt[deg + 1] + L.bracket_vec(u, poly[deg])) % p
-                nxt[deg] = (nxt[deg] + L.bracket_vec(v, poly[deg])) % p
+                nxt[deg + 1] = (nxt[deg + 1] + bracket_vec(L, u, poly[deg])) % p
+                nxt[deg] = (nxt[deg] + bracket_vec(L, v, poly[deg])) % p
         poly = nxt
     for s in range(1, p):
         if poly[s - 1].any():
@@ -233,7 +234,7 @@ def test_p_nilpotent_rows_match_the_recursive_evaluator(name):
         rows = np.vstack([ideal_basis, rows])
     nilpotent = [recursive_p_nilpotent(L, x) for x in rows]
     assert lielib._p_nilpotent_rows(L, rows).tolist() == nilpotent
-    assert [lielib.is_p_nilpotent_element(L, x) for x in rows] == nilpotent
+    assert [lielib._p_nilpotent_rows(L, x[None])[0] for x in rows] == nilpotent
     assert any(nilpotent) and not all(nilpotent)
 
 
@@ -308,7 +309,7 @@ def test_prop22_ideal_is_spanned_by_the_old_monomial_matrices(p):
     wit = lielib.prop22_witness(p, (2,))
     a = wit.presentation.algebra
     mats = [old_monomial_derivation_matrix(a, (2,), (e,), 0) for e in range(p, p * p)]
-    rows = [wit.presentation.project_matrix(m) for m in mats if m.any()]
+    rows = wit.presentation.project_rows(np.stack([m for m in mats if m.any()]))
     assert wit.n_ideal == Subspace.from_vectors(rows, p, wit.lie.dim)
 
 
@@ -403,7 +404,7 @@ def old_rebuild_torus(L, torals, target_dim):
         for pos, t in enumerate(cand):
             if span.contains_vector(reps[t]):
                 continue
-            nxt = [s for s in cand[pos + 1 :] if not L.bracket_vec(reps[t], reps[s]).any()]
+            nxt = [s for s in cand[pos + 1 :] if not bracket_vec(L, reps[t], reps[s]).any()]
             got = search(chosen + [reps[t]], span.sum(Subspace.from_vectors([reps[t]], p, L.dim)), nxt)
             if got is not None:
                 return got
