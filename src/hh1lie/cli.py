@@ -13,7 +13,10 @@ or computation error.  Output is deterministic for fixed flags and seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
+import stat
 import sys
 
 from . import algebras as alg
@@ -145,6 +148,22 @@ def _emit(text: str, path: str | None):
         sys.stdout.write(text)
 
 
+def _check_writable(*paths):
+    """Raise the OSError that writing each path would raise; no file is created or truncated."""
+    for path in filter(None, paths):
+        if os.path.exists(path):
+            os.close(os.open(path, os.O_WRONLY))  # neither O_CREAT nor O_TRUNC
+            continue
+        parent = os.path.dirname(path) or "."
+        try:
+            if not stat.S_ISDIR(os.stat(parent).st_mode):
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+            if not os.access(parent, os.W_OK | os.X_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        except OSError as exc:  # reported on the path, as open() reports it
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+
+
 def _run(args, parser) -> int:
     if args.command in ("build", "hh1"):
         try:
@@ -153,9 +172,11 @@ def _run(args, parser) -> int:
             if isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
                 raise
             parser.error(str(exc))
+        _check_writable(args.json_out)  # flags first: a bad flag still exits 2
         payload = a.to_json_dict() if args.command == "build" else _hh1_payload(a, args.seed)
         _emit(dumps_canonical(payload), args.json_out)
         return 0
+    _check_writable(args.md_out, args.json_out)
     from . import checks as checkmod  # only the suite needs it, so hh1 and build skip its import
     results = checkmod.run_suite(p=args.p, seed=args.seed, inject_fault=args.inject_fault)
     md = checkmod.render_markdown(results)

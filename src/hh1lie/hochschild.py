@@ -10,7 +10,10 @@ values.  The solver enforces f(1) = 0 together
 with the pairs (e_i, s) for every basis element e_i and generator s, which
 implies the full system: by induction on word length, f(a w s) =
 f(a w) s + a w f(s) extends Leibniz from words w to w s.  The system is
-built sparse in int64, deduplicated, and its kernel taken once.
+built sparse in int64 and deduplicated.  Its kernel is taken one weight of
+the diagonal torus at a time: the weights W grade A with every generator
+homogeneous, each equation involves one weight, and the blocks' kernels
+sorted by pivot are the whole system's RREF kernel.
 ``_leibniz_failure`` is the only Leibniz checker.
 
 Der, IDer, the complement and the HH1 tables stay in the solver's
@@ -291,6 +294,16 @@ def _distinct_rows(keys: np.ndarray, vals: np.ndarray, nv: int, p: int):
     return np.concatenate(rows), code // p, code % p
 
 
+def _leibniz_rows(phi: Extender):
+    """The distinct rows of the Leibniz system in the unknowns of phi, as ``_distinct_rows`` gives them."""
+    a = phi.algebra
+    fe, unk, val = phi.triplets
+    eq, ent, coef = _leibniz_terms(a, list(phi.gens), a.structure_constants())
+    term, pos = gfp.expand(ent, np.searchsorted(fe, np.arange(a.dim**2 + 1)))
+    keys, vals = gfp.merge(eq[term] * phi.nv + unk[pos], coef[term] % a.p * val[pos], a.p)
+    return _distinct_rows(keys, vals, phi.nv, a.p)
+
+
 def _span_echelon(rows, cols, vals, nv: int, p: int) -> np.ndarray:
     """RREF basis of the span of sparse rows sorted by row, CHUNK rows at a time.
 
@@ -310,6 +323,58 @@ def _span_echelon(rows, cols, vals, nv: int, p: int) -> np.ndarray:
             basis, rank, pivots = rref(np.vstack([basis, part]), p)
             basis = basis[:rank]
     return basis
+
+
+def _torus_weights(a: Algebra, gens: np.ndarray) -> np.ndarray:
+    """W (m x d), the canonical basis of the torus weights of the table and generators.
+
+    w is a weight when w_i + w_j = w_k on every term e_i e_j = ... + c e_k
+    and w is constant on the support of every generator.  Each row w of W is
+    the diagonal derivation e_b -> w_b e_b, so W grades A by GF(p)^m with
+    every generator homogeneous.
+    """
+    d, p = a.dim, a.p
+    ci, cj, ck, _ = a.structure_constants()
+    g, b = np.nonzero(gens)
+    first = np.argmax(gens != 0, axis=1)
+    eq = np.r_[np.arange(ci.size).repeat(3), ci.size + np.arange(b.size).repeat(2)]
+    var = np.r_[np.c_[ci, cj, ck].ravel(), np.c_[b, first[g]].ravel()]
+    coef = np.r_[np.tile([1, 1, -1], ci.size), np.tile([1, -1], b.size)]
+    keys, vals = gfp.merge(eq * d + var, coef, p)
+    return gfp.kernel(_span_echelon(*_distinct_rows(keys, vals, d, p), d, p), p)
+
+
+def _unknown_weights(a: Algebra, gens: np.ndarray) -> np.ndarray:
+    """(m, nv): the weight w_b - w_(g_t) of each unknown t * d + b, for W = ``_torus_weights``."""
+    w = _torus_weights(a, gens)
+    weight = (w[:, None, :] - w[:, np.argmax(gens != 0, axis=1), None]) % a.p
+    return weight.reshape(w.shape[0], gens.size)
+
+
+def _kernel_by_weight(rows, cols, vals, weight: np.ndarray, p: int) -> np.ndarray:
+    """RREF kernel of the sparse rows (sorted by row), one weight block at a time.
+
+    weight[:, u] is the weight of unknown u, and a row whose unknowns have
+    two weights raises.  Each block is eliminated on its own columns.  The
+    blocks' kernels have disjoint supports, so their rows sorted by pivot
+    are the RREF kernel of the whole system.
+    """
+    nv = weight.shape[1]
+    block = np.zeros(nv, dtype=INT)
+    for w in weight:  # number the distinct weights 0, 1, ... one coordinate at a time
+        block = np.unique(block * p + w, return_inverse=True)[1]
+    term_block = block[cols]
+    if (term_block != term_block[np.searchsorted(rows, rows)]).any():  # each row's first term
+        raise Hh1LieError("a Leibniz equation mixes two torus weights")
+    kers, pivots = [], []
+    for n in range(block.max(initial=0) + 1):
+        own, sel = np.flatnonzero(block == n), np.flatnonzero(term_block == n)
+        local = np.unique(rows[sel], return_inverse=True)[1]
+        ker = gfp.kernel(_span_echelon(local, np.searchsorted(own, cols[sel]), vals[sel], own.size, p), p)
+        kers.append(np.zeros((ker.shape[0], nv), dtype=INT))
+        kers[-1][:, own] = ker
+        pivots.append(own[np.argmax(ker != 0, axis=1)])
+    return np.concatenate(kers)[np.argsort(np.concatenate(pivots))]
 
 
 def _fails_leibniz(a: Algebra, fstack: np.ndarray, gens) -> bool:
@@ -355,7 +420,8 @@ class DerivationSpace:
     s: nv = |S| * d numbers, where F itself has d^2.  ``phi``, the
     algebra's cached ``Extender``, maps them back to vec(F); ``matrices``,
     ``gen_coords`` and ``is_phi_of`` are its methods.  Der_g is the kernel
-    of the Leibniz system.  ``basis`` holds g of the canonical basis of
+    of the Leibniz system, eliminated one torus-weight block at a time
+    (``_kernel_by_weight``).  ``basis`` holds g of the canonical basis of
     Der(A), the RREF rows in vec(F) coordinates, and ``pivots`` their
     vec(F) pivot columns, so every seeded draw over the canonical basis is
     the one the d^2 form gives.
@@ -365,16 +431,12 @@ class DerivationSpace:
     """
 
     def __init__(self, a: Algebra):
-        d, p = a.dim, a.p
+        p = a.p
         self.algebra, self.p = a, p
         self.phi = phi = extender(a)
         self.gens, self.nv, self._block = phi.gens, phi.nv, phi._block
         self.matrices, self.gen_coords, self.is_phi_of = phi.matrices, phi.gen_coords, phi.is_phi_of
-        fe, unk, val = phi.triplets
-        eq, ent, coef = _leibniz_terms(a, list(self.gens), a.structure_constants())
-        term, pos = gfp.expand(ent, np.searchsorted(fe, np.arange(d * d + 1)))
-        keys, vals = gfp.merge(eq[term] * self.nv + unk[pos], coef[term] % p * val[pos], p)
-        ker = gfp.kernel(_span_echelon(*_distinct_rows(keys, vals, self.nv, p), self.nv, p), p)
+        ker = _kernel_by_weight(*_leibniz_rows(phi), _unknown_weights(a, self.gens), p)
         self.der = Subspace(p, self.nv, ker)
         self.pivots, self._m = self._stream_pivots(ker)
         self.basis = matmul(gfp.inverse(self._m, p), ker, p)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from hh1lie import algebras as alg
 from hh1lie import checks, cli, gfp
+from hh1lie import hochschild as hoch
 from hh1lie.errors import Hh1LieError
 
 
@@ -401,6 +402,47 @@ def test_unwritable_output_path_exits_3(tmp_path, monkeypatch, capsys, argv):
     code, _, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "out"))
     assert code == 3
     assert err.startswith("error: ") and "No such file or directory" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reproduce", "--p", "5", "--md"),
+        ("reproduce", "--p", "5", "--md", "{ok}", "--json"),
+        ("hh1", "--kind", "smash", "--p", "5", "--n", "2", "--r", "1", "--json"),
+        ("build", *TRUNC_3_1, "--json"),
+    ],
+)
+@pytest.mark.parametrize("problem", ["missing-dir", "under-a-file", "a-directory"])
+def test_unwritable_output_path_is_refused_before_computing(tmp_path, monkeypatch, capsys, argv, problem):
+    # reproduce --p 5 once ran its whole suite, 5.4 s, before it found the path unwritable
+    fail = lambda *args, **kwargs: pytest.fail("computed before the output path was checked")
+    monkeypatch.setattr(hoch, "hh1", fail)
+    monkeypatch.setattr(checks, "run_suite", fail)
+    (tmp_path / "file").write_text("keep")
+    path = {"missing-dir": "missing/out", "under-a-file": "file/out", "a-directory": "."}[problem]
+    path = str(tmp_path / path)
+    argv = [arg.format(ok=tmp_path / "ok") for arg in argv]
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
+    code, out, err = run_cli(capsys, *argv, path)
+    assert (code, out) == (3, "")
+    assert err == f"error: {opened.value}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == "keep"
+
+
+def test_checked_output_file_is_not_truncated_when_the_computation_fails(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "out.json"
+    path.write_text("keep")
+
+    def fail(*args, **kwargs):
+        raise Hh1LieError("no")
+
+    monkeypatch.setattr(hoch, "hh1", fail)
+    code, _, err = run_cli(capsys, "hh1", *TRUNC_3_1, "--json", str(path))
+    assert (code, err) == (3, "error: no\n")
+    assert path.read_text() == "keep"
 
 
 @pytest.mark.parametrize("argv", [("hh1", *TRUNC_3_1), ("reproduce",)])
