@@ -84,8 +84,28 @@ class SuiteContext:
     def hh1_of(self, key, builder):
         return self._once(("hh1", key), lambda: hoch.hh1(builder(), seed=self.seed))
 
+    def lie(self, h):
+        """from_hh1(h), built and validated once per presentation, so its tori are certified once."""
+        return self._once(("lie", id(h)), lambda: (h, lielib.from_hh1(h)))[1]  # h is kept: ids stay unique
+
     def smash_hh1(self, n, r):
         return self.hh1_of((self.p, "smash", n, r), lambda: self.smash(n, r)[0])
+
+    def weight_derivations(self, n, r) -> dict:
+        """g_(lambda, j) of smash(n, r) by (lambda, j), each built and validated once.
+
+        The lambda = 0 ones are the complement representatives of its HH1.
+        """
+        a, desc = self.smash(n, r)
+        zero = dict(zip(desc.outer_exponents(), self.smash_hh1(n, r).complement_basis))
+        return self._once(
+            ("g", self.p, n, r),
+            lambda: {
+                (lam, j): hoch.named_outer(desc, lam, j, a) if lam else g0
+                for lam in range(desc.n_chars)
+                for j, g0 in zero.items()
+            },
+        )
 
     def kronecker(self):
         return self._once(("kr", self.p), lambda: alg.quiver_algebra(alg.kronecker_quiver(), self.p))
@@ -293,15 +313,8 @@ def check_lemma_3_3(ctx: SuiteContext) -> dict:
     p = ctx.p
     detail = {}
     for n, r in _criterion3_params(p):
-        a, desc = ctx.smash(n, r)
         h = ctx.smash_hh1(n, r)
-        g_mats = np.stack(
-            [
-                hoch.named_outer(desc, lam, j, a).matrix
-                for lam in range(desc.n_chars)
-                for j in desc.outer_exponents()
-            ]
-        )
+        g_mats = np.stack([g.matrix for g in ctx.weight_derivations(n, r).values()])
         # g is injective on Der, so ranks in generator coordinates are the ranks of the maps
         resid = h.space.inner()[2].reduce_rows(h.space.gen_coords(g_mats))
         _, extra, _ = gfp.rref(resid, p)
@@ -320,16 +333,15 @@ def check_lemma_3_4(ctx: SuiteContext) -> dict:
         a, desc = ctx.smash(n, r)
         xvec = desc.x_vector()
         count = 0
-        for lam in range(desc.n_chars):
-            for j in desc.outer_exponents():
-                g = hoch.named_outer(desc, lam, j, a)  # raises if Leibniz fails
-                for mu in range(desc.n_chars):
-                    if g(gfp.basis_vector(a.dim, desc.index(mu, 0))).any():
-                        raise CheckFailure({"params": (p, n, r), "case": "g(u)", "lambda": lam})
-                want = gfp.basis_vector(a.dim, desc.index(lam, j * p**r + 1))
-                if not np.array_equal(g(xvec), want):
-                    raise CheckFailure({"params": (p, n, r), "case": "g(x)", "lambda": lam, "j": j})
-                count += 1
+        # named_outer built each g and raised if the Leibniz rule failed
+        for (lam, j), g in ctx.weight_derivations(n, r).items():
+            for mu in range(desc.n_chars):
+                if g(gfp.basis_vector(a.dim, desc.index(mu, 0))).any():
+                    raise CheckFailure({"params": (p, n, r), "case": "g(u)", "lambda": lam})
+            want = gfp.basis_vector(a.dim, desc.index(lam, j * p**r + 1))
+            if not np.array_equal(g(xvec), want):
+                raise CheckFailure({"params": (p, n, r), "case": "g(x)", "lambda": lam, "j": j})
+            count += 1
         detail[f"(p={p},n={n},r={r})"] = {"validated": count}
     return detail
 
@@ -343,14 +355,14 @@ def check_lemma_3_5(ctx: SuiteContext) -> dict:
     p = ctx.p
     detail = {}
     for n, r in _criterion3_params(p):
-        a, desc = ctx.smash(n, r)
-        h = ctx.smash_hh1(n, r)
+        desc = ctx.smash(n, r)[1]
+        h, g = ctx.smash_hh1(n, r), ctx.weight_derivations(n, r)
         space, inner = h.space, h.space.inner()[2]
         h_mats = np.stack([f.matrix for f in h.complement_basis])
         h_rows = space.gen_coords(h_mats)
         h_rank = gfp.rref(inner.reduce_rows(h_rows), p)[1]
         diffs = [
-            (g0.matrix - hoch.named_outer(desc, i, j, a).matrix) % p
+            (g0.matrix - g[i, j].matrix) % p
             for j, g0 in zip(desc.outer_exponents(), h.complement_basis)
             for i in range(1, desc.n_chars)
         ]
@@ -418,8 +430,7 @@ def check_thm_3_8(ctx: SuiteContext) -> dict:
     p = ctx.p
     detail = {}
     for n, r in _criterion3_params(p):
-        h = ctx.smash_hh1(n, r)
-        L = lielib.from_hh1(h)
+        L = ctx.lie(ctx.smash_hh1(n, r))
         trig = lielib.is_trigonalizable(L)
         torus = lielib.greedy_maximal_torus(L, seed=ctx.seed)
         g0 = np.zeros(L.dim, dtype=INT)
@@ -458,7 +469,7 @@ def check_cor_3_10(ctx: SuiteContext) -> dict:
     detail = {"u0borel_blocks": len(blocks)}
     if len(blocks) != 1:
         raise CheckFailure(detail)
-    lb = lielib.from_hh1(ctx.u0borel_block_hh1())
+    lb = ctx.lie(ctx.u0borel_block_hh1())
     preds = lielib.series_and_predicates(lb)
     torus = lielib.greedy_maximal_torus(lb, seed=ctx.seed)
     detail["borel_case"] = {"solvable": preds["is_solvable"], "mu": torus.dim}
@@ -504,8 +515,7 @@ def check_blocks(ctx: SuiteContext) -> dict:
             total = (total + e) % p
         if not np.array_equal(total, a.unit):
             raise CheckFailure({"case": a.name, "issue": "idempotents do not sum to 1"})
-    lb = lielib.from_hh1(ctx.u0borel_block_hh1())
-    ls = lielib.from_hh1(ctx.smash_hh1(1, 1))
+    lb, ls = ctx.lie(ctx.u0borel_block_hh1()), ctx.lie(ctx.smash_hh1(1, 1))
     same = lielib.fingerprint(lb, seed=ctx.seed) == lielib.fingerprint(ls, seed=ctx.seed)
     detail["u0borel_block_matches_smash"] = same
     if not same:
@@ -518,7 +528,7 @@ def check_lemma_4_1(ctx: SuiteContext) -> dict:
     p = ctx.p
     te = ctx.tkr()
     h = ctx.tkr_hh1()
-    L = lielib.from_hh1(h)
+    L = ctx.lie(h)
     detail = {"dim_hh1": L.dim}
     if L.dim != 4:
         raise CheckFailure(detail)
@@ -572,13 +582,13 @@ def check_thm_4_2_mu(ctx: SuiteContext) -> dict:
     p = ctx.p
     expected = []
     for n, r in _criterion3_params(p):
-        L = lielib.from_hh1(ctx.smash_hh1(n, r))
+        L = ctx.lie(ctx.smash_hh1(n, r))
         expected.append((f"smash(p={p},n={n},r={r})", 1, lielib.greedy_maximal_torus(L, seed=ctx.seed).dim))
     wit = ctx.prop22_witness()
     expected.append(
         (f"trunc(p={p},exps=2)", 1, lielib.greedy_maximal_torus(wit.lie, seed=ctx.seed).dim)
     )
-    Lt = lielib.from_hh1(ctx.tkr_hh1())
+    Lt = ctx.lie(ctx.tkr_hh1())
     expected.append(("tkr", 2, lielib.greedy_maximal_torus(Lt, seed=ctx.seed).dim))
     detail = {name: {"expected_cx": cx, "computed_mu": mu} for name, cx, mu in expected}
     bad = [name for name, cx, mu in expected if cx != mu]
@@ -622,7 +632,7 @@ def check_properties(ctx: SuiteContext) -> dict:
     except Hh1LieError:
         raise CheckFailure({"property": "representative independence"})
     # Jacobson p-map vs composition oracle on the cohomology of the smash
-    L = lielib.from_hh1(h)
+    L = ctx.lie(h)
     comp_mats = np.stack([f.matrix.reshape(-1) for f in h.complement_basis])
     xs = np.array([rng.integers(0, p, size=L.dim) for _ in range(trials)], dtype=INT)
     for x, via_jac in zip(xs, lielib._jacobson_batch(L, xs)):

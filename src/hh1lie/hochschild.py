@@ -40,8 +40,7 @@ from .gfp import INT, Subspace, matmul, normalize, rref
 
 DENSE_SOLVER_LIMIT = 32
 CHUNK = 1024  # dense rows per elimination step of the derivation solver
-STREAM_CELLS = 1 << 18  # int64 cells per block of streamed columns of phi(ker)
-MAP_CELLS = 1 << 20  # int64 cells per block of d x d maps built through phi
+STREAM_CELLS = 1 << 18  # int64 cells per block: streamed columns of phi(ker), or d x d maps
 
 
 class Derivation:
@@ -197,7 +196,7 @@ class Extender:
             (np.searchsorted(self._reached, fe[sel]), unk[sel], val[sel])
             for sel in (term == t for t in range(int(term.max(initial=0)) + 1))
         ]
-        self._block = max(1, MAP_CELLS // (d * d))
+        self._block = max(1, STREAM_CELLS // (d * d))
 
     def _phi_reached(self, rows) -> np.ndarray:
         """phi of rows of generator values on the reached vec(F) entries, one column per row."""

@@ -17,7 +17,7 @@ algebras of truncated polynomial rings, sl2 and gl2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +46,7 @@ class RestrictedLie:
         if len(self.labels) != self.dim:
             raise DimensionMismatch("label count does not match dimension")
         self._admats = self._lie_gens = self._pmap_census = None
+        self._tori = {}  # (seed, random_rounds) -> TorusReport, for int seeds
         if validate:
             self.validate()
 
@@ -416,13 +417,27 @@ def p_envelope(L: RestrictedLie, x) -> tuple[Subspace, np.ndarray]:
     """Span of x, x^[p], x^[p^2], ... and the matrix of the p-map on it.
 
     The envelope is abelian, and over GF(p) the p-map is additive and
-    fixes scalars, hence acts linearly on the envelope.
+    fixes scalars, hence acts linearly on the envelope.  The one-row case
+    of ``_p_envelopes``.
     """
-    nxt = normalize(x, L.p).reshape(-1)
-    span = Subspace.from_vectors([nxt], L.p, L.dim)
-    while not span.contains_vector(nxt := jacobson_p_power(L, nxt)):
-        span = span.sum(Subspace.from_vectors([nxt], L.p, L.dim))
-    return span, span.coords_rows(_jacobson_batch(L, span.basis)).T
+    return _p_envelopes(L, np.reshape(x, (1, -1)))[0]
+
+
+def _p_envelopes(L: RestrictedLie, xs) -> list[tuple[Subspace, np.ndarray]]:
+    """``p_envelope`` of each row of xs, one batched p-power step at a time until every span closes."""
+    p, d = L.p, L.dim
+    xs = normalize(xs, p).reshape(-1, d)
+    spans = [Subspace.from_vectors(x[None], p, d) for x in xs]
+    live, nxt = np.arange(len(xs)), xs
+    while live.size:
+        nxt = _jacobson_batch(L, nxt)
+        grow = np.array([not spans[i].contains_vector(v) for i, v in zip(live, nxt)], dtype=bool)
+        live, nxt = live[grow], nxt[grow]
+        for i, v in zip(live, nxt):
+            spans[i] = spans[i].sum(Subspace.from_vectors(v[None], p, d))
+    images = _jacobson_batch(L, np.vstack([s.basis for s in spans]))
+    ends = np.cumsum([s.dim for s in spans])[:-1]
+    return [(s, s.coords_rows(im).T) for s, im in zip(spans, np.split(images, ends))]
 
 
 @dataclass
@@ -441,6 +456,10 @@ class TorusReport:
             "certificates": self.certificates,
             "maximality_status": self.maximality_status,
         }
+
+    def copy(self) -> TorusReport:
+        certs = [dict(c) for c in self.certificates]
+        return replace(self, basis=[t.copy() for t in self.basis], certificates=certs)
 
 
 def _toral_fixed_points(L: RestrictedLie, env: Subspace, phi: np.ndarray) -> list[np.ndarray]:
@@ -507,38 +526,39 @@ def _pmap_census(L: RestrictedLie):
     return L._pmap_census
 
 
-def _projectivize(vectors, p) -> list[np.ndarray]:
-    seen = {}
-    for v in vectors:
-        lead = int(v[np.nonzero(v)[0][0]])
-        canon = v * gfp.inv_mod(lead, p) % p
-        seen.setdefault(canon.tobytes(), canon)
-    return list(seen.values())
+def _projectivize(vectors, p) -> np.ndarray:
+    """One row per line, scaled to a leading 1, in order of first appearance."""
+    mat = np.array(vectors, dtype=np.int16)  # int16 as p <= 317: up to p^dim rows come in
+    inv = np.array([0] + [gfp.inv_mod(c, p) for c in range(1, p)])
+    scaled = (np.arange(p) * inv[:, None] % p).astype(np.int16)  # [c, x] = x / c
+    mat = scaled[mat[np.arange(len(mat)), (mat != 0).argmax(axis=1)][:, None], mat]
+    rows = mat.view(np.dtype((np.void, mat.itemsize * mat.shape[1])))[:, 0]  # one opaque key per row
+    return mat[np.sort(np.unique(rows, return_index=True)[1])].astype(INT)
 
 
 def _max_commuting_torus(L: RestrictedLie, torals) -> list[np.ndarray]:
     """A basis of pairwise-commuting toral elements whose span has maximum dimension.
 
-    It is the first such basis the depth-first search reaches.  A span met
-    again is not searched twice.
+    It is the first such basis the depth-first search reaches, the least
+    in index order: indices increase along a branch, and a span met again
+    is not searched twice.  A branch is skipped when its span and its
+    candidates have rank at most len(best), since nothing in it is longer.
+    No prefix of the least basis is skipped, so the result is unchanged.
     """
-    p = L.p
+    p, d = L.p, L.dim
+    if not len(torals):
+        return []
     reps = _projectivize(torals, p)
     n = len(reps)
-    if n == 0:
-        return []
     if n > TORAL_GRAPH_LIMIT:
         raise Hh1LieError(f"too many toral elements ({n}) for exhaustive certification")
-    mat = np.stack(reps)
-    # commute[s, t] <=> [reps_s, reps_t] = 0, in row blocks of about 2^18 bracket entries
-    step = max(1, (1 << 18) // (n * L.dim))
-    commute = np.vstack(
-        [~_pairwise_brackets(L, mat[s : s + step], mat).any(axis=2) for s in range(0, n, step)]
-    )
-    best = []
-    seen = set()
+    # commute[s, t] <=> ad(reps_s) reps_t = 0, in row blocks of about 2^18 bracket entries
+    ads, rows = L.ad(reps).reshape(n * d, d), max(1, (1 << 18) // (n * d)) * d
+    brackets = (matmul(ads[s : s + rows], reps.T, p) for s in range(0, n * d, rows))
+    commute = ~np.vstack([b.reshape(-1, d, n).any(axis=1) for b in brackets])
+    best, seen = [], set()
 
-    def extend(span: Subspace, chosen, cand_idx):
+    def extend(span: Subspace, chosen, cand):
         nonlocal best
         if len(chosen) > len(best):
             best = chosen
@@ -546,13 +566,18 @@ def _max_commuting_torus(L: RestrictedLie, torals) -> list[np.ndarray]:
         if key in seen:
             return
         seen.add(key)
-        for pos, t in enumerate(cand_idx):
-            if span.contains_vector(reps[t]):
-                continue
-            nxt_cand = [s for s in cand_idx[pos + 1 :] if commute[t, s]]
-            extend(span.sum(Subspace.from_vectors([reps[t]], p, L.dim)), chosen + [reps[t]], nxt_cand)
+        resid = span.reduce_rows(reps[cand])
+        outside = resid.any(axis=1)
+        if span.dim + rref(resid[outside], p)[1] <= len(best):
+            return
+        for pos in np.flatnonzero(outside):
+            t, later = cand[pos], cand[pos + 1 :]
+            later = later[commute[t, later]]
+            if span.dim + 1 + len(later) > len(best):  # else even the count bounds the branch
+                nxt = span.sum(Subspace.from_vectors(reps[t][None], p, d))
+                extend(nxt, chosen + [reps[t]], later)
 
-    extend(Subspace.zero(L.dim, p), [], list(range(n)))
+    extend(Subspace.zero(d, p), [], np.arange(n))
     return best
 
 
@@ -564,7 +589,18 @@ def greedy_maximal_torus(L: RestrictedLie, seed: int = 0, random_rounds: int = 6
     part of their p-envelope.  The greedy dimension is a lower bound for
     the maximal toral rank; exhaustive enumeration upgrades the status to
     exhaustively-certified and overrides the greedy result if larger.
+
+    For an int seed the report is built once per (seed, random_rounds) and
+    stored on L; each call gets its own copy.
     """
+    if not isinstance(seed, int):  # a Generator or None: nothing to key the report by
+        return _torus_report(L, seed, random_rounds)
+    if (seed, random_rounds) not in L._tori:
+        L._tori[seed, random_rounds] = _torus_report(L, seed, random_rounds)
+    return L._tori[seed, random_rounds].copy()
+
+
+def _torus_report(L: RestrictedLie, seed, random_rounds: int) -> TorusReport:
     p, d = L.p, L.dim
     rng = np.random.default_rng(seed)
     torus: list[np.ndarray] = []
@@ -572,20 +608,15 @@ def greedy_maximal_torus(L: RestrictedLie, seed: int = 0, random_rounds: int = 6
     def try_extend() -> bool:
         cent = _centralizer(L, torus)
         span = Subspace.from_vectors(torus, p, d) if torus else Subspace.zero(d, p)
-        candidates = list(cent.basis)
-        for _ in range(random_rounds):
-            coeffs = rng.integers(0, p, size=cent.dim)
-            v = matmul(coeffs, cent.basis, p) if cent.dim else np.zeros(d, dtype=INT)
-            if v.any():
-                candidates.append(v)
-        for x in candidates:
-            if span.contains_vector(x):
-                continue
-            env, phi = p_envelope(L, x)
-            for t in _toral_fixed_points(L, env, phi):
-                if not span.contains_vector(t):
-                    torus.append(t)
-                    return True
+        draws = [rng.integers(0, p, size=cent.dim) for _ in range(random_rounds)]
+        cands = np.vstack([cent.basis, matmul(np.reshape(draws, (random_rounds, cent.dim)), cent.basis, p)])
+        cands = cands[span.reduce_rows(cands).any(axis=1)]  # zero draws lie in every span
+        for s in range(0, len(cands), 8):  # envelopes 8 candidates at a time, in order
+            for env, phi in _p_envelopes(L, cands[s : s + 8]):
+                for t in _toral_fixed_points(L, env, phi):
+                    if not span.contains_vector(t):
+                        torus.append(t)
+                        return True
         return False
 
     while try_extend():

@@ -80,3 +80,28 @@ def quotient_basis(a: Subspace, b: Subspace) -> list:
     """The rows of a's canonical basis whose pivots are not pivots of a & b."""
     inter_pivots = set(intersection(a, b).pivots)
     return [row.copy() for row, piv in zip(a.basis, a.pivots) if piv not in inter_pivots]
+
+
+def old_coords(sub, v):
+    """Subspace.coords as it was: the pivot entries, then a membership check."""
+    v = np.asarray(v, dtype=INT).reshape(-1) % sub.p
+    coeffs = v[list(sub.pivots)]
+    if ((v - coeffs @ sub.basis) % sub.p).any():
+        raise ValueError("vector is not in the subspace")
+    return coeffs
+
+
+def old_p_envelope(L, x):
+    """The p-envelope of x and the p-map on it, one ``jacobson_p_power`` at a time."""
+    x = np.asarray(x, dtype=INT) % L.p
+    chain, span = [x], Subspace.from_vectors([x], L.p, L.dim)
+    while True:
+        nxt = lielib.jacobson_p_power(L, chain[-1])
+        if span.contains_vector(nxt):
+            break
+        chain.append(nxt)
+        span = span.sum(Subspace.from_vectors([nxt], L.p, L.dim))
+    phi = np.zeros((span.dim, span.dim), dtype=INT)
+    for t in range(span.dim):
+        phi[:, t] = old_coords(span, lielib.jacobson_p_power(L, span.basis[t]))
+    return span, phi

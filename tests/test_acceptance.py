@@ -5,6 +5,8 @@ with ``pytest -s``); a failure surfaces as an ordinary assertion error.
 Expensive constructions are shared through module-scoped contexts.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,39 @@ def test_suite_computes_shared_objects_once(monkeypatch):
             fn(ctx)
     assert calls.count("wit") == 1
     assert len(calls) == len(set(calls))
+
+
+def test_suite_certifies_each_torus_and_weight_derivation_once(monkeypatch):
+    # one torus search per (Lie algebra, seed) and one named_outer per (algebra,
+    # lambda, j) over a whole suite: the Lie algebras and the weight derivations
+    # are shared through the context, and each report is kept on its algebra
+    from hh1lie import hochschild as hoch
+
+    searches, outers = [], []
+    report, named_outer = lielib._torus_report, hoch.named_outer
+
+    def count_search(L, seed, rounds):
+        searches.append((id(L), seed, rounds))
+        return report(L, seed, rounds)
+
+    def count_outer(desc, lam, j, a=None):
+        outers.append((a.name, lam, j))
+        return named_outer(desc, lam, j, a)
+
+    monkeypatch.setattr(lielib, "_torus_report", count_search)
+    monkeypatch.setattr(hoch, "named_outer", count_outer)
+    results = checks.run_suite(p=5)
+    assert all(r.status == "pass" for r in results), [r.check_id for r in results if r.status != "pass"]
+    assert len(searches) == len(set(searches)) >= 5
+    assert len(outers) == len(set(outers)) == 30  # smash(1,1): 5 x 1, smash(2,1): 5 x 5
+
+
+def test_handed_out_torus_reports_are_copies():
+    L = lielib.gl2(5)
+    first = lielib.greedy_maximal_torus(L, seed=2)
+    want = json.dumps(first.to_json_dict())  # to_json_dict shares the certificate list
+    first.basis[0][:] = 0
+    first.basis.append(first.basis[0])
+    first.certificates[0]["toral"] = False
+    first.dim = 7
+    assert json.dumps(lielib.greedy_maximal_torus(L, seed=2).to_json_dict()) == want

@@ -468,6 +468,11 @@ REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
         ("hh1-quiver-7", ["--kind", "quiver", "--p", "7"]),
         ("hh1-trunc-3-2-1", ["--kind", "trunc", "--p", "3", "--exps", "2,1"]),
         ("hh1-trunc-3-3", ["--kind", "trunc", "--p", "3", "--exps", "3"]),
+        ("hh1-smash-3-2-1", ["--kind", "smash", "--p", "3", "--n", "2", "--r", "1"]),
+        ("hh1-smash-3-3-1", ["--kind", "smash", "--p", "3", "--n", "3", "--r", "1"]),
+        ("hh1-smash-3-2-2", ["--kind", "smash", "--p", "3", "--n", "2", "--r", "2"]),
+        ("hh1-smash-5-2-1", ["--kind", "smash", "--p", "5", "--n", "2", "--r", "1"]),
+        ("hh1-u0borel-3-2", ["--kind", "u0borel", "--p", "3", "--n", "2"]),
     ],
 )
 def test_hh1_stdout_matches_recorded_reference(job, argv, capsys):
@@ -475,6 +480,19 @@ def test_hh1_stdout_matches_recorded_reference(job, argv, capsys):
     code, out, _ = run_cli(capsys, "hh1", *argv, "--seed", "0")
     assert code == expected["exit"] == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected["stdout_sha256"]
+
+
+@pytest.mark.parametrize("job, p", [("probe-reproduce-p3", "3"), ("reproduce-p5", "5")])
+def test_reproduce_report_matches_recorded_reference(job, p, tmp_path, capsys):
+    # the recorded report of the benchmark's reproduce jobs, apart from elapsed_ms
+    expected = json.loads(REFERENCE.read_text())[job]
+    path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "reproduce", "--p", p, "--seed", "0", "--json", str(path))
+    report = json.loads(path.read_text())
+    for entry in report:
+        del entry["elapsed_ms"]
+    assert code == expected["exit"] == 0
+    assert report == expected["report"]
 
 
 @pytest.mark.parametrize("blob", ['["1", "2"]', '{"vertices": ["1"], "arrows": [["x", "1"]]}'])

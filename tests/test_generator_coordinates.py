@@ -20,7 +20,15 @@ from hh1lie import hochschild as hoch
 from hh1lie import lie as lielib
 from hh1lie.errors import Hh1LieError
 from hh1lie.gfp import INT, Subspace
-from oracles import bracket_vec, element_analysis, is_p_nilpotent_element, mult_terms, quotient_basis
+from oracles import (
+    bracket_vec,
+    element_analysis,
+    is_p_nilpotent_element,
+    mult_terms,
+    old_coords,
+    old_p_envelope,
+    quotient_basis,
+)
 
 
 def d2_derivations(a):
@@ -131,15 +139,6 @@ def test_streamed_pivots_do_not_depend_on_the_block_size(monkeypatch):
 
 
 # -- structure tables on sub- and quotient spaces ------------------------------
-
-
-def old_coords(sub, v):
-    """Subspace.coords as it was: the pivot entries, then a membership check."""
-    v = np.asarray(v, dtype=INT).reshape(-1) % sub.p
-    coeffs = v[list(sub.pivots)]
-    if ((v - coeffs @ sub.basis) % sub.p).any():
-        raise ValueError("vector is not in the subspace")
-    return coeffs
 
 
 def old_mul_vec(a, u, v):
@@ -297,21 +296,6 @@ def test_lie_from_matrices_matches_the_pivot_solver(p):
     for L, mats in ((lielib.sl2(p), [e, h, f]), (lielib.gl2(p), [e, h, f, i2])):
         bracket, pmap = old_lie_from_matrices(p, mats)
         assert np.array_equal(L.bracket, bracket) and np.array_equal(L.pmap_basis, pmap)
-
-
-def old_p_envelope(L, x):
-    x = np.asarray(x, dtype=INT) % L.p
-    chain, span = [x], Subspace.from_vectors([x], L.p, L.dim)
-    while True:
-        nxt = lielib.jacobson_p_power(L, chain[-1])
-        if span.contains_vector(nxt):
-            break
-        chain.append(nxt)
-        span = span.sum(Subspace.from_vectors([nxt], L.p, L.dim))
-    phi = np.zeros((span.dim, span.dim), dtype=INT)
-    for t in range(span.dim):
-        phi[:, t] = old_coords(span, lielib.jacobson_p_power(L, span.basis[t]))
-    return span, phi
 
 
 def old_fitting_parts(L, x):

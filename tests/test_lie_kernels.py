@@ -12,7 +12,7 @@ from hh1lie import hochschild as hoch
 from hh1lie import lie as lielib
 from hh1lie.errors import Hh1LieError
 from hh1lie.gfp import INT, Subspace
-from oracles import bracket_vec
+from oracles import bracket_vec, old_p_envelope
 
 
 def hh1_lie(algebra):
@@ -365,10 +365,20 @@ def test_all_vectors_batch_lists_the_mixed_radix_order(p, dim):
     assert lielib._all_vectors_batch(p, dim).tolist() == list(iterate_vectors(p, dim))
 
 
+def old_projectivize(vectors, p):
+    """One vector per line, scaled to a leading 1, one vector at a time, in order of first appearance."""
+    seen = {}
+    for v in vectors:
+        lead = int(v[np.nonzero(v)[0][0]])
+        canon = v * gfp.inv_mod(lead, p) % p
+        seen.setdefault(canon.tobytes(), canon)
+    return list(seen.values())
+
+
 def old_max_commuting_toral_dim(L, torals):
     """The torus search as it was: the maximum dimension only."""
     p = L.p
-    reps = lielib._projectivize(torals, p)
+    reps = old_projectivize(torals, p)
     n = len(reps)
     if n == 0:
         return 0
@@ -396,7 +406,7 @@ def old_max_commuting_toral_dim(L, torals):
 def old_rebuild_torus(L, torals, target_dim):
     """The second search that rebuilt a torus of the certified dimension, unpruned."""
     p = L.p
-    reps = lielib._projectivize(torals, p)
+    reps = old_projectivize(torals, p)
 
     def search(chosen, span, cand):
         if span.dim == target_dim:
@@ -422,6 +432,11 @@ TORUS_CASES = {
     "hh1-trunc3-2": lambda: hh1_lie(alg.truncated_polynomial(3, (2,))),
     "hh1-tkr5": lambda: hh1_lie(alg.trivial_extension(alg.quiver_algebra(alg.kronecker_quiver(), 5))),
     "hh1-tkr3": lambda: hh1_lie(alg.quiver_algebra(alg.tkr_quiver(), 3)),
+    # 197 toral lines and mu = 2: the rank bound prunes branches here
+    "hh1-quiver7": lambda: hh1_lie(alg.quiver_algebra(alg.tkr_quiver(), 7)),
+    "hh1-tkr7": lambda: hh1_lie(alg.trivial_extension(alg.quiver_algebra(alg.kronecker_quiver(), 7))),
+    "hh1-smash331": lambda: hh1_lie(alg.smash_product(3, 3, 1)[0]),  # 729 toral lines
+    "hh1-smash521": lambda: hh1_lie(alg.smash_product(5, 2, 1)[0]),  # 625 toral lines
 }
 
 
@@ -430,6 +445,9 @@ def test_torus_search_returns_the_rebuilt_torus(name):
     L = TORUS_CASES[name]()
     torals = lielib._pmap_census(L)[0]
     assert torals is not None
+    if torals:
+        reps = lielib._projectivize(torals, L.p)
+        assert [r.tolist() for r in reps] == [r.tolist() for r in old_projectivize(torals, L.p)]
     got = lielib._max_commuting_torus(L, torals)
     dim = old_max_commuting_toral_dim(L, torals)
     assert len(got) == dim
@@ -437,6 +455,103 @@ def test_torus_search_returns_the_rebuilt_torus(name):
     report = lielib.greedy_maximal_torus(L)
     assert report.dim == dim and report.maximality_status == "exhaustively-certified"
     assert all(c == {"toral": True, "commutes": True} for c in report.certificates)
+
+
+def test_toral_line_counts_of_the_pruned_cases():
+    for name, lines, mu in (("hh1-quiver7", 197, 2), ("hh1-smash331", 729, 1), ("hh1-smash521", 625, 1)):
+        L = TORUS_CASES[name]()
+        torals = lielib._pmap_census(L)[0]
+        assert len(old_projectivize(torals, L.p)) == lines
+        assert len(lielib._max_commuting_torus(L, torals)) == mu
+
+
+def sequential_greedy_torus(L, seed=0, random_rounds=60):
+    """greedy_maximal_torus as it was: one p-envelope per candidate, then the unpruned search.
+
+    Returns the basis as lists and the maximality status.
+    """
+    p, d = L.p, L.dim
+    rng = np.random.default_rng(seed)
+    torus = []
+
+    def try_extend():
+        cent = lielib._centralizer(L, torus)
+        span = Subspace.from_vectors(torus, p, d) if torus else Subspace.zero(d, p)
+        candidates = list(cent.basis)
+        for _ in range(random_rounds):
+            coeffs = rng.integers(0, p, size=cent.dim)
+            v = gfp.matmul(coeffs, cent.basis, p) if cent.dim else np.zeros(d, dtype=INT)
+            if v.any():
+                candidates.append(v)
+        for x in candidates:
+            if span.contains_vector(x):
+                continue
+            env, phi = old_p_envelope(L, x)
+            for c in gfp.kernel((phi - np.eye(env.dim, dtype=INT)) % p, p):
+                t = gfp.matmul(c, env.basis, p)
+                if not span.contains_vector(t):
+                    torus.append(t)
+                    return True
+        return False
+
+    while try_extend():
+        pass
+    status = "greedy-maximal"
+    torals = lielib._pmap_census(L)[0]
+    if torals is not None:
+        dim = old_max_commuting_toral_dim(L, torals)
+        if dim > len(torus):
+            torus = old_rebuild_torus(L, torals, dim)
+        status = "exhaustively-certified"
+    return [[int(x) for x in t] for t in torus], status
+
+
+GREEDY_CASES = {
+    "zero-dim": lambda: lielib.RestrictedLie(3, np.zeros((0, 0, 0), dtype=INT), np.zeros((0, 0), dtype=INT)),
+    "abelian-toral-5": lambda: lielib.RestrictedLie(5, np.zeros((3, 3, 3), dtype=INT), np.eye(3, dtype=INT)),
+    "abelian-nil-3": lambda: lielib.RestrictedLie(3, np.zeros((2, 2, 2), dtype=INT), np.zeros((2, 2), INT)),
+    "sl2-5": lambda: lielib.sl2(5),
+    "gl2-3": lambda: lielib.gl2(3),
+    "hh1-trunc3-1": lambda: hh1_lie(alg.truncated_polynomial(3, (1,))),
+    "hh1-trunc3-11": lambda: hh1_lie(alg.truncated_polynomial(3, (1, 1))),  # 3^18: greedy only
+    "hh1-smash321": lambda: hh1_lie(alg.smash_product(3, 2, 1)[0]),
+    "hh1-tkr5": lambda: hh1_lie(alg.trivial_extension(alg.quiver_algebra(alg.kronecker_quiver(), 5))),
+    "hh1-quiver7": TORUS_CASES["hh1-quiver7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GREEDY_CASES))
+def test_greedy_torus_matches_the_sequential_sweep(name):
+    L = GREEDY_CASES[name]()
+    for seed in range(5):
+        report = lielib.greedy_maximal_torus(L, seed=seed)
+        basis, status = sequential_greedy_torus(L, seed=seed)
+        assert report.to_json_dict()["basis"] == basis
+        assert (report.dim, report.maximality_status) == (len(basis), status)
+        assert all(c == {"toral": True, "commutes": True} for c in report.certificates)
+
+
+@pytest.mark.parametrize("name", sorted(GREEDY_CASES))
+def test_batched_envelopes_match_the_sequential_ones_on_a_sweep(name, monkeypatch):
+    L = GREEDY_CASES[name]()
+    batches, batched = [], lielib._p_envelopes
+
+    def record(L, xs):
+        batches.append((xs, batched(L, xs)))
+        return batches[-1][1]
+
+    monkeypatch.setattr(lielib, "_p_envelopes", record)
+    lielib.greedy_maximal_torus(L, seed=1)
+    # every candidate of a first sweep in one batch: the basis, then random elements
+    cands = np.vstack([np.eye(L.dim, dtype=INT), np.random.default_rng(1).integers(0, L.p, (60, L.dim))])
+    cands = cands[cands.any(axis=1)]
+    if len(cands):
+        batches.append((cands, batched(L, cands)))
+    for xs, got in batches:
+        assert len(got) == len(xs)
+        for x, (env, phi) in zip(xs, got):
+            want_env, want_phi = old_p_envelope(L, x)
+            assert env == want_env and np.array_equal(phi, want_phi)
 
 
 ABELIAN_CASES = {
