@@ -1,12 +1,17 @@
 """Exact linear algebra over the prime field GF(p), p an odd prime, 3 <= p <= 317.
 
 Matrices are numpy int64 arrays with entries reduced mod p.  Except for
-``scatter_add``, which adds into ``out``, functions never mutate inputs and
-return fresh arrays.  Row spaces are kept in reduced row echelon form, which
-is unique over a field, so two equal subspaces always store identical bases.
+``scatter_add`` and ``scatter_apply``, which add into ``out``, functions
+never mutate inputs and return fresh arrays.  Row spaces are kept in reduced
+row echelon form, which is unique over a field, so two equal subspaces always
+store identical bases.
 
 Sparse sums are key and value arrays: ``merge`` sums the values on equal keys
-mod p, and ``expand`` lists the entries of rows stored CSR-style.
+mod p, and ``expand`` lists the entries of rows stored CSR-style.  Scatters
+(sums of coefficients times source rows into target rows) have one layering
+code, ``scatter_plan``: a plan is built once per term list and applied by
+``scatter_apply`` to as many sources as share it; ``scatter_add`` is one
+plan applied once.
 
 Coordinates have one primitive, ``coords_rows``: on a ``Subspace`` they are a
 stack's entries on the canonical pivots, and an ``OrderedBasis`` (rows in a
@@ -97,13 +102,13 @@ def matmul(a, b, p: int) -> np.ndarray:
     return out
 
 
-def scatter_add(out: np.ndarray, index, coef, src=None, take=None) -> np.ndarray:
-    """Exact ``out[index[r]] += coef[r] * src[take[r]]`` along axis 0, in place.
+def scatter_plan(index, coef, take=None) -> list:
+    """Layers (index, coef, take) of the sum ``out[index[r]] += coef[r] * src[take[r]]``.
 
-    Zero-coefficient terms are dropped before any value row is gathered.  The
-    rest are added by fancy-index ``+=`` in layers, layer t holding the t-th
-    term of every target, so no target repeats within a layer.  ``src``
-    defaults to ones and ``take`` to the position of the term.
+    Zero-coefficient terms are dropped.  Layer t holds the t-th term of every
+    target, so no target repeats within a layer and one fancy-index ``+=``
+    adds each of its terms.  ``take`` defaults to the position of the term.
+    A plan is built once and applied by ``scatter_apply`` to any source.
     """
     coef = np.asarray(coef).reshape(-1)
     keep = np.flatnonzero(coef)
@@ -112,14 +117,28 @@ def scatter_add(out: np.ndarray, index, coef, src=None, take=None) -> np.ndarray
     order = np.argsort(index, kind="stable")
     rank = np.empty_like(keep)  # position of each term among those on its target
     rank[order] = np.arange(keep.size) - np.searchsorted(index[order], index[order])
-    for layer in range(int(rank.max(initial=-1)) + 1):
-        sel = np.flatnonzero(rank == layer)
-        vals = coef[keep[sel]]
+    layers = (np.flatnonzero(rank == t) for t in range(int(rank.max(initial=-1)) + 1))
+    return [(index[sel], coef[keep[sel]], take[sel]) for sel in layers]
+
+
+def scatter_apply(out: np.ndarray, plan: list, src=None, axis: int = 0) -> np.ndarray:
+    """Exact ``out[index] += coef * src[take]`` along ``axis`` for each layer of a ``scatter_plan``, in place.
+
+    ``src`` defaults to ones: each layer then adds its coefficients.
+    """
+    target = np.moveaxis(out, axis, 0)  # a view: the adds land in ``out``
+    for index, coef, take in plan:
+        vals = coef
         if src is not None:
-            vals, scale = src[take[sel]], vals
-            vals *= scale.reshape((-1,) + (1,) * (vals.ndim - 1))
-        out[index[sel]] += vals
+            vals = np.moveaxis(src, axis, 0)[take]
+            vals *= coef.reshape((-1,) + (1,) * (vals.ndim - 1))
+        target[index] += vals
     return out
+
+
+def scatter_add(out: np.ndarray, index, coef, src=None, take=None) -> np.ndarray:
+    """Exact ``out[index[r]] += coef[r] * src[take[r]]`` along axis 0, in place: one plan, applied once."""
+    return scatter_apply(out, scatter_plan(index, coef, take), src)
 
 
 def merge(keys: np.ndarray, vals: np.ndarray, p: int):

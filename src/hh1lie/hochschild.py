@@ -14,7 +14,10 @@ built sparse in int64 and deduplicated.  Its kernel is taken one weight of
 the diagonal torus at a time: the weights W grade A with every generator
 homogeneous, each equation involves one weight, and the blocks' kernels
 sorted by pivot are the whole system's RREF kernel.
-``_leibniz_failure`` is the only Leibniz checker.
+``_leibniz_failure`` is the only Leibniz checker.  It builds each
+residual F(e_i s) - F(e_i) s - e_i F(s) in place from scatter plans made
+once per check (``_LeibnizPlan``), in exact integers, and reduces only the
+nonzero entries mod p.
 
 Der, IDer, the complement and the HH1 tables stay in the solver's
 coordinates, the values on the generators (|S| d numbers per map, against
@@ -70,33 +73,84 @@ class Derivation:
 # -- Leibniz residuals -----------------------------------------------------------
 
 
+class _LeibnizPlan:
+    """Leibniz residuals of stacks of maps against fixed elements s, every scatter planned once.
+
+    The residual of F against s is F(e_i s) - F(e_i) s - e_i F(s) over every
+    basis index i.  For a block of maps it is built in place in one int64
+    array laid out (coordinate, i, map), so every scatter moves runs of
+    contiguous map entries:
+
+    - e_i F(s): each table term e_i e_j = c e_k subtracts c F(s)_j at (k, i),
+      a row of the (d^2, k) view.  This plan reads only the table, so every
+      element shares it.
+    - F(e_i) s = R_s F(e_i): each term (x, y, c) of R_s subtracts c times
+      row x of F from row y, and F(e_i s) adds c times column y to column x.
+      Each element has one plan keyed by y and one keyed by x.
+
+    No other array is filled and nothing is added through a transpose.  The
+    entries stay exact: F's entries and the coefficients lie in [0, p), and
+    each part sums at most d |supp s| products below p^2, so every entry is
+    below 3 d |supp s| p^2 in absolute value (2^47 at MAX_DIM and P_MAX).
+    """
+
+    def __init__(self, a: Algebra, elements, table=None):
+        d, p = a.dim, a.p
+        self.dim, self.p = d, p
+        self.elements = np.stack([normalize(s, p).reshape(-1) for s in elements])
+        ci, cj, ck, cc = a.structure_constants()
+        self.table = gfp.scatter_plan(ck * d + ci, -cc, cj) if table is None else table
+        self.rows, self.cols = [], []
+        for s in self.elements:
+            x, y, c = a.right_terms(s)
+            self.rows.append(gfp.scatter_plan(y, -c, x))
+            self.cols.append(gfp.scatter_plan(x, c, y))
+
+    def block(self, fstack):
+        """A block of maps as read by ``residual``: F_t[a, i] at [a, i, t], and F_t(s)_j at [s, j, t]."""
+        ys = matmul(fstack, self.elements.T, self.p).transpose(2, 1, 0)
+        return np.ascontiguousarray(fstack.transpose(1, 2, 0), dtype=INT), np.ascontiguousarray(ys)
+
+    def residual(self, block, n: int) -> np.ndarray:
+        """The exact residual of a ``block`` of maps against element n, laid out (coordinate, i, map)."""
+        fv, ys = block
+        res = np.zeros(fv.shape, dtype=INT)
+        gfp.scatter_apply(res.reshape(self.dim**2, fv.shape[2]), self.table, ys[n])
+        gfp.scatter_apply(res, self.rows[n], fv)
+        gfp.scatter_apply(res, self.cols[n], fv, axis=1)
+        return res
+
+    def fails(self, fstack) -> bool:
+        """Whether some map of the stack fails Leibniz against some element.
+
+        Blocks of STREAM_CELLS / 2 residual cells: with the block's copy of
+        the maps they fill one stream block.  A zero entry is = 0 mod p, so
+        reducing only the nonzero ones decides exactly; on a derivation most
+        entries are 0.
+        """
+        step = max(1, STREAM_CELLS // (2 * self.dim**2))
+        return any(self._block_fails(fstack[t : t + step]) for t in range(0, fstack.shape[0], step))
+
+    def _block_fails(self, maps) -> bool:
+        # no name holds a residual or a block past its use, so one of each is alive at a time
+        block, p = self.block(maps), self.p
+        return any(_nonzero_mod(self.residual(block, n), p) for n in range(len(self.elements)))
+
+
+def _nonzero_mod(res: np.ndarray, p: int) -> bool:
+    """Whether some entry of an exact residual is not = 0 mod p, reducing only the nonzero entries."""
+    return bool((res[res != 0] % p).any())
+
+
 def _gen_block_residual(a: Algebra, fstack: np.ndarray, svec) -> np.ndarray:
-    """Residuals of F(e_i s) - F(e_i) s - e_i F(s) over all basis indices i.
+    """Residuals of F(e_i s) - F(e_i) s - e_i F(s) over all basis indices i, reduced mod p.
 
     Shape (k, d, d), entry [t, a, i] the e_a coordinate for the map
-    fstack[t]; zero exactly on the maps that satisfy Leibniz against s.  R_s
-    is read as its table terms (x, y, c), each c reduced mod p, and each of
-    the three parts is a scatter over table terms.  A part's entry sums at
-    most d |supp s| products below p^2, so it stays below d |supp s| p^2
-    (under 2^45 at MAX_DIM and P_MAX) and the mods are deferred to the end.
+    fstack[t]; zero exactly on the maps that satisfy Leibniz against s.  It
+    is the whole stack's ``_LeibnizPlan`` residual, reduced.
     """
-    d, p = a.dim, a.p
-    svec = normalize(svec, p)
-    k = fstack.shape[0]
-    x, y, c = a.right_terms(svec)
-    # F(e_x s) = sum c F(e_y): column x gathers columns y, held as (i, t, coordinate)
-    lhs = gfp.scatter_add(np.zeros((d, k, d), dtype=INT), x, c, fstack.transpose(2, 0, 1), y)
-    # F(e_i) s = R_s F(e_i): row y gathers rows x, held as (coordinate, t, i)
-    res = gfp.scatter_add(np.zeros((d, k, d), dtype=INT), y, -c, fstack.transpose(1, 0, 2), x)
-    res += lhs.transpose(2, 1, 0)
-    # e_i F(s): each term e_i e_j = c e_k adds c F(s)_j to coordinate k
-    ys = (fstack @ svec) % p  # (k, d)
-    ci, cj, ck, cc = a.structure_constants()
-    term_y = np.zeros((d * d, k), dtype=INT)  # (coordinate * d + i, t)
-    gfp.scatter_add(term_y, ck * d + ci, cc, ys.T, cj)
-    res -= term_y.reshape(d, d, k).transpose(0, 2, 1)
-    res %= p
-    return res.transpose(1, 0, 2)
+    plan = _LeibnizPlan(a, [svec])
+    return (plan.residual(plan.block(fstack), 0) % a.p).transpose(2, 0, 1)
 
 
 # -- phi: maps from their generator values ----------------------------------------
@@ -377,23 +431,29 @@ def _kernel_by_weight(rows, cols, vals, weight: np.ndarray, p: int) -> np.ndarra
 
 
 def _fails_leibniz(a: Algebra, fstack: np.ndarray, gens) -> bool:
-    """Whether some map fails Leibniz against some generator.
+    """Whether some map fails Leibniz against some element of gens (``_LeibnizPlan.fails``)."""
+    return _LeibnizPlan(a, gens).fails(fstack)
 
-    Eight maps at a time: small residual arrays stay in cache, which made
-    the check about 40% faster on smash(5,2,1) than one full-stack call.
+
+def _leibniz_plans(a: Algebra):
+    """The plans ``_leibniz_failure`` checks: ``a.generating_set()``, then every basis vector or None.
+
+    The second is built only for named generators when d <= DENSE_SOLVER_LIMIT,
+    and it shares the first's table plan.
     """
-    return any(
-        _gen_block_residual(a, fstack[t : t + 8], s).any()
-        for s in gens
-        for t in range(0, fstack.shape[0], 8)
-    )
+    gens = _LeibnizPlan(a, a.generating_set())
+    if a.generators is None or a.dim > DENSE_SOLVER_LIMIT:
+        return gens, None
+    return gens, _LeibnizPlan(a, np.eye(a.dim, dtype=INT), gens.table)
 
 
-def _leibniz_failure(a: Algebra, fstack: np.ndarray):
+def _leibniz_failure(a: Algebra, fstack: np.ndarray, plans=None):
     """The first check some map of the stack fails, or None if every map is a derivation.
 
     The one Leibniz checker: the solver's honesty check, ``is_derivation``,
-    ``named_outer`` and the seeded closure property all call it.
+    ``named_outer`` and the seeded closure property all call it.  The maps'
+    entries must lie in [0, p).  ``plans`` (``_leibniz_plans(a)``) lets a
+    caller that checks many blocks build them once.
 
     f(1) = 0, then Leibniz against every generator of ``a.generating_set()``,
     which implies every basis pair by induction on word length on an
@@ -404,11 +464,11 @@ def _leibniz_failure(a: Algebra, fstack: np.ndarray):
     """
     if matmul(fstack, a.unit, a.p).any():
         return "produced a map with f(1) != 0"
-    if _fails_leibniz(a, fstack, a.generating_set()):
+    gens, pairs = plans or _leibniz_plans(a)
+    if gens.fails(fstack):
         return "produced a non-derivation"
-    if a.generators is not None and a.dim <= DENSE_SOLVER_LIMIT:
-        if _fails_leibniz(a, fstack, np.eye(a.dim, dtype=INT)):
-            return "failed the all-pairs check"
+    if pairs is not None and pairs.fails(fstack):
+        return "failed the all-pairs check"
     return None
 
 
@@ -478,12 +538,13 @@ class DerivationSpace:
         return pivots, np.vstack(cols).T if cols else np.zeros((0, 0), dtype=INT)
 
     def _verify(self):
-        """Honesty check on the canonical basis, a block of maps at a time."""
+        """Honesty check on the canonical basis, a block of maps at a time, on one set of Leibniz plans."""
         a = self.algebra
+        plans = _leibniz_plans(a)
         for s in range(0, self.dim, self._block):
             rows = self.basis[s : s + self._block]
             mats = self.matrices(rows)
-            failure = _leibniz_failure(a, mats)
+            failure = _leibniz_failure(a, mats, plans)
             if failure:
                 raise Hh1LieError(f"derivation solver {failure}")
             if not np.array_equal(self.gen_coords(mats), rows):

@@ -399,11 +399,10 @@ def is_simple(L: RestrictedLie, seed: int = 0) -> bool:
     return False
 
 
-def _all_vectors_batch(p: int, dim: int) -> np.ndarray:
-    """(p^dim, dim) array of all coordinate vectors."""
-    total = p**dim
-    out = np.zeros((total, dim), dtype=INT)
-    idx = np.arange(total)
+def _all_vectors_batch(p: int, dim: int, start: int = 0, stop: int = None) -> np.ndarray:
+    """Rows start to stop (default: all p^dim) of the coordinate vectors, row n the base-p digits of n."""
+    idx = np.arange(start, p**dim if stop is None else stop)
+    out = np.zeros((idx.size, dim), dtype=INT)
     for c in range(dim):
         out[:, c] = idx % p
         idx = idx // p
@@ -450,10 +449,11 @@ class TorusReport:
     maximality_status: str
 
     def to_json_dict(self) -> dict:
+        """The report as fresh JSON values: changing them leaves the report as it is."""
         return {
             "basis": [[int(x) for x in v] for v in self.basis],
             "dim": self.dim,
-            "certificates": self.certificates,
+            "certificates": [dict(c) for c in self.certificates],
             "maximality_status": self.maximality_status,
         }
 
@@ -480,8 +480,9 @@ def _pmap_enumeration(L: RestrictedLie):
     """Chunks (vs, xs, ys) covering GF(p)^dim, or None past the enumeration limit.
 
     Row n of ys encodes vs[n]^[p] as row n of xs encodes vs[n].  With trivial
-    centre ad is injective, so x is encoded by ad(x) and x^[p] by ad(x)^p,
-    which vectorizes; otherwise by themselves, through _jacobson_batch.
+    centre ad is injective, so x is encoded by ad(x)^T and x^[p] by
+    (ad(x)^T)^p, which vectorizes; otherwise by themselves, through
+    _jacobson_batch.  One chunk's arrays are released before the next is built.
     """
     d, p = L.dim, L.p
     total = p**d
@@ -490,20 +491,24 @@ def _pmap_enumeration(L: RestrictedLie):
     by_ad = center_of(L).dim == 0
     if not by_ad and total > ENUM_LIMIT_SLOW:
         return None
-    vectors = _all_vectors_batch(p, d)
     chunk = max(1, (1 << 18) // max(1, d * d))
 
     def chunks():
         for start in range(0, total, chunk):
-            vs = vectors[start : start + chunk]
+            vs = _all_vectors_batch(p, d, start, min(start + chunk, total))
             if not by_ad:
                 yield vs, vs, _jacobson_batch(L, vs)
                 continue
-            ads = np.einsum("vi,ijk->vkj", vs, L.bracket) % p
+            # ad(x)^T and its p-th power, reduced in place; at most three chunk-sized
+            # arrays live, and C order, so the rows handed out are views
+            ads = np.einsum("vi,ijk->vjk", vs, L.bracket)
+            ads %= p
             pw = ads
             for _ in range(p - 1):
-                pw = pw @ ads % p
+                pw = pw @ ads
+                pw %= p
             yield vs, ads.reshape(len(vs), -1), pw.reshape(len(vs), -1)
+            del ads, pw  # released before the next chunk is built
 
     return chunks()
 
@@ -522,6 +527,7 @@ def _pmap_census(L: RestrictedLie):
             for vs, xs, ys in chunks:
                 torals.extend(vs[(xs == ys).all(axis=1) & vs.any(axis=1)])
                 nullcone += int((~ys.any(axis=1)).sum())
+                del vs, xs, ys  # one chunk alive at a time
             L._pmap_census = (torals, nullcone)
     return L._pmap_census
 

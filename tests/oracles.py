@@ -11,6 +11,7 @@ from hh1lie import gfp
 from hh1lie import lie as lielib
 from hh1lie.errors import Hh1LieError
 from hh1lie.gfp import INT, Subspace, matmul, normalize, rref
+from hh1lie.hochschild import DENSE_SOLVER_LIMIT
 
 
 def mult_terms(a, i, j):
@@ -105,3 +106,50 @@ def old_p_envelope(L, x):
     for t in range(span.dim):
         phi[:, t] = old_coords(span, lielib.jacobson_p_power(L, span.basis[t]))
     return span, phi
+
+
+def old_gen_block_residual(a, fstack, svec, reduce=True):
+    """``hochschild._gen_block_residual`` before the planned checker, verbatim but for ``reduce``.
+
+    Three zero-filled (d, k, d) scatters, two added back through transposes,
+    and every entry reduced; ``reduce=False`` returns the exact integers.
+    """
+    d, p = a.dim, a.p
+    svec = normalize(svec, p)
+    k = fstack.shape[0]
+    x, y, c = a.right_terms(svec)
+    # F(e_x s) = sum c F(e_y): column x gathers columns y, held as (i, t, coordinate)
+    lhs = gfp.scatter_add(np.zeros((d, k, d), dtype=INT), x, c, fstack.transpose(2, 0, 1), y)
+    # F(e_i) s = R_s F(e_i): row y gathers rows x, held as (coordinate, t, i)
+    res = gfp.scatter_add(np.zeros((d, k, d), dtype=INT), y, -c, fstack.transpose(1, 0, 2), x)
+    res += lhs.transpose(2, 1, 0)
+    # e_i F(s): each term e_i e_j = c e_k adds c F(s)_j to coordinate k
+    ys = (fstack @ svec) % p  # (k, d)
+    ci, cj, ck, cc = a.structure_constants()
+    term_y = np.zeros((d * d, k), dtype=INT)  # (coordinate * d + i, t)
+    gfp.scatter_add(term_y, ck * d + ci, cc, ys.T, cj)
+    res -= term_y.reshape(d, d, k).transpose(0, 2, 1)
+    if reduce:
+        res %= p
+    return res.transpose(1, 0, 2)
+
+
+def old_fails_leibniz(a, fstack, gens) -> bool:
+    """``hochschild._fails_leibniz`` before the planned checker, kept verbatim."""
+    return any(
+        old_gen_block_residual(a, fstack[t : t + 8], s).any()
+        for s in gens
+        for t in range(0, fstack.shape[0], 8)
+    )
+
+
+def old_leibniz_failure(a, fstack):
+    """``hochschild._leibniz_failure`` before the planned checker, on ``old_fails_leibniz``."""
+    if matmul(fstack, a.unit, a.p).any():
+        return "produced a map with f(1) != 0"
+    if old_fails_leibniz(a, fstack, a.generating_set()):
+        return "produced a non-derivation"
+    if a.generators is not None and a.dim <= DENSE_SOLVER_LIMIT:
+        if old_fails_leibniz(a, fstack, np.eye(a.dim, dtype=INT)):
+            return "failed the all-pairs check"
+    return None

@@ -202,7 +202,7 @@ def test_suite_certifies_each_torus_and_weight_derivation_once(monkeypatch):
     report, named_outer = lielib._torus_report, hoch.named_outer
 
     def count_search(L, seed, rounds):
-        searches.append((id(L), seed, rounds))
+        searches.append((L, seed, rounds))  # held, so no freed algebra's id is reused
         return report(L, seed, rounds)
 
     def count_outer(desc, lam, j, a=None):
@@ -213,16 +213,28 @@ def test_suite_certifies_each_torus_and_weight_derivation_once(monkeypatch):
     monkeypatch.setattr(hoch, "named_outer", count_outer)
     results = checks.run_suite(p=5)
     assert all(r.status == "pass" for r in results), [r.check_id for r in results if r.status != "pass"]
-    assert len(searches) == len(set(searches)) >= 5
+    keys = [(id(L), seed, rounds) for L, seed, rounds in searches]
+    assert len(keys) == len(set(keys)) >= 5
     assert len(outers) == len(set(outers)) == 30  # smash(1,1): 5 x 1, smash(2,1): 5 x 5
 
 
 def test_handed_out_torus_reports_are_copies():
     L = lielib.gl2(5)
     first = lielib.greedy_maximal_torus(L, seed=2)
-    want = json.dumps(first.to_json_dict())  # to_json_dict shares the certificate list
+    want = json.dumps(first.to_json_dict())
     first.basis[0][:] = 0
     first.basis.append(first.basis[0])
     first.certificates[0]["toral"] = False
     first.dim = 7
     assert json.dumps(lielib.greedy_maximal_torus(L, seed=2).to_json_dict()) == want
+
+
+def test_torus_report_json_dict_is_a_copy():
+    report = lielib.greedy_maximal_torus(lielib.gl2(5), seed=2)
+    want = json.dumps(report.to_json_dict())
+    doc = report.to_json_dict()
+    doc["certificates"][0]["toral"] = False
+    doc["certificates"].append({"toral": True, "commutes": True})
+    doc["basis"][0][0] = 4
+    assert report.certificates[0]["toral"] and len(report.certificates) == report.dim
+    assert json.dumps(report.to_json_dict()) == want

@@ -87,6 +87,11 @@ def test_dense_and_generator_solvers_agree_exactly():
         alg.smash_product(5, 1, 1)[0],
         alg.u0_borel(3, 1),
         alg.u0_borel(3, 2),
+        # with the above, every named-generator ladder algebra of d <= 32
+        alg.truncated_polynomial(3, (2, 1)),
+        alg.truncated_polynomial(3, (3,)),
+        alg.truncated_polynomial(5, (2,)),
+        alg.u0_borel(5, 1),
     ]
     for a in cases:
         # the same table with no generators: every basis vector is a generator

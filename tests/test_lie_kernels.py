@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -760,6 +761,25 @@ def test_invariant_subspace_is_the_one_found_under_all_ad(name, monkeypatch):
     want = [lielib.adjoint_invariant_subspace(L, seed=s) for s in (0, 3)]
     assert got == want
     assert (got[0] is None) == (name in ("witt32", "sl2-5"))
+
+
+def test_pmap_census_holds_one_chunk_at_a_time():
+    # HH1 of smash(3,3,1), trivial centre: 3^9 vectors in chunks of 2^18 cells
+    # (2 MiB), each chunk's ad(x)^T and powers released before the next
+    L = hh1_lie(alg.smash_product(3, 3, 1)[0])
+    assert L.dim == 9 and lielib.center_of(L).dim == 0
+    tracemalloc.start()
+    try:
+        torals, nullcone = lielib._pmap_census(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20, peak
+    vectors = lielib._all_vectors_batch(L.p, L.dim)
+    powers = lielib._jacobson_batch(L, vectors)
+    want = vectors[(powers == vectors).all(axis=1) & vectors.any(axis=1)]
+    assert np.array_equal(np.array(torals), want) and len(want) == 1458
+    assert nullcone == int((~powers.any(axis=1)).sum()) == 1701
 
 
 def test_fingerprint_enumerates_the_p_map_once(monkeypatch):
