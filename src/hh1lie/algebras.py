@@ -792,14 +792,14 @@ def commutator_subspace(a: Algebra) -> Subspace:
 
 def _ideal_closure(a: Algebra, gens) -> Subspace:
     span, eye = Subspace.from_vectors(gens, a.p, a.dim), np.eye(a.dim, dtype=INT)
-    while True:
-        # the span with every v e_b and e_b v
-        prods = [_pairwise_products(a, span.basis, eye), _pairwise_products(a, eye, span.basis)]
-        rows = np.vstack([span.basis] + [x.reshape(-1, a.dim) for x in prods])
-        grown = Subspace.from_vectors(rows, a.p, a.dim)
-        if grown.dim == span.dim:
-            return grown
+    new = span.basis
+    while len(new):
+        # every v e_b and e_b v for the rows v the last round added
+        prods = [_pairwise_products(a, new, eye), _pairwise_products(a, eye, new)]
+        grown = span.extend(np.vstack([x.reshape(-1, a.dim) for x in prods]))
+        new = grown.basis[np.isin(grown.pivots, span.pivots, invert=True)]
         span = grown
+    return span
 
 
 def _span_products(a: Algebra, s1: Subspace, s2: Subspace) -> Subspace:

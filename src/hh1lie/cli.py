@@ -33,7 +33,7 @@ EXIT_INVALID_INPUT = 3
 
 def _parse_exps(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.replace(",", " ").split())
+        return tuple(int(part) for part in text.split(","))  # int("") raises: no empty field
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse exponent list {text!r}")
 

@@ -4,7 +4,8 @@ Matrices are numpy int64 arrays with entries reduced mod p.  Except for
 ``scatter_add`` and ``scatter_apply``, which add into ``out``, functions
 never mutate inputs and return fresh arrays.  Row spaces are kept in reduced
 row echelon form, which is unique over a field, so two equal subspaces always
-store identical bases.
+store identical bases.  ``Subspace.extend`` is the one incremental echelon:
+every span that grows under appended rows grows through it.
 
 Sparse sums are key and value arrays: ``merge`` sums the values on equal keys
 mod p, and ``expand`` lists the entries of rows stored CSR-style.  Scatters
@@ -275,7 +276,7 @@ class Subspace:
         """Residuals of the rows of mat after eliminating the basis rows.
 
         Elimination changes only the columns where the basis is nonzero, so
-        it runs on those columns alone.
+        it runs on those columns alone, unless they are over half of them.
         """
         mat = normalize(mat, self.p)
         if mat.shape[-1] != self.ambient:
@@ -284,9 +285,11 @@ class Subspace:
             return mat
         if self._basis_f64 is None:  # built once; matmul reads it without a copy
             support = np.flatnonzero(self.basis.any(axis=0))
-            self._support = slice(None) if support.size == self.ambient else support
+            self._support = slice(None) if 2 * support.size > self.ambient else support
             self._basis_f64 = self.basis[:, self._support].astype(np.float64)
         on = mat[:, self._support] - matmul(mat[:, list(self.pivots)], self._basis_f64, self.p)
+        if isinstance(self._support, slice):  # every column: no copy back into mat
+            return on % self.p
         mat[:, self._support] = on % self.p
         return mat
 
@@ -295,8 +298,7 @@ class Subspace:
         mat = normalize(vectors, p) if len(vectors) else np.zeros((0, ambient), dtype=INT)
         if mat.ndim != 2 or mat.shape[1] != ambient:
             raise DimensionMismatch(f"vectors of shape {mat.shape[1:]} in ambient dimension {ambient}")
-        red, rank, piv = rref(mat, p)
-        return cls(p, ambient, red[:rank], piv)
+        return cls.zero(ambient, p).extend(mat)
 
     @classmethod
     def zero(cls, ambient: int, p: int) -> "Subspace":
@@ -355,10 +357,27 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, p={self.p})"
 
+    def extend(self, rows) -> "Subspace":
+        """The span of this subspace and the rows (one row, or a stack of them).
+
+        Rows go 2 * ambient at a time, as rref costs rows x rank x ambient, and only their
+        residuals are eliminated: they are zero on the old pivots, so one back-substitution
+        clears the old rows there, and sorting by pivot gives the RREF.
+        """
+        rows, span, step = np.atleast_2d(rows), self, max(2 * self.ambient, 1)
+        for start in range(0, len(rows), step):
+            res = span.reduce_rows(rows[start : start + step])
+            new, rank, new_pivots = rref(res[res.any(axis=1)], self.p)
+            if rank:
+                old = (span.basis - matmul(span.basis[:, new_pivots], new[:rank], self.p)) % self.p
+                pivots = list(span.pivots) + new_pivots
+                order = np.argsort(pivots)
+                span = Subspace(self.p, self.ambient, np.vstack([old, new[:rank]])[order], sorted(pivots))
+        return span
+
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        stacked = np.vstack([self.basis, other.basis])
-        return Subspace.from_vectors(stacked, self.p, self.ambient)
+        return self.extend(other.basis)
 
     def quotient(self):
         """The ambient space modulo this subspace: (reps, coords_rows).
@@ -384,11 +403,10 @@ class OrderedBasis:
     def __init__(self, rows, p: int, modulo: Subspace = None, error: Exception = None):
         self.modulo = modulo or Subspace.zero(np.shape(rows)[1], p)
         rows = self.modulo.reduce_rows(rows)
-        red, rank, piv = rref(rows, p)
-        if rank != rows.shape[0]:
+        self.span, self.error = Subspace.from_vectors(rows, p, rows.shape[1]), error
+        if self.span.dim != rows.shape[0]:
             raise Hh1LieError("basis rows are linearly dependent")
-        self.span, self.error = Subspace(p, rows.shape[1], red[:rank], piv), error
-        self._solver = inverse(rows[:, piv], p)
+        self._solver = inverse(rows[:, list(self.span.pivots)], p)
 
     def coords_rows(self, mat) -> np.ndarray:
         """Coordinates of each row of a stack in the basis rows, modulo ``modulo``."""

@@ -42,8 +42,7 @@ from .errors import DimensionMismatch, Hh1LieError, WellDefinednessFailure
 from .gfp import INT, Subspace, matmul, normalize, rref
 
 DENSE_SOLVER_LIMIT = 32
-CHUNK = 1024  # dense rows per elimination step of the derivation solver
-STREAM_CELLS = 1 << 18  # int64 cells per block: streamed columns of phi(ker), or d x d maps
+STREAM_CELLS = 1 << 18  # int64 cells per block: Leibniz rows, streamed columns of phi(ker), or d x d maps
 
 
 class Derivation:
@@ -358,24 +357,19 @@ def _leibniz_rows(phi: Extender):
 
 
 def _span_echelon(rows, cols, vals, nv: int, p: int) -> np.ndarray:
-    """RREF basis of the span of sparse rows sorted by row, CHUNK rows at a time.
+    """RREF basis of the span of sparse rows sorted by row, STREAM_CELLS cells at a time.
 
-    Each chunk is densified and reduced against the basis so far, so at
-    most rank + CHUNK dense rows are held at once.
+    Each block of rows is densified and added by ``Subspace.extend``, so at
+    most rank + STREAM_CELLS / nv dense rows are held at once.
     """
-    basis, pivots = np.zeros((0, nv), dtype=INT), []
+    span, step = Subspace.zero(nv, p), max(1, STREAM_CELLS // max(nv, 1))
     n = int(rows.max(initial=-1)) + 1
-    for first in range(0, n, CHUNK):
-        lo, hi = np.searchsorted(rows, [first, first + CHUNK])
-        part = np.zeros((min(CHUNK, n - first), nv), dtype=INT)
+    for first in range(0, n, step):
+        lo, hi = np.searchsorted(rows, [first, first + step])
+        part = np.zeros((min(step, n - first), nv), dtype=INT)
         part[rows[lo:hi] - first, cols[lo:hi]] = vals[lo:hi]
-        if pivots:
-            part = (part - matmul(part[:, pivots], basis, p)) % p
-        part = part[part.any(axis=1)]
-        if part.shape[0]:
-            basis, rank, pivots = rref(np.vstack([basis, part]), p)
-            basis = basis[:rank]
-    return basis
+        span = span.extend(part)
+    return span.basis
 
 
 def _torus_weights(a: Algebra, gens: np.ndarray) -> np.ndarray:
@@ -509,30 +503,29 @@ class DerivationSpace:
     def _stream_pivots(self, ker):
         """vec(F) pivots of the RREF of phi(ker), and M whose column i is column P_i.
 
-        A lazy-column RREF: the columns of phi(ker) are built in vec(F)
-        order, STREAM_CELLS cells at a time, until the rank reaches dim Der.  A
-        column is a pivot iff it is independent of the columns before it,
-        and the canonical basis is M^-1 phi(ker).
+        A lazy-column RREF: the columns of phi(ker) are built in vec(F) order,
+        STREAM_CELLS cells at a time, until the rank reaches dim Der.  A column
+        is a pivot iff it is independent of the columns before it, whose span in
+        GF(p)^k grows by ``Subspace.extend``; the canonical basis is M^-1 phi(ker).
         """
         d, p, k = self.algebra.dim, self.p, ker.shape[0]
         fe, unk, val = self.phi.triplets
         ker_t = np.ascontiguousarray(ker.T)
         step = max(1, STREAM_CELLS // max(k, 1))
-        echelon, ech_piv, pivots, cols = np.zeros((0, k), dtype=INT), [], [], []
+        span, pivots, cols = Subspace.zero(k, p), [], []
         for start in range(0, d * d, step):
             if len(pivots) == k:
                 break
             lo, hi = np.searchsorted(fe, [start, start + step])
             block = np.zeros((min(step, d * d - start), k), dtype=INT)
             gfp.scatter_add(block, fe[lo:hi] - start, val[lo:hi], ker_t, unk[lo:hi])
-            block %= p
-            red = (block - matmul(block[:, ech_piv], echelon, p)) % p if ech_piv else block
-            _, rank, new = rref(red.T, p)
-            if rank:
+            red = span.reduce_rows(block)  # reduces the block mod p too
+            live = np.flatnonzero(red.any(axis=1))  # most residuals are zero once the rank nears k
+            new = live[rref(red[live].T, p)[2]].tolist()
+            if new:
                 pivots += [start + c for c in new]
-                cols.append(block[new])
-                echelon, rank, ech_piv = rref(np.vstack([echelon, red[new]]), p)
-                echelon = echelon[:rank]
+                cols.append(block[new] % p)
+                span = span.extend(red[new])
         if len(pivots) < k:
             raise Hh1LieError("phi maps distinct solved generator values to one map")
         return pivots, np.vstack(cols).T if cols else np.zeros((0, 0), dtype=INT)

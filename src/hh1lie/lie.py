@@ -241,10 +241,9 @@ def _spin_operator(mats) -> np.ndarray:
 def _spin(op: np.ndarray, starts, p: int, known=()) -> Subspace:
     """Smallest subspace containing the start rows and stable under the matrices of op.
 
-    Each round applies op only to the rows the previous round added,
-    reduced against the span, and a full span stops at once.  The new rows
-    are zero on the span's pivots, so one back-substitution clears the
-    span's rows on the new pivots, and sorting by pivot gives the RREF.
+    Each round applies op only to the rows the previous round added (the
+    span's rows on its new pivots after ``Subspace.extend``), and a full
+    span stops at once.
 
     ``known`` holds rows proved to spin to the whole space under op: a span
     holding one of them spins to the whole space, which returns at once.  A
@@ -252,21 +251,15 @@ def _spin(op: np.ndarray, starts, p: int, known=()) -> Subspace:
     """
     dim = op.shape[0]
     known = np.reshape(known, (-1, dim))
-    basis, rank, pivots = rref(np.reshape(starts, (-1, dim)), p)
-    basis = new = basis[:rank]
-    while len(pivots) < dim:
-        if len(known) and (known == matmul(known[:, pivots], basis, p)).all(axis=1).any():
+    span = Subspace.zero(dim, p).extend(np.reshape(starts, (-1, dim)))
+    new = span.basis
+    while len(new) and span.dim < dim:
+        if len(known) and not span.reduce_rows(known).any(axis=1).all():
             return Subspace.full(dim, p)
-        imgs = matmul(new, op, p).reshape(-1, dim)
-        imgs = (imgs - matmul(imgs[:, pivots], basis, p)) % p
-        new, rank, new_pivots = rref(imgs, p)
-        if not rank:
-            return Subspace(p, dim, basis, pivots)
-        new = new[:rank]
-        basis = (basis - matmul(basis[:, new_pivots], new, p)) % p
-        order = np.argsort(pivots + new_pivots)
-        basis, pivots = np.vstack([basis, new])[order], sorted(pivots + new_pivots)
-    return Subspace.full(dim, p)
+        grown = span.extend(matmul(new, op, p).reshape(-1, dim))
+        new = grown.basis[np.isin(grown.pivots, span.pivots, invert=True)]
+        span = grown
+    return span
 
 
 def _lie_generators(L: RestrictedLie) -> list[int]:
@@ -279,13 +272,10 @@ def _lie_generators(L: RestrictedLie) -> list[int]:
         mats, gens = L.ad_basis(), []
         span = Subspace.zero(L.dim, L.p)
         for i in range(L.dim):
-            if span.dim == L.dim:
-                break
             e = gfp.basis_vector(L.dim, i)
-            if span.contains_vector(e):
-                continue
-            gens.append(i)
-            span = _spin(_spin_operator(mats[gens]), np.vstack([span.basis, e]), L.p)
+            if not span.contains_vector(e):
+                gens.append(i)
+                span = _spin(_spin_operator(mats[gens]), span.extend(e).basis, L.p)
         L._lie_gens = gens
     return L._lie_gens
 
@@ -433,7 +423,7 @@ def _p_envelopes(L: RestrictedLie, xs) -> list[tuple[Subspace, np.ndarray]]:
         grow = np.array([not spans[i].contains_vector(v) for i, v in zip(live, nxt)], dtype=bool)
         live, nxt = live[grow], nxt[grow]
         for i, v in zip(live, nxt):
-            spans[i] = spans[i].sum(Subspace.from_vectors(v[None], p, d))
+            spans[i] = spans[i].extend(v)
     images = _jacobson_batch(L, np.vstack([s.basis for s in spans]))
     ends = np.cumsum([s.dim for s in spans])[:-1]
     return [(s, s.coords_rows(im).T) for s, im in zip(spans, np.split(images, ends))]
@@ -580,8 +570,7 @@ def _max_commuting_torus(L: RestrictedLie, torals) -> list[np.ndarray]:
             t, later = cand[pos], cand[pos + 1 :]
             later = later[commute[t, later]]
             if span.dim + 1 + len(later) > len(best):  # else even the count bounds the branch
-                nxt = span.sum(Subspace.from_vectors(reps[t][None], p, d))
-                extend(nxt, chosen + [reps[t]], later)
+                extend(span.extend(reps[t]), chosen + [reps[t]], later)
 
     extend(Subspace.zero(d, p), [], np.arange(n))
     return best

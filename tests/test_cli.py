@@ -203,6 +203,15 @@ def exit_code(*argv):
         return exc.code
 
 
+@pytest.mark.parametrize("exps", ["1,,1", "1,", ",1"])
+@pytest.mark.parametrize("command", ["build", "hh1"])
+def test_an_empty_exponent_field_exits_2(capsys, command, exps):
+    # "1,,1" once built trunc(3,(1,1)) and exited 0
+    assert exit_code(command, "--kind", "trunc", "--p", "3", "--exps", exps) == 2
+    err = capsys.readouterr().err
+    assert f"cannot parse exponent list {exps!r}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["build", "hh1"])
 @pytest.mark.parametrize(
     "field, value",

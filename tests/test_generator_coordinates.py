@@ -130,12 +130,16 @@ def test_derivation_space_is_the_d2_canonical_basis():
 
 
 def test_streamed_pivots_do_not_depend_on_the_block_size(monkeypatch):
-    a = alg.smash_product(3, 2, 1)[0]
-    want = d2_derivations(a)
-    for cells in (1, 27, 1 << 10):
-        monkeypatch.setattr(hoch, "STREAM_CELLS", cells)
-        space = hoch.DerivationSpace(a)
-        assert np.array_equal(space.matrices(space.basis).reshape(len(want), -1), want)
+    # STREAM_CELLS sizes both the Leibniz row blocks that _span_echelon adds
+    # and the phi(ker) column blocks that _stream_pivots adds
+    for case in ("smash-3-2-1", "u0borel-3-2", "smash-5-2-1"):
+        a = CASES[case]()
+        want = d2_derivations(a)
+        for cells in (1, 27, 1 << 10):
+            monkeypatch.setattr(hoch, "STREAM_CELLS", cells)
+            space = hoch.DerivationSpace(a)
+            assert np.array_equal(space.matrices(space.basis).reshape(len(want), -1), want)
+        monkeypatch.undo()
 
 
 # -- structure tables on sub- and quotient spaces ------------------------------

@@ -379,6 +379,36 @@ def test_support_restricted_reduce_rows_on_the_ider_subspace():
     assert np.array_equal(ider.reduce_rows(mat), reduce_rows_dense(ider, mat))
 
 
+@pytest.mark.parametrize("p", [3, 5, 317])
+def test_extend_matches_the_rref_of_the_whole_stack(p):
+    rng = np.random.default_rng(300 + p)
+    for trial in range(40):
+        n = int(rng.integers(1, 16))
+        some = sparse_low_rank(rng, p, int(rng.integers(1, 8)), n, int(rng.integers(1, 5)))
+        if trial % 4 == 0:
+            some = rng.integers(0, p, (3, n))  # usually nonzero on every column
+        for start in (Subspace.zero(n, p), Subspace.full(n, p), Subspace.from_vectors(some, p, n)):
+            fresh = rng.integers(-p, 2 * p, (int(rng.integers(1, 6)), n))
+            stacks = [
+                fresh,
+                np.vstack([fresh[:1], np.zeros((2, n), dtype=np.int64), fresh, fresh[:1]]),
+                rng.integers(0, p, (3, start.dim)) @ start.basis % p,  # already in the span
+                np.zeros((0, n), dtype=np.int64),
+                fresh[0],  # one row
+                fresh + p * rng.integers(-(1 << 40), 1 << 40, fresh.shape),  # far from reduced mod p
+                rng.integers(0, p, (5 * n, n)),  # taller than the 2 * ambient rows eliminated at once
+            ]
+            for rows in stacks:
+                got = start.extend(rows)
+                want = Subspace.from_vectors(np.vstack([start.basis, np.reshape(rows, (-1, n))]), p, n)
+                assert np.array_equal(got.basis, want.basis)
+                assert got.pivots == want.pivots
+            with pytest.raises(DimensionMismatch):
+                start.extend(np.zeros((2, n + 1), dtype=np.int64))
+            with pytest.raises(DimensionMismatch):
+                start.extend(np.zeros(n + 1, dtype=np.int64))
+
+
 def old_kernel(a, p):
     """gfp.kernel as it was: a Python loop over free x pivot columns, then the RREF."""
     a = gfp.normalize(a, p)

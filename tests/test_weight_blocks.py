@@ -29,9 +29,12 @@ CASES = {
 
 
 def whole_system_kernel(a):
-    """The RREF kernel of the whole deduplicated Leibniz system, in one elimination."""
+    """The RREF kernel of the whole deduplicated Leibniz system, densified and eliminated by one gfp.kernel."""
     phi = hoch.extender(a)
-    return gfp.kernel(hoch._span_echelon(*hoch._leibniz_rows(phi), phi.nv, a.p), a.p)
+    rows, cols, vals = hoch._leibniz_rows(phi)
+    system = np.zeros((int(rows.max(initial=-1)) + 1, phi.nv), dtype=np.int64)
+    system[rows, cols] = vals
+    return gfp.kernel(system, a.p)
 
 
 def weight_labels(a):
