@@ -542,12 +542,12 @@ def split_semisimple(p, m) -> Algebra:
 
 @dataclass(frozen=True)
 class QuiverPresentation:
-    """Bound quiver: vertices, labelled arrows and admissible relations.
+    """Bound quiver: vertices, labelled arrows and homogeneous admissible relations.
 
     Arrows are (label, source, target); paths compose left to right, so a
     path p: a -> b followed by q: b -> c is written p q.  A relation is a
     list of (coefficient, [arrow labels]) pairs whose paths are parallel
-    and of length >= 2.
+    and of one length >= 2, so the ideal they generate is graded by length.
     """
 
     vertices: tuple
@@ -577,6 +577,8 @@ class QuiverPresentation:
                     raise ValueError(f"relation path {path} is not composable")
                 if (ends[path[0]][0], ends[path[-1]][1]) != (ends[rel[0][1][0]][0], ends[rel[0][1][-1]][1]):
                     raise ValueError(f"relation paths {rel[0][1]} and {path} are not parallel")
+                if len(path) != len(rel[0][1]):
+                    raise ValueError(f"relation paths {rel[0][1]} and {path} differ in length")
             if not rel:
                 raise ValueError("a relation needs at least one term")
 
@@ -602,117 +604,70 @@ def tkr_quiver() -> QuiverPresentation:
 
 
 def quiver_algebra(q: QuiverPresentation, p) -> Algebra:
-    """Path algebra of a bound quiver modulo its relations.
+    """Path algebra of a bound quiver modulo its relations, built one path length at a time.
 
-    Path saturation detects finite dimensionality: path enumeration stops
-    at the first length where every path of that length reduces to shorter
-    ones modulo the relation ideal; exceeding the cap (twice the number of
-    arrows times the longest relation degree, at least 6) raises.
+    The relations are homogeneous, so the ideal is graded: I_n is spanned by
+    the length-n relations and by a x and x a, for arrows a and rows x of
+    I_(n-1), over the length-n paths.  Lengths are added until one lies in
+    its I_n.  The basis is the paths off the pivots, in (length, path) order;
+    a product is the concatenation reduced modulo its I_n.  Raises
+    InfiniteDimensionalQuotient when a length has over 1024 paths, or when
+    none up to max(6, 2 * arrows * longest relation) lies in its I_n.
     """
     p = check_prime(p)
-    arrow_by_label = {a[0]: a for a in q.arrows}
-    max_rel = max((max(len(path) for _, path in rel) for rel in q.relations), default=1)
-    cap = max(2 * len(q.arrows) * max_rel, 6)
-    max_paths = 200_000
+    arrows = {a: (s, t) for a, s, t in q.arrows}
+    cap = max(2 * len(arrows) * max((len(rel[0][1]) for rel in q.relations), default=1), 6)
+    max_paths = 1024  # paths of one length: one I_n, dense, takes at most 8 MiB
 
-    # paths by length: a path is (source_vertex, (arrow labels...))
-    paths_by_len: list[list[tuple]] = [[(v, ()) for v in q.vertices]]
-    while len(paths_by_len) <= cap:
-        prev = paths_by_len[-1]
-        nxt = []
-        for src, word in prev:
-            end = arrow_by_label[word[-1]][2] if word else src
-            for lbl, a_src, _ in q.arrows:
-                if a_src == end:
-                    nxt.append((src, word + (lbl,)))
-        paths_by_len.append(nxt)
-        total = sum(len(ps) for ps in paths_by_len)
-        if total > max_paths:
-            raise InfiniteDimensionalQuotient("path count exceeds enumeration bound")
+    def end(pth):
+        return arrows[pth[1][-1]][1] if pth[1] else pth[0]
 
-        all_paths = [pth for ps in paths_by_len for pth in ps]
-        # longest-first coordinate order so that RREF pivots eliminate long paths
-        all_paths.sort(key=lambda pth: (-len(pth[1]), pth))
-        coord = {pth: i for i, pth in enumerate(all_paths)}
-        ncols = len(all_paths)
-        length = len(paths_by_len) - 1
+    # a path is (source vertex, (arrow labels...)); degrees[n] is (the length-n paths, I_n)
+    paths = sorted((v, ()) for v in q.vertices)
+    degrees = [(paths, Subspace.zero(len(paths), p))]
+    while degrees[-1][1].dim < len(paths):
+        prev, below = degrees[-1]
+        if len(degrees) > cap:
+            raise InfiniteDimensionalQuotient(
+                f"no saturation up to path length {cap}; quotient is infinite-dimensional"
+            )
+        paths = sorted((s, w + (a,)) for s, w in prev for a in arrows if arrows[a][0] == end((s, w)))
+        if len(paths) > max_paths:
+            raise InfiniteDimensionalQuotient(f"more than {max_paths} paths of length {len(degrees)}")
+        col = {pth: i for i, pth in enumerate(paths)}
+        rels = [rel for rel in q.relations if len(rel[0][1]) == len(degrees)]
+        rows = [np.zeros((len(rels), len(paths)), dtype=INT)]
+        for r, rel in enumerate(rels):
+            for c, w in rel:
+                rows[0][r, col[arrows[w[0]][0], tuple(w)]] += c % p
+        for a, (a_src, a_tgt) in arrows.items():
+            # a x and x a, from a w and w a; a product that is not a path goes to the dropped last column
+            left = [(a_src, (a,) + w) if s == a_tgt else None for s, w in prev]
+            for moved in (left, [(s, w + (a,)) for s, w in prev]):
+                block = np.zeros((below.dim, len(paths) + 1), dtype=INT)
+                block[:, [col.get(pth, -1) for pth in moved]] = below.basis
+                rows.append(block[block[:, :-1].any(axis=1), :-1])
+        degrees.append((paths, Subspace.from_vectors(np.vstack(rows), p, len(paths))))
 
-        # two-sided ideal generated by the relations, up to current length
-        rows = []
-        for rel in q.relations:
-            rel_src = arrow_by_label[rel[0][1][0]][1]
-            rel_tgt = arrow_by_label[rel[0][1][-1]][2]
-            rel_len = len(rel[0][1])
-            for lsrc, lword in all_paths:
-                lend = arrow_by_label[lword[-1]][2] if lword else lsrc
-                if lend != rel_src:
-                    continue
-                for rsrc, rword in all_paths:
-                    if rsrc != rel_tgt:
-                        continue
-                    if len(lword) + rel_len + len(rword) > length:
-                        continue
-                    vec = np.zeros(ncols, dtype=INT)
-                    for coeff, path in rel:
-                        full = (lsrc, lword + tuple(path) + rword)
-                        vec[coord[full]] = (vec[coord[full]] + coeff) % p
-                    if vec.any():
-                        rows.append(vec)
-        ideal = Subspace.from_vectors(rows, p, ncols)
-        piv_set = set(ideal.pivots)
-
-        # saturated when every path of the top length is a pivot, or there is none
-        if all(coord[pth] in piv_set for pth in paths_by_len[-1]):
-            basis_paths = [pth for pth in all_paths if coord[pth] not in piv_set]
-            return _finish_quiver_algebra(q, p, arrow_by_label, basis_paths, ideal, coord, all_paths)
-    raise InfiniteDimensionalQuotient(
-        f"no saturation up to path length {cap}; quotient is infinite-dimensional"
-    )
-
-
-def _finish_quiver_algebra(q, p, arrow_by_label, basis_paths, ideal, coord, all_paths):
-    # order basis classes by (length, lexicographic) for readable labels
-    basis_paths = sorted(basis_paths, key=lambda pth: (len(pth[1]), pth))
-    bindex = {pth: i for i, pth in enumerate(basis_paths)}
-    dim = len(basis_paths)
-    # every product of two basis paths is its concatenation reduced modulo the ideal
-    ends = [arrow_by_label[w[-1]][2] if w else src for src, w in basis_paths]
-    pairs = [
-        (i, j, coord[(s1, w1 + w2)])
-        for i, (s1, w1) in enumerate(basis_paths)
-        for j, (s2, w2) in enumerate(basis_paths)
-        if s2 == ends[i] and (s1, w1 + w2) in coord  # a longer path is zero by saturation
-    ]
-    i, j, col = np.array(pairs, dtype=INT).reshape(-1, 3).T
-    concat = np.zeros((col.size, len(all_paths)), dtype=INT)
-    concat[np.arange(col.size), col] = 1
-    prods = ideal.reduce_rows(concat)
-    free_cols = [coord[pth] for pth in basis_paths]
-    if np.delete(prods, free_cols, axis=1).any():
-        raise InfiniteDimensionalQuotient("reduction escaped the chosen basis")
-    prods = prods[:, free_cols]
-    row, k = np.nonzero(prods)
-    mult = i[row], j[row], k, prods[row, k]
-
-    def plabel(pth):
-        src, word = pth
-        return f"e{src}" if not word else "*".join(word)
-
-    unit = np.zeros(dim, dtype=INT)
-    for v in q.vertices:
-        unit[bindex[(v, ())]] = 1
-    rad = []
-    for lbl, src, _ in q.arrows:
-        g = np.zeros(dim, dtype=INT)
-        g[bindex[(src, (lbl,))]] = 1
-        rad.append(g)
+    basis, forms = [], {}  # forms: each path's basis offset and coordinates, modulo its I_n
+    for paths, ideal in degrees:
+        free = np.setdiff1d(np.arange(len(paths)), ideal.pivots)
+        coords = ideal.reduce_rows(np.eye(len(paths), dtype=INT))[:, free]
+        forms.update((pth, (len(basis), row)) for pth, row in zip(paths, coords))
+        basis += [paths[f] for f in free]
+    mult = {}
+    for (i, (s, w)), (j, (t, v)) in itertools.product(enumerate(basis), repeat=2):
+        if t == end((s, w)) and (s, w + v) in forms:
+            off, row = forms[s, w + v]
+            mult[i, j] = [(off + k, row[k]) for k in np.flatnonzero(row)]
+    # the basis starts with the vertices, and I_1 = 0, so every arrow is a basis path
     return Algebra(
         p,
-        [plabel(pth) for pth in basis_paths],
+        [f"e{s}" if not w else "*".join(w) for s, w in basis],
         mult,
-        unit,
-        radical_gens=rad,
-        name=f"quiver(p={p},dim={dim})",
+        (np.arange(len(basis)) < len(q.vertices)).astype(INT),
+        radical_gens=[gfp.basis_vector(len(basis), basis.index((s, (a,)))) for a, (s, _) in arrows.items()],
+        name=f"quiver(p={p},dim={len(basis)})",
     )
 
 
@@ -863,7 +818,8 @@ def _split_primitive_idempotents(q: Algebra) -> list[np.ndarray]:
         raise NonSplitCenter(
             f"Frobenius-fixed space has dim {fixed.shape[0]}, semisimple rank is {n_ss}"
         )
-    # split the identity inside the fixed algebra by eigencomponents
+    # split the identity by eigencomponents inside the fixed subalgebra {z : z^p = z}; that is
+    # reduced, so GF(p)^m, and the components are idempotent with no lift through the nilradical
     components = [q.unit.copy()]
     for z in fixed:
         refined = []
@@ -879,20 +835,7 @@ def _split_primitive_idempotents(q: Algebra) -> list[np.ndarray]:
                 if proj.any():
                     refined.append(proj)
         components = refined
-    # lift through the nilradical: Newton iteration e <- 3e^2 - 2e^3
-    idems = []
-    for comp in components:
-        evec = comp
-        for _ in range(d + 2):
-            sq = q.mul_vec(evec, evec)
-            if np.array_equal(sq, evec):
-                break
-            cube = q.mul_vec(sq, evec)
-            evec = (3 * sq - 2 * cube) % p
-        else:
-            raise NonSplitCenter("idempotent lifting did not converge")
-        idems.append(evec)
-    return idems
+    return components
 
 
 def commutator_and_radical_checks(a: Algebra) -> dict:
@@ -933,8 +876,10 @@ def block_decomposition(a: Algebra) -> list[tuple[np.ndarray, Algebra]]:
     """Primitive central idempotents and their corner algebras e A e.
 
     The center's nilradical is the kernel of z -> z^(p^e) (a linear map on
-    a commutative algebra); idempotents are split in Z/J(Z) and lifted by
-    the Newton step e <- 3e^2 - 2e^3.
+    a commutative algebra).  The idempotents are split by eigenprojectors
+    inside the Frobenius-fixed subalgebra {z : z^p = z}.  That subalgebra
+    is reduced and split, so GF(p)^m, and its projectors are idempotent
+    with no lifting through the nilradical.
     """
     p, d = a.p, a.dim
     z = center(a)

@@ -327,16 +327,16 @@ def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int 
     known = []  # probed vectors whose spin under op is all of L
 
     def dual_side(theta):
-        """None if some transpose-kernel vector spins to the full dual,
-        else a proper submodule (the perp of a proper dual submodule)."""
-        for u in gfp.left_kernel(theta, p):
-            span_t = _spin(op_t, u, p)
-            if span_t.dim == d:
-                return None
-            perp = Subspace.from_vectors(gfp.kernel(span_t.basis, p), p, d)
-            if 0 < perp.dim < d:
-                return perp
-        raise Hh1LieError("transpose kernel vanished unexpectedly")
+        """None if the first transpose-kernel vector u spins to the full dual,
+        else the perp of its proper dual submodule.
+
+        theta is singular, so u exists, and its spin has dimension 1..d: a
+        proper spin has a proper nonzero perp.
+        """
+        span_t = _spin(op_t, gfp.left_kernel(theta, p)[0], p)
+        if span_t.dim == d:
+            return None
+        return Subspace.from_vectors(gfp.kernel(span_t.basis, p), p, d)
 
     fallback = None
     for theta in _envelope_candidates(mats, p, seed, max_rounds):

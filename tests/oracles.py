@@ -5,11 +5,14 @@ do not reach.  The tests still want the single-element and per-pair forms,
 written from the definitions, to compare the batched kernels against.
 """
 
+import itertools
+
 import numpy as np
 
+from hh1lie import algebras as alg
 from hh1lie import gfp
 from hh1lie import lie as lielib
-from hh1lie.errors import Hh1LieError
+from hh1lie.errors import Hh1LieError, InfiniteDimensionalQuotient
 from hh1lie.gfp import INT, Subspace, matmul, normalize, rref
 from hh1lie.hochschild import DENSE_SOLVER_LIMIT
 
@@ -153,3 +156,61 @@ def old_leibniz_failure(a, fstack):
         if old_fails_leibniz(a, fstack, np.eye(a.dim, dtype=INT)):
             return "failed the all-pairs check"
     return None
+
+
+def quiver_algebra_from_pairs(q, p, max_paths=400):
+    """A bound quiver algebra with its ideal spanned from the definition, or None.
+
+    The coordinates are every path of length <= L, longest first, and the
+    ideal is spanned by u rho v over every relation rho and every pair of
+    paths u, v with |u| + |rho| + |v| <= L.  L grows until every path of
+    length L lies in the ideal, up to the builder's cap.  A product is the
+    concatenation reduced modulo the ideal.  Returns None once more than
+    ``max_paths`` paths are listed.
+    """
+    arrows = {a: (s, t) for a, s, t in q.arrows}
+
+    def end(pth):
+        return arrows[pth[1][-1]][1] if pth[1] else pth[0]
+
+    cap = max(2 * len(q.arrows) * max((len(rel[0][1]) for rel in q.relations), default=1), 6)
+    paths = [(v, ()) for v in q.vertices]
+    for length in range(1, cap + 1):
+        last = [pth for pth in paths if len(pth[1]) == length - 1]
+        top = [(s, w + (a,)) for s, w in last for a in arrows if arrows[a][0] == end((s, w))]
+        paths += top
+        if len(paths) > max_paths:
+            return None
+        paths.sort(key=lambda pth: (-len(pth[1]), pth))
+        coord = {pth: i for i, pth in enumerate(paths)}
+        by_len = [[pth for pth in paths if len(pth[1]) == n] for n in range(length + 1)]
+        rows = []
+        for rel in q.relations:
+            first = rel[0][1]
+            room = length - len(first)  # |u| + |v| <= room
+            for lu, lv in itertools.product(range(room + 1), repeat=2):
+                for u, v in itertools.product(by_len[lu], by_len[lv] if lu + lv <= room else ()):
+                    if end(u) == arrows[first[0]][0] and v[0] == arrows[first[-1]][1]:
+                        row = np.zeros(len(paths), dtype=INT)
+                        for c, path in rel:
+                            row[coord[u[0], u[1] + tuple(path) + v[1]]] += c
+                        rows.append(row)
+        ideal = Subspace.from_vectors(rows, p, len(paths))
+        if all(coord[pth] in ideal.pivots for pth in top):
+            break
+    else:
+        raise InfiniteDimensionalQuotient(f"no saturation up to path length {cap}")
+    basis = [pth for pth in paths if coord[pth] not in ideal.pivots]
+    basis.sort(key=lambda pth: (len(pth[1]), pth))
+    free = [coord[pth] for pth in basis]
+    mult = {}
+    for (i, (s, w)), (j, (t, v)) in itertools.product(enumerate(basis), repeat=2):
+        if t == end((s, w)) and (s, w + v) in coord:
+            prod = ideal.reduce_vector(gfp.basis_vector(len(paths), coord[s, w + v]))
+            assert not np.delete(prod, free).any(), "reduction escaped the chosen basis"
+            mult[i, j] = [(k, c) for k, c in enumerate(prod[free]) if c]
+    unit = np.zeros(len(basis), dtype=INT)
+    unit[[basis.index((v, ())) for v in q.vertices]] = 1
+    rad = [gfp.basis_vector(len(basis), basis.index((s, (a,)))) for a, s, _ in q.arrows]
+    labels = [f"e{s}" if not w else "*".join(w) for s, w in basis]
+    return alg.Algebra(p, labels, mult, unit, radical_gens=rad, name=f"quiver(p={p},dim={len(basis)})")

@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,7 @@ from hh1lie.errors import (
     UnitViolation,
 )
 from hh1lie.gfp import Subspace, left_kernel, matmul, rref
-from oracles import mult_terms
+from oracles import mult_terms, quiver_algebra_from_pairs
 
 
 def basis_vec(dim, i):
@@ -547,6 +549,65 @@ def test_quiver_relation_identifies_paths():
     assert not mul_basis(a, lbl["x1"], lbl["x2"]).any()
 
 
+def test_quiver_path_explosion_raises_at_the_per_length_bound():
+    # four loops and a^3 = 0: 4^n paths of length n, and no length saturates
+    q = alg.QuiverPresentation(("1",), tuple((a, "1", "1") for a in "abcd"), (((1, ["a", "a", "a"]),),))
+    start = time.monotonic()
+    with pytest.raises(InfiniteDimensionalQuotient, match="more than 1024 paths of length 6"):
+        alg.quiver_algebra(q, 3)
+    assert time.monotonic() - start < 2.0
+
+
+def random_presentation(rng):
+    """A homogeneous presentation: <= 3 vertices, <= 4 arrows, <= 8 relations of length 2-3."""
+    verts = [str(v) for v in range(1, rng.randint(1, 3) + 1)]
+    arrows = [(a, rng.choice(verts), rng.choice(verts)) for a in "abcd"[: rng.randint(1, 4)]]
+    ends = {a: (s, t) for a, s, t in arrows}
+    paths, parallel = [(a,) for a in ends], {}
+    for n in (2, 3):
+        paths = [w + (a,) for w in paths for a in ends if ends[a][0] == ends[w[-1]][1]]
+        for w in paths:
+            parallel.setdefault((ends[w[0]][0], ends[w[-1]][1], n), []).append(list(w))
+    rels = []
+    for _ in range(rng.randint(0, 8) if parallel else 0):
+        group = parallel[rng.choice(sorted(parallel))]
+        terms = rng.sample(group, min(len(group), rng.randint(1, 3)))
+        rels.append(tuple((rng.choice([-2, -1, 1, 2, 3]), w) for w in terms))
+    return alg.QuiverPresentation(tuple(verts), tuple(arrows), tuple(rels))
+
+
+def quiver_outcome(build, q, p):
+    """Canonical JSON of the built algebra, None, or the type of the exception raised."""
+    try:
+        a = build(q, p)
+    except Exception as exc:
+        return type(exc)
+    return None if a is None else alg.dumps_canonical(a.to_json_dict())
+
+
+def test_quiver_builder_matches_the_pairwise_oracle_on_random_presentations():
+    rng, compared, built = random.Random(20241019), 0, 0
+    for _ in range(200):
+        q, p = random_presentation(rng), rng.choice([3, 5, 7])
+        want = quiver_outcome(lambda q, p: quiver_algebra_from_pairs(q, p, max_paths=60), q, p)
+        if want is None:  # the oracle listed too many paths to finish quickly
+            continue
+        assert quiver_outcome(alg.quiver_algebra, q, p) == want, q
+        compared += 1
+        built += isinstance(want, str)
+    assert compared >= 100 and 0 < built < compared
+
+
+@pytest.mark.parametrize("k", [4, 8, 12, 16])
+def test_radical_square_zero_quiver_matches_the_pairwise_oracle(k):
+    loops = tuple((f"a{i}", "1", "1") for i in range(k))
+    squares = tuple(((1, [a, b]),) for (a, *_), (b, *_) in itertools.product(loops, loops))
+    q = alg.QuiverPresentation(("1",), loops, squares)
+    a = alg.quiver_algebra(q, 5)
+    assert a.dim == k + 1
+    assert alg.dumps_canonical(a.to_json_dict()) == quiver_outcome(quiver_algebra_from_pairs, q, 5)
+
+
 # -- trivial extensions --------------------------------------------------------------
 
 
@@ -722,6 +783,28 @@ def test_blocks_u0_borel_single_block_is_whole():
     blocks = alg.block_decomposition(alg.u0_borel(3, 1))
     assert len(blocks) == 1
     assert blocks[0][1].dim == 9
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_blocks_of_a_product_whose_center_has_nilpotent_parts(p):
+    factors = (
+        alg.truncated_polynomial(p, (2,)),
+        alg.u0_borel(p, 1),
+        alg.truncated_polynomial(p, (1, 1)),
+        alg.smash_product(p, 1, 1)[0],
+    )
+    a = direct_product(*factors)
+    blocks = alg.block_decomposition(a)
+    assert sorted(b.dim for _, b in blocks) == [p * p] * 4
+    total = np.zeros(a.dim, dtype=np.int64)
+    for i, (e, _) in enumerate(blocks):
+        assert np.array_equal(a.left_mult_matrix(e), a.right_mult_matrix(e))
+        assert np.array_equal(a.mul_vec(e, e), e)
+        for j, (e2, _) in enumerate(blocks):
+            if i != j:
+                assert not a.mul_vec(e, e2).any()
+        total = (total + e) % p
+    assert np.array_equal(total, a.unit)
 
 
 # -- symmetric forms ----------------------------------------------------------------------

@@ -546,6 +546,51 @@ def test_quiver_arrow_to_an_undeclared_vertex_is_named(tmp_path, capsys):
         assert err == "error: bad quiver presentation: arrow 'x' has target '2', which is not a vertex\n"
 
 
+MIXED_LENGTHS = [[1, ["c", "d"]], [-1, ["a", "b", "b"]]]
+
+
+@pytest.mark.parametrize("command", ["build", "hh1"])
+@pytest.mark.parametrize("terms", [MIXED_LENGTHS, MIXED_LENGTHS[::-1]], ids=["short-first", "long-first"])
+def test_quiver_relation_of_mixed_lengths_exits_3(tmp_path, capsys, command, terms):
+    # this ended in a KeyError traceback, exit 1
+    doc = {
+        "vertices": ["1", "2"],
+        "arrows": [["a", "1", "2"], ["b", "2", "2"], ["c", "1", "2"], ["d", "2", "2"]],
+        "relations": [terms],
+    }
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--kind", "quiver", "--p", "3", "--file", str(path))
+    assert code == 3 and out == ""
+    first, other = (t[1] for t in terms)
+    assert err == f"error: bad quiver presentation: relation paths {first} and {other} differ in length\n"
+
+
+@pytest.mark.parametrize("command", ["build", "hh1"])
+def test_quiver_path_explosion_exits_3(tmp_path, capsys, command):
+    # four loops with a^3 = 0 listed paths without end
+    arrows = [[a, "1", "1"] for a in "abcd"]
+    doc = {"vertices": ["1"], "arrows": arrows, "relations": [[[1, ["a", "a", "a"]]]]}
+    path = tmp_path / "explode.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--kind", "quiver", "--p", "3", "--file", str(path))
+    assert code == 3 and out == ""
+    assert err == "error: more than 1024 paths of length 6\n"
+
+
+def test_quiver_relation_coefficient_beyond_int64_is_reduced_mod_p(tmp_path, capsys):
+    # a coefficient of 10^29 ended in an OverflowError traceback, exit 1
+    outs = []
+    for coeff in (10**29, 10**29 % 3):
+        doc = {"vertices": ["1", "2", "3"], "arrows": [["x", "1", "2"], ["y", "2", "3"]]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({**doc, "relations": [[[coeff, ["x", "y"]]]]}))
+        code, out, _ = run_cli(capsys, "build", "--kind", "quiver", "--p", "3", "--file", str(path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] and len(json.loads(outs[0])["labels"]) == 5
+
+
 BASE_QUIVER = {
     "vertices": ["1", "2"],
     "arrows": [["x1", "1", "2"], ["y1", "1", "2"], ["x2", "2", "1"], ["y2", "2", "1"]],
