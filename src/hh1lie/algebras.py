@@ -180,11 +180,35 @@ class Algebra:
             out = self.mul_vec(out, v)
         return out
 
+    @functools.cached_property
+    def _product_plans(self) -> dict:
+        """Scatter plans of L_v, R_v and ad v = L_v - R_v, built once from the table terms.
+
+        A term e_i e_j = c e_k adds c v_i to L_v[k, j] and c v_j to R_v[k, i];
+        terms on one (cell, coordinate of v) are summed mod p first.
+        """
+        d, (i, j, k, c) = self.dim, self._consts
+        # each term's (cell, coordinate of v, coefficient)
+        ad = (np.r_[k, k] * d + np.r_[j, i], np.r_[i, j], np.r_[c, -c])
+        terms = {"L": (k * d + j, i, c), "R": (k * d + i, j, c), "ad": ad}
+        merged = {name: gfp.merge(cell * d + v, coef, self.p) for name, (cell, v, coef) in terms.items()}
+        return {name: gfp.scatter_plan(key // d, coef, key % d) for name, (key, coef) in merged.items()}
+
+    def _mult_matrices(self, name: str, stack) -> np.ndarray:
+        """The matrix of plan ``name`` ("L", "R" or "ad") for every row of a stack: (n, d, d)."""
+        stack = normalize(stack, self.p).reshape(-1, self.dim)
+        out = np.zeros((self.dim**2, stack.shape[0]), dtype=INT)
+        gfp.scatter_apply(out, self._product_plans[name], np.ascontiguousarray(stack.T))
+        out %= self.p
+        return np.ascontiguousarray(out.T).reshape(-1, self.dim, self.dim)
+
+    def ad_matrices(self, stack) -> np.ndarray:
+        """ad v = L_v - R_v, the matrix of x -> v x - x v, for every row v of a stack: (n, d, d)."""
+        return self._mult_matrices("ad", stack)
+
     def left_mult_matrix(self, v) -> np.ndarray:
         """Matrix of x -> v * x for an element v (coordinate vector)."""
-        v = normalize(v, self.p).reshape(-1)
-        i, j, k, c = self._consts  # v_i e_i e_j = v_i c e_k: row k of column j
-        return self._scatter(self.dim**2, k * self.dim + j, c * v[i]).reshape(self.dim, self.dim)
+        return self._mult_matrices("L", v)[0]
 
     def right_terms(self, v):
         """Terms (x, y, c) of R_v, the map x -> x * v: R_v[y, x] is the sum of c over them.
@@ -199,14 +223,7 @@ class Algebra:
 
     def right_mult_matrix(self, v) -> np.ndarray:
         """Matrix of x -> x * v for an element v (coordinate vector)."""
-        x, y, c = self.right_terms(v)
-        return self._scatter(self.dim**2, y * self.dim + x, c).reshape(self.dim, self.dim)
-
-    def basis_left_matrix(self, i: int) -> np.ndarray:
-        return self.left_mult_matrix(gfp.basis_vector(self.dim, i))
-
-    def basis_right_matrix(self, j: int) -> np.ndarray:
-        return self.right_mult_matrix(gfp.basis_vector(self.dim, j))
+        return self._mult_matrices("R", v)[0]
 
     def generating_set(self) -> tuple:
         """The generators derivations are solved and checked on: the algebra's own, or every basis vector."""
@@ -569,6 +586,8 @@ class QuiverPresentation:
             ends[label] = arrow
         for rel in self.relations:
             for coeff, path in rel:
+                if not isinstance(path, (list, tuple)):
+                    raise ValueError(f"relation path {path!r} is not a list of arrow labels")
                 if len(path) < 2:
                     raise ValueError("relations must be admissible (length >= 2 paths)")
                 if any(not isinstance(lbl, str) or lbl not in ends for lbl in path):
@@ -713,7 +732,7 @@ def center(a: Algebra) -> Subspace:
     cand = np.eye(d, dtype=INT)
     for i in range(d):
         # [e_i, z] = (L_i - R_i) z on the candidate rows z; keep the combinations killing it
-        resid = matmul(cand, (a.basis_left_matrix(i) - a.basis_right_matrix(i)).T % p, p)
+        resid = matmul(cand, a.ad_matrices(gfp.basis_vector(d, i))[0].T, p)
         if resid.any():
             cand = matmul(gfp.left_kernel(resid, p), cand, p)
     return Subspace.from_vectors(cand, p, d)

@@ -90,7 +90,7 @@ def _load_quiver(path: str) -> alg.QuiverPresentation:
         data = json.load(fh)
     try:
         relations = tuple(
-            tuple((int(c), list(pth)) for c, pth in rel) for rel in data.get("relations", [])
+            tuple((int(c), pth) for c, pth in rel) for rel in data.get("relations", [])
         )
         return alg.QuiverPresentation(
             tuple(data["vertices"]),

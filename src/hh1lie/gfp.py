@@ -20,9 +20,11 @@ fixed order, optionally modulo a Subspace) maps those through a pivot inverse
 built once.  Both raise on a row that is not a member.
 
 Products have one primitive, ``matmul`` (``mat_pow`` goes through it), the
-only float64 code in the package: float64 BLAS on entries in [0, p) is exact
-while k (p-1)^2 < 2^53 for contraction length k, which it checks (delayed
-reduction; Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
+only floating-point code in the package.  On entries in [0, p) each partial
+sum of k products, in any order and with FMA, is an integer below k (p-1)^2,
+so BLAS is exact in float32 while that is below 2^24 and in float64 below
+2^53; ``product_type`` picks by that bound (delayed reduction: Dumas, Giorgi
+and Pernet, ACM TOMS 35(3), 2008, where FFLAS picks float32 by it too).
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ INT = np.int64
 # 2 GiB) and p up to P_MAX, where a contraction of MAX_DIM^2 terms is exact.
 MAX_DIM = 1 << 14
 P_MAX = 317
-EXACT = 1 << 53  # float64 sums of integers are exact below this
+EXACT32 = 1 << 24  # float32 sums of integers are exact below this
+EXACT = 1 << 53  # and float64 sums below this
 
 
 def is_prime(n: int) -> bool:
@@ -86,21 +89,30 @@ def inv_mod(x: int, p: int) -> int:
     return pow(int(x) % p, -1, p)
 
 
+def product_type(k: int, p: int) -> type:
+    """The type ``matmul`` sums k terms in: float32 if k (p-1)^2 < 2^24, float64 if < 2^53, else it raises."""
+    bound = k * (p - 1) ** 2
+    if bound >= EXACT:
+        raise DimensionMismatch(f"a contraction of {k} terms mod {p} is not exact in float64")
+    return np.float32 if bound < EXACT32 else np.float64
+
+
 def matmul(a, b, p: int) -> np.ndarray:
     """Exact ``a @ b mod p`` for entries in [0, p), stacks broadcast as by ``@``; reduced int64.
 
-    Raises DimensionMismatch before the product unless k (p-1)^2 < 2^53 for
-    the contraction length k.
+    The product runs in ``product_type(k, p)`` for the contraction length k,
+    which raises DimensionMismatch before it when k (p-1)^2 >= 2^53.
     """
     a, b = np.asarray(a), np.asarray(b)
     k = a.shape[-1]
     if k != b.shape[-2 if b.ndim > 1 else 0]:
         raise DimensionMismatch(f"matmul shapes {a.shape} x {b.shape}")
-    if k * (p - 1) ** 2 >= EXACT:
-        raise DimensionMismatch(f"a contraction of {k} terms mod {p} is not exact in float64")
-    out = (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(INT)
-    out %= p  # in place: one int64 copy of the product, not two
-    return out
+    ftype = product_type(k, p)
+    out = np.asarray(a, dtype=ftype) @ np.asarray(b, dtype=ftype)
+    # a float32 sum is below 2^24, so it fits int32; numpy divides ints by a scalar far faster than it takes %
+    out = out.astype(np.int32 if ftype is np.float32 else INT)
+    out -= out // p * p
+    return out.astype(INT, copy=False)
 
 
 def scatter_plan(index, coef, take=None) -> list:
@@ -261,7 +273,7 @@ class Subspace:
     which by canonicity is entrywise equality of the stored bases.
     """
 
-    __slots__ = ("p", "ambient", "basis", "pivots", "_support", "_basis_f64")
+    __slots__ = ("p", "ambient", "basis", "pivots", "_free", "_basis_op")
 
     def __init__(self, p: int, ambient: int, basis: np.ndarray, _pivots=None):
         self.p = p
@@ -270,27 +282,28 @@ class Subspace:
         if _pivots is None:
             _pivots = [int(np.nonzero(row)[0][0]) for row in basis]
         self.pivots = tuple(_pivots)
-        self._support = self._basis_f64 = None
+        self._free = self._basis_op = None
 
     def reduce_rows(self, mat: np.ndarray) -> np.ndarray:
         """Residuals of the rows of mat after eliminating the basis rows.
 
-        Elimination changes only the columns where the basis is nonzero, so
-        it runs on those columns alone, unless they are over half of them.
+        The basis is the identity on its pivots, so a residual is zero there,
+        and elimination changes only the other columns where the basis is
+        nonzero: it multiplies on those alone.
         """
         mat = normalize(mat, self.p)
         if mat.shape[-1] != self.ambient:
             raise DimensionMismatch("vector length does not match ambient dimension")
         if self.dim == 0:
             return mat
-        if self._basis_f64 is None:  # built once; matmul reads it without a copy
-            support = np.flatnonzero(self.basis.any(axis=0))
-            self._support = slice(None) if 2 * support.size > self.ambient else support
-            self._basis_f64 = self.basis[:, self._support].astype(np.float64)
-        on = mat[:, self._support] - matmul(mat[:, list(self.pivots)], self._basis_f64, self.p)
-        if isinstance(self._support, slice):  # every column: no copy back into mat
-            return on % self.p
-        mat[:, self._support] = on % self.p
+        pivots = list(self.pivots)
+        if self._basis_op is None:  # built once, in the type matmul picks, so it reads it without a copy
+            support = self.basis.any(axis=0)
+            support[pivots] = False
+            self._free = np.flatnonzero(support)
+            self._basis_op = self.basis[:, self._free].astype(product_type(self.dim, self.p))
+        on = mat[:, self._free] - matmul(mat[:, pivots], self._basis_op, self.p)
+        mat[:, pivots], mat[:, self._free] = 0, on % self.p
         return mat
 
     @classmethod

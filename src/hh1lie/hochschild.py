@@ -227,7 +227,7 @@ class Extender:
     """phi along a generating set: rows of generator values to the d x d maps they extend to.
 
     The only code that extends a map from its values on generators: the
-    derivation solver, the weight derivations of ``named_outer`` and the
+    derivation solver, the weight derivations of ``named_outers`` and the
     monomial derivations of the Proposition 2.2 witness all go through it.
     It reads only the generators and the table, never a solved Der(A).
     phi(v) is a derivation iff v extends to one; ``_leibniz_failure`` decides.
@@ -445,7 +445,7 @@ def _leibniz_failure(a: Algebra, fstack: np.ndarray, plans=None):
     """The first check some map of the stack fails, or None if every map is a derivation.
 
     The one Leibniz checker: the solver's honesty check, ``is_derivation``,
-    ``named_outer`` and the seeded closure property all call it.  The maps'
+    ``named_outers`` and the seeded closure property all call it.  The maps'
     entries must lie in [0, p).  ``plans`` (``_leibniz_plans(a)``) lets a
     caller that checks many blocks build them once.
 
@@ -559,8 +559,8 @@ class DerivationSpace:
         if self._inner is None:
             a, p, ad = self.algebra, self.p, []
             for s in range(0, a.dim, self._block):
-                top = min(a.dim, s + self._block)
-                mats = np.stack([a.basis_left_matrix(i) - a.basis_right_matrix(i) for i in range(s, top)])
+                # ad e_i for i from s on: rows s, s + 1, ... of the identity
+                mats = a.ad_matrices(np.eye(min(self._block, a.dim - s), a.dim, s, dtype=INT))
                 if not self.contains(mats):
                     raise Hh1LieError("inner derivations escape the derivation space")
                 ad.append(self.gen_coords(mats))
@@ -596,12 +596,8 @@ def derivation_space(a: Algebra) -> list[Derivation]:
 
 def inner_derivations(a: Algebra) -> list[Derivation]:
     """Canonical basis of span{ad e_i}."""
-    d, p = a.dim, a.p
-    rows = []
-    for i in range(d):
-        ad = (a.basis_left_matrix(i) - a.basis_right_matrix(i)) % p
-        rows.append(ad.reshape(-1))
-    basis = gfp.row_space(np.vstack(rows), p)
+    d = a.dim
+    basis = gfp.row_space(a.ad_matrices(np.eye(d, dtype=INT)).reshape(d, d * d), a.p)
     return [Derivation(a, row.reshape(d, d)) for row in basis]
 
 
@@ -616,37 +612,42 @@ def named_inner(desc: SmashDescriptor, lam: int, j: int, algebra: Algebra = None
         algebra, _ = smash_product(desc.p, desc.n, desc.r)
     if not 0 <= j <= desc.x_bound - 1:
         raise IndexError(f"x-exponent {j} out of range")
-    lam %= desc.n_chars
-    i = desc.index(lam, j)
-    m = (algebra.basis_left_matrix(i) - algebra.basis_right_matrix(i)) % algebra.p
-    return Derivation(algebra, m)
+    return Derivation(algebra, algebra.ad_matrices(gfp.basis_vector(algebra.dim, desc.index(lam, j)))[0])
 
 
 def named_outer(desc: SmashDescriptor, lam: int, j: int, algebra: Algebra = None) -> Derivation:
-    """The weight derivation killing every u_mu with x -> u_lambda x^(j p^r + 1).
+    """The weight derivation killing every u_mu with x -> u_lambda x^(j p^r + 1); see ``named_outers``."""
+    return named_outers(desc, [(lam, j)], algebra)[0]
 
-    phi of those values along ``desc.generators``, the algebra's own phi
-    when it carries those generators; no Der solve.  The map is then
-    validated, and a failure means the values extend to no derivation.
+
+def named_outers(desc: SmashDescriptor, pairs, algebra: Algebra = None) -> list[Derivation]:
+    """The weight derivations g_(lambda, j), one per pair, by one phi call and one Leibniz check.
+
+    phi of their values along ``desc.generators``, the algebra's own phi
+    when it carries those generators; no Der solve.  The maps are then
+    validated, and a failure means some values extend to no derivation: the
+    maps are re-checked one at a time, so the error names the first.
     """
     from .algebras import smash_product
 
     if algebra is None:
         algebra, _ = smash_product(desc.p, desc.n, desc.r)
-    exp = j * desc.p**desc.r + 1
-    if not 0 <= exp <= desc.x_bound - 1:
-        raise IndexError(f"weight exponent {j} maps to x^{exp}, out of range")
-    lam %= desc.n_chars
     gens = desc.generators
     phi = extender(algebra) if algebra.generators is gens else Extender(algebra, gens)
-    values = np.zeros(phi.nv, dtype=INT)
-    values[desc.n_chars * algebra.dim + desc.index(lam, exp)] = 1  # F(x) in x's slot, the last
-    m = phi.matrices(values)
-    if _leibniz_failure(algebra, m):
+    values = np.zeros((len(pairs), phi.nv), dtype=INT)
+    for row, (lam, j) in zip(values, pairs):
+        exp = j * desc.p**desc.r + 1
+        if not 0 <= exp <= desc.x_bound - 1:
+            raise IndexError(f"weight exponent {j} maps to x^{exp}, out of range")
+        row[desc.n_chars * algebra.dim + desc.index(lam, exp)] = 1  # F(x) in x's slot, the last
+    maps = phi.matrices(values)
+    plans = _leibniz_plans(algebra)
+    if _leibniz_failure(algebra, maps, plans):
+        lam, j = next(pair for pair, m in zip(pairs, maps) if _leibniz_failure(algebra, m[None], plans))
         raise WellDefinednessFailure(
-            f"Leibniz extension of the weight derivation (lambda={lam}, j={j}) failed"
+            f"Leibniz extension of the weight derivation (lambda={lam % desc.n_chars}, j={j}) failed"
         )
-    return Derivation(algebra, m[0])
+    return [Derivation(algebra, m) for m in maps]
 
 
 # -- HH1 ------------------------------------------------------------------------
@@ -763,7 +764,7 @@ def hh1(a: Algebra, seed: int = 0) -> HH1Presentation:
     pivot_comp = [i for i in range(space.dim) if i not in set(ider_piv)]
     if a.descriptor is not None:
         desc = a.descriptor
-        reps = [named_outer(desc, 0, j, a) for j in desc.outer_exponents()]
+        reps = named_outers(desc, [(0, j) for j in desc.outer_exponents()], a)
         labels = [f"g[0,{j}]" for j in desc.outer_exponents()]
         # the presentation checks that they lie in Der and are independent modulo IDer
         if len(ider_piv) + len(reps) != space.dim or len(pivot_comp) != len(reps):

@@ -193,29 +193,33 @@ def test_suite_computes_shared_objects_once(monkeypatch):
 
 
 def test_suite_certifies_each_torus_and_weight_derivation_once(monkeypatch):
-    # one torus search per (Lie algebra, seed) and one named_outer per (algebra,
-    # lambda, j) over a whole suite: the Lie algebras and the weight derivations
-    # are shared through the context, and each report is kept on its algebra
+    # one torus search per (Lie algebra, seed) and one weight derivation per
+    # (algebra, lambda, j) over a whole suite: the Lie algebras and the weight
+    # derivations are shared through the context, and each report is kept on
+    # its algebra.  Each smash algebra builds its weight derivations in two
+    # batches: the lambda = 0 complement in hh1, the rest in the context.
     from hh1lie import hochschild as hoch
 
-    searches, outers = [], []
-    report, named_outer = lielib._torus_report, hoch.named_outer
+    searches, outers, batches = [], [], []
+    report, named_outers = lielib._torus_report, hoch.named_outers
 
     def count_search(L, seed, rounds):
         searches.append((L, seed, rounds))  # held, so no freed algebra's id is reused
         return report(L, seed, rounds)
 
-    def count_outer(desc, lam, j, a=None):
-        outers.append((a.name, lam, j))
-        return named_outer(desc, lam, j, a)
+    def count_outers(desc, pairs, a=None):
+        outers.extend((a.name, lam, j) for lam, j in pairs)
+        batches.append(a.name)
+        return named_outers(desc, pairs, a)
 
     monkeypatch.setattr(lielib, "_torus_report", count_search)
-    monkeypatch.setattr(hoch, "named_outer", count_outer)
+    monkeypatch.setattr(hoch, "named_outers", count_outers)
     results = checks.run_suite(p=5)
     assert all(r.status == "pass" for r in results), [r.check_id for r in results if r.status != "pass"]
     keys = [(id(L), seed, rounds) for L, seed, rounds in searches]
     assert len(keys) == len(set(keys)) >= 5
     assert len(outers) == len(set(outers)) == 30  # smash(1,1): 5 x 1, smash(2,1): 5 x 5
+    assert sorted(batches) == sorted(2 * ["smash(p=5,n=1,r=1)", "smash(p=5,n=2,r=1)"])
 
 
 def test_handed_out_torus_reports_are_copies():

@@ -1058,7 +1058,8 @@ def narrowed_center(a):
     d, p = a.dim, a.p
     cand = np.eye(d, dtype=np.int64)
     for i in range(d):
-        m = (a.basis_left_matrix(i) - a.basis_right_matrix(i)) % p
+        e = gfp.basis_vector(d, i)
+        m = (a.left_mult_matrix(e) - a.right_mult_matrix(e)) % p
         cand = narrow_candidates(cand, lambda c, m=m: matmul(c, m.T, p), p)
     return Subspace.from_vectors(cand, p, d)
 

@@ -578,6 +578,17 @@ def test_quiver_path_explosion_exits_3(tmp_path, capsys, command):
     assert err == "error: more than 1024 paths of length 6\n"
 
 
+@pytest.mark.parametrize("command", ["build", "hh1"])
+def test_quiver_relation_path_given_as_a_string_exits_3(tmp_path, capsys, command):
+    # the path "xy" was split into the arrows x and y, and the quotient by x y built
+    doc = {"vertices": ["1", "2", "3"], "arrows": [["x", "1", "2"], ["y", "2", "3"]], "relations": [[[1, "xy"]]]}
+    path = tmp_path / "string-path.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--kind", "quiver", "--p", "3", "--file", str(path))
+    assert code == 3 and out == ""
+    assert err == "error: bad quiver presentation: relation path 'xy' is not a list of arrow labels\n"
+
+
 def test_quiver_relation_coefficient_beyond_int64_is_reduced_mod_p(tmp_path, capsys):
     # a coefficient of 10^29 ended in an OverflowError traceback, exit 1
     outs = []

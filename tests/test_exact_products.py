@@ -1,8 +1,9 @@
-"""The float64 products of the package, against Python-int arithmetic at the edge of the range of p.
+"""The floating-point products of the package, against Python-int arithmetic at the edge of the range of p.
 
-Every float64 product goes through ``gfp.matmul`` or ``gfp.mat_pow``, which
-check k (p-1)^2 < 2^53 for the contraction length k.  Each kernel routed
-through them is compared here with the same sums taken in Python ints.
+Every product goes through ``gfp.matmul`` or ``gfp.mat_pow``, which sum k
+terms in float32 while k (p-1)^2 < 2^24 and in float64 while it is below
+2^53 (``gfp.product_type``).  Each kernel routed through them is compared
+here with the same sums taken in Python ints, on both sides of the switch.
 """
 
 import itertools
@@ -60,6 +61,97 @@ def test_no_module_but_gfp_names_float64():
     src = pathlib.Path(lielib.__file__).parent
     named = [f.name for f in sorted(src.glob("*.py")) if "float64" in f.read_text()]
     assert named == ["gfp.py"]
+    assert [f.name for f in sorted(src.glob("*.py")) if "float32" in f.read_text()] == ["gfp.py"]
+
+
+@pytest.mark.parametrize("p", [3, 5, 317])
+def test_product_type_switches_where_float32_stops_being_exact(p):
+    last32 = (gfp.EXACT32 - 1) // (p - 1) ** 2  # the longest contraction exact in float32
+    assert gfp.product_type(last32, p) is np.float32 and gfp.product_type(last32 + 1, p) is np.float64
+    assert last32 * (p - 1) ** 2 < 2**24 <= (last32 + 1) * (p - 1) ** 2
+    last64 = (gfp.EXACT - 1) // (p - 1) ** 2
+    assert gfp.product_type(last64, p) is np.float64
+    with pytest.raises(DimensionMismatch):
+        gfp.product_type(last64 + 1, p)
+    if p == 317:
+        assert (gfp.product_type(168, p), gfp.product_type(169, p)) == (np.float32, np.float64)
+
+
+def worst_operands(p, shape_a, shape_b):
+    """Operands with every entry p - 1, the largest sums, but the last of each row of a and column of b p - 2.
+
+    Sums of (p - 1)^2 alone are multiples of 4 (of 16 at p = 5 and 317), so
+    float32 would hold them exactly past 2^24; the odd term (p - 2)^2 makes
+    every sum odd, which float32 cannot hold there.
+    """
+    a, b = np.full(shape_a, p - 1, dtype=INT), np.full(shape_b, p - 1, dtype=INT)
+    a[..., -1], b[..., -1, :] = p - 2, p - 2
+    return a, b
+
+
+def py_stack_matmul(a, b, p):
+    """a @ b mod p with numpy broadcasting of the stack axes, each product in Python ints."""
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a, b = np.broadcast_to(a, shape + a.shape[-2:]), np.broadcast_to(b, shape + b.shape[-2:])
+    pairs = zip(a.reshape(-1, *a.shape[-2:]), b.reshape(-1, *b.shape[-2:]))
+    out = [py_matmul(x.tolist(), y.tolist(), p) for x, y in pairs]
+    return np.array(out, dtype=INT).reshape(shape + (a.shape[-2], b.shape[-1]))
+
+
+@pytest.mark.parametrize("p,ks", [(3, (1, 40)), (5, (1, 40)), (317, (1, 168, 169))])
+def test_products_on_both_sides_of_the_float32_bound_match_python_ints(p, ks):
+    # at p = 317, k = 168 sums in float32 and k = 169 in float64: a float32
+    # bound raised to 2^25 gives wrong last bits at k = 169
+    for k in ks:
+        shapes = [((3, k), (k, 4)), ((2, 3, k), (2, k, 4)), ((3, k), (2, k, 4)), ((2, 1, 3, k), (4, k, 2))]
+        for shape_a, shape_b in shapes:  # plain, stacked, and broadcast both ways
+            a, b = worst_operands(p, shape_a, shape_b)
+            got = gfp.matmul(a, b, p)
+            assert got.dtype == INT and np.array_equal(got, py_stack_matmul(a, b, p)), (k, shape_a, shape_b)
+        a, b = worst_operands(p, (k,), (k, 3))  # a vector times a matrix
+        assert gfp.matmul(a, b, p).tolist() == py_matmul([a.tolist()], b.tolist(), p)[0]
+    if p == gfp.P_MAX:  # sums past 2^31, which a float64 product must not reduce in int32: k = 21,506
+        k = 2**31 // (p - 1) ** 2 + 1
+        a, b = worst_operands(p, (2, k), (k, 2))
+        assert gfp.matmul(a, b, p).tolist() == py_matmul(a.tolist(), b.tolist(), p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_longest_float32_contraction_and_the_next_are_exact(p):
+    # zero-stride operands: only the converted copies of a single row are allocated
+    last32 = (gfp.EXACT32 - 1) // (p - 1) ** 2
+    for k in (last32, last32 + 1):
+        a = np.broadcast_to(np.int64(p - 1), (1, k))
+        assert gfp.matmul(a, a.T, p).tolist() == [[k * (p - 1) ** 2 % p]]
+
+
+def py_reduce(basis, rows, p):
+    """Residuals of rows modulo an RREF basis in Python ints: each basis row times the entry on its pivot."""
+    out = []
+    for v in rows:
+        for b in basis:
+            f = v[next(c for c, x in enumerate(b) if x)]
+            v = [(x - f * y) % p for x, y in zip(v, b)]
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("p,ambient", [(3, 12), (5, 12), (317, 40), (317, 200)])
+def test_reduce_rows_matches_python_int_elimination_at_every_extreme_rank(p, ambient):
+    # ranks 0, 1, ambient - 1 and ambient; at p = 317 and ambient 200 the two
+    # largest ranks pass 168, so their cached operand is float64, not float32
+    rng = np.random.default_rng(p * ambient)
+    for rank in (0, 1, ambient - 1, ambient):
+        sub = gfp.Subspace.zero(ambient, p)
+        while sub.dim < rank:  # random rows until they have that rank
+            sub = gfp.Subspace.from_vectors(rng.integers(0, p, (rank, ambient)), p, ambient)
+        rows = edge_rows(rng, p, 4, ambient)
+        got = sub.reduce_rows(rows)
+        assert got.dtype == INT and got.tolist() == py_reduce(sub.basis.tolist(), rows.tolist(), p)
+        assert not got[:, list(sub.pivots)].any()
+        if rank:
+            assert sub._basis_op.dtype == gfp.product_type(rank, p)
+    assert gfp.Subspace.from_vectors(np.eye(3, dtype=INT)[:1], 317, 3)._basis_op is None  # built on first use
 
 
 @pytest.mark.parametrize("p", PRIMES)

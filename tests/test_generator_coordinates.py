@@ -45,7 +45,7 @@ def d2_hh1(a):
     """The d^2 presentation: dims, bases, complement, labels and tables."""
     p, d = a.p, a.dim
     der = Subspace.from_vectors(d2_derivations(a), p, d * d)
-    ad = np.vstack([((a.basis_left_matrix(i) - a.basis_right_matrix(i)) % p).reshape(-1) for i in range(d)])
+    ad = np.vstack([((a.left_mult_matrix(e) - a.right_mult_matrix(e)) % p).reshape(-1) for e in np.eye(d, dtype=int)])
     ider = Subspace.from_vectors(ad, p, d * d)
     assert not der.reduce_rows(ider.basis).any()
     pivots = set(ider.pivots)

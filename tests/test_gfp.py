@@ -338,7 +338,7 @@ def test_rref_matches_the_full_column_walk(p):
 
 def test_rref_matches_the_full_column_walk_on_the_ider_matrix():
     a, _ = alg.smash_product(5, 2, 1)
-    ads = [(a.basis_left_matrix(i) - a.basis_right_matrix(i)) % 5 for i in range(a.dim)]
+    ads = [(a.left_mult_matrix(e) - a.right_mult_matrix(e)) % 5 for e in np.eye(a.dim, dtype=np.int64)]
     rows = np.vstack([ad.reshape(-1) for ad in ads])
     red, r, piv = rref(rows, 5)
     want, want_r, want_piv = rref_oracle(rows, 5)

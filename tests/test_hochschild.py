@@ -9,6 +9,7 @@ from hh1lie import algebras as alg
 from hh1lie import checks
 from hh1lie import gfp
 from hh1lie import hochschild as hoch
+from hh1lie import lie as lielib
 from hh1lie.errors import Hh1LieError, WellDefinednessFailure
 from hh1lie.gfp import Subspace
 from oracles import mult_terms
@@ -454,7 +455,7 @@ def old_named_outer(desc, lam, j, a):
     """
     p, d = a.p, a.dim
     rx = a.right_mult_matrix(desc.x_vector())
-    right_v = a.basis_right_matrix(desc.index(lam, j * p**desc.r + 1))
+    right_v = a.right_mult_matrix(gfp.basis_vector(d, desc.index(lam, j * p**desc.r + 1)))
     f = np.zeros((d, d), dtype=np.int64)
     for k in range(1, desc.x_bound):
         for mu in range(desc.n_chars):
@@ -516,6 +517,23 @@ def test_named_outer_values_that_extend_to_no_derivation_raise():
         hoch.named_outer(desc, 0, 0, bad)
 
 
+@pytest.mark.parametrize("i,j,first", [(0, 2, (0, 1)), (0, 20, (1, 0)), (1, 23, (1, 1))])
+def test_weight_derivations_in_one_batch_fail_on_the_first_failing_pair(i, j, first):
+    # one phi call and one Leibniz check for every pair; on a failure the
+    # error names the first pair that fails alone, in the order given
+    sm, desc = alg.smash_product(3, 2, 1)
+    bad = corrupted(sm, i, j)
+    pairs = [(lam, j0) for lam in range(desc.n_chars) for j0 in desc.outer_exponents()]
+    for pair in pairs[: pairs.index(first)]:
+        hoch.named_outer(desc, *pair, bad)
+    with pytest.raises(WellDefinednessFailure):
+        hoch.named_outer(desc, *first, bad)
+    with pytest.raises(WellDefinednessFailure, match=rf"\(lambda={first[0]}, j={first[1]}\) failed"):
+        hoch.named_outers(desc, pairs, bad)
+    good = hoch.named_outers(desc, pairs, sm)
+    assert all(np.array_equal(g.matrix, old_named_outer(desc, lam, j0, sm)) for (lam, j0), g in zip(pairs, good))
+
+
 # -- complement and hh1 -----------------------------------------------------------------
 
 
@@ -536,13 +554,13 @@ def test_lemma_3_5_sees_a_shifted_difference_that_is_not_inner(monkeypatch):
     ctx = checks.SuiteContext(p=3)
     for n, r in checks._criterion3_params(3):
         ctx.smash_hh1(n, r)
-    real = hoch.named_outer
+    real = hoch.named_outers
 
-    def doubled(desc, lam, j, algebra=None):
-        g = real(desc, lam, j, algebra)
-        return hoch.Derivation(g.algebra, 2 * g.matrix) if lam else g
+    def doubled(desc, pairs, algebra=None):
+        gs = real(desc, pairs, algebra)
+        return [hoch.Derivation(g.algebra, 2 * g.matrix) if lam else g for (lam, _), g in zip(pairs, gs)]
 
-    monkeypatch.setattr(hoch, "named_outer", doubled)
+    monkeypatch.setattr(hoch, "named_outers", doubled)
     with pytest.raises(checks.CheckFailure) as exc:
         checks.check_lemma_3_5(ctx)
     rep = exc.value.payload
@@ -570,6 +588,109 @@ def test_properties_check_rejects_an_injected_non_derivation(monkeypatch, fault,
     with pytest.raises(checks.CheckFailure) as exc:
         checks.check_properties(ctx)
     assert exc.value.payload == {"property": prop}
+
+
+def test_properties_check_sees_one_map_that_breaks_ad_in_a_later_block(monkeypatch):
+    # with the Leibniz check off, the fourth map of the second block of 8 is
+    # the identity: [1, ad a] = 0 != ad a, and no other map fails
+    ctx = checks.SuiteContext(p=3)
+    sm, _ = ctx.smash(2, 1)
+    space = ctx.smash_hh1(2, 1).space
+    real, calls = space.matrices, []
+
+    def one_identity(rows):
+        maps = real(rows)
+        calls.append(len(rows))
+        if len(calls) == 3:  # the second block's fs: blocks build fs, then gs
+            maps[3] = np.eye(sm.dim, dtype=np.int64)
+        return maps
+
+    monkeypatch.setattr(hoch, "_leibniz_failure", lambda *args: None)
+    monkeypatch.setattr(space, "matrices", one_identity)
+    with pytest.raises(checks.CheckFailure) as exc:
+        checks.check_properties(ctx)
+    assert exc.value.payload == {"property": "[f, ad a] = ad f(a)"} and calls == [8, 8, 8, 8]
+
+
+def test_properties_check_names_the_first_x_where_jacobson_and_composition_differ(monkeypatch):
+    # the p-map is skewed on x = (0, 1, 2), first drawn as the 46th x, inside
+    # the sixth block of 8; the payload names it, and no later block is checked
+    ctx = checks.SuiteContext(p=3)
+    ctx.lie(ctx.smash_hh1(2, 1))
+    real, seen = lielib._jacobson_batch, []
+
+    def skewed(L, xs):
+        seen.extend(xs.tolist())
+        return (real(L, xs) + (xs == [0, 1, 2]).all(axis=1)[:, None]) % L.p
+
+    monkeypatch.setattr(lielib, "_jacobson_batch", skewed)
+    with pytest.raises(checks.CheckFailure) as exc:
+        checks.check_properties(ctx)
+    assert exc.value.payload == {"property": "jacobson vs composition", "x": [0, 1, 2]}
+    assert seen.index([0, 1, 2]) == 45 and len(seen) == 48
+
+
+def old_check_lemma_3_2(ctx):
+    """``checks.check_lemma_3_2`` as it ran one element and one u_mu at a time, with ad e_i = L_i - R_i.
+
+    An oracle of the order in which failures are found.
+    """
+    p, detail = ctx.p, {}
+    for n in (1, 2):
+        for r in (1, 2):
+            if p ** (n + r) > 256:
+                detail[f"(p={p},n={n},r={r})"] = "skipped (dimension)"
+                continue
+            a, desc = ctx.smash(n, r)
+            nc, xb = desc.n_chars, desc.x_bound
+            xvec = desc.x_vector()
+            for lam in range(nc):
+                for j in range(xb):
+                    e = basis_vec(a.dim, desc.index(lam, j))
+                    ad = (a.left_mult_matrix(e) - a.right_mult_matrix(e)) % p
+                    for mu in range(nc):
+                        got = ad @ basis_vec(a.dim, desc.index(mu, 0)) % p
+                        coef = (int((mu + j * desc.alpha - lam) % nc == 0) - int(mu == lam)) % p
+                        want = coef * basis_vec(a.dim, desc.index(lam, j)) % p
+                        if not np.array_equal(got, want):
+                            raise checks.CheckFailure({"params": (p, n, r), "lambda": lam, "j": j, "mu": mu})
+                        if j % (p**r) == 0 and got.any():
+                            raise checks.CheckFailure({"params": (p, n, r), "case": "p^r | j", "lambda": lam, "j": j})
+                    got = ad @ xvec % p
+                    want = np.zeros(a.dim, dtype=np.int64)
+                    if j + 1 <= xb - 1:
+                        want[desc.index(lam, j + 1)] = 1
+                        want[desc.index((lam + desc.alpha) % nc, j + 1)] = p - 1
+                    if not np.array_equal(got, want):
+                        raise checks.CheckFailure({"params": (p, n, r), "case": "d(x)", "lambda": lam, "j": j})
+                    if (j == xb - 1) != (not got.any()):
+                        raise checks.CheckFailure({"params": (p, n, r), "case": "d(x)=0 iff j=p^n-1", "j": j})
+            detail[f"(p={p},n={n},r={r})"] = "all indices"
+    return detail
+
+
+def outcome(check, ctx):
+    try:
+        return "pass", check(ctx)
+    except checks.CheckFailure as exc:
+        return "fail", exc.payload
+
+
+@pytest.mark.parametrize("n,r", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_stacked_lemma_3_2_fails_where_the_element_loop_failed(monkeypatch, n, r):
+    # each of a few seeded corruptions of one smash table, and the lemma 3.1
+    # fault, gives the same verdict and counterexample as the old loop
+    ctx = checks.SuiteContext(p=3)
+    sm, desc = ctx.smash(n, r)
+    every = {f"(p=3,n={n0},r={r0})": "all indices" for n0 in (1, 2) for r0 in (1, 2)}
+    assert outcome(checks.check_lemma_3_2, ctx) == outcome(old_check_lemma_3_2, ctx) == ("pass", every)
+    rng = np.random.default_rng(n * 10 + r)
+    faults = [corrupted(sm, *rng.integers(0, sm.dim, 2)) for _ in range(6)] + [ctx.faulty_smash(n, r)[0]]
+    smash = ctx.smash
+    for bad in faults:
+        monkeypatch.setattr(ctx, "smash", lambda n0, r0, bad=bad: (bad, desc) if (n0, r0) == (n, r) else smash(n0, r0))
+        got, want = outcome(checks.check_lemma_3_2, ctx), outcome(old_check_lemma_3_2, ctx)
+        assert got == want
 
 
 def test_shifted_outer_differences_are_inner():
@@ -722,6 +843,33 @@ TABLE_LADDER = {
     "trivext(Kr,5)": lambda: alg.trivial_extension(alg.quiver_algebra(alg.kronecker_quiver(), 5)),
     "quiver(tkr,7)": lambda: alg.quiver_algebra(alg.tkr_quiver(), 7),
 }
+
+
+def dense_mult_tensors(a):
+    """(L, R) with L[i] = L_(e_i) and R[i] = R_(e_i), summed term by term from the structure constants."""
+    d, (i, j, k, c) = a.dim, a.structure_constants()
+    left, right = np.zeros((d, d, d), dtype=np.int64), np.zeros((d, d, d), dtype=np.int64)
+    np.add.at(left, (i, k, j), c)  # e_i e_j = c e_k: column j of L_i gets c e_k
+    np.add.at(right, (j, k, i), c)  # and column i of R_j
+    return left % a.p, right % a.p
+
+
+@pytest.mark.parametrize("name", list(TABLE_LADDER))
+def test_ad_matrices_match_the_per_element_left_minus_right(name):
+    # on every basis element, on a seeded stack of elements (ad is linear) and on an empty stack
+    a = TABLE_LADDER[name]()
+    p, d = a.p, a.dim
+    left, right = dense_mult_tensors(a)
+    assert np.array_equal(a.ad_matrices(np.eye(d, dtype=np.int64)), (left - right) % p)
+    stack = np.random.default_rng(d).integers(0, p, (5, d))
+    stack[0] = p - 1
+    want = np.einsum("si,ikj->skj", stack, left - right) % p
+    assert np.array_equal(a.ad_matrices(stack), want)
+    for v, ad in zip(stack, want):
+        l_v, r_v = np.einsum("i,ikj->kj", v, left) % p, np.einsum("i,ikj->kj", v, right) % p
+        assert np.array_equal(a.left_mult_matrix(v), l_v) and np.array_equal(a.right_mult_matrix(v), r_v)
+        assert np.array_equal((l_v - r_v) % p, ad)
+    assert a.ad_matrices(np.zeros((0, d), dtype=np.int64)).shape == (0, d, d)
 
 
 @pytest.mark.parametrize("name", list(TABLE_LADDER))

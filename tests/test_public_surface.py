@@ -20,7 +20,7 @@ RETIRED = {
     ),
     "lie": ("element_analysis", "is_p_nilpotent_element", "RestrictedLie.bracket_vec"),
     "gfp": ("Subspace.intersection", "Subspace.quotient_basis", "Subspace.coords", "Subspace.to_json_dict"),
-    "algebras": ("Algebra.mult_terms",),
+    "algebras": ("Algebra.mult_terms", "Algebra.basis_left_matrix", "Algebra.basis_right_matrix"),
     "errors": ("AlgebraMismatch",),
 }
 
