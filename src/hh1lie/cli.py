@@ -85,12 +85,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _coefficient(c) -> int:
+    """A relation coefficient: a JSON integer, booleans excluded, as ``algebras._json_ints`` reads them."""
+    if isinstance(c, bool) or not isinstance(c, int):
+        raise TypeError(f"relation coefficient {c!r} is not an integer")
+    return c
+
+
 def _load_quiver(path: str) -> alg.QuiverPresentation:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
         relations = tuple(
-            tuple((int(c), pth) for c, pth in rel) for rel in data.get("relations", [])
+            tuple((_coefficient(c), pth) for c, pth in rel) for rel in data.get("relations", [])
         )
         return alg.QuiverPresentation(
             tuple(data["vertices"]),

@@ -13,7 +13,8 @@ f(a w) s + a w f(s) extends Leibniz from words w to w s.  The system is
 built sparse in int64 and deduplicated.  Its kernel is taken one weight of
 the diagonal torus at a time: the weights W grade A with every generator
 homogeneous, each equation involves one weight, and the blocks' kernels
-sorted by pivot are the whole system's RREF kernel.
+sorted by pivot are the whole system's RREF kernel.  phi keeps weights, so
+the same loop reads Der's d^2 RREF pivots on each block's own vec(F) cells.
 ``_leibniz_failure`` is the only Leibniz checker.  It builds each
 residual F(e_i s) - F(e_i) s - e_i F(s) in place from scatter plans made
 once per check (``_LeibnizPlan``), in exact integers, and reduces only the
@@ -42,7 +43,7 @@ from .errors import DimensionMismatch, Hh1LieError, WellDefinednessFailure
 from .gfp import INT, Subspace, matmul, normalize, rref
 
 DENSE_SOLVER_LIMIT = 32
-STREAM_CELLS = 1 << 18  # int64 cells per block: Leibniz rows, streamed columns of phi(ker), or d x d maps
+STREAM_CELLS = 1 << 18  # int64 cells per block: Leibniz rows, Leibniz residuals, or d x d maps
 
 
 class Derivation:
@@ -139,17 +140,6 @@ class _LeibnizPlan:
 def _nonzero_mod(res: np.ndarray, p: int) -> bool:
     """Whether some entry of an exact residual is not = 0 mod p, reducing only the nonzero entries."""
     return bool((res[res != 0] % p).any())
-
-
-def _gen_block_residual(a: Algebra, fstack: np.ndarray, svec) -> np.ndarray:
-    """Residuals of F(e_i s) - F(e_i) s - e_i F(s) over all basis indices i, reduced mod p.
-
-    Shape (k, d, d), entry [t, a, i] the e_a coordinate for the map
-    fstack[t]; zero exactly on the maps that satisfy Leibniz against s.  It
-    is the whole stack's ``_LeibnizPlan`` residual, reduced.
-    """
-    plan = _LeibnizPlan(a, [svec])
-    return (plan.residual(plan.block(fstack), 0) % a.p).transpose(2, 0, 1)
 
 
 # -- phi: maps from their generator values ----------------------------------------
@@ -398,22 +388,27 @@ def _unknown_weights(a: Algebra, gens: np.ndarray) -> np.ndarray:
     return weight.reshape(w.shape[0], gens.size)
 
 
-def _kernel_by_weight(rows, cols, vals, weight: np.ndarray, p: int) -> np.ndarray:
-    """RREF kernel of the sparse rows (sorted by row), one weight block at a time.
+def _kernel_by_weight(phi: Extender, rows, cols, vals, weight: np.ndarray):
+    """Der_g in canonical form, one weight block at a time: (K, pivots, M).
 
-    weight[:, u] is the weight of unknown u, and a row whose unknowns have
-    two weights raises.  Each block is eliminated on its own columns.  The
-    blocks' kernels have disjoint supports, so their rows sorted by pivot
-    are the RREF kernel of the whole system.
+    K is the RREF kernel of the sparse rows (sorted by row); weight[:, u] is
+    the weight of unknown u, and a row whose unknowns have two weights raises.
+    Column i of M is column pivots[i] of phi(K), for the vec(F) RREF pivots,
+    so M^-1 K is g of Der's canonical basis.  phi keeps weights (a step
+    F(e_parent g) = R_g F(e_parent) + L_parent v_t preserves w_x - w_k), so
+    block b's kernel rows K_b meet only the cells phi reaches from its
+    unknowns, and one rref of phi(K_b) there (k_b x cells_b int64) gives its
+    pivots.  Sorted, the disjoint blocks' rows and pivots are the whole ones.
     """
-    nv = weight.shape[1]
+    p, nv = phi.p, phi.nv
+    fe, unk, val = phi.triplets
     block = np.zeros(nv, dtype=INT)
     for w in weight:  # number the distinct weights 0, 1, ... one coordinate at a time
         block = np.unique(block * p + w, return_inverse=True)[1]
     term_block = block[cols]
     if (term_block != term_block[np.searchsorted(rows, rows)]).any():  # each row's first term
         raise Hh1LieError("a Leibniz equation mixes two torus weights")
-    kers, pivots = [], []
+    kers, pivots, cells = [], [], []
     for n in range(block.max(initial=0) + 1):
         own, sel = np.flatnonzero(block == n), np.flatnonzero(term_block == n)
         local = np.unique(rows[sel], return_inverse=True)[1]
@@ -421,12 +416,21 @@ def _kernel_by_weight(rows, cols, vals, weight: np.ndarray, p: int) -> np.ndarra
         kers.append(np.zeros((ker.shape[0], nv), dtype=INT))
         kers[-1][:, own] = ker
         pivots.append(own[np.argmax(ker != 0, axis=1)])
-    return np.concatenate(kers)[np.argsort(np.concatenate(pivots))]
-
-
-def _fails_leibniz(a: Algebra, fstack: np.ndarray, gens) -> bool:
-    """Whether some map fails Leibniz against some element of gens (``_LeibnizPlan.fails``)."""
-    return _LeibnizPlan(a, gens).fails(fstack)
+        on = np.flatnonzero(block[unk] == n)  # the terms of phi(K_b)
+        reached, at = np.unique(fe[on], return_inverse=True)
+        image = np.zeros((reached.size, ker.shape[0]), dtype=INT)  # phi(K_b) on its cells, transposed
+        gfp.scatter_add(image, at, val[on], ker.T, np.searchsorted(own, unk[on]))
+        rank, piv = rref(image.T, p)[1:]
+        del image  # one block's image is alive at a time
+        if rank < ker.shape[0]:
+            raise Hh1LieError("phi maps distinct solved generator values to one map")
+        cells.append(reached[piv])
+    ker = np.concatenate(kers)[np.argsort(np.concatenate(pivots))]
+    cells = np.sort(np.concatenate(cells))
+    on = np.flatnonzero(np.isin(fe, cells))
+    m = np.zeros((cells.size, ker.shape[0]), dtype=INT)  # phi(K) on the pivot cells, transposed
+    gfp.scatter_add(m, np.searchsorted(cells, fe[on]), val[on], ker.T, unk[on])
+    return ker, cells.tolist(), m.T % p
 
 
 def _leibniz_plans(a: Algebra):
@@ -476,8 +480,8 @@ class DerivationSpace:
     of the Leibniz system, eliminated one torus-weight block at a time
     (``_kernel_by_weight``).  ``basis`` holds g of the canonical basis of
     Der(A), the RREF rows in vec(F) coordinates, and ``pivots`` their
-    vec(F) pivot columns, so every seeded draw over the canonical basis is
-    the one the d^2 form gives.
+    vec(F) pivot columns, both read from the same blocks, so every seeded
+    draw over the canonical basis is the one the d^2 form gives.
 
     The Leibniz rule and g(phi(y)) = y are verified on the canonical basis.
     Hence a map X lies in Der(A) iff g(X) lies in Der_g and X = phi(g(X)).
@@ -489,9 +493,8 @@ class DerivationSpace:
         self.phi = phi = extender(a)
         self.gens, self.nv, self._block = phi.gens, phi.nv, phi._block
         self.matrices, self.gen_coords, self.is_phi_of = phi.matrices, phi.gen_coords, phi.is_phi_of
-        ker = _kernel_by_weight(*_leibniz_rows(phi), _unknown_weights(a, self.gens), p)
+        ker, self.pivots, self._m = _kernel_by_weight(phi, *_leibniz_rows(phi), _unknown_weights(a, phi.gens))
         self.der = Subspace(p, self.nv, ker)
-        self.pivots, self._m = self._stream_pivots(ker)
         self.basis = matmul(gfp.inverse(self._m, p), ker, p)
         self._inner = None
         self._verify()
@@ -499,36 +502,6 @@ class DerivationSpace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    def _stream_pivots(self, ker):
-        """vec(F) pivots of the RREF of phi(ker), and M whose column i is column P_i.
-
-        A lazy-column RREF: the columns of phi(ker) are built in vec(F) order,
-        STREAM_CELLS cells at a time, until the rank reaches dim Der.  A column
-        is a pivot iff it is independent of the columns before it, whose span in
-        GF(p)^k grows by ``Subspace.extend``; the canonical basis is M^-1 phi(ker).
-        """
-        d, p, k = self.algebra.dim, self.p, ker.shape[0]
-        fe, unk, val = self.phi.triplets
-        ker_t = np.ascontiguousarray(ker.T)
-        step = max(1, STREAM_CELLS // max(k, 1))
-        span, pivots, cols = Subspace.zero(k, p), [], []
-        for start in range(0, d * d, step):
-            if len(pivots) == k:
-                break
-            lo, hi = np.searchsorted(fe, [start, start + step])
-            block = np.zeros((min(step, d * d - start), k), dtype=INT)
-            gfp.scatter_add(block, fe[lo:hi] - start, val[lo:hi], ker_t, unk[lo:hi])
-            red = span.reduce_rows(block)  # reduces the block mod p too
-            live = np.flatnonzero(red.any(axis=1))  # most residuals are zero once the rank nears k
-            new = live[rref(red[live].T, p)[2]].tolist()
-            if new:
-                pivots += [start + c for c in new]
-                cols.append(block[new] % p)
-                span = span.extend(red[new])
-        if len(pivots) < k:
-            raise Hh1LieError("phi maps distinct solved generator values to one map")
-        return pivots, np.vstack(cols).T if cols else np.zeros((0, 0), dtype=INT)
 
     def _verify(self):
         """Honesty check on the canonical basis, a block of maps at a time, on one set of Leibniz plans."""

@@ -14,7 +14,7 @@ from hh1lie import gfp
 from hh1lie import lie as lielib
 from hh1lie.errors import Hh1LieError, InfiniteDimensionalQuotient
 from hh1lie.gfp import INT, Subspace, matmul, normalize, rref
-from hh1lie.hochschild import DENSE_SOLVER_LIMIT
+from hh1lie.hochschild import DENSE_SOLVER_LIMIT, STREAM_CELLS
 
 
 def mult_terms(a, i, j):
@@ -214,3 +214,35 @@ def quiver_algebra_from_pairs(q, p, max_paths=400):
     rad = [gfp.basis_vector(len(basis), basis.index((s, (a,)))) for a, s, _ in q.arrows]
     labels = [f"e{s}" if not w else "*".join(w) for s, w in basis]
     return alg.Algebra(p, labels, mult, unit, radical_gens=rad, name=f"quiver(p={p},dim={len(basis)})")
+
+
+def old_stream_pivots(space, ker):
+    """``hochschild.DerivationSpace._stream_pivots`` before the per-block pivots, verbatim but for ``space``.
+
+    vec(F) pivots of the RREF of phi(ker), and M whose column i is column P_i.
+    A lazy-column RREF: the columns of phi(ker) are built in vec(F) order,
+    STREAM_CELLS cells at a time, until the rank reaches dim Der.  A column
+    is a pivot iff it is independent of the columns before it, whose span in
+    GF(p)^k grows by ``Subspace.extend``; the canonical basis is M^-1 phi(ker).
+    """
+    d, p, k = space.algebra.dim, space.p, ker.shape[0]
+    fe, unk, val = space.phi.triplets
+    ker_t = np.ascontiguousarray(ker.T)
+    step = max(1, STREAM_CELLS // max(k, 1))
+    span, pivots, cols = Subspace.zero(k, p), [], []
+    for start in range(0, d * d, step):
+        if len(pivots) == k:
+            break
+        lo, hi = np.searchsorted(fe, [start, start + step])
+        block = np.zeros((min(step, d * d - start), k), dtype=INT)
+        gfp.scatter_add(block, fe[lo:hi] - start, val[lo:hi], ker_t, unk[lo:hi])
+        red = span.reduce_rows(block)  # reduces the block mod p too
+        live = np.flatnonzero(red.any(axis=1))  # most residuals are zero once the rank nears k
+        new = live[rref(red[live].T, p)[2]].tolist()
+        if new:
+            pivots += [start + c for c in new]
+            cols.append(block[new] % p)
+            span = span.extend(red[new])
+    if len(pivots) < k:
+        raise Hh1LieError("phi maps distinct solved generator values to one map")
+    return pivots, np.vstack(cols).T if cols else np.zeros((0, 0), dtype=INT)

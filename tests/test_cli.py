@@ -589,6 +589,18 @@ def test_quiver_relation_path_given_as_a_string_exits_3(tmp_path, capsys, comman
     assert err == "error: bad quiver presentation: relation path 'xy' is not a list of arrow labels\n"
 
 
+@pytest.mark.parametrize("command", ["build", "hh1"])
+@pytest.mark.parametrize("coeff, shown", [(1.5, "1.5"), (True, "True"), ("2", "'2'")], ids=["float", "bool", "string"])
+def test_quiver_relation_coefficient_that_is_no_json_integer_exits_3(tmp_path, capsys, command, coeff, shown):
+    # int(c) read 1.5 and true as 1 and "2" as 2, and built the algebra of that coefficient
+    doc = {"vertices": ["1"], "arrows": [["a", "1", "1"]], "relations": [[[coeff, ["a", "a"]]]]}
+    path = tmp_path / "coefficient.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--kind", "quiver", "--p", "3", "--file", str(path))
+    assert code == 3 and out == ""
+    assert err == f"error: bad quiver presentation: relation coefficient {shown} is not an integer\n"
+
+
 def test_quiver_relation_coefficient_beyond_int64_is_reduced_mod_p(tmp_path, capsys):
     # a coefficient of 10^29 ended in an OverflowError traceback, exit 1
     outs = []

@@ -130,8 +130,7 @@ def test_derivation_space_is_the_d2_canonical_basis():
 
 
 def test_streamed_pivots_do_not_depend_on_the_block_size(monkeypatch):
-    # STREAM_CELLS sizes both the Leibniz row blocks that _span_echelon adds
-    # and the phi(ker) column blocks that _stream_pivots adds
+    # STREAM_CELLS sizes the Leibniz row blocks that _span_echelon adds
     for case in ("smash-3-2-1", "u0borel-3-2", "smash-5-2-1"):
         a = CASES[case]()
         want = d2_derivations(a)

@@ -284,7 +284,7 @@ def test_unit_check_rejects_a_map_that_passes_every_generator():
     assert a.dim > hoch.DENSE_SOLVER_LIMIT and a.generators is not None
     f = np.zeros((a.dim, a.dim), dtype=np.int64)
     f[a.dim - 1, 0] = 1
-    assert not hoch._fails_leibniz(a, f[None], a.generating_set())
+    assert not hoch._LeibnizPlan(a, a.generating_set()).fails(f[None])
     assert hoch._leibniz_failure(a, f[None]) == "produced a map with f(1) != 0"
     assert not hoch.Derivation(a, f).is_derivation()
 

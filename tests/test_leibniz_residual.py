@@ -1,6 +1,6 @@
 """The sparse Leibniz residual, differentially against the two dense paths it replaced.
 
-``hochschild._gen_block_residual`` reads R_s as table terms.  It used to
+``hochschild._LeibnizPlan.residual`` reads R_s as table terms.  It used to
 take a dense R_s and either gather/scatter its columns, when every column
 held at most one nonzero, or contract it in a float64 einsum.  Both live on
 here as oracles.  They build R_s and the left multiplications densely from
@@ -92,6 +92,12 @@ def elements(a, rng):
     return [np.asarray(g, dtype=INT) for g in a.generating_set()] + list(eye) + list(rand)
 
 
+def reduced_residual(a, fstack, s):
+    """The ``_LeibnizPlan`` residual of the stack against s, reduced mod p, as [t, coordinate, i]."""
+    plan = hoch._LeibnizPlan(a, [s])
+    return (plan.residual(plan.block(fstack), 0) % a.p).transpose(2, 0, 1)
+
+
 def stacks(a, rng):
     """Random maps, then the canonical Der basis; the solver's honesty check runs the residual."""
     yield "random", rng.integers(0, a.p, size=(5, a.dim, a.dim))
@@ -106,17 +112,17 @@ def test_residual_matches_the_gather_and_einsum_paths(name, p):
     multi_term = 0
     for kind, fstack in stacks(a, rng):
         for s in elements(a, rng):
-            got = np.asarray(hoch._gen_block_residual(a, fstack, s))
+            got = reduced_residual(a, fstack, s)
             assert got.shape == fstack.shape
             assert np.array_equal(got, residual_by_einsum(a, fstack, s)), (kind, s)
             if column_monomial(dense_right(a, s)) is None:
                 multi_term += 1
             else:
                 assert np.array_equal(got, residual_by_gather(a, fstack, s)), (kind, s)
-            assert got.any() == hoch._fails_leibniz(a, fstack, [s])
+            assert got.any() == hoch._LeibnizPlan(a, [s]).fails(fstack)
             if kind == "der":
                 assert not got.any()
-        assert kind != "random" or hoch._fails_leibniz(a, fstack, list(np.eye(a.dim, dtype=INT)))
+        assert kind != "random" or hoch._LeibnizPlan(a, np.eye(a.dim, dtype=INT)).fails(fstack)
     assert multi_term  # the einsum path, not only the gather, was compared
 
 

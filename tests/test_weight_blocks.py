@@ -3,7 +3,9 @@
 W is the kernel of w_i + w_j = w_k over the table's terms, with every
 generator homogeneous.  Each Leibniz equation involves one weight, so the
 system splits into blocks with disjoint supports, and the blocks' RREF
-kernels sorted by pivot are the RREF kernel of the whole system.
+kernels sorted by pivot are the RREF kernel of the whole system.  phi keeps
+weights too, so each block's vec(F) pivots come from its own cells, and
+sorted they are the pivots of the whole RREF of phi(K).
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from hh1lie import algebras as alg
 from hh1lie import gfp
 from hh1lie import hochschild as hoch
 from hh1lie.errors import Hh1LieError
+from oracles import old_stream_pivots
 
 CASES = {
     "smash321": lambda: alg.smash_product(3, 2, 1)[0],
@@ -25,6 +28,14 @@ CASES = {
     "trivext5": lambda: alg.trivial_extension(alg.quiver_algebra(alg.kronecker_quiver(), 5)),
     "quiver7": lambda: alg.quiver_algebra(alg.tkr_quiver(), 7),
     "gf3^4": lambda: alg.split_semisimple(3, 4),
+}
+
+# more blocks (27 for trunc(3,(1,1,1))), and quiver algebras that name no generators
+PIVOT_CASES = {
+    **CASES,
+    "trunc3-111": lambda: alg.truncated_polynomial(3, (1, 1, 1)),
+    "tkr5": lambda: alg.quiver_algebra(alg.tkr_quiver(), 5),
+    "kronecker7": lambda: alg.quiver_algebra(alg.kronecker_quiver(), 7),
 }
 
 
@@ -52,6 +63,26 @@ def test_block_kernel_equals_the_whole_system_kernel(name):
     assert space.der.basis.shape == oracle.shape
     assert np.array_equal(space.der.basis, oracle)
 
+
+
+@pytest.mark.parametrize("name", PIVOT_CASES)
+def test_block_pivots_and_m_equal_the_lazy_column_stream(name):
+    a = PIVOT_CASES[name]()
+    space = hoch.DerivationSpace(a)
+    pivots, m = old_stream_pivots(space, space.der.basis)
+    assert space.pivots == pivots
+    assert np.array_equal(space._m, m)
+
+
+def test_generator_values_that_phi_merges_raise():
+    # x given twice: phi reads only the first copy's values, so the second
+    # copy's are free unknowns that no Leibniz row meets, and phi maps every
+    # choice of them to the same map
+    a = alg.truncated_polynomial(3, (2,))
+    x = a.generating_set()[0]
+    a._derivation_cache["phi"] = hoch.Extender(a, [x, x])
+    with pytest.raises(Hh1LieError, match="phi maps distinct solved generator values to one map"):
+        hoch.DerivationSpace(a)
 
 def test_an_empty_distinct_row_set_leaves_every_unknown_free():
     a = CASES["trunc3-21"]()
