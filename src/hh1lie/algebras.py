@@ -165,7 +165,9 @@ class Algebra:
         return self._consts
 
     def _scatter(self, size: int, index, coef) -> np.ndarray:
-        return gfp.scatter_add(np.zeros(size, dtype=INT), index, coef) % self.p
+        out = np.zeros(size, dtype=INT)
+        np.add.at(out, index, coef)  # exact in int64; a one-shot sum has no scatter plan to reuse
+        return out % self.p
 
     def mul_vec(self, u, v) -> np.ndarray:
         """Product of two coordinate vectors."""

@@ -189,7 +189,7 @@ def _torus_of_ideal(wit) -> int:
     sub = lielib.structure_on(L, ideal.basis, ideal.coords_rows)
     if L.p**sub.dim <= lielib.ENUM_LIMIT_SLOW:
         torals = lielib._pmap_census(sub)[0]
-        if torals:
+        if len(torals):
             return len(lielib._max_commuting_torus(sub, torals))
     return 0 if lielib._p_nilpotent_rows(L, ideal.basis).all() else -1
 

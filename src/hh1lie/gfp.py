@@ -229,6 +229,30 @@ def rref(a, p: int):
     return a, r, pivots
 
 
+def ranks(stack, p: int) -> np.ndarray:
+    """The rank of every matrix of an (n, r, c) stack, by forward elimination one column at a time.
+
+    A column's pivot in each matrix is its first nonzero row not yet a
+    pivot, and it clears that column from the rows not yet pivots.
+    """
+    a = normalize(stack, p)
+    if a.ndim != 3:
+        raise DimensionMismatch(f"ranks expects an (n, r, c) stack, got shape {a.shape}")
+    n, r, c = a.shape
+    free = np.ones((n, r), dtype=bool)  # rows not yet a pivot
+    inv = np.array([0] + [inv_mod(x, p) for x in range(1, p)], dtype=INT)
+    for j in range(c):
+        live = (a[:, :, j] != 0) & free
+        m = np.flatnonzero(live.any(axis=1))
+        if not m.size:
+            continue
+        top = live[m].argmax(axis=1)
+        free[m, top] = False
+        pivot = a[m, top, j:] * inv[a[m, top, j]][:, None] % p
+        a[m, :, j:] = (a[m, :, j:] - (a[m, :, j] * free[m])[:, :, None] * pivot[:, None]) % p
+    return r - free.sum(axis=1)
+
+
 def row_space(a, p: int) -> np.ndarray:
     """Canonical basis (RREF rows, zero rows dropped) of the row space."""
     red, rank, _ = rref(a, p)

@@ -29,7 +29,6 @@ from .hochschild import HH1Presentation, generator_tables, hh1
 
 ENUM_LIMIT = 10**6
 ENUM_LIMIT_SLOW = 20_000
-TORAL_GRAPH_LIMIT = 5000
 
 
 class RestrictedLie:
@@ -504,7 +503,7 @@ def _pmap_enumeration(L: RestrictedLie):
 
 
 def _pmap_census(L: RestrictedLie):
-    """(toral elements, nullcone count) from one enumeration, both None past its limit.
+    """(toral elements as an (n, dim) array, nullcone count) from one enumeration, both None past its limit.
 
     Built once: the torus certificate and the fingerprint both read it.
     """
@@ -515,10 +514,10 @@ def _pmap_census(L: RestrictedLie):
         else:
             torals, nullcone = [], 0
             for vs, xs, ys in chunks:
-                torals.extend(vs[(xs == ys).all(axis=1) & vs.any(axis=1)])
+                torals.append(vs[(xs == ys).all(axis=1) & vs.any(axis=1)])
                 nullcone += int((~ys.any(axis=1)).sum())
                 del vs, xs, ys  # one chunk alive at a time
-            L._pmap_census = (torals, nullcone)
+            L._pmap_census = (np.vstack(torals), nullcone)
     return L._pmap_census
 
 
@@ -538,20 +537,20 @@ def _max_commuting_torus(L: RestrictedLie, torals) -> list[np.ndarray]:
     It is the first such basis the depth-first search reaches, the least
     in index order: indices increase along a branch, and a span met again
     is not searched twice.  A branch is skipped when its span and its
-    candidates have rank at most len(best), since nothing in it is longer.
-    No prefix of the least basis is skipped, so the result is unchanged.
+    candidates have rank at most len(best), and the branch at a line t when
+    dim C_L(t) is, as a torus holding t lies in C_L(t): nothing in either
+    is longer.  No prefix of the least basis is skipped, so the result is
+    unchanged.  dim C_L(t) is dim - rank ad(t), by ``gfp.ranks`` in chunks
+    of about 2^18 cells; the lines that commute with t are found only for
+    the t that pass.  At worst (every dim C_L(t) above len(best)) that takes
+    the time of an n x n commuting graph, not its memory; ENUM_LIMIT bounds n.
     """
     p, d = L.p, L.dim
     if not len(torals):
         return []
     reps = _projectivize(torals, p)
-    n = len(reps)
-    if n > TORAL_GRAPH_LIMIT:
-        raise Hh1LieError(f"too many toral elements ({n}) for exhaustive certification")
-    # commute[s, t] <=> ad(reps_s) reps_t = 0, in row blocks of about 2^18 bracket entries
-    ads, rows = L.ad(reps).reshape(n * d, d), max(1, (1 << 18) // (n * d)) * d
-    brackets = (matmul(ads[s : s + rows], reps.T, p) for s in range(0, n * d, rows))
-    commute = ~np.vstack([b.reshape(-1, d, n).any(axis=1) for b in brackets])
+    step = max(1, (1 << 18) // (d * d))
+    cdim = d - np.concatenate([gfp.ranks(L.ad(reps[s : s + step]), p) for s in range(0, len(reps), step)])
     best, seen = [], set()
 
     def extend(span: Subspace, chosen, cand):
@@ -568,11 +567,13 @@ def _max_commuting_torus(L: RestrictedLie, torals) -> list[np.ndarray]:
             return
         for pos in np.flatnonzero(outside):
             t, later = cand[pos], cand[pos + 1 :]
-            later = later[commute[t, later]]
+            if cdim[t] <= len(best):
+                continue
+            later = later[~matmul(L.ad(reps[t]), reps[later].T, p).any(axis=0)]
             if span.dim + 1 + len(later) > len(best):  # else even the count bounds the branch
                 extend(span.extend(reps[t]), chosen + [reps[t]], later)
 
-    extend(Subspace.zero(d, p), [], np.arange(n))
+    extend(Subspace.zero(d, p), [], np.arange(len(reps)))
     return best
 
 
@@ -598,11 +599,11 @@ def greedy_maximal_torus(L: RestrictedLie, seed: int = 0, random_rounds: int = 6
 def _torus_report(L: RestrictedLie, seed, random_rounds: int) -> TorusReport:
     p, d = L.p, L.dim
     rng = np.random.default_rng(seed)
-    torus: list[np.ndarray] = []
+    torus, span = [], Subspace.zero(d, p)
 
-    def try_extend() -> bool:
+    def next_toral():
+        """A toral element outside the torus's span, from its centralizer, or None."""
         cent = _centralizer(L, torus)
-        span = Subspace.from_vectors(torus, p, d) if torus else Subspace.zero(d, p)
         draws = [rng.integers(0, p, size=cent.dim) for _ in range(random_rounds)]
         cands = np.vstack([cent.basis, matmul(np.reshape(draws, (random_rounds, cent.dim)), cent.basis, p)])
         cands = cands[span.reduce_rows(cands).any(axis=1)]  # zero draws lie in every span
@@ -610,12 +611,12 @@ def _torus_report(L: RestrictedLie, seed, random_rounds: int) -> TorusReport:
             for env, phi in _p_envelopes(L, cands[s : s + 8]):
                 for t in _toral_fixed_points(L, env, phi):
                     if not span.contains_vector(t):
-                        torus.append(t)
-                        return True
-        return False
+                        return t
+        return None
 
-    while try_extend():
-        pass
+    while (t := next_toral()) is not None:
+        torus.append(t)
+        span = span.extend(t)
 
     status = "greedy-maximal"
     torals = _pmap_census(L)[0]

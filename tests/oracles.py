@@ -246,3 +246,42 @@ def old_stream_pivots(space, ker):
     if len(pivots) < k:
         raise Hh1LieError("phi maps distinct solved generator values to one map")
     return pivots, np.vstack(cols).T if cols else np.zeros((0, 0), dtype=INT)
+
+
+def old_graph_max_commuting_torus(L, torals):
+    """``lie._max_commuting_torus`` as it was with the n x n commuting graph, verbatim but for its size limit.
+
+    commute[s, t] says ad(reps_s) reps_t = 0.  The depth-first search, its
+    ``seen`` spans and its rank bound are those of the package's search.
+    """
+    p, d = L.p, L.dim
+    if not len(torals):
+        return []
+    reps = lielib._projectivize(torals, p)
+    n = len(reps)
+    # commute[s, t] <=> ad(reps_s) reps_t = 0, in row blocks of about 2^18 bracket entries
+    ads, rows = L.ad(reps).reshape(n * d, d), max(1, (1 << 18) // (n * d)) * d
+    brackets = (matmul(ads[s : s + rows], reps.T, p) for s in range(0, n * d, rows))
+    commute = ~np.vstack([b.reshape(-1, d, n).any(axis=1) for b in brackets])
+    best, seen = [], set()
+
+    def extend(span: Subspace, chosen, cand):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen
+        key = span.basis.tobytes()
+        if key in seen:
+            return
+        seen.add(key)
+        resid = span.reduce_rows(reps[cand])
+        outside = resid.any(axis=1)
+        if span.dim + rref(resid[outside], p)[1] <= len(best):
+            return
+        for pos in np.flatnonzero(outside):
+            t, later = cand[pos], cand[pos + 1 :]
+            later = later[commute[t, later]]
+            if span.dim + 1 + len(later) > len(best):  # else even the count bounds the branch
+                extend(span.extend(reps[t]), chosen + [reps[t]], later)
+
+    extend(Subspace.zero(d, p), [], np.arange(n))
+    return best

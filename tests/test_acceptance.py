@@ -94,7 +94,7 @@ def test_criterion_06_witness_ideal(ctx3):
     # ideal, p-nilpotent, no toral elements (3^6 = 729 checked exhaustively)
     sub = lielib.structure_on(wit.lie, wit.n_ideal.basis, wit.n_ideal.coords_rows)
     torals = lielib._pmap_census(sub)[0]
-    assert torals == []
+    assert len(torals) == 0
     for v in wit.n_ideal.basis:
         assert is_p_nilpotent_element(wit.lie, v)
     assert lielib.same_fingerprint(wit.quotient, lielib.witt(3, 1))

@@ -409,6 +409,26 @@ def test_extend_matches_the_rref_of_the_whole_stack(p):
                 start.extend(np.zeros(n + 1, dtype=np.int64))
 
 
+@pytest.mark.parametrize("p", [3, 7, 317])
+def test_ranks_match_rref_matrix_by_matrix(p):
+    rng = np.random.default_rng(500 + p)
+    for rows, cols in [(1, 1), (4, 4), (3, 7), (7, 3), (9, 9), (0, 5), (5, 0)]:
+        ranks = rng.integers(0, min(rows, cols) + 1, 30)
+        stack = [sparse_low_rank(rng, p, rows, cols, int(r)) for r in ranks]
+        stack += [
+            np.zeros((rows, cols), dtype=np.int64),
+            np.eye(rows, cols, dtype=np.int64) * int(rng.integers(1, p)),  # full rank, pivot not 1
+            rng.integers(0, p, (rows, cols)) + p * rng.integers(-3, 3, (rows, cols)),  # not reduced mod p
+        ]
+        if rows and cols:
+            stack.append(np.eye(rows, cols, dtype=np.int64)[rng.permutation(rows)])  # pivots out of row order
+        got = gfp.ranks(np.stack(stack), p)
+        assert got.tolist() == [rref(m, p)[1] for m in stack], (rows, cols)
+    assert gfp.ranks(np.zeros((0, 3, 4), dtype=np.int64), p).shape == (0,)
+    with pytest.raises(DimensionMismatch):
+        gfp.ranks(np.zeros((3, 4), dtype=np.int64), p)
+
+
 def old_kernel(a, p):
     """gfp.kernel as it was: a Python loop over free x pivot columns, then the RREF."""
     a = gfp.normalize(a, p)

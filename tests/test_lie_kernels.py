@@ -13,7 +13,7 @@ from hh1lie import hochschild as hoch
 from hh1lie import lie as lielib
 from hh1lie.errors import Hh1LieError
 from hh1lie.gfp import INT, Subspace
-from oracles import bracket_vec, old_p_envelope
+from oracles import bracket_vec, old_graph_max_commuting_torus, old_p_envelope
 
 
 def hh1_lie(algebra):
@@ -446,13 +446,14 @@ def test_torus_search_returns_the_rebuilt_torus(name):
     L = TORUS_CASES[name]()
     torals = lielib._pmap_census(L)[0]
     assert torals is not None
-    if torals:
+    if len(torals):
         reps = lielib._projectivize(torals, L.p)
         assert [r.tolist() for r in reps] == [r.tolist() for r in old_projectivize(torals, L.p)]
     got = lielib._max_commuting_torus(L, torals)
     dim = old_max_commuting_toral_dim(L, torals)
     assert len(got) == dim
     assert [t.tolist() for t in got] == [t.tolist() for t in old_rebuild_torus(L, torals, dim)]
+    assert [t.tolist() for t in got] == [t.tolist() for t in old_graph_max_commuting_torus(L, torals)]
     report = lielib.greedy_maximal_torus(L)
     assert report.dim == dim and report.maximality_status == "exhaustively-certified"
     assert all(c == {"toral": True, "commutes": True} for c in report.certificates)
@@ -464,6 +465,31 @@ def test_toral_line_counts_of_the_pruned_cases():
         torals = lielib._pmap_census(L)[0]
         assert len(old_projectivize(torals, L.p)) == lines
         assert len(lielib._max_commuting_torus(L, torals)) == mu
+
+
+def diagonal_units(p, d):
+    """The abelian Lie algebra of the d diagonal matrix units: every nonzero element is toral."""
+    mats = np.zeros((d, d, d), dtype=INT)
+    mats[np.arange(d), np.arange(d), np.arange(d)] = 1
+    return lielib.lie_from_matrices(p, mats, [f"e{i}" for i in range(d)])
+
+
+def test_centralizer_search_matches_the_commuting_graph_on_the_diagonal_units():
+    L = diagonal_units(3, 8)
+    torals = lielib._pmap_census(L)[0]
+    assert len(lielib._projectivize(torals, L.p)) == (3**8 - 1) // 2 == 3280
+    got = lielib._max_commuting_torus(L, torals)
+    assert len(got) == 8
+    assert [t.tolist() for t in got] == [t.tolist() for t in old_graph_max_commuting_torus(L, torals)]
+
+
+def test_a_torus_past_the_commuting_graph_limit_is_certified():
+    # 9,841 toral lines, where the n x n commuting graph stopped at 5,000
+    L = diagonal_units(3, 9)
+    assert len(lielib._projectivize(lielib._pmap_census(L)[0], L.p)) == 9841
+    report = lielib.greedy_maximal_torus(L)
+    assert report.dim == 9 and report.maximality_status == "exhaustively-certified"
+    assert all(c == {"toral": True, "commutes": True} for c in report.certificates)
 
 
 def sequential_greedy_torus(L, seed=0, random_rounds=60):

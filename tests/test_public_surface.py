@@ -21,7 +21,7 @@ RETIRED = {
         "_gen_block_residual",
         "DerivationSpace._stream_pivots",
     ),
-    "lie": ("element_analysis", "is_p_nilpotent_element", "RestrictedLie.bracket_vec"),
+    "lie": ("element_analysis", "is_p_nilpotent_element", "RestrictedLie.bracket_vec", "TORAL_GRAPH_LIMIT"),
     "gfp": ("Subspace.intersection", "Subspace.quotient_basis", "Subspace.coords", "Subspace.to_json_dict"),
     "algebras": ("Algebra.mult_terms", "Algebra.basis_left_matrix", "Algebra.basis_right_matrix"),
     "errors": ("AlgebraMismatch",),
