@@ -8,10 +8,13 @@ algebra with relations t x = x t + x), together with center, commutator /
 radical checks, block decomposition and the symmetric-form search.  The
 smash, truncated and u0(b) constructors name the paper's generators
 (``Algebra.generators``); how each basis element is reached from them is
-derived from the table in ``hochschild``.
+derived from the table in ``hochschild``.  The smash constructor also names
+its complete set of orthogonal idempotents E = {u_lambda}
+(``Algebra.idempotents``); every other algebra carries E = {1}.
 
 Every constructed algebra is validated: associativity on all basis
-triples and the two-sided unit law on all basis elements.
+triples, the two-sided unit law on all basis elements, and that E is
+orthogonal, sums to 1 and splits the basis (``Algebra.peirce``).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import (
     AssociativityViolation,
     CounitViolation,
     DimensionMismatch,
+    IdempotentViolation,
     InfiniteDimensionalQuotient,
     JsonFormatError,
     NonSplitCenter,
@@ -104,7 +108,8 @@ class Algebra:
     constants, arrays (i, j, k, c) with one entry per term e_i e_j = ... + c e_k,
     sorted by (i, j, k), and every product reads them.  ``mult`` is the four
     arrays of raw terms, where terms on one (i, j, k) are summed mod p, or maps
-    a basis pair (i, j) to a tuple of (k, c) terms.
+    a basis pair (i, j) to a tuple of (k, c) terms.  ``idempotents`` is the set
+    E that derivations are solved relative to, (unit,) unless given.
     """
 
     def __init__(
@@ -118,6 +123,7 @@ class Algebra:
         name=None,
         descriptor=None,
         generators=None,
+        idempotents=None,
         validate=True,
     ):
         self.p = check_prime(p)
@@ -129,6 +135,7 @@ class Algebra:
         self.name = name or f"algebra(dim={self.dim},p={self.p})"
         self.descriptor = descriptor
         self.generators = generators
+        self.idempotents = (self.unit,) if idempotents is None else tuple(normalize(e, self.p) for e in idempotents)
         self._consts = self._constants(mult)
         self.radical_gens = (
             None
@@ -231,11 +238,70 @@ class Algebra:
         """The generators derivations are solved and checked on: the algebra's own, or every basis vector."""
         return self.generators or tuple(np.eye(self.dim, dtype=INT))
 
+    @functools.cached_property
+    def peirce(self) -> np.ndarray:
+        """(left, right): basis vector e_b lies in e_left[b] A e_right[b], for E = ``idempotents``; checked once.
+
+        E must sum to 1, be orthogonal idempotents, e_s e_t = delta_st e_s,
+        and split the basis: e_s e_b is e_b for one s and 0 for the others,
+        and so is e_b e_t for one t.  The products e_s e_b and e_b e_s are
+        summed from the table terms on the support of e_s, and e_s e_t from
+        them.  With E = {1} every basis vector lies in 1 A 1.
+        """
+        d, p, m = self.dim, self.p, len(self.idempotents)
+        if m == 1:
+            return np.zeros((2, d), dtype=INT)
+        e = np.stack(self.idempotents)
+        if not np.array_equal(e.sum(axis=0) % p, self.unit):
+            raise IdempotentViolation("the idempotents do not sum to 1")
+        es, eb = np.nonzero(e)  # the entries of E, by idempotent
+        ev, by_b = e[es, eb], np.argsort(eb, kind="stable")
+        i, j, k, c = self._consts
+        by_j = np.argsort(j, kind="stable")
+        q, n = gfp.expand(eb, np.searchsorted(i, np.arange(d + 1)))  # e_s e_b from the terms (i, b), i in supp e_s
+        left = gfp.merge((es[q] * d + j[n]) * d + k[n], ev[q] * c[n], p)
+        q, n = gfp.expand(eb, np.searchsorted(j[by_j], np.arange(d + 1)))  # e_b e_s from the terms (b, j)
+        right = gfp.merge((es[q] * d + i[by_j[n]]) * d + k[by_j[n]], ev[q] * c[by_j[n]], p)
+        # e_s e_t = sum over b of e_t[b] e_s e_b
+        s, b, to = left[0] // (d * d), left[0] // d % d, left[0] % d
+        q, at = gfp.expand(b, np.searchsorted(eb[by_b], np.arange(d + 1)))
+        key, val = gfp.merge((s[q] * m + es[by_b[at]]) * d + to[q], left[1][q] * ev[by_b[at]], p)
+        if not (np.array_equal(key, (es * m + es) * d + eb) and np.array_equal(val, ev)):
+            raise IdempotentViolation("the idempotents are not orthogonal idempotents")
+        sides = np.zeros((2, d), dtype=INT)
+        for side, (key, val) in enumerate((left, right)):
+            s, b, to = key // (d * d), key // d % d, key % d
+            wrong = np.bincount(b[(to != b) | (val != 1)], minlength=d) + (np.bincount(b, minlength=d) != 1)
+            if wrong.any():
+                b0 = int(np.argmax(wrong > 0))
+                raise IdempotentViolation(f"basis element {b0} ({self.labels[b0]}) lies in no e_i A e_j")
+            sides[side, b] = s
+        return sides
+
+    @functools.cached_property
+    def without_idempotents(self) -> "Algebra":
+        """This table carrying E = {1}: the same algebra, whose derivation solve is all of Der."""
+        if len(self.idempotents) == 1:
+            return self
+        return Algebra(
+            self.p,
+            self.labels,
+            self._consts,
+            self.unit,
+            radical_gens=self.radical_gens,
+            counit=self.counit,
+            name=self.name,
+            descriptor=self.descriptor,
+            generators=self.generators,
+            validate=False,
+        )
+
     # -- validation ---------------------------------------------------------
 
     def validate(self):
         self._validate_unit()
         self._validate_assoc()
+        self.peirce  # raises IdempotentViolation on a set E that does not split A
         if self.counit is not None:
             self._validate_counit()
 
@@ -298,7 +364,7 @@ class Algebra:
         short = supp[np.bincount(on_supp // d, minlength=d)[supp] < supp.size]
         if short.size:
             r = short[0]
-            bad = np.r_[bad, r * d + np.setdiff1d(supp, on_supp[on_supp // d == r] % d)[0]]
+            bad = np.r_[bad, r * d + supp[~np.isin(supp, on_supp[on_supp // d == r] % d)][0]]
         if bad.size:
             r, s = divmod(int(bad.min()), d)
             raise CounitViolation(f"counit not multiplicative at ({r}, {s})")
@@ -488,6 +554,7 @@ def smash_product(p, n, r) -> tuple[Algebra, SmashDescriptor]:
         name=f"smash(p={p},n={n},r={r})",
         descriptor=desc,
         generators=desc.generators,
+        idempotents=desc.generators[:nc],
     )
     return alg, desc
 
@@ -672,7 +739,7 @@ def quiver_algebra(q: QuiverPresentation, p) -> Algebra:
 
     basis, forms = [], {}  # forms: each path's basis offset and coordinates, modulo its I_n
     for paths, ideal in degrees:
-        free = np.setdiff1d(np.arange(len(paths)), ideal.pivots)
+        free = gfp.complement(len(paths), ideal.pivots)
         coords = ideal.reduce_rows(np.eye(len(paths), dtype=INT))[:, free]
         forms.update((pth, (len(basis), row)) for pth, row in zip(paths, coords))
         basis += [paths[f] for f in free]

@@ -74,6 +74,7 @@ class SuiteContext:
             name=a.name + "+fault",
             descriptor=desc,
             generators=a.generators,
+            idempotents=a.idempotents,
             validate=False,
         )
         return bad, desc
@@ -90,6 +91,10 @@ class SuiteContext:
 
     def smash_hh1(self, n, r):
         return self.hh1_of((self.p, "smash", n, r), lambda: self.smash(n, r)[0])
+
+    def whole_smash_hh1(self, n, r):
+        """hh1 of smash(n, r) solved with E = {1}: all of Der, for the checks that draw from it."""
+        return self.hh1_of((self.p, "smash-whole", n, r), lambda: self.smash(n, r)[0].without_idempotents)
 
     def weight_derivations(self, n, r) -> dict:
         """g_(lambda, j) of smash(n, r) by (lambda, j), each built and validated once.
@@ -306,13 +311,19 @@ def _criterion3_params(p):
 
 
 def check_lemma_3_3(ctx: SuiteContext) -> dict:
-    """Every derivation is inner plus a combination of the weight derivations."""
+    """Every derivation is inner plus a combination of the weight derivations.
+
+    Read relative to E = {u_lambda}: Der = Der_E + IDer with Der_E cap IDer =
+    ad(C), and the weight derivations lie in Der_E, so IDer and them span Der
+    iff ad(C) and them span Der_E, and the span has dimension dim IDer plus
+    their rank modulo ad(C).
+    """
     p = ctx.p
     detail = {}
     for n, r in _criterion3_params(p):
         h = ctx.smash_hh1(n, r)
         g_mats = np.stack([g.matrix for g in ctx.weight_derivations(n, r).values()])
-        # g is injective on Der, so ranks in generator coordinates are the ranks of the maps
+        # g is injective on Der_E, so ranks in generator coordinates are the ranks of the maps
         resid = h.space.inner()[2].reduce_rows(h.space.gen_coords(g_mats))
         _, extra, _ = gfp.rref(resid, p)
         span_dim = h.dim_ider + extra
@@ -330,7 +341,7 @@ def check_lemma_3_4(ctx: SuiteContext) -> dict:
         a, desc = ctx.smash(n, r)
         xvec = desc.x_vector()
         count = 0
-        # named_outers built each g and raised if the Leibniz rule failed
+        # each g is a validated derivation: lambda = 0 in the solved space, the rest by named_outers
         for (lam, j), g in ctx.weight_derivations(n, r).items():
             for mu in range(desc.n_chars):
                 if g(gfp.basis_vector(a.dim, desc.index(mu, 0))).any():
@@ -346,8 +357,11 @@ def check_lemma_3_4(ctx: SuiteContext) -> dict:
 def check_lemma_3_5(ctx: SuiteContext) -> dict:
     """H = {g_(0,j)} is a complement of IDer in Der, with the expected size.
 
-    Read off the generator-coordinate spaces of the presentation.  Also
-    confirms that g_(0,j) - g_(i alpha,j) is inner for every i.
+    Read off the generator-coordinate spaces of the presentation, Der_E and
+    ad(C) = Der_E cap IDer: H lies in Der_E, and Der = Der_E + IDer, so H
+    complements IDer in Der iff it complements ad(C) in Der_E.  Also
+    confirms that g_(0,j) - g_(i alpha,j), which lies in Der_E, is inner,
+    that is, lies in ad(C), for every i.
     """
     p = ctx.p
     detail = {}
@@ -595,25 +609,23 @@ def check_thm_4_2_mu(ctx: SuiteContext) -> dict:
 
 
 def check_properties(ctx: SuiteContext) -> dict:
-    """Seeded property suites, 100 trials each."""
+    """Seeded property suites, 100 trials each, on all of Der (the solve with E = {1})."""
     p = ctx.p
     rng = np.random.default_rng(ctx.seed)
-    sm, _ = ctx.smash(2, 1)
-    h = ctx.smash_hh1(2, 1)
-    space = h.space
+    h = ctx.whole_smash_hh1(2, 1)
+    sm, space = h.algebra, h.space
     trials = 100
     d = sm.dim
     # closure under bracket and p-th power, and [f, ad a] = ad f(a); coefficients
     # are drawn up front, maps built and validated 8 trials at a time to bound
-    # memory, on one set of Leibniz plans
+    # memory, on the algebra's one set of Leibniz plans
     c1 = rng.integers(0, p, size=(trials, h.dim_der))
     c2 = rng.integers(0, p, size=(trials, h.dim_der))
-    plans = hoch._leibniz_plans(sm)
     for s in range(0, trials, 8):
         fs = space.matrices(gfp.matmul(c1[s : s + 8], space.basis, p))
         gs = space.matrices(gfp.matmul(c2[s : s + 8], space.basis, p))
         brs = (gfp.matmul(fs, gs, p) - gfp.matmul(gs, fs, p)) % p
-        failure = hoch._leibniz_failure(sm, np.vstack([brs, gfp.mat_pow(fs, p, p)]), plans)
+        failure = hoch._leibniz_failure(sm, np.vstack([brs, gfp.mat_pow(fs, p, p)]))
         if failure:
             prop = "closure (unit value)" if "f(1)" in failure else "closure under bracket / p-power"
             raise CheckFailure({"property": prop})

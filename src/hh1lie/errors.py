@@ -21,6 +21,10 @@ class UnitViolation(Hh1LieError):
         super().__init__(f"unit law fails on basis element {i}")
 
 
+class IdempotentViolation(Hh1LieError):
+    """The idempotents an algebra carries are not a complete orthogonal set splitting its basis."""
+
+
 class CounitViolation(Hh1LieError):
     """The supplied counit is not an algebra map onto GF(p)."""
 

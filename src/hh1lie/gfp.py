@@ -85,6 +85,13 @@ def basis_vector(dim: int, i: int) -> np.ndarray:
     return v
 
 
+def complement(n: int, idx) -> np.ndarray:
+    """The sorted indices 0 <= i < n that are not in idx (by a mask: np.setdiff1d imports numpy.ma)."""
+    keep = np.ones(n, dtype=bool)
+    keep[np.asarray(idx, dtype=INT)] = False
+    return np.flatnonzero(keep)
+
+
 def inv_mod(x: int, p: int) -> int:
     return pow(int(x) % p, -1, p)
 
@@ -265,7 +272,7 @@ def kernel(a, p: int) -> np.ndarray:
     if a.ndim != 2:
         raise DimensionMismatch("kernel expects a 2d array")
     red, rank, pivots = rref(a, p)
-    free = np.setdiff1d(np.arange(a.shape[1]), pivots)
+    free = complement(a.shape[1], pivots)
     basis = np.zeros((free.size, a.shape[1]), dtype=INT)
     basis[:, pivots] = -red[:rank, free].T % p
     basis[np.arange(free.size), free] = 1
@@ -423,7 +430,7 @@ class Subspace:
         and ``coords_rows`` maps a stack of vectors to their classes'
         coordinates, the residuals on those columns.
         """
-        free = np.setdiff1d(np.arange(self.ambient), self.pivots)
+        free = complement(self.ambient, self.pivots)
         return np.eye(self.ambient, dtype=INT)[free], lambda rows: self.reduce_rows(rows)[:, free]
 
 

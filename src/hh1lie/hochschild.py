@@ -1,34 +1,49 @@
 """Derivations, inner derivations and the first Hochschild cohomology.
 
-HH1(A, A) is realized as Der(A)/IDer(A).  Derivations are solved exactly
-as the null space of the Leibniz system f(e_i e_j) = f(e_i) e_j + e_i f(e_j).
-The unknowns are the values of f on the algebra's generators, or on every
-basis vector when it names none.  f is phi of them: ``Extender`` (phi)
-derives from the table how each basis element is reached from the
-generators, and is the only code that extends a map from generator
-values.  The solver enforces f(1) = 0 together
-with the pairs (e_i, s) for every basis element e_i and generator s, which
-implies the full system: by induction on word length, f(a w s) =
-f(a w) s + a w f(s) extends Leibniz from words w to w s.  The system is
-built sparse in int64 and deduplicated.  Its kernel is taken one weight of
-the diagonal torus at a time: the weights W grade A with every generator
-homogeneous, each equation involves one weight, and the blocks' kernels
-sorted by pivot are the whole system's RREF kernel.  phi keeps weights, so
-the same loop reads Der's d^2 RREF pivots on each block's own vec(F) cells.
-``_leibniz_failure`` is the only Leibniz checker.  It builds each
-residual F(e_i s) - F(e_i) s - e_i F(s) in place from scatter plans made
-once per check (``_LeibnizPlan``), in exact integers, and reduces only the
+HH1(A, A) is realized as Der_E(A)/ad(C), relative to the complete set E of
+orthogonal idempotents the algebra carries (``Algebra.idempotents``): Der_E
+is the derivations that vanish on E and C = sum_i e_i A e_i.  E is
+separable, so Der = Der_E + IDer with Der_E cap IDer = ad(C), and the
+quotients agree as restricted Lie algebras (Gerstenhaber-Schack, J. Pure
+Appl. Algebra 43, 1986; Happel, LNM 1404, 1989).  The reported dimensions
+follow: dim Der = dim Der_E + d - dim C, and dim IDer = d - dim Z(A), where
+Z(A), inside C, is the kernel of ad on C.  With E = {1}, C = A and this is
+Der(A)/IDer(A) itself; smash products carry E = {u_lambda}.
+
+Derivations are solved exactly as the null space of the Leibniz system
+f(e_i e_j) = f(e_i) e_j + e_i f(e_j).  The unknowns are the values of f on
+the algebra's generators, or on every basis vector when it names none,
+restricted relative to E: a generator in E gets none (f(u_lambda) = 0),
+and the value on any other generator lies in W, the blocks e_s A e_t that
+the generators outside E meet (x splits into its parts u_lambda x, and W
+is the sum of their blocks u_lambda A u_(lambda - 1)).  f is phi of them:
+``Extender`` (phi) derives from the table how each basis element is
+reached from the generators, and is the only code that extends a map from
+generator values.  The solver enforces f(1) = 0 together with the pairs
+(e_i, s) for every basis element e_i and generator s, which implies the
+full system: by induction on word length, f(a w s) = f(a w) s + a w f(s)
+extends Leibniz from words w to w s.  The system is built sparse in int64
+and deduplicated.  Its kernel is taken one weight of the diagonal torus at
+a time: the torus weights grade A with every generator homogeneous, each
+equation involves one weight, and the blocks' kernels sorted by pivot are
+the whole system's RREF kernel.  phi keeps weights, so the same loop reads
+Der_E's d^2 RREF pivots on each block's own vec(F) cells.
+``_leibniz_failure`` is the only Leibniz checker.  It builds each residual
+F(e_i s) - F(e_i) s - e_i F(s) in place from scatter plans made once per
+algebra (``_LeibnizPlan``), in exact integers, and reduces only the
 nonzero entries mod p.
 
-Der, IDer, the complement and the HH1 tables stay in the solver's
-coordinates, the values on the generators (|S| d numbers per map, against
-d^2 for the matrix).  d x d matrices are built only for the complement
-representatives, a block at a time for the checks, and on request.
+Der_E, ad(C), the complement and the HH1 tables stay in the solver's
+coordinates, the values on the generators (at most |S| d numbers per map,
+against d^2 for the matrix).  The tables read the representatives only on
+W, the span of the basis vectors those values reach, which every map in
+Der_E keeps; d x d matrices are built a block at a time for the checks,
+for IDer when E = {1}, and on request.
 
 For smash-product algebras the distinguished outer derivations (zero on
 every idempotent u_lambda, sending x to u_lambda x^(j p^r + 1), built as
 phi of those values) and the inner derivations ad(u_lambda x^j) are
-available by name, and the complement of IDer inside Der is the span of
+available by name, and the complement of ad(C) inside Der_E is the span of
 the weight derivations with lambda = 0, cross-validated against the
 pivot-chosen complement.
 """
@@ -150,17 +165,21 @@ def _nonzero_mod(res: np.ndarray, p: int) -> bool:
 # (row, column, coefficient), reduced mod p before any two are multiplied.
 
 
-def _phi(a: Algebra, gens: np.ndarray):
+def _phi(a: Algebra, gens: np.ndarray, slots: np.ndarray):
     """phi as triplets (vec(F) index, unknown, coefficient), sorted, and its steps.
 
-    The steps (target, parent, t) are found breadth-first from the table.  A
-    generator g_t that is a basis vector e_k gives F(e_k) = v_t.  A one-term
-    product e_parent g_t = e_target, taken the first time the target is
-    reached, gives F(e_target) = R_(g_t) F(e_parent) + L_parent v_t.  F is
-    zero on a lone unit, and any other basis element left unreached raises.
+    The unknowns are the value coordinates t * d + b listed in ``slots``, in
+    order; every other value coordinate is zero.  The steps (target, parent,
+    t) are found breadth-first from the table.  A generator g_t that is a
+    basis vector e_k gives F(e_k) = v_t.  A one-term product e_parent g_t =
+    e_target, taken the first time the target is reached, gives F(e_target)
+    = R_(g_t) F(e_parent) + L_parent v_t.  F is zero on a lone unit, and any
+    other basis element left unreached raises.
     """
     d, p = a.dim, a.p
-    nv = gens.shape[0] * d
+    unknown = np.full(gens.shape[0] * d, -1)  # the unknown of each value coordinate, -1 off the slots
+    unknown[slots] = np.arange(slots.size)
+    nv = max(slots.size, 1)
     ci, cj, ck, cc = a.structure_constants()
     lptr = np.searchsorted(ci, np.arange(d + 1))  # e_parent e_b = c e_k, by parent
     right = []  # R_g by columns: R_g[x, b] for x in rows[ptr[b] : ptr[b + 1]]
@@ -180,7 +199,8 @@ def _phi(a: Algebra, gens: np.ndarray):
     for t, g in enumerate(gens):
         k = np.flatnonzero(g)
         if k.size == 1 and g[k[0]] == 1 and cols[k[0]] is None:
-            cols[k[0]] = (np.arange(d), t * d + np.arange(d), np.ones(d, dtype=INT))
+            on = np.flatnonzero(unknown[t * d : (t + 1) * d] >= 0)
+            cols[k[0]] = (on, unknown[t * d + on], np.ones(on.size, dtype=INT))
             queue.append(int(k[0]))
     unit = np.flatnonzero(a.unit)
     if unit.size == 1 and cols[unit[0]] is None:
@@ -193,9 +213,11 @@ def _phi(a: Algebra, gens: np.ndarray):
             ptr, r_rows, r_vals = right[t]
             term, pos = gfp.expand(rows, ptr)
             lo, hi = lptr[parent], lptr[parent + 1]
+            u = unknown[t * d + cj[lo:hi]]
+            on = u >= 0
             key, val = gfp.merge(
-                np.concatenate([r_rows[pos] * nv + unk[term], ck[lo:hi] * nv + t * d + cj[lo:hi]]),
-                np.concatenate([r_vals[pos] * val[term], cc[lo:hi]]),
+                np.concatenate([r_rows[pos] * nv + unk[term], ck[lo:hi][on] * nv + u[on]]),
+                np.concatenate([r_vals[pos] * val[term], cc[lo:hi][on]]),
                 p,
             )
             cols[target] = (key // nv, key % nv, val)
@@ -217,24 +239,28 @@ class Extender:
     """phi along a generating set: rows of generator values to the d x d maps they extend to.
 
     The only code that extends a map from its values on generators: the
-    derivation solver, the weight derivations of ``named_outers`` and the
-    monomial derivations of the Proposition 2.2 witness all go through it.
-    It reads only the generators and the table, never a solved Der(A).
-    phi(v) is a derivation iff v extends to one; ``_leibniz_failure`` decides.
+    derivation solver, the named complement, the weight derivations of
+    ``named_outers`` and the monomial derivations of the Proposition 2.2
+    witness all go through it.  It reads only the generators and the table,
+    never a solved Der(A).  The unknowns are the value coordinates t * d + b
+    in ``slots`` (every one by default); phi(v) is a derivation iff v extends
+    to one, and ``_leibniz_failure`` decides.
     """
 
-    def __init__(self, a: Algebra, gens):
+    def __init__(self, a: Algebra, gens, slots=None):
         d, p = a.dim, a.p
         self.algebra, self.p = a, p
         self.gens = np.stack([normalize(g, p).reshape(-1) for g in gens])
-        self.nv = self.gens.shape[0] * d
-        self.triplets, self.steps = _phi(a, self.gens)
+        self.width = self.gens.shape[0] * d  # every value coordinate
+        self.slots = np.arange(self.width) if slots is None else np.asarray(slots, dtype=INT)
+        self.nv = self.slots.size
+        self.triplets, self.steps = _phi(a, self.gens, self.slots)
         fe, unk, val = self.triplets
         # phi by layers: layer t holds the t-th term of every vec(F) entry phi reaches
         start = np.flatnonzero(np.r_[True, fe[1:] != fe[:-1]]) if fe.size else fe
         term = np.arange(fe.size) - np.repeat(start, np.diff(np.r_[start, fe.size]))
         self._reached = fe[start]
-        self._unreached = np.setdiff1d(np.arange(d * d), self._reached)
+        self._unreached = gfp.complement(d * d, self._reached)
         self._layers = [
             (np.searchsorted(self._reached, fe[sel]), unk[sel], val[sel])
             for sel in (term == t for t in range(int(term.max(initial=0)) + 1))
@@ -258,11 +284,32 @@ class Extender:
         out[self._reached] = self._phi_reached(rows)
         return np.ascontiguousarray(out.T).reshape(-1, d, d)
 
+    def columns(self, rows, cols) -> np.ndarray:
+        """phi of each row of generator values on the basis vectors ``cols`` (sorted) only: (n, d, |cols|)."""
+        d, rows = self.algebra.dim, np.asarray(rows).reshape(-1, self.nv)
+        if len(cols) == d:
+            return self.matrices(rows)
+        fe, unk, val = self.triplets
+        at = np.full(d, -1)
+        at[cols] = np.arange(len(cols))
+        on = np.flatnonzero(at[fe % d] >= 0)
+        out = np.zeros((d * len(cols), rows.shape[0]), dtype=INT)
+        gfp.scatter_add(out, fe[on] // d * len(cols) + at[fe[on] % d], val[on], np.ascontiguousarray(rows.T), unk[on])
+        return np.ascontiguousarray(out.T % self.p).reshape(-1, d, len(cols))
+
     def gen_coords(self, mats) -> np.ndarray:
-        """g(F) = (F s)_s for each map F of a stack, as rows of nv values."""
+        """g(F) = (F s)_s for each map F of a stack, on the slots: rows of nv values."""
         d = self.algebra.dim
         vals = matmul(np.asarray(mats).reshape(-1, d, d), self.gens.T, self.p)
-        return np.ascontiguousarray(vals.transpose(0, 2, 1)).reshape(-1, self.nv)
+        vals = np.ascontiguousarray(vals.transpose(0, 2, 1)).reshape(-1, self.width)
+        return vals if self.nv == self.width else vals[:, self.slots]
+
+    def slot(self, t: int, b: int) -> int:
+        """The unknown holding coordinate b of the value on generator t; raises if it is no slot."""
+        at = int(np.searchsorted(self.slots, t * self.algebra.dim + b))
+        if at == self.nv or self.slots[at] != t * self.algebra.dim + b:
+            raise Hh1LieError(f"coordinate {b} of the value on generator {t} is not an unknown")
+        return at
 
     def is_phi_of(self, mats, rows) -> bool:
         """Whether the maps (entries reduced mod p) equal phi(rows), a block at a time."""
@@ -276,10 +323,33 @@ class Extender:
         return True
 
 
+def _relative_slots(a: Algebra, gens: np.ndarray):
+    """The value coordinates t * d + b of the unknowns relative to E = ``a.idempotents``; None for E = {1}.
+
+    A generator in E gets none, since F vanishes on E.  Every other
+    generator gets the basis vectors b of W, the blocks e_s A e_t that the
+    generators outside E meet.  For F in Der_E, F(e_s g e_t) = e_s F(g) e_t,
+    so F(g) lies in the blocks g meets, and the Leibniz pairs with E keep
+    the rest of W at zero.  Der_E is then the kernel of the Leibniz system
+    in these unknowns, provided every idempotent is a generator (checked).
+    """
+    if len(a.idempotents) == 1:
+        return None
+    d = a.dim
+    left, right = a.peirce
+    block = left * d + right
+    in_e = np.array([any(np.array_equal(g, e) for e in a.idempotents) for g in gens])
+    if not all(any(np.array_equal(g, e) for g in gens) for e in a.idempotents):
+        raise Hh1LieError("every idempotent of E must be a generator")
+    window = np.flatnonzero(np.isin(block, block[gens[~in_e].any(axis=0)]))
+    return (np.flatnonzero(~in_e)[:, None] * d + window).ravel()
+
+
 def extender(a: Algebra) -> Extender:
-    """phi along ``a.generating_set()``, built once per algebra and cached on it."""
+    """phi along ``a.generating_set()``, relative to ``a.idempotents``, built once per algebra and cached on it."""
     if "phi" not in a._derivation_cache:
-        a._derivation_cache["phi"] = Extender(a, a.generating_set())
+        gens = np.stack([normalize(g, a.p).reshape(-1) for g in a.generating_set()])
+        a._derivation_cache["phi"] = Extender(a, gens, _relative_slots(a, gens))
     return a._derivation_cache["phi"]
 
 
@@ -327,8 +397,10 @@ def _distinct_rows(keys: np.ndarray, vals: np.ndarray, nv: int, p: int):
     code = col * p + vals * np.repeat(inv[which], lengths) % p
     empty = np.zeros(0, dtype=INT)
     rows, codes, n = [empty], [empty], 0
-    for length in np.unique(lengths):
-        block = np.unique(code[start[lengths == length][:, None] + np.arange(length)], axis=0)
+    for length in np.flatnonzero(np.bincount(lengths)):
+        block = code[start[lengths == length][:, None] + np.arange(length)]
+        block = block[np.lexsort(block.T[::-1])]  # sorted as rows, then the repeats dropped
+        block = block[np.r_[True, (block[1:] != block[:-1]).any(axis=1)]]
         rows.append(np.repeat(np.arange(n, n + block.shape[0]), length))
         codes.append(block.ravel())
         n += block.shape[0]
@@ -437,21 +509,24 @@ def _leibniz_plans(a: Algebra):
     """The plans ``_leibniz_failure`` checks: ``a.generating_set()``, then every basis vector or None.
 
     The second is built only for named generators when d <= DENSE_SOLVER_LIMIT,
-    and it shares the first's table plan.
+    and it shares the first's table plan.  Both are built once per algebra
+    and cached on it.
     """
-    gens = _LeibnizPlan(a, a.generating_set())
-    if a.generators is None or a.dim > DENSE_SOLVER_LIMIT:
-        return gens, None
-    return gens, _LeibnizPlan(a, np.eye(a.dim, dtype=INT), gens.table)
+    if "plans" not in a._derivation_cache:
+        gens, pairs = _LeibnizPlan(a, a.generating_set()), None
+        if a.generators is not None and a.dim <= DENSE_SOLVER_LIMIT:
+            pairs = _LeibnizPlan(a, np.eye(a.dim, dtype=INT), gens.table)
+        a._derivation_cache["plans"] = gens, pairs
+    return a._derivation_cache["plans"]
 
 
-def _leibniz_failure(a: Algebra, fstack: np.ndarray, plans=None):
+def _leibniz_failure(a: Algebra, fstack: np.ndarray):
     """The first check some map of the stack fails, or None if every map is a derivation.
 
     The one Leibniz checker: the solver's honesty check, ``is_derivation``,
-    ``named_outers`` and the seeded closure property all call it.  The maps'
-    entries must lie in [0, p).  ``plans`` (``_leibniz_plans(a)``) lets a
-    caller that checks many blocks build them once.
+    ``named_outers`` and the seeded closure property all call it, on the
+    algebra's one set of plans (``_leibniz_plans``).  The maps' entries must
+    lie in [0, p).
 
     f(1) = 0, then Leibniz against every generator of ``a.generating_set()``,
     which implies every basis pair by induction on word length on an
@@ -462,7 +537,7 @@ def _leibniz_failure(a: Algebra, fstack: np.ndarray, plans=None):
     """
     if matmul(fstack, a.unit, a.p).any():
         return "produced a map with f(1) != 0"
-    gens, pairs = plans or _leibniz_plans(a)
+    gens, pairs = _leibniz_plans(a)
     if gens.fails(fstack):
         return "produced a non-derivation"
     if pairs is not None and pairs.fails(fstack):
@@ -471,31 +546,39 @@ def _leibniz_failure(a: Algebra, fstack: np.ndarray, plans=None):
 
 
 class DerivationSpace:
-    """Der(A) and IDer(A) in generator coordinates.
+    """Der_E(A) and ad(C) in generator coordinates, for E = ``a.idempotents``; Der(A) and IDer(A) when E = {1}.
 
-    A derivation F is held as g(F) = (F s)_s, its values on the generators
-    s: nv = |S| * d numbers, where F itself has d^2.  ``phi``, the
-    algebra's cached ``Extender``, maps them back to vec(F); ``matrices``,
-    ``gen_coords`` and ``is_phi_of`` are its methods.  Der_g is the kernel
-    of the Leibniz system, eliminated one torus-weight block at a time
+    A derivation F in Der_E is held as g(F) = (F s)_s, its values on the
+    generators s, on the unknowns of ``phi`` (the algebra's cached
+    ``Extender``): at most nv = |S| * d numbers, where F itself has d^2.
+    ``phi`` maps them back to vec(F); ``matrices``, ``gen_coords`` and
+    ``is_phi_of`` are its methods.  Der_g is the kernel of the Leibniz
+    system, eliminated one torus-weight block at a time
     (``_kernel_by_weight``).  ``basis`` holds g of the canonical basis of
-    Der(A), the RREF rows in vec(F) coordinates, and ``pivots`` their
+    Der_E(A), the RREF rows in vec(F) coordinates, and ``pivots`` their
     vec(F) pivot columns, both read from the same blocks, so every seeded
     draw over the canonical basis is the one the d^2 form gives.
 
     The Leibniz rule and g(phi(y)) = y are verified on the canonical basis.
-    Hence a map X lies in Der(A) iff g(X) lies in Der_g and X = phi(g(X)).
+    Hence a map X lies in Der_E(A) iff g(X) lies in Der_g and X = phi(g(X)).
+    ``centralizer`` lists the basis vectors of C = sum_i e_i A e_i, and
+    ``window`` those of W, the span of the basis vectors the values reach.
     """
 
     def __init__(self, a: Algebra):
-        p = a.p
+        p, d = a.p, a.dim
         self.algebra, self.p = a, p
         self.phi = phi = extender(a)
         self.gens, self.nv, self._block = phi.gens, phi.nv, phi._block
         self.matrices, self.gen_coords, self.is_phi_of = phi.matrices, phi.gen_coords, phi.is_phi_of
-        ker, self.pivots, self._m = _kernel_by_weight(phi, *_leibniz_rows(phi), _unknown_weights(a, phi.gens))
+        weight = _unknown_weights(a, phi.gens)[:, phi.slots]
+        ker, self.pivots, self._m = _kernel_by_weight(phi, *_leibniz_rows(phi), weight)
         self.der = Subspace(p, self.nv, ker)
         self.basis = matmul(gfp.inverse(self._m, p), ker, p)
+        left, right = a.peirce
+        self.centralizer = np.flatnonzero(left == right)
+        # the slots run over W once for each generator outside E: the layout ``generator_tables`` reads
+        self.window = np.flatnonzero(np.bincount(phi.slots % d, minlength=d))
         self._inner = None
         self._verify()
 
@@ -504,48 +587,105 @@ class DerivationSpace:
         return self.basis.shape[0]
 
     def _verify(self):
-        """Honesty check on the canonical basis, a block of maps at a time, on one set of Leibniz plans."""
+        """Honesty check on the canonical basis, a block of maps at a time, on the algebra's Leibniz plans."""
         a = self.algebra
-        plans = _leibniz_plans(a)
         for s in range(0, self.dim, self._block):
             rows = self.basis[s : s + self._block]
             mats = self.matrices(rows)
-            failure = _leibniz_failure(a, mats, plans)
+            failure = _leibniz_failure(a, mats)
             if failure:
                 raise Hh1LieError(f"derivation solver {failure}")
             if not np.array_equal(self.gen_coords(mats), rows):
                 raise Hh1LieError("generator values do not determine the solved maps")
 
     def contains(self, mats, sub: Subspace = None) -> bool:
-        """Whether every map of the stack lies in Der(A); with sub, in the part g maps into sub."""
+        """Whether every map of the stack lies in Der_E(A); with sub, in the part g maps into sub."""
         mats = normalize(mats, self.p)
         rows = self.gen_coords(mats)
         return not (sub or self.der).reduce_rows(rows).any() and self.is_phi_of(mats, rows)
 
-    def inner(self):
-        """IDer(A): g of its canonical basis, their positions in ``basis``, and their span.
+    def relative(self, mats) -> np.ndarray:
+        """F - ad(sum_i F(e_i) e_i) for each map F of a (n, d, d) stack.
 
-        g(ad e_i) is (e_i s - s e_i)_s.  The RREF pivots of IDer are among
-        those of Der, so the RREF of the coordinates of the ad e_i in the
-        canonical basis of Der is the canonical basis of IDer.
+        For a derivation F it vanishes on E, so it lies in Der_E, and it
+        differs from F by an inner derivation (E is separable).
+        """
+        a, p = self.algebra, self.p
+        if len(a.idempotents) == 1:
+            return mats
+        shift = np.zeros((mats.shape[0], a.dim), dtype=INT)
+        for e in a.idempotents:
+            x, y, c = a.right_terms(e)  # F(e_i) e_i, by the terms of R_(e_i)
+            gfp.scatter_add(shift.T, y, c, matmul(mats, e, p).T, x)
+        return (mats - a.ad_matrices(shift)) % p
+
+    def on_window(self, cols) -> np.ndarray:
+        """Maps given on the columns W, (n, d, |W|), restricted to W; raises if one leaves W."""
+        if cols[:, gfp.complement(self.algebra.dim, self.window)].any():
+            raise Hh1LieError("W is not stable under the representatives")
+        return cols[:, self.window]
+
+    def inner(self):
+        """ad(C): g of its canonical basis, their positions in ``basis``, and their span.
+
+        With E = {1}, C = A and ad(C) = IDer(A): g(ad e_i) is read from the
+        maps ad e_i, which are checked to be phi of it.  Otherwise g(ad c) =
+        (c s - s c)_s is summed from the table terms for the basis vectors c
+        of C, with no d x d map: ad c vanishes on E and keeps each block, so
+        it lies in Der_E, and a derivation is fixed by its generator values.
+        The RREF pivots of ad(C) are among those of Der_E, so the RREF of the
+        coordinates of the ad c in the canonical basis of Der_E is the
+        canonical basis of ad(C).
         """
         if self._inner is None:
-            a, p, ad = self.algebra, self.p, []
-            for s in range(0, a.dim, self._block):
-                # ad e_i for i from s on: rows s, s + 1, ... of the identity
-                mats = a.ad_matrices(np.eye(min(self._block, a.dim - s), a.dim, s, dtype=INT))
-                if not self.contains(mats):
+            a, p = self.algebra, self.p
+            if len(a.idempotents) == 1:
+                ad = []
+                for s in range(0, a.dim, self._block):
+                    # ad e_i for i from s on: rows s, s + 1, ... of the identity
+                    mats = a.ad_matrices(np.eye(min(self._block, a.dim - s), a.dim, s, dtype=INT))
+                    rows = self.gen_coords(mats)
+                    if self.der.reduce_rows(rows).any() or not self.is_phi_of(mats, rows):
+                        raise Hh1LieError("inner derivations escape the derivation space")
+                    ad.append(rows)
+                ad = np.vstack(ad)
+            else:
+                ad = _ad_values(a, self.phi, self.centralizer)
+                if self.der.reduce_rows(ad).any():
                     raise Hh1LieError("inner derivations escape the derivation space")
-                ad.append(self.gen_coords(mats))
             # y = y[Q] K over the pivots Q of the kernel K, and K = M basis
-            red, rank, piv = rref(matmul(np.vstack(ad)[:, list(self.der.pivots)], self._m, p), p)
+            red, rank, piv = rref(matmul(ad[:, list(self.der.pivots)], self._m, p), p)
             rows = matmul(red[:rank], self.basis, p)
             self._inner = rows, piv, Subspace.from_vectors(rows, p, self.nv)
         return self._inner
 
 
+def _ad_values(a: Algebra, phi: Extender, basis) -> np.ndarray:
+    """g(ad e_c) = (e_c s - s e_c)_s for the basis vectors c in ``basis``, on phi's unknowns.
+
+    Each product is summed from the table terms (e_c, s) and (s, e_c); a
+    value off the unknowns raises.
+    """
+    d, p = a.dim, a.p
+    i, j, k, c = a.structure_constants()
+    row = np.full(d, -1)
+    row[basis] = np.arange(len(basis))
+    keys, vals = [], []
+    for t, s in enumerate(phi.gens):
+        for mine, other, sign in ((i, j, 1), (j, i, -1)):  # e_c s on the terms (c, j); s e_c on (i, c)
+            n = np.flatnonzero((row[mine] >= 0) & (s[other] != 0))
+            keys.append(row[mine[n]] * phi.width + t * d + k[n])
+            vals.append(sign * c[n] * s[other[n]])
+    key, val = gfp.merge(np.concatenate(keys), np.concatenate(vals), p)
+    out = np.zeros((len(basis), phi.width), dtype=INT)
+    out.flat[key] = val
+    if out[:, gfp.complement(phi.width, phi.slots)].any():
+        raise Hh1LieError("inner derivations escape the derivation space")
+    return out[:, phi.slots]
+
+
 def _derivation_space(a: Algebra) -> DerivationSpace:
-    """The solved Der(A), cached on the algebra; see ``derivation_space``."""
+    """The solved Der_E(A), cached on the algebra; see ``derivation_space``."""
     if a.generators is None and a.dim > DENSE_SOLVER_LIMIT:
         raise Hh1LieError(
             f"dimension {a.dim} needs a generator presentation for the derivation solver"
@@ -561,9 +701,10 @@ def derivation_space(a: Algebra) -> list[Derivation]:
 
     The solver's unknowns are the values of f on ``a.generating_set()``: the
     algebra's generators, or with none, every basis vector, which is
-    allowed up to dimension DENSE_SOLVER_LIMIT.
+    allowed up to dimension DENSE_SOLVER_LIMIT.  All of Der is the solve
+    with E = {1}, on ``a.without_idempotents``.
     """
-    space = _derivation_space(a)
+    space = _derivation_space(a.without_idempotents)
     return [Derivation(a, m) for m in space.matrices(space.basis)]
 
 
@@ -607,20 +748,24 @@ def named_outers(desc: SmashDescriptor, pairs, algebra: Algebra = None) -> list[
         algebra, _ = smash_product(desc.p, desc.n, desc.r)
     gens = desc.generators
     phi = extender(algebra) if algebra.generators is gens else Extender(algebra, gens)
+    maps = phi.matrices(_weight_values(desc, phi, pairs))
+    if _leibniz_failure(algebra, maps):
+        lam, j = next(pair for pair, m in zip(pairs, maps) if _leibniz_failure(algebra, m[None]))
+        raise WellDefinednessFailure(
+            f"Leibniz extension of the weight derivation (lambda={lam % desc.n_chars}, j={j}) failed"
+        )
+    return [Derivation(algebra, m) for m in maps]
+
+
+def _weight_values(desc: SmashDescriptor, phi: Extender, pairs) -> np.ndarray:
+    """g of the weight derivations g_(lambda, j) on phi's unknowns: zero on every u_mu, x -> u_lambda x^(j p^r + 1)."""
     values = np.zeros((len(pairs), phi.nv), dtype=INT)
     for row, (lam, j) in zip(values, pairs):
         exp = j * desc.p**desc.r + 1
         if not 0 <= exp <= desc.x_bound - 1:
             raise IndexError(f"weight exponent {j} maps to x^{exp}, out of range")
-        row[desc.n_chars * algebra.dim + desc.index(lam, exp)] = 1  # F(x) in x's slot, the last
-    maps = phi.matrices(values)
-    plans = _leibniz_plans(algebra)
-    if _leibniz_failure(algebra, maps, plans):
-        lam, j = next(pair for pair, m in zip(pairs, maps) if _leibniz_failure(algebra, m[None], plans))
-        raise WellDefinednessFailure(
-            f"Leibniz extension of the weight derivation (lambda={lam % desc.n_chars}, j={j}) failed"
-        )
-    return [Derivation(algebra, m) for m in maps]
+        row[phi.slot(desc.n_chars, desc.index(lam, exp))] = 1  # F(x): x is the last generator
+    return values
 
 
 # -- HH1 ------------------------------------------------------------------------
@@ -660,55 +805,73 @@ def generator_tables(mats, values, p: int, coords_rows):
 
 
 class HH1Presentation:
-    """Der(A) = IDer(A) + complement, with bracket and p-map on classes.
+    """Der_E = ad(C) + complement, with bracket and p-map on classes; Der = IDer + complement when E = {1}.
 
-    Der and IDer stay in the generator coordinates of ``space``.
-    complement_basis holds chosen representatives as maps, checked once to
-    lie in Der(A); ``project_rows`` maps a stack of derivations to their
-    class coordinates.
-    The tables come from the representatives' generator values, and are
-    verified to be independent of the representatives by re-deriving them
-    after seeded inner perturbations.
+    Der_E and ad(C) stay in the generator coordinates of ``space``.  The
+    complement is given as maps, checked once to lie in Der_E, or as their
+    generator values in ``space``, checked to lie in Der_g; either way
+    ``complement_basis`` holds the maps.  ``project_rows`` maps a stack of
+    derivations to their class coordinates.  dim_der and dim_ider are those
+    of Der(A) and IDer(A), read off the solved spaces (see the module).
+    The tables come from the representatives' generator values and their
+    restrictions to W, checked to keep W, and are verified to be
+    independent of the representatives by re-deriving them after seeded
+    shifts drawn from ad(C).
     """
 
     def __init__(self, space: DerivationSpace, complement_basis, labels, seed=0):
-        self.algebra = space.algebra
+        self.algebra = a = space.algebra
         self.space = space
-        self.complement_basis = complement_basis
         self.complement_labels = labels
         self.p = p = space.p
         inner_rows, _, ider = space.inner()
-        self.dim_der = space.dim
-        self.dim_ider = inner_rows.shape[0]
-        self.dim = len(complement_basis)
-        d = self.algebra.dim
-        self._comp = np.array([f.matrix for f in complement_basis], dtype=INT).reshape(-1, d, d)
-        if not space.contains(self._comp):
-            raise Hh1LieError("complement representatives escape Der")
-        self._values = space.gen_coords(self._comp)
-        # class coordinates: coordinates in the representatives modulo IDer
+        d, dim_c = a.dim, space.centralizer.size
+        self.dim_der = space.dim + d - dim_c
+        self.dim_ider = d - dim_c + inner_rows.shape[0]  # d - dim Z(A), with Z(A) the kernel of ad on C
+        if isinstance(complement_basis, np.ndarray):
+            self._values, self._complement = normalize(complement_basis, p).reshape(-1, space.nv), None
+            if space.der.reduce_rows(self._values).any():
+                raise Hh1LieError("complement representatives escape Der")
+            cols = space.phi.columns(self._values, space.window)
+        else:
+            self._complement = list(complement_basis)
+            comp = np.array([f.matrix for f in self._complement], dtype=INT).reshape(-1, d, d)
+            if not space.contains(comp):
+                raise Hh1LieError("complement representatives escape Der")
+            self._values, cols = space.gen_coords(comp), comp[:, :, space.window]
+        self.dim = self._values.shape[0]
+        self._reps = space.on_window(cols)
+        # class coordinates: coordinates in the representatives modulo ad(C)
         not_in = ValueError("matrix is not in IDer + complement")
         self._classes = gfp.OrderedBasis(self._values, p, ider, not_in)
-        tables = generator_tables(self._comp, self._values, p, self._classes.coords_rows)
-        self.bracket_table, self.pmap_table = tables
+        self.bracket_table, self.pmap_table = generator_tables(self._reps, self._values, p, self._classes.coords_rows)
         self._verify_representative_independence(seed)
+
+    @property
+    def complement_basis(self) -> list[Derivation]:
+        """The complement representatives as maps, built from their values when they were given so."""
+        if self._complement is None:
+            self._complement = [Derivation(self.algebra, m) for m in self.space.matrices(self._values)]
+        return self._complement
 
     def project_rows(self, stack) -> np.ndarray:
         """Class coordinates of each derivation of a stack of d x d maps, or of vec(F) rows."""
+        d = self.algebra.dim
+        stack = self.space.relative(normalize(stack, self.p).reshape(-1, d, d))
         if not self.space.contains(stack):
             raise ValueError("matrix is not in IDer + complement")
-        return self._classes.coords_rows(self.space.gen_coords(normalize(stack, self.p)))
+        return self._classes.coords_rows(self.space.gen_coords(stack))
 
     def _verify_representative_independence(self, seed, trials=4):
-        """Re-derive the tables after seeded inner shifts; seed may be a Generator."""
-        if self.dim == 0 or self.dim_ider == 0:
+        """Re-derive the tables after seeded shifts from ad(C); seed may be a Generator."""
+        inner_rows, space = self.space.inner()[0], self.space
+        if self.dim == 0 or inner_rows.shape[0] == 0:
             return
         rng = np.random.default_rng(seed)
-        inner_rows = self.space.inner()[0]
         for _ in range(trials):
-            coeffs = rng.integers(0, self.p, size=(self.dim, self.dim_ider))
+            coeffs = rng.integers(0, self.p, size=(self.dim, inner_rows.shape[0]))
             shifts = matmul(coeffs, inner_rows, self.p)  # their values: no gen_coords per trial
-            reps = self._comp + self.space.matrices(shifts)
+            reps = self._reps + space.on_window(space.phi.columns(shifts, space.window))
             btab, ptab = generator_tables(reps, self._values + shifts, self.p, self._classes.coords_rows)
             if not (np.array_equal(btab, self.bracket_table) and np.array_equal(ptab, self.pmap_table)):
                 raise Hh1LieError("bracket or p-map table depends on the representatives")
@@ -726,24 +889,25 @@ class HH1Presentation:
 
 
 def hh1(a: Algebra, seed: int = 0) -> HH1Presentation:
-    """HH1(A, A) as a deterministic presentation Der = IDer + complement.
+    """HH1(A, A) as a deterministic presentation Der_E = ad(C) + complement, for E = ``a.idempotents``.
 
     For smash products the complement is the span of the named weight
-    derivations with lambda = 0, cross-validated against the pivot-chosen
-    complement; otherwise the complement is pivot-chosen.
+    derivations with lambda = 0, given by their generator values and
+    cross-validated against the pivot-chosen complement; otherwise the
+    complement is pivot-chosen.
     """
     space = _derivation_space(a)
     ider_piv = space.inner()[1]
     pivot_comp = [i for i in range(space.dim) if i not in set(ider_piv)]
     if a.descriptor is not None:
         desc = a.descriptor
-        reps = named_outers(desc, [(0, j) for j in desc.outer_exponents()], a)
+        reps = _weight_values(desc, space.phi, [(0, j) for j in desc.outer_exponents()])
         labels = [f"g[0,{j}]" for j in desc.outer_exponents()]
-        # the presentation checks that they lie in Der and are independent modulo IDer
+        # the presentation checks that they lie in Der_E and are independent modulo ad(C)
         if len(ider_piv) + len(reps) != space.dim or len(pivot_comp) != len(reps):
             raise Hh1LieError("weight complement has the wrong dimension")
     else:
-        reps = [Derivation(a, m) for m in space.matrices(space.basis[pivot_comp])]
+        reps = space.basis[pivot_comp]
         labels = [f"h{i}" for i in range(len(reps))]
     pres = HH1Presentation(space, reps, labels, seed=seed)
     if a.descriptor is not None and pivot_comp:

@@ -196,8 +196,9 @@ def test_suite_certifies_each_torus_and_weight_derivation_once(monkeypatch):
     # one torus search per (Lie algebra, seed) and one weight derivation per
     # (algebra, lambda, j) over a whole suite: the Lie algebras and the weight
     # derivations are shared through the context, and each report is kept on
-    # its algebra.  Each smash algebra builds its weight derivations in two
-    # batches: the lambda = 0 complement in hh1, the rest in the context.
+    # its algebra.  hh1 takes the lambda = 0 complement as generator values,
+    # so each smash algebra builds its weight derivations by name in one
+    # batch, the lambda != 0 ones in the context.
     from hh1lie import hochschild as hoch
 
     searches, outers, batches = [], [], []
@@ -218,8 +219,9 @@ def test_suite_certifies_each_torus_and_weight_derivation_once(monkeypatch):
     assert all(r.status == "pass" for r in results), [r.check_id for r in results if r.status != "pass"]
     keys = [(id(L), seed, rounds) for L, seed, rounds in searches]
     assert len(keys) == len(set(keys)) >= 5
-    assert len(outers) == len(set(outers)) == 30  # smash(1,1): 5 x 1, smash(2,1): 5 x 5
-    assert sorted(batches) == sorted(2 * ["smash(p=5,n=1,r=1)", "smash(p=5,n=2,r=1)"])
+    assert len(outers) == len(set(outers)) == 24  # smash(1,1): 4 x 1, smash(2,1): 4 x 5
+    assert all(lam != 0 for _, lam, _ in outers)
+    assert sorted(batches) == ["smash(p=5,n=1,r=1)", "smash(p=5,n=2,r=1)"]
 
 
 def test_handed_out_torus_reports_are_copies():

@@ -717,3 +717,25 @@ def test_hh1_peak_memory_stays_near_the_baseline():
     ):
         peak = _child_maxrss_mib("hh1", "--kind", "smash", *argv)
         assert peak - base <= limit, (argv, base, peak)
+
+
+def test_build_and_hh1_never_import_numpy_ma():
+    # np.setdiff1d, a plain np.unique and np.unique(axis=0) import numpy.ma on
+    # their first call, a cost every CLI process would pay; none is reached
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = [
+        ["hh1", "--kind", "smash", "--p", "3", "--n", "2", "--r", "1"],
+        ["hh1", "--kind", "trunc", "--p", "3", "--exps", "1,1"],
+        ["build", "--kind", "quiver", "--p", "3"],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from hh1lie import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

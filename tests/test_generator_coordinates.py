@@ -32,7 +32,7 @@ from oracles import (
 
 
 def d2_derivations(a):
-    """Canonical RREF basis of Der(A) in vec(F) coordinates, as rows."""
+    """Canonical RREF basis of the solved space (Der(A) when a carries E = {1}) in vec(F) coordinates, as rows."""
     d, p = a.dim, a.p
     space = hoch.DerivationSpace(a)
     ker, (fe, unk, val) = space.der.basis, space.phi.triplets
@@ -44,7 +44,7 @@ def d2_derivations(a):
 def d2_hh1(a):
     """The d^2 presentation: dims, bases, complement, labels and tables."""
     p, d = a.p, a.dim
-    der = Subspace.from_vectors(d2_derivations(a), p, d * d)
+    der = Subspace.from_vectors(d2_derivations(a.without_idempotents), p, d * d)
     ad = np.vstack([((a.left_mult_matrix(e) - a.right_mult_matrix(e)) % p).reshape(-1) for e in np.eye(d, dtype=int)])
     ider = Subspace.from_vectors(ad, p, d * d)
     assert not der.reduce_rows(ider.basis).any()
@@ -99,7 +99,9 @@ def test_hh1_matches_the_d2_pipeline(case):
     a = CASES[case]()
     want = d2_hh1(a)
     h = hoch.hh1(a)
-    space = h.space
+    # all of Der is the solve with E = {1}: hh1's own space when the algebra carries no other E
+    space = hoch._derivation_space(a.without_idempotents)
+    assert (space is h.space) == (a.without_idempotents is a)
     d2 = a.dim**2
     assert space.nv == (d2 if a.generators is None else len(a.generators) * a.dim)
     assert (h.dim_der, h.dim_ider, h.dim) == (
@@ -119,26 +121,29 @@ def test_hh1_matches_the_d2_pipeline(case):
     assert np.array_equal(h.bracket_table, want["btab"])
     assert np.array_equal(h.pmap_table, want["ptab"])
     # g is the identity on the generator-coordinate basis after phi
-    assert np.array_equal(space.gen_coords(space.matrices(space.basis)), space.basis)
+    for sp in (space, h.space):
+        assert np.array_equal(sp.gen_coords(sp.matrices(sp.basis)), sp.basis)
 
 
 def test_derivation_space_is_the_d2_canonical_basis():
     for build in (CASES["smash-3-2-1"], CASES["trivext-5"]):
         a = build()
         got = np.array([f.matrix.reshape(-1) for f in hoch.derivation_space(a)], dtype=INT)
-        assert np.array_equal(got, d2_derivations(a))
+        assert np.array_equal(got, d2_derivations(a.without_idempotents))
 
 
 def test_streamed_pivots_do_not_depend_on_the_block_size(monkeypatch):
-    # STREAM_CELLS sizes the Leibniz row blocks that _span_echelon adds
+    # STREAM_CELLS sizes the Leibniz row blocks that _span_echelon adds; the
+    # smash products are solved both relative to their idempotents and with E = {1}
     for case in ("smash-3-2-1", "u0borel-3-2", "smash-5-2-1"):
-        a = CASES[case]()
-        want = d2_derivations(a)
-        for cells in (1, 27, 1 << 10):
-            monkeypatch.setattr(hoch, "STREAM_CELLS", cells)
-            space = hoch.DerivationSpace(a)
-            assert np.array_equal(space.matrices(space.basis).reshape(len(want), -1), want)
-        monkeypatch.undo()
+        built = CASES[case]()
+        for a in dict.fromkeys((built, built.without_idempotents)):
+            want = d2_derivations(a)
+            for cells in (1, 27, 1 << 10):
+                monkeypatch.setattr(hoch, "STREAM_CELLS", cells)
+                space = hoch.DerivationSpace(a)
+                assert np.array_equal(space.matrices(space.basis).reshape(len(want), -1), want)
+            monkeypatch.undo()
 
 
 # -- structure tables on sub- and quotient spaces ------------------------------

@@ -45,8 +45,8 @@ def project(h, f):
 
 
 def ider_basis(h):
-    """The solver's canonical basis of IDer(A), as maps."""
-    return [hoch.Derivation(h.algebra, m) for m in h.space.matrices(h.space.inner()[0])]
+    """The canonical basis of IDer(A), as maps: the solver's own when the algebra carries E = {1}."""
+    return hoch.inner_derivations(h.algebra)
 
 
 # -- derivation spaces ------------------------------------------------------------
@@ -272,7 +272,7 @@ def test_all_pairs_check_on_a_large_monomial_algebra_without_presentation():
     assert b.dim == 125 and b.generators is None
     g = hoch.named_outer(desc, 0, 1, a).matrix
     assert hoch.Derivation(b, g).is_derivation()
-    assert not b._derivation_cache
+    assert list(b._derivation_cache) == ["plans"]  # the scatter plans of the table terms, built once
     assert not hoch.Derivation(b, (g + generator_killer(a)) % 5).is_derivation()
 
 
@@ -579,7 +579,7 @@ def test_properties_check_rejects_an_injected_non_derivation(monkeypatch, fault,
     # the maps themselves, so the shared Leibniz checker sees each failure
     ctx = checks.SuiteContext(p=3)
     sm, desc = ctx.smash(2, 1)
-    space = ctx.smash_hh1(2, 1).space
+    space = ctx.whole_smash_hh1(2, 1).space  # the properties draw from all of Der
     f = np.eye(sm.dim, dtype=np.int64)
     if fault == "projection":
         f = np.diag(basis_vec(sm.dim, desc.index(0, 1)))
@@ -595,7 +595,7 @@ def test_properties_check_sees_one_map_that_breaks_ad_in_a_later_block(monkeypat
     # the identity: [1, ad a] = 0 != ad a, and no other map fails
     ctx = checks.SuiteContext(p=3)
     sm, _ = ctx.smash(2, 1)
-    space = ctx.smash_hh1(2, 1).space
+    space = ctx.whole_smash_hh1(2, 1).space  # the properties draw from all of Der
     real, calls = space.matrices, []
 
     def one_identity(rows):
@@ -875,22 +875,26 @@ def test_ad_matrices_match_the_per_element_left_minus_right(name):
 @pytest.mark.parametrize("name", list(TABLE_LADDER))
 def test_generator_tables_match_the_matrix_oracle(name):
     # on the first h representatives for h = 0, 1 (no pairs) and all of them,
-    # then after seeded inner shifts, whose values need no gen_coords
+    # then after seeded shifts from ad(C), whose values need no gen_coords;
+    # the tables read the maps on W only, all of A when the algebra carries E = {1}
     a = TABLE_LADDER[name]()
     h = hoch.hh1(a)
+    space = h.space
     p, comp = a.p, np.stack([f.matrix for f in h.complement_basis])
-    values = h.space.gen_coords(comp)
+    values = space.gen_coords(comp)
+    on_w = comp[:, space.window][:, :, space.window]
+    assert np.array_equal(on_w, h._reps) and (space.window.size == a.dim) == (len(a.idempotents) == 1)
     for k in sorted({0, 1, h.dim}):
-        got = hoch.generator_tables(comp[:k], values[:k], p, h._classes.coords_rows)
+        got = hoch.generator_tables(on_w[:k], values[:k], p, h._classes.coords_rows)
         want = matrix_tables(comp[:k], p, h.project_rows)
         assert all(x.shape == y.shape and np.array_equal(x, y) for x, y in zip(got, want))
     assert np.array_equal(got[0], h.bracket_table) and np.array_equal(got[1], h.pmap_table)
-    inner_rows = h.space.inner()[0]
+    inner_rows = space.inner()[0]
     rng = np.random.default_rng(len(name))
     for _ in range(3):
-        shifts = gfp.matmul(rng.integers(0, p, (h.dim, h.dim_ider)), inner_rows, p)
-        reps = comp + h.space.matrices(shifts)
-        got = hoch.generator_tables(reps, values + shifts, p, h._classes.coords_rows)
+        shifts = gfp.matmul(rng.integers(0, p, (h.dim, inner_rows.shape[0])), inner_rows, p)
+        reps = comp + space.matrices(shifts)
+        got = hoch.generator_tables(reps[:, space.window][:, :, space.window], values + shifts, p, h._classes.coords_rows)
         want = matrix_tables(reps, p, h.project_rows)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert np.array_equal(got[0], h.bracket_table) and np.array_equal(got[1], h.pmap_table)

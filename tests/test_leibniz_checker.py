@@ -163,7 +163,7 @@ def test_a_residual_entry_that_is_a_nonzero_multiple_of_p_passes():
 
 def test_plans_are_built_once_per_honesty_check(monkeypatch):
     # _verify checks every block of the canonical basis on one set of plans,
-    # and nothing new is cached on the algebra
+    # which is cached on the algebra beside phi
     a = alg.smash_product(3, 3, 1)[0]
     a = alg.Algebra(a.p, a.labels, a.structure_constants(), a.unit, generators=a.generators)
     built = []
@@ -178,4 +178,4 @@ def test_plans_are_built_once_per_honesty_check(monkeypatch):
     monkeypatch.setattr(hoch, "STREAM_CELLS", 4 * a.dim**2)  # four maps per block: several blocks
     space = hoch.DerivationSpace(a)
     assert space.dim > 4 and built == [len(a.generating_set())]
-    assert set(a._derivation_cache) == {"phi"}
+    assert set(a._derivation_cache) == {"phi", "plans"}
