@@ -92,10 +92,6 @@ class SuiteContext:
     def smash_hh1(self, n, r):
         return self.hh1_of((self.p, "smash", n, r), lambda: self.smash(n, r)[0])
 
-    def whole_smash_hh1(self, n, r):
-        """hh1 of smash(n, r) solved with E = {1}: all of Der, for the checks that draw from it."""
-        return self.hh1_of((self.p, "smash-whole", n, r), lambda: self.smash(n, r)[0].without_idempotents)
-
     def weight_derivations(self, n, r) -> dict:
         """g_(lambda, j) of smash(n, r) by (lambda, j), each built and validated once.
 
@@ -609,21 +605,29 @@ def check_thm_4_2_mu(ctx: SuiteContext) -> dict:
 
 
 def check_properties(ctx: SuiteContext) -> dict:
-    """Seeded property suites, 100 trials each, on all of Der (the solve with E = {1})."""
+    """Seeded property suites, 100 trials each, on all of Der = Der_E + IDer."""
     p = ctx.p
     rng = np.random.default_rng(ctx.seed)
-    h = ctx.whole_smash_hh1(2, 1)
+    h = ctx.smash_hh1(2, 1)
     sm, space = h.algebra, h.space
     trials = 100
     d = sm.dim
+    # Der = Der_E + ad(a) over the a off C, a direct sum of dim_der: each
+    # draw F = phi(c basis) + ad(a) is one uniform derivation
+    off = gfp.complement(d, space.centralizer)
+
+    def drawn(c):
+        a = np.zeros((c.shape[0], d), dtype=INT)
+        a[:, off] = c[:, space.dim :]
+        return (space.matrices(gfp.matmul(c[:, : space.dim], space.basis, p)) + sm.ad_matrices(a)) % p
+
     # closure under bracket and p-th power, and [f, ad a] = ad f(a); coefficients
     # are drawn up front, maps built and validated 8 trials at a time to bound
     # memory, on the algebra's one set of Leibniz plans
     c1 = rng.integers(0, p, size=(trials, h.dim_der))
     c2 = rng.integers(0, p, size=(trials, h.dim_der))
     for s in range(0, trials, 8):
-        fs = space.matrices(gfp.matmul(c1[s : s + 8], space.basis, p))
-        gs = space.matrices(gfp.matmul(c2[s : s + 8], space.basis, p))
+        fs, gs = drawn(c1[s : s + 8]), drawn(c2[s : s + 8])
         brs = (gfp.matmul(fs, gs, p) - gfp.matmul(gs, fs, p)) % p
         failure = hoch._leibniz_failure(sm, np.vstack([brs, gfp.mat_pow(fs, p, p)]))
         if failure:

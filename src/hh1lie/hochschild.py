@@ -7,16 +7,18 @@ separable, so Der = Der_E + IDer with Der_E cap IDer = ad(C), and the
 quotients agree as restricted Lie algebras (Gerstenhaber-Schack, J. Pure
 Appl. Algebra 43, 1986; Happel, LNM 1404, 1989).  The reported dimensions
 follow: dim Der = dim Der_E + d - dim C, and dim IDer = d - dim Z(A), where
-Z(A), inside C, is the kernel of ad on C.  With E = {1}, C = A and this is
-Der(A)/IDer(A) itself; smash products carry E = {u_lambda}.
+Z(A), inside C, is the kernel of ad on C.  Smash products carry
+E = {u_lambda}; every other algebra carries E = {1}, the one-block case of
+the same route, where C = W = A and the quotient is Der(A)/IDer(A) itself.
 
 Derivations are solved exactly as the null space of the Leibniz system
 f(e_i e_j) = f(e_i) e_j + e_i f(e_j).  The unknowns are the values of f on
 the algebra's generators, or on every basis vector when it names none,
-restricted relative to E: a generator in E gets none (f(u_lambda) = 0),
-and the value on any other generator lies in W, the blocks e_s A e_t that
-the generators outside E meet (x splits into its parts u_lambda x, and W
-is the sum of their blocks u_lambda A u_(lambda - 1)).  f is phi of them:
+restricted relative to E: a generator in E gets none (f(u_lambda) = 0, or
+f(1) = 0 for a generator equal to 1), and the value on any other generator
+lies in W, the blocks e_s A e_t that the generators outside E meet (x
+splits into its parts u_lambda x, and W is the sum of their blocks
+u_lambda A u_(lambda - 1)).  f is phi of them:
 ``Extender`` (phi) derives from the table how each basis element is
 reached from the generators, and is the only code that extends a map from
 generator values.  The solver enforces f(1) = 0 together with the pairs
@@ -37,8 +39,8 @@ Der_E, ad(C), the complement and the HH1 tables stay in the solver's
 coordinates, the values on the generators (at most |S| d numbers per map,
 against d^2 for the matrix).  The tables read the representatives only on
 W, the span of the basis vectors those values reach, which every map in
-Der_E keeps; d x d matrices are built a block at a time for the checks,
-for IDer when E = {1}, and on request.
+Der_E keeps; d x d matrices are built a block at a time for the checks
+and on request.
 
 For smash-product algebras the distinguished outer derivations (zero on
 every idempotent u_lambda, sending x to u_lambda x^(j p^r + 1), built as
@@ -49,6 +51,8 @@ pivot-chosen complement.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -268,8 +272,8 @@ class Extender:
         self._block = max(1, STREAM_CELLS // (d * d))
 
     def _phi_reached(self, rows) -> np.ndarray:
-        """phi of rows of generator values on the reached vec(F) entries, one column per row."""
-        rows_t = np.ascontiguousarray(np.asarray(rows).reshape(-1, self.nv).T)
+        """phi of (n, nv) rows of generator values on the reached vec(F) entries, one column per row."""
+        rows_t = np.ascontiguousarray(np.asarray(rows).T)
         _, unk, val = self._layers[0]  # the first terms reach every entry, in order
         out = rows_t[unk] * val[:, None]
         for pos, unk, val in self._layers[1:]:
@@ -278,15 +282,15 @@ class Extender:
         return out
 
     def matrices(self, rows) -> np.ndarray:
-        """phi of each row of generator values: the (n, d, d) stack of maps."""
+        """phi of each of (n, nv) rows of generator values: the (n, d, d) stack of maps."""
         d = self.algebra.dim
-        out = np.zeros((d * d, np.asarray(rows).reshape(-1, self.nv).shape[0]), dtype=INT)
+        out = np.zeros((d * d, len(rows)), dtype=INT)
         out[self._reached] = self._phi_reached(rows)
         return np.ascontiguousarray(out.T).reshape(-1, d, d)
 
     def columns(self, rows, cols) -> np.ndarray:
         """phi of each row of generator values on the basis vectors ``cols`` (sorted) only: (n, d, |cols|)."""
-        d, rows = self.algebra.dim, np.asarray(rows).reshape(-1, self.nv)
+        d, rows = self.algebra.dim, np.asarray(rows)
         if len(cols) == d:
             return self.matrices(rows)
         fe, unk, val = self.triplets
@@ -295,7 +299,7 @@ class Extender:
         on = np.flatnonzero(at[fe % d] >= 0)
         out = np.zeros((d * len(cols), rows.shape[0]), dtype=INT)
         gfp.scatter_add(out, fe[on] // d * len(cols) + at[fe[on] % d], val[on], np.ascontiguousarray(rows.T), unk[on])
-        return np.ascontiguousarray(out.T % self.p).reshape(-1, d, len(cols))
+        return np.ascontiguousarray(out.T % self.p).reshape(len(rows), d, len(cols))
 
     def gen_coords(self, mats) -> np.ndarray:
         """g(F) = (F s)_s for each map F of a stack, on the slots: rows of nv values."""
@@ -323,23 +327,24 @@ class Extender:
         return True
 
 
-def _relative_slots(a: Algebra, gens: np.ndarray):
-    """The value coordinates t * d + b of the unknowns relative to E = ``a.idempotents``; None for E = {1}.
+def _relative_slots(a: Algebra, gens: np.ndarray) -> np.ndarray:
+    """The value coordinates t * d + b of the unknowns relative to E = ``a.idempotents``.
 
     A generator in E gets none, since F vanishes on E.  Every other
     generator gets the basis vectors b of W, the blocks e_s A e_t that the
     generators outside E meet.  For F in Der_E, F(e_s g e_t) = e_s F(g) e_t,
     so F(g) lies in the blocks g meets, and the Leibniz pairs with E keep
     the rest of W at zero.  Der_E is then the kernel of the Leibniz system
-    in these unknowns, provided every idempotent is a generator (checked).
+    in these unknowns, provided every idempotent is a generator (checked)
+    or 1, whose F(1) = 0 is an equation of the system.  With E = {1} there
+    is one block, so W = A: a generator equal to 1 gets no unknowns, and
+    every other generator gets all d.
     """
-    if len(a.idempotents) == 1:
-        return None
     d = a.dim
     left, right = a.peirce
     block = left * d + right
     in_e = np.array([any(np.array_equal(g, e) for e in a.idempotents) for g in gens])
-    if not all(any(np.array_equal(g, e) for g in gens) for e in a.idempotents):
+    if not all(any(np.array_equal(g, e) for g in gens) or np.array_equal(e, a.unit) for e in a.idempotents):
         raise Hh1LieError("every idempotent of E must be a generator")
     window = np.flatnonzero(np.isin(block, block[gens[~in_e].any(axis=0)]))
     return (np.flatnonzero(~in_e)[:, None] * d + window).ravel()
@@ -480,8 +485,9 @@ def _kernel_by_weight(phi: Extender, rows, cols, vals, weight: np.ndarray):
     term_block = block[cols]
     if (term_block != term_block[np.searchsorted(rows, rows)]).any():  # each row's first term
         raise Hh1LieError("a Leibniz equation mixes two torus weights")
-    kers, pivots, cells = [], [], []
-    for n in range(block.max(initial=0) + 1):
+    empty = np.zeros(0, dtype=INT)
+    kers, pivots, cells = [np.zeros((0, nv), dtype=INT)], [empty], [empty]  # no unknowns, no blocks
+    for n in range(block.max(initial=-1) + 1):
         own, sel = np.flatnonzero(block == n), np.flatnonzero(term_block == n)
         local = np.unique(rows[sel], return_inverse=True)[1]
         ker = gfp.kernel(_span_echelon(local, np.searchsorted(own, cols[sel]), vals[sel], own.size, p), p)
@@ -546,8 +552,9 @@ def _leibniz_failure(a: Algebra, fstack: np.ndarray):
 
 
 class DerivationSpace:
-    """Der_E(A) and ad(C) in generator coordinates, for E = ``a.idempotents``; Der(A) and IDer(A) when E = {1}.
+    """Der_E(A) and ad(C) in generator coordinates, for E = ``a.idempotents``.
 
+    With E = {1} these are Der(A) and IDer(A), by the same code: C = A.
     A derivation F in Der_E is held as g(F) = (F s)_s, its values on the
     generators s, on the unknowns of ``phi`` (the algebra's cached
     ``Extender``): at most nv = |S| * d numbers, where F itself has d^2.
@@ -608,11 +615,10 @@ class DerivationSpace:
         """F - ad(sum_i F(e_i) e_i) for each map F of a (n, d, d) stack.
 
         For a derivation F it vanishes on E, so it lies in Der_E, and it
-        differs from F by an inner derivation (E is separable).
+        differs from F by an inner derivation (E is separable).  With
+        E = {1} the shift is ad F(1), zero on a derivation.
         """
         a, p = self.algebra, self.p
-        if len(a.idempotents) == 1:
-            return mats
         shift = np.zeros((mats.shape[0], a.dim), dtype=INT)
         for e in a.idempotents:
             x, y, c = a.right_terms(e)  # F(e_i) e_i, by the terms of R_(e_i)
@@ -628,31 +634,21 @@ class DerivationSpace:
     def inner(self):
         """ad(C): g of its canonical basis, their positions in ``basis``, and their span.
 
-        With E = {1}, C = A and ad(C) = IDer(A): g(ad e_i) is read from the
-        maps ad e_i, which are checked to be phi of it.  Otherwise g(ad c) =
-        (c s - s c)_s is summed from the table terms for the basis vectors c
-        of C, with no d x d map: ad c vanishes on E and keeps each block, so
-        it lies in Der_E, and a derivation is fixed by its generator values.
-        The RREF pivots of ad(C) are among those of Der_E, so the RREF of the
-        coordinates of the ad c in the canonical basis of Der_E is the
-        canonical basis of ad(C).
+        g(ad c) = (c s - s c)_s is summed from the table terms for the basis
+        vectors c of C, with no d x d map; with E = {1}, C = A and ad(C) =
+        IDer(A).  ad c is a derivation of the validated table that vanishes
+        on E and keeps each block, so it lies in Der_E, and a derivation is
+        fixed by its values on the generators, which phi's steps prove
+        generate A; its values are checked to lie in Der_g.  The RREF pivots
+        of ad(C) are among those of Der_E, so the RREF of the coordinates of
+        the ad c in the canonical basis of Der_E is the canonical basis of
+        ad(C).
         """
         if self._inner is None:
             a, p = self.algebra, self.p
-            if len(a.idempotents) == 1:
-                ad = []
-                for s in range(0, a.dim, self._block):
-                    # ad e_i for i from s on: rows s, s + 1, ... of the identity
-                    mats = a.ad_matrices(np.eye(min(self._block, a.dim - s), a.dim, s, dtype=INT))
-                    rows = self.gen_coords(mats)
-                    if self.der.reduce_rows(rows).any() or not self.is_phi_of(mats, rows):
-                        raise Hh1LieError("inner derivations escape the derivation space")
-                    ad.append(rows)
-                ad = np.vstack(ad)
-            else:
-                ad = _ad_values(a, self.phi, self.centralizer)
-                if self.der.reduce_rows(ad).any():
-                    raise Hh1LieError("inner derivations escape the derivation space")
+            ad = _ad_values(a, self.phi, self.centralizer)
+            if self.der.reduce_rows(ad).any():
+                raise Hh1LieError("inner derivations escape the derivation space")
             # y = y[Q] K over the pivots Q of the kernel K, and K = M basis
             red, rank, piv = rref(matmul(ad[:, list(self.der.pivots)], self._m, p), p)
             rows = matmul(red[:rank], self.basis, p)
@@ -782,6 +778,8 @@ def generator_tables(mats, values, p: int, coords_rows):
     """
     mats = normalize(mats, p)
     h, d = mats.shape[0], mats.shape[-1]
+    if d == 0:  # W is empty when every generator lies in E, and so is every value
+        return np.zeros((h, h, h), dtype=INT), np.zeros((h, h), dtype=INT)
     m = np.shape(values)[-1] // d
     vals = normalize(values, p).reshape(h * m, d)  # row (j, t) is X_j s_t
     xt = np.ascontiguousarray(mats.transpose(2, 0, 1)).reshape(d, h * d)  # column block i is X_i^T
@@ -805,21 +803,20 @@ def generator_tables(mats, values, p: int, coords_rows):
 
 
 class HH1Presentation:
-    """Der_E = ad(C) + complement, with bracket and p-map on classes; Der = IDer + complement when E = {1}.
+    """Der_E = ad(C) + complement, with bracket and p-map on classes; with E = {1}, Der = IDer + complement.
 
     Der_E and ad(C) stay in the generator coordinates of ``space``.  The
-    complement is given as maps, checked once to lie in Der_E, or as their
-    generator values in ``space``, checked to lie in Der_g; either way
-    ``complement_basis`` holds the maps.  ``project_rows`` maps a stack of
-    derivations to their class coordinates.  dim_der and dim_ider are those
-    of Der(A) and IDer(A), read off the solved spaces (see the module).
-    The tables come from the representatives' generator values and their
-    restrictions to W, checked to keep W, and are verified to be
-    independent of the representatives by re-deriving them after seeded
-    shifts drawn from ad(C).
+    complement is given by its representatives' generator values in
+    ``space``, checked to lie in Der_g; ``complement_basis`` builds the maps
+    on request.  ``project_rows`` maps a stack of derivations to their
+    class coordinates.  dim_der and dim_ider are those of Der(A) and
+    IDer(A), read off the solved spaces (see the module).  The tables come
+    from the representatives' values and their restrictions to W, checked
+    to keep W, and are verified to be independent of the representatives
+    by re-deriving them after seeded shifts drawn from ad(C).
     """
 
-    def __init__(self, space: DerivationSpace, complement_basis, labels, seed=0):
+    def __init__(self, space: DerivationSpace, values, labels, seed=0):
         self.algebra = a = space.algebra
         self.space = space
         self.complement_labels = labels
@@ -828,31 +825,21 @@ class HH1Presentation:
         d, dim_c = a.dim, space.centralizer.size
         self.dim_der = space.dim + d - dim_c
         self.dim_ider = d - dim_c + inner_rows.shape[0]  # d - dim Z(A), with Z(A) the kernel of ad on C
-        if isinstance(complement_basis, np.ndarray):
-            self._values, self._complement = normalize(complement_basis, p).reshape(-1, space.nv), None
-            if space.der.reduce_rows(self._values).any():
-                raise Hh1LieError("complement representatives escape Der")
-            cols = space.phi.columns(self._values, space.window)
-        else:
-            self._complement = list(complement_basis)
-            comp = np.array([f.matrix for f in self._complement], dtype=INT).reshape(-1, d, d)
-            if not space.contains(comp):
-                raise Hh1LieError("complement representatives escape Der")
-            self._values, cols = space.gen_coords(comp), comp[:, :, space.window]
+        self._values = normalize(values, p)
+        if space.der.reduce_rows(self._values).any():
+            raise Hh1LieError("complement representatives escape Der")
         self.dim = self._values.shape[0]
-        self._reps = space.on_window(cols)
+        self._reps = space.on_window(space.phi.columns(self._values, space.window))
         # class coordinates: coordinates in the representatives modulo ad(C)
         not_in = ValueError("matrix is not in IDer + complement")
         self._classes = gfp.OrderedBasis(self._values, p, ider, not_in)
         self.bracket_table, self.pmap_table = generator_tables(self._reps, self._values, p, self._classes.coords_rows)
         self._verify_representative_independence(seed)
 
-    @property
+    @functools.cached_property
     def complement_basis(self) -> list[Derivation]:
-        """The complement representatives as maps, built from their values when they were given so."""
-        if self._complement is None:
-            self._complement = [Derivation(self.algebra, m) for m in self.space.matrices(self._values)]
-        return self._complement
+        """The complement representatives as maps, built from their values."""
+        return [Derivation(self.algebra, m) for m in self.space.matrices(self._values)]
 
     def project_rows(self, stack) -> np.ndarray:
         """Class coordinates of each derivation of a stack of d x d maps, or of vec(F) rows."""

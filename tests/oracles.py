@@ -248,6 +248,29 @@ def old_stream_pivots(space, ker):
     return pivots, np.vstack(cols).T if cols else np.zeros((0, 0), dtype=INT)
 
 
+def old_inner(space):
+    """``hochschild.DerivationSpace.inner`` as it was for E = {1}, verbatim but for ``space``.
+
+    ad(A) = IDer(A) from the d x d maps ad e_i, a block at a time, each
+    checked to be phi of its generator values, then canonicalized as the
+    package does: (rows, pivots in ``space.basis``, span).
+    """
+    a, p = space.algebra, space.p
+    ad = []
+    for s in range(0, a.dim, space._block):
+        # ad e_i for i from s on: rows s, s + 1, ... of the identity
+        mats = a.ad_matrices(np.eye(min(space._block, a.dim - s), a.dim, s, dtype=INT))
+        rows = space.gen_coords(mats)
+        if space.der.reduce_rows(rows).any() or not space.is_phi_of(mats, rows):
+            raise Hh1LieError("inner derivations escape the derivation space")
+        ad.append(rows)
+    ad = np.vstack(ad)
+    # y = y[Q] K over the pivots Q of the kernel K, and K = M basis
+    red, rank, piv = rref(matmul(ad[:, list(space.der.pivots)], space._m, p), p)
+    rows = matmul(red[:rank], space.basis, p)
+    return rows, piv, Subspace.from_vectors(rows, p, space.nv)
+
+
 def old_graph_max_commuting_torus(L, torals):
     """``lie._max_commuting_torus`` as it was with the n x n commuting graph, verbatim but for its size limit.
 

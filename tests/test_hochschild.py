@@ -573,18 +573,19 @@ def test_lemma_3_5_sees_a_shifted_difference_that_is_not_inner(monkeypatch):
     [("identity", "closure (unit value)"), ("projection", "closure under bracket / p-power")],
 )
 def test_properties_check_rejects_an_injected_non_derivation(monkeypatch, fault, prop):
-    # every sampled map is replaced by one non-derivation: the identity, with
-    # f(1) = 1, or the projection onto u_0 x, with f(1) = 0 but
-    # f(x x) = 0 != f(x) x + x f(x) = (u_0 + u_1) x^2; the p-th powers are
-    # the maps themselves, so the shared Leibniz checker sees each failure
+    # every drawn map phi(c basis) + ad(a) is replaced by one non-derivation:
+    # the identity, with f(1) = 1, or the projection onto u_0 x, with
+    # f(1) = 0 but f(x x) = 0 != f(x) x + x f(x) = (u_0 + u_1) x^2; the p-th
+    # powers are the maps themselves, so the shared Leibniz checker sees each failure
     ctx = checks.SuiteContext(p=3)
     sm, desc = ctx.smash(2, 1)
-    space = ctx.whole_smash_hh1(2, 1).space  # the properties draw from all of Der
+    space = ctx.smash_hh1(2, 1).space  # Der_E: the draws add ad(a) to its maps
     f = np.eye(sm.dim, dtype=np.int64)
     if fault == "projection":
         f = np.diag(basis_vec(sm.dim, desc.index(0, 1)))
     assert hoch._leibniz_failure(sm, f[None])
     monkeypatch.setattr(space, "matrices", lambda rows: np.repeat(f[None], len(rows), axis=0))
+    monkeypatch.setattr(sm, "ad_matrices", lambda vecs: np.zeros((len(vecs), sm.dim, sm.dim), dtype=np.int64))
     with pytest.raises(checks.CheckFailure) as exc:
         checks.check_properties(ctx)
     assert exc.value.payload == {"property": prop}
@@ -592,10 +593,11 @@ def test_properties_check_rejects_an_injected_non_derivation(monkeypatch, fault,
 
 def test_properties_check_sees_one_map_that_breaks_ad_in_a_later_block(monkeypatch):
     # with the Leibniz check off, the fourth map of the second block of 8 is
-    # the identity: [1, ad a] = 0 != ad a, and no other map fails
+    # drawn as the identity plus ad(b): [1 + ad b, ad a] = ad [b, a] differs
+    # from ad (a + [b, a]) by ad a, nonzero off the centre, and no other map fails
     ctx = checks.SuiteContext(p=3)
     sm, _ = ctx.smash(2, 1)
-    space = ctx.whole_smash_hh1(2, 1).space  # the properties draw from all of Der
+    space = ctx.smash_hh1(2, 1).space  # Der_E: the draws add ad(b) to its maps
     real, calls = space.matrices, []
 
     def one_identity(rows):
@@ -613,8 +615,8 @@ def test_properties_check_sees_one_map_that_breaks_ad_in_a_later_block(monkeypat
 
 
 def test_properties_check_names_the_first_x_where_jacobson_and_composition_differ(monkeypatch):
-    # the p-map is skewed on x = (0, 1, 2), first drawn as the 46th x, inside
-    # the sixth block of 8; the payload names it, and no later block is checked
+    # the p-map is skewed on x = (0, 1, 2), first drawn as the 89th x, inside
+    # the twelfth block of 8; the payload names it, and no later block is checked
     ctx = checks.SuiteContext(p=3)
     ctx.lie(ctx.smash_hh1(2, 1))
     real, seen = lielib._jacobson_batch, []
@@ -627,7 +629,7 @@ def test_properties_check_names_the_first_x_where_jacobson_and_composition_diffe
     with pytest.raises(checks.CheckFailure) as exc:
         checks.check_properties(ctx)
     assert exc.value.payload == {"property": "jacobson vs composition", "x": [0, 1, 2]}
-    assert seen.index([0, 1, 2]) == 45 and len(seen) == 48
+    assert seen.index([0, 1, 2]) == 88 and len(seen) == 96
 
 
 def old_check_lemma_3_2(ctx):
@@ -907,20 +909,18 @@ def test_hh1_of_an_arrowless_quiver_has_empty_tables():
     assert h.bracket_table.shape == (0, 0, 0) and h.pmap_table.shape == (0, 0)
 
 
-@pytest.mark.parametrize("column", ["generator", "killed"])
-def test_a_complement_representative_corrupted_in_one_entry_is_rejected(column):
-    # the tables read only the values on the generators, so the presentation
-    # checks the representatives themselves, once, on entry
-    a = alg.smash_product(3, 2, 1)[0]
+def test_a_complement_representative_corrupted_in_one_entry_is_rejected():
+    # the presentation takes the representatives' generator values and checks
+    # them once, on entry: one entry moved along a unit vector off Der_g
+    # escapes (u0(b) has one: on the smash products every value in W extends)
+    a = alg.u0_borel(3, 2)
     h = hoch.hh1(a)
-    used = np.stack(a.generators).any(axis=0)
-    j = np.flatnonzero(used if column == "generator" else ~used)[0]
-    bad = h.complement_basis[1].matrix.copy()
-    bad[0, j] = (bad[0, j] + 1) % a.p
-    reps = [h.complement_basis[0], hoch.Derivation(a, bad), *h.complement_basis[2:]]
+    off = np.flatnonzero(h.space.der.reduce_rows(np.eye(h.space.nv, dtype=np.int64)).any(axis=1))
+    bad = h._values.copy()
+    bad[1, off[0]] = (bad[1, off[0]] + 1) % a.p
     with pytest.raises(Hh1LieError, match="complement representatives escape Der"):
-        hoch.HH1Presentation(h.space, reps, h.complement_labels)
-    hoch.HH1Presentation(h.space, h.complement_basis, h.complement_labels)  # the uncorrupted ones pass
+        hoch.HH1Presentation(h.space, bad, h.complement_labels)
+    hoch.HH1Presentation(h.space, h._values, h.complement_labels)  # the uncorrupted ones pass
 
 
 def test_hh1_report_dict_shape():

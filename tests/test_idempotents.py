@@ -3,8 +3,12 @@
 A smash product carries E = {u_lambda}, and ``hochschild.hh1`` presents
 HH1 = Der_E / ad(C).  ``Algebra.without_idempotents`` is the same table
 carrying E = {1}, whose solve is all of Der: the two routes must report the
-same dimensions, tables and ``hh1`` JSON.
+same dimensions, tables and ``hh1`` JSON.  Every other algebra carries
+E = {1}, the one-block case of the same code: its ad(A) from the table terms
+is compared with the d x d maps ad e_i that the one-block case used to build.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from hh1lie import algebras as alg
 from hh1lie import checks, cli
 from hh1lie import hochschild as hoch
 from hh1lie.errors import Hh1LieError, IdempotentViolation
-from oracles import mult_terms
+from oracles import mult_terms, old_inner
 
 # every smash product with d <= 125 at p = 3 and 5: r < n, r = n and r > n at each p
 SMASH = [(3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 3, 1), (3, 2, 2), (3, 1, 3), (5, 1, 1), (5, 2, 1), (5, 1, 2)]
@@ -52,25 +56,44 @@ def test_relative_route_projects_every_derivation(p, n, r):
     assert not rel.project_rows(a.ad_matrices(rng.integers(0, p, (3, a.dim)))).any()
 
 
-def test_relative_hh1_builds_no_d2_map_of_der_or_ider(monkeypatch):
-    # the honesty check builds the Der_E basis as maps, a block at a time, and nothing else does
-    a = alg.smash_product(5, 2, 1)[0]
-    built = []
-    matrices = hoch.Extender.matrices
+@pytest.mark.parametrize(
+    "build,window,nv",
+    [
+        (lambda: alg.smash_product(5, 2, 1)[0], 25, 25),
+        (lambda: alg.u0_borel(3, 2), 27, 54),  # E = {1}: W = A, and each of x, t has d unknowns
+        (lambda: alg.truncated_polynomial(3, (2, 1)), 27, 54),
+    ],
+    ids=["smash-5-2-1", "u0borel-3-2", "trunc-3-2-1"],
+)
+def test_relative_hh1_builds_no_d2_map_of_der_or_ider(monkeypatch, build, window, nv):
+    # the honesty check builds the Der_E basis as maps, a block at a time, and
+    # nothing else does but the representatives on W, which is all of A when E = {1}
+    a = build()
+    built, on_w = [], []
+    matrices, columns = hoch.Extender.matrices, hoch.Extender.columns
 
     def counted(self, rows):
         out = matrices(self, rows)
-        built.append(out.shape[0])
+        if not on_w:
+            built.append(out.shape[0])
         return out
+
+    def restricted(self, rows, cols):
+        on_w.append(cols)
+        try:
+            return columns(self, rows, cols)
+        finally:
+            on_w.pop()
 
     def no_ad(self, stack):
         raise AssertionError("an ad map was built")
 
     monkeypatch.setattr(hoch.Extender, "matrices", counted)
+    monkeypatch.setattr(hoch.Extender, "columns", restricted)
     monkeypatch.setattr(alg.Algebra, "ad_matrices", no_ad)
     h = hoch.hh1(a)
     assert sum(built) == h.space.dim == h.dim_der - a.dim + h.space.centralizer.size  # dim Der_E
-    assert h.space.window.size == h.space.nv == 25 and h._reps.shape == (h.dim, 25, 25)
+    assert h.space.window.size == window and h.space.nv == nv and h._reps.shape == (h.dim, window, window)
 
 
 def with_idempotents(a, idems, mult=None, **kw):
@@ -118,3 +141,98 @@ def test_every_idempotent_must_be_a_generator():
     b = with_idempotents(a, a.idempotents, generators=a.generators[-1:])
     with pytest.raises(Hh1LieError, match="every idempotent of E must be a generator"):
         hoch.hh1(b)
+
+
+def json_trunc_3_1_1():
+    """trunc(3, (1, 1)) read back from JSON: it names no generators, so every basis vector is one, 1 = e_0 too."""
+    t = alg.truncated_polynomial(3, (1, 1))
+    return alg.algebra_from_json_dict(json.loads(alg.dumps_canonical(t.to_json_dict())))
+
+
+# the lie-hh1 bench algebras, u0borel, trunc(3,(1,1,1)) and a JSON table whose unit is a generator: all carry E = {1}
+ONE_BLOCK = {
+    "trunc-3-1-1": lambda: alg.truncated_polynomial(3, (1, 1)),
+    "trunc-3-3": lambda: alg.truncated_polynomial(3, (3,)),
+    "trunc-5-2": lambda: alg.truncated_polynomial(5, (2,)),
+    "trunc-3-2-1": lambda: alg.truncated_polynomial(3, (2, 1)),
+    "trivext-5": lambda: alg.trivial_extension(alg.quiver_algebra(alg.kronecker_quiver(), 5)),
+    "quiver-7": lambda: alg.quiver_algebra(alg.tkr_quiver(), 7),
+    "u0borel-3-2": lambda: alg.u0_borel(3, 2),
+    "u0borel-5-2": lambda: alg.u0_borel(5, 2),
+    "trunc-3-1-1-1": lambda: alg.truncated_polynomial(3, (1, 1, 1)),
+    "json-trunc-3-1-1": json_trunc_3_1_1,
+}
+
+
+@pytest.mark.parametrize("name", ONE_BLOCK)
+def test_inner_from_the_table_terms_equals_the_d2_ad_maps(name):
+    a = ONE_BLOCK[name]()
+    assert len(a.idempotents) == 1
+    space = hoch._derivation_space(a)
+    assert np.array_equal(space.centralizer, np.arange(a.dim))  # C = A
+    rows, piv, span = space.inner()
+    want_rows, want_piv, want_span = old_inner(space)
+    assert np.array_equal(rows, want_rows) and list(piv) == list(want_piv)
+    assert np.array_equal(span.basis, want_span.basis) and span.pivots == want_span.pivots
+
+
+def test_a_generator_equal_to_1_gets_no_unknowns():
+    # with E = {1} the slot rule gives a generator in E, here e_0 = 1, no
+    # unknowns (F(1) = 0), and every other generator all d coordinates of
+    # W = A; the solve, its maps and ad(A) are those with every coordinate an unknown
+    a = json_trunc_3_1_1()
+    d = a.dim
+    assert a.generators is None and a.unit.tolist() == [1] + [0] * (d - 1)
+    phi = hoch.extender(a)
+    assert np.array_equal(phi.slots, np.arange(d, d * d)) and phi.nv == (d - 1) * d
+    assert phi.steps == [] and not phi.matrices(np.ones((1, phi.nv), dtype=np.int64))[0][:, 0].any()
+    space = hoch._derivation_space(a)
+    b = json_trunc_3_1_1()
+    b._derivation_cache["phi"] = hoch.Extender(b, phi.gens)  # every value coordinate an unknown
+    every = hoch.DerivationSpace(b)
+    assert every.nv == d * d and every.dim == space.dim == 2 * d  # Der of the 2-variable truncated ring
+    assert every.pivots == space.pivots
+    assert np.array_equal(every.matrices(every.basis), space.matrices(space.basis))
+    assert np.array_equal(every.matrices(every.inner()[0]), space.matrices(space.inner()[0]))
+    assert np.array_equal(every.inner()[1], space.inner()[1])
+    assert alg.dumps_canonical(cli._hh1_payload(a, 0)) == alg.dumps_canonical(cli._hh1_payload(b, 0))
+
+
+def test_the_suite_builds_no_derivation_space_on_a_copy_without_idempotents(monkeypatch):
+    copies, solved = [], []
+    real_copy, real_init = alg.Algebra.without_idempotents.func, hoch.DerivationSpace.__init__
+
+    def copy(self):
+        copies.append(real_copy(self))
+        return copies[-1]
+
+    def init(self, a):
+        solved.append(a)
+        real_init(self, a)
+
+    monkeypatch.setattr(alg.Algebra, "without_idempotents", property(copy))
+    monkeypatch.setattr(hoch.DerivationSpace, "__init__", init)
+    assert all(r.status == "pass" for r in checks.run_suite(p=3))
+    assert solved and not any(a is c for a in solved for c in copies)
+    assert any(len(a.idempotents) > 1 for a in solved)
+
+
+# the smash products of dim d <= 343 among those on which the closed form was first compared
+CLOSED_FORM = [(3, 1, 1), (3, 2, 1), (3, 3, 1), (3, 2, 2), (3, 1, 2), (5, 2, 1), (3, 4, 1), (3, 2, 3), (5, 1, 2), (7, 2, 1)]
+
+
+@pytest.mark.parametrize("p,n,r", CLOSED_FORM, ids=[f"smash-{p}-{n}-{r}" for p, n, r in CLOSED_FORM])
+def test_hh1_tables_of_the_smash_products_have_the_closed_form(p, n, r):
+    # HH1(A(p, n, r)) has the basis g_a = g[0, a], a < K = max(1, p^(n - r)),
+    # with [g_a, g_b] = (b - a) g_(a + b), 0 when a + b >= K, and the p-map
+    # g_a -> g_(pa) when p | a and pa < K, otherwise 0
+    h = hoch.hh1(alg.smash_product(p, n, r)[0])
+    k = p ** max(n - r, 0)
+    g = np.eye(k, dtype=np.int64)
+    bracket = np.zeros((k, k, k), dtype=np.int64)
+    for i in range(k):
+        for j in range(k - i):
+            bracket[i, j] = (j - i) * g[i + j] % p
+    pmap = np.array([g[p * i] if i % p == 0 and p * i < k else 0 * g[0] for i in range(k)])
+    assert h.complement_labels == [f"g[0,{a}]" for a in range(k)]
+    assert np.array_equal(h.bracket_table, bracket) and np.array_equal(h.pmap_table, pmap)

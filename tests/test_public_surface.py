@@ -25,6 +25,7 @@ RETIRED = {
     "gfp": ("Subspace.intersection", "Subspace.quotient_basis", "Subspace.coords", "Subspace.to_json_dict"),
     "algebras": ("Algebra.mult_terms", "Algebra.basis_left_matrix", "Algebra.basis_right_matrix"),
     "errors": ("AlgebraMismatch",),
+    "checks": ("SuiteContext.whole_smash_hh1",),
 }
 
 

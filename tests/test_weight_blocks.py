@@ -49,7 +49,7 @@ def whole_system_kernel(a):
 
 
 def weight_labels(a):
-    """Each unknown's weight, as one integer per distinct weight vector."""
+    """The weight of each value coordinate t * d + b, as one integer per distinct weight vector."""
     weights = [tuple(w) for w in hoch._unknown_weights(a, hoch.extender(a).gens).T.tolist()]
     index = {w: n for n, w in enumerate(sorted(set(weights)))}
     return np.array([index[w] for w in weights])
@@ -107,8 +107,9 @@ def test_weights_satisfy_every_term_and_keep_generators_homogeneous(name):
 @pytest.mark.parametrize("name", CASES)
 def test_every_distinct_leibniz_row_has_one_weight(name):
     a = CASES[name]()
-    rows, cols, _ = hoch._leibniz_rows(hoch.extender(a))
-    label = weight_labels(a)[cols]
+    phi = hoch.extender(a)
+    rows, cols, _ = hoch._leibniz_rows(phi)
+    label = weight_labels(a)[phi.slots][cols]
     first = np.searchsorted(rows, rows)  # the first term of each term's row
     assert np.array_equal(label, label[first])
 
