@@ -56,19 +56,9 @@ def test_relative_route_projects_every_derivation(p, n, r):
     assert not rel.project_rows(a.ad_matrices(rng.integers(0, p, (3, a.dim)))).any()
 
 
-@pytest.mark.parametrize(
-    "build,window,nv",
-    [
-        (lambda: alg.smash_product(5, 2, 1)[0], 25, 25),
-        (lambda: alg.u0_borel(3, 2), 27, 54),  # E = {1}: W = A, and each of x, t has d unknowns
-        (lambda: alg.truncated_polynomial(3, (2, 1)), 27, 54),
-    ],
-    ids=["smash-5-2-1", "u0borel-3-2", "trunc-3-2-1"],
-)
-def test_relative_hh1_builds_no_d2_map_of_der_or_ider(monkeypatch, build, window, nv):
+def assert_no_d2_map_of_der_or_ider(monkeypatch, a, window, nv):
     # the honesty check builds the Der_E basis as maps, a block at a time, and
     # nothing else does but the representatives on W, which is all of A when E = {1}
-    a = build()
     built, on_w = [], []
     matrices, columns = hoch.Extender.matrices, hoch.Extender.columns
 
@@ -94,6 +84,22 @@ def test_relative_hh1_builds_no_d2_map_of_der_or_ider(monkeypatch, build, window
     h = hoch.hh1(a)
     assert sum(built) == h.space.dim == h.dim_der - a.dim + h.space.centralizer.size  # dim Der_E
     assert h.space.window.size == window and h.space.nv == nv and h._reps.shape == (h.dim, window, window)
+
+
+def test_relative_hh1_builds_no_d2_map_of_der_or_ider(monkeypatch):
+    assert_no_d2_map_of_der_or_ider(monkeypatch, alg.smash_product(5, 2, 1)[0], 25, 25)
+
+
+@pytest.mark.parametrize(
+    "build,window,nv",
+    [
+        (lambda: alg.u0_borel(3, 2), 27, 54),  # E = {1}: W = A, and each of x, t has d unknowns
+        (lambda: alg.truncated_polynomial(3, (2, 1)), 27, 54),
+    ],
+    ids=["u0borel-3-2", "trunc-3-2-1"],
+)
+def test_relative_hh1_with_e_1_builds_no_d2_map_of_der_or_ider(monkeypatch, build, window, nv):
+    assert_no_d2_map_of_der_or_ider(monkeypatch, build(), window, nv)
 
 
 def with_idempotents(a, idems, mult=None, **kw):
