@@ -278,24 +278,6 @@ class Algebra:
             sides[side, b] = s
         return sides
 
-    @functools.cached_property
-    def without_idempotents(self) -> "Algebra":
-        """This table carrying E = {1}: the same algebra, whose derivation solve is all of Der."""
-        if len(self.idempotents) == 1:
-            return self
-        return Algebra(
-            self.p,
-            self.labels,
-            self._consts,
-            self.unit,
-            radical_gens=self.radical_gens,
-            counit=self.counit,
-            name=self.name,
-            descriptor=self.descriptor,
-            generators=self.generators,
-            validate=False,
-        )
-
     # -- validation ---------------------------------------------------------
 
     def validate(self):
@@ -811,20 +793,15 @@ def _pairwise_products(a: Algebra, u, v) -> np.ndarray:
     """u_s v_t for every pair of rows (entries reduced mod p), as (s, t, dim).
 
     For a block of rows of u, about 2^18 cells, the left-multiplication
-    matrices are scattered from the structure constants and applied to all
-    of v in one batched matmul.
+    matrices come from the algebra's L plan and are applied to all of v in
+    one batched matmul.
     """
-    d, p = a.dim, a.p
-    i, j, k, c = a.structure_constants()
-    u_t = np.asarray(u, dtype=INT).reshape(-1, d).T
-    v = np.asarray(v).reshape(-1, d)
-    out = np.zeros((u_t.shape[1], v.shape[0], d), dtype=INT)
+    d = a.dim
+    u, v = np.asarray(u).reshape(-1, d), np.asarray(v).reshape(-1, d)
+    out = np.zeros((u.shape[0], v.shape[0], d), dtype=INT)
     step = max(1, (1 << 18) // (d * max(d, v.shape[0])))
     for s in range(0, out.shape[0], step):
-        # row j d + k, column s: the coefficient of e_k in u_s e_j
-        left = np.zeros((d * d, min(step, out.shape[0] - s)), dtype=INT)
-        gfp.scatter_add(left, j * d + k, c, np.ascontiguousarray(u_t[:, s : s + step]), i)
-        out[s : s + step] = matmul(v, (left % p).T.reshape(-1, d, d), p)
+        out[s : s + step] = matmul(v, a._mult_matrices("L", u[s : s + step]).transpose(0, 2, 1), a.p)
     return out
 
 

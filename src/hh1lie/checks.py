@@ -135,25 +135,14 @@ class SuiteContext:
 
 def check_lemma_2_1(ctx: SuiteContext) -> dict:
     """Commutators land in J^2 and a symmetric form exists, on local algebras."""
-    cases = [("trunc", (1,)), ("trunc", (2,)), ("trunc", (1, 1))]
     detail = {}
-    for _, exps in cases:
-        a = ctx.trunc(exps)
+    dual = alg.trivial_extension(alg.split_semisimple(ctx.p, 1))
+    for a in [ctx.trunc((1,)), ctx.trunc((2,)), ctx.trunc((1, 1)), dual]:
         checks = alg.commutator_and_radical_checks(a)
         form = alg.symmetric_form_search(a, trials=64, seed=ctx.seed)
-        name = a.name
-        detail[name] = {
-            "lemma21_holds": checks["lemma21_holds"],
-            "form_found": form is not None,
-        }
+        detail[a.name] = {"lemma21_holds": checks["lemma21_holds"], "form_found": form is not None}
         if not checks["lemma21_holds"] or form is None:
-            raise CheckFailure({"case": name, **detail[name]})
-    dual = alg.trivial_extension(alg.split_semisimple(ctx.p, 1))
-    checks = alg.commutator_and_radical_checks(dual)
-    form = alg.symmetric_form_search(dual, trials=64, seed=ctx.seed)
-    detail[dual.name] = {"lemma21_holds": checks["lemma21_holds"], "form_found": form is not None}
-    if not checks["lemma21_holds"] or form is None:
-        raise CheckFailure({"case": dual.name, **detail[dual.name]})
+            raise CheckFailure({"case": a.name, **detail[a.name]})
     return detail
 
 
@@ -393,7 +382,7 @@ def check_lemma_3_6(ctx: SuiteContext) -> dict:
     """[g_(0,i), g_(0,j)] = (j - i) g_(0,i+j), zero past the index range."""
     p = ctx.p
     detail = {}
-    for n, r in [(2, 1)] + ([(1, 1), (1, 2)] if p == 3 else [(1, 1)]):
+    for n, r in _criterion3_params(p):
         h = ctx.smash_hh1(n, r)
         hdim = h.dim
         for i in range(hdim):
@@ -419,7 +408,7 @@ def check_lemma_3_7(ctx: SuiteContext) -> dict:
     """g_(0,0)^[p] = g_(0,0) and g_(0,j)^[p] = 0 for j != 0."""
     p = ctx.p
     detail = {}
-    for n, r in [(2, 1)] + ([(1, 1), (1, 2)] if p == 3 else [(1, 1)]):
+    for n, r in _criterion3_params(p):
         h = ctx.smash_hh1(n, r)
         want = np.zeros((h.dim, h.dim), dtype=INT)
         if h.dim:

@@ -10,6 +10,8 @@ follow: dim Der = dim Der_E + d - dim C, and dim IDer = d - dim Z(A), where
 Z(A), inside C, is the kernel of ad on C.  Smash products carry
 E = {u_lambda}; every other algebra carries E = {1}, the one-block case of
 the same route, where C = W = A and the quotient is Der(A)/IDer(A) itself.
+All of Der is read off the same solve as Der_E + ad(A) (``derivation_space``),
+so no algebra is solved twice.
 
 Derivations are solved exactly as the null space of the Leibniz system
 f(e_i e_j) = f(e_i) e_j + e_i f(e_j).  The unknowns are the values of f on
@@ -21,10 +23,11 @@ splits into its parts u_lambda x, and W is the sum of their blocks
 u_lambda A u_(lambda - 1)).  f is phi of them:
 ``Extender`` (phi) derives from the table how each basis element is
 reached from the generators, and is the only code that extends a map from
-generator values.  The solver enforces f(1) = 0 together with the pairs
-(e_i, s) for every basis element e_i and generator s, which implies the
-full system: by induction on word length, f(a w s) = f(a w) s + a w f(s)
-extends Leibniz from words w to w s.  The system is built sparse in int64
+generator values, through one scatter plan of its terms (``Extender.on``).
+The solver enforces f(1) = 0 together with the pairs (e_i, s) for every
+basis element e_i and generator s, which implies the full system: by
+induction on word length, f(a w s) = f(a w) s + a w f(s) extends Leibniz
+from words w to w s.  The system is built sparse in int64
 and deduplicated.  Its kernel is taken one weight of the diagonal torus at
 a time: the torus weights grade A with every generator homogeneous, each
 equation involves one weight, and the blocks' kernels sorted by pivot are
@@ -248,7 +251,10 @@ class Extender:
     witness all go through it.  It reads only the generators and the table,
     never a solved Der(A).  The unknowns are the value coordinates t * d + b
     in ``slots`` (every one by default); phi(v) is a derivation iff v extends
-    to one, and ``_leibniz_failure`` decides.
+    to one, and ``_leibniz_failure`` decides.  phi is held as one
+    ``gfp.scatter_plan`` of its triplets, and ``on`` applies it on any
+    sorted set of vec(F) cells: ``matrices``, ``columns`` and ``is_phi_of``
+    read it, and so does ``_kernel_by_weight``.
     """
 
     def __init__(self, a: Algebra, gens, slots=None):
@@ -260,46 +266,40 @@ class Extender:
         self.nv = self.slots.size
         self.triplets, self.steps = _phi(a, self.gens, self.slots)
         fe, unk, val = self.triplets
-        # phi by layers: layer t holds the t-th term of every vec(F) entry phi reaches
-        start = np.flatnonzero(np.r_[True, fe[1:] != fe[:-1]]) if fe.size else fe
-        term = np.arange(fe.size) - np.repeat(start, np.diff(np.r_[start, fe.size]))
-        self._reached = fe[start]
-        self._unreached = gfp.complement(d * d, self._reached)
-        self._layers = [
-            (np.searchsorted(self._reached, fe[sel]), unk[sel], val[sel])
-            for sel in (term == t for t in range(int(term.max(initial=0)) + 1))
-        ]
+        self.plan = gfp.scatter_plan(fe, val, unk)
         self._block = max(1, STREAM_CELLS // (d * d))
 
-    def _phi_reached(self, rows) -> np.ndarray:
-        """phi of (n, nv) rows of generator values on the reached vec(F) entries, one column per row."""
-        rows_t = np.ascontiguousarray(np.asarray(rows).T)
-        _, unk, val = self._layers[0]  # the first terms reach every entry, in order
-        out = rows_t[unk] * val[:, None]
-        for pos, unk, val in self._layers[1:]:
-            out[pos] += rows_t[unk] * val[:, None]
-        out %= self.p
-        return out
+    def on(self, rows, cells=None) -> np.ndarray:
+        """phi of (n, nv) rows of generator values on the sorted vec(F) ``cells``, every one by default: (n, |cells|).
+
+        The layers of the one scatter plan are kept on ``cells``, renumbered
+        to their positions, so phi of a block is built on its cells only.
+        """
+        plan, size = self.plan, self.algebra.dim**2
+        if cells is not None and len(cells) < size:  # all d^2 sorted cells are the default
+            cells, plan, size = np.asarray(cells, dtype=INT), [], len(cells)
+            ends = np.r_[cells, -1]  # no vec(F) index equals the sentinel
+            for index, coef, take in self.plan:
+                pos = np.searchsorted(cells, index)
+                on = np.flatnonzero(ends[pos] == index)
+                plan.append((pos[on], coef[on], take[on]))
+        rows_t = np.ascontiguousarray(np.asarray(rows).T, dtype=INT)
+        out = np.zeros((size, rows_t.shape[1]), dtype=INT)
+        gfp.scatter_apply(out, plan, rows_t)
+        if plan:
+            out[plan[0][0]] %= self.p  # the first layer holds every cell a term reaches; the rest stay 0
+        return np.ascontiguousarray(out.T)
 
     def matrices(self, rows) -> np.ndarray:
         """phi of each of (n, nv) rows of generator values: the (n, d, d) stack of maps."""
         d = self.algebra.dim
-        out = np.zeros((d * d, len(rows)), dtype=INT)
-        out[self._reached] = self._phi_reached(rows)
-        return np.ascontiguousarray(out.T).reshape(-1, d, d)
+        return self.on(rows).reshape(-1, d, d)
 
     def columns(self, rows, cols) -> np.ndarray:
         """phi of each row of generator values on the basis vectors ``cols`` (sorted) only: (n, d, |cols|)."""
-        d, rows = self.algebra.dim, np.asarray(rows)
-        if len(cols) == d:
-            return self.matrices(rows)
-        fe, unk, val = self.triplets
-        at = np.full(d, -1)
-        at[cols] = np.arange(len(cols))
-        on = np.flatnonzero(at[fe % d] >= 0)
-        out = np.zeros((d * len(cols), rows.shape[0]), dtype=INT)
-        gfp.scatter_add(out, fe[on] // d * len(cols) + at[fe[on] % d], val[on], np.ascontiguousarray(rows.T), unk[on])
-        return np.ascontiguousarray(out.T % self.p).reshape(len(rows), d, len(cols))
+        d = self.algebra.dim
+        cells = (np.arange(d)[:, None] * d + np.asarray(cols, dtype=INT)).ravel()
+        return self.on(rows, cells).reshape(-1, d, len(cols))
 
     def gen_coords(self, mats) -> np.ndarray:
         """g(F) = (F s)_s for each map F of a stack, on the slots: rows of nv values."""
@@ -318,13 +318,9 @@ class Extender:
     def is_phi_of(self, mats, rows) -> bool:
         """Whether the maps (entries reduced mod p) equal phi(rows), a block at a time."""
         mats = np.asarray(mats).reshape(-1, self.algebra.dim**2)
-        for s in range(0, rows.shape[0], self._block):
-            part = mats[s : s + self._block]
-            if part[:, self._unreached].any() or not np.array_equal(
-                self._phi_reached(rows[s : s + self._block]), part[:, self._reached].T
-            ):
-                return False
-        return True
+        step = self._block
+        blocks = range(0, rows.shape[0], step)
+        return all(np.array_equal(self.on(rows[s : s + step]), mats[s : s + step]) for s in blocks)
 
 
 def _relative_slots(a: Algebra, gens: np.ndarray) -> np.ndarray:
@@ -478,7 +474,7 @@ def _kernel_by_weight(phi: Extender, rows, cols, vals, weight: np.ndarray):
     pivots.  Sorted, the disjoint blocks' rows and pivots are the whole ones.
     """
     p, nv = phi.p, phi.nv
-    fe, unk, val = phi.triplets
+    fe, unk, _ = phi.triplets
     block = np.zeros(nv, dtype=INT)
     for w in weight:  # number the distinct weights 0, 1, ... one coordinate at a time
         block = np.unique(block * p + w, return_inverse=True)[1]
@@ -494,21 +490,15 @@ def _kernel_by_weight(phi: Extender, rows, cols, vals, weight: np.ndarray):
         kers.append(np.zeros((ker.shape[0], nv), dtype=INT))
         kers[-1][:, own] = ker
         pivots.append(own[np.argmax(ker != 0, axis=1)])
-        on = np.flatnonzero(block[unk] == n)  # the terms of phi(K_b)
-        reached, at = np.unique(fe[on], return_inverse=True)
-        image = np.zeros((reached.size, ker.shape[0]), dtype=INT)  # phi(K_b) on its cells, transposed
-        gfp.scatter_add(image, at, val[on], ker.T, np.searchsorted(own, unk[on]))
-        rank, piv = rref(image.T, p)[1:]
-        del image  # one block's image is alive at a time
+        reached = fe[block[unk] == n]  # the cells of phi(K_b), sorted as fe is, then each kept once
+        reached = reached[np.diff(reached, prepend=-1) != 0]
+        rank, piv = rref(phi.on(kers[-1], reached), p)[1:]  # one block's image is alive at a time
         if rank < ker.shape[0]:
             raise Hh1LieError("phi maps distinct solved generator values to one map")
         cells.append(reached[piv])
     ker = np.concatenate(kers)[np.argsort(np.concatenate(pivots))]
     cells = np.sort(np.concatenate(cells))
-    on = np.flatnonzero(np.isin(fe, cells))
-    m = np.zeros((cells.size, ker.shape[0]), dtype=INT)  # phi(K) on the pivot cells, transposed
-    gfp.scatter_add(m, np.searchsorted(cells, fe[on]), val[on], ker.T, unk[on])
-    return ker, cells.tolist(), m.T % p
+    return ker, cells.tolist(), phi.on(ker, cells)
 
 
 def _leibniz_plans(a: Algebra):
@@ -695,13 +685,17 @@ def _derivation_space(a: Algebra) -> DerivationSpace:
 def derivation_space(a: Algebra) -> list[Derivation]:
     """Basis of Der(A), deterministic via RREF pivots, as d x d maps.
 
-    The solver's unknowns are the values of f on ``a.generating_set()``: the
+    Read off the one relative solve: Der = Der_E + ad(A), and ad(C) lies in
+    Der_E, so Der is spanned by the canonical basis of Der_E and the ad e_b
+    for the basis vectors b off C; with E = {1} there are none.  The
+    solver's unknowns are the values of f on ``a.generating_set()``: the
     algebra's generators, or with none, every basis vector, which is
-    allowed up to dimension DENSE_SOLVER_LIMIT.  All of Der is the solve
-    with E = {1}, on ``a.without_idempotents``.
+    allowed up to dimension DENSE_SOLVER_LIMIT.
     """
-    space = _derivation_space(a.without_idempotents)
-    return [Derivation(a, m) for m in space.matrices(space.basis)]
+    space, d = _derivation_space(a), a.dim
+    off = gfp.complement(d, space.centralizer)
+    rows = np.vstack([space.matrices(space.basis), a.ad_matrices(np.eye(d, dtype=INT)[off])])
+    return [Derivation(a, m.reshape(d, d)) for m in gfp.row_space(rows.reshape(-1, d * d), a.p)]
 
 
 def inner_derivations(a: Algebra) -> list[Derivation]:

@@ -216,6 +216,28 @@ def quiver_algebra_from_pairs(q, p, max_paths=400):
     return alg.Algebra(p, labels, mult, unit, radical_gens=rad, name=f"quiver(p={p},dim={len(basis)})")
 
 
+def whole(a):
+    """The table of ``a`` carrying E = {1}, whose derivation solve is all of Der; ``a`` itself when it carries E = {1}.
+
+    ``Algebra.without_idempotents`` as it was, verbatim but for the name: an
+    unvalidated copy that keeps the generators and the descriptor.
+    """
+    if len(a.idempotents) == 1:
+        return a
+    return alg.Algebra(
+        a.p,
+        a.labels,
+        a.structure_constants(),
+        a.unit,
+        radical_gens=a.radical_gens,
+        counit=a.counit,
+        name=a.name,
+        descriptor=a.descriptor,
+        generators=a.generators,
+        validate=False,
+    )
+
+
 def old_stream_pivots(space, ker):
     """``hochschild.DerivationSpace._stream_pivots`` before the per-block pivots, verbatim but for ``space``.
 

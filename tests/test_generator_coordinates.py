@@ -28,6 +28,7 @@ from oracles import (
     old_coords,
     old_p_envelope,
     quotient_basis,
+    whole,
 )
 
 
@@ -44,7 +45,7 @@ def d2_derivations(a):
 def d2_hh1(a):
     """The d^2 presentation: dims, bases, complement, labels and tables."""
     p, d = a.p, a.dim
-    der = Subspace.from_vectors(d2_derivations(a.without_idempotents), p, d * d)
+    der = Subspace.from_vectors(d2_derivations(whole(a)), p, d * d)
     ad = np.vstack([((a.left_mult_matrix(e) - a.right_mult_matrix(e)) % p).reshape(-1) for e in np.eye(d, dtype=int)])
     ider = Subspace.from_vectors(ad, p, d * d)
     assert not der.reduce_rows(ider.basis).any()
@@ -100,8 +101,9 @@ def test_hh1_matches_the_d2_pipeline(case):
     want = d2_hh1(a)
     h = hoch.hh1(a)
     # all of Der is the solve with E = {1}: hh1's own space when the algebra carries no other E
-    space = hoch._derivation_space(a.without_idempotents)
-    assert (space is h.space) == (a.without_idempotents is a)
+    one = whole(a)
+    space = hoch._derivation_space(one)
+    assert (space is h.space) == (one is a)
     d2 = a.dim**2
     assert space.nv == (d2 if a.generators is None else len(a.generators) * a.dim)
     assert (h.dim_der, h.dim_ider, h.dim) == (
@@ -129,7 +131,7 @@ def test_derivation_space_is_the_d2_canonical_basis():
     for build in (CASES["smash-3-2-1"], CASES["trivext-5"]):
         a = build()
         got = np.array([f.matrix.reshape(-1) for f in hoch.derivation_space(a)], dtype=INT)
-        assert np.array_equal(got, d2_derivations(a.without_idempotents))
+        assert np.array_equal(got, d2_derivations(whole(a)))
 
 
 def test_streamed_pivots_do_not_depend_on_the_block_size(monkeypatch):
@@ -137,7 +139,7 @@ def test_streamed_pivots_do_not_depend_on_the_block_size(monkeypatch):
     # smash products are solved both relative to their idempotents and with E = {1}
     for case in ("smash-3-2-1", "u0borel-3-2", "smash-5-2-1"):
         built = CASES[case]()
-        for a in dict.fromkeys((built, built.without_idempotents)):
+        for a in dict.fromkeys((built, whole(built))):
             want = d2_derivations(a)
             for cells in (1, 27, 1 << 10):
                 monkeypatch.setattr(hoch, "STREAM_CELLS", cells)

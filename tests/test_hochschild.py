@@ -12,7 +12,7 @@ from hh1lie import hochschild as hoch
 from hh1lie import lie as lielib
 from hh1lie.errors import Hh1LieError, WellDefinednessFailure
 from hh1lie.gfp import Subspace
-from oracles import mult_terms
+from oracles import mult_terms, whole
 
 
 def basis_vec(dim, i):
@@ -249,8 +249,10 @@ def test_missing_leibniz_rows_fail_the_generator_check(monkeypatch):
     # a solver that loses every pair equation keeps only f(1) = 0 and returns
     # too large a kernel; the generator blocks of the honesty check see it
     # (the system is so redundant that dropping one generator's equations,
-    # or every other row, still gives Der(A) here)
-    a = alg.smash_product(3, 3, 1)[0]
+    # or every other row, still gives Der(A) here).  Solved with E = {1}:
+    # relative to the u_lambda every value in W extends to a derivation, so
+    # the pair rows carry nothing there and no check could fire
+    a = whole(alg.smash_product(3, 3, 1)[0])
     assert a.dim > hoch.DENSE_SOLVER_LIMIT
     full = hoch._leibniz_terms
 

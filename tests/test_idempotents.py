@@ -1,11 +1,13 @@
 """HH1 relative to the idempotents a smash product carries, differentially against the solve with E = {1}.
 
 A smash product carries E = {u_lambda}, and ``hochschild.hh1`` presents
-HH1 = Der_E / ad(C).  ``Algebra.without_idempotents`` is the same table
-carrying E = {1}, whose solve is all of Der: the two routes must report the
-same dimensions, tables and ``hh1`` JSON.  Every other algebra carries
-E = {1}, the one-block case of the same code: its ad(A) from the table terms
-is compared with the d x d maps ad e_i that the one-block case used to build.
+HH1 = Der_E / ad(C).  The oracle ``whole`` is the same table carrying
+E = {1}, whose solve is all of Der: the two routes must report the same
+dimensions, tables and ``hh1`` JSON, and ``derivation_space``, which reads
+Der off the relative solve, must give that solve's maps byte for byte.
+Every other algebra carries E = {1}, the one-block case of the same code:
+its ad(A) from the table terms is compared with the d x d maps ad e_i that
+the one-block case used to build.
 """
 
 import json
@@ -17,7 +19,7 @@ from hh1lie import algebras as alg
 from hh1lie import checks, cli
 from hh1lie import hochschild as hoch
 from hh1lie.errors import Hh1LieError, IdempotentViolation
-from oracles import mult_terms, old_inner
+from oracles import mult_terms, old_inner, whole
 
 # every smash product with d <= 125 at p = 3 and 5: r < n, r = n and r > n at each p
 SMASH = [(3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 3, 1), (3, 2, 2), (3, 1, 3), (5, 1, 1), (5, 2, 1), (5, 1, 2)]
@@ -26,9 +28,9 @@ SMASH = [(3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 3, 1), (3, 2, 2), (3, 1, 3), (5, 1
 @pytest.mark.parametrize("p,n,r", SMASH)
 def test_relative_route_matches_the_solve_with_e_1(p, n, r):
     a, desc = alg.smash_product(p, n, r)
-    whole = a.without_idempotents
-    assert whole is not a and len(whole.idempotents) == 1 and whole.without_idempotents is whole
-    rel, full = hoch.hh1(a), hoch.hh1(whole)
+    one = whole(a)
+    assert one is not a and len(one.idempotents) == 1 and whole(one) is one
+    rel, full = hoch.hh1(a), hoch.hh1(one)
     # the unknowns: p^max(n, r) values of F(x) in the blocks u_lambda A u_(lambda - 1), against (p^r + 1) d
     assert rel.space.nv == p ** max(n, r) and full.space.nv == (desc.n_chars + 1) * a.dim
     assert rel.space.centralizer.size == p ** max(n, r) and full.space.centralizer.size == a.dim
@@ -40,7 +42,38 @@ def test_relative_route_matches_the_solve_with_e_1(p, n, r):
     assert rel.complement_labels == full.complement_labels
     for f, g in zip(rel.complement_basis, full.complement_basis):
         assert np.array_equal(f.matrix, g.matrix)
-    assert alg.dumps_canonical(cli._hh1_payload(a, 0)) == alg.dumps_canonical(cli._hh1_payload(whole, 0))
+    assert alg.dumps_canonical(cli._hh1_payload(a, 0)) == alg.dumps_canonical(cli._hh1_payload(one, 0))
+
+
+# every smash product above, then one algebra of each other family that carries E = {1}
+DER = {f"smash-{p}-{n}-{r}": (lambda p=p, n=n, r=r: alg.smash_product(p, n, r)[0]) for p, n, r in SMASH}
+DER.update(
+    {
+        "trunc-3-2-1": lambda: alg.truncated_polynomial(3, (2, 1)),
+        "u0borel-3-2": lambda: alg.u0_borel(3, 2),
+        "trivext-kr-5": lambda: alg.trivial_extension(alg.quiver_algebra(alg.kronecker_quiver(), 5)),
+    }
+)
+
+
+@pytest.mark.parametrize("name", DER)
+def test_derivation_space_reads_der_off_the_relative_solve(monkeypatch, name):
+    # Der = Der_E + ad(A): the canonical basis is the E = {1} solve's, map for
+    # map and byte for byte, and the only space solved is the algebra's own
+    a = DER[name]()
+    solved, init = [], hoch.DerivationSpace.__init__
+
+    def recorded(self, alg_):
+        solved.append(alg_)
+        init(self, alg_)
+
+    monkeypatch.setattr(hoch.DerivationSpace, "__init__", recorded)
+    got = np.stack([f.matrix for f in hoch.derivation_space(a)])
+    assert len(solved) == 1 and solved[0] is a
+    monkeypatch.undo()
+    space = hoch.DerivationSpace(whole(a))
+    want = space.matrices(space.basis)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("p,n,r", [(3, 2, 1), (3, 1, 2), (5, 2, 1)])
@@ -48,7 +81,7 @@ def test_relative_route_projects_every_derivation(p, n, r):
     # a derivation that does not vanish on E is moved into Der_E by
     # F - ad(sum_i F(e_i) e_i), which keeps its class
     a = alg.smash_product(p, n, r)[0]
-    rel, full = hoch.hh1(a), hoch.hh1(a.without_idempotents)
+    rel, full = hoch.hh1(a), hoch.hh1(whole(a))
     rng = np.random.default_rng(p * 100 + n * 10 + r)
     space = full.space
     ders = space.matrices(rng.integers(0, p, (6, space.dim)) @ space.basis % p)
@@ -205,21 +238,18 @@ def test_a_generator_equal_to_1_gets_no_unknowns():
 
 
 def test_the_suite_builds_no_derivation_space_on_a_copy_without_idempotents(monkeypatch):
-    copies, solved = [], []
-    real_copy, real_init = alg.Algebra.without_idempotents.func, hoch.DerivationSpace.__init__
+    # each algebra is solved once, relative to the idempotents it carries:
+    # no smash table is solved again as a copy carrying E = {1}
+    solved, init = [], hoch.DerivationSpace.__init__
 
-    def copy(self):
-        copies.append(real_copy(self))
-        return copies[-1]
-
-    def init(self, a):
+    def recorded(self, a):
         solved.append(a)
-        real_init(self, a)
+        init(self, a)
 
-    monkeypatch.setattr(alg.Algebra, "without_idempotents", property(copy))
-    monkeypatch.setattr(hoch.DerivationSpace, "__init__", init)
+    monkeypatch.setattr(hoch.DerivationSpace, "__init__", recorded)
     assert all(r.status == "pass" for r in checks.run_suite(p=3))
-    assert solved and not any(a is c for a in solved for c in copies)
+    assert solved and len({id(a) for a in solved}) == len(solved)
+    assert not any(isinstance(a.descriptor, alg.SmashDescriptor) and len(a.idempotents) == 1 for a in solved)
     assert any(len(a.idempotents) > 1 for a in solved)
 
 

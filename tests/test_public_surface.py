@@ -23,7 +23,12 @@ RETIRED = {
     ),
     "lie": ("element_analysis", "is_p_nilpotent_element", "RestrictedLie.bracket_vec", "TORAL_GRAPH_LIMIT"),
     "gfp": ("Subspace.intersection", "Subspace.quotient_basis", "Subspace.coords", "Subspace.to_json_dict"),
-    "algebras": ("Algebra.mult_terms", "Algebra.basis_left_matrix", "Algebra.basis_right_matrix"),
+    "algebras": (
+        "Algebra.mult_terms",
+        "Algebra.basis_left_matrix",
+        "Algebra.basis_right_matrix",
+        "Algebra.without_idempotents",
+    ),
     "errors": ("AlgebraMismatch",),
     "checks": ("SuiteContext.whole_smash_hh1",),
 }

@@ -15,7 +15,7 @@ from hh1lie import algebras as alg
 from hh1lie import gfp
 from hh1lie import hochschild as hoch
 from hh1lie.errors import Hh1LieError
-from oracles import old_stream_pivots
+from oracles import old_stream_pivots, whole
 
 CASES = {
     "smash321": lambda: alg.smash_product(3, 2, 1)[0],
@@ -132,7 +132,7 @@ def test_weights_that_break_a_term_make_the_solver_raise(monkeypatch):
     # dim 25 of 27, every map in it a derivation, so the honesty check, which
     # checks only that, would pass it.  The solver must refuse the split.
     # (With E = {1}: relative to the u_lambda, u0 x^2 is in no unknown's block.)
-    a = alg.smash_product(3, 2, 1)[0].without_idempotents
+    a = whole(alg.smash_product(3, 2, 1)[0])
     gens = hoch.extender(a).gens
     k = a.labels.index("u0*x^2")
     assert not gens[:, k].any()
