@@ -40,7 +40,7 @@ from .errors import (
     RadicalUnavailable,
     UnitViolation,
 )
-from .gfp import INT, Subspace, check_dim, check_prime, matmul, normalize, rref
+from .gfp import INT, STREAM_CELLS, Subspace, check_dim, check_prime, matmul, normalize, rref
 
 @dataclass(frozen=True)
 class SmashDescriptor:
@@ -799,7 +799,7 @@ def _pairwise_products(a: Algebra, u, v) -> np.ndarray:
     d = a.dim
     u, v = np.asarray(u).reshape(-1, d), np.asarray(v).reshape(-1, d)
     out = np.zeros((u.shape[0], v.shape[0], d), dtype=INT)
-    step = max(1, (1 << 18) // (d * max(d, v.shape[0])))
+    step = max(1, STREAM_CELLS // (d * max(d, v.shape[0])))
     for s in range(0, out.shape[0], step):
         out[s : s + step] = matmul(v, a._mult_matrices("L", u[s : s + step]).transpose(0, 2, 1), a.p)
     return out

@@ -43,6 +43,7 @@ MAX_DIM = 1 << 14
 P_MAX = 317
 EXACT32 = 1 << 24  # float32 sums of integers are exact below this
 EXACT = 1 << 53  # and float64 sums below this
+STREAM_CELLS = 1 << 18  # int64 cells per block of a computation streamed in blocks
 
 
 def is_prime(n: int) -> bool:

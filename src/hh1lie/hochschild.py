@@ -62,10 +62,9 @@ import numpy as np
 from . import gfp
 from .algebras import Algebra, SmashDescriptor
 from .errors import DimensionMismatch, Hh1LieError, WellDefinednessFailure
-from .gfp import INT, Subspace, matmul, normalize, rref
+from .gfp import INT, STREAM_CELLS, Subspace, matmul, normalize, rref
 
 DENSE_SOLVER_LIMIT = 32
-STREAM_CELLS = 1 << 18  # int64 cells per block: Leibniz rows, Leibniz residuals, or d x d maps
 
 
 class Derivation:
@@ -636,11 +635,10 @@ class DerivationSpace:
         """
         if self._inner is None:
             a, p = self.algebra, self.p
-            ad = _ad_values(a, self.phi, self.centralizer)
-            if self.der.reduce_rows(ad).any():
-                raise Hh1LieError("inner derivations escape the derivation space")
+            escape = Hh1LieError("inner derivations escape the derivation space")
+            ad = self.der.coords_rows(_ad_values(a, self.phi, self.centralizer), escape)
             # y = y[Q] K over the pivots Q of the kernel K, and K = M basis
-            red, rank, piv = rref(matmul(ad[:, list(self.der.pivots)], self._m, p), p)
+            red, rank, piv = rref(matmul(ad, self._m, p), p)
             rows = matmul(red[:rank], self.basis, p)
             self._inner = rows, piv, Subspace.from_vectors(rows, p, self.nv)
         return self._inner
@@ -778,13 +776,13 @@ def generator_tables(mats, values, p: int, coords_rows):
     vals = normalize(values, p).reshape(h * m, d)  # row (j, t) is X_j s_t
     xt = np.ascontiguousarray(mats.transpose(2, 0, 1)).reshape(d, h * d)  # column block i is X_i^T
     prod = np.empty((h * m, h * d), dtype=INT)
-    step = max(1, (1 << 18) // max(h * m * d, 1)) * d
+    step = max(1, STREAM_CELLS // max(h * m * d, 1)) * d
     for s in range(0, h * d, step):
         prod[:, s : s + step] = matmul(vals, xt[:, s : s + step], p)
     prod = prod.reshape(h, m, h, d)  # prod[j, t, i] is X_i X_j s_t
     bracket = np.zeros((h, h, h), dtype=INT)
     first, second = np.triu_indices(h, 1)
-    step = max(1, (1 << 18) // max(m * d, 1))
+    step = max(1, STREAM_CELLS // max(m * d, 1))
     for s in range(0, first.size, step):
         i, j = first[s : s + step], second[s : s + step]
         comm = (prod[j, :, i] - prod[i, :, j]) % p  # g([X_i, X_j])

@@ -7,9 +7,9 @@ element goes through as a one-row stack; construction verifies
 antisymmetry, the Jacobi identity and ad(x^[p]) = ad(x)^p on the basis.
 
 Analyses: derived / lower central series, solvability, nilpotency,
-simplicity (adjoint irreducibility via a seeded Norton-style kernel-spin
-test with explicit witnesses), toral and p-nilpotent elements, greedy
-maximal tori with exhaustive certification at enumerable sizes,
+simplicity (adjoint irreducibility via Norton's kernel-spin test on one
+seeded stream, with explicit witnesses), toral and p-nilpotent elements,
+greedy maximal tori with exhaustive certification at enumerable sizes,
 trigonalizability, and fingerprints that recognize the derivation
 algebras of truncated polynomial rings, sl2 and gl2.
 """
@@ -24,11 +24,13 @@ import numpy as np
 from . import gfp
 from .algebras import truncated_polynomial
 from .errors import DimensionMismatch, Hh1LieError, RestrictednessViolation
-from .gfp import INT, Subspace, check_prime, matmul, normalize, rref
+from .gfp import INT, STREAM_CELLS, Subspace, check_prime, matmul, normalize, rref
 from .hochschild import HH1Presentation, generator_tables, hh1
 
 ENUM_LIMIT = 10**6
 ENUM_LIMIT_SLOW = 20_000
+NORTON_ROUNDS = 400  # seeded words, then as many mixed elements, in the Norton stream
+TORUS_ROUNDS = 60  # seeded centralizer draws per greedy torus step
 
 
 class RestrictedLie:
@@ -45,7 +47,7 @@ class RestrictedLie:
         if len(self.labels) != self.dim:
             raise DimensionMismatch("label count does not match dimension")
         self._admats = self._lie_gens = self._pmap_census = None
-        self._tori = {}  # (seed, random_rounds) -> TorusReport, for int seeds
+        self._tori = {}  # seed -> TorusReport, for int seeds
         if validate:
             self.validate()
 
@@ -80,7 +82,7 @@ class RestrictedLie:
         # With t[i, j, k] = [b_k, [b_i, b_j]] and antisymmetry, the last two
         # terms are t[i, j, k] - t[i, k, j].  The sum is alternating, so the
         # first failing triple has i < j < k: j and k run past the slice start.
-        step = max(1, (1 << 18) // max(d**3, 1))
+        step = max(1, STREAM_CELLS // max(d**3, 1))
         for i0 in range(0, d, step):
             block, rest = c[i0 : i0 + step], c[i0 + 1 :]
             b, m = block.shape[0], rest.shape[0]
@@ -292,13 +294,22 @@ def _random_env_element(mats, p, rng) -> np.ndarray:
     return theta
 
 
-def _envelope_candidates(mats, p: int, seed: int, rounds: int):
-    """The matrices, then ``rounds`` seeded random enveloping-algebra elements, lazily."""
+def _mixed_element(mats, p, rng) -> np.ndarray:
+    """Parker's mixed element ab + a + bab, for seeded random combinations a and b of the matrices."""
+    m = len(mats)
+    a, b = matmul(rng.integers(0, p, size=(2, m)), mats.reshape(m, -1), p).reshape((2,) + mats.shape[1:])
+    ab = matmul(a, b, p)
+    return (ab + a + matmul(b, ab, p)) % p
+
+
+def _envelope_candidates(mats, p: int, seed: int):
+    """The matrices, then NORTON_ROUNDS seeded words in them, then as many mixed elements, lazily."""
     rng = np.random.default_rng(seed)
-    return itertools.chain(mats, (_random_env_element(mats, p, rng) for _ in range(rounds)))
+    words = (_random_env_element(mats, p, rng) for _ in range(NORTON_ROUNDS))
+    return itertools.chain(mats, words, (_mixed_element(mats, p, rng) for _ in range(NORTON_ROUNDS)))
 
 
-def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int = 400):
+def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0):
     """A proper nonzero ad-invariant subspace (an ideal), or None if irreducible.
 
     Norton-style decision: for a singular element theta of the enveloping
@@ -307,6 +318,10 @@ def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int 
     space and some transpose-kernel vector spins to the whole dual space
     (irreducible).  Answers are certified by the returned witness or by
     that spin certificate; the seeded search is Las-Vegas.
+
+    theta runs over the one stream ``_envelope_candidates``, whose mixed
+    elements have nullity 1 far more often than its words.  No kernel is
+    searched exhaustively: a stream that ends undecided raises Hh1LieError.
 
     Each probed kernel vector that spins to all of L is kept, and later
     spins stop once they reach one (see ``_spin``): only full spins end
@@ -337,14 +352,12 @@ def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int 
             return None
         return Subspace.from_vectors(gfp.kernel(span_t.basis, p), p, d)
 
-    fallback = None
-    for theta in _envelope_candidates(mats, p, seed, max_rounds):
+    for theta in _envelope_candidates(mats, p, seed):
         ker = gfp.kernel(theta, p)
         nullity = ker.shape[0]
         if nullity == 0 or nullity == d:
             continue
-        # probe a few kernel vectors; conclusive certificates come from the
-        # nullity-1 case or the exhaustive fallback below
+        # probe a few kernel vectors; the conclusive certificate is the nullity-1 case
         for v in ker[:3]:
             span = _spin(op, v, p, known)
             if span.dim < d:
@@ -352,21 +365,8 @@ def adjoint_invariant_subspace(L: RestrictedLie, seed: int = 0, max_rounds: int 
             known.append(v)
         if nullity == 1:
             # Norton: the kernel line and one transpose-kernel vector decide
-            witness = dual_side(theta)
-            return witness
-        if fallback is None and p**nullity <= 2000:
-            fallback = (theta, ker, nullity)
-    if fallback is not None:
-        # no nullity-1 element found: apply the criterion with the full
-        # kernel of a small-nullity element
-        theta, ker, nullity = fallback
-        for v in matmul(_all_vectors_batch(p, nullity)[1:], ker, p):  # every nonzero kernel vector
-            span = _spin(op, v, p, known)
-            if span.dim < d:
-                return span
-            known.append(v)
-        return dual_side(theta)
-    raise Hh1LieError("irreducibility test did not reach a decision; increase max_rounds")
+            return dual_side(theta)
+    raise Hh1LieError("irreducibility test did not reach a decision")
 
 
 def is_simple(L: RestrictedLie, seed: int = 0) -> bool:
@@ -480,7 +480,7 @@ def _pmap_enumeration(L: RestrictedLie):
     by_ad = center_of(L).dim == 0
     if not by_ad and total > ENUM_LIMIT_SLOW:
         return None
-    chunk = max(1, (1 << 18) // max(1, d * d))
+    chunk = max(1, STREAM_CELLS // max(1, d * d))
 
     def chunks():
         for start in range(0, total, chunk):
@@ -549,7 +549,7 @@ def _max_commuting_torus(L: RestrictedLie, torals) -> list[np.ndarray]:
     if not len(torals):
         return []
     reps = _projectivize(torals, p)
-    step = max(1, (1 << 18) // (d * d))
+    step = max(1, STREAM_CELLS // (d * d))
     cdim = d - np.concatenate([gfp.ranks(L.ad(reps[s : s + step]), p) for s in range(0, len(reps), step)])
     best, seen = [], set()
 
@@ -577,7 +577,7 @@ def _max_commuting_torus(L: RestrictedLie, torals) -> list[np.ndarray]:
     return best
 
 
-def greedy_maximal_torus(L: RestrictedLie, seed: int = 0, random_rounds: int = 60) -> TorusReport:
+def greedy_maximal_torus(L: RestrictedLie, seed: int = 0) -> TorusReport:
     """Grow a torus greedily; certify exhaustively when p^dim is enumerable.
 
     Scans the centralizer of the current torus (basis sweep, then seeded
@@ -586,17 +586,17 @@ def greedy_maximal_torus(L: RestrictedLie, seed: int = 0, random_rounds: int = 6
     the maximal toral rank; exhaustive enumeration upgrades the status to
     exhaustively-certified and overrides the greedy result if larger.
 
-    For an int seed the report is built once per (seed, random_rounds) and
-    stored on L; each call gets its own copy.
+    For an int seed the report is built once per seed and stored on L; each
+    call gets its own copy.
     """
     if not isinstance(seed, int):  # a Generator or None: nothing to key the report by
-        return _torus_report(L, seed, random_rounds)
-    if (seed, random_rounds) not in L._tori:
-        L._tori[seed, random_rounds] = _torus_report(L, seed, random_rounds)
-    return L._tori[seed, random_rounds].copy()
+        return _torus_report(L, seed)
+    if seed not in L._tori:
+        L._tori[seed] = _torus_report(L, seed)
+    return L._tori[seed].copy()
 
 
-def _torus_report(L: RestrictedLie, seed, random_rounds: int) -> TorusReport:
+def _torus_report(L: RestrictedLie, seed) -> TorusReport:
     p, d = L.p, L.dim
     rng = np.random.default_rng(seed)
     torus, span = [], Subspace.zero(d, p)
@@ -604,8 +604,8 @@ def _torus_report(L: RestrictedLie, seed, random_rounds: int) -> TorusReport:
     def next_toral():
         """A toral element outside the torus's span, from its centralizer, or None."""
         cent = _centralizer(L, torus)
-        draws = [rng.integers(0, p, size=cent.dim) for _ in range(random_rounds)]
-        cands = np.vstack([cent.basis, matmul(np.reshape(draws, (random_rounds, cent.dim)), cent.basis, p)])
+        draws = [rng.integers(0, p, size=cent.dim) for _ in range(TORUS_ROUNDS)]
+        cands = np.vstack([cent.basis, matmul(np.reshape(draws, (TORUS_ROUNDS, cent.dim)), cent.basis, p)])
         cands = cands[span.reduce_rows(cands).any(axis=1)]  # zero draws lie in every span
         for s in range(0, len(cands), 8):  # envelopes 8 candidates at a time, in order
             for env, phi in _p_envelopes(L, cands[s : s + 8]):

@@ -204,9 +204,9 @@ def test_suite_certifies_each_torus_and_weight_derivation_once(monkeypatch):
     searches, outers, batches = [], [], []
     report, named_outers = lielib._torus_report, hoch.named_outers
 
-    def count_search(L, seed, rounds):
-        searches.append((L, seed, rounds))  # held, so no freed algebra's id is reused
-        return report(L, seed, rounds)
+    def count_search(L, seed):
+        searches.append((L, seed))  # held, so no freed algebra's id is reused
+        return report(L, seed)
 
     def count_outers(desc, pairs, a=None):
         outers.extend((a.name, lam, j) for lam, j in pairs)
@@ -217,7 +217,7 @@ def test_suite_certifies_each_torus_and_weight_derivation_once(monkeypatch):
     monkeypatch.setattr(hoch, "named_outers", count_outers)
     results = checks.run_suite(p=5)
     assert all(r.status == "pass" for r in results), [r.check_id for r in results if r.status != "pass"]
-    keys = [(id(L), seed, rounds) for L, seed, rounds in searches]
+    keys = [(id(L), seed) for L, seed in searches]
     assert len(keys) == len(set(keys)) >= 5
     assert len(outers) == len(set(outers)) == 24  # smash(1,1): 4 x 1, smash(2,1): 4 x 5
     assert all(lam != 0 for _, lam, _ in outers)

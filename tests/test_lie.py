@@ -188,6 +188,49 @@ def test_gl2_not_simple():
     assert not lielib.is_simple(lielib.gl2(3))
 
 
+def test_w3_is_simple():
+    # Prop. 2.3 at three variables: HH1 of k[x, y, z]/(x^3, y^3, z^3) is W(3)
+    L = lielib.from_hh1(hoch.hh1(alg.truncated_polynomial(3, (1, 1, 1))))
+    assert L.dim == 81
+    assert lielib.is_simple(L)
+
+
+def test_hh1_trunc5_11_is_simple_at_every_probed_seed():
+    # the words alone decide none of these seeds: 3, 5 and 9 need the mixed elements
+    L = lielib.from_hh1(hoch.hh1(alg.truncated_polynomial(5, (1, 1))))
+    for seed in (0, 3, 5, 9):
+        assert lielib.is_simple(L, seed=seed), seed
+
+
+MIXED_CASES = {
+    "witt32": (lambda: lielib.witt(3, 2), True),
+    "sl2-5": (lambda: lielib.sl2(5), True),
+    "witt51": (lambda: lielib.witt(5, 1), True),
+    "gl2-3": (lambda: lielib.gl2(3), False),
+    "hh1-trunc3-2": (lambda: lielib.from_hh1(hoch.hh1(alg.truncated_polynomial(3, (2,)))), False),
+    "hh1-smash331": (lambda: smash_lie(3, 3, 1), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_CASES))
+def test_mixed_elements_alone_decide(name, monkeypatch):
+    build, simple = MIXED_CASES[name]
+    L = build()
+
+    def mixed_only(mats, p, seed):
+        rng = np.random.default_rng(seed)
+        return (lielib._mixed_element(mats, p, rng) for _ in range(lielib.NORTON_ROUNDS))
+
+    monkeypatch.setattr(lielib, "_envelope_candidates", mixed_only)
+    for seed in range(3):
+        witness = lielib.adjoint_invariant_subspace(L, seed=seed)
+        if simple:
+            assert witness is None, seed
+        else:
+            assert witness is not None and 0 < witness.dim < L.dim, seed
+            assert lielib._is_ideal(L, witness), seed
+
+
 # -- element analysis ----------------------------------------------------------------------
 
 

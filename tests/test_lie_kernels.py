@@ -352,7 +352,7 @@ def test_jacobson_p_map_matches_python_int_matrix_powers(kind, p):
 
 
 def iterate_vectors(p, dim):
-    """All vectors of GF(p)^dim in mixed-radix order, one at a time, as the fallback read them."""
+    """All vectors of GF(p)^dim in mixed-radix order, one at a time."""
     for start in range(p**dim):
         digits, x = [], start
         for _ in range(dim):
@@ -610,7 +610,8 @@ def test_lazy_candidate_stream_matches_eager_list(seed):
         mats = L.ad_basis()
         rng = np.random.default_rng(seed)
         eager = list(mats) + [lielib._random_env_element(mats, L.p, rng) for _ in range(400)]
-        lazy = lielib._envelope_candidates(mats, L.p, seed, 400)
+        eager += [lielib._mixed_element(mats, L.p, rng) for _ in range(400)]  # from the same generator
+        lazy = lielib._envelope_candidates(mats, L.p, seed)
         # a partial read sees the eager prefix, and a full read all of it
         prefix = list(itertools.islice(lazy, L.dim + 7))
         rest = list(lazy)
@@ -825,7 +826,7 @@ def test_fingerprint_enumerates_the_p_map_once(monkeypatch):
         assert len(calls) == 1  # the census is kept on L
 
 
-def plain_invariant_subspace(L, seed=0, max_rounds=400):
+def plain_invariant_subspace(L, seed=0):
     """adjoint_invariant_subspace on a nonabelian L, every spin run to its end."""
     d, p = L.dim, L.p
     mats = L.ad_basis()
@@ -842,8 +843,7 @@ def plain_invariant_subspace(L, seed=0, max_rounds=400):
                 return perp
         raise Hh1LieError("transpose kernel vanished unexpectedly")
 
-    fallback = None
-    for theta in lielib._envelope_candidates(mats, p, seed, max_rounds):
+    for theta in lielib._envelope_candidates(mats, p, seed):
         ker = gfp.kernel(theta, p)
         nullity = ker.shape[0]
         if nullity == 0 or nullity == d:
@@ -854,19 +854,7 @@ def plain_invariant_subspace(L, seed=0, max_rounds=400):
                 return span
         if nullity == 1:
             return dual_side(theta)
-        if fallback is None and p**nullity <= 2000:
-            fallback = (theta, ker, nullity)
-    if fallback is not None:
-        theta, ker, nullity = fallback
-        for coeffs in lielib._all_vectors_batch(p, nullity):
-            v = gfp.matmul(coeffs, ker, p)
-            if not v.any():
-                continue
-            span = lielib._spin(op, v, p)
-            if span.dim < d:
-                return span
-        return dual_side(theta)
-    raise Hh1LieError("irreducibility test did not reach a decision; increase max_rounds")
+    raise Hh1LieError("irreducibility test did not reach a decision")
 
 
 NORTON_CASES = {
