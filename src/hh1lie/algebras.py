@@ -10,7 +10,9 @@ smash, truncated and u0(b) constructors name the paper's generators
 (``Algebra.generators``); how each basis element is reached from them is
 derived from the table in ``hochschild``.  The smash constructor also names
 its complete set of orthogonal idempotents E = {u_lambda}
-(``Algebra.idempotents``); every other algebra carries E = {1}.
+(``Algebra.idempotents``).  A block names the images of its parent's
+generators and E when the derivation solver can start from them
+(``block_decomposition``); every other algebra carries E = {1}.
 
 Every constructed algebra is validated: associativity on all basis
 triples, the two-sided unit law on all basis elements, and that E is
@@ -836,16 +838,18 @@ def _is_nilpotent_ideal(a: Algebra, j: Subspace) -> bool:
     return False
 
 
-def _algebra_on(a: Algebra, reps: np.ndarray, coords_rows, unit, labels, name) -> Algebra:
+def _algebra_on(a: Algebra, reps: np.ndarray, coords_rows, unit, labels, name, generators=None, idempotents=None):
     """The algebra on the span of the rows reps, a subalgebra or a quotient of A.
 
     Its table is the coordinates, by ``coords_rows``, of the pairwise
-    products of the rows, and its unit is the coordinates of ``unit``.
+    products of the rows, and its unit is the coordinates of ``unit``; it
+    names the ``generators`` and ``idempotents`` given, in its coordinates.
     """
     m = reps.shape[0]
     table = coords_rows(_pairwise_products(a, reps, reps).reshape(m * m, a.dim)).reshape(m, m, m)
     s, t, k = np.nonzero(table)
-    return make_algebra(a.p, labels, (s, t, k, table[s, t, k]), coords_rows(unit[None])[0], name=name)
+    mult, unit = (s, t, k, table[s, t, k]), coords_rows(unit[None])[0]
+    return Algebra(a.p, labels, mult, unit, name=name, generators=generators, idempotents=idempotents)
 
 
 def _quotient_algebra(a: Algebra, j: Subspace) -> Algebra:
@@ -937,6 +941,31 @@ def commutator_and_radical_checks(a: Algebra) -> dict:
     }
 
 
+def _block_presentation(a: Algebra, sub: Subspace, proj: np.ndarray):
+    """The generators and idempotents of the block on ``sub``: the images s e of A's, in its coordinates.
+
+    ``proj`` is x -> e x e = x e.  phi starts its search only at basis
+    vectors with coefficient 1, so the images are named only when every
+    nonzero one is such a basis vector; zeros and repeats are dropped.  The
+    nonzero images of E are named too when A's E is not {1}.  They split
+    the block: x e lies in the e_s A e_t of a basis vector x, these blocks
+    of A have disjoint supports, so each row of the canonical basis of
+    e A e lies in one of them.  Otherwise the block names neither, and its
+    E is {1}.
+    """
+    if not a.generators:
+        return None, None
+    many = len(a.idempotents) > 1
+    named = [*a.generators, *(a.idempotents if many else ())]
+    images = sub.coords_rows(matmul(np.stack(named), proj.T, a.p))
+    live = images[images.any(axis=1)]
+    if not live.size or (live.sum(axis=1) != 1).any() or (live > 1).any():
+        return None, None
+    gens = tuple(np.eye(sub.dim, dtype=INT)[list(dict.fromkeys(np.argmax(live, axis=1).tolist()))])
+    idems = images[len(a.generators) :]
+    return gens, tuple(idems[idems.any(axis=1)]) if many else None
+
+
 def block_decomposition(a: Algebra) -> list[tuple[np.ndarray, Algebra]]:
     """Primitive central idempotents and their corner algebras e A e.
 
@@ -945,6 +974,12 @@ def block_decomposition(a: Algebra) -> list[tuple[np.ndarray, Algebra]]:
     inside the Frobenius-fixed subalgebra {z : z^p = z}.  That subalgebra
     is reduced and split, so GF(p)^m, and its projectors are idempotent
     with no lifting through the nilradical.
+
+    If S generates A, the images s e generate e A e as a unital algebra
+    with unit e, since x -> x e is a homomorphism onto it.  Each block
+    names them, and the images of E, when phi can start from them
+    (``_block_presentation``), so ``hh1`` solves it on them.  With one
+    block, e = 1 and the block is A on the same basis, with A's generators.
     """
     p, d = a.p, a.dim
     z = center(a)
@@ -956,7 +991,8 @@ def block_decomposition(a: Algebra) -> list[tuple[np.ndarray, Algebra]]:
         proj = matmul(a.left_mult_matrix(evec), a.right_mult_matrix(evec), p)
         sub = Subspace.from_vectors(proj.T, p, d)
         labels, name = [a.labels[c] for c in sub.pivots], f"block({a.name})"
-        blocks.append((evec, _algebra_on(a, sub.basis, sub.coords_rows, evec, labels, name)))
+        gens, idems = _block_presentation(a, sub, proj)
+        blocks.append((evec, _algebra_on(a, sub.basis, sub.coords_rows, evec, labels, name, gens, idems)))
     return blocks
 
 

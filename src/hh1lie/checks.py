@@ -207,8 +207,39 @@ def check_prop_2_3(ctx: SuiteContext) -> dict:
     return detail
 
 
+def _lemma_3_1_products(a: alg.Algebra, desc: alg.SmashDescriptor):
+    """u_lambda x, (u_lambda x) u_mu and x u_mu for every lambda and mu, summed from table terms.
+
+    u_lambda x is column u_lambda of R_x, and the products by every u_mu
+    are one scatter over the terms of the R_(u_mu), the table terms
+    e_i u_mu = ... + c e_k: (nc, d), then (nc, nc, d) indexed [lambda, mu],
+    then (nc, d).
+    """
+    d, p, nc = a.dim, a.p, desc.n_chars
+    char = np.full(d, -1)  # lambda of each u_lambda, -1 off them
+    char[[desc.index(lam, 0) for lam in range(nc)]] = np.arange(nc)
+    xvec = desc.x_vector()
+    x, y, c = a.right_terms(xvec)  # e_x x = ... + c e_y
+    on = char[x] >= 0
+    src = np.zeros((d, nc + 1), dtype=INT)  # columns: u_lambda x, then x
+    np.add.at(src, (y[on], char[x[on]]), c[on])
+    src[:, :nc] %= p
+    src[:, nc] = xvec
+    i, j, k, c = a.structure_constants()
+    on = char[j] >= 0
+    out = np.zeros((nc * d, nc + 1), dtype=INT)
+    gfp.scatter_add(out, char[j[on]] * d + k[on], c[on], src, i[on])
+    out %= p
+    out = out.reshape(nc, d, nc + 1)  # [mu, k, column of src]
+    return src[:, :nc].T, out[:, :, :nc].transpose(2, 0, 1), out[:, :, nc]
+
+
 def check_lemma_3_1(ctx: SuiteContext) -> dict:
-    """u_lambda x u_mu = [lambda == mu+alpha] x u_mu and u_lambda x = x u_(lambda-alpha)."""
+    """u_lambda x u_mu = [lambda == mu+alpha] x u_mu and u_lambda x = x u_(lambda-alpha).
+
+    Every pair is checked at once, and the first failure in the order of
+    the loop over lambda, each mu and then the shift, is reported.
+    """
     p = ctx.p
     detail = {}
     for n in (1, 2):
@@ -217,32 +248,18 @@ def check_lemma_3_1(ctx: SuiteContext) -> dict:
                 a, desc = ctx.faulty_smash(n, r)
             else:
                 a, desc = ctx.smash(n, r)
-            nc = desc.n_chars
-            xvec = desc.x_vector()
-            for lam in range(nc):
-                ul = gfp.basis_vector(a.dim, desc.index(lam, 0))
-                ulx = a.mul_vec(ul, xvec)
-                for mu in range(nc):
-                    um = gfp.basis_vector(a.dim, desc.index(mu, 0))
-                    got = a.mul_vec(ulx, um)
-                    want = (
-                        a.mul_vec(xvec, um)
-                        if (lam - mu - desc.alpha) % nc == 0
-                        else np.zeros(a.dim, dtype=INT)
-                    )
-                    if not np.array_equal(got, want):
-                        raise CheckFailure(
-                            {
-                                "params": {"p": p, "n": n, "r": r},
-                                "lambda": lam,
-                                "mu": mu,
-                                "got": got.tolist(),
-                                "want": want.tolist(),
-                            }
-                        )
-                shifted = a.mul_vec(xvec, gfp.basis_vector(a.dim, desc.index(lam - desc.alpha, 0)))
-                if not np.array_equal(ulx, shifted):
-                    raise CheckFailure({"params": {"p": p, "n": n, "r": r}, "lambda": lam})
+            nc, params = desc.n_chars, {"p": p, "n": n, "r": r}
+            ulx, got, xu = _lemma_3_1_products(a, desc)
+            lam = np.arange(nc)
+            hit = (lam[:, None] - lam - desc.alpha) % nc == 0  # [lambda, mu]: want x u_mu there, else 0
+            bad = np.where(hit, (got != xu).any(axis=2), got.any(axis=2))
+            flags = np.c_[bad, (ulx != xu[(lam - desc.alpha) % nc]).any(axis=1)]  # then the shift
+            if flags.any():
+                lam0, mu0 = divmod(int(np.argmax(flags)), nc + 1)
+                if mu0 == nc:
+                    raise CheckFailure({"params": params, "lambda": lam0})
+                got0, want0 = got[lam0, mu0].tolist(), (xu[mu0] * hit[lam0, mu0]).tolist()
+                raise CheckFailure({"params": params, "lambda": lam0, "mu": mu0, "got": got0, "want": want0})
             detail[f"(p={p},n={n},r={r})"] = "all pairs"
     return detail
 

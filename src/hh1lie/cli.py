@@ -7,7 +7,8 @@ Subcommands:
   reproduce   run the registered verification suite
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 input validation
-or computation error.  Output is deterministic for fixed flags and seed.
+or computation error, running out of memory included.  Output is
+deterministic for fixed flags and seed.
 """
 
 from __future__ import annotations
@@ -205,6 +206,9 @@ def main(argv=None) -> int:
         return _run(args, parser)
     except (Hh1LieError, ValueError, OSError) as exc:  # an unwritable output path too
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except MemoryError as exc:  # numpy's failed allocations raise a subclass
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
 

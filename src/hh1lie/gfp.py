@@ -19,12 +19,14 @@ stack's entries on the canonical pivots, and an ``OrderedBasis`` (rows in a
 fixed order, optionally modulo a Subspace) maps those through a pivot inverse
 built once.  Both raise on a row that is not a member.
 
-Products have one primitive, ``matmul`` (``mat_pow`` goes through it), the
-only floating-point code in the package.  On entries in [0, p) each partial
-sum of k products, in any order and with FMA, is an integer below k (p-1)^2,
-so BLAS is exact in float32 while that is below 2^24 and in float64 below
-2^53; ``product_type`` picks by that bound (delayed reduction: Dumas, Giorgi
-and Pernet, ACM TOMS 35(3), 2008, where FFLAS picks float32 by it too).
+Products have one primitive, ``_product``, the only floating-point code in
+the package: ``matmul`` runs it once, and ``mat_pow`` once per square and
+product, keeping the powers in the product type between steps.  On entries
+in [0, p) each partial sum of k products, in any order and with FMA, is an
+integer below k (p-1)^2, so BLAS is exact in float32 while that is below
+2^24 and in float64 below 2^53; ``product_type`` picks by that bound
+(delayed reduction: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008, where
+FFLAS picks float32 by it too).
 """
 
 from __future__ import annotations
@@ -105,6 +107,17 @@ def product_type(k: int, p: int) -> type:
     return np.float32 if bound < EXACT32 else np.float64
 
 
+def _product(a: np.ndarray, b: np.ndarray, ftype: type, p: int) -> np.ndarray:
+    """``a @ b mod p`` for operands already in ``ftype``: one BLAS product, reduced once.
+
+    A float32 sum is below 2^24, so it fits int32, and numpy divides ints by
+    a scalar far faster than it takes %.  The result is int32 or int64.
+    """
+    out = (a @ b).astype(np.int32 if ftype is np.float32 else INT)
+    out -= out // p * p
+    return out
+
+
 def matmul(a, b, p: int) -> np.ndarray:
     """Exact ``a @ b mod p`` for entries in [0, p), stacks broadcast as by ``@``; reduced int64.
 
@@ -116,11 +129,7 @@ def matmul(a, b, p: int) -> np.ndarray:
     if k != b.shape[-2 if b.ndim > 1 else 0]:
         raise DimensionMismatch(f"matmul shapes {a.shape} x {b.shape}")
     ftype = product_type(k, p)
-    out = np.asarray(a, dtype=ftype) @ np.asarray(b, dtype=ftype)
-    # a float32 sum is below 2^24, so it fits int32; numpy divides ints by a scalar far faster than it takes %
-    out = out.astype(np.int32 if ftype is np.float32 else INT)
-    out -= out // p * p
-    return out.astype(INT, copy=False)
+    return _product(np.asarray(a, dtype=ftype), np.asarray(b, dtype=ftype), ftype, p).astype(INT, copy=False)
 
 
 def scatter_plan(index, coef, take=None) -> list:
@@ -182,15 +191,24 @@ def expand(rows: np.ndarray, ptr: np.ndarray):
 
 
 def mat_pow(a, k: int, p: int) -> np.ndarray:
-    """k-th power mod p of a square matrix, or of each in a stack, by square-and-multiply."""
-    out, base = None, normalize(a, p)
+    """k-th power mod p of a square matrix, or of each in a stack, by square-and-multiply; reduced int64.
+
+    Each square and product is one ``_product`` step, as in ``matmul``, and
+    stays in the product type between steps.
+    """
+    base = normalize(a, p)
+    n = base.shape[-1]
+    if base.ndim < 2 or base.shape[-2] != n:
+        raise DimensionMismatch(f"mat_pow expects square matrices, got shape {base.shape}")
+    ftype = product_type(n, p)
+    out, base = None, base.astype(ftype)
     while k > 0:
         if k & 1:
-            out = base if out is None else matmul(out, base, p)
+            out = base if out is None else _product(out, base, ftype, p).astype(ftype)
         k >>= 1
         if k:
-            base = matmul(base, base, p)
-    return np.broadcast_to(np.eye(base.shape[-1], dtype=INT), base.shape).copy() if out is None else out
+            base = _product(base, base, ftype, p).astype(ftype)
+    return np.broadcast_to(np.eye(n, dtype=INT), base.shape).copy() if out is None else out.astype(INT)
 
 
 def rref(a, p: int):

@@ -594,11 +594,15 @@ class DerivationSpace:
             if not np.array_equal(self.gen_coords(mats), rows):
                 raise Hh1LieError("generator values do not determine the solved maps")
 
-    def contains(self, mats, sub: Subspace = None) -> bool:
-        """Whether every map of the stack lies in Der_E(A); with sub, in the part g maps into sub."""
+    def member_values(self, mats, sub: Subspace = None):
+        """g of each map of the stack if every one lies in Der_E(A), else None; with sub, in the part g maps to sub."""
         mats = normalize(mats, self.p)
         rows = self.gen_coords(mats)
-        return not (sub or self.der).reduce_rows(rows).any() and self.is_phi_of(mats, rows)
+        return rows if not (sub or self.der).reduce_rows(rows).any() and self.is_phi_of(mats, rows) else None
+
+    def contains(self, mats, sub: Subspace = None) -> bool:
+        """Whether every map of the stack lies in Der_E(A); with sub, in the part g maps into sub."""
+        return self.member_values(mats, sub) is not None
 
     def relative(self, mats) -> np.ndarray:
         """F - ad(sum_i F(e_i) e_i) for each map F of a (n, d, d) stack.
@@ -836,10 +840,10 @@ class HH1Presentation:
     def project_rows(self, stack) -> np.ndarray:
         """Class coordinates of each derivation of a stack of d x d maps, or of vec(F) rows."""
         d = self.algebra.dim
-        stack = self.space.relative(normalize(stack, self.p).reshape(-1, d, d))
-        if not self.space.contains(stack):
+        rows = self.space.member_values(self.space.relative(normalize(stack, self.p).reshape(-1, d, d)))
+        if rows is None:
             raise ValueError("matrix is not in IDer + complement")
-        return self._classes.coords_rows(self.space.gen_coords(stack))
+        return self._classes.coords_rows(rows)
 
     def _verify_representative_independence(self, seed, trials=4):
         """Re-derive the tables after seeded shifts from ad(C); seed may be a Generator."""

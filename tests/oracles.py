@@ -238,6 +238,14 @@ def whole(a):
     )
 
 
+def bare(a):
+    """The table of ``a`` with no generators and E = {1}, solved on every basis vector.
+
+    That is how a block was solved before it named its parent's generators.
+    """
+    return alg.Algebra(a.p, a.labels, a.structure_constants(), a.unit, name=a.name)
+
+
 def old_stream_pivots(space, ker):
     """``hochschild.DerivationSpace._stream_pivots`` before the per-block pivots, verbatim but for ``space``.
 

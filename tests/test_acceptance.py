@@ -192,6 +192,22 @@ def test_suite_computes_shared_objects_once(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
+def test_the_p5_suite_solves_no_block_without_generators(monkeypatch):
+    # the u0borel(5, 1) block names its parent's generators, so no solve in
+    # the suite falls back to every basis vector on a block
+    from hh1lie import hochschild as hoch
+
+    solved = []
+    init = hoch.DerivationSpace.__init__
+    monkeypatch.setattr(
+        hoch.DerivationSpace, "__init__", lambda self, a: solved.append((a.name, a.generators)) or init(self, a)
+    )
+    results = checks.run_suite(p=5)
+    assert all(r.status == "pass" for r in results)
+    blocks = [gens for name, gens in solved if name.startswith("block(")]
+    assert len(blocks) == 1 and all(gens is not None for gens in blocks)
+
+
 def test_suite_certifies_each_torus_and_weight_derivation_once(monkeypatch):
     # one torus search per (Lie algebra, seed) and one weight derivation per
     # (algebra, lambda, j) over a whole suite: the Lie algebras and the weight

@@ -11,18 +11,20 @@ import numpy as np
 import pytest
 
 from hh1lie import algebras as alg
-from hh1lie import gfp
+from hh1lie import cli, gfp
+from hh1lie import hochschild as hoch
 from hh1lie.errors import (
     AssociativityViolation,
     CounitViolation,
     DimensionMismatch,
+    Hh1LieError,
     InfiniteDimensionalQuotient,
     JsonFormatError,
     RadicalUnavailable,
     UnitViolation,
 )
 from hh1lie.gfp import Subspace, left_kernel, matmul, rref
-from oracles import mult_terms, quiver_algebra_from_pairs
+from oracles import bare, mult_terms, quiver_algebra_from_pairs
 
 
 def basis_vec(dim, i):
@@ -805,6 +807,105 @@ def test_blocks_of_a_product_whose_center_has_nilpotent_parts(p):
                 assert not a.mul_vec(e, e2).any()
         total = (total + e) % p
     assert np.array_equal(total, a.unit)
+
+
+def hh1_json(a):
+    """The ``hh1`` CLI payload of an algebra, as its canonical JSON."""
+    return alg.dumps_canonical(cli._hh1_payload(a, 0))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_the_u0borel_block_names_the_generators_and_solves_as_without_them(p):
+    ub = alg.u0_borel(p, 1)
+    (e, block), = alg.block_decomposition(ub)
+    # one block: e = 1, and the block is the parent on the same basis, with its generators
+    assert np.array_equal(e, ub.unit)
+    assert all(np.array_equal(x, y) for x, y in zip(block.structure_constants(), ub.structure_constants()))
+    assert [g.tolist() for g in block.generators] == [g.tolist() for g in ub.generators]
+    assert len(block.idempotents) == 1 and block.dim <= 32
+    assert hh1_json(block) == hh1_json(bare(block))
+
+
+def test_the_u0borel_block_at_p7_is_solved_as_its_parent():
+    ub = alg.u0_borel(7, 1)
+    block = alg.block_decomposition(ub)[0][1]
+    assert block.dim == 49 > hoch.DENSE_SOLVER_LIMIT
+    with pytest.raises(Hh1LieError, match="dimension 49 needs a generator presentation"):
+        hoch.hh1(bare(block))
+    got, want = hoch.hh1(block).to_report_dict(), hoch.hh1(ub).to_report_dict()
+    assert got.pop("algebra") == "block(u0borel(p=7,n=1))" and want.pop("algebra") == "u0borel(p=7,n=1)"
+    assert got == want
+
+
+def named_product(factors, gens, idempotents=None):
+    """``direct_product`` naming the generators ``gens`` and the idempotents, each a pair (factor, vector)."""
+    a = direct_product(*factors)
+    at = np.cumsum([0] + [f.dim for f in factors])
+
+    def embed(n, v):
+        out = np.zeros(a.dim, dtype=np.int64)
+        out[at[n] : at[n + 1]] = v
+        return out
+
+    return alg.Algebra(
+        a.p,
+        a.labels,
+        a.structure_constants(),
+        a.unit,
+        generators=tuple(embed(n, v) for n, v in gens),
+        idempotents=None if idempotents is None else tuple(embed(n, v) for n, v in idempotents),
+    )
+
+
+def two_block_cases(p):
+    trunc, borel, smash = alg.truncated_polynomial(p, (1,)), alg.u0_borel(p, 1), alg.smash_product(p, 1, 1)[0]
+    units = [(0, trunc.unit), (1, borel.unit)]
+    tgen, borel_gens = (0, trunc.generators[0]), [(1, g) for g in borel.generators]
+    # the Kronecker basis is e1, e2, x, y, and its four basis vectors generate it
+    kr = alg.quiver_algebra(alg.kronecker_quiver(), p)
+    vertices, arrows = [(0, v) for v in np.eye(4, dtype=np.int64)[:2]], [(0, v) for v in np.eye(4, dtype=np.int64)[2:]]
+    return {
+        # every image is a basis vector: both blocks name them
+        "trunc x borel": (named_product((trunc, borel), units + [tgen] + borel_gens), 2),
+        # E = the two units, whose images are each block's unit
+        "trunc x borel, E": (named_product((trunc, borel), units + [tgen] + borel_gens, units), 2),
+        # a repeated image and a zero image are dropped
+        "trunc x borel, repeats": (named_product((trunc, borel), borel_gens + units + [tgen] + borel_gens), 2),
+        # E = the Kronecker vertices and trunc's unit: the Kronecker block carries both vertices
+        "kronecker x trunc, E": (
+            named_product((kr, trunc), vertices + arrows + [(1, trunc.unit), (1, tgen[1])], vertices + [(1, trunc.unit)]),
+            2,
+        ),
+        # smash's x = sum u_lambda x has two terms in its block, so that block names none
+        "smash x trunc": (
+            named_product((smash, trunc), [(0, g) for g in smash.generators] + [(1, trunc.unit), (1, tgen[1])]),
+            1,
+        ),
+    }
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize(
+    "case", ["trunc x borel", "trunc x borel, E", "trunc x borel, repeats", "kronecker x trunc, E", "smash x trunc"]
+)
+def test_blocks_of_a_product_carry_images_phi_accepts_or_none(p, case):
+    a, named = two_block_cases(p)[case]
+    blocks = alg.block_decomposition(a)
+    assert len(blocks) == 2
+    assert sum(block.generators is not None for _, block in blocks) == named
+    if case == "kronecker x trunc, E":
+        assert sorted(len(block.idempotents) for _, block in blocks) == [1, 2]
+    for _, block in blocks:
+        if block.generators is not None:
+            # coefficient-1 basis vectors, each once, so phi seeds at every one of them
+            gens = np.stack(block.generators)
+            assert (gens.sum(axis=1) == 1).all() and gens.max() == 1
+            assert len({int(g.argmax()) for g in gens}) == len(gens)
+            hoch.extender(block)  # phi reaches every basis vector from them, or raises
+        else:
+            assert len(block.idempotents) == 1
+        # the same answer as the all-basis solve blocks took before, and nothing new raises
+        assert hh1_json(block) == hh1_json(bare(block))
 
 
 # -- symmetric forms ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
@@ -18,6 +19,11 @@ from hh1lie import algebras as alg
 from hh1lie import checks, cli, gfp
 from hh1lie import hochschild as hoch
 from hh1lie.errors import Hh1LieError
+
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:  # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +199,28 @@ def test_a_value_error_from_the_pipeline_is_not_a_usage_error(monkeypatch, capsy
     assert err == "error: cannot reshape array of size 0 into shape (0,newaxis)\n"
     assert exit_code("hh1", "--kind", "trunc", "--p", "3", "--exps", "99") == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, shown",
+    [
+        (MemoryError(), "error: out of memory\n"),
+        (
+            _ArrayMemoryError((1 << 40,), np.dtype(np.int64)),
+            "error: out of memory: Unable to allocate 8.00 TiB for an array with shape (1099511627776,) and data type int64\n",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["build", "hh1"])
+def test_running_out_of_memory_exits_3_with_one_error_line(monkeypatch, capsys, error, shown, command):
+    # a stage that runs out of memory once ended in a traceback with exit 1
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(alg.Algebra, "to_json_dict", exhausted)
+    monkeypatch.setattr(cli.hoch, "hh1", exhausted)
+    code, out, err = run_cli(capsys, command, "--kind", "trunc", "--p", "3", "--exps", "1")
+    assert (code, out, err) == (3, "", shown)
 
 
 def exit_code(*argv):

@@ -697,6 +697,75 @@ def test_stacked_lemma_3_2_fails_where_the_element_loop_failed(monkeypatch, n, r
         assert got == want
 
 
+def old_check_lemma_3_1(ctx):
+    """``checks.check_lemma_3_1`` as it ran one (lambda, mu) pair at a time through ``mul_vec``.
+
+    An oracle of the order in which failures are found, and of their payloads.
+    """
+    p = ctx.p
+    detail = {}
+    for n in (1, 2):
+        for r in (1, 2):
+            if ctx.inject_fault == "lemma-3.1" and (n, r) == (1, 1):
+                a, desc = ctx.faulty_smash(n, r)
+            else:
+                a, desc = ctx.smash(n, r)
+            nc = desc.n_chars
+            xvec = desc.x_vector()
+            for lam in range(nc):
+                ul = gfp.basis_vector(a.dim, desc.index(lam, 0))
+                ulx = a.mul_vec(ul, xvec)
+                for mu in range(nc):
+                    um = gfp.basis_vector(a.dim, desc.index(mu, 0))
+                    got = a.mul_vec(ulx, um)
+                    want = (
+                        a.mul_vec(xvec, um)
+                        if (lam - mu - desc.alpha) % nc == 0
+                        else np.zeros(a.dim, dtype=np.int64)
+                    )
+                    if not np.array_equal(got, want):
+                        raise checks.CheckFailure(
+                            {
+                                "params": {"p": p, "n": n, "r": r},
+                                "lambda": lam,
+                                "mu": mu,
+                                "got": got.tolist(),
+                                "want": want.tolist(),
+                            }
+                        )
+                shifted = a.mul_vec(xvec, gfp.basis_vector(a.dim, desc.index(lam - desc.alpha, 0)))
+                if not np.array_equal(ulx, shifted):
+                    raise checks.CheckFailure({"params": {"p": p, "n": n, "r": r}, "lambda": lam})
+            detail[f"(p={p},n={n},r={r})"] = "all pairs"
+    return detail
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("n,r", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_stacked_lemma_3_1_fails_where_the_pair_loop_failed(monkeypatch, p, n, r):
+    # corruptions of the products u_lambda x (first, then the shift check
+    # sees them), of (u_lambda x) u_mu and of x-free products, and the
+    # injected fault, each give the old loop's verdict and counterexample
+    ctx = checks.SuiteContext(p=p)
+    sm, desc = ctx.smash(n, r)
+    assert outcome(checks.check_lemma_3_1, ctx) == outcome(old_check_lemma_3_1, ctx)
+    assert outcome(checks.check_lemma_3_1, ctx)[0] == "pass"
+    rng = np.random.default_rng(p * 100 + n * 10 + r)
+    nc = desc.n_chars
+    pairs = [(desc.index(rng.integers(nc), 0), desc.index(rng.integers(nc), 1)) for _ in range(3)]
+    pairs += [(desc.index(rng.integers(nc), 1), desc.index(rng.integers(nc), 0)) for _ in range(3)]
+    pairs += [tuple(rng.integers(0, sm.dim, 2)) for _ in range(2)]
+    faults = [corrupted(sm, i, j) for i, j in pairs]
+    smash = ctx.smash
+    for bad in faults:
+        monkeypatch.setattr(ctx, "smash", lambda n0, r0, bad=bad: (bad, desc) if (n0, r0) == (n, r) else smash(n0, r0))
+        assert outcome(checks.check_lemma_3_1, ctx) == outcome(old_check_lemma_3_1, ctx)
+    monkeypatch.setattr(ctx, "smash", smash)
+    ctx.inject_fault = "lemma-3.1"
+    got = outcome(checks.check_lemma_3_1, ctx)
+    assert got == outcome(old_check_lemma_3_1, ctx) and got[0] == "fail"
+
+
 def test_shifted_outer_differences_are_inner():
     sm, desc = alg.smash_product(3, 2, 1)
     iders = hoch.inner_derivations(sm)

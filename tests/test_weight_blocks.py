@@ -15,7 +15,8 @@ from hh1lie import algebras as alg
 from hh1lie import gfp
 from hh1lie import hochschild as hoch
 from hh1lie.errors import Hh1LieError
-from oracles import old_stream_pivots, whole
+from oracles import bare, old_stream_pivots, whole
+
 
 CASES = {
     "smash321": lambda: alg.smash_product(3, 2, 1)[0],
@@ -24,6 +25,8 @@ CASES = {
     "smash521": lambda: alg.smash_product(5, 2, 1)[0],
     "u0borel32": lambda: alg.u0_borel(3, 2),
     "u0borel51-block": lambda: alg.block_decomposition(alg.u0_borel(5, 1))[0][1],
+    # the same table with no generators, as blocks were solved before they named them: 625 unknowns
+    "u0borel51-table": lambda: bare(alg.u0_borel(5, 1)),
     "trunc3-21": lambda: alg.truncated_polynomial(3, (2, 1)),
     "trivext5": lambda: alg.trivial_extension(alg.quiver_algebra(alg.kronecker_quiver(), 5)),
     "quiver7": lambda: alg.quiver_algebra(alg.tkr_quiver(), 7),
