@@ -176,7 +176,7 @@ class Algebra:
     def _scatter(self, size: int, index, coef) -> np.ndarray:
         out = np.zeros(size, dtype=INT)
         np.add.at(out, index, coef)  # exact in int64; a one-shot sum has no scatter plan to reuse
-        return out % self.p
+        return gfp.mod(out, self.p)
 
     def mul_vec(self, u, v) -> np.ndarray:
         """Product of two coordinate vectors."""
@@ -207,10 +207,8 @@ class Algebra:
 
     def _mult_matrices(self, name: str, stack) -> np.ndarray:
         """The matrix of plan ``name`` ("L", "R" or "ad") for every row of a stack: (n, d, d)."""
-        stack = normalize(stack, self.p).reshape(-1, self.dim)
-        out = np.zeros((self.dim**2, stack.shape[0]), dtype=INT)
-        gfp.scatter_apply(out, self._product_plans[name], np.ascontiguousarray(stack.T))
-        out %= self.p
+        stack, plan = normalize(stack, self.p).reshape(-1, self.dim), self._product_plans[name]
+        out = gfp.scatter_new((self.dim**2, stack.shape[0]), plan, np.ascontiguousarray(stack.T), p=self.p)
         return np.ascontiguousarray(out.T).reshape(-1, self.dim, self.dim)
 
     def ad_matrices(self, stack) -> np.ndarray:
@@ -230,7 +228,7 @@ class Algebra:
         v = normalize(v, self.p).reshape(-1)
         i, j, k, c = self._consts
         sel = np.flatnonzero(v[j])
-        return i[sel], k[sel], c[sel] * v[j[sel]] % self.p
+        return i[sel], k[sel], gfp.mod(c[sel] * v[j[sel]], self.p)
 
     def right_mult_matrix(self, v) -> np.ndarray:
         """Matrix of x -> x * v for an element v (coordinate vector)."""
@@ -254,7 +252,7 @@ class Algebra:
         if m == 1:
             return np.zeros((2, d), dtype=INT)
         e = np.stack(self.idempotents)
-        if not np.array_equal(e.sum(axis=0) % p, self.unit):
+        if not np.array_equal(gfp.mod(e.sum(axis=0), p), self.unit):
             raise IdempotentViolation("the idempotents do not sum to 1")
         es, eb = np.nonzero(e)  # the entries of E, by idempotent
         ev, by_b = e[es, eb], np.argsort(eb, kind="stable")
@@ -335,14 +333,14 @@ class Algebra:
     def _validate_counit(self):
         """counit(1) = 1 and counit(e_i e_j) = counit(e_i) counit(e_j); the first failing pair is reported."""
         eps, d, p = self.counit, self.dim, self.p
-        if int(eps @ self.unit % p) != 1:
+        if int(eps @ self.unit) % p != 1:
             raise CounitViolation("counit(1) != 1")
         i, j, k, c = self._consts
         # counit(e_i e_j) is lhs on the pairs listed and 0 off them, where a pair
         # fails iff both lie in the support: first in the first short support row
         pair, lhs = gfp.merge(i * d + j, c * eps[k], p)
         row, col = np.divmod(pair, d)
-        bad = pair[lhs != eps[row] * eps[col] % p]
+        bad = pair[lhs != gfp.mod(eps[row] * eps[col], p)]
         supp = np.flatnonzero(eps)
         on_supp = pair[(eps[row] != 0) & (eps[col] != 0)]
         short = supp[np.bincount(on_supp // d, minlength=d)[supp] < supp.size]
@@ -520,9 +518,13 @@ def smash_product(p, n, r) -> tuple[Algebra, SmashDescriptor]:
     desc = SmashDescriptor(p, n, r)
     nc, xb = desc.n_chars, desc.x_bound
 
-    # (u_lam x^a)(u_mu x^b) = [lam == mu + a*alpha] u_lam x^(a+b), zero once a + b >= p^n
+    # (u_lam x^a)(u_mu x^b) = [lam == mu + a*alpha] u_lam x^(a+b), zero once a + b >= p^n:
+    # for each i = (lam, a) one mu, and b < p^n - a, so the terms come sorted by (i, j)
     lam, a = np.divmod(np.arange(dim), xb)
-    i, j = np.nonzero(((lam[:, None] - lam - a[:, None] * desc.alpha) % nc == 0) & (a[:, None] + a < xb))
+    count = xb - a
+    i = np.repeat(np.arange(dim), count)
+    b = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+    j = ((lam - a * desc.alpha) % nc * xb)[i] + b
     unit = np.zeros(dim, dtype=INT)
     for l0 in range(nc):
         unit[desc.index(l0, 0)] = 1
@@ -532,7 +534,7 @@ def smash_product(p, n, r) -> tuple[Algebra, SmashDescriptor]:
     alg = Algebra(
         p,
         labels,
-        (i, j, i + a[j], np.ones_like(i)),
+        (i, j, i + b, np.ones_like(i)),
         unit,
         radical_gens=rad,
         name=f"smash(p={p},n={n},r={r})",
@@ -882,7 +884,7 @@ def _split_primitive_idempotents(q: Algebra) -> list[np.ndarray]:
     frob_e = gfp.mat_pow(frob, e, p)
     nilrad = gfp.kernel(frob_e, p)
     n_ss = d - nilrad.shape[0]
-    fixed = gfp.kernel((frob - np.eye(d, dtype=INT)) % p, p)
+    fixed = gfp.kernel(frob - np.eye(d, dtype=INT), p)
     if fixed.shape[0] != n_ss:
         raise NonSplitCenter(
             f"Frobenius-fixed space has dim {fixed.shape[0]}, semisimple rank is {n_ss}"
@@ -900,7 +902,7 @@ def _split_primitive_idempotents(q: Algebra) -> list[np.ndarray]:
                 for c1 in range(p):
                     if c1 == c0:
                         continue
-                    proj = q.mul_vec(proj, (zc - c1 * comp) % p) * gfp.inv_mod(c0 - c1, p) % p
+                    proj = gfp.mod(q.mul_vec(proj, zc - c1 * comp) * gfp.inv_mod(c0 - c1, p), p)
                 if proj.any():
                     refined.append(proj)
         components = refined

@@ -223,14 +223,13 @@ def _lemma_3_1_products(a: alg.Algebra, desc: alg.SmashDescriptor):
     on = char[x] >= 0
     src = np.zeros((d, nc + 1), dtype=INT)  # columns: u_lambda x, then x
     np.add.at(src, (y[on], char[x[on]]), c[on])
-    src[:, :nc] %= p
+    src[:, :nc] = gfp.mod(src[:, :nc], p)
     src[:, nc] = xvec
     i, j, k, c = a.structure_constants()
     on = char[j] >= 0
     out = np.zeros((nc * d, nc + 1), dtype=INT)
     gfp.scatter_add(out, char[j[on]] * d + k[on], c[on], src, i[on])
-    out %= p
-    out = out.reshape(nc, d, nc + 1)  # [mu, k, column of src]
+    out = gfp.mod(out, p).reshape(nc, d, nc + 1)  # [mu, k, column of src]
     return src[:, :nc].T, out[:, :, :nc].transpose(2, 0, 1), out[:, :, nc]
 
 
@@ -290,7 +289,7 @@ def check_lemma_3_2(ctx: SuiteContext) -> dict:
                 up = j + 1 < xb
                 want[t[up], i[up] + 1, nc] = 1
                 want[t[up], (lam[up] + desc.alpha) % nc * xb + j[up] + 1, nc] = p - 1
-                want %= p
+                want = gfp.mod(want, p)
                 bad, on_u = (got != want).any(axis=1), got.any(axis=1)
                 # each element's failures in the order they are checked: per mu, then on x
                 per_mu = np.stack([bad[:, :nc], (j % p**r == 0)[:, None] & on_u[:, :nc]], axis=2)
@@ -375,7 +374,7 @@ def check_lemma_3_5(ctx: SuiteContext) -> dict:
         h_rows = space.gen_coords(h_mats)
         h_rank = gfp.rref(inner.reduce_rows(h_rows), p)[1]
         diffs = [
-            (g0.matrix - g[i, j].matrix) % p
+            gfp.mod(g0.matrix - g[i, j].matrix, p)
             for j, g0 in zip(desc.outer_exponents(), h.complement_basis)
             for i in range(1, desc.n_chars)
         ]
@@ -525,7 +524,7 @@ def check_blocks(ctx: SuiteContext) -> dict:
             for j2, (e2, _) in enumerate(blks):
                 if i != j2 and a.mul_vec(e, e2).any():
                     raise CheckFailure({"case": a.name, "issue": "not orthogonal"})
-            total = (total + e) % p
+            total = gfp.mod(total + e, p)
         if not np.array_equal(total, a.unit):
             raise CheckFailure({"case": a.name, "issue": "idempotents do not sum to 1"})
     lb, ls = ctx.lie(ctx.u0borel_block_hh1()), ctx.lie(ctx.smash_hh1(1, 1))
@@ -625,7 +624,7 @@ def check_properties(ctx: SuiteContext) -> dict:
     def drawn(c):
         a = np.zeros((c.shape[0], d), dtype=INT)
         a[:, off] = c[:, space.dim :]
-        return (space.matrices(gfp.matmul(c[:, : space.dim], space.basis, p)) + sm.ad_matrices(a)) % p
+        return gfp.mod(space.matrices(gfp.matmul(c[:, : space.dim], space.basis, p)) + sm.ad_matrices(a), p)
 
     # closure under bracket and p-th power, and [f, ad a] = ad f(a); coefficients
     # are drawn up front, maps built and validated 8 trials at a time to bound
@@ -634,14 +633,14 @@ def check_properties(ctx: SuiteContext) -> dict:
     c2 = rng.integers(0, p, size=(trials, h.dim_der))
     for s in range(0, trials, 8):
         fs, gs = drawn(c1[s : s + 8]), drawn(c2[s : s + 8])
-        brs = (gfp.matmul(fs, gs, p) - gfp.matmul(gs, fs, p)) % p
+        brs = gfp.mod(gfp.matmul(fs, gs, p) - gfp.matmul(gs, fs, p), p)
         failure = hoch._leibniz_failure(sm, np.vstack([brs, gfp.mat_pow(fs, p, p)]))
         if failure:
             prop = "closure (unit value)" if "f(1)" in failure else "closure under bracket / p-power"
             raise CheckFailure({"property": prop})
         avecs = np.stack([rng.integers(0, p, size=d) for _ in fs])  # one draw per map, in turn
         ada = sm.ad_matrices(avecs)
-        lhs = (gfp.matmul(fs, ada, p) - gfp.matmul(ada, fs, p)) % p
+        lhs = gfp.mod(gfp.matmul(fs, ada, p) - gfp.matmul(ada, fs, p), p)
         if not np.array_equal(lhs, sm.ad_matrices(gfp.matmul(fs, avecs[:, :, None], p))):
             raise CheckFailure({"property": "[f, ad a] = ad f(a)"})
     # representative independence of the tables, drawing from the same generator

@@ -104,7 +104,8 @@ class _LeibnizPlan:
 
     - e_i F(s): each table term e_i e_j = c e_k subtracts c F(s)_j at (k, i),
       a row of the (d^2, k) view.  This plan reads only the table, so every
-      element shares it.
+      element shares it.  It goes first, into a fresh array
+      (``gfp.scatter_new``), so its first layer is written by assignment.
     - F(e_i) s = R_s F(e_i): each term (x, y, c) of R_s subtracts c times
       row x of F from row y, and F(e_i s) adds c times column y to column x.
       Each element has one plan keyed by y and one keyed by x.
@@ -135,8 +136,7 @@ class _LeibnizPlan:
     def residual(self, block, n: int) -> np.ndarray:
         """The exact residual of a ``block`` of maps against element n, laid out (coordinate, i, map)."""
         fv, ys = block
-        res = np.zeros(fv.shape, dtype=INT)
-        gfp.scatter_apply(res.reshape(self.dim**2, fv.shape[2]), self.table, ys[n])
+        res = gfp.scatter_new((self.dim**2, fv.shape[2]), self.table, ys[n]).reshape(fv.shape)
         gfp.scatter_apply(res, self.rows[n], fv)
         gfp.scatter_apply(res, self.cols[n], fv, axis=1)
         return res
@@ -160,7 +160,7 @@ class _LeibnizPlan:
 
 def _nonzero_mod(res: np.ndarray, p: int) -> bool:
     """Whether some entry of an exact residual is not = 0 mod p, reducing only the nonzero entries."""
-    return bool((res[res != 0] % p).any())
+    return bool(gfp.mod(res[res != 0], p).any())
 
 
 # -- phi: maps from their generator values ----------------------------------------
@@ -283,10 +283,7 @@ class Extender:
                 on = np.flatnonzero(ends[pos] == index)
                 plan.append((pos[on], coef[on], take[on]))
         rows_t = np.ascontiguousarray(np.asarray(rows).T, dtype=INT)
-        out = np.zeros((size, rows_t.shape[1]), dtype=INT)
-        gfp.scatter_apply(out, plan, rows_t)
-        if plan:
-            out[plan[0][0]] %= self.p  # the first layer holds every cell a term reaches; the rest stay 0
+        out = gfp.scatter_new((size, rows_t.shape[1]), plan, rows_t, p=self.p)
         return np.ascontiguousarray(out.T)
 
     def matrices(self, rows) -> np.ndarray:
@@ -394,7 +391,7 @@ def _distinct_rows(keys: np.ndarray, vals: np.ndarray, nv: int, p: int):
     lengths = np.diff(np.r_[start, eq.size])
     leads, which = np.unique(vals[start], return_inverse=True)
     inv = np.array([gfp.inv_mod(x, p) for x in leads], dtype=INT)
-    code = col * p + vals * np.repeat(inv[which], lengths) % p
+    code = col * p + gfp.mod(vals * np.repeat(inv[which], lengths), p)
     empty = np.zeros(0, dtype=INT)
     rows, codes, n = [empty], [empty], 0
     for length in np.flatnonzero(np.bincount(lengths)):
@@ -405,7 +402,7 @@ def _distinct_rows(keys: np.ndarray, vals: np.ndarray, nv: int, p: int):
         codes.append(block.ravel())
         n += block.shape[0]
     code = np.concatenate(codes)
-    return np.concatenate(rows), code // p, code % p
+    return np.concatenate(rows), code // p, gfp.mod(code, p)
 
 
 def _leibniz_rows(phi: Extender):
@@ -414,7 +411,7 @@ def _leibniz_rows(phi: Extender):
     fe, unk, val = phi.triplets
     eq, ent, coef = _leibniz_terms(a, list(phi.gens), a.structure_constants())
     term, pos = gfp.expand(ent, np.searchsorted(fe, np.arange(a.dim**2 + 1)))
-    keys, vals = gfp.merge(eq[term] * phi.nv + unk[pos], coef[term] % a.p * val[pos], a.p)
+    keys, vals = gfp.merge(eq[term] * phi.nv + unk[pos], gfp.mod(coef[term], a.p) * val[pos], a.p)
     return _distinct_rows(keys, vals, phi.nv, a.p)
 
 
@@ -456,7 +453,7 @@ def _torus_weights(a: Algebra, gens: np.ndarray) -> np.ndarray:
 def _unknown_weights(a: Algebra, gens: np.ndarray) -> np.ndarray:
     """(m, nv): the weight w_b - w_(g_t) of each unknown t * d + b, for W = ``_torus_weights``."""
     w = _torus_weights(a, gens)
-    weight = (w[:, None, :] - w[:, np.argmax(gens != 0, axis=1), None]) % a.p
+    weight = gfp.mod(w[:, None, :] - w[:, np.argmax(gens != 0, axis=1), None], a.p)
     return weight.reshape(w.shape[0], gens.size)
 
 
@@ -616,7 +613,7 @@ class DerivationSpace:
         for e in a.idempotents:
             x, y, c = a.right_terms(e)  # F(e_i) e_i, by the terms of R_(e_i)
             gfp.scatter_add(shift.T, y, c, matmul(mats, e, p).T, x)
-        return (mats - a.ad_matrices(shift)) % p
+        return gfp.mod(mats - a.ad_matrices(shift), p)
 
     def on_window(self, cols) -> np.ndarray:
         """Maps given on the columns W, (n, d, |W|), restricted to W; raises if one leaves W."""
@@ -789,9 +786,9 @@ def generator_tables(mats, values, p: int, coords_rows):
     step = max(1, STREAM_CELLS // max(m * d, 1))
     for s in range(0, first.size, step):
         i, j = first[s : s + step], second[s : s + step]
-        comm = (prod[j, :, i] - prod[i, :, j]) % p  # g([X_i, X_j])
+        comm = gfp.mod(prod[j, :, i] - prod[i, :, j], p)  # g([X_i, X_j])
         bracket[i, j] = coords_rows(comm.reshape(i.size, m * d))
-    bracket[second, first] = -bracket[first, second] % p
+    bracket[second, first] = gfp.mod(-bracket[first, second], p)
     power = prod[np.arange(h), :, np.arange(h)]  # g(X_i^2)
     for _ in range(p - 2):
         power = matmul(power, mats.transpose(0, 2, 1), p)

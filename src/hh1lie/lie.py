@@ -70,7 +70,7 @@ class RestrictedLie:
         c = self.bracket
         # the first failing row i reports [b_i, b_i] before any pair (i, j)
         square = c[np.arange(d), np.arange(d)].any(axis=1)
-        asym = ((c + c.transpose(1, 0, 2)) % p).any(axis=2)
+        asym = gfp.mod(c + c.transpose(1, 0, 2), p).any(axis=2)
         bad = np.flatnonzero(square | asym.any(axis=1))
         if bad.size:
             i = int(bad[0])
@@ -89,7 +89,7 @@ class RestrictedLie:
             ct = rest.transpose(1, 0, 2).reshape(d, m * d)
             t = matmul(block[:, i0 + 1 :].reshape(b * m, d), ct, p).reshape(b, m, m, d)
             jac = matmul(rest[:, i0 + 1 :].reshape(m * m, d), block, p).reshape(b, m, m, d)
-            jac = (jac + t - t.transpose(0, 2, 1, 3)) % p
+            jac = gfp.mod(jac + t - t.transpose(0, 2, 1, 3), p)
             if jac.any():
                 i, j, k = (int(x) for x in np.argwhere(jac.any(axis=3))[0])
                 raise Hh1LieError(f"Jacobi identity fails at triple {(i0 + i, i0 + 1 + j, i0 + 1 + k)}")
@@ -145,15 +145,15 @@ def _jacobson_batch(L: RestrictedLie, xs: np.ndarray) -> np.ndarray:
         rows = slice(None) if live[:, c].all() else np.flatnonzero(live[:, c])
         x = xs[rows]
         xc = x[:, c, None, None]
-        ad_v = (x[:, c + 1 :] @ L.bracket[c + 1 :].reshape(-1, d * d)).reshape(-1, d, d) % p
+        ad_v = gfp.mod(x[:, c + 1 :] @ L.bracket[c + 1 :].reshape(-1, d * d), p).reshape(-1, d, d)
         poly = np.zeros((x.shape[0], p, d), dtype=INT)  # t-coefficients of ad(t u + v)^k (u)
         poly[:, 0, c] = x[:, c]
         for k in range(1, p):  # only the first k coefficients can be nonzero
-            shifted = poly[:, :k] @ L.bracket[c] % p * xc  # [u, .]
+            shifted = gfp.mod(poly[:, :k] @ L.bracket[c], p) * xc  # [u, .]
             poly[:, :k] = poly[:, :k] @ ad_v  # [v, .]
             poly[:, 1 : k + 1] += shifted
-            poly[:, : k + 1] %= p
-        out[rows] = (out[rows] + inv @ poly[:, : p - 1]) % p
+            poly[:, : k + 1] = gfp.mod(poly[:, : k + 1], p)
+        out[rows] = gfp.mod(out[rows] + inv @ poly[:, : p - 1], p)
     return out
 
 
@@ -290,7 +290,7 @@ def _random_env_element(mats, p, rng) -> np.ndarray:
         word = np.eye(d, dtype=INT)
         for _ in range(int(rng.integers(1, 4))):
             word = matmul(word, mats[int(rng.integers(0, len(mats)))], p)
-        theta = (theta + int(rng.integers(1, p)) * word) % p
+        theta = gfp.mod(theta + int(rng.integers(1, p)) * word, p)
     return theta
 
 
@@ -299,7 +299,7 @@ def _mixed_element(mats, p, rng) -> np.ndarray:
     m = len(mats)
     a, b = matmul(rng.integers(0, p, size=(2, m)), mats.reshape(m, -1), p).reshape((2,) + mats.shape[1:])
     ab = matmul(a, b, p)
-    return (ab + a + matmul(b, ab, p)) % p
+    return gfp.mod(ab + a + matmul(b, ab, p), p)
 
 
 def _envelope_candidates(mats, p: int, seed: int):
@@ -393,7 +393,7 @@ def _all_vectors_batch(p: int, dim: int, start: int = 0, stop: int = None) -> np
     idx = np.arange(start, p**dim if stop is None else stop)
     out = np.zeros((idx.size, dim), dtype=INT)
     for c in range(dim):
-        out[:, c] = idx % p
+        out[:, c] = gfp.mod(idx, p)
         idx = idx // p
     return out
 
@@ -454,7 +454,7 @@ class TorusReport:
 def _toral_fixed_points(L: RestrictedLie, env: Subspace, phi: np.ndarray) -> list[np.ndarray]:
     """Nonzero fixed points of the p-map inside an abelian envelope."""
     m = env.dim
-    fixed = gfp.kernel((phi - np.eye(m, dtype=INT)) % L.p, L.p)
+    fixed = gfp.kernel(phi - np.eye(m, dtype=INT), L.p)
     return [matmul(c, env.basis, L.p) for c in fixed]
 
 
@@ -488,14 +488,13 @@ def _pmap_enumeration(L: RestrictedLie):
             if not by_ad:
                 yield vs, vs, _jacobson_batch(L, vs)
                 continue
-            # ad(x)^T and its p-th power, reduced in place; at most three chunk-sized
+            # ad(x)^T and its p-th power, reduced after each product; at most three chunk-sized
             # arrays live, and C order, so the rows handed out are views
-            ads = np.einsum("vi,ijk->vjk", vs, L.bracket)
-            ads %= p
+            ads = gfp.mod(np.einsum("vi,ijk->vjk", vs, L.bracket), p)
             pw = ads
             for _ in range(p - 1):
                 pw = pw @ ads
-                pw %= p
+                pw = gfp.mod(pw, p)
             yield vs, ads.reshape(len(vs), -1), pw.reshape(len(vs), -1)
             del ads, pw  # released before the next chunk is built
 
@@ -525,7 +524,7 @@ def _projectivize(vectors, p) -> np.ndarray:
     """One row per line, scaled to a leading 1, in order of first appearance."""
     mat = np.array(vectors, dtype=np.int16)  # int16 as p <= 317: up to p^dim rows come in
     inv = np.array([0] + [gfp.inv_mod(c, p) for c in range(1, p)])
-    scaled = (np.arange(p) * inv[:, None] % p).astype(np.int16)  # [c, x] = x / c
+    scaled = gfp.mod(np.arange(p) * inv[:, None], p).astype(np.int16)  # [c, x] = x / c
     mat = scaled[mat[np.arange(len(mat)), (mat != 0).argmax(axis=1)][:, None], mat]
     rows = mat.view(np.dtype((np.void, mat.itemsize * mat.shape[1])))[:, 0]  # one opaque key per row
     return mat[np.sort(np.unique(rows, return_index=True)[1])].astype(INT)

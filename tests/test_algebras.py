@@ -513,6 +513,43 @@ def test_smash_multiplication_rule_exhaustive_p3():
                     assert np.array_equal(a.mul_vec(ulx, um), want)
 
 
+def scanned_smash_terms(p, n, r):
+    """(i, j, k) of the smash table by the scan over all d^2 pairs that the constructor used to make."""
+    desc = alg.SmashDescriptor(p, n, r)
+    nc, xb = desc.n_chars, desc.x_bound
+    lam, a = np.divmod(np.arange(p ** (n + r)), xb)
+    i, j = np.nonzero(((lam[:, None] - lam - a[:, None] * desc.alpha) % nc == 0) & (a[:, None] + a < xb))
+    return i, j, i + a[j]
+
+
+# every smash product the tests, the suite at p = 3, 5 and 7, the benchmark and CI build
+SMASH_BUILT = [
+    (3, 1, 1), (3, 2, 1), (3, 3, 1), (3, 4, 1), (3, 1, 2), (3, 2, 2), (3, 3, 2), (3, 1, 3), (3, 2, 3),
+    (5, 1, 1), (5, 2, 1), (5, 3, 1), (5, 1, 2), (5, 2, 2), (7, 1, 1), (7, 2, 1), (7, 1, 2), (7, 2, 2),
+]
+
+
+@pytest.mark.parametrize("p,n,r", SMASH_BUILT, ids=[f"smash-{p}-{n}-{r}" for p, n, r in SMASH_BUILT])
+def test_smash_table_equals_the_pair_scan(p, n, r):
+    i, j, k, c = alg.smash_product(p, n, r)[0].structure_constants()
+    oi, oj, ok = scanned_smash_terms(p, n, r)
+    assert np.array_equal(i, oi) and np.array_equal(j, oj) and np.array_equal(k, ok)
+    assert (c == 1).all()
+
+
+def test_smash_at_the_largest_dimension_builds_without_a_pair_scan():
+    # smash(127, 1, 1) has d = 16,129: the d x d scan allocated 1.94 GiB per array;
+    # the table has p^r * p^n (p^n + 1) / 2 terms
+    tracemalloc.start()
+    try:
+        a, desc = alg.smash_product(127, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.dim == 127**2 and a.structure_constants()[0].size == 127 * 127 * 128 // 2
+    assert peak < 1 << 30
+
+
 def test_smash_rejects_bad_parameters():
     with pytest.raises(ValueError):
         alg.smash_product(3, 0, 1)

@@ -386,6 +386,20 @@ def test_reproduce_fault_injection_fails_lemma31(tmp_path, capsys):
     assert "FAIL lemma-3.1" in err
 
 
+@pytest.mark.parametrize("p", ["3", "5"])
+def test_reproduce_fault_injection_report_matches_the_recorded_one(p, tmp_path, capsys):
+    # the counterexample is picked from reduced residues, so the whole report is
+    # pinned, apart from elapsed_ms: the failing pair, its got and want, and every other check
+    path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "reproduce", "--p", p, "--json", str(path), "--inject-fault", "lemma-3.1")
+    report = json.loads(path.read_text())
+    for entry in report:
+        del entry["elapsed_ms"]
+    recorded = Path(__file__).parent / "data" / f"reproduce-fault-lemma-3.1-p{p}.json"
+    assert code == 1
+    assert report == json.loads(recorded.read_text())
+
+
 def test_build_custom_quiver_from_file(tmp_path, capsys):
     # Kronecker presentation through the documented quiver JSON schema
     quiver = {
