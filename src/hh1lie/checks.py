@@ -227,9 +227,8 @@ def _lemma_3_1_products(a: alg.Algebra, desc: alg.SmashDescriptor):
     src[:, nc] = xvec
     i, j, k, c = a.structure_constants()
     on = char[j] >= 0
-    out = np.zeros((nc * d, nc + 1), dtype=INT)
-    gfp.scatter_add(out, char[j[on]] * d + k[on], c[on], src, i[on])
-    out = gfp.mod(out, p).reshape(nc, d, nc + 1)  # [mu, k, column of src]
+    plan = gfp.scatter_plan(char[j[on]] * d + k[on], c[on], i[on])
+    out = gfp.scatter_new((nc * d, nc + 1), plan, src, p=p).reshape(nc, d, nc + 1)  # [mu, k, column of src]
     return src[:, :nc].T, out[:, :, :nc].transpose(2, 0, 1), out[:, :, nc]
 
 

@@ -194,8 +194,8 @@ def scatter_new(shape, plan: list, src=None, axis: int = 0, p: int = None) -> np
 
     Layer 0 reaches every target a term reaches, each once, so it is
     assigned, without the copy a fancy-index ``+=`` reads; the rest are
-    added.  With ``p`` only those targets are reduced, all at once if they
-    are every target.
+    added.  With ``p`` only those targets are reduced, in blocks of
+    ``STREAM_CELLS`` cells, so the reduction's copies stay small.
     """
     out = np.zeros(shape, dtype=INT)
     target = np.moveaxis(out, axis, 0)
@@ -204,11 +204,12 @@ def scatter_new(shape, plan: list, src=None, axis: int = 0, p: int = None) -> np
             target[index] += vals
         else:
             target[index] = vals
-    if p is None or not plan:
-        return out
-    if plan[0][0].size == target.shape[0]:
-        return mod(out, p)
-    target[plan[0][0]] = mod(target[plan[0][0]], p)
+    if p is not None and plan:
+        reached = plan[0][0]
+        step = max(1, STREAM_CELLS * len(target) // max(1, out.size))  # targets per block
+        for s in range(0, reached.size, step):
+            rows = reached[s : s + step]
+            target[rows] = mod(target[rows], p)
     return out
 
 

@@ -132,7 +132,7 @@ def test_scatter_new_through_take_and_along_an_axis():
 def test_scatter_new_reduces_only_the_targets_a_term_reaches(p):
     rng = np.random.default_rng(p)
     src = rng.integers(0, p, (30, 3))
-    for targets in (8, 12):  # 8: every target reached, so all are reduced at once
+    for targets in (8, 12):  # 12: four targets no term reaches stay zero
         index = np.r_[np.arange(8), rng.integers(0, 8, 22)]
         coef = rng.integers(-(p - 1), p, 30)
         coef[:8] = p - 1  # layer 0 keeps all 8 targets
@@ -141,6 +141,21 @@ def test_scatter_new_reduces_only_the_targets_a_term_reaches(p):
         assert np.array_equal(got, add_at((targets, 3), index, coef, src) % p)
         assert np.array_equal(gfp.scatter_new((targets,), plan, p=p), add_at((targets,), index, coef) % p)
     assert not gfp.scatter_new((3, 2), [], np.ones((1, 2), dtype=np.int64), p=p).any()
+    assert gfp.scatter_new((0, 2), [(np.zeros(0, dtype=np.int64),) * 3], np.ones((1, 2), dtype=np.int64), p=p).shape == (0, 2)
+
+
+@pytest.mark.parametrize("cells", [1, 5, 64])
+def test_scatter_new_reduces_in_blocks_of_stream_cells(monkeypatch, cells):
+    # a target has 3 cells: 1 and 5 give one target per block, 64 gives 21
+    monkeypatch.setattr(gfp, "STREAM_CELLS", cells)
+    rng = np.random.default_rng(cells)
+    index = rng.integers(0, 40, 120)
+    coef = rng.integers(-4, 5, 120)
+    src = rng.integers(0, 5, (120, 3))
+    plan = gfp.scatter_plan(index, coef)
+    assert np.array_equal(gfp.scatter_new((50, 3), plan, src, p=5), add_at((50, 3), index, coef, src) % 5)
+    want = add_at((50, 3), index, coef, src).T % 5
+    assert np.array_equal(gfp.scatter_new((3, 50), plan, np.ascontiguousarray(src.T), axis=1, p=5), want)
 
 
 def test_scatter_new_of_an_empty_or_all_zero_plan_is_zero():
