@@ -27,12 +27,12 @@ generator values, through one scatter plan of its terms (``Extender.on``).
 The solver enforces f(1) = 0 together with the pairs (e_i, s) for every
 basis element e_i and generator s, which implies the full system: by
 induction on word length, f(a w s) = f(a w) s + a w f(s) extends Leibniz
-from words w to w s.  The system is built sparse in int64
-and deduplicated.  Its kernel is taken one weight of the diagonal torus at
-a time: the torus weights grade A with every generator homogeneous, each
-equation involves one weight, and the blocks' kernels sorted by pivot are
-the whole system's RREF kernel.  phi keeps weights, so the same loop reads
-Der_E's d^2 RREF pivots on each block's own vec(F) cells.
+from words w to w s.  The system is built sparse in int64 from the cells
+phi reaches, and deduplicated.  Its kernel is taken one block at a time:
+the blocks are the components of the unknowns that one row or one vec(F)
+cell of phi links, so their kernels sorted by pivot are the whole system's
+RREF kernel, and the same loop reads Der_E's d^2 RREF pivots on each
+block's own cells.
 ``_leibniz_failure`` is the only Leibniz checker.  It builds each residual
 F(e_i s) - F(e_i) s - e_i F(s) in place from scatter plans made once per
 algebra (``_LeibnizPlan``), in exact integers, and reduces only the
@@ -250,10 +250,10 @@ class Extender:
     witness all go through it.  It reads only the generators and the table,
     never a solved Der(A).  The unknowns are the value coordinates t * d + b
     in ``slots`` (every one by default); phi(v) is a derivation iff v extends
-    to one, and ``_leibniz_failure`` decides.  phi is held as one
-    ``gfp.scatter_plan`` of its triplets, and ``on`` applies it on any
-    sorted set of vec(F) cells: ``matrices``, ``columns`` and ``is_phi_of``
-    read it, and so does ``_kernel_by_weight``.
+    to one, and ``_leibniz_failure`` decides.  phi is held as its triplets,
+    sorted by vec(F) cell, and one ``gfp.scatter_plan`` of them; ``on``
+    applies it on any sorted set of cells: ``matrices``, ``columns``,
+    ``is_phi_of`` and ``_kernel_by_block`` read it.
     """
 
     def __init__(self, a: Algebra, gens, slots=None):
@@ -271,17 +271,15 @@ class Extender:
     def on(self, rows, cells=None) -> np.ndarray:
         """phi of (n, nv) rows of generator values on the sorted vec(F) ``cells``, every one by default: (n, |cells|).
 
-        The layers of the one scatter plan are kept on ``cells``, renumbered
-        to their positions, so phi of a block is built on its cells only.
+        On ``cells`` the plan is built from each cell's run of phi's triplets,
+        which are sorted by cell, so phi of a block costs only its own terms.
         """
         plan, size = self.plan, self.algebra.dim**2
         if cells is not None and len(cells) < size:  # all d^2 sorted cells are the default
-            cells, plan, size = np.asarray(cells, dtype=INT), [], len(cells)
-            ends = np.r_[cells, -1]  # no vec(F) index equals the sentinel
-            for index, coef, take in self.plan:
-                pos = np.searchsorted(cells, index)
-                on = np.flatnonzero(ends[pos] == index)
-                plan.append((pos[on], coef[on], take[on]))
+            fe, unk, val = self.triplets
+            ptr = np.searchsorted(fe, np.add.outer(cells, [0, 1]).ravel())  # cell n's run is ptr[2n] : ptr[2n + 1]
+            at, pos = gfp.expand(2 * np.arange(len(cells)), ptr)
+            plan, size = gfp.scatter_plan(at, val[pos], unk[pos]), len(cells)
         rows_t = np.ascontiguousarray(np.asarray(rows).T, dtype=INT)
         out = gfp.scatter_new((size, rows_t.shape[1]), plan, rows_t, p=self.p)
         return np.ascontiguousarray(out.T)
@@ -353,31 +351,41 @@ def extender(a: Algebra) -> Extender:
 # -- the derivation solver ------------------------------------------------------
 
 
-def _leibniz_terms(a: Algebra, gens, consts):
-    """Triplets (equation, vec(F) index, coefficient) of the Leibniz system.
+def _leibniz_terms(phi: Extender):
+    """Triplets (equation, unknown, coefficient) of the Leibniz system in phi's unknowns, not yet merged.
 
     Equation x < d is coordinate x of F(1) = 0, and equation
     d + (t * d + i) * d + x is coordinate x of F(e_i s) - F(e_i) s - e_i F(s)
-    for s = gens[t].  Each term below is one structure constant
-    e_i e_j = c e_k, broadcast over a free index.
+    for s = gens[t].  Each term joins a table term with a triplet of phi,
+    found by the column or the row of its vec(F) cell, so only the cells
+    phi reaches are visited.
     """
-    d = a.dim
-    ci, cj, ck, cc = consts
-    ar = np.arange(d)
-    u = np.flatnonzero(a.unit)
-    parts = [np.broadcast_arrays(ar[:, None], ar[:, None] * d + u, a.unit[u])]
-    for t, s in enumerate(gens):
-        base = d + t * d * d
-        i, k, c = (col[:, None] for col in a.right_terms(s))
+    a, nv, p, d = phi.algebra, phi.nv, phi.p, phi.algebra.dim
+    fe, unk, val = phi.triplets
+    row, col = np.divmod(fe, d)  # fe is sorted, so each row of F is a run
+    by_col = np.argsort(col, kind="stable")
+    crow, cunk, cval = row[by_col], unk[by_col], val[by_col]  # and so is each column of this copy
+    rptr, cptr = (np.searchsorted(key, np.arange(d + 1)) for key in (row, col[by_col]))
+    ci, cj, ck, cc = a.structure_constants()
+
+    def value(s):  # F(s) = sum_y s_y F(e_y): (coordinate, unknown, coefficient), merged
         ys = np.flatnonzero(s)
-        parts += [
-            np.broadcast_arrays(base + i * d + ar, ar * d + k, c),  # F(e_i s): c s_j F[x, k]
-            np.broadcast_arrays(base + ar * d + k, i * d + ar, -c),  # F(e_x) s: c s_j F[i, x]
-            np.broadcast_arrays(  # e_i F(s): c s_y F[j, y] in coordinate k
-                base + ci[:, None] * d + ck[:, None], cj[:, None] * d + ys, -cc[:, None] * s[ys]
-            ),
-        ]
-    return [np.concatenate([part[n].ravel() for part in parts]) for n in range(3)]
+        term, at = gfp.expand(ys, cptr)
+        key, coef = gfp.merge(crow[at] * nv + cunk[at], s[ys[term]] * cval[at], p)
+        return *np.divmod(key, nv), coef
+
+    parts = [value(a.unit)]
+    for t, s in enumerate(phi.gens):
+        base = d + t * d * d
+        i, k, c = a.right_terms(s)
+        term, at = gfp.expand(k, cptr)  # F(e_i s): c F[x, k] in coordinate x
+        parts.append((base + i[term] * d + crow[at], cunk[at], c[term] * cval[at]))
+        term, at = gfp.expand(i, rptr)  # F(e_x) s: c F[i, x] in coordinate k
+        parts.append((base + col[at] * d + k[term], unk[at], -c[term] * val[at]))
+        j, fu, fs = value(s)
+        term, at = gfp.expand(cj, np.searchsorted(j, np.arange(d + 1)))  # e_i F(s): c F(s)_j in coordinate k
+        parts.append((base + ci[term] * d + ck[term], fu[at], -cc[term] * fs[at]))
+    return [np.concatenate([part[n] for part in parts]) for n in range(3)]
 
 
 def _distinct_rows(keys: np.ndarray, vals: np.ndarray, nv: int, p: int):
@@ -407,12 +415,9 @@ def _distinct_rows(keys: np.ndarray, vals: np.ndarray, nv: int, p: int):
 
 def _leibniz_rows(phi: Extender):
     """The distinct rows of the Leibniz system in the unknowns of phi, as ``_distinct_rows`` gives them."""
-    a = phi.algebra
-    fe, unk, val = phi.triplets
-    eq, ent, coef = _leibniz_terms(a, list(phi.gens), a.structure_constants())
-    term, pos = gfp.expand(ent, np.searchsorted(fe, np.arange(a.dim**2 + 1)))
-    keys, vals = gfp.merge(eq[term] * phi.nv + unk[pos], gfp.mod(coef[term], a.p) * val[pos], a.p)
-    return _distinct_rows(keys, vals, phi.nv, a.p)
+    eq, unk, coef = _leibniz_terms(phi)
+    keys, vals = gfp.merge(eq * phi.nv + unk, coef, phi.p)
+    return _distinct_rows(keys, vals, phi.nv, phi.p)
 
 
 def _span_echelon(rows, cols, vals, nv: int, p: int) -> np.ndarray:
@@ -431,63 +436,58 @@ def _span_echelon(rows, cols, vals, nv: int, p: int) -> np.ndarray:
     return span.basis
 
 
-def _torus_weights(a: Algebra, gens: np.ndarray) -> np.ndarray:
-    """W (m x d), the canonical basis of the torus weights of the table and generators.
+def _links(rows, cols, fe, unk):
+    """Each term's unknown and its row's or cell's first unknown, over the distinct rows and phi's triplets."""
+    return np.r_[cols, unk], np.r_[cols[np.searchsorted(rows, rows)], unk[np.searchsorted(fe, fe)]]
 
-    w is a weight when w_i + w_j = w_k on every term e_i e_j = ... + c e_k
-    and w is constant on the support of every generator.  Each row w of W is
-    the diagonal derivation e_b -> w_b e_b, so W grades A by GF(p)^m with
-    every generator homogeneous.
+
+def _components(nv: int, rows, cols, fe, unk) -> np.ndarray:
+    """The block of each unknown: the components of the unknowns one distinct row or one cell of phi links.
+
+    Each round lowers the roots of a link's two ends to the smaller one,
+    then jumps every label to its root, until no link joins two labels.
+    A root is the least unknown of its block, and numbers the blocks.
     """
-    d, p = a.dim, a.p
-    ci, cj, ck, _ = a.structure_constants()
-    g, b = np.nonzero(gens)
-    first = np.argmax(gens != 0, axis=1)
-    eq = np.r_[np.arange(ci.size).repeat(3), ci.size + np.arange(b.size).repeat(2)]
-    var = np.r_[np.c_[ci, cj, ck].ravel(), np.c_[b, first[g]].ravel()]
-    coef = np.r_[np.tile([1, 1, -1], ci.size), np.tile([1, -1], b.size)]
-    keys, vals = gfp.merge(eq * d + var, coef, p)
-    return gfp.kernel(_span_echelon(*_distinct_rows(keys, vals, d, p), d, p), p)
+    links, label = _links(rows, cols, fe, unk), np.arange(nv)
+    ends = [label[end] for end in links]
+    while not np.array_equal(*ends):
+        for end in ends:
+            np.minimum.at(label, end, np.minimum(*ends))
+        while not np.array_equal(label[label], label):  # each label jumps to its root
+            label = label[label]
+        ends = [label[end] for end in links]
+    return np.searchsorted(np.flatnonzero(label == np.arange(nv)), label)
 
 
-def _unknown_weights(a: Algebra, gens: np.ndarray) -> np.ndarray:
-    """(m, nv): the weight w_b - w_(g_t) of each unknown t * d + b, for W = ``_torus_weights``."""
-    w = _torus_weights(a, gens)
-    weight = gfp.mod(w[:, None, :] - w[:, np.argmax(gens != 0, axis=1), None], a.p)
-    return weight.reshape(w.shape[0], gens.size)
+def _kernel_by_block(phi: Extender, rows, cols, vals):
+    """Der_g in canonical form, one block of ``_components`` at a time: (K, pivots, M).
 
-
-def _kernel_by_weight(phi: Extender, rows, cols, vals, weight: np.ndarray):
-    """Der_g in canonical form, one weight block at a time: (K, pivots, M).
-
-    K is the RREF kernel of the sparse rows (sorted by row); weight[:, u] is
-    the weight of unknown u, and a row whose unknowns have two weights raises.
-    Column i of M is column pivots[i] of phi(K), for the vec(F) RREF pivots,
-    so M^-1 K is g of Der's canonical basis.  phi keeps weights (a step
-    F(e_parent g) = R_g F(e_parent) + L_parent v_t preserves w_x - w_k), so
-    block b's kernel rows K_b meet only the cells phi reaches from its
-    unknowns, and one rref of phi(K_b) there (k_b x cells_b int64) gives its
-    pivots.  Sorted, the disjoint blocks' rows and pivots are the whole ones.
+    K is the RREF kernel of the sparse rows (sorted by row), and column i of
+    M is column pivots[i] of phi(K), for its vec(F) RREF pivots, so M^-1 K
+    is g of Der's canonical basis.  No row and no cell of phi meets two
+    blocks (checked), so block b's kernel K_b is that of its own rows, and
+    one rref of phi(K_b) on its own cells (k_b x cells_b int64) gives its
+    pivots.  Sorted, the blocks' rows and pivots are the whole ones.
     """
-    p, nv = phi.p, phi.nv
-    fe, unk, _ = phi.triplets
-    block = np.zeros(nv, dtype=INT)
-    for w in weight:  # number the distinct weights 0, 1, ... one coordinate at a time
-        block = np.unique(block * p + w, return_inverse=True)[1]
-    term_block = block[cols]
-    if (term_block != term_block[np.searchsorted(rows, rows)]).any():  # each row's first term
-        raise Hh1LieError("a Leibniz equation mixes two torus weights")
+    (fe, unk, _), p, nv = phi.triplets, phi.p, phi.nv
+    block = _components(nv, rows, cols, fe, unk)
+    if not np.array_equal(*(block[end] for end in _links(rows, cols, fe, unk))):
+        raise Hh1LieError("a Leibniz row or a cell of phi meets two blocks")
+    n = int(block.max(initial=-1)) + 1
+    first = np.flatnonzero(np.diff(fe, prepend=-1))  # each cell's first triplet
+    keys = block, block[cols], block[unk[first]]  # the block of each unknown, term and cell
+    # each block's positions in their order, and where its run starts and ends
+    cuts = [(np.argsort(k, kind="stable"), np.r_[0, np.bincount(k, minlength=n).cumsum()]) for k in keys]
     empty = np.zeros(0, dtype=INT)
     kers, pivots, cells = [np.zeros((0, nv), dtype=INT)], [empty], [empty]  # no unknowns, no blocks
-    for n in range(block.max(initial=-1) + 1):
-        own, sel = np.flatnonzero(block == n), np.flatnonzero(term_block == n)
+    for b in range(n):
+        own, sel, reached = (order[ptr[b] : ptr[b + 1]] for order, ptr in cuts)
         local = np.unique(rows[sel], return_inverse=True)[1]
         ker = gfp.kernel(_span_echelon(local, np.searchsorted(own, cols[sel]), vals[sel], own.size, p), p)
         kers.append(np.zeros((ker.shape[0], nv), dtype=INT))
         kers[-1][:, own] = ker
         pivots.append(own[np.argmax(ker != 0, axis=1)])
-        reached = fe[block[unk] == n]  # the cells of phi(K_b), sorted as fe is, then each kept once
-        reached = reached[np.diff(reached, prepend=-1) != 0]
+        reached = fe[first[reached]]  # the cells of phi(K_b), sorted
         rank, piv = rref(phi.on(kers[-1], reached), p)[1:]  # one block's image is alive at a time
         if rank < ker.shape[0]:
             raise Hh1LieError("phi maps distinct solved generator values to one map")
@@ -546,8 +546,8 @@ class DerivationSpace:
     ``Extender``): at most nv = |S| * d numbers, where F itself has d^2.
     ``phi`` maps them back to vec(F); ``matrices``, ``gen_coords`` and
     ``is_phi_of`` are its methods.  Der_g is the kernel of the Leibniz
-    system, eliminated one torus-weight block at a time
-    (``_kernel_by_weight``).  ``basis`` holds g of the canonical basis of
+    system, eliminated one block of its own components at a time
+    (``_kernel_by_block``).  ``basis`` holds g of the canonical basis of
     Der_E(A), the RREF rows in vec(F) coordinates, and ``pivots`` their
     vec(F) pivot columns, both read from the same blocks, so every seeded
     draw over the canonical basis is the one the d^2 form gives.
@@ -564,8 +564,7 @@ class DerivationSpace:
         self.phi = phi = extender(a)
         self.gens, self.nv, self._block = phi.gens, phi.nv, phi._block
         self.matrices, self.gen_coords, self.is_phi_of = phi.matrices, phi.gen_coords, phi.is_phi_of
-        weight = _unknown_weights(a, phi.gens)[:, phi.slots]
-        ker, self.pivots, self._m = _kernel_by_weight(phi, *_leibniz_rows(phi), weight)
+        ker, self.pivots, self._m = _kernel_by_block(phi, *_leibniz_rows(phi))
         self.der = Subspace(p, self.nv, ker)
         self.basis = matmul(gfp.inverse(self._m, p), ker, p)
         left, right = a.peirce

@@ -11,6 +11,7 @@ import numpy as np
 
 from hh1lie import algebras as alg
 from hh1lie import gfp
+from hh1lie import hochschild as hoch
 from hh1lie import lie as lielib
 from hh1lie.errors import Hh1LieError, InfiniteDimensionalQuotient
 from hh1lie.gfp import INT, Subspace, matmul, normalize, rref
@@ -338,3 +339,66 @@ def old_graph_max_commuting_torus(L, torals):
 
     extend(Subspace.zero(d, p), [], np.arange(n))
     return best
+
+
+def old_leibniz_terms(a, gens, consts):
+    """``hochschild._leibniz_terms`` before it joined phi's cells, verbatim: (equation, vec(F) index, coefficient).
+
+    Equation x < d is coordinate x of F(1) = 0, and equation
+    d + (t * d + i) * d + x is coordinate x of F(e_i s) - F(e_i) s - e_i F(s)
+    for s = gens[t].  Each term below is one structure constant
+    e_i e_j = c e_k, broadcast over a free index: (|S| + 1) d^2 terms and more.
+    """
+    d = a.dim
+    ci, cj, ck, cc = consts
+    ar = np.arange(d)
+    u = np.flatnonzero(a.unit)
+    parts = [np.broadcast_arrays(ar[:, None], ar[:, None] * d + u, a.unit[u])]
+    for t, s in enumerate(gens):
+        base = d + t * d * d
+        i, k, c = (col[:, None] for col in a.right_terms(s))
+        ys = np.flatnonzero(s)
+        parts += [
+            np.broadcast_arrays(base + i * d + ar, ar * d + k, c),  # F(e_i s): c s_j F[x, k]
+            np.broadcast_arrays(base + ar * d + k, i * d + ar, -c),  # F(e_x) s: c s_j F[i, x]
+            np.broadcast_arrays(  # e_i F(s): c s_y F[j, y] in coordinate k
+                base + ci[:, None] * d + ck[:, None], cj[:, None] * d + ys, -cc[:, None] * s[ys]
+            ),
+        ]
+    return [np.concatenate([part[n].ravel() for part in parts]) for n in range(3)]
+
+
+def old_leibniz_rows(phi):
+    """``hochschild._leibniz_rows`` as it was: the broadcast terms composed with phi through a (d^2 + 1) pointer."""
+    a = phi.algebra
+    fe, unk, val = phi.triplets
+    eq, ent, coef = old_leibniz_terms(a, list(phi.gens), a.structure_constants())
+    term, pos = gfp.expand(ent, np.searchsorted(fe, np.arange(a.dim**2 + 1)))
+    keys, vals = gfp.merge(eq[term] * phi.nv + unk[pos], gfp.mod(coef[term], a.p) * val[pos], a.p)
+    return hoch._distinct_rows(keys, vals, phi.nv, a.p)
+
+
+def torus_weights(a, gens):
+    """``hochschild._torus_weights`` as it was, verbatim: W (m x d), the canonical basis of the torus weights.
+
+    w is a weight when w_i + w_j = w_k on every term e_i e_j = ... + c e_k
+    and w is constant on the support of every generator.  Each row w of W is
+    the diagonal derivation e_b -> w_b e_b, so W grades A by GF(p)^m with
+    every generator homogeneous.
+    """
+    d, p = a.dim, a.p
+    ci, cj, ck, _ = a.structure_constants()
+    g, b = np.nonzero(gens)
+    first = np.argmax(gens != 0, axis=1)
+    eq = np.r_[np.arange(ci.size).repeat(3), ci.size + np.arange(b.size).repeat(2)]
+    var = np.r_[np.c_[ci, cj, ck].ravel(), np.c_[b, first[g]].ravel()]
+    coef = np.r_[np.tile([1, 1, -1], ci.size), np.tile([1, -1], b.size)]
+    keys, vals = gfp.merge(eq * d + var, coef, p)
+    return gfp.kernel(hoch._span_echelon(*hoch._distinct_rows(keys, vals, d, p), d, p), p)
+
+
+def unknown_weights(a, gens):
+    """(m, |S| d): the weight w_b - w_(g_t) of each value coordinate t * d + b, for W = ``torus_weights``."""
+    w = torus_weights(a, gens)
+    weight = gfp.mod(w[:, None, :] - w[:, np.argmax(gens != 0, axis=1), None], a.p)
+    return weight.reshape(w.shape[0], gens.size)

@@ -256,10 +256,10 @@ def test_missing_leibniz_rows_fail_the_generator_check(monkeypatch):
     assert a.dim > hoch.DENSE_SOLVER_LIMIT
     full = hoch._leibniz_terms
 
-    def unit_rows_only(alg_, gens, consts):
-        eq, ent, coef = full(alg_, gens, consts)
-        keep = eq < alg_.dim
-        return eq[keep], ent[keep], coef[keep]
+    def unit_rows_only(phi):
+        eq, unk, coef = full(phi)
+        keep = eq < phi.algebra.dim
+        return eq[keep], unk[keep], coef[keep]
 
     monkeypatch.setattr(hoch, "_leibniz_terms", unit_rows_only)
     with pytest.raises(Hh1LieError, match="non-derivation"):

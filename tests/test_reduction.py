@@ -213,6 +213,6 @@ def test_phi_equals_the_full_reduction(name):
     assert np.array_equal(phi.on(rows), full)
     cells = np.sort(rng.choice(a.dim**2, size=a.dim**2 // 3, replace=False))
     assert np.array_equal(phi.on(rows, cells), full[:, cells])
-    reached = np.unique(fe)  # as a weight block reads them: layer 0 reaches every one
+    reached = np.unique(fe)  # as a block reads them: every cell phi reaches
     assert np.array_equal(phi.on(rows, reached), full[:, reached])
     assert np.array_equal(phi.matrices(rows), full.reshape(-1, a.dim, a.dim))

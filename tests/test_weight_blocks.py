@@ -1,11 +1,12 @@
-"""The Leibniz system solved one torus-weight block at a time.
+"""The Leibniz system solved one block of its own components at a time.
 
-W is the kernel of w_i + w_j = w_k over the table's terms, with every
-generator homogeneous.  Each Leibniz equation involves one weight, so the
-system splits into blocks with disjoint supports, and the blocks' RREF
-kernels sorted by pivot are the RREF kernel of the whole system.  phi keeps
-weights too, so each block's vec(F) pivots come from its own cells, and
-sorted they are the pivots of the whole RREF of phi(K).
+The blocks are the connected components of the unknowns that one distinct
+Leibniz row or one vec(F) cell of phi links (``_components``).  No row
+meets two blocks, so the blocks' RREF kernels sorted by pivot are the RREF
+kernel of the whole system; no cell meets two, so each block's vec(F)
+pivots come from its own cells, and sorted they are the pivots of the
+whole RREF of phi(K).  The torus weights that cut the system before are an
+oracle here: every block lies in one weight class.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from hh1lie import algebras as alg
 from hh1lie import gfp
 from hh1lie import hochschild as hoch
 from hh1lie.errors import Hh1LieError
-from oracles import bare, old_stream_pivots, whole
+from oracles import bare, old_leibniz_rows, old_stream_pivots, unknown_weights, whole
 
 
 CASES = {
@@ -33,7 +34,7 @@ CASES = {
     "gf3^4": lambda: alg.split_semisimple(3, 4),
 }
 
-# more blocks (27 for trunc(3,(1,1,1))), and quiver algebras that name no generators
+# more blocks (53 for trunc(3,(1,1,1))), and quiver algebras that name no generators
 PIVOT_CASES = {
     **CASES,
     "trunc3-111": lambda: alg.truncated_polynomial(3, (1, 1, 1)),
@@ -49,13 +50,6 @@ def whole_system_kernel(a):
     system = np.zeros((int(rows.max(initial=-1)) + 1, phi.nv), dtype=np.int64)
     system[rows, cols] = vals
     return gfp.kernel(system, a.p)
-
-
-def weight_labels(a):
-    """The weight of each value coordinate t * d + b, as one integer per distinct weight vector."""
-    weights = [tuple(w) for w in hoch._unknown_weights(a, hoch.extender(a).gens).T.tolist()]
-    index = {w: n for n, w in enumerate(sorted(set(weights)))}
-    return np.array([index[w] for w in weights])
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -95,54 +89,108 @@ def test_an_empty_distinct_row_set_leaves_every_unknown_free():
     assert np.array_equal(hoch.DerivationSpace(a).der.basis, np.eye(nv, dtype=np.int64))
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_weights_satisfy_every_term_and_keep_generators_homogeneous(name):
-    a = CASES[name]()
-    gens = hoch.extender(a).gens
-    w = hoch._torus_weights(a, gens)
-    ci, cj, ck, _ = a.structure_constants()
-    assert not ((w[:, ci] + w[:, cj] - w[:, ck]) % a.p).any()
-    for g in gens:
-        support = np.flatnonzero(g)
-        assert (w[:, support] == w[:, support[:1]]).all()
-
-
-@pytest.mark.parametrize("name", CASES)
-def test_every_distinct_leibniz_row_has_one_weight(name):
-    a = CASES[name]()
+def blocks(a):
+    """phi, the distinct rows and the block of each unknown, as ``DerivationSpace`` cuts them."""
     phi = hoch.extender(a)
-    rows, cols, _ = hoch._leibniz_rows(phi)
-    label = weight_labels(a)[phi.slots][cols]
-    first = np.searchsorted(rows, rows)  # the first term of each term's row
-    assert np.array_equal(label, label[first])
+    rows, cols, vals = hoch._leibniz_rows(phi)
+    fe, unk, _ = phi.triplets
+    return phi, (rows, cols, vals), hoch._components(phi.nv, rows, cols, fe, unk)
 
 
-@pytest.mark.parametrize(
-    "name,m", [("smash321", 1), ("smash521", 1), ("u0borel32", 1), ("trunc3-21", 2), ("gf3^4", 0)]
-)
-def test_torus_rank(name, m):
-    # smash products: one x-degree, since the idempotents u_lambda span x's generator
-    a = CASES[name]()
-    w = hoch._torus_weights(a, hoch.extender(a).gens)
-    assert w.shape == (m, a.dim)
-    assert len(np.unique(weight_labels(a))) == a.p**m
+def union_find(nv, links):
+    """The block of each unknown by a union-find over (key, unknown) links, numbered by least unknown."""
+    parent = list(range(nv))
+
+    def root(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    for keys, members in links:
+        first = {}
+        for key, u in zip(keys.tolist(), members.tolist()):
+            a, b = root(first.setdefault(key, u)), root(u)
+            parent[max(a, b)] = min(a, b)
+    roots = sorted({root(u) for u in range(nv)})
+    return np.array([roots.index(root(u)) for u in range(nv)], dtype=np.int64)
 
 
-def test_weights_that_break_a_term_make_the_solver_raise(monkeypatch):
-    # u0 x^2 is in no generator's support, so the shifted W keeps every
-    # generator homogeneous and breaks only term equations.  Solved on that
-    # split, a mixed row falls apart into stronger ones: the kernel shrinks to
-    # dim 25 of 27, every map in it a derivation, so the honesty check, which
-    # checks only that, would pass it.  The solver must refuse the split.
-    # (With E = {1}: relative to the u_lambda, u0 x^2 is in no unknown's block.)
+@pytest.mark.parametrize("name", PIVOT_CASES)
+def test_leibniz_rows_equal_the_broadcast_builder(name):
+    phi = hoch.extender(PIVOT_CASES[name]())
+    for new, old in zip(hoch._leibniz_rows(phi), old_leibniz_rows(phi)):
+        assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("name", PIVOT_CASES)
+def test_components_equal_a_union_find(name):
+    phi, (rows, cols, _), block = blocks(PIVOT_CASES[name]())
+    fe, unk, _ = phi.triplets
+    assert np.array_equal(block, union_find(phi.nv, [(rows, cols), (fe, unk)]))
+
+
+@pytest.mark.parametrize("name", PIVOT_CASES)
+def test_no_row_and_no_cell_meets_two_blocks(name):
+    phi, (rows, cols, _), block = blocks(PIVOT_CASES[name]())
+    fe, unk, _ = phi.triplets
+    for keys, members in [(rows, cols), (fe, unk)]:
+        first = np.searchsorted(keys, keys)  # the first term of each term's row or cell
+        assert np.array_equal(block[members], block[members[first]])
+
+
+@pytest.mark.parametrize("name", PIVOT_CASES)
+def test_every_block_lies_in_one_weight_class(name):
+    a = PIVOT_CASES[name]()
+    phi, _, block = blocks(a)
+    weight = unknown_weights(a, phi.gens)[:, phi.slots]
+    for b in range(block.max(initial=-1) + 1):
+        own = weight[:, block == b]
+        assert (own == own[:, :1]).all()
+
+
+def linked_only_by(links, other, nv):
+    """The first unknown that one of ``links`` joins to another unknown and none of ``other`` does."""
+
+    def linked(keys, members):
+        count = np.bincount(keys, minlength=int(keys.max(initial=-1)) + 1)[keys]  # terms of the unknown's row or cell
+        return np.bincount(members[count > 1], minlength=nv) > 0
+
+    return int(np.flatnonzero(linked(*links) & ~linked(*other))[0])
+
+
+def cut_one(monkeypatch, u):
+    """Patch ``_components`` to give unknown u a block of its own."""
+    real = hoch._components
+
+    def cut(*args):
+        block = real(*args)
+        block[u] = block.max() + 1
+        return block
+
+    monkeypatch.setattr(hoch, "_components", cut)
+
+
+def test_a_cut_row_makes_the_solver_raise(monkeypatch):
+    # u shares a Leibniz row with other unknowns and no cell of phi.  Solved
+    # on that cut, its row falls apart into stronger ones: the kernel shrinks
+    # to dim 26 of 27, every map in it a derivation, so the honesty check,
+    # which checks only that, would pass it.  The solver must refuse the cut.
+    # (With E = {1}: relative to the u_lambda there are no rows.)
     a = whole(alg.smash_product(3, 2, 1)[0])
-    gens = hoch.extender(a).gens
-    k = a.labels.index("u0*x^2")
-    assert not gens[:, k].any()
-    bad = hoch._torus_weights(a, gens).copy()
-    bad[0, k] = (bad[0, k] + 1) % a.p
-    ci, cj, ck, _ = a.structure_constants()
-    assert ((bad[:, ci] + bad[:, cj] - bad[:, ck]) % a.p).any()
-    monkeypatch.setattr(hoch, "_torus_weights", lambda alg_, gens_: bad)
-    with pytest.raises(Hh1LieError, match="mixes two torus weights"):
+    phi, (rows, cols, _), _ = blocks(a)
+    fe, unk, _ = phi.triplets
+    cut_one(monkeypatch, linked_only_by((rows, cols), (fe, unk), phi.nv))
+    with pytest.raises(Hh1LieError, match="meets two blocks"):
+        hoch.DerivationSpace(a)
+
+
+def test_a_cut_cell_makes_the_solver_raise(monkeypatch):
+    # u shares a vec(F) cell of phi with other unknowns and no row: cut off,
+    # its block's image and another's meet on that cell, so their pivots
+    # need not be disjoint and sorted they need not be the whole RREF's
+    a = whole(alg.smash_product(3, 2, 1)[0])
+    phi, (rows, cols, _), _ = blocks(a)
+    fe, unk, _ = phi.triplets
+    cut_one(monkeypatch, linked_only_by((fe, unk), (rows, cols), phi.nv))
+    with pytest.raises(Hh1LieError, match="meets two blocks"):
         hoch.DerivationSpace(a)
