@@ -627,7 +627,7 @@ def check_properties(ctx: SuiteContext) -> dict:
 
     # closure under bracket and p-th power, and [f, ad a] = ad f(a); coefficients
     # are drawn up front, maps built and validated 8 trials at a time to bound
-    # memory, on the algebra's one set of Leibniz plans
+    # memory, by the one Leibniz checker
     c1 = rng.integers(0, p, size=(trials, h.dim_der))
     c2 = rng.integers(0, p, size=(trials, h.dim_der))
     for s in range(0, trials, 8):

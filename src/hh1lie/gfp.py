@@ -334,7 +334,7 @@ def row_space(a, p: int) -> np.ndarray:
 
 def kernel(a, p: int) -> np.ndarray:
     """Canonical RREF basis of the right null space, one row per basis vector."""
-    a = normalize(a, p)
+    a = np.asarray(a)  # rref reduces its own copy
     if a.ndim != 2:
         raise DimensionMismatch("kernel expects a 2d array")
     red, rank, pivots = rref(a, p)
@@ -347,12 +347,12 @@ def kernel(a, p: int) -> np.ndarray:
 
 def left_kernel(a, p: int) -> np.ndarray:
     """Canonical basis of ``{x : x @ a == 0}``."""
-    return kernel(normalize(a, p).T, p)
+    return kernel(np.asarray(a).T, p)
 
 
 def inverse(a, p: int) -> np.ndarray:
     """Inverse of a square matrix mod p; raises if singular."""
-    a = normalize(a, p)
+    a = np.asarray(a)  # rref reduces its own copy of the augmented matrix
     n = a.shape[0]
     if a.shape != (n, n):
         raise DimensionMismatch("inverse expects a square matrix")
@@ -405,7 +405,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, p: int, ambient: int) -> "Subspace":
-        mat = normalize(vectors, p) if len(vectors) else np.zeros((0, ambient), dtype=INT)
+        mat = np.asarray(vectors) if len(vectors) else np.zeros((0, ambient), dtype=INT)  # extend reduces it
         if mat.ndim != 2 or mat.shape[1] != ambient:
             raise DimensionMismatch(f"vectors of shape {mat.shape[1:]} in ambient dimension {ambient}")
         return cls.zero(ambient, p).extend(mat)

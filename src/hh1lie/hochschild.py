@@ -33,17 +33,17 @@ the blocks are the components of the unknowns that one row or one vec(F)
 cell of phi links, so their kernels sorted by pivot are the whole system's
 RREF kernel, and the same loop reads Der_E's d^2 RREF pivots on each
 block's own cells.
-``_leibniz_failure`` is the only Leibniz checker.  It builds each residual
-F(e_i s) - F(e_i) s - e_i F(s) in place from scatter plans made once per
-algebra (``_LeibnizPlan``), in exact integers, and reduces only the
-nonzero entries mod p.
+``_leibniz_failure`` is the only Leibniz checker.  It joins a stack's
+nonzero entries with the table terms into the residuals F(e_i s) - F(e_i) s
+- e_i F(s), exact in int64, and sums them by one merge mod p; the honesty
+check feeds it the entries phi reaches, so it builds no d x d map.
 
 Der_E, ad(C), the complement and the HH1 tables stay in the solver's
 coordinates, the values on the generators (at most |S| d numbers per map,
 against d^2 for the matrix).  The tables read the representatives only on
-W, the span of the basis vectors those values reach, which every map in
-Der_E keeps; d x d matrices are built a block at a time for the checks
-and on request.
+the W x W cells, W the span of the basis vectors those values reach,
+which every map in Der_E keeps; d x d matrices are built only for the
+seeded checks and on request.
 
 For smash-product algebras the distinguished outer derivations (zero on
 every idempotent u_lambda, sending x to u_lambda x^(j p^r + 1), built as
@@ -91,76 +91,98 @@ class Derivation:
         return f"Derivation(dim={self.algebra.dim}, p={self.algebra.p})"
 
 
-# -- Leibniz residuals -----------------------------------------------------------
+# -- the Leibniz checker -------------------------------------------------------
 
 
-class _LeibnizPlan:
-    """Leibniz residuals of stacks of maps against fixed elements s, every scatter planned once.
+def _leibniz_failure(a: Algebra, fstack: np.ndarray):
+    """The first check some map of the stack fails, or None if every map is a derivation.
 
-    The residual of F against s is F(e_i s) - F(e_i) s - e_i F(s) over every
-    basis index i.  For a block of maps it is built in place in one int64
-    array laid out (coordinate, i, map), so every scatter moves runs of
-    contiguous map entries:
-
-    - e_i F(s): each table term e_i e_j = c e_k subtracts c F(s)_j at (k, i),
-      a row of the (d^2, k) view.  This plan reads only the table, so every
-      element shares it.  It goes first, into a fresh array
-      (``gfp.scatter_new``), so its first layer is written by assignment.
-    - F(e_i) s = R_s F(e_i): each term (x, y, c) of R_s subtracts c times
-      row x of F from row y, and F(e_i s) adds c times column y to column x.
-      Each element has one plan keyed by y and one keyed by x.
-
-    No other array is filled and nothing is added through a transpose.  The
-    entries stay exact: F's entries and the coefficients lie in [0, p), and
-    each part sums at most d |supp s| products below p^2, so every entry is
-    below 3 d |supp s| p^2 in absolute value (2^47 at MAX_DIM and P_MAX).
+    The one Leibniz checker, for ``is_derivation``, ``named_outers`` and the seeded closure property; the
+    honesty check calls its core on the entries phi reaches.  The maps' entries must lie in [0, p).
     """
-
-    def __init__(self, a: Algebra, elements, table=None):
-        d, p = a.dim, a.p
-        self.dim, self.p = d, p
-        self.elements = np.stack([normalize(s, p).reshape(-1) for s in elements])
-        ci, cj, ck, cc = a.structure_constants()
-        self.table = gfp.scatter_plan(ck * d + ci, -cc, cj) if table is None else table
-        self.rows, self.cols = [], []
-        for s in self.elements:
-            x, y, c = a.right_terms(s)
-            self.rows.append(gfp.scatter_plan(y, -c, x))
-            self.cols.append(gfp.scatter_plan(x, c, y))
-
-    def block(self, fstack):
-        """A block of maps as read by ``residual``: F_t[a, i] at [a, i, t], and F_t(s)_j at [s, j, t]."""
-        ys = matmul(fstack, self.elements.T, self.p).transpose(2, 1, 0)
-        return np.ascontiguousarray(fstack.transpose(1, 2, 0), dtype=INT), np.ascontiguousarray(ys)
-
-    def residual(self, block, n: int) -> np.ndarray:
-        """The exact residual of a ``block`` of maps against element n, laid out (coordinate, i, map)."""
-        fv, ys = block
-        res = gfp.scatter_new((self.dim**2, fv.shape[2]), self.table, ys[n]).reshape(fv.shape)
-        gfp.scatter_apply(res, self.rows[n], fv)
-        gfp.scatter_apply(res, self.cols[n], fv, axis=1)
-        return res
-
-    def fails(self, fstack) -> bool:
-        """Whether some map of the stack fails Leibniz against some element.
-
-        Blocks of STREAM_CELLS / 2 residual cells: with the block's copy of
-        the maps they fill one stream block.  A zero entry is = 0 mod p, so
-        reducing only the nonzero ones decides exactly; on a derivation most
-        entries are 0.
-        """
-        step = max(1, STREAM_CELLS // (2 * self.dim**2))
-        return any(self._block_fails(fstack[t : t + step]) for t in range(0, fstack.shape[0], step))
-
-    def _block_fails(self, maps) -> bool:
-        # no name holds a residual or a block past its use, so one of each is alive at a time
-        block, p = self.block(maps), self.p
-        return any(_nonzero_mod(self.residual(block, n), p) for n in range(len(self.elements)))
+    t, row, col = np.nonzero(fstack)
+    return _entries_failure(a, (t, row, col, fstack[t, row, col]))
 
 
-def _nonzero_mod(res: np.ndarray, p: int) -> bool:
-    """Whether some entry of an exact residual is not = 0 mod p, reducing only the nonzero entries."""
-    return bool(gfp.mod(res[res != 0], p).any())
+def _entries_failure(a: Algebra, entries):
+    """``_leibniz_failure`` of the maps with nonzero entries (t, a, i, v), F_t[a, i] = v, sorted by t.
+
+    f(1) = 0, then Leibniz against every generator of ``a.generating_set()``,
+    which implies every basis pair by induction on word length on an
+    associative table, then, for named generators and d <= DENSE_SOLVER_LIMIT,
+    against every basis vector, which catches an unvalidated non-associative table.
+    """
+    if _values(a, entries, a.unit[None])[0].size:
+        return "produced a map with f(1) != 0"
+    table = _table_by_j(a)
+    if _fails(a, entries, np.stack(a.generating_set()), table):
+        return "produced a non-derivation"
+    if a.generators is not None and a.dim <= DENSE_SOLVER_LIMIT:
+        if _fails(a, entries, np.eye(a.dim, dtype=INT), table):
+            return "failed the all-pairs check"
+    return None
+
+
+def _table_by_j(a: Algebra):
+    """The table terms e_i e_j = c e_k sorted by j, and where each j's run starts: (ptr, i, k, c)."""
+    ci, cj, ck, cc = a.structure_constants()
+    order = np.argsort(cj, kind="stable")
+    return np.searchsorted(cj[order], np.arange(a.dim + 1)), ci[order], ck[order], cc[order]
+
+
+def _values(a: Algebra, entries, elements):
+    """F_t(s) = sum_j s_j F_t(e_j) for each map t and row s of an (m, d) stack, merged by (t d + coordinate) m + s."""
+    t, row, col, val = entries
+    js, es = np.nonzero(elements.T)  # the elements on each basis vector j
+    k, at = gfp.expand(col, np.searchsorted(js, np.arange(a.dim + 1)))
+    return gfp.merge((t[k] * a.dim + row[k]) * len(elements) + es[at], val[k] * elements[es[at], js[at]], a.p)
+
+
+def _fails(a: Algebra, entries, elements, table) -> bool:
+    """Whether some map fails Leibniz against some row of an (m, d) stack: some residual entry is not = 0 mod p."""
+    return any(gfp.merge(keys, vals, a.p)[0].size for keys, vals in _residual_terms(a, entries, elements, table))
+
+
+def _residual_terms(a: Algebra, entries, elements, table):
+    """The residuals F(e_i s) - F(e_i) s - e_i F(s) of the maps against the rows s of an (m, d) stack, as terms.
+
+    Unmerged (key, value), key ((t d + coordinate) d + i) m + s, so each
+    part's keys run in the order of the maps.  Each part is one
+    ``gfp.expand`` join of the entries: with the right terms e_x s = c e_y
+    (the ``table`` terms on supp s) by column y for F(e_x s) and by row x
+    for F(e_x) s, and with the table terms by F(s)_j for e_i F(s).
+    Each term is a product of two numbers in [0, p), so the sums are exact.
+    A block holds whole maps whose joins have about STREAM_CELLS / 16 terms
+    (a costlier map goes alone), so a join and its merge hold about as many
+    cells as a block of the dense residual did.
+    """
+    d, (ptr, ti, tk, tc) = a.dim, table
+    js, es = np.nonzero(elements.T)
+    term, at = gfp.expand(js, ptr)
+    s, x, y, c = es[term], ti[at], tk[at], gfp.mod(tc[at] * elements[es[term], js[term]], a.p)
+    by_y, by_x = np.argsort(y, kind="stable"), np.argsort(x, kind="stable")
+    yptr, xptr = (np.searchsorted(key, np.arange(d + 1)) for key in (y[by_y], x[by_x]))
+    t, row, col, _ = entries
+    m = len(elements)
+    cost = np.diff(yptr)[col] + np.diff(xptr)[row] + np.count_nonzero(elements, axis=0)[col] * (1 + np.diff(ptr)[row])
+    first = np.flatnonzero(np.diff(t, prepend=-1))  # each map's first entry
+    block = (np.cumsum(cost) - cost)[first] // max(1, STREAM_CELLS // 16)
+    cuts = np.r_[first[np.flatnonzero(np.diff(block, prepend=-1))], t.size]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        t, row, col, val = part = tuple(e[lo:hi] for e in entries)
+        k, at = gfp.expand(col, yptr)  # entry (t, a, y): + c v at (t, a, x, s)
+        at = by_y[at]
+        keys, vals = [((t[k] * d + row[k]) * d + x[at]) * m + s[at]], [val[k] * c[at]]
+        k, at = gfp.expand(row, xptr)  # entry (t, x, i): - c v at (t, y, i, s)
+        at = by_x[at]
+        keys.append(((t[k] * d + y[at]) * d + col[k]) * m + s[at])
+        vals.append(-val[k] * c[at])
+        fkey, fval = _values(a, part, elements)
+        (ft, fj), fs = np.divmod(fkey // m, d), fkey % m
+        k, at = gfp.expand(fj, ptr)  # F_t(s)_j: - c F_t(s)_j at (t, k, i, s) for e_i e_j = c e_k
+        keys.append(((ft[k] * d + tk[at]) * d + ti[at]) * m + fs[k])
+        vals.append(-fval[k] * tc[at])
+        yield np.concatenate(keys), np.concatenate(vals)
 
 
 # -- phi: maps from their generator values ----------------------------------------
@@ -251,9 +273,8 @@ class Extender:
     never a solved Der(A).  The unknowns are the value coordinates t * d + b
     in ``slots`` (every one by default); phi(v) is a derivation iff v extends
     to one, and ``_leibniz_failure`` decides.  phi is held as its triplets,
-    sorted by vec(F) cell, and one ``gfp.scatter_plan`` of them; ``on``
-    applies it on any sorted set of cells: ``matrices``, ``columns``,
-    ``is_phi_of`` and ``_kernel_by_block`` read it.
+    sorted by vec(F) cell, and one ``gfp.scatter_plan`` of them onto the
+    ``cells`` it reaches; ``on`` applies phi on any sorted set of cells.
     """
 
     def __init__(self, a: Algebra, gens, slots=None):
@@ -265,35 +286,34 @@ class Extender:
         self.nv = self.slots.size
         self.triplets, self.steps = _phi(a, self.gens, self.slots)
         fe, unk, val = self.triplets
-        self.plan = gfp.scatter_plan(fe, val, unk)
+        self.cells = fe[np.flatnonzero(np.diff(fe, prepend=-1))]  # the cells phi reaches: each one's first triplet
+        self.plan = gfp.scatter_plan(np.searchsorted(self.cells, fe), val, unk)  # onto the positions in ``cells``
         self._block = max(1, STREAM_CELLS // (d * d))
 
     def on(self, rows, cells=None) -> np.ndarray:
         """phi of (n, nv) rows of generator values on the sorted vec(F) ``cells``, every one by default: (n, |cells|).
 
-        On ``cells`` the plan is built from each cell's run of phi's triplets,
-        which are sorted by cell, so phi of a block costs only its own terms.
+        The plan reaches ``self.cells``; phi is zero off them.  On other ``cells`` a plan is built from each
+        cell's run of phi's triplets, which are sorted by cell, so phi of a block costs only its own terms.
         """
-        plan, size = self.plan, self.algebra.dim**2
-        if cells is not None and len(cells) < size:  # all d^2 sorted cells are the default
+        size, reached = self.algebra.dim**2, cells is not None and np.array_equal(cells, self.cells)
+        if not reached and (cells is None or len(cells) == size):  # all d^2 sorted cells are the default
+            out = np.zeros((np.shape(rows)[0], size), dtype=INT)
+            out[:, self.cells] = self.on(rows, self.cells)
+            return out
+        plan = self.plan
+        if not reached:
             fe, unk, val = self.triplets
             ptr = np.searchsorted(fe, np.add.outer(cells, [0, 1]).ravel())  # cell n's run is ptr[2n] : ptr[2n + 1]
             at, pos = gfp.expand(2 * np.arange(len(cells)), ptr)
-            plan, size = gfp.scatter_plan(at, val[pos], unk[pos]), len(cells)
+            plan = gfp.scatter_plan(at, val[pos], unk[pos])
         rows_t = np.ascontiguousarray(np.asarray(rows).T, dtype=INT)
-        out = gfp.scatter_new((size, rows_t.shape[1]), plan, rows_t, p=self.p)
-        return np.ascontiguousarray(out.T)
+        return np.ascontiguousarray(gfp.scatter_new((len(cells), rows_t.shape[1]), plan, rows_t, p=self.p).T)
 
     def matrices(self, rows) -> np.ndarray:
         """phi of each of (n, nv) rows of generator values: the (n, d, d) stack of maps."""
         d = self.algebra.dim
         return self.on(rows).reshape(-1, d, d)
-
-    def columns(self, rows, cols) -> np.ndarray:
-        """phi of each row of generator values on the basis vectors ``cols`` (sorted) only: (n, d, |cols|)."""
-        d = self.algebra.dim
-        cells = (np.arange(d)[:, None] * d + np.asarray(cols, dtype=INT)).ravel()
-        return self.on(rows, cells).reshape(-1, d, len(cols))
 
     def gen_coords(self, mats) -> np.ndarray:
         """g(F) = (F s)_s for each map F of a stack, on the slots: rows of nv values."""
@@ -497,46 +517,6 @@ def _kernel_by_block(phi: Extender, rows, cols, vals):
     return ker, cells.tolist(), phi.on(ker, cells)
 
 
-def _leibniz_plans(a: Algebra):
-    """The plans ``_leibniz_failure`` checks: ``a.generating_set()``, then every basis vector or None.
-
-    The second is built only for named generators when d <= DENSE_SOLVER_LIMIT,
-    and it shares the first's table plan.  Both are built once per algebra
-    and cached on it.
-    """
-    if "plans" not in a._derivation_cache:
-        gens, pairs = _LeibnizPlan(a, a.generating_set()), None
-        if a.generators is not None and a.dim <= DENSE_SOLVER_LIMIT:
-            pairs = _LeibnizPlan(a, np.eye(a.dim, dtype=INT), gens.table)
-        a._derivation_cache["plans"] = gens, pairs
-    return a._derivation_cache["plans"]
-
-
-def _leibniz_failure(a: Algebra, fstack: np.ndarray):
-    """The first check some map of the stack fails, or None if every map is a derivation.
-
-    The one Leibniz checker: the solver's honesty check, ``is_derivation``,
-    ``named_outers`` and the seeded closure property all call it, on the
-    algebra's one set of plans (``_leibniz_plans``).  The maps' entries must
-    lie in [0, p).
-
-    f(1) = 0, then Leibniz against every generator of ``a.generating_set()``,
-    which implies every basis pair by induction on word length on an
-    associative table.  Named generators are also checked on every basis
-    pair when d <= DENSE_SOLVER_LIMIT, which catches an unvalidated
-    non-associative table; with the basis as the generators, the generator
-    pass is that check already.
-    """
-    if matmul(fstack, a.unit, a.p).any():
-        return "produced a map with f(1) != 0"
-    gens, pairs = _leibniz_plans(a)
-    if gens.fails(fstack):
-        return "produced a non-derivation"
-    if pairs is not None and pairs.fails(fstack):
-        return "failed the all-pairs check"
-    return None
-
-
 class DerivationSpace:
     """Der_E(A) and ad(C) in generator coordinates, for E = ``a.idempotents``.
 
@@ -562,7 +542,7 @@ class DerivationSpace:
         p, d = a.p, a.dim
         self.algebra, self.p = a, p
         self.phi = phi = extender(a)
-        self.gens, self.nv, self._block = phi.gens, phi.nv, phi._block
+        self.nv = phi.nv
         self.matrices, self.gen_coords, self.is_phi_of = phi.matrices, phi.gen_coords, phi.is_phi_of
         ker, self.pivots, self._m = _kernel_by_block(phi, *_leibniz_rows(phi))
         self.der = Subspace(p, self.nv, ker)
@@ -579,16 +559,24 @@ class DerivationSpace:
         return self.basis.shape[0]
 
     def _verify(self):
-        """Honesty check on the canonical basis, a block of maps at a time, on the algebra's Leibniz plans."""
-        a = self.algebra
-        for s in range(0, self.dim, self._block):
-            rows = self.basis[s : s + self._block]
-            mats = self.matrices(rows)
-            failure = _leibniz_failure(a, mats)
-            if failure:
-                raise Hh1LieError(f"derivation solver {failure}")
-            if not np.array_equal(self.gen_coords(mats), rows):
-                raise Hh1LieError("generator values do not determine the solved maps")
+        """Leibniz and g(phi(y)) = y on the canonical basis's entries on the cells phi reaches, a block at a time."""
+        phi, d = self.phi, self.algebra.dim
+        step = max(1, STREAM_CELLS // max(phi.cells.size, 1))
+        parts = [(np.zeros(0, dtype=INT),) * 4]
+        for s in range(0, self.dim, step):
+            image = phi.on(self.basis[s : s + step], phi.cells)
+            t, at = np.nonzero(image)
+            parts.append((t + s, *np.divmod(phi.cells[at], d), image[t, at]))
+        entries = tuple(np.concatenate(part) for part in zip(*parts))
+        failure = _entries_failure(self.algebra, entries)
+        if failure:
+            raise Hh1LieError(f"derivation solver {failure}")
+        t, unk = np.nonzero(self.basis)
+        s, b = np.divmod(phi.slots[unk], d)
+        got = _values(self.algebra, entries, phi.gens)  # g(F_t): (F_t g_s)_b at (t d + b) |S| + s
+        want = gfp.merge((t * d + b) * len(phi.gens) + s, self.basis[t, unk], self.p)
+        if not all(np.array_equal(x, y) for x, y in zip(got, want)):
+            raise Hh1LieError("generator values do not determine the solved maps")
 
     def member_values(self, mats, sub: Subspace = None):
         """g of each map of the stack if every one lies in Der_E(A), else None; with sub, in the part g maps to sub."""
@@ -614,11 +602,14 @@ class DerivationSpace:
             gfp.scatter_add(shift.T, y, c, matmul(mats, e, p).T, x)
         return gfp.mod(mats - a.ad_matrices(shift), p)
 
-    def on_window(self, cols) -> np.ndarray:
-        """Maps given on the columns W, (n, d, |W|), restricted to W; raises if one leaves W."""
-        if cols[:, gfp.complement(self.algebra.dim, self.window)].any():
+    def on_window(self, rows) -> np.ndarray:
+        """phi of rows of generator values on the W x W cells, (n, |W|, |W|); raises if a map sends W off W."""
+        phi, d, w = self.phi, self.algebra.dim, self.window
+        row, col = np.divmod(phi.cells, d)
+        off = np.isin(col, w) & ~np.isin(row, w)  # the reached cells that would send W off W
+        if off.any() and phi.on(rows, row[off] * d + col[off]).any():
             raise Hh1LieError("W is not stable under the representatives")
-        return cols[:, self.window]
+        return phi.on(rows, (w[:, None] * d + w).ravel()).reshape(len(rows), w.size, w.size)
 
     def inner(self):
         """ad(C): g of its canonical basis, their positions in ``basis``, and their span.
@@ -647,8 +638,8 @@ class DerivationSpace:
 def _ad_values(a: Algebra, phi: Extender, basis) -> np.ndarray:
     """g(ad e_c) = (e_c s - s e_c)_s for the basis vectors c in ``basis``, on phi's unknowns.
 
-    Each product is summed from the table terms (e_c, s) and (s, e_c); a
-    value off the unknowns raises.
+    Each product is summed from the table terms (e_c, s) and (s, e_c), and
+    each nonzero sum is written at its slot; a sum off the slots raises.
     """
     d, p = a.dim, a.p
     i, j, k, c = a.structure_constants()
@@ -661,11 +652,12 @@ def _ad_values(a: Algebra, phi: Extender, basis) -> np.ndarray:
             keys.append(row[mine[n]] * phi.width + t * d + k[n])
             vals.append(sign * c[n] * s[other[n]])
     key, val = gfp.merge(np.concatenate(keys), np.concatenate(vals), p)
-    out = np.zeros((len(basis), phi.width), dtype=INT)
-    out.flat[key] = val
-    if out[:, gfp.complement(phi.width, phi.slots)].any():
+    row, col = np.divmod(key, phi.width)
+    if not np.isin(col, phi.slots).all():
         raise Hh1LieError("inner derivations escape the derivation space")
-    return out[:, phi.slots]
+    out = np.zeros((len(basis), phi.nv), dtype=INT)
+    out[row, np.searchsorted(phi.slots, col)] = val
+    return out
 
 
 def _derivation_space(a: Algebra) -> DerivationSpace:
@@ -821,7 +813,7 @@ class HH1Presentation:
         if space.der.reduce_rows(self._values).any():
             raise Hh1LieError("complement representatives escape Der")
         self.dim = self._values.shape[0]
-        self._reps = space.on_window(space.phi.columns(self._values, space.window))
+        self._reps = space.on_window(self._values)
         # class coordinates: coordinates in the representatives modulo ad(C)
         not_in = ValueError("matrix is not in IDer + complement")
         self._classes = gfp.OrderedBasis(self._values, p, ider, not_in)
@@ -850,7 +842,7 @@ class HH1Presentation:
         for _ in range(trials):
             coeffs = rng.integers(0, self.p, size=(self.dim, inner_rows.shape[0]))
             shifts = matmul(coeffs, inner_rows, self.p)  # their values: no gen_coords per trial
-            reps = self._reps + space.on_window(space.phi.columns(shifts, space.window))
+            reps = self._reps + space.on_window(shifts)
             btab, ptab = generator_tables(reps, self._values + shifts, self.p, self._classes.coords_rows)
             if not (np.array_equal(btab, self.bracket_table) and np.array_equal(ptab, self.pmap_table)):
                 raise Hh1LieError("bracket or p-map table depends on the representatives")

@@ -147,6 +147,18 @@ def old_fails_leibniz(a, fstack, gens) -> bool:
     )
 
 
+def entries_of(fstack):
+    """The nonzero entries (t, row, column, value) of a stack of maps, the form the checker reads."""
+    t, row, col = np.nonzero(fstack)
+    return t, row, col, fstack[t, row, col]
+
+
+def checker_fails(a, fstack, elements) -> bool:
+    """Whether ``hochschild._fails`` sees some map of the stack fail Leibniz against some element."""
+    elements = np.stack([normalize(s, a.p).reshape(-1) for s in elements])
+    return hoch._fails(a, entries_of(fstack), elements, hoch._table_by_j(a))
+
+
 def old_leibniz_failure(a, fstack):
     """``hochschild._leibniz_failure`` before the planned checker, on ``old_fails_leibniz``."""
     if matmul(fstack, a.unit, a.p).any():
@@ -288,9 +300,9 @@ def old_inner(space):
     """
     a, p = space.algebra, space.p
     ad = []
-    for s in range(0, a.dim, space._block):
+    for s in range(0, a.dim, space.phi._block):
         # ad e_i for i from s on: rows s, s + 1, ... of the identity
-        mats = a.ad_matrices(np.eye(min(space._block, a.dim - s), a.dim, s, dtype=INT))
+        mats = a.ad_matrices(np.eye(min(space.phi._block, a.dim - s), a.dim, s, dtype=INT))
         rows = space.gen_coords(mats)
         if space.der.reduce_rows(rows).any() or not space.is_phi_of(mats, rows):
             raise Hh1LieError("inner derivations escape the derivation space")
@@ -402,3 +414,26 @@ def unknown_weights(a, gens):
     w = torus_weights(a, gens)
     weight = gfp.mod(w[:, None, :] - w[:, np.argmax(gens != 0, axis=1), None], a.p)
     return weight.reshape(w.shape[0], gens.size)
+
+
+def old_ad_values(a, phi, basis):
+    """``hochschild._ad_values`` before it read the slots off the merged keys, verbatim.
+
+    It fills a dense (|basis|, |S| d) array and gathers the slots' columns.
+    """
+    d, p = a.dim, a.p
+    i, j, k, c = a.structure_constants()
+    row = np.full(d, -1)
+    row[basis] = np.arange(len(basis))
+    keys, vals = [], []
+    for t, s in enumerate(phi.gens):
+        for mine, other, sign in ((i, j, 1), (j, i, -1)):  # e_c s on the terms (c, j); s e_c on (i, c)
+            n = np.flatnonzero((row[mine] >= 0) & (s[other] != 0))
+            keys.append(row[mine[n]] * phi.width + t * d + k[n])
+            vals.append(sign * c[n] * s[other[n]])
+    key, val = gfp.merge(np.concatenate(keys), np.concatenate(vals), p)
+    out = np.zeros((len(basis), phi.width), dtype=INT)
+    out.flat[key] = val
+    if out[:, gfp.complement(phi.width, phi.slots)].any():
+        raise Hh1LieError("inner derivations escape the derivation space")
+    return out[:, phi.slots]

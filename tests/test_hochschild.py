@@ -12,7 +12,7 @@ from hh1lie import hochschild as hoch
 from hh1lie import lie as lielib
 from hh1lie.errors import Hh1LieError, WellDefinednessFailure
 from hh1lie.gfp import Subspace
-from oracles import mult_terms, whole
+from oracles import checker_fails, mult_terms, whole
 
 
 def basis_vec(dim, i):
@@ -266,16 +266,60 @@ def test_missing_leibniz_rows_fail_the_generator_check(monkeypatch):
         hoch.derivation_space(a)
 
 
-def test_all_pairs_check_on_a_large_monomial_algebra_without_presentation():
-    # every basis pair is checked, each R_s read as its table terms; no
-    # right-multiplication matrix is built or cached on the algebra
+def test_all_pairs_check_on_a_large_monomial_algebra_without_presentation(monkeypatch):
+    # every basis pair is checked, each R_s read as its table terms, sorted
+    # once per check; no right-multiplication matrix is built, and nothing
+    # is cached on the algebra
     a, desc = alg.smash_product(5, 2, 1)
     b = alg.Algebra(a.p, a.labels, a.structure_constants(), a.unit, validate=False)
     assert b.dim == 125 and b.generators is None
     g = hoch.named_outer(desc, 0, 1, a).matrix
+    sorts, passes = [], []
+    by_j, fails = hoch._table_by_j, hoch._fails
+    monkeypatch.setattr(hoch, "_table_by_j", lambda x: sorts.append(x) or by_j(x))
+    monkeypatch.setattr(hoch, "_fails", lambda x, entries, s, table: passes.append(s) or fails(x, entries, s, table))
+    monkeypatch.setattr(alg.Algebra, "right_mult_matrix", lambda self, v: pytest.fail("R_s built as a matrix"))
     assert hoch.Derivation(b, g).is_derivation()
-    assert list(b._derivation_cache) == ["plans"]  # the scatter plans of the table terms, built once
+    assert sorts == [b] and len(passes) == 1 and np.array_equal(passes[0], np.eye(b.dim))  # the pairs (e_i, e_j)
+    assert list(b._derivation_cache) == []
     assert not hoch.Derivation(b, (g + generator_killer(a)) % 5).is_derivation()
+
+
+LARGE = {
+    "smash-3-4-1": lambda: alg.smash_product(3, 4, 1)[0],
+    "smash-5-3-1": lambda: alg.smash_product(5, 3, 1)[0],
+    "u0borel-5-2": lambda: alg.u0_borel(5, 2),
+}
+
+
+@pytest.mark.parametrize("name", LARGE)
+def test_one_bumped_entry_of_phis_image_fails_the_honesty_check(monkeypatch, name):
+    # above DENSE_SOLVER_LIMIT only the generator pass checks Leibniz: each
+    # of 20 seeded entries of the canonical basis's image, raised by one in
+    # the block _verify reads, makes a non-derivation it must see (the
+    # generator values stay; on the smash products every value in W extends)
+    a = LARGE[name]()
+    space = hoch._derivation_space(a)
+    assert a.dim > hoch.DENSE_SOLVER_LIMIT
+    step = max(1, hoch.STREAM_CELLS // space.phi.cells.size)  # maps per block of _verify
+    on, rng = hoch.Extender.on, np.random.default_rng(a.dim)
+    for m in rng.integers(0, space.dim, 20):
+        calls = []
+
+        def bumped(self, rows, cells=None):
+            out = on(self, rows, cells)
+            calls.append(len(rows))
+            if len(calls) == m // step + 1:
+                at = rng.choice(np.flatnonzero(out[m % step]))
+                out[m % step, at] = (out[m % step, at] + 1) % a.p
+            return out
+
+        monkeypatch.setattr(hoch.Extender, "on", bumped)
+        with pytest.raises(Hh1LieError, match="derivation solver produced a non-derivation"):
+            space._verify()
+        assert sum(calls) == space.dim
+    monkeypatch.setattr(hoch.Extender, "on", on)
+    space._verify()
 
 
 def test_unit_check_rejects_a_map_that_passes_every_generator():
@@ -286,7 +330,7 @@ def test_unit_check_rejects_a_map_that_passes_every_generator():
     assert a.dim > hoch.DENSE_SOLVER_LIMIT and a.generators is not None
     f = np.zeros((a.dim, a.dim), dtype=np.int64)
     f[a.dim - 1, 0] = 1
-    assert not hoch._LeibnizPlan(a, a.generating_set()).fails(f[None])
+    assert not checker_fails(a, f[None], a.generating_set())
     assert hoch._leibniz_failure(a, f[None]) == "produced a map with f(1) != 0"
     assert not hoch.Derivation(a, f).is_derivation()
 
@@ -296,8 +340,14 @@ def test_presentation_whose_generator_is_not_its_slot_fails_the_honesty_check(mo
     # derivation, but its value there is not the solved generator value, so
     # g(phi(y)) != y
     a = alg.truncated_polynomial(3, (1,))
-    off_slot = np.array([0, 1, 1])
-    monkeypatch.setattr(hoch.Extender, "gen_coords", lambda self, mats: np.asarray(mats) @ off_slot % 3)
+    assert np.array_equal(hoch.extender(a).gens, [[0, 1, 0]])
+    verify = hoch.DerivationSpace._verify
+
+    def off_slot(self):  # the honesty check reads g on x + x^2; the solve and the Leibniz checker keep x
+        monkeypatch.setattr(self.phi, "gens", np.array([[0, 1, 1]]))
+        verify(self)
+
+    monkeypatch.setattr(hoch.DerivationSpace, "_verify", off_slot)
     with pytest.raises(Hh1LieError, match="generator values do not determine"):
         hoch.derivation_space(a)
 

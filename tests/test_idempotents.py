@@ -19,7 +19,7 @@ from hh1lie import algebras as alg
 from hh1lie import checks, cli
 from hh1lie import hochschild as hoch
 from hh1lie.errors import Hh1LieError, IdempotentViolation
-from oracles import mult_terms, old_inner, whole
+from oracles import mult_terms, old_ad_values, old_inner, whole
 
 # every smash product with d <= 125 at p = 3 and 5: r < n, r = n and r > n at each p
 SMASH = [(3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 3, 1), (3, 2, 2), (3, 1, 3), (5, 1, 1), (5, 2, 1), (5, 1, 2)]
@@ -90,33 +90,29 @@ def test_relative_route_projects_every_derivation(p, n, r):
 
 
 def assert_no_d2_map_of_der_or_ider(monkeypatch, a, window, nv):
-    # the honesty check builds the Der_E basis as maps, a block at a time, and
-    # nothing else does but the representatives on W, which is all of A when E = {1}
-    built, on_w = [], []
-    matrices, columns = hoch.Extender.matrices, hoch.Extender.columns
+    # phi builds maps only on the cells asked for: the blocks of the solve,
+    # the honesty check on the cells phi reaches, and the representatives
+    # on W x W, all of A x A when E = {1}; no map is built on every cell,
+    # and no ad map at all
+    d2 = a.dim**2
+    cells, on = [], hoch.Extender.on
 
-    def counted(self, rows):
-        out = matrices(self, rows)
-        if not on_w:
-            built.append(out.shape[0])
-        return out
-
-    def restricted(self, rows, cols):
-        on_w.append(cols)
-        try:
-            return columns(self, rows, cols)
-        finally:
-            on_w.pop()
+    def counted(self, rows, cells_=None):
+        assert cells_ is not None, "a map was built on every cell"
+        cells.append(len(cells_))
+        return on(self, rows, cells_)
 
     def no_ad(self, stack):
         raise AssertionError("an ad map was built")
 
-    monkeypatch.setattr(hoch.Extender, "matrices", counted)
-    monkeypatch.setattr(hoch.Extender, "columns", restricted)
+    monkeypatch.setattr(hoch.Extender, "on", counted)
+    monkeypatch.setattr(hoch.Extender, "matrices", lambda self, rows: pytest.fail("a d x d map was built"))
     monkeypatch.setattr(alg.Algebra, "ad_matrices", no_ad)
     h = hoch.hh1(a)
-    assert sum(built) == h.space.dim == h.dim_der - a.dim + h.space.centralizer.size  # dim Der_E
     assert h.space.window.size == window and h.space.nv == nv and h._reps.shape == (h.dim, window, window)
+    # only the representatives and the re-check's four shifts, made when ad(C) != 0, read W x W
+    assert cells.count(window**2) == (5 if h.space.inner()[0].shape[0] else 1)
+    assert window**2 == d2 or max(cells) < d2
 
 
 def test_relative_hh1_builds_no_d2_map_of_der_or_ider(monkeypatch):
@@ -133,6 +129,52 @@ def test_relative_hh1_builds_no_d2_map_of_der_or_ider(monkeypatch):
 )
 def test_relative_hh1_with_e_1_builds_no_d2_map_of_der_or_ider(monkeypatch, build, window, nv):
     assert_no_d2_map_of_der_or_ider(monkeypatch, build(), window, nv)
+
+
+ESCAPE = {
+    "smash-3-2-1": lambda: alg.smash_product(3, 2, 1)[0],
+    "smash-5-2-1": lambda: alg.smash_product(5, 2, 1)[0],
+    "u0borel-3-2": lambda: alg.u0_borel(3, 2),  # E = {1}: every coordinate of x and t is a slot
+}
+
+
+@pytest.mark.parametrize("name", ESCAPE)
+def test_an_inner_value_off_the_slots_escapes(name):
+    # ad(C) is written at the slots of its merged values: with a slot that
+    # some value reaches dropped, it escapes; with one that none reaches
+    # dropped (u0(b) has them; ad(C) reaches every slot of the smash
+    # products), the values are the same but for that column
+    a = ESCAPE[name]()
+    phi, space = hoch.extender(a), hoch._derivation_space(a)
+    values = hoch._ad_values(a, phi, space.centralizer)
+    assert np.array_equal(values, old_ad_values(a, phi, space.centralizer))
+    reached = np.flatnonzero(values.any(axis=0))
+    for drop in (reached[0], reached[-1]):
+        fewer = hoch.Extender(a, phi.gens, np.delete(phi.slots, drop))
+        with pytest.raises(Hh1LieError, match="inner derivations escape the derivation space"):
+            hoch._ad_values(a, fewer, space.centralizer)
+        with pytest.raises(Hh1LieError, match="inner derivations escape the derivation space"):
+            old_ad_values(a, fewer, space.centralizer)
+    unreached = np.flatnonzero(~values.any(axis=0))
+    assert (unreached.size > 0) == (len(a.idempotents) == 1)
+    for drop in unreached[:1]:
+        fewer = hoch.Extender(a, phi.gens, np.delete(phi.slots, drop))
+        assert np.array_equal(hoch._ad_values(a, fewer, space.centralizer), np.delete(values, drop, axis=1))
+
+
+def test_a_representative_that_leaves_w_raises():
+    # the representatives are read on W x W, and the cells phi reaches with
+    # their column in W and their row off W must be zero: with a basis
+    # vector the representatives reach taken out of W, they leave it
+    h = hoch.hh1(alg.smash_product(3, 2, 1)[0])
+    space = h.space
+    maps = space.matrices(h._values)
+    assert np.array_equal(space.on_window(h._values), maps[:, space.window][:, :, space.window])
+    off = maps[:, space.window][:, :, space.window].any(axis=0) & ~np.eye(space.window.size, dtype=bool)
+    row = space.window[np.flatnonzero(off.any(axis=1))[0]]
+    space.window = space.window[space.window != row]
+    with pytest.raises(Hh1LieError, match="W is not stable under the representatives"):
+        space.on_window(h._values)
 
 
 def with_idempotents(a, idems, mult=None, **kw):

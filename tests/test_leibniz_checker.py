@@ -1,12 +1,12 @@
-"""The planned Leibniz checker, differentially against the one it replaced.
+"""The sparse Leibniz checker, differentially against the dense one before it.
 
-``hochschild._LeibnizPlan`` plans each element's scatters once per check,
-builds the residual in place and reduces only its nonzero entries.
-``oracles.old_gen_block_residual``, ``old_fails_leibniz`` and
-``old_leibniz_failure`` are the checker before that change: three
-zero-filled scatters per block of maps, two adds through transposes and a
-mod of every entry.  Both sum the same integers, so the unreduced residuals
-agree entry by entry, and so does every verdict.
+``hochschild._residual_terms`` joins a stack's nonzero entries with the
+terms of R_s and with the table terms, and ``_fails`` sums those terms by
+one merge mod p.  ``oracles.old_gen_block_residual``, ``old_fails_leibniz``
+and ``old_leibniz_failure`` are the dense checker: three zero-filled
+scatters per block of maps, two adds through transposes and a mod of every
+entry.  Both sum the same integer products, so the residuals summed
+exactly agree entry by entry, and so does every verdict.
 """
 
 import numpy as np
@@ -15,7 +15,8 @@ import pytest
 from hh1lie import algebras as alg
 from hh1lie import gfp
 from hh1lie import hochschild as hoch
-from oracles import mult_terms, old_fails_leibniz, old_gen_block_residual, old_leibniz_failure
+from oracles import checker_fails, entries_of, mult_terms
+from oracles import old_fails_leibniz, old_gen_block_residual, old_leibniz_failure
 from test_leibniz_residual import TABLES
 
 BUILDS = {name: (lambda build=build: build(3)) for name, build in TABLES.items()}
@@ -24,9 +25,11 @@ BUILDS["u0borel52"] = lambda: alg.u0_borel(5, 2)
 
 
 def unreduced(a, fstack, s):
-    """The new checker's exact residual of a block of maps against s, as [t, coordinate, i]."""
-    plan = hoch._LeibnizPlan(a, [s])
-    return plan.residual(plan.block(fstack), 0).transpose(2, 0, 1)
+    """The checker's residual terms of a stack against s, summed exactly, as [t, coordinate, i]."""
+    out = np.zeros(fstack.shape[0] * a.dim**2, dtype=np.int64)
+    for keys, vals in hoch._residual_terms(a, entries_of(fstack), np.asarray(s)[None], hoch._table_by_j(a)):
+        np.add.at(out, keys, vals)
+    return out.reshape(fstack.shape)
 
 
 def unit_killed(a, maps):
@@ -76,7 +79,7 @@ def test_verdicts_match_the_old_checker(name):
         verdicts[kind] = hoch._leibniz_failure(a, maps)
         assert verdicts[kind] == old_leibniz_failure(a, maps), kind
         for gens in gen_sets:
-            assert hoch._LeibnizPlan(a, gens).fails(maps) == old_fails_leibniz(a, maps, gens), kind
+            assert checker_fails(a, maps, gens) == old_fails_leibniz(a, maps, gens), kind
     assert verdicts["der"] is None and verdicts["der-combinations"] is None
     assert verdicts["random"] == "produced a map with f(1) != 0"
     assert verdicts["random-unital"] == "produced a non-derivation"
@@ -118,14 +121,15 @@ def test_one_entry_change_reached_by_one_part_fails_in_both(name, kind):
     f = der.matrices(der.basis)[:1] if der.dim else np.zeros((1, a.dim, a.dim), dtype=np.int64)
     f = f.copy()
     f[(0,) + pos] = (f[(0,) + pos] + 1) % a.p
-    assert hoch._LeibnizPlan(a, [s]).fails(f) and old_fails_leibniz(a, f, [s])
+    assert checker_fails(a, f, [s]) and old_fails_leibniz(a, f, [s])
     assert np.array_equal(unreduced(a, f, s), old_gen_block_residual(a, f, s, reduce=False))
     assert hoch._leibniz_failure(a, f) == old_leibniz_failure(a, f) is not None
 
 
 def test_all_pairs_verdict_matches_on_a_non_associative_table(monkeypatch):
     # e_22 e_17 raised by one: the maps solved on the generators pass the
-    # generator pass, and only the all-pairs pass (d <= 32) sees the table
+    # generator pass, and only the all-pairs pass (d <= 32) sees the table,
+    # sorted once for both passes
     a = alg.smash_product(3, 2, 1)[0]
     k = next((k for k, _ in mult_terms(a, 22, 17)), 0)  # the target of e_22 e_17, or e_0 where it is 0
     terms = [np.r_[col, t] for col, t in zip(a.structure_constants(), (22, 17, k, 1))]
@@ -134,9 +138,13 @@ def test_all_pairs_verdict_matches_on_a_non_associative_table(monkeypatch):
     space = hoch.DerivationSpace(bad)
     maps = space.matrices(space.basis)
     assert bad.dim <= hoch.DENSE_SOLVER_LIMIT
+    sorts, passes = [], []
+    by_j, fails = hoch._table_by_j, hoch._fails
+    monkeypatch.setattr(hoch, "_table_by_j", lambda a: sorts.append(a) or by_j(a))
+    monkeypatch.setattr(hoch, "_fails", lambda a, entries, s, table: passes.append(s) or fails(a, entries, s, table))
     assert hoch._leibniz_failure(bad, maps) == old_leibniz_failure(bad, maps) == "failed the all-pairs check"
-    plans = hoch._leibniz_plans(bad)
-    assert plans[1] is not None and plans[1].table is plans[0].table  # one table plan for both passes
+    assert sorts == [bad] and len(passes) == 2  # the generators pass, then every basis vector
+    assert np.array_equal(passes[0], bad.generating_set()) and np.array_equal(passes[1], np.eye(bad.dim))
 
 
 @pytest.mark.parametrize("name", ["smash321", "tkr-quiver", "non-injective"])
@@ -157,25 +165,31 @@ def test_a_residual_entry_that_is_a_nonzero_multiple_of_p_passes():
     exact = old_gen_block_residual(a, maps, s, reduce=False)
     assert exact.any() and not (exact % a.p).any()
     assert np.array_equal(unreduced(a, maps, s), exact)
-    assert not hoch._LeibnizPlan(a, [s]).fails(maps) and not old_fails_leibniz(a, maps, [s])
+    assert not checker_fails(a, maps, [s]) and not old_fails_leibniz(a, maps, [s])
     assert hoch._leibniz_failure(a, maps) is None
 
 
 def test_plans_are_built_once_per_honesty_check(monkeypatch):
-    # _verify checks every block of the canonical basis on one set of plans,
-    # which is cached on the algebra beside phi
+    # _verify builds the canonical basis on phi's cells a block at a time and
+    # checks all of their entries in one pass of the checker, which sorts the
+    # table once; nothing but phi is cached on the algebra
     a = alg.smash_product(3, 3, 1)[0]
     a = alg.Algebra(a.p, a.labels, a.structure_constants(), a.unit, generators=a.generators)
-    built = []
-    plan = hoch._LeibnizPlan
+    sorts, blocks, checked = [], [], []
+    by_j, on, failure = hoch._table_by_j, hoch.Extender.on, hoch._entries_failure
+    monkeypatch.setattr(hoch, "_table_by_j", lambda b: sorts.append(b) or by_j(b))
+    reached = hoch.extender(a).cells
 
-    class Counted(plan):
-        def __init__(self, *args):
-            built.append(len(args[1]))
-            super().__init__(*args)
+    def counted(self, rows, cells=None):
+        if cells is not None and np.array_equal(cells, reached):  # a block of _verify
+            blocks.append(len(rows))
+        return on(self, rows, cells)
 
-    monkeypatch.setattr(hoch, "_LeibnizPlan", Counted)
-    monkeypatch.setattr(hoch, "STREAM_CELLS", 4 * a.dim**2)  # four maps per block: several blocks
+    monkeypatch.setattr(hoch.Extender, "on", counted)
+    monkeypatch.setattr(hoch, "_entries_failure", lambda b, ent: checked.append(ent[0].size) or failure(b, ent))
+    monkeypatch.setattr(hoch, "STREAM_CELLS", 4 * reached.size)  # four maps per block: several blocks
     space = hoch.DerivationSpace(a)
-    assert space.dim > 4 and built == [len(a.generating_set())]
-    assert set(a._derivation_cache) == {"phi", "plans"}
+    assert space.dim > 8 and blocks[:2] == [4, 4] and sum(blocks) == space.dim
+    assert sorts == [a] and len(checked) == 1
+    assert checked[0] == np.count_nonzero(space.matrices(space.basis))  # every nonzero entry of the basis
+    assert set(a._derivation_cache) == {"phi"}

@@ -1,6 +1,6 @@
 """The sparse Leibniz residual, differentially against the two dense paths it replaced.
 
-``hochschild._LeibnizPlan.residual`` reads R_s as table terms.  It used to
+``hochschild._residual_terms`` reads R_s as table terms.  It used to
 take a dense R_s and either gather/scatter its columns, when every column
 held at most one nonzero, or contract it in a float64 einsum.  Both live on
 here as oracles.  They build R_s and the left multiplications densely from
@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from hh1lie import algebras as alg
+from hh1lie import gfp
 from hh1lie import hochschild as hoch
+from oracles import checker_fails, entries_of
 
 INT = np.int64
 
@@ -93,9 +95,13 @@ def elements(a, rng):
 
 
 def reduced_residual(a, fstack, s):
-    """The ``_LeibnizPlan`` residual of the stack against s, reduced mod p, as [t, coordinate, i]."""
-    plan = hoch._LeibnizPlan(a, [s])
-    return (plan.residual(plan.block(fstack), 0) % a.p).transpose(2, 0, 1)
+    """The checker's residual of the stack against s, each block's terms merged mod p, as [t, coordinate, i]."""
+    out = np.zeros(fstack.shape[0] * a.dim**2, dtype=INT)
+    for keys, vals in hoch._residual_terms(a, entries_of(fstack), s[None], hoch._table_by_j(a)):
+        keys, vals = gfp.merge(keys, vals, a.p)
+        assert not out[keys].any()  # no entry is summed in two blocks
+        out[keys] = vals
+    return out.reshape(fstack.shape)
 
 
 def stacks(a, rng):
@@ -119,10 +125,10 @@ def test_residual_matches_the_gather_and_einsum_paths(name, p):
                 multi_term += 1
             else:
                 assert np.array_equal(got, residual_by_gather(a, fstack, s)), (kind, s)
-            assert got.any() == hoch._LeibnizPlan(a, [s]).fails(fstack)
+            assert got.any() == checker_fails(a, fstack, [s])
             if kind == "der":
                 assert not got.any()
-        assert kind != "random" or hoch._LeibnizPlan(a, np.eye(a.dim, dtype=INT)).fails(fstack)
+        assert kind != "random" or checker_fails(a, fstack, np.eye(a.dim, dtype=INT))
     assert multi_term  # the einsum path, not only the gather, was compared
 
 
